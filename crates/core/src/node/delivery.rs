@@ -177,12 +177,12 @@ impl<C: BlockCoder> Node<C> {
     }
 
     /// Release the heavyweight state of epochs far behind the delivered
-    /// frontier. We keep full history for the window-widened lookahead
-    /// (`epoch_lookahead`, or `dispersal_window` if larger — pipelined
-    /// epochs must never be collected while still inside the window) so
-    /// lagging peers can catch up; beyond that, *delivered* slots drop
-    /// their VID server (chunk memory), retriever and block body, and the
-    /// epoch's BA instances (long halted) are dropped wholesale.
+    /// frontier. We keep full history for [`crate::NodeConfig::horizon`]
+    /// epochs so lagging peers can catch up (and pipelined epochs are
+    /// never collected while still inside the window); beyond that,
+    /// *delivered* slots drop their VID server (chunk memory), retriever
+    /// and block body, and the epoch's BA instances (long halted) are
+    /// dropped wholesale.
     ///
     /// Un-delivered slots are deliberately kept alive — server included —
     /// because a later epoch's linking estimate may still name them and
@@ -193,9 +193,7 @@ impl<C: BlockCoder> Node<C> {
     /// requests; peers lagging further than the window need a state-sync
     /// mechanism.)
     pub(super) fn gc_epochs(&mut self) {
-        let new_horizon = self
-            .delivered_frontier
-            .saturating_sub(self.cfg.epoch_lookahead.max(self.cfg.dispersal_window));
+        let new_horizon = self.delivered_frontier.saturating_sub(self.cfg.horizon());
         if new_horizon <= self.gc_horizon {
             return;
         }

@@ -359,18 +359,6 @@ impl<C: BlockCoder> Node<C> {
         Epoch(self.next_propose_epoch)
     }
 
-    /// Queued (not yet proposed) transactions.
-    pub fn queued_txs(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// The effective epoch admission/retention span: the configured
-    /// lookahead, widened if an even larger dispersal window is configured
-    /// so pipelined dispersals are never refused or collected early.
-    fn lookahead(&self) -> u64 {
-        self.cfg.epoch_lookahead.max(self.cfg.dispersal_window)
-    }
-
     /// Entry point 1/3: a client submits a transaction at this node.
     pub fn submit_tx(&mut self, tx: Tx, now: u64, sink: &mut dyn EffectSink) {
         self.stats.txs_submitted += 1;
@@ -412,8 +400,8 @@ impl<C: BlockCoder> Node<C> {
     fn admit_envelope(&mut self, from: NodeId, env: Envelope, work: &mut VecDeque<Work>) {
         let n = self.cfg.cluster.n;
         let e = env.epoch.0;
-        if e == 0 || e > self.agreement_frontier + self.lookahead() {
-            return; // anti-DoS epoch bound (window-widened, see `lookahead`)
+        if e == 0 || e > self.agreement_frontier + self.cfg.horizon() {
+            return; // anti-DoS epoch bound (see `NodeConfig::horizon`)
         }
         // Below the GC horizon we only keep routing to epochs that still
         // hold live state (undelivered slots awaiting a linking rescue);

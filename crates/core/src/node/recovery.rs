@@ -115,7 +115,7 @@ impl<C: BlockCoder> Node<C> {
             // collide with a catch-up `restore_decided`.
             st.acs_zeroed = st.decided_ones >= n - f;
         }
-        self.ba_observe_below = self.agreement_frontier + self.lookahead() + 1;
+        self.ba_observe_below = self.agreement_frontier + self.cfg.horizon() + 1;
         for (_, st) in self.epochs.iter_range_mut(0, self.ba_observe_below) {
             for ba in &mut st.bas {
                 ba.observe_only();
@@ -195,7 +195,7 @@ impl<C: BlockCoder> Node<C> {
                 }
                 let mut outcomes: Vec<(u64, Vec<bool>)> = Vec::new();
                 for (e, st) in self.epochs.iter_range(epoch, self.agreement_frontier) {
-                    if outcomes.len() as u64 >= self.cfg.epoch_lookahead {
+                    if outcomes.len() as u64 >= self.cfg.horizon() {
                         break;
                     }
                     if !st.all_decided() {
@@ -222,7 +222,7 @@ impl<C: BlockCoder> Node<C> {
                 if !self.sync_active
                     || committed.len() != self.cfg.cluster.n
                     || epoch <= self.agreement_frontier
-                    || epoch > self.agreement_frontier + self.lookahead()
+                    || epoch > self.agreement_frontier + self.cfg.horizon()
                 {
                     return;
                 }

@@ -23,6 +23,8 @@ use dl_crypto::{Hash, MerkleProof};
 use dl_wire::codec::{read_u8, WireDecode, WireEncode};
 use dl_wire::{Block, ChunkPayload, CodecError, Epoch, NodeId};
 
+use crate::NodeConfig;
+
 /// One durable state transition of a node.
 ///
 /// The sequence of records *is* the ledger: replaying them rebuilds the
@@ -108,9 +110,9 @@ impl StoreRecord {
 /// rebuild the cursors, and chunks for *undelivered* slots below the
 /// horizon may still be needed by the linking rescue path.
 ///
-/// The floor mirrors `Node::gc_epochs`: `max(EpochDelivered) −
-/// epoch_lookahead`, so compaction never outruns what the engine itself
-/// retains.
+/// The floor is the one `Node::gc_epochs` uses: `max(EpochDelivered) −
+/// NodeConfig::horizon()`, so compaction never outruns what the engine
+/// itself retains.
 #[derive(Debug, Clone)]
 pub struct CompactionPlan {
     /// Epochs strictly below this are candidates for chunk dropping.
@@ -120,9 +122,9 @@ pub struct CompactionPlan {
 }
 
 impl CompactionPlan {
-    /// Derive the plan from a decoded log. `epoch_lookahead` must match the
-    /// `NodeConfig` the log's owner runs with.
-    pub fn build(records: &[StoreRecord], epoch_lookahead: u64) -> CompactionPlan {
+    /// Derive the plan from a decoded log and the `NodeConfig` its owner
+    /// runs with.
+    pub fn build(records: &[StoreRecord], cfg: &NodeConfig) -> CompactionPlan {
         let mut horizon = 0u64;
         let mut delivered = std::collections::BTreeSet::new();
         for rec in records {
@@ -137,7 +139,7 @@ impl CompactionPlan {
             }
         }
         CompactionPlan {
-            floor: horizon.saturating_sub(epoch_lookahead),
+            floor: horizon.saturating_sub(cfg.horizon()),
             delivered,
         }
     }
@@ -299,6 +301,13 @@ mod tests {
     use super::*;
     use dl_wire::{BlockHeader, Tx};
 
+    fn cfg_with_lookahead(epoch_lookahead: u64) -> NodeConfig {
+        NodeConfig {
+            epoch_lookahead,
+            ..NodeConfig::new(dl_wire::ClusterConfig::new(4), crate::ProtocolVariant::Dl)
+        }
+    }
+
     fn roundtrip(rec: StoreRecord) {
         let bytes = rec.to_bytes();
         assert_eq!(bytes.len(), rec.encoded_len());
@@ -405,7 +414,7 @@ mod tests {
             },
             StoreRecord::EpochDelivered { epoch: Epoch(10) },
         ];
-        let plan = CompactionPlan::build(&records, 2);
+        let plan = CompactionPlan::build(&records, &cfg_with_lookahead(2));
         assert_eq!(plan.floor(), Epoch(8));
         assert!(!plan.keep(&records[0]), "delivered chunk below floor kept");
         assert!(plan.keep(&records[1]), "Delivered record dropped");
@@ -418,7 +427,7 @@ mod tests {
     fn compaction_of_an_empty_or_young_log_keeps_everything() {
         let records = vec![chunk(1, 0), StoreRecord::EpochDelivered { epoch: Epoch(1) }];
         // Horizon 1, lookahead 64: floor saturates at 0, nothing dropped.
-        let plan = CompactionPlan::build(&records, 64);
+        let plan = CompactionPlan::build(&records, &cfg_with_lookahead(64));
         assert_eq!(plan.floor(), Epoch(0));
         assert!(records.iter().all(|r| plan.keep(r)));
     }
@@ -435,7 +444,7 @@ mod tests {
             },
             StoreRecord::EpochDelivered { epoch: Epoch(70) },
         ];
-        let plan = CompactionPlan::build(&records, 2);
+        let plan = CompactionPlan::build(&records, &cfg_with_lookahead(2));
         for rec in &records {
             assert_eq!(plan.keep_raw(&rec.to_bytes()), plan.keep(rec));
         }

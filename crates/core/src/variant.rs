@@ -140,17 +140,7 @@ pub struct NodeConfig {
 impl NodeConfig {
     /// Configuration with the paper's defaults.
     pub fn new(cluster: ClusterConfig, variant: ProtocolVariant) -> NodeConfig {
-        NodeConfig {
-            cluster,
-            flags: variant.flags(),
-            propose_delay_ms: crate::DEFAULT_PROPOSE_DELAY_MS,
-            propose_size: crate::DEFAULT_PROPOSE_SIZE,
-            lag_limit: 1,
-            early_cancel: true,
-            epoch_lookahead: crate::DEFAULT_EPOCH_LOOKAHEAD,
-            dispersal_window: 1,
-            window_bytes_max: crate::DEFAULT_WINDOW_BYTES_MAX,
-        }
+        NodeConfig::with_flags(cluster, variant.flags())
     }
 
     /// Configuration with explicit flags (ablation studies).
@@ -166,6 +156,16 @@ impl NodeConfig {
             dispersal_window: 1,
             window_bytes_max: crate::DEFAULT_WINDOW_BYTES_MAX,
         }
+    }
+
+    /// The epoch admission and retention span, in epochs past a frontier:
+    /// the anti-DoS lookahead, widened to the dispersal window when that is
+    /// larger so pipelined epochs are never refused or collected early.
+    /// Every bound that means "how far around the frontier do we keep
+    /// state" (message admission, GC, sync batches, log compaction) is
+    /// this one number.
+    pub fn horizon(&self) -> u64 {
+        self.epoch_lookahead.max(self.dispersal_window)
     }
 }
 

@@ -247,11 +247,6 @@ impl MerkleTree {
     }
 }
 
-/// Convenience: root of a chunk array without keeping the tree.
-pub fn merkle_root<T: AsRef<[u8]>>(chunks: &[T]) -> Hash {
-    MerkleTree::build(chunks).root()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -344,9 +339,9 @@ mod tests {
     #[test]
     fn different_leaf_order_changes_root() {
         let mut c = chunks(6);
-        let r1 = merkle_root(&c);
+        let r1 = MerkleTree::build(&c).root();
         c.swap(0, 1);
-        let r2 = merkle_root(&c);
+        let r2 = MerkleTree::build(&c).root();
         assert_ne!(r1, r2);
     }
 
@@ -357,7 +352,7 @@ mod tests {
         let c4 = chunks(4);
         let mut c5 = chunks(4);
         c5.push(c4[3].clone());
-        assert_ne!(merkle_root(&c4), merkle_root(&c5));
+        assert_ne!(MerkleTree::build(&c4).root(), MerkleTree::build(&c5).root());
     }
 
     #[test]

@@ -326,32 +326,6 @@ impl ReedSolomon {
         self.encode_block_shared(block).to_vecs()
     }
 
-    /// Low-level encode: `k` equal-length data shards → `n` chunks
-    /// (first `k` are the data shards themselves).
-    pub fn encode_shards(&self, data: &[&[u8]]) -> Vec<Vec<u8>> {
-        assert_eq!(data.len(), self.k, "need exactly k data shards");
-        let len = data[0].len();
-        assert!(data.iter().all(|d| d.len() == len), "unequal shard lengths");
-
-        let mut out: Vec<Vec<u8>> = Vec::with_capacity(self.n);
-        for d in data {
-            out.push(d.to_vec());
-        }
-        for r in 0..self.n - self.k {
-            let mut shard = vec![0u8; len];
-            for (c, d) in data.iter().enumerate() {
-                let tab = &self.parity_tabs[r * self.k + c];
-                if c == 0 {
-                    gf256::mul_slice_tab(&mut shard, d, tab);
-                } else {
-                    gf256::mul_acc_slice_tab(&mut shard, d, tab);
-                }
-            }
-            out.push(shard);
-        }
-        out
-    }
-
     /// The inverted-submatrix decode plan for one ordered chunk subset,
     /// served from the shared cache when the subset repeats.
     fn decode_plan(&self, indices: &[usize]) -> DecodePlan {

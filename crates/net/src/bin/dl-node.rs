@@ -27,7 +27,7 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use dl_core::ProtocolVariant;
-use dl_net::run_restart_recovery;
+use dl_net::{run_restart_recovery, ClusterSpec, LocalCluster};
 use dl_store::FsyncPolicy;
 
 struct Opts {
@@ -162,26 +162,15 @@ fn main() {
     let timeout = Duration::from_millis(opts.timeout_ms);
     let mut failed = false;
     for variant in variants {
-        let result = match &opts.data_dir {
-            Some(root) => dl_net::run_cluster_to_quiescence_stored(
-                opts.nodes,
-                variant,
-                opts.window,
-                opts.txs,
-                opts.tx_bytes,
-                timeout,
-                &root.join(variant.label()),
-                opts.fsync,
-            ),
-            None => dl_net::run_cluster_to_quiescence_windowed(
-                opts.nodes,
-                variant,
-                opts.window,
-                opts.txs,
-                opts.tx_bytes,
-                timeout,
-            ),
-        };
+        let mut spec = ClusterSpec::new(opts.nodes, variant);
+        spec.window = opts.window;
+        spec.store = opts
+            .data_dir
+            .as_ref()
+            .map(|root| (root.join(variant.label()), opts.fsync));
+        let result = LocalCluster::spawn(&spec)
+            .map_err(|e| format!("{variant:?}: spawn failed: {e}"))
+            .and_then(|cluster| cluster.run_to_quiescence(opts.txs, opts.tx_bytes, timeout));
         match result {
             Ok(elapsed) => eprintln!(
                 "dl-node: {:<12} {} nodes  window {}  {} txs  total order OK  {:.2}s",

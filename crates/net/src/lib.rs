@@ -57,1405 +57,20 @@
 //! right fidelity for reproducing the paper's experiments on localhost /
 //! trusted hosts; an authenticated transport (TLS, Noise) would slot in at
 //! the connection layer without touching the engine seam.
+//!
+//! [`Engine`]: dl_core::Engine
+//! [`SendQueue`]: dl_core::SendQueue
+//! [`SegmentBuf`]: dl_wire::frame::SegmentBuf
+//! [`FrameDecoder`]: dl_wire::frame::FrameDecoder
+//! [`NodeId`]: dl_wire::NodeId
 
 #![forbid(unsafe_code)]
 
-use std::io::{self, IoSlice, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
-
-use dl_core::{
-    DeliveredBlock, EffectSink, Engine, Node, NodeConfig, NodeStats, ProtocolVariant,
-    RealBlockCoder, SendQueue, StoreRecord, Transport,
-};
-use dl_store::{ChainStore, FileStore, FsyncPolicy};
-use dl_wire::frame::{encode_frame, FrameDecoder, SegmentBuf};
-use dl_wire::{ClusterConfig, Envelope, Epoch, NodeId, Tx, WireDecode, WireEncode};
-
-pub mod hostile;
-
-/// Transport parameters of one node.
-#[derive(Clone, Debug)]
-pub struct NetConfig {
-    /// Our identity; indexes `peers`.
-    pub me: NodeId,
-    /// Listen address of every cluster member, by node id (our own entry
-    /// is what peers dial; we bind it before spawning).
-    pub peers: Vec<SocketAddr>,
-    /// Per-peer outbox bound in wire bytes; `send` blocks above it.
-    pub max_outbox_bytes: usize,
-    /// Grace period per disconnect during which outbound traffic keeps
-    /// queueing (bounded) while the writer dials. A peer still down when
-    /// it expires has its outbox switched to lossy (drop, don't block)
-    /// until the writer reconnects.
-    pub connect_timeout: Duration,
-    /// Per-syscall socket write timeout. A connected peer that accepts no
-    /// bytes for this long (frozen, silently partitioned) has its
-    /// connection torn down so its outbox can never stall the engine; the
-    /// writer then dials anew.
-    pub write_timeout: Duration,
-    /// Cap for the writer's exponential reconnect backoff (dial attempts
-    /// start at 50 ms apart and double up to this).
-    pub reconnect_backoff_max: Duration,
-    /// Engine poll cadence in ms (wake hints can only shorten the wait).
-    pub tick_ms: u64,
-    /// Durable storage root. `Some(dir)` gives the node a write-ahead log
-    /// at `dir/node<id>.log` (created if absent): every engine `Persist`
-    /// effect is appended before the effects after it reach the wire, and
-    /// on spawn an existing log is replayed through [`Engine::restore`] so
-    /// the node resumes from its durable horizon and catches up on missed
-    /// epochs through retrieval. `None` (default) runs in-memory only.
-    pub data_dir: Option<PathBuf>,
-    /// When the write-ahead log fsyncs (ignored without `data_dir`).
-    pub fsync: FsyncPolicy,
-}
-
-impl NetConfig {
-    pub fn new(me: NodeId, peers: Vec<SocketAddr>) -> NetConfig {
-        NetConfig {
-            me,
-            peers,
-            max_outbox_bytes: 8 << 20,
-            connect_timeout: Duration::from_secs(10),
-            write_timeout: Duration::from_secs(30),
-            reconnect_backoff_max: Duration::from_secs(2),
-            tick_ms: 25,
-            data_dir: None,
-            fsync: FsyncPolicy::default(),
-        }
-    }
-}
-
-/// Inputs serialized into the engine thread.
-enum Input {
-    Tx(Tx),
-    Env { from: NodeId, env: Envelope },
-}
-
-/// A bounded, §5-prioritized outbox feeding one peer's writer thread.
-struct Outbox {
-    queue: Mutex<SendQueue>,
-    cv: Condvar,
-    max_bytes: usize,
-    /// Set when the peer's writer thread exits for good (node shutdown).
-    /// A dead peer's outbox drops instead of blocking: backpressure from
-    /// a peer that will never drain again must not stall the engine —
-    /// that is exactly the `f`-crash scenario the protocol tolerates.
-    dead: AtomicBool,
-    /// Set while the peer has been unreachable longer than the connect
-    /// grace: traffic is dropped (not queued, not backpressured) until
-    /// the writer reconnects. Unlike `dead`, this state is reversible —
-    /// reconnect-after-drop clears it and queueing resumes.
-    lossy: AtomicBool,
-    /// Set from the first disconnect until the replacement connection has
-    /// **proven** it drains (a full `write_timeout` of successful
-    /// writes): while set, `push` still queues up to the bound but never
-    /// blocks (drops at the bound instead). This preserves the PR 4
-    /// invariant that an unhealthy peer cannot stall the engine — a
-    /// frozen process whose kernel still accepts connections would
-    /// otherwise re-earn backpressure with every successful dial.
-    no_block: AtomicBool,
-}
-
-impl Outbox {
-    fn new(max_bytes: usize) -> Outbox {
-        Outbox {
-            queue: Mutex::new(SendQueue::new()),
-            cv: Condvar::new(),
-            max_bytes,
-            dead: AtomicBool::new(false),
-            lossy: AtomicBool::new(false),
-            no_block: AtomicBool::new(false),
-        }
-    }
-
-    /// Enter/leave probation: queueing continues (bounded) but producers
-    /// are never blocked until the writer proves the peer drains again.
-    fn set_no_block(&self, no_block: bool) {
-        self.no_block.store(no_block, Ordering::Relaxed);
-        if no_block {
-            self.cv.notify_all();
-        }
-    }
-
-    /// Mark the peer unreachable-for-good: release any backpressured
-    /// producer and discard what is queued (TCP teardown loses it anyway).
-    fn mark_dead(&self) {
-        self.dead.store(true, Ordering::Relaxed);
-        let mut q = self.queue.lock().expect("outbox lock");
-        while q.pop().is_some() {}
-        self.cv.notify_all();
-    }
-
-    /// Enter/leave the lossy (peer-down) state. Entering discards queued
-    /// traffic and releases any backpressured producer; leaving resumes
-    /// normal bounded queueing.
-    fn set_lossy(&self, lossy: bool) {
-        self.lossy.store(lossy, Ordering::Relaxed);
-        if lossy {
-            let mut q = self.queue.lock().expect("outbox lock");
-            while q.pop().is_some() {}
-            self.cv.notify_all();
-        }
-    }
-
-    /// Queue `env`, blocking while the outbox is over its byte bound
-    /// (backpressure against a slow peer). Drops the envelope without
-    /// blocking if the node is stopping, the peer is dead or down
-    /// (lossy), or the peer is on reconnect probation (`no_block`) — only
-    /// a connection that provably drains may stall the engine.
-    fn push(&self, env: Envelope, stop: &AtomicBool) {
-        let mut q = self.queue.lock().expect("outbox lock");
-        while q.queued_bytes() >= self.max_bytes {
-            if stop.load(Ordering::Relaxed)
-                || self.dead.load(Ordering::Relaxed)
-                || self.lossy.load(Ordering::Relaxed)
-                || self.no_block.load(Ordering::Relaxed)
-            {
-                return;
-            }
-            let (guard, _) = self
-                .cv
-                .wait_timeout(q, Duration::from_millis(100))
-                .expect("outbox lock");
-            q = guard;
-        }
-        if self.dead.load(Ordering::Relaxed) || self.lossy.load(Ordering::Relaxed) {
-            return;
-        }
-        q.push(env);
-        self.cv.notify_all();
-    }
-
-    /// Drop every queued `ReturnChunk` for the cancelled retrieval
-    /// `(epoch, index)`. Freed bytes may release a backpressured producer.
-    fn purge_returns(&self, epoch: Epoch, index: NodeId) {
-        let (count, _) = self
-            .queue
-            .lock()
-            .expect("outbox lock")
-            .purge_returns(epoch, index);
-        if count > 0 {
-            self.cv.notify_all();
-        }
-    }
-
-    /// Next envelope in priority order; blocks until one is available or
-    /// the node stops.
-    fn pop_blocking(&self, stop: &AtomicBool) -> Option<Envelope> {
-        let mut q = self.queue.lock().expect("outbox lock");
-        loop {
-            if let Some(env) = q.pop() {
-                // Space freed: release any backpressured producer.
-                self.cv.notify_all();
-                return Some(env);
-            }
-            if stop.load(Ordering::Relaxed) {
-                return None;
-            }
-            let (guard, _) = self
-                .cv
-                .wait_timeout(q, Duration::from_millis(100))
-                .expect("outbox lock");
-            q = guard;
-        }
-    }
-}
-
-/// The per-peer outboxes: `dl-net`'s implementation of the [`Transport`]
-/// seam (the simulator's link fabric is the other).
-struct Outboxes {
-    slots: Vec<Option<Arc<Outbox>>>,
-    shared: Arc<Shared>,
-}
-
-impl Transport for Outboxes {
-    fn send(&mut self, from: NodeId, to: NodeId, env: Envelope) {
-        // Same contract the simulator asserts: engines loop self-traffic
-        // internally, so a self-send is an engine bug — fail loudly in
-        // debug instead of silently dropping (slots[me] is None).
-        debug_assert_ne!(from, to, "engines must loop self-traffic back internally");
-        if let Some(outbox) = self.slots[to.idx()].as_ref() {
-            outbox.push(env, &self.shared.stop);
-        }
-    }
-}
-
-/// State the engine thread shares with the handle and the IO threads.
-struct Shared {
-    stop: AtomicBool,
-    delivered: Mutex<Vec<DeliveredBlock>>,
-    /// Engine counter snapshot; `None` for engines that keep none
-    /// (Byzantine members), mirroring [`Engine::stats`].
-    stats: Mutex<Option<NodeStats>>,
-    /// Streams registered for forced shutdown (unblocks reader/writer IO),
-    /// keyed so each thread prunes its entry on exit — a flapping peer
-    /// must not grow the registry (or leak fds) for the node's lifetime.
-    conns: Mutex<Vec<(u64, TcpStream)>>,
-    next_conn_id: AtomicU64,
-}
-
-impl Shared {
-    /// Register a stream for shutdown-time unblocking; the caller removes
-    /// it with [`Shared::forget_conn`] when its IO loop exits.
-    fn register_conn(&self, stream: &TcpStream) -> u64 {
-        let id = self.next_conn_id.fetch_add(1, Ordering::Relaxed);
-        match stream.try_clone() {
-            Ok(clone) => self.conns.lock().expect("conns lock").push((id, clone)),
-            // Unregistrable (fd exhaustion): refuse the connection rather
-            // than hold one that shutdown() could never unblock.
-            Err(_) => {
-                let _ = stream.shutdown(std::net::Shutdown::Both);
-            }
-        }
-        // Shutdown may already have swept the registry: close the stream
-        // ourselves so a connection accepted mid-shutdown cannot strand
-        // its reader in a blocking read forever.
-        if self.stop.load(Ordering::Relaxed) {
-            let _ = stream.shutdown(std::net::Shutdown::Both);
-        }
-        id
-    }
-
-    fn forget_conn(&self, id: u64) {
-        self.conns
-            .lock()
-            .expect("conns lock")
-            .retain(|(cid, _)| *cid != id);
-    }
-}
-
-/// The engine thread's effect sink: `send` goes to the peer outboxes,
-/// `deliver` into the shared log, `wake_at` shortens the next poll, and
-/// `persist` appends to the write-ahead log (when the node has one) —
-/// before any later effect of the same engine call reaches a socket,
-/// because the sink is only dropped when the call returns and the writers
-/// drain the outboxes asynchronously anyway.
-struct NetSink<'a> {
-    me: NodeId,
-    outboxes: &'a mut Outboxes,
-    shared: &'a Shared,
-    next_wake: &'a mut Option<u64>,
-    store: &'a mut Option<FileStore>,
-    fsync: FsyncPolicy,
-}
-
-impl EffectSink for NetSink<'_> {
-    fn send(&mut self, to: NodeId, env: Envelope) {
-        self.outboxes.send(self.me, to, env);
-    }
-
-    fn deliver(&mut self, block: DeliveredBlock) {
-        self.shared
-            .delivered
-            .lock()
-            .expect("delivered lock")
-            .push(block);
-    }
-
-    fn wake_at(&mut self, at_ms: u64) {
-        *self.next_wake = Some(self.next_wake.map_or(at_ms, |w| w.min(at_ms)));
-    }
-
-    fn persists(&self) -> bool {
-        self.store.is_some()
-    }
-
-    fn persist(&mut self, record: StoreRecord) {
-        let Some(store) = self.store.as_mut() else {
-            return;
-        };
-        // A WAL that stops accepting writes voids every durability claim
-        // the node would go on making; dying loudly beats running on.
-        store
-            .append(&record.to_bytes())
-            .expect("write-ahead log append failed");
-        let sync_now = match self.fsync {
-            FsyncPolicy::Always => true,
-            FsyncPolicy::EpochBoundary => record.is_epoch_boundary(),
-            FsyncPolicy::Never => false,
-        };
-        if sync_now {
-            store.sync().expect("write-ahead log fsync failed");
-        }
-    }
-
-    fn purge_returns(&mut self, to: NodeId, epoch: Epoch, index: NodeId) {
-        if let Some(outbox) = self.outboxes.slots[to.idx()].as_ref() {
-            outbox.purge_returns(epoch, index);
-        }
-    }
-}
-
-/// Write all of `buf`'s segments with vectored IO, handling partial
-/// writes. The shared payload segments go to the socket straight from the
-/// encode arena — this is the zero-copy send path.
-pub fn write_segments(w: &mut impl Write, buf: &SegmentBuf) -> io::Result<()> {
-    let total = buf.len();
-    let mut written = 0usize;
-    while written < total {
-        // Common case: one vectored write of the whole frame. After a
-        // partial write, rebuild the iovec past what the last syscall
-        // consumed (rare; re-walking the segment list is cheap).
-        let slices: Vec<IoSlice<'_>> = if written == 0 {
-            buf.io_slices()
-        } else {
-            let mut skip = written;
-            buf.segments()
-                .filter_map(|s| {
-                    if skip >= s.len() {
-                        skip -= s.len();
-                        return None;
-                    }
-                    let slice = IoSlice::new(&s[skip..]);
-                    skip = 0;
-                    Some(slice)
-                })
-                .collect()
-        };
-        let n = match w.write_vectored(&slices) {
-            Ok(n) => n,
-            // EINTR is a retry, not a dead peer (std's write_all does the
-            // same); anything else ends the connection.
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        };
-        if n == 0 {
-            return Err(io::ErrorKind::WriteZero.into());
-        }
-        written += n;
-    }
-    Ok(())
-}
-
-/// A running cluster member: engine thread + listener + per-peer writers.
-pub struct NetNode {
-    me: NodeId,
-    input: Sender<Input>,
-    shared: Arc<Shared>,
-    threads: Vec<JoinHandle<()>>,
-}
-
-impl NetNode {
-    /// Spawn a node around `engine`. `listener` must already be bound to
-    /// `cfg.peers[cfg.me]` (binding first is what makes port assignment
-    /// race-free for in-process clusters).
-    ///
-    /// With `cfg.data_dir` set, the node's write-ahead log is opened (and
-    /// its torn tail truncated) *before* any thread starts: an existing
-    /// log is replayed through [`Engine::restore`], the delivered prefix
-    /// is pre-filled into [`NetNode::delivered`], and the engine resumes
-    /// from its durable horizon — fetching whatever it missed from peers
-    /// through the retrieval-driven catch-up protocol.
-    pub fn spawn(
-        mut engine: Box<dyn Engine + Send>,
-        listener: TcpListener,
-        cfg: NetConfig,
-    ) -> io::Result<NetNode> {
-        assert_eq!(engine.id(), cfg.me, "engine identity/config mismatch");
-        let n = cfg.peers.len();
-        assert!(cfg.me.idx() < n, "node id out of range");
-        let mut store = None;
-        let mut replayed_delivered = Vec::new();
-        if let Some(dir) = &cfg.data_dir {
-            let file = FileStore::open(dir.join(format!("node{}.log", cfg.me.0)))?;
-            let records: Vec<StoreRecord> = file
-                .replay()?
-                .iter()
-                .map(|raw| {
-                    StoreRecord::from_bytes(raw).map_err(|e| {
-                        io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            format!("undecodable write-ahead record: {e:?}"),
-                        )
-                    })
-                })
-                .collect::<io::Result<_>>()?;
-            replayed_delivered = records
-                .iter()
-                .filter_map(|rec| match rec {
-                    StoreRecord::Delivered {
-                        epoch,
-                        proposer,
-                        via_link,
-                        block,
-                    } => Some(DeliveredBlock {
-                        epoch: *epoch,
-                        proposer: *proposer,
-                        block: block.clone(),
-                        via_link: *via_link,
-                        // Delivered before this process's clock existed.
-                        delivered_ms: 0,
-                    }),
-                    _ => None,
-                })
-                .collect();
-            engine.restore(&records);
-            store = Some(file);
-        }
-        let shared = Arc::new(Shared {
-            stop: AtomicBool::new(false),
-            delivered: Mutex::new(replayed_delivered),
-            stats: Mutex::new(None),
-            conns: Mutex::new(Vec::new()),
-            next_conn_id: AtomicU64::new(0),
-        });
-        let (input_tx, input_rx) = mpsc::channel::<Input>();
-        let mut threads = Vec::new();
-
-        // Per-peer writers, each with its own prioritized outbox.
-        let mut slots: Vec<Option<Arc<Outbox>>> = (0..n).map(|_| None).collect();
-        for (j, &addr) in cfg.peers.iter().enumerate() {
-            if j == cfg.me.idx() {
-                continue;
-            }
-            let outbox = Arc::new(Outbox::new(cfg.max_outbox_bytes));
-            slots[j] = Some(Arc::clone(&outbox));
-            let shared = Arc::clone(&shared);
-            let me = cfg.me;
-            let connect_timeout = cfg.connect_timeout;
-            let write_timeout = cfg.write_timeout;
-            let backoff_max = cfg.reconnect_backoff_max;
-            threads.push(std::thread::spawn(move || {
-                writer_loop(
-                    addr,
-                    me,
-                    outbox,
-                    shared,
-                    connect_timeout,
-                    write_timeout,
-                    backoff_max,
-                );
-            }));
-        }
-
-        // Listener: accepts peer connections and spawns a reader each.
-        listener.set_nonblocking(true)?;
-        {
-            let shared = Arc::clone(&shared);
-            let input_tx = input_tx.clone();
-            threads.push(std::thread::spawn(move || {
-                listen_loop(listener, n, shared, input_tx);
-            }));
-        }
-
-        // The engine thread.
-        {
-            let outboxes = Outboxes {
-                slots,
-                shared: Arc::clone(&shared),
-            };
-            let shared = Arc::clone(&shared);
-            let tick = cfg.tick_ms.max(1);
-            let me = cfg.me;
-            let fsync = cfg.fsync;
-            threads.push(std::thread::spawn(move || {
-                engine_loop(engine, input_rx, outboxes, shared, tick, me, store, fsync);
-            }));
-        }
-
-        Ok(NetNode {
-            me: cfg.me,
-            input: input_tx,
-            shared,
-            threads,
-        })
-    }
-
-    /// Bind-then-spawn convenience for an honest node.
-    pub fn spawn_honest(
-        node_cfg: NodeConfig,
-        listener: TcpListener,
-        cfg: NetConfig,
-    ) -> io::Result<NetNode> {
-        let cluster = node_cfg.cluster.clone();
-        let engine = Box::new(Node::new(cfg.me, node_cfg, RealBlockCoder::new(&cluster)));
-        NetNode::spawn(engine, listener, cfg)
-    }
-
-    pub fn id(&self) -> NodeId {
-        self.me
-    }
-
-    /// Hand a client transaction to the engine.
-    pub fn submit_tx(&self, tx: Tx) {
-        let _ = self.input.send(Input::Tx(tx));
-    }
-
-    /// Snapshot of the engine counters (as of its last snapshot tick).
-    /// `None` for engines that keep none (Byzantine members), matching
-    /// [`Engine::stats`].
-    pub fn stats(&self) -> Option<NodeStats> {
-        *self.shared.stats.lock().expect("stats lock")
-    }
-
-    /// Number of live TCP connections (inbound readers + outbound
-    /// writers) currently registered. Diagnostics — the reconnect tests
-    /// use it to observe peers re-establishing links to a revived node.
-    pub fn connection_count(&self) -> usize {
-        self.shared.conns.lock().expect("conns lock").len()
-    }
-
-    /// Snapshot of everything delivered so far, in delivery order.
-    pub fn delivered(&self) -> Vec<DeliveredBlock> {
-        self.shared
-            .delivered
-            .lock()
-            .expect("delivered lock")
-            .clone()
-    }
-
-    /// Delivered transaction ids in total-order position.
-    pub fn tx_order(&self) -> Vec<(NodeId, u64)> {
-        self.delivered()
-            .iter()
-            .filter_map(|d| d.block.as_ref())
-            .flat_map(|b| b.body.iter().map(Tx::id))
-            .collect()
-    }
-
-    /// Stop all threads and join them. Outbound envelopes still queued are
-    /// dropped (TCP teardown loses them anyway).
-    pub fn shutdown(mut self) {
-        self.shared.stop.store(true, Ordering::Relaxed);
-        for (_, conn) in self.shared.conns.lock().expect("conns lock").iter() {
-            let _ = conn.shutdown(std::net::Shutdown::Both);
-        }
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
-    }
-}
-
-fn now_since(start: Instant) -> u64 {
-    start.elapsed().as_millis() as u64
-}
-
-#[allow(clippy::too_many_arguments)]
-fn engine_loop(
-    mut engine: Box<dyn Engine + Send>,
-    input: Receiver<Input>,
-    mut outboxes: Outboxes,
-    shared: Arc<Shared>,
-    tick_ms: u64,
-    me: NodeId,
-    mut store: Option<FileStore>,
-    fsync: FsyncPolicy,
-) {
-    let start = Instant::now();
-    let mut next_wake: Option<u64> = None;
-    let mut last_snapshot = Instant::now();
-    while !shared.stop.load(Ordering::Relaxed) {
-        let now = now_since(start);
-        let wait = next_wake
-            .map(|w| w.saturating_sub(now))
-            .unwrap_or(tick_ms)
-            .clamp(1, tick_ms);
-        let received = input.recv_timeout(Duration::from_millis(wait));
-        let now = now_since(start);
-        // A wake deadline we just slept to is served by the processing
-        // below (handle/poll both run the engine to a fixed point);
-        // clearing it first avoids a redundant back-to-back poll.
-        if next_wake.is_some_and(|w| w <= now) {
-            next_wake = None;
-        }
-        {
-            let mut sink = NetSink {
-                me,
-                outboxes: &mut outboxes,
-                shared: &shared,
-                next_wake: &mut next_wake,
-                store: &mut store,
-                fsync,
-            };
-            match received {
-                Ok(Input::Tx(tx)) => engine.submit_tx(tx, now, &mut sink),
-                Ok(Input::Env { from, env }) => engine.handle(from, env, now, &mut sink),
-                Err(RecvTimeoutError::Timeout) => engine.poll(now, &mut sink),
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
-        }
-        // Wake hints already due: poll before sleeping again (each poll may
-        // set a new hint, so loop until none is due).
-        loop {
-            let now = now_since(start);
-            match next_wake {
-                Some(w) if w <= now => {
-                    next_wake = None;
-                    let mut sink = NetSink {
-                        me,
-                        outboxes: &mut outboxes,
-                        shared: &shared,
-                        next_wake: &mut next_wake,
-                        store: &mut store,
-                        fsync,
-                    };
-                    engine.poll(now, &mut sink);
-                }
-                _ => break,
-            }
-        }
-        // Snapshot counters on the tick cadence (elapsed time, so
-        // sustained traffic cannot starve readers), not per event: readers
-        // poll at ~25 ms anyway and the engine hot path should not pay a
-        // lock + struct copy per envelope.
-        if last_snapshot.elapsed() >= Duration::from_millis(tick_ms) {
-            last_snapshot = Instant::now();
-            *shared.stats.lock().expect("stats lock") = engine.stats();
-        }
-    }
-    // Final snapshot so late readers see the end state, and a clean-stop
-    // fsync so a graceful shutdown never leaves an unsynced tail.
-    *shared.stats.lock().expect("stats lock") = engine.stats();
-    if let Some(store) = store.as_mut() {
-        store.sync().expect("write-ahead log fsync failed");
-    }
-}
-
-fn listen_loop(listener: TcpListener, n: usize, shared: Arc<Shared>, input: Sender<Input>) {
-    while !shared.stop.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if shared.stop.load(Ordering::Relaxed) {
-                    break; // accepted in the middle of shutdown
-                }
-                let _ = stream.set_nonblocking(false);
-                let _ = stream.set_nodelay(true);
-                let conn_id = shared.register_conn(&stream);
-                let input = input.clone();
-                let shared = Arc::clone(&shared);
-                // Readers are joined indirectly: shutdown() closes their
-                // socket, which ends the loop; the thread then exits.
-                std::thread::spawn(move || {
-                    let _ = reader_loop(stream, n, input);
-                    shared.forget_conn(conn_id);
-                });
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            // Transient accept failures (ECONNABORTED from a peer RSTing
-            // mid-handshake, EMFILE under fd pressure, EINTR) must not
-            // kill inbound connectivity for the node's lifetime; back off
-            // and keep accepting until told to stop.
-            Err(_) => std::thread::sleep(Duration::from_millis(20)),
-        }
-    }
-}
-
-/// Read frames off one inbound connection and feed them to the engine.
-/// Returns on EOF, socket error, or the first frame error (a Byzantine or
-/// desynchronized peer): framing cannot be re-synchronized, so the
-/// connection is dropped. `?` works uniformly because frame and codec
-/// errors convert into `io::Error`.
-fn reader_loop(mut stream: TcpStream, n: usize, input: Sender<Input>) -> io::Result<()> {
-    let mut hello = [0u8; 2];
-    stream.read_exact(&mut hello)?;
-    let from = NodeId(u16::from_le_bytes(hello));
-    if from.idx() >= n {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "hello from out-of-range node id",
-        ));
-    }
-    let mut decoder = FrameDecoder::new();
-    let mut buf = vec![0u8; 64 * 1024];
-    loop {
-        let k = stream.read(&mut buf)?;
-        if k == 0 {
-            return Ok(()); // peer closed
-        }
-        decoder.extend(&buf[..k]);
-        while let Some(env) = decoder.next_frame()? {
-            if input.send(Input::Env { from, env }).is_err() {
-                return Ok(()); // engine gone: shutting down
-            }
-        }
-    }
-}
-
-/// Sleep `dur` in small slices, returning early (false) if `stop` flips.
-fn sleep_unless_stopped(dur: Duration, stop: &AtomicBool) -> bool {
-    let deadline = Instant::now() + dur;
-    while Instant::now() < deadline {
-        if stop.load(Ordering::Relaxed) {
-            return false;
-        }
-        std::thread::sleep(Duration::from_millis(25).min(deadline - Instant::now()));
-    }
-    !stop.load(Ordering::Relaxed)
-}
-
-/// Connect to `addr` (retrying while the peer boots), send our hello, then
-/// drain the outbox in §5 priority order with vectored, zero-copy writes.
-///
-/// A dropped connection does **not** retire the peer: the writer dials
-/// again with capped exponential backoff, forever, until node shutdown.
-/// Engine protection is two-tier. While the peer stays down past
-/// `connect_timeout` the outbox is **lossy** (drop everything). From the
-/// first disconnect until a replacement connection has drained
-/// successfully for a whole `write_timeout`, the outbox is on
-/// **probation** (`no_block`): traffic queues up to the bound but
-/// producers are never blocked — so a frozen process whose kernel still
-/// accepts dials (or an accept-then-reset peer) cannot re-earn
-/// backpressure and stall the engine, preserving the PR 4 invariant.
-/// The dial backoff likewise only resets after a successful write, not a
-/// successful connect, so accept-then-fail peers see growing intervals.
-/// A genuinely revived peer drains the queue, passes probation, and
-/// resumes normal bounded backpressure with no node restart.
-fn writer_loop(
-    addr: SocketAddr,
-    me: NodeId,
-    outbox: Arc<Outbox>,
-    shared: Arc<Shared>,
-    connect_timeout: Duration,
-    write_timeout: Duration,
-    backoff_max: Duration,
-) {
-    let mut backoff = Duration::from_millis(50);
-    loop {
-        // Dial phase. Traffic queues (bounded) during the grace period,
-        // then the outbox goes lossy until the peer answers.
-        let grace_deadline = Instant::now() + connect_timeout;
-        let stream = loop {
-            if shared.stop.load(Ordering::Relaxed) {
-                outbox.mark_dead();
-                return;
-            }
-            match TcpStream::connect_timeout(&addr, Duration::from_millis(250)) {
-                Ok(s) => break s,
-                Err(_) => {
-                    if Instant::now() >= grace_deadline {
-                        outbox.set_lossy(true);
-                    }
-                    if !sleep_unless_stopped(backoff, &shared.stop) {
-                        outbox.mark_dead();
-                        return;
-                    }
-                    backoff = (backoff * 2).min(backoff_max);
-                }
-            }
-        };
-        outbox.set_lossy(false);
-        let mut stream = stream;
-        let _ = stream.set_nodelay(true);
-        // A peer that accepts no bytes for a whole write_timeout is
-        // frozen or silently partitioned: the erroring write tears the
-        // connection down and the dial phase takes over again.
-        let _ = stream.set_write_timeout(Some(write_timeout));
-        let conn_id = shared.register_conn(&stream);
-        let mut run = || -> io::Result<()> {
-            stream.write_all(&me.0.to_le_bytes())?;
-            // Probation lifts only on *sustained* drains: a write_timeout
-            // must separate the first and a later successful write on
-            // this connection. Anchoring on the first write (not the
-            // connect) means a long-idle connection cannot re-earn
-            // backpressure off a single buffered write.
-            let mut first_write_ok: Option<Instant> = None;
-            while let Some(env) = outbox.pop_blocking(&shared.stop) {
-                let frame = encode_frame(&env);
-                write_segments(&mut stream, &frame)?;
-                // The peer demonstrably drains: reset the dial backoff.
-                backoff = Duration::from_millis(50);
-                let now = Instant::now();
-                let anchor = *first_write_ok.get_or_insert(now);
-                if now.duration_since(anchor) >= write_timeout {
-                    outbox.set_no_block(false);
-                }
-            }
-            Ok(())
-        };
-        let _ = run();
-        shared.forget_conn(conn_id);
-        if shared.stop.load(Ordering::Relaxed) {
-            // Clean stop: the outbox must never again block a producer.
-            outbox.mark_dead();
-            return;
-        }
-        // Connection died (the envelope being written, if any, is lost —
-        // within the protocol's loss tolerance; queued envelopes survive
-        // and go out on the next connection). Probation until the
-        // replacement proves itself; then dial again with backoff.
-        outbox.set_no_block(true);
-        if !sleep_unless_stopped(backoff, &shared.stop) {
-            outbox.mark_dead();
-            return;
-        }
-        backoff = (backoff * 2).min(backoff_max);
-    }
-}
-
-/// An in-process localhost cluster: `n` full [`NetNode`]s wired over real
-/// TCP. What the `dl-node` binary and the integration tests drive.
-pub struct LocalCluster {
-    nodes: Vec<NetNode>,
-    peers: Vec<SocketAddr>,
-}
-
-impl LocalCluster {
-    /// Spawn `n` honest nodes running `variant` on ephemeral localhost
-    /// ports. `tune` may adjust each node's protocol config (Nagle
-    /// thresholds etc.) and `tune_net` its transport config (storage,
-    /// timeouts, …) before spawn.
-    pub fn spawn_cfg(
-        n: usize,
-        variant: ProtocolVariant,
-        tune: impl Fn(&mut NodeConfig),
-        tune_net: impl Fn(&mut NetConfig),
-    ) -> io::Result<LocalCluster> {
-        let cluster = ClusterConfig::new(n);
-        // Bind every listener before spawning anything: peers know all
-        // addresses up front and connects can simply retry until accept.
-        let listeners: Vec<TcpListener> = (0..n)
-            .map(|_| TcpListener::bind(("127.0.0.1", 0)))
-            .collect::<io::Result<_>>()?;
-        let peers: Vec<SocketAddr> = listeners
-            .iter()
-            .map(TcpListener::local_addr)
-            .collect::<io::Result<_>>()?;
-        let mut nodes = Vec::with_capacity(n);
-        for (i, listener) in listeners.into_iter().enumerate() {
-            let mut node_cfg = NodeConfig::new(cluster.clone(), variant);
-            tune(&mut node_cfg);
-            let mut cfg = NetConfig::new(NodeId(i as u16), peers.clone());
-            tune_net(&mut cfg);
-            nodes.push(NetNode::spawn_honest(node_cfg, listener, cfg)?);
-        }
-        Ok(LocalCluster { nodes, peers })
-    }
-
-    /// [`LocalCluster::spawn_cfg`] with default transport parameters.
-    pub fn spawn_tuned(
-        n: usize,
-        variant: ProtocolVariant,
-        tune: impl Fn(&mut NodeConfig),
-    ) -> io::Result<LocalCluster> {
-        LocalCluster::spawn_cfg(n, variant, tune, |_| {})
-    }
-
-    pub fn spawn(n: usize, variant: ProtocolVariant) -> io::Result<LocalCluster> {
-        LocalCluster::spawn_tuned(n, variant, |_| {})
-    }
-
-    pub fn nodes(&self) -> &[NetNode] {
-        &self.nodes
-    }
-
-    /// The listen address of node `i` (e.g. to connect an adversarial
-    /// client in tests).
-    pub fn addr(&self, i: usize) -> SocketAddr {
-        self.peers[i]
-    }
-
-    /// Submit a transaction at one member.
-    pub fn submit(&self, node: usize, tx: Tx) {
-        self.nodes[node].submit_tx(tx);
-    }
-
-    /// Block until every node has delivered `expected` transactions, or
-    /// `timeout` passes. Returns whether the cluster quiesced in time.
-    pub fn wait_delivered(&self, expected: u64, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        loop {
-            if self
-                .nodes
-                .iter()
-                .all(|nd| nd.stats().is_some_and(|s| s.txs_delivered >= expected))
-            {
-                return true;
-            }
-            if Instant::now() >= deadline {
-                return false;
-            }
-            std::thread::sleep(Duration::from_millis(25));
-        }
-    }
-
-    /// Per-node delivered transaction ids, in delivery order.
-    pub fn tx_orders(&self) -> Vec<Vec<(NodeId, u64)>> {
-        self.nodes.iter().map(NetNode::tx_order).collect()
-    }
-
-    pub fn shutdown(self) {
-        for node in self.nodes {
-            node.shutdown();
-        }
-    }
-}
-
-/// Run one cluster of `n` nodes under `variant` to quiescence: submit
-/// `txs` transactions round-robin, wait for every node to deliver all of
-/// them, and assert agreement + total order. Returns the wall-clock the
-/// cluster took. This is the `dl-node` binary's workload and the CI smoke
-/// check.
-pub fn run_cluster_to_quiescence(
-    n: usize,
-    variant: ProtocolVariant,
-    txs: u64,
-    tx_bytes: u32,
-    timeout: Duration,
-) -> Result<Duration, String> {
-    run_cluster_inner(n, variant, 1, txs, tx_bytes, timeout, None)
-}
-
-/// [`run_cluster_to_quiescence`] with every node running an epoch
-/// dispersal window of `window` (`1` = the strictly gated schedule) —
-/// the `dl-node --window` workload.
-pub fn run_cluster_to_quiescence_windowed(
-    n: usize,
-    variant: ProtocolVariant,
-    window: u64,
-    txs: u64,
-    tx_bytes: u32,
-    timeout: Duration,
-) -> Result<Duration, String> {
-    run_cluster_inner(n, variant, window, txs, tx_bytes, timeout, None)
-}
-
-/// [`run_cluster_to_quiescence`] with every node keeping a write-ahead
-/// log under `data_root/node<i>/` — the `dl-node --data-dir` workload.
-#[allow(clippy::too_many_arguments)]
-pub fn run_cluster_to_quiescence_stored(
-    n: usize,
-    variant: ProtocolVariant,
-    window: u64,
-    txs: u64,
-    tx_bytes: u32,
-    timeout: Duration,
-    data_root: &Path,
-    fsync: FsyncPolicy,
-) -> Result<Duration, String> {
-    run_cluster_inner(
-        n,
-        variant,
-        window,
-        txs,
-        tx_bytes,
-        timeout,
-        Some((data_root, fsync)),
-    )
-}
-
-fn run_cluster_inner(
-    n: usize,
-    variant: ProtocolVariant,
-    window: u64,
-    txs: u64,
-    tx_bytes: u32,
-    timeout: Duration,
-    store: Option<(&Path, FsyncPolicy)>,
-) -> Result<Duration, String> {
-    let cluster = LocalCluster::spawn_cfg(
-        n,
-        variant,
-        |cfg| cfg.dispersal_window = window.max(1),
-        |cfg| {
-            if let Some((root, fsync)) = store {
-                cfg.data_dir = Some(root.join(format!("node{}", cfg.me.0)));
-                cfg.fsync = fsync;
-            }
-        },
-    )
-    .map_err(|e| format!("{variant:?}: spawn failed: {e}"))?;
-    let started = Instant::now();
-    for s in 0..txs {
-        let node = (s % n as u64) as usize;
-        cluster.submit(node, Tx::synthetic(NodeId(node as u16), s, 0, tx_bytes));
-    }
-    if !cluster.wait_delivered(txs, timeout) {
-        let counts: Vec<u64> = cluster
-            .nodes()
-            .iter()
-            .map(|nd| nd.stats().map_or(0, |s| s.txs_delivered))
-            .collect();
-        cluster.shutdown();
-        return Err(format!(
-            "{variant:?}: did not quiesce within {timeout:?} (delivered {counts:?} of {txs})"
-        ));
-    }
-    let elapsed = started.elapsed();
-    let orders = cluster.tx_orders();
-    cluster.shutdown();
-    let reference = &orders[0];
-    if reference.len() != txs as usize {
-        return Err(format!(
-            "{variant:?}: node 0 delivered {} of {txs} txs",
-            reference.len()
-        ));
-    }
-    let mut dedup = reference.clone();
-    dedup.sort_unstable();
-    dedup.dedup();
-    if dedup.len() != txs as usize {
-        return Err(format!("{variant:?}: duplicate deliveries at node 0"));
-    }
-    for (i, order) in orders.iter().enumerate().skip(1) {
-        if order != reference {
-            return Err(format!("{variant:?}: node {i} diverged from node 0"));
-        }
-    }
-    Ok(elapsed)
-}
-
-/// The restart-recovery acceptance scenario, end to end over real TCP:
-/// spawn a 4-node store-backed cluster under `data_root`, deliver a first
-/// wave, **kill** node 3 (threads joined, sockets closed), deliver a
-/// second wave among the survivors, then **restart** node 3 on the same
-/// address with the same `--data-dir` — it must replay its write-ahead
-/// log, catch up on the missed epochs through retrieval, and end with a
-/// delivered prefix identical to the survivors'. This is the `dl-node
-/// --restart-smoke` workload and the CI restart-recovery check.
-pub fn run_restart_recovery(
-    data_root: &Path,
-    fsync: FsyncPolicy,
-    timeout: Duration,
-) -> Result<Duration, String> {
-    let n = 4usize;
-    let started = Instant::now();
-    let cluster_cfg = ClusterConfig::new(n);
-    let listeners: Vec<TcpListener> = (0..n)
-        .map(|_| TcpListener::bind(("127.0.0.1", 0)))
-        .collect::<io::Result<_>>()
-        .map_err(|e| format!("bind failed: {e}"))?;
-    let peers: Vec<SocketAddr> = listeners
-        .iter()
-        .map(TcpListener::local_addr)
-        .collect::<io::Result<_>>()
-        .map_err(|e| format!("local_addr failed: {e}"))?;
-    let net_cfg = |i: usize| {
-        let mut cfg = NetConfig::new(NodeId(i as u16), peers.clone());
-        cfg.data_dir = Some(data_root.join(format!("node{i}")));
-        cfg.fsync = fsync;
-        // Fast down-detection and re-dial so the kill/restart cycle fits a
-        // smoke-test budget.
-        cfg.connect_timeout = Duration::from_secs(1);
-        cfg.reconnect_backoff_max = Duration::from_millis(250);
-        cfg
-    };
-    let mut nodes: Vec<Option<NetNode>> = Vec::with_capacity(n);
-    for (i, listener) in listeners.into_iter().enumerate() {
-        let node_cfg = NodeConfig::new(cluster_cfg.clone(), ProtocolVariant::Dl);
-        nodes.push(Some(
-            NetNode::spawn_honest(node_cfg, listener, net_cfg(i))
-                .map_err(|e| format!("spawn node {i}: {e}"))?,
-        ));
-    }
-    let wait_orders = |nodes: &[Option<NetNode>], expected: usize| -> Result<(), String> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            if nodes
-                .iter()
-                .flatten()
-                .all(|nd| nd.tx_order().len() >= expected)
-            {
-                return Ok(());
-            }
-            if Instant::now() >= deadline {
-                let counts: Vec<usize> = nodes
-                    .iter()
-                    .map(|nd| nd.as_ref().map_or(0, |nd| nd.tx_order().len()))
-                    .collect();
-                return Err(format!(
-                    "stalled at {counts:?} of {expected} within {timeout:?}"
-                ));
-            }
-            std::thread::sleep(Duration::from_millis(25));
-        }
-    };
-
-    // Wave 1: all four members alive.
-    for s in 0..3u64 {
-        let at = s as usize % 3;
-        nodes[at]
-            .as_ref()
-            .expect("alive")
-            .submit_tx(Tx::synthetic(NodeId(at as u16), s, 0, 250));
-    }
-    wait_orders(&nodes, 3).map_err(|e| format!("wave 1 {e}"))?;
-
-    // Kill node 3: threads joined, sockets closed, WAL synced on the way
-    // out. Its durable state now lives only under data_root.
-    nodes[3].take().expect("node 3").shutdown();
-
-    // Wave 2: the survivors commit epochs the dead member never saw.
-    for s in 10..13u64 {
-        let at = s as usize % 3;
-        nodes[at]
-            .as_ref()
-            .expect("alive")
-            .submit_tx(Tx::synthetic(NodeId(at as u16), s, 0, 250));
-    }
-    wait_orders(&nodes, 6).map_err(|e| format!("wave 2 {e}"))?;
-
-    // Restart node 3 with the same address and data dir. The just-closed
-    // listener can linger briefly in the kernel; retry the bind.
-    let listener = {
-        let deadline = Instant::now() + timeout;
-        loop {
-            match TcpListener::bind(peers[3]) {
-                Ok(l) => break l,
-                Err(e) if Instant::now() >= deadline => {
-                    return Err(format!("rebind node 3: {e}"));
-                }
-                Err(_) => std::thread::sleep(Duration::from_millis(50)),
-            }
-        }
-    };
-    let node_cfg = NodeConfig::new(cluster_cfg.clone(), ProtocolVariant::Dl);
-    nodes[3] = Some(
-        NetNode::spawn_honest(node_cfg, listener, net_cfg(3))
-            .map_err(|e| format!("respawn node 3: {e}"))?,
-    );
-    // The restarted node must reach the full 6-tx prefix: wave 1 out of
-    // its replayed log, wave 2 through retrieval-driven catch-up.
-    wait_orders(&nodes, 6).map_err(|e| format!("catch-up {e}"))?;
-
-    let reference = nodes[0].as_ref().expect("alive").tx_order();
-    let restarted = nodes[3].as_ref().expect("alive").tx_order();
-    for node in nodes.into_iter().flatten() {
-        node.shutdown();
-    }
-    if restarted != reference {
-        return Err(format!(
-            "restarted node diverged: {restarted:?} vs {reference:?}"
-        ));
-    }
-    let mut dedup = reference.clone();
-    dedup.sort_unstable();
-    dedup.dedup();
-    if dedup.len() != reference.len() {
-        return Err("restarted run produced duplicate deliveries".into());
-    }
-    Ok(started.elapsed())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn write_segments_handles_partial_vectored_writes() {
-        /// A writer that accepts at most 3 bytes per call, forcing the
-        /// partial-write resume path through every segment boundary.
-        struct Dribble(Vec<u8>);
-        impl Write for Dribble {
-            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-                let k = buf.len().min(3);
-                self.0.extend_from_slice(&buf[..k]);
-                Ok(k)
-            }
-            fn flush(&mut self) -> io::Result<()> {
-                Ok(())
-            }
-        }
-
-        let mut buf = SegmentBuf::new();
-        buf.head_mut().extend_from_slice(b"header");
-        buf.put_shared(&bytes::Bytes::from(vec![7u8; 200]));
-        buf.head_mut().extend_from_slice(b"tail");
-        let mut sink = Dribble(Vec::new());
-        write_segments(&mut sink, &buf).unwrap();
-        assert_eq!(sink.0, buf.to_vec());
-    }
-
-    #[test]
-    fn dead_outbox_releases_a_blocked_producer_and_drops() {
-        let outbox = Arc::new(Outbox::new(32));
-        let stop = Arc::new(AtomicBool::new(false));
-        let env = Envelope::vid(dl_wire::Epoch(1), NodeId(0), dl_wire::VidMsg::RequestChunk);
-        while outbox.queue.lock().unwrap().queued_bytes() < 32 {
-            outbox.push(env.clone(), &stop);
-        }
-        let full = Arc::clone(&outbox);
-        let stop2 = Arc::clone(&stop);
-        let env2 = env.clone();
-        let blocked = std::thread::spawn(move || full.push(env2, &stop2));
-        std::thread::sleep(Duration::from_millis(100));
-        assert!(!blocked.is_finished(), "producer did not backpressure");
-        // The peer dies: the producer must unblock and the queue drain.
-        outbox.mark_dead();
-        blocked.join().unwrap();
-        assert!(outbox.queue.lock().unwrap().is_empty());
-        // Further pushes drop silently instead of accumulating.
-        outbox.push(env, &stop);
-        assert!(outbox.queue.lock().unwrap().is_empty());
-    }
-
-    #[test]
-    fn writer_reconnects_after_peer_drop_with_backoff() {
-        // The satellite guarantee, tested at the writer-loop level with a
-        // controlled listener: kill the accepted connection mid-run, and
-        // the writer must dial again (new hello) and deliver envelopes
-        // pushed while the peer was down (within the connect grace).
-        use std::net::TcpListener;
-
-        let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        let outbox = Arc::new(Outbox::new(1 << 20));
-        let shared = Arc::new(Shared {
-            stop: AtomicBool::new(false),
-            delivered: Mutex::new(Vec::new()),
-            stats: Mutex::new(None),
-            conns: Mutex::new(Vec::new()),
-            next_conn_id: AtomicU64::new(0),
-        });
-        let writer = {
-            let outbox = Arc::clone(&outbox);
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || {
-                writer_loop(
-                    addr,
-                    NodeId(5),
-                    outbox,
-                    shared,
-                    Duration::from_secs(10),
-                    Duration::from_secs(10),
-                    Duration::from_millis(200),
-                )
-            })
-        };
-
-        let read_hello_and_frame = |stream: &mut TcpStream, expect: &Envelope| {
-            let mut hello = [0u8; 2];
-            stream.read_exact(&mut hello).expect("hello");
-            assert_eq!(u16::from_le_bytes(hello), 5, "hello must carry our id");
-            let mut decoder = FrameDecoder::new();
-            let mut buf = [0u8; 4096];
-            loop {
-                let k = stream.read(&mut buf).expect("read frame");
-                assert!(k > 0, "peer closed before a frame arrived");
-                decoder.extend(&buf[..k]);
-                if let Some(env) = decoder.next_frame().expect("valid frame") {
-                    assert_eq!(&env, expect);
-                    return;
-                }
-            }
-        };
-
-        let env1 = Envelope::vid(dl_wire::Epoch(1), NodeId(0), dl_wire::VidMsg::RequestChunk);
-        let env2 = Envelope::vid(dl_wire::Epoch(2), NodeId(0), dl_wire::VidMsg::RequestChunk);
-
-        // First connection: receive hello + env1, then kill it.
-        outbox.push(env1.clone(), &shared.stop);
-        let (mut s1, _) = listener.accept().expect("first accept");
-        read_hello_and_frame(&mut s1, &env1);
-        drop(s1);
-
-        // The writer only notices the dead socket on a *write* (the first
-        // post-FIN write can even succeed into the kernel buffer), so keep
-        // nudging traffic until the dial lands — what a live cluster's
-        // constant protocol chatter does naturally.
-        let pusher_stop = Arc::new(AtomicBool::new(false));
-        let pusher = {
-            let outbox = Arc::clone(&outbox);
-            let shared = Arc::clone(&shared);
-            let stop = Arc::clone(&pusher_stop);
-            let env2 = env2.clone();
-            std::thread::spawn(move || {
-                while !stop.load(Ordering::Relaxed) {
-                    outbox.push(env2.clone(), &shared.stop);
-                    std::thread::sleep(Duration::from_millis(25));
-                }
-            })
-        };
-
-        // The writer must reconnect on its own and resume the stream
-        // (every queued frame is an env2 duplicate at this point).
-        let (mut s2, _) = listener.accept().expect("no reconnect after drop");
-        read_hello_and_frame(&mut s2, &env2);
-        pusher_stop.store(true, Ordering::Relaxed);
-        pusher.join().expect("pusher thread");
-
-        shared.stop.store(true, Ordering::Relaxed);
-        drop(s2);
-        writer.join().expect("writer thread");
-    }
-
-    #[test]
-    fn outbox_goes_lossy_while_down_and_recovers_on_reconnect() {
-        // set_lossy(true) must release a blocked producer, drop the
-        // queue, and refuse new traffic; set_lossy(false) restores
-        // bounded queueing.
-        let outbox = Arc::new(Outbox::new(32));
-        let stop = Arc::new(AtomicBool::new(false));
-        let env = Envelope::vid(dl_wire::Epoch(1), NodeId(0), dl_wire::VidMsg::RequestChunk);
-        while outbox.queue.lock().unwrap().queued_bytes() < 32 {
-            outbox.push(env.clone(), &stop);
-        }
-        let full = Arc::clone(&outbox);
-        let stop2 = Arc::clone(&stop);
-        let env2 = env.clone();
-        let blocked = std::thread::spawn(move || full.push(env2, &stop2));
-        std::thread::sleep(Duration::from_millis(100));
-        assert!(!blocked.is_finished(), "producer did not backpressure");
-        outbox.set_lossy(true);
-        blocked.join().unwrap();
-        assert!(outbox.queue.lock().unwrap().is_empty());
-        outbox.push(env.clone(), &stop);
-        assert!(outbox.queue.lock().unwrap().is_empty(), "lossy must drop");
-        // Reconnected: queueing resumes.
-        outbox.set_lossy(false);
-        outbox.push(env, &stop);
-        assert_eq!(outbox.queue.lock().unwrap().len(), 1);
-    }
-
-    #[test]
-    fn probation_queues_but_never_blocks_a_producer() {
-        // Between a disconnect and a proven reconnect the outbox must
-        // keep queueing (bounded) without ever stalling the engine.
-        let outbox = Arc::new(Outbox::new(64));
-        let stop = Arc::new(AtomicBool::new(false));
-        let env = Envelope::vid(dl_wire::Epoch(1), NodeId(0), dl_wire::VidMsg::RequestChunk);
-        outbox.set_no_block(true);
-        let t0 = Instant::now();
-        for _ in 0..64 {
-            outbox.push(env.clone(), &stop); // far past the 64-byte bound
-        }
-        assert!(
-            t0.elapsed() < Duration::from_millis(90),
-            "probation push blocked: {:?}",
-            t0.elapsed()
-        );
-        // Queued up to the bound, overflow dropped — not unbounded.
-        let bytes = outbox.queue.lock().unwrap().queued_bytes();
-        assert!(bytes >= 64, "probation must still queue traffic");
-        assert!(
-            bytes < 64 + 2 * env.wire_size(),
-            "probation overflow must drop, got {bytes} bytes"
-        );
-    }
-
-    #[test]
-    fn outbox_applies_backpressure_and_releases() {
-        let outbox = Arc::new(Outbox::new(64)); // tiny bound
-        let stop = Arc::new(AtomicBool::new(false));
-        let env = Envelope::vid(dl_wire::Epoch(1), NodeId(0), dl_wire::VidMsg::RequestChunk);
-        // Fill past the bound: wire_size ~16 bytes, bound 64.
-        for _ in 0..4 {
-            outbox.push(env.clone(), &stop);
-        }
-        let full = Arc::clone(&outbox);
-        let stop2 = Arc::clone(&stop);
-        let blocked = std::thread::spawn(move || {
-            let t0 = Instant::now();
-            full.push(
-                Envelope::vid(dl_wire::Epoch(2), NodeId(0), dl_wire::VidMsg::RequestChunk),
-                &stop2,
-            );
-            t0.elapsed()
-        });
-        std::thread::sleep(Duration::from_millis(150));
-        // Drain one: the producer must unblock.
-        assert!(outbox.pop_blocking(&stop).is_some());
-        let waited = blocked.join().unwrap();
-        assert!(
-            waited >= Duration::from_millis(100),
-            "producer did not block: {waited:?}"
-        );
-    }
-}
+mod cluster;
+mod config;
+mod node;
+mod outbox;
+
+pub use cluster::{run_restart_recovery, ClusterSpec, LocalCluster};
+pub use config::NetConfig;
+pub use node::{write_segments, NetNode};

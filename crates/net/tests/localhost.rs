@@ -7,10 +7,12 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 use dl_core::ProtocolVariant;
-use dl_net::{hostile, run_cluster_to_quiescence, LocalCluster};
+use dl_net::{ClusterSpec, LocalCluster};
 use dl_vid::{RealCoder, VidEffect};
 use dl_wire::frame::encode_frame;
 use dl_wire::{ChunkPayload, Envelope, Epoch, NodeId, SyncMsg, Tx, VidMsg};
+
+mod hostile;
 
 const ALL_VARIANTS: [ProtocolVariant; 4] = [
     ProtocolVariant::Dl,
@@ -21,12 +23,25 @@ const ALL_VARIANTS: [ProtocolVariant; 4] = [
 
 const TIMEOUT: Duration = Duration::from_secs(60);
 
+fn spawn(spec: &ClusterSpec) -> LocalCluster {
+    LocalCluster::spawn(spec).expect("spawn")
+}
+
+/// Fast down-detection and re-dial, so a kill/restart cycle fits a test.
+fn fast_redial(n: usize, variant: ProtocolVariant) -> ClusterSpec {
+    let mut spec = ClusterSpec::new(n, variant);
+    spec.connect_timeout = Duration::from_secs(1);
+    spec.reconnect_backoff_max = Duration::from_millis(250);
+    spec
+}
+
 #[test]
 fn four_node_tcp_cluster_reaches_total_order_under_every_variant() {
     for variant in ALL_VARIANTS {
-        // run_cluster_to_quiescence asserts quiescence, per-node delivery
-        // counts, no duplicates, and identical total order across nodes.
-        run_cluster_to_quiescence(4, variant, 6, 300, TIMEOUT)
+        // run_to_quiescence asserts quiescence, per-node delivery counts,
+        // no duplicates, and identical total order across nodes.
+        spawn(&ClusterSpec::new(4, variant))
+            .run_to_quiescence(6, 300, TIMEOUT)
             .unwrap_or_else(|msg| panic!("{msg}"));
     }
 }
@@ -85,7 +100,7 @@ fn cluster_survives_a_garbage_speaking_peer() {
     // A malicious client that completes the hello then spews bytes that are
     // not valid frames: the reader must drop the connection and the cluster
     // must still reach total order.
-    let cluster = LocalCluster::spawn(4, ProtocolVariant::Dl).expect("spawn");
+    let cluster = spawn(&ClusterSpec::new(4, ProtocolVariant::Dl));
     {
         let mut evil = TcpStream::connect(cluster.addr(0)).expect("connect");
         evil.write_all(&2u16.to_le_bytes()).expect("hello"); // claim to be node 2
@@ -116,7 +131,8 @@ fn cluster_survives_a_garbage_speaking_peer() {
 
 #[test]
 fn seven_node_tcp_cluster_smoke() {
-    run_cluster_to_quiescence(7, ProtocolVariant::Dl, 7, 250, TIMEOUT)
+    spawn(&ClusterSpec::new(7, ProtocolVariant::Dl))
+        .run_to_quiescence(7, 250, TIMEOUT)
         .unwrap_or_else(|msg| panic!("{msg}"));
 }
 
@@ -125,7 +141,10 @@ fn pipelined_window_cluster_reaches_total_order_over_tcp() {
     // The epoch dispersal window over the real transport: k = 4 must
     // still reach agreement + identical total order (the runner asserts
     // both), exercising the window plumbing through NetNode spawn.
-    dl_net::run_cluster_to_quiescence_windowed(4, ProtocolVariant::Dl, 4, 8, 300, TIMEOUT)
+    let mut spec = ClusterSpec::new(4, ProtocolVariant::Dl);
+    spec.window = 4;
+    spawn(&spec)
+        .run_to_quiescence(8, 300, TIMEOUT)
         .unwrap_or_else(|msg| panic!("{msg}"));
 }
 
@@ -137,47 +156,18 @@ fn cluster_reconnects_to_a_killed_and_revived_peer() {
     // must re-dial it on their own (no node restart), observable as
     // inbound connections at the revived node, while the trio keeps
     // making progress.
-    use dl_core::NodeConfig;
-    use dl_net::{NetConfig, NetNode};
-    use dl_wire::ClusterConfig;
-    use std::net::TcpListener;
     use std::time::Instant;
 
-    let n = 4usize;
-    let cluster_cfg = ClusterConfig::new(n);
-    let listeners: Vec<TcpListener> = (0..n)
-        .map(|_| TcpListener::bind(("127.0.0.1", 0)).expect("bind"))
-        .collect();
-    let peers: Vec<std::net::SocketAddr> = listeners
-        .iter()
-        .map(|l| l.local_addr().expect("addr"))
-        .collect();
-    let net_cfg = |i: usize| {
-        let mut cfg = NetConfig::new(NodeId(i as u16), peers.clone());
-        cfg.connect_timeout = Duration::from_secs(1);
-        cfg.reconnect_backoff_max = Duration::from_millis(250);
-        cfg
-    };
-    let mut nodes: Vec<NetNode> = listeners
-        .into_iter()
-        .enumerate()
-        .map(|(i, listener)| {
-            let node_cfg = NodeConfig::new(cluster_cfg.clone(), ProtocolVariant::Dl);
-            NetNode::spawn_honest(node_cfg, listener, net_cfg(i)).expect("spawn")
-        })
-        .collect();
+    let mut cluster = spawn(&fast_redial(4, ProtocolVariant::Dl));
 
-    let wait_trio = |nodes: &[NetNode], expected: u64| {
+    let wait_trio = |cluster: &LocalCluster, expected: u64| {
+        let trio = || (0..3).map(|i| cluster.node(i));
         let deadline = Instant::now() + TIMEOUT;
-        while nodes[..3]
-            .iter()
-            .any(|nd| nd.stats().is_none_or(|s| s.txs_delivered < expected))
-        {
+        while trio().any(|nd| nd.stats().is_none_or(|s| s.txs_delivered < expected)) {
             assert!(
                 Instant::now() < deadline,
                 "trio stalled at {:?} of {expected}",
-                nodes[..3]
-                    .iter()
+                trio()
                     .map(|nd| nd.stats().map_or(0, |s| s.txs_delivered))
                     .collect::<Vec<_>>()
             );
@@ -187,26 +177,27 @@ fn cluster_reconnects_to_a_killed_and_revived_peer() {
 
     // Wave 1: all four alive.
     for s in 0..3u64 {
-        nodes[s as usize].submit_tx(Tx::synthetic(NodeId(s as u16), s, 0, 250));
+        cluster.submit(s as usize, Tx::synthetic(NodeId(s as u16), s, 0, 250));
     }
-    wait_trio(&nodes, 3);
+    wait_trio(&cluster, 3);
 
     // Kill node 3. Its address stays reserved in every peer list.
-    let dead = nodes.pop().expect("node 3");
-    dead.shutdown();
+    cluster.kill(3);
 
     // Wave 2 with the peer down: survivors deliver (f = 1 absorbs the
     // loss), and their writes to node 3 fail, putting its writers into
     // the re-dial loop.
     for s in 10..13u64 {
-        nodes[(s % 3) as usize].submit_tx(Tx::synthetic(NodeId((s % 3) as u16), s, 0, 250));
+        cluster.submit(
+            (s % 3) as usize,
+            Tx::synthetic(NodeId((s % 3) as u16), s, 0, 250),
+        );
     }
-    wait_trio(&nodes, 6);
+    wait_trio(&cluster, 6);
 
     // Revive node 3 on the same address with a fresh engine.
-    let listener = TcpListener::bind(peers[3]).expect("rebind node 3's address");
-    let node_cfg = NodeConfig::new(cluster_cfg.clone(), ProtocolVariant::Dl);
-    let revived = NetNode::spawn_honest(node_cfg, listener, net_cfg(3)).expect("respawn");
+    cluster.restart(3).expect("respawn");
+    let revived = cluster.node(3);
 
     // Wave 3 keeps traffic flowing so the survivors' backed-off writers
     // dial; the revived node must see connections (3 of its own outbound
@@ -219,15 +210,19 @@ fn cluster_reconnects_to_a_killed_and_revived_peer() {
             "survivors never reconnected to the revived peer ({} conns)",
             revived.connection_count()
         );
-        nodes[(s % 3) as usize].submit_tx(Tx::synthetic(NodeId((s % 3) as u16), s, 0, 250));
+        cluster.submit(
+            (s % 3) as usize,
+            Tx::synthetic(NodeId((s % 3) as u16), s, 0, 250),
+        );
         s += 1;
         std::thread::sleep(Duration::from_millis(100));
     }
     // And the cluster still makes progress after the revival.
-    let delivered_now = nodes[0].stats().map_or(0, |st| st.txs_delivered);
-    nodes[0].submit_tx(Tx::synthetic(NodeId(0), 999, 0, 250));
+    let node0 = cluster.node(0);
+    let delivered_now = node0.stats().map_or(0, |st| st.txs_delivered);
+    node0.submit_tx(Tx::synthetic(NodeId(0), 999, 0, 250));
     let deadline = Instant::now() + TIMEOUT;
-    while nodes[0]
+    while node0
         .stats()
         .is_none_or(|st| st.txs_delivered <= delivered_now)
     {
@@ -238,57 +233,39 @@ fn cluster_reconnects_to_a_killed_and_revived_peer() {
         std::thread::sleep(Duration::from_millis(25));
     }
 
-    revived.shutdown();
-    for node in nodes {
-        node.shutdown();
-    }
+    cluster.shutdown();
 }
 
 #[test]
 fn killed_node_restarts_from_its_wal_and_catches_up() {
     // The tentpole acceptance scenario over real TCP, shared with the
     // `dl-node --restart-smoke` CI leg: a store-backed member is killed,
-    // the survivors keep committing, and the member restarted with the
-    // same --data-dir must replay its write-ahead log, fetch the missed
-    // epochs through retrieval, and end with the identical delivered
-    // prefix — run_restart_recovery asserts all of that and fails loudly
-    // otherwise.
-    let data_root = std::env::temp_dir().join(format!("dl-net-restart-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&data_root);
-    let result = dl_net::run_restart_recovery(&data_root, dl_store::FsyncPolicy::Always, TIMEOUT);
-    let _ = std::fs::remove_dir_all(&data_root);
-    result.unwrap_or_else(|msg| panic!("{msg}"));
+    // the survivors keep committing, and the member restarted on the same
+    // address with the same data dir must replay its write-ahead log,
+    // fetch the missed epochs through retrieval, and end with the
+    // identical delivered prefix — run_restart_recovery asserts all of
+    // that and fails loudly otherwise. `Never` leaves durability to the
+    // clean-stop sync alone; the replayed prefix must be the same.
+    use dl_store::FsyncPolicy;
+    for fsync in [FsyncPolicy::Always, FsyncPolicy::Never] {
+        let data_root =
+            std::env::temp_dir().join(format!("dl-net-restart-{}-{fsync:?}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&data_root);
+        let result = dl_net::run_restart_recovery(&data_root, fsync, TIMEOUT);
+        let _ = std::fs::remove_dir_all(&data_root);
+        result.unwrap_or_else(|msg| panic!("{fsync:?}: {msg}"));
+    }
 }
 
 #[test]
 fn cluster_tolerates_a_crashed_peer() {
-    // Node 3 never comes up: its listener is dropped before anyone spawns.
-    // The three live nodes' writers must give up on it (mark the outbox
-    // dead) instead of stalling, and the f = 1 cluster must still deliver.
-    use dl_core::NodeConfig;
-    use dl_net::{NetConfig, NetNode};
-    use dl_wire::ClusterConfig;
-    use std::net::TcpListener;
-
-    let n = 4usize;
-    let cluster_cfg = ClusterConfig::new(n);
-    let listeners: Vec<TcpListener> = (0..n)
-        .map(|_| TcpListener::bind(("127.0.0.1", 0)).expect("bind"))
-        .collect();
-    let peers: Vec<std::net::SocketAddr> = listeners
-        .iter()
-        .map(|l| l.local_addr().expect("addr"))
-        .collect();
-    let mut listeners = listeners.into_iter();
-    let mut nodes = Vec::new();
-    for i in 0..3 {
-        let listener = listeners.next().expect("listener");
-        let node_cfg = NodeConfig::new(cluster_cfg.clone(), ProtocolVariant::Dl);
-        let mut cfg = NetConfig::new(NodeId(i as u16), peers.clone());
-        cfg.connect_timeout = Duration::from_secs(1); // give up on node 3 fast
-        nodes.push(NetNode::spawn_honest(node_cfg, listener, cfg).expect("spawn"));
-    }
-    drop(listeners); // node 3's listener: connection refused forever
+    // Node 3 goes down before any traffic and never comes back. The three
+    // live nodes' writers must give up on it (drop instead of queueing
+    // once the connect grace expires) instead of stalling, and the f = 1
+    // cluster must still deliver.
+    let mut cluster = spawn(&fast_redial(4, ProtocolVariant::Dl)); // give up on node 3 fast
+    cluster.kill(3);
+    let nodes: Vec<_> = (0..3).map(|i| cluster.node(i)).collect();
 
     for s in 0..3u64 {
         nodes[s as usize].submit_tx(Tx::synthetic(NodeId(s as u16), s, 0, 250));
@@ -310,9 +287,7 @@ fn cluster_tolerates_a_crashed_peer() {
     }
     let orders: Vec<_> = nodes.iter().map(|nd| nd.tx_order()).collect();
     assert!(orders.windows(2).all(|w| w[0] == w[1]), "orders diverged");
-    for node in nodes {
-        node.shutdown();
-    }
+    cluster.shutdown();
 }
 
 #[test]
@@ -321,7 +296,7 @@ fn absurd_future_sync_outcomes_are_ignored() {
     // for epochs a billion ahead of the cluster, plus vectors sized for the
     // wrong cluster. They decode fine, so they reach the engine — which
     // must drop them at the admit path without polluting any state.
-    let cluster = LocalCluster::spawn(4, ProtocolVariant::Dl).expect("spawn");
+    let cluster = spawn(&ClusterSpec::new(4, ProtocolVariant::Dl));
     for s in 0..2u64 {
         cluster.submit(s as usize, Tx::synthetic(NodeId(s as u16), s, 0, 200));
     }
@@ -365,7 +340,7 @@ fn cluster_survives_seeded_hostile_peers() {
     // honest workload flows: bad hellos, frame-desynchronizing garbage
     // floods, and slow-loris dribbles. Reproducible byte-for-byte from the
     // seeds.
-    let cluster = LocalCluster::spawn(4, ProtocolVariant::Dl).expect("spawn");
+    let cluster = spawn(&ClusterSpec::new(4, ProtocolVariant::Dl));
     let mut attackers = Vec::new();
     for (i, seed) in [11u64, 22, 33, 44].into_iter().enumerate() {
         let peer = hostile::HostilePeer {

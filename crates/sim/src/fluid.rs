@@ -10,7 +10,7 @@
 //! the real path depth, so **every message is byte-for-byte the same
 //! size as the real coder's** — virtual-time results are directly
 //! comparable — while encode/decode cost O(metadata) instead of
-//! O(block size). That lets `dl-bench` push N = 64 clusters and
+//! O(block size). That lets `dl-e2e` push N = 64 clusters and
 //! megabyte blocks through the simulator without shuffling gigabytes.
 //!
 //! Retrieval is resolved through a cluster-shared [`BlockStore`] keyed by

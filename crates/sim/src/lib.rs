@@ -191,16 +191,6 @@ impl SimReport {
             .flat_map(|b| b.body.iter().map(Tx::id))
             .collect()
     }
-
-    /// Wall nanoseconds per processed event, given the measured wall time
-    /// of the run — the scaling metric: for a loop with no superlinear
-    /// per-message cost this stays roughly flat as N grows.
-    pub fn wall_ns_per_event(&self, wall: std::time::Duration) -> f64 {
-        if self.events_processed == 0 {
-            return 0.0;
-        }
-        wall.as_nanos() as f64 / self.events_processed as f64
-    }
 }
 
 struct Link {

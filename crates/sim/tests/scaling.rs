@@ -6,7 +6,7 @@
 //! N = 64 as at N = 16. This pins the superlinearity class of bugs fixed
 //! in PR 6 (linear per-epoch scans in the node, deep per-link binary
 //! heaps, per-message heap events) using the `SimReport::events_processed`
-//! counter and `wall_ns_per_event`.
+//! counter.
 
 use std::time::Instant;
 
@@ -14,7 +14,7 @@ use dl_core::ProtocolVariant;
 use dl_sim::{SimConfig, Simulation};
 use dl_wire::{NodeId, Tx};
 
-/// Run the dl-bench fluid workload shape (8 staggered 50 KB transactions)
+/// Run a fixed fluid workload (8 staggered 50 KB transactions)
 /// at cluster size `n` and return wall nanoseconds per processed event.
 fn ns_per_event(n: usize) -> f64 {
     let mut sim = Simulation::new(SimConfig::fluid(n, ProtocolVariant::Dl));
@@ -31,7 +31,7 @@ fn ns_per_event(n: usize) -> f64 {
     let wall = start.elapsed();
     assert!(report.quiesced, "N={n} fluid run did not quiesce");
     assert!(report.events_processed > 0, "N={n} processed no events");
-    report.wall_ns_per_event(wall)
+    wall.as_nanos() as f64 / report.events_processed as f64
 }
 
 #[test]

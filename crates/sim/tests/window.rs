@@ -7,10 +7,12 @@
 //! to the BA latency it can hide behind. With `k = 1` every node idles
 //! its uplink while agreement for the epoch it just dispersed runs; with
 //! `k = 4` dispersal of the next epochs overlaps that wait. The metric is
-//! **virtual-time** epochs per second (`epochs_delivered / now_ms`), which
-//! is a pure function of the event schedule — deterministic across
-//! machines, immune to box noise — so the 1.25× floor below is a hard
-//! regression gate, not a statistical hope.
+//! **virtual time-to-drain** of one fixed payload (`now_ms` when every
+//! node has delivered all 64 transactions). Epoch counts are not
+//! throughput — a wider window splits the same payload over more, emptier
+//! epochs — and drain time is a pure function of the event schedule:
+//! deterministic across machines, immune to box noise, so the 1.25× floor
+//! below is a hard regression gate, not a statistical hope.
 
 use dl_core::ProtocolVariant;
 use dl_sim::{LinkSpec, SimConfig, Simulation};
@@ -38,9 +40,9 @@ fn vary_uplinks(sim: &mut Simulation) {
     }
 }
 
-/// Run the workload at window `k` and return (epochs delivered at node 0,
-/// virtual ms, virtual-time epochs/s).
-fn run_window(k: u64) -> (u64, u64, f64) {
+/// Run the workload at window `k` and return the virtual ms it took to
+/// deliver every transaction everywhere.
+fn drain_ms(k: u64) -> u64 {
     let mut sim = Simulation::new(SimConfig::fluid(N, ProtocolVariant::Dl).with_window(k));
     vary_uplinks(&mut sim);
     for round in 0..TXS_PER_NODE {
@@ -55,14 +57,14 @@ fn run_window(k: u64) -> (u64, u64, f64) {
     }
     let report = sim.run_until_quiescent(600_000_000);
     assert!(report.quiesced, "window {k}: run did not quiesce");
-    let stats = report.stats[0].expect("honest node has stats");
-    assert_eq!(
-        stats.txs_delivered,
-        TXS_PER_NODE * N as u64,
-        "window {k}: transaction loss"
-    );
-    let eps = stats.epochs_delivered as f64 / report.now_ms as f64 * 1000.0;
-    (stats.epochs_delivered, report.now_ms, eps)
+    for (i, stats) in report.stats.iter().enumerate() {
+        assert_eq!(
+            stats.expect("honest node has stats").txs_delivered,
+            TXS_PER_NODE * N as u64,
+            "window {k}: transaction loss at node {i}"
+        );
+    }
+    report.now_ms
 }
 
 /// DL-Coupled under a pipelined window must still drain its queue. The
@@ -94,29 +96,25 @@ fn dl_coupled_window_drains_its_queue_over_wan_links() {
     }
 }
 
-/// The acceptance gate for pipelined dissemination: `k = 4` must deliver
-/// at least 1.25× the virtual-time epoch rate of `k = 1` on the
-/// variable-bandwidth fluid cluster.
+/// The acceptance gate for pipelined dissemination: `k = 4` must drain
+/// the fixed payload at least 1.25× faster than `k = 1` on the
+/// variable-bandwidth fluid cluster (measured: 7911 vs 4261 virtual ms).
 #[test]
 fn window_of_four_beats_gated_dispersal_by_25_percent() {
     if cfg!(debug_assertions) {
         // The N = 16 fluid runs are wall-expensive unoptimized; the CI
         // release leg runs this for real.
-        eprintln!("skipping window throughput gate in debug build");
+        eprintln!("skipping window drain-time gate in debug build");
         return;
     }
-    let (epochs_1, ms_1, eps_1) = run_window(1);
-    let (epochs_4, ms_4, eps_4) = run_window(4);
-    eprintln!(
-        "window sweep: k=1 {epochs_1} epochs / {ms_1} ms = {eps_1:.2} epochs/s, \
-         k=4 {epochs_4} epochs / {ms_4} ms = {eps_4:.2} epochs/s ({:.2}x)",
-        eps_4 / eps_1
-    );
+    let ms_1 = drain_ms(1);
+    let ms_4 = drain_ms(4);
+    let speedup = ms_1 as f64 / ms_4 as f64;
+    eprintln!("window sweep: k=1 drained in {ms_1} ms, k=4 in {ms_4} ms ({speedup:.2}x)");
     assert!(
-        eps_4 >= eps_1 * 1.25,
-        "pipelining regressed: k=1 {eps_1:.2} epochs/s vs k=4 {eps_4:.2} epochs/s \
-         ({:.2}x, need >= 1.25x)",
-        eps_4 / eps_1
+        ms_1 as f64 >= ms_4 as f64 * 1.25,
+        "pipelining regressed: k=1 drained in {ms_1} ms vs k=4 in {ms_4} ms \
+         ({speedup:.2}x, need >= 1.25x)"
     );
 }
 
@@ -132,9 +130,9 @@ fn every_pipelined_window_beats_gated_dispersal() {
         eprintln!("skipping window sweep in debug build");
         return;
     }
-    let (_, baseline_ms, _) = run_window(1);
+    let baseline_ms = drain_ms(1);
     for k in [2u64, 4, 8] {
-        let (_, ms, _) = run_window(k);
+        let ms = drain_ms(k);
         assert!(
             ms < baseline_ms,
             "window {k} finished the workload no earlier than the gated schedule: \

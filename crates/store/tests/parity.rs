@@ -204,7 +204,7 @@ fn compacted_log_replays_to_the_same_state() {
     }
     file[3].sync().expect("sync");
     let full = decode_all(&mem[3].replay().unwrap());
-    let plan = CompactionPlan::build(&full, cfg.epoch_lookahead);
+    let plan = CompactionPlan::build(&full, &cfg);
     assert!(
         plan.floor().0 > 1,
         "workload never crossed the GC horizon (floor {:?})",
