@@ -1,5 +1,5 @@
-//! Agreement-side pipeline: VID completions, BA decisions, the ACS rule
-//! and retrieval kick-off (paper §4.1–§4.2).
+//! Agreement-side pipeline: VID completions, BA decisions and the ACS rule
+//! (paper §4.1–§4.2). Retrieval kick-off lives in [`super::retrieval`].
 //!
 //! BA instances are admitted per epoch as traffic arrives (lazily, through
 //! `ensure_epoch`), bounded by the window-widened lookahead — so with a
@@ -10,7 +10,7 @@
 use std::collections::VecDeque;
 
 use dl_crypto::Hash;
-use dl_vid::{Retrieved, Retriever};
+use dl_vid::Retrieved;
 use dl_wire::{Epoch, NodeId};
 
 use crate::coder::BlockCoder;
@@ -93,6 +93,14 @@ impl<C: BlockCoder> Node<C> {
             Retrieved::BadUploader => None,
         };
         let st = self.epochs.get_mut(epoch).expect("retrieval implies state");
+        // Karn's rule: only retrievals that never escalated are timed.
+        if st.retrievers[index]
+            .as_ref()
+            .is_some_and(|r| !r.escalated())
+        {
+            self.retrieval_timer
+                .observe(self.now - st.retrieval_started_ms[index]);
+        }
         st.retrieved[index] = Some(block);
         self.pipeline_dirty = true;
         if self.cfg.flags.vote_requires_retrieval && st.completed[index] {
@@ -164,25 +172,5 @@ impl<C: BlockCoder> Node<C> {
                 break;
             }
         }
-    }
-
-    /// Start retrieving block `(epoch, index)` unless it is already in hand
-    /// or already being fetched.
-    pub(super) fn start_retrieval(
-        &mut self,
-        epoch: u64,
-        index: usize,
-        work: &mut VecDeque<Work>,
-        out: &mut dyn EffectSink,
-    ) {
-        self.ensure_epoch(epoch);
-        let st = self.epochs.get_mut(epoch).expect("just ensured");
-        if st.retrieved[index].is_some() || st.retrievers[index].is_some() {
-            return;
-        }
-        let (retriever, effects) = Retriever::<C>::start(self.cfg.cluster.n, self.cfg.early_cancel);
-        st.retrievers[index] = Some(retriever);
-        self.stats.retrievals_started += 1;
-        self.apply_vid_effects(epoch, index, effects, work, out);
     }
 }

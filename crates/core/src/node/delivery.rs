@@ -202,6 +202,7 @@ impl<C: BlockCoder> Node<C> {
             epochs,
             delivered,
             gc_horizon,
+            chunk_requests_owed,
             ..
         } = self;
         let mut empty = Vec::new();
@@ -214,7 +215,14 @@ impl<C: BlockCoder> Node<C> {
                 // either, so everything below the horizon is freed.
                 if !linking || delivered_by.contains(Epoch(t)) {
                     st.servers[j] = None;
-                    st.retrievers[j] = None;
+                    // A retrieval abandoned mid-flight (an uncommitted
+                    // block under HoneyBadger's retrieve-then-vote) must
+                    // not leave its peers in our debt forever.
+                    if let Some(r) = st.retrievers[j].take() {
+                        for p in r.awaited() {
+                            chunk_requests_owed[p.idx()] -= 1;
+                        }
+                    }
                     st.retrieved[j] = None;
                 }
             }

@@ -53,6 +53,7 @@ impl<C: BlockCoder> Node<C> {
         work: &mut VecDeque<Work>,
         out: &mut dyn EffectSink,
     ) {
+        self.escalate_overdue(now, work, out);
         // Only attempt delivery when a decision or retrieval landed since
         // the last attempt — those are the only inputs that can unblock it.
         if self.pipeline_dirty {
@@ -214,10 +215,12 @@ impl<C: BlockCoder> Node<C> {
         // WAL: the fact that we proposed for this epoch is durable before
         // the dispersal goes out — a restarted node must never propose a
         // *different* block for the same epoch (self-equivocation).
+        let payload = block.payload_bytes() as u64;
         if out.persists() {
             out.persist(StoreRecord::Proposed {
                 epoch: Epoch(epoch),
                 nonempty: !block.body.is_empty(),
+                payload_bytes: payload,
             });
         }
         out.stat(StatEvent::Proposed {
@@ -228,7 +231,6 @@ impl<C: BlockCoder> Node<C> {
         });
         // Window backpressure ledger: this proposal's payload is
         // outstanding until its epoch's agreement finishes.
-        let payload = block.payload_bytes() as u64;
         self.inflight.push_back((epoch, payload));
         self.inflight_bytes += payload;
         // Without linking our block can miss the commit and be dropped

@@ -40,6 +40,10 @@ pub(crate) struct EpochState<C: Coder> {
     /// Local VID completion per proposer.
     pub(crate) completed: Vec<bool>,
     pub(crate) retrievers: Vec<Option<Retriever<C>>>,
+    /// Driver-clock time each retrieval started (meaningful while the
+    /// matching `retrievers` slot is occupied): the sample the escalation
+    /// deadline estimator is fed when the retrieval finishes.
+    pub(crate) retrieval_started_ms: Vec<u64>,
     /// `Some(None)` = retrieval finished but the proposer was Byzantine.
     pub(crate) retrieved: Vec<Option<Option<Block>>>,
     /// Whether any peer traffic for this epoch has been observed (the
@@ -63,6 +67,7 @@ impl<C: Coder> EpochState<C> {
             acs_zeroed: false,
             completed: vec![false; n],
             retrievers: (0..n).map(|_| None).collect(),
+            retrieval_started_ms: vec![0; n],
             retrieved: vec![None; n],
             activity: false,
         }

@@ -44,6 +44,7 @@
 //! gate, the Nagle rule and the epoch dispersal window), [`agreement`]
 //! (VID completion, BA decisions and the ACS rule), [`delivery`] (epoch
 //! finalization, inter-node linking and garbage collection),
+//! [`retrieval`] (whom a retrieval asks and when it escalates),
 //! [`recovery`] (write-ahead-log replay and restart catch-up) and
 //! [`epochs`] (per-epoch state and the epoch ring buffer). This file owns
 //! the struct, the entry points and the message routing.
@@ -71,6 +72,7 @@ mod delivery;
 mod dispersal;
 mod epochs;
 mod recovery;
+mod retrieval;
 #[cfg(test)]
 mod tests;
 
@@ -89,6 +91,7 @@ use crate::records::StoreRecord;
 use crate::variant::NodeConfig;
 
 use epochs::{EpochRing, EpochState};
+use retrieval::RetrievalTimer;
 
 /// The reified effect vocabulary of the node automaton.
 ///
@@ -176,6 +179,11 @@ pub struct NodeStats {
     pub linked_deliveries: u64,
     pub epochs_delivered: u64,
     pub retrievals_started: u64,
+    /// `RequestChunk`s issued by our retrievals, the loopback to our own
+    /// server included: over-fetch is this ÷ (`k` · `retrievals_started`).
+    pub chunk_requests_sent: u64,
+    /// Retrievals that fell back to asking every peer (at most once each).
+    pub retrievals_escalated: u64,
     pub msgs_sent: u64,
     pub bytes_sent: u64,
 }
@@ -264,11 +272,8 @@ pub struct Node<C: BlockCoder> {
     gc_horizon: u64,
     /// Payload bytes of our own proposals in epochs whose agreement has
     /// not finished, oldest first — the epoch dispersal window's
-    /// backpressure ledger. Drained as the agreement frontier advances.
-    /// Flow-control state, not safety state: it is rebuilt empty on
-    /// restart (the WAL records *that* we proposed, not how many bytes),
-    /// so a restarted node's window may briefly overshoot the byte cap by
-    /// its pre-crash in-flight payload.
+    /// backpressure ledger. Drained as the agreement frontier advances;
+    /// rebuilt from the `Proposed` records on restart.
     inflight: VecDeque<(u64, u64)>,
     /// Running sum of the `inflight` byte column.
     inflight_bytes: u64,
@@ -289,6 +294,24 @@ pub struct Node<C: BlockCoder> {
     /// `BVal`/`Aux` there risks equivocating against votes we no longer
     /// remember sending. Derived in [`Node::restore`].
     ba_observe_below: u64,
+    /// The driver's clock at the current entry point.
+    now: u64,
+    /// Per peer, how many `RequestChunk`s of our retrievals it has neither
+    /// answered nor been released from by a `Cancel` — the load signal of
+    /// the retrieval target choice (see [`retrieval`]). Not persisted: a
+    /// restarted node owes and is owed nothing it remembers, so the ledger
+    /// restarts at zero and catch-up retrievals choose targets like any
+    /// other.
+    chunk_requests_owed: Vec<u32>,
+    /// Per peer, requests it let run into a retrieval's deadline (or
+    /// answered with a chunk that proved it faulty) since it last returned
+    /// a chunk: debt that decoding does not forgive, only the peer's next
+    /// answer does. Added to `chunk_requests_owed` when targets are ranked.
+    chunk_requests_defaulted: Vec<u32>,
+    /// `(deadline, epoch, index)` of retrievals that may still escalate.
+    retrieval_deadlines: BTreeSet<(u64, u64, u16)>,
+    /// This node's observed retrieval times, for the escalation deadline.
+    retrieval_timer: RetrievalTimer,
     stats: NodeStats,
 }
 
@@ -325,6 +348,11 @@ impl<C: BlockCoder> Node<C> {
             sync_rounds_idle: 0,
             sync_progress: false,
             ba_observe_below: 0,
+            now: 0,
+            chunk_requests_owed: vec![0; n],
+            chunk_requests_defaulted: vec![0; n],
+            retrieval_deadlines: BTreeSet::new(),
+            retrieval_timer: RetrievalTimer::default(),
             stats: NodeStats::default(),
         }
     }
@@ -473,6 +501,7 @@ impl<C: BlockCoder> Node<C> {
             self.clock_started = true;
             self.epoch_entered_ms = now;
         }
+        self.now = now;
         loop {
             while let Some(w) = work.pop_front() {
                 self.step(w, &mut work, sink);
@@ -501,12 +530,27 @@ impl<C: BlockCoder> Node<C> {
                 // disjoint fields.
                 let Node { coder, epochs, .. } = self;
                 let st = epochs.get_mut(epoch).expect("just ensured");
-                let effects = if matches!(msg, VidMsg::ReturnChunk { .. }) {
-                    match st.retrievers[index].as_mut() {
-                        Some(r) => r.handle(coder, from, msg),
-                        None => Vec::new(), // no retrieval running: ignore
+                if matches!(msg, VidMsg::ReturnChunk { .. }) {
+                    let Some(r) = st.retrievers[index].as_mut() else {
+                        return; // no retrieval running: ignore
+                    };
+                    let answers_a_request = r.awaiting(from);
+                    let effects = r.handle(coder, from, msg);
+                    if answers_a_request {
+                        // A peer that serves what it was asked for is
+                        // forgiven its defaults.
+                        self.chunk_requests_owed[from.idx()] -= 1;
+                        self.chunk_requests_defaulted[from.idx()] = 0;
                     }
-                } else {
+                    if self.note_escalation(&effects) {
+                        // Escalation on evidence: this chunk proved `from`
+                        // faulty.
+                        self.chunk_requests_defaulted[from.idx()] += 1;
+                    }
+                    self.apply_vid_effects(epoch, index, effects, work, out);
+                    return;
+                }
+                let effects = {
                     // §5 early cancellation, extended to the send path: the
                     // canceller no longer wants chunks, so anything still
                     // queued toward it is dead weight.
@@ -580,6 +624,17 @@ impl<C: BlockCoder> Node<C> {
         for eff in effects {
             match eff {
                 VidEffect::Send(to, msg) => {
+                    // The retrieval ledger follows the effects: only
+                    // retrievers emit these two, a request puts its target
+                    // in our debt and a cancel releases it.
+                    match msg {
+                        VidMsg::RequestChunk => {
+                            self.chunk_requests_owed[to.idx()] += 1;
+                            self.stats.chunk_requests_sent += 1;
+                        }
+                        VidMsg::Cancel => self.chunk_requests_owed[to.idx()] -= 1,
+                        _ => {}
+                    }
                     if to == self.me {
                         work.push_back(Work::Vid {
                             epoch,

@@ -19,7 +19,11 @@ impl<C: BlockCoder> Node<C> {
     /// Replay rebuilds exactly what was durably narrated: chunk custody and
     /// completion roots back into the VID servers, BA decisions (as
     /// already-terminated instances that re-amplify `Term` but never
-    /// re-vote), our proposal high-water mark, and the delivered prefix.
+    /// re-vote), our proposal high-water mark with the dispersal window's
+    /// in-flight byte ledger (the first `advance` drains the entries the
+    /// restored agreement frontier already covers), and the delivered
+    /// prefix. The retrieval ledger and timer are *not* narrated: they
+    /// restart empty, and catch-up retrievals pick targets like any other.
     /// Everything *derived* — frontiers, the ACS latch, observer mode for
     /// possibly-voted BAs — is recomputed, and catch-up sync is armed so
     /// the first polls broadcast [`SyncMsg::Request`] for the epochs the
@@ -61,8 +65,14 @@ impl<C: BlockCoder> Node<C> {
                         self.undelivered_completions.insert((e, index.0));
                     }
                 }
-                StoreRecord::Proposed { epoch, nonempty } => {
+                StoreRecord::Proposed {
+                    epoch,
+                    nonempty,
+                    payload_bytes,
+                } => {
                     self.proposed_up_to = self.proposed_up_to.max(epoch.0);
+                    self.inflight.push_back((epoch.0, *payload_bytes));
+                    self.inflight_bytes += payload_bytes;
                     if self.cfg.flags.linking && *nonempty {
                         self.my_nonempty_proposals.insert(epoch.0);
                     }

@@ -1,0 +1,303 @@
+//! Retrieval-side pipeline: whom a retrieval asks for chunks, and when it
+//! gives up on that choice (paper §4.2 retrieval, §6.3 early cancel).
+//!
+//! Any `k = N − 2f` verified chunks decode a block, so asking all `N`
+//! servers makes every peer upload a chunk for every retrieval —
+//! `(N − 1)/k` times the bytes that are needed, on the links whose
+//! bandwidth the protocol exists to respect. A retrieval here is a
+//! **targeted, load-aware pull**:
+//!
+//! * it asks our own server (a loopback, free) plus the `k − 1 + h` remote
+//!   peers that owe us the fewest chunks — the per-peer ledger
+//!   `chunk_requests_owed` counts our `RequestChunk`s a peer has not yet
+//!   answered, so this is join-shortest-queue: a peer whose link to us is
+//!   slow or backlogged accumulates debt and is passed over, a fast one
+//!   drains its debt and serves more, and the split follows bandwidth as
+//!   it varies. Ties break by a rotation keyed on `(epoch, index, me)` so
+//!   an idle cluster spreads its requests evenly and deterministically;
+//! * decoding forgives the debt of the peers it cancels, so a *dead* peer
+//!   would look idle again after every retrieval it failed. A request that
+//!   sat out a whole deadline (or was answered with a chunk that proved
+//!   the peer faulty) is therefore **defaulted**: it stays on the peer's
+//!   account (`chunk_requests_defaulted`) until the peer next returns a
+//!   chunk. A dead peer's defaults pile up until it is never chosen; a
+//!   peer that was only slow carries one or two, is still chosen whenever
+//!   the others are busier, and clears them with its next answer. Without
+//!   this, `f` crashed peers at N = 16 made a quarter of all retrievals
+//!   wait out a deadline (p50 latency 6.5 s against 0.8 s for
+//!   ask-everyone); with it they cost the first deadline and little after;
+//! * on decode it cancels only the asked peers that have not answered;
+//! * **liveness is kept by escalation**: a retrieval that has not decoded
+//!   asks every not-yet-asked peer, once — immediately when an asked peer
+//!   returns a chunk that fails verification or sits under a second root
+//!   (`dl_vid::Retriever::handle`), and otherwise at a deadline taken from
+//!   this node's own retrieval times ([`RetrievalTimer`]). After
+//!   escalation the retrieval is the paper's ask-everyone retrieval, so
+//!   every termination argument for that one carries over; before it, at
+//!   most one timer per retrieval is armed and none re-arms, so an idle
+//!   cluster still goes quiescent.
+
+use std::collections::VecDeque;
+
+use dl_vid::{Retriever, VidEffect};
+use dl_wire::{NodeId, VidMsg};
+
+use crate::coder::BlockCoder;
+use crate::engine::EffectSink;
+
+use super::{Node, Work};
+
+/// Spare peers asked beyond the `k − 1` a retrieval strictly needs.
+///
+/// Chosen by measurement on `dl-e2e` (seed 1; the README has the table).
+/// `h = 0` waits for the slowest of exactly `k` answers and loses to
+/// ask-everyone on goodput (3.33 vs 3.47 MB/s on `vbw-sat-dl`). `h = 1`
+/// and `h = 2` both win (4.35 and 4.58 MB/s), but each extra spare is a
+/// chunk upload per retrieval: `h = 2` buys 5 % more goodput than `h = 1`
+/// — inside the benchmark's 10 % goodput bound — for 13–24 % more bytes
+/// on the wire, far outside its 5 % byte bound. The smallest hedge that
+/// wins it is.
+const RETRIEVAL_HEDGE: usize = 1;
+
+/// Escalation deadline before any retrieval has been timed (RFC 6298's
+/// initial RTO).
+const RETRIEVAL_RTO_INITIAL_MS: u64 = 1000;
+
+/// Longest run of consecutive timeouts that still doubles the deadline:
+/// 2⁴ × the base rides out a 32-fold slowdown, and keeps the last armed
+/// wake-up of a finished run seconds, not minutes, away.
+const RETRIEVAL_BACKOFF_MAX: u32 = 4;
+
+/// Retransmission-timeout style estimator (RFC 6298) over this node's own
+/// retrieval times: smoothed mean plus four mean deviations, Karn's rule
+/// and exponential backoff. Integer arithmetic on scaled values, so it is
+/// deterministic and drift-free.
+#[derive(Clone, Copy, Debug, Default)]
+pub(super) struct RetrievalTimer {
+    /// Smoothed retrieval time × 8; 0 = no sample yet.
+    srtt_x8: u64,
+    /// Smoothed mean deviation × 4.
+    rttvar_x4: u64,
+    /// Deadline doublings since the last sample.
+    backoff: u32,
+    /// When `backoff` last grew.
+    backed_off_ms: u64,
+}
+
+impl RetrievalTimer {
+    /// Feed the duration of a retrieval that finished *without*
+    /// escalating. Karn's rule: an escalated retrieval's duration is
+    /// mostly the deadline it sat out, and feeding that back would let
+    /// the deadline chase itself upward whenever a few peers are dead.
+    pub(super) fn observe(&mut self, ms: u64) {
+        let ms = ms.max(1);
+        self.backoff = 0;
+        if self.srtt_x8 == 0 {
+            self.srtt_x8 = ms * 8;
+            self.rttvar_x4 = ms * 2;
+            return;
+        }
+        let srtt = self.srtt_x8 / 8;
+        // rttvar ← ¾·rttvar + ¼·|srtt − r|, then srtt ← ⅞·srtt + ⅛·r.
+        self.rttvar_x4 = self.rttvar_x4 - self.rttvar_x4 / 4 + srtt.abs_diff(ms);
+        self.srtt_x8 = self.srtt_x8 - srtt + ms;
+    }
+
+    /// How long a retrieval may run before it escalates: twice the RTO.
+    /// A sender doubles its RTO after the first timeout; a retrieval gets
+    /// one escalation, so it starts from the doubled value — escalating
+    /// costs `N − k − h` extra chunk uploads, waiting costs latency in the
+    /// faulty case only. Measured on `vbw-sat-dl`, where nobody is faulty
+    /// and goodput does not care (4.35–4.38 MB/s from 1× to 4×): 1×
+    /// escalates 6.6 % of retrievals and moves 11 % more bytes, 2× 0.6 %,
+    /// 3× and 4× save under 1.5 % more and only wait longer.
+    /// `floor_ms` bounds the deviation term from below: on a quiet
+    /// network the measured deviation decays to nothing and a millisecond
+    /// of jitter would otherwise count as a timeout.
+    pub(super) fn deadline_ms(&self, floor_ms: u64) -> u64 {
+        let base = if self.srtt_x8 == 0 {
+            RETRIEVAL_RTO_INITIAL_MS.max(floor_ms)
+        } else {
+            2 * (self.srtt_x8 / 8 + self.rttvar_x4.max(floor_ms))
+        };
+        base << self.backoff
+    }
+
+    /// A retrieval started at `started_ms` sat out its deadline. Since
+    /// escalated retrievals are never sampled, a network that turned
+    /// slower than the estimate is learnt by backing off until a retrieval
+    /// fits the deadline again. Only a retrieval that was *given* the
+    /// current deadline and still missed it says that deadline is too
+    /// short: the rest of a wave that started before the last doubling
+    /// times out within milliseconds of each other and is one event.
+    pub(super) fn timed_out(&mut self, started_ms: u64, now: u64) {
+        if started_ms >= self.backed_off_ms && self.backoff < RETRIEVAL_BACKOFF_MAX {
+            self.backoff += 1;
+            self.backed_off_ms = now;
+        }
+    }
+}
+
+/// The remote peers a retrieval of `(epoch, index)` by `me` asks, best
+/// first: smallest `debt` (unanswered plus defaulted requests of ours),
+/// ties broken by the rotation starting at `(epoch + index + me) mod n`.
+pub(super) fn rank_peers(
+    me: NodeId,
+    epoch: u64,
+    index: usize,
+    n: usize,
+    debt: impl Fn(NodeId) -> u32,
+) -> Vec<NodeId> {
+    let start = (epoch as usize).wrapping_add(index).wrapping_add(me.idx()) % n;
+    let mut peers: Vec<NodeId> = (0..n)
+        .map(|i| NodeId(((start + i) % n) as u16))
+        .filter(|p| *p != me)
+        .collect();
+    peers.sort_by_key(|p| debt(*p)); // stable: the rotation survives ties
+    peers
+}
+
+impl<C: BlockCoder> Node<C> {
+    /// Start retrieving block `(epoch, index)` unless it is already in hand
+    /// or already being fetched.
+    pub(super) fn start_retrieval(
+        &mut self,
+        epoch: u64,
+        index: usize,
+        work: &mut VecDeque<Work>,
+        out: &mut dyn EffectSink,
+    ) {
+        self.ensure_epoch(epoch);
+        let st = self.epochs.get_mut(epoch).expect("just ensured");
+        if st.retrieved[index].is_some() || st.retrievers[index].is_some() {
+            return;
+        }
+        let remote = self.coder.data_chunks() - 1 + RETRIEVAL_HEDGE;
+        let targets = std::iter::once(self.me).chain(
+            rank_peers(self.me, epoch, index, self.cfg.cluster.n, |p| {
+                self.chunk_requests_owed[p.idx()] + self.chunk_requests_defaulted[p.idx()]
+            })
+            .into_iter()
+            .take(remote),
+        );
+        let (retriever, effects) = Retriever::<C>::start_targeted(self.cfg.cluster.n, targets);
+        st.retrievers[index] = Some(retriever);
+        st.retrieval_started_ms[index] = self.now;
+        self.stats.retrievals_started += 1;
+        let deadline = self.now + self.retrieval_timer.deadline_ms(self.cfg.propose_delay_ms);
+        self.retrieval_deadlines
+            .insert((deadline, epoch, index as u16));
+        out.wake_at(deadline);
+        self.apply_vid_effects(epoch, index, effects, work, out);
+    }
+
+    /// Escalate every retrieval whose deadline has passed. Entries of
+    /// retrievals that already finished (or were collected) fall out here.
+    pub(super) fn escalate_overdue(
+        &mut self,
+        now: u64,
+        work: &mut VecDeque<Work>,
+        out: &mut dyn EffectSink,
+    ) {
+        while let Some(&(due, epoch, index)) = self.retrieval_deadlines.first() {
+            if due > now {
+                break;
+            }
+            self.retrieval_deadlines.pop_first();
+            let index = index as usize;
+            let Some(st) = self.epochs.get_mut(epoch) else {
+                continue;
+            };
+            let Some(retriever) = st.retrievers[index].as_mut() else {
+                continue;
+            };
+            for silent in retriever.awaited() {
+                self.chunk_requests_defaulted[silent.idx()] += 1;
+            }
+            let effects = retriever.escalate();
+            let started_ms = st.retrieval_started_ms[index];
+            if self.note_escalation(&effects) {
+                self.retrieval_timer.timed_out(started_ms, now);
+            }
+            self.apply_vid_effects(epoch, index, effects, work, out);
+        }
+    }
+
+    /// Count a retrieval's escalation if `effects` carry one: after the
+    /// start, escalation is a retriever's only source of `RequestChunk`s,
+    /// and it happens at most once.
+    pub(super) fn note_escalation(&mut self, effects: &[VidEffect<C::Block>]) -> bool {
+        let escalated = effects
+            .iter()
+            .any(|e| matches!(e, VidEffect::Send(_, VidMsg::RequestChunk)));
+        self.stats.retrievals_escalated += u64::from(escalated);
+        escalated
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn rank_is_least_debt_then_rotation() {
+        // No debts: pure rotation from (epoch + index + me) mod n, self
+        // skipped.
+        let ids = |v: Vec<NodeId>| v.into_iter().map(|p| p.0).collect::<Vec<_>>();
+        let idle = |_| 0;
+        assert_eq!(
+            ids(rank_peers(NodeId(2), 1, 0, 7, idle)),
+            vec![3, 4, 5, 6, 0, 1]
+        );
+        assert_eq!(
+            ids(rank_peers(NodeId(2), 1, 3, 7, idle)),
+            vec![6, 0, 1, 3, 4, 5]
+        );
+        // Debt outranks rotation: peers 3 and 4 owe us chunks, so they drop
+        // to the back, least-indebted first.
+        let debts = [0, 0, 0, 5, 2, 0, 0];
+        assert_eq!(
+            ids(rank_peers(NodeId(2), 1, 0, 7, |p| debts[p.idx()])),
+            vec![5, 6, 0, 1, 4, 3]
+        );
+    }
+
+    #[test]
+    fn timer_tracks_mean_and_deviation_and_honours_the_floor() {
+        let mut t = RetrievalTimer::default();
+        assert_eq!(t.deadline_ms(100), RETRIEVAL_RTO_INITIAL_MS);
+        t.observe(40);
+        // First sample: srtt = r, rttvar = r/2 → 2·(40 + max(4·20, floor)).
+        assert_eq!(t.deadline_ms(10), 240);
+        assert_eq!(t.deadline_ms(100), 280);
+        // A steady network: deviation decays, the floor takes over.
+        for _ in 0..64 {
+            t.observe(40);
+        }
+        assert_eq!(t.deadline_ms(100), 280);
+        assert!(t.deadline_ms(1) < 100, "deviation did not decay: {t:?}");
+        // A shift to slower retrievals is followed within a few samples.
+        for _ in 0..32 {
+            t.observe(400);
+        }
+        assert!((800..=1200).contains(&t.deadline_ms(100)), "{t:?}");
+        // Missed deadlines back off exponentially, up to a cap; the next
+        // sample takes the estimate back over.
+        let base = t.deadline_ms(100);
+        t.timed_out(5_000, 6_000);
+        assert_eq!(t.deadline_ms(100), 2 * base);
+        // The rest of the wave that started before the doubling says
+        // nothing about the doubled deadline.
+        t.timed_out(5_001, 6_001);
+        t.timed_out(5_999, 6_999);
+        assert_eq!(t.deadline_ms(100), 2 * base);
+        t.timed_out(6_000, 8_000);
+        assert_eq!(t.deadline_ms(100), 4 * base);
+        for i in 0..20 {
+            t.timed_out(10_000 * (i + 1), 10_000 * (i + 1) + 1);
+        }
+        assert_eq!(t.deadline_ms(100), base << RETRIEVAL_BACKOFF_MAX);
+        t.observe(400);
+        assert!(t.deadline_ms(100).abs_diff(base) < 10, "{t:?}");
+    }
+}

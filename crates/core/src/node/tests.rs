@@ -4,7 +4,9 @@ use crate::engine::EngineExt;
 use crate::records::StoreRecord;
 use crate::variant::{NodeConfig, ProtocolVariant};
 use dl_crypto::Hash;
-use dl_wire::{BaMsg, Block, ClusterConfig, Envelope, Epoch, NodeId, SyncMsg, Tx, VidMsg};
+use dl_wire::{
+    BaMsg, Block, ClusterConfig, Envelope, Epoch, NodeId, ProtoMsg, SyncMsg, Tx, VidMsg,
+};
 use std::collections::VecDeque;
 
 /// Synchronous full-mesh harness: delivers every wire message each
@@ -623,6 +625,135 @@ fn cancel_emits_a_purge_hint_for_the_canceller() {
         epoch: Epoch(1),
         index: NodeId(0),
     }));
+}
+
+// ---------------------------------------------------------------------------
+// Targeted retrieval
+// ---------------------------------------------------------------------------
+
+/// The remote peers `effs` ask for chunks of one block, in request order.
+fn requested(effs: &[NodeEffect]) -> Vec<usize> {
+    effs.iter()
+        .filter_map(|e| match e {
+            NodeEffect::Send(to, env)
+                if matches!(env.payload, ProtoMsg::Vid(VidMsg::RequestChunk)) =>
+            {
+                Some(to.idx())
+            }
+            _ => None,
+        })
+        .collect()
+}
+
+/// Run an honest mesh until node 0 starts its first retrieval, crash the
+/// `f` peers that retrieval ranked first at that very moment, and run on.
+/// Returns the crashed set.
+fn crash_first_choices_of_node_0(mesh: &mut Mesh, ticks: usize) -> Vec<usize> {
+    let f = mesh.nodes[0].config().cluster.f;
+    let mut mute: Vec<usize> = Vec::new();
+    for _ in 0..ticks {
+        mesh.now += 10;
+        for i in 0..mesh.nodes.len() {
+            if !mute.contains(&i) {
+                let effs = mesh.nodes[i].poll_vec(mesh.now);
+                mesh.sink(i, effs);
+            }
+        }
+        while let Some((from, to, env)) = mesh.wire.pop_front() {
+            if mute.contains(&to.idx()) {
+                continue;
+            }
+            let effs = mesh.nodes[to.idx()].handle_vec(from, env, mesh.now);
+            if to.idx() == 0 && mute.is_empty() {
+                let asked = requested(&effs);
+                if !asked.is_empty() {
+                    // Everything node 0 asks in one step belongs to the
+                    // retrievals it started there; the first k − 1 + h
+                    // requests are the first retrieval's, best-ranked first.
+                    mute = asked[..f].to_vec();
+                }
+            }
+            mesh.sink(to.idx(), effs);
+        }
+    }
+    mute
+}
+
+#[test]
+fn retrieval_survives_its_f_first_choices_crashing() {
+    for n in [7usize, 16] {
+        let mut mesh = Mesh::new(n, ProtocolVariant::Dl);
+        for i in 0..n {
+            mesh.submit(i, Tx::synthetic(NodeId(i as u16), 0, 0, 200));
+        }
+        let crashed = crash_first_choices_of_node_0(&mut mesh, 400);
+        let f = (n - 1) / 3;
+        assert_eq!(crashed.len(), f, "N={n}: node 0 never started a retrieval");
+        // k − 1 + h − f remote answers plus our own chunk are fewer than k:
+        // that retrieval can only have finished by escalating.
+        let s = *mesh.nodes[0].stats();
+        assert!(s.retrievals_escalated > 0, "N={n}: {s:?}");
+        assert!(s.retrievals_escalated <= s.retrievals_started);
+        let orders = mesh.tx_orders();
+        for i in (0..n).filter(|i| !crashed.contains(i)) {
+            assert_eq!(orders[i].len(), n, "N={n}: node {i} lost transactions");
+            assert_eq!(orders[i], orders[0], "N={n}: node {i} diverged");
+            // Every request was answered or cancelled: nobody is owed.
+            assert!(
+                mesh.nodes[i].chunk_requests_owed.iter().all(|&c| c == 0),
+                "N={n}: node {i} ledger {:?}",
+                mesh.nodes[i].chunk_requests_owed
+            );
+        }
+    }
+}
+
+#[test]
+fn honest_mesh_never_escalates_and_asks_k_plus_hedge() {
+    let n = 7;
+    let mut mesh = Mesh::new(n, ProtocolVariant::Dl);
+    for i in 0..n {
+        mesh.submit(i, Tx::synthetic(NodeId(i as u16), 0, 0, 200));
+    }
+    mesh.run(300, 10, &[]);
+    for node in &mesh.nodes {
+        let s = node.stats();
+        assert_eq!(s.txs_delivered, n as u64);
+        assert_eq!(s.retrievals_escalated, 0);
+        // k = 3 at N = 7: own server + k − 1 + 1 peers per retrieval.
+        assert_eq!(s.chunk_requests_sent, 4 * s.retrievals_started);
+        assert!(node.chunk_requests_owed.iter().all(|&c| c == 0));
+    }
+}
+
+#[test]
+fn restore_rebuilds_the_window_byte_ledger_and_zeroes_the_retrieval_ledger() {
+    // A wide window whose byte budget covers two outstanding proposals.
+    let cluster = ClusterConfig::new(4);
+    let mut cfg = NodeConfig::new(cluster.clone(), ProtocolVariant::Dl);
+    cfg.dispersal_window = 8;
+    cfg.window_bytes_max = 2 * cfg.propose_size as u64 - 1;
+    let size = cfg.propose_size as u32;
+    let mut node = Node::new(NodeId(0), cfg.clone(), RealBlockCoder::new(&cluster));
+    let mut log = Vec::new();
+    for s in 0..4u64 {
+        for eff in node.submit_tx_vec(Tx::synthetic(NodeId(0), s, s, size), s) {
+            if let NodeEffect::Persist(rec) = eff {
+                log.push(rec);
+            }
+        }
+    }
+    assert_eq!(node.stats().blocks_proposed, 2, "byte cap stalls at two");
+    // The restarted node is under the same cap: its two undecided
+    // proposals are still outstanding, so nothing new may open.
+    let mut fresh = Node::new(NodeId(0), cfg, RealBlockCoder::new(&cluster));
+    fresh.restore(&log);
+    assert_eq!(fresh.inflight_bytes, 2 * size as u64);
+    for s in 4..8u64 {
+        fresh.submit_tx_vec(Tx::synthetic(NodeId(0), s, 100 + s, size), 100 + s);
+    }
+    assert_eq!(fresh.stats().blocks_proposed, 0, "restart forgot the cap");
+    assert!(fresh.chunk_requests_owed.iter().all(|&c| c == 0));
 }
 
 // ---------------------------------------------------------------------------

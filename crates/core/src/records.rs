@@ -49,8 +49,13 @@ pub enum StoreRecord {
     },
     /// We proposed our own block for `epoch`; replayed as a guard against
     /// proposing a *different* block for the same epoch after a restart
-    /// (self-equivocation). `nonempty` feeds the linking rescue set.
-    Proposed { epoch: Epoch, nonempty: bool },
+    /// (self-equivocation). `nonempty` feeds the linking rescue set,
+    /// `payload_bytes` the dispersal window's in-flight byte ledger.
+    Proposed {
+        epoch: Epoch,
+        nonempty: bool,
+        payload_bytes: u64,
+    },
     /// BA instance `(epoch, index)` decided `value`; persisted before the
     /// `Term` broadcast.
     Decided {
@@ -181,7 +186,7 @@ impl WireEncode for StoreRecord {
                 ..
             } => 8 + 2 + root.encoded_len() + proof.encoded_len() + payload.encoded_len(),
             StoreRecord::Completed { root, .. } => 8 + 2 + root.encoded_len(),
-            StoreRecord::Proposed { .. } => 8 + 1,
+            StoreRecord::Proposed { .. } => 8 + 1 + 8,
             StoreRecord::Decided { .. } => 8 + 2 + 1,
             StoreRecord::Delivered { block, .. } => {
                 8 + 2 + 1 + 1 + block.as_ref().map_or(0, |b| b.encoded_len())
@@ -212,10 +217,15 @@ impl WireEncode for StoreRecord {
                 index.0.encode(buf);
                 root.encode(buf);
             }
-            StoreRecord::Proposed { epoch, nonempty } => {
+            StoreRecord::Proposed {
+                epoch,
+                nonempty,
+                payload_bytes,
+            } => {
                 buf.push(Self::TAG_PROPOSED);
                 epoch.0.encode(buf);
                 nonempty.encode(buf);
+                payload_bytes.encode(buf);
             }
             StoreRecord::Decided {
                 epoch,
@@ -272,6 +282,7 @@ impl WireDecode for StoreRecord {
             Self::TAG_PROPOSED => StoreRecord::Proposed {
                 epoch: Epoch(u64::decode(buf)?),
                 nonempty: bool::decode(buf)?,
+                payload_bytes: u64::decode(buf)?,
             },
             Self::TAG_DECIDED => StoreRecord::Decided {
                 epoch: Epoch(u64::decode(buf)?),
@@ -344,6 +355,7 @@ mod tests {
         roundtrip(StoreRecord::Proposed {
             epoch: Epoch(5),
             nonempty: true,
+            payload_bytes: 150_000,
         });
         roundtrip(StoreRecord::Decided {
             epoch: Epoch(4),
@@ -370,7 +382,8 @@ mod tests {
         assert!(StoreRecord::EpochDelivered { epoch: Epoch(1) }.is_epoch_boundary());
         assert!(!StoreRecord::Proposed {
             epoch: Epoch(1),
-            nonempty: false
+            nonempty: false,
+            payload_bytes: 0,
         }
         .is_epoch_boundary());
     }

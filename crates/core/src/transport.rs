@@ -1,13 +1,24 @@
 //! Driver-agnostic transport pieces: the [`Transport`] seam and the §5
 //! two-class prioritized [`SendQueue`].
 //!
-//! The paper's §5 send rule — dispersal traffic strictly before retrieval
-//! traffic, retrieval traffic in epoch order, FIFO within a class — is a
-//! property of the *transport*, not of any one driver. It used to live
-//! inside the discrete-event simulator; now both the simulator's link model
-//! and the real TCP transport (`dl-net`) drain a [`SendQueue`] per directed
-//! peer link, so the prioritization measured in virtual time is the same
-//! code that runs on real sockets.
+//! The paper's §5 send rule is a property of the *transport*, not of any
+//! one driver: both the simulator's link model and the real TCP transport
+//! (`dl-net`) drain a [`SendQueue`] per directed peer link, so the
+//! prioritization measured in virtual time is the same code that runs on
+//! real sockets. The rule, as implemented:
+//!
+//! * **High priority, one FIFO**: everything a node needs to take part in
+//!   agreement (`Chunk`, `GotChunk`, `Ready`, BA and sync messages) *and*
+//!   the retrieval control messages `RequestChunk` and `Cancel`.
+//! * **Low priority, in epoch order, FIFO within an epoch**: `ReturnChunk`
+//!   — the bulk of a retrieval, and the only low-priority traffic.
+//!
+//! The control messages are ~20 bytes and steer the bulk: a `RequestChunk`
+//! parked behind seconds of queued chunks starts its own chunk that much
+//! later, and a `Cancel` (§6.3) parked there arrives after the chunk it was
+//! meant to stop. Keeping them out of the bulk queue costs the
+//! high-priority class nothing measurable and is what lets a retrieval be
+//! steered at all (see `node::retrieval` for who is asked).
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -22,8 +33,8 @@ pub trait Transport {
     fn send(&mut self, from: NodeId, to: NodeId, env: Envelope);
 }
 
-/// The per-link send queue: pops envelopes dispersal-first, then retrieval
-/// in epoch order, FIFO within a class. Tracks queued wire bytes so
+/// The per-link send queue: pops high-priority envelopes first, then
+/// `ReturnChunk`s in epoch order, FIFO within a class. Tracks queued wire bytes so
 /// transports can apply byte-bounded backpressure.
 ///
 /// Representation matters here: under retrieval backlog a single link can
@@ -126,6 +137,10 @@ mod tests {
     use dl_wire::{Epoch, VidMsg};
 
     fn retrieval(e: u64) -> Envelope {
+        return_chunk(e, 0)
+    }
+
+    fn request(e: u64) -> Envelope {
         Envelope::vid(Epoch(e), NodeId(0), VidMsg::RequestChunk)
     }
 
@@ -158,6 +173,22 @@ mod tests {
                 TrafficClass::Retrieval(Epoch(7)),
             ]
         );
+    }
+
+    #[test]
+    fn retrieval_control_overtakes_queued_chunks() {
+        // A request and a cancel queued behind chunk bulk — of an earlier
+        // epoch, even — leave first, in the order they were queued.
+        let mut q = SendQueue::new();
+        q.push(return_chunk(1, 3));
+        q.push(return_chunk(2, 3));
+        let cancel = Envelope::vid(Epoch(9), NodeId(0), VidMsg::Cancel);
+        q.push(request(9));
+        q.push(cancel.clone());
+        assert_eq!(q.pop(), Some(request(9)));
+        assert_eq!(q.pop(), Some(cancel));
+        assert_eq!(q.pop(), Some(return_chunk(1, 3)));
+        assert_eq!(q.pop(), Some(return_chunk(2, 3)));
     }
 
     #[test]
@@ -195,7 +226,7 @@ mod tests {
         let mut q = SendQueue::new();
         q.push(return_chunk(3, 1));
         q.push(return_chunk(3, 2)); // same epoch, different proposer: kept
-        q.push(retrieval(3)); // a RequestChunk is not a ReturnChunk: kept
+        q.push(request(3)); // same retrieval, but not a ReturnChunk: kept
         q.push(return_chunk(4, 1)); // different epoch: kept
         q.push(dispersal(5));
         let before = q.queued_bytes();
@@ -214,7 +245,7 @@ mod tests {
             classes,
             vec![
                 TrafficClass::Dispersal,
-                TrafficClass::Retrieval(Epoch(3)),
+                TrafficClass::Dispersal,
                 TrafficClass::Retrieval(Epoch(3)),
                 TrafficClass::Retrieval(Epoch(4)),
             ]

@@ -109,9 +109,6 @@ pub struct NodeConfig {
     /// Epochs of retrieval lag tolerated before the `empty_when_lagging`
     /// rule kicks in (`P` of §4.5; `P = 1` equals HoneyBadger's coupling).
     pub lag_limit: u64,
-    /// Send `Cancel` to stop chunk uploads once a retrieval decodes (§6.3's
-    /// "notify others when decoded" optimization).
-    pub early_cancel: bool,
     /// Accept messages at most this many epochs past our agreement frontier
     /// (anti-DoS bound; honest nodes never exceed a handful).
     pub epoch_lookahead: u64,
@@ -151,7 +148,6 @@ impl NodeConfig {
             propose_delay_ms: crate::DEFAULT_PROPOSE_DELAY_MS,
             propose_size: crate::DEFAULT_PROPOSE_SIZE,
             lag_limit: 1,
-            early_cancel: true,
             epoch_lookahead: crate::DEFAULT_EPOCH_LOOKAHEAD,
             dispersal_window: 1,
             window_bytes_max: crate::DEFAULT_WINDOW_BYTES_MAX,
@@ -232,7 +228,6 @@ mod tests {
         assert_eq!(cfg.propose_size, crate::DEFAULT_PROPOSE_SIZE);
         assert_eq!(cfg.epoch_lookahead, crate::DEFAULT_EPOCH_LOOKAHEAD);
         assert_eq!(cfg.lag_limit, 1, "P = 1 equals HoneyBadger's coupling");
-        assert!(cfg.early_cancel, "§6.3 cancel optimization defaults on");
         assert_eq!(
             cfg.dispersal_window, 1,
             "pipelining must be opt-in: k = 1 is the paper's schedule"

@@ -22,9 +22,9 @@
 //!   writes effects through a [`dl_core::EffectSink`] that routes `send`
 //!   into per-peer outboxes. Wake hints and a coarse tick drive `poll`.
 //! * **writer threads** (one per peer) — connect (with retry), then drain
-//!   the peer's [`SendQueue`] outbox in the §5 priority order: dispersal
-//!   before retrieval, retrieval in epoch order. This is the same queue
-//!   type the simulator's links drain.
+//!   the peer's [`SendQueue`] outbox in the §5 priority order: everything
+//!   before `ReturnChunk` bulk, `ReturnChunk`s in epoch order. This is the
+//!   same queue type the simulator's links drain.
 //! * **reader threads** (one per accepted connection) — reassemble frames
 //!   with [`FrameDecoder`] across arbitrary TCP read boundaries and feed
 //!   envelopes to the engine thread. Any frame error drops the connection

@@ -12,10 +12,10 @@
 //! occupies the link for `size / bandwidth` milliseconds, then arrives
 //! `latency` milliseconds later. Queued messages drain in the two-class
 //! priority order of §5 via the shared [`SendQueue`] (the same queue the
-//! real TCP transport `dl-net` drains): dispersal traffic strictly before
-//! retrieval traffic, and retrieval traffic in epoch order — the rule that
-//! lets a node keep *voting* at full speed while it catches up on block
-//! downloads.
+//! real TCP transport `dl-net` drains): dispersal and control traffic
+//! strictly before `ReturnChunk` bulk, and that bulk in epoch order — the
+//! rule that lets a node keep *voting* (and steering its retrievals) at
+//! full speed while it catches up on block downloads.
 //!
 //! ## Drivers and quiescence
 //!
@@ -160,6 +160,12 @@ impl SimConfig {
 pub struct SimReport {
     /// Virtual time when the run ended.
     pub now_ms: u64,
+    /// Virtual time of the last event that moved the protocol: an envelope
+    /// sent or arrived, a block delivered. A quiesced run also drains its
+    /// advisory wake-ups (a Nagle delay, a retrieval's escalation deadline
+    /// that its own completion beat), so `now_ms` can lie well past the
+    /// moment the network went idle; this is that moment.
+    pub last_activity_ms: u64,
     /// True if the event heap drained (all protocol work finished) before
     /// the deadline.
     pub quiesced: bool,
@@ -275,6 +281,7 @@ struct Fabric {
     events: BinaryHeap<Ev>,
     seq: u64,
     now: u64,
+    last_activity: u64,
     events_processed: u64,
     scheduled_polls: BTreeSet<(u64, u16)>,
     delivered: Vec<Vec<DeliveredBlock>>,
@@ -464,6 +471,7 @@ fn pump_link_inner(
 impl Transport for Fabric {
     fn send(&mut self, from: NodeId, to: NodeId, env: Envelope) {
         assert_ne!(from, to, "nodes must loop self-traffic back internally");
+        self.last_activity = self.now;
         self.links[from.idx() * self.cfg.cluster.n + to.idx()]
             .queue
             .push(env);
@@ -484,6 +492,7 @@ impl EffectSink for FabricSink<'_> {
     }
 
     fn deliver(&mut self, block: DeliveredBlock) {
+        self.fabric.last_activity = self.fabric.now;
         self.fabric.delivered[self.from.idx()].push(block);
     }
 
@@ -594,6 +603,7 @@ impl Simulation {
                 events: BinaryHeap::new(),
                 seq: 0,
                 now: 0,
+                last_activity: 0,
                 events_processed: 0,
                 scheduled_polls: BTreeSet::new(),
                 delivered: vec![Vec::new(); n],
@@ -790,6 +800,7 @@ impl Simulation {
                         fabric.push_event(next_at, EvKind::Arrive { from, to });
                     }
                     fabric.events_processed += burst.len().max(1) as u64;
+                    fabric.last_activity = now;
                     nodes[to.idx()].handle_burst(
                         from,
                         burst,
@@ -807,6 +818,7 @@ impl Simulation {
         }
         SimReport {
             now_ms: fabric.now,
+            last_activity_ms: fabric.last_activity,
             quiesced,
             events_processed: fabric.events_processed,
             delivered: fabric.delivered.clone(),

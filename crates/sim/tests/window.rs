@@ -7,8 +7,9 @@
 //! to the BA latency it can hide behind. With `k = 1` every node idles
 //! its uplink while agreement for the epoch it just dispersed runs; with
 //! `k = 4` dispersal of the next epochs overlaps that wait. The metric is
-//! **virtual time-to-drain** of one fixed payload (`now_ms` when every
-//! node has delivered all 64 transactions). Epoch counts are not
+//! **virtual time-to-drain** of one fixed payload (`last_activity_ms`:
+//! when the network went idle, every node having delivered all 64
+//! transactions). Epoch counts are not
 //! throughput — a wider window splits the same payload over more, emptier
 //! epochs — and drain time is a pure function of the event schedule:
 //! deterministic across machines, immune to box noise, so the 1.25× floor
@@ -64,7 +65,7 @@ fn drain_ms(k: u64) -> u64 {
             "window {k}: transaction loss at node {i}"
         );
     }
-    report.now_ms
+    report.last_activity_ms
 }
 
 /// DL-Coupled under a pipelined window must still drain its queue. The
@@ -98,7 +99,9 @@ fn dl_coupled_window_drains_its_queue_over_wan_links() {
 
 /// The acceptance gate for pipelined dissemination: `k = 4` must drain
 /// the fixed payload at least 1.25× faster than `k = 1` on the
-/// variable-bandwidth fluid cluster (measured: 7911 vs 4261 virtual ms).
+/// variable-bandwidth fluid cluster (measured: 4679 vs 3310 virtual ms,
+/// 1.41×; 7911 vs 4261 before retrievals stopped asking every peer — the
+/// over-fetch cost the gated schedule more than the pipelined one).
 #[test]
 fn window_of_four_beats_gated_dispersal_by_25_percent() {
     if cfg!(debug_assertions) {

@@ -9,11 +9,13 @@
 //! * [`VidServer`] — the server side: verify and store the local chunk,
 //!   exchange `GotChunk`/`Ready`, trigger `Complete`, and answer retrieval
 //!   requests (deferred until dispersal completes, per Fig. 4).
-//! * [`Retriever`] — the client side of `Retrieve`: collect `N−2f` proof-
-//!   valid chunks under one root, decode, **re-encode and compare the root**
-//!   — the key AVID-M idea that moves encoding verification from dispersal
-//!   time to retrieval time. Inconsistent encodings surface as the canonical
-//!   [`Retrieved::BadUploader`] value at *every* correct retriever.
+//! * [`Retriever`] — the client side of `Retrieve`: ask a caller-chosen
+//!   subset of servers (everyone, after one escalation), collect `N−2f`
+//!   proof-valid chunks under one root, decode, **re-encode and compare
+//!   the root** — the key AVID-M idea that moves encoding verification
+//!   from dispersal time to retrieval time. Inconsistent encodings surface
+//!   as the canonical [`Retrieved::BadUploader`] value at *every* correct
+//!   retriever.
 //!
 //! The block data path is abstracted behind the [`Coder`] trait so the
 //! discrete-event simulator can run the identical control logic without
@@ -421,27 +423,82 @@ fn entry(list: &mut Vec<(Hash, NodeSet)>, root: Hash) -> &mut NodeSet {
 }
 
 /// Client-side automaton for `Retrieve` (Fig. 4).
+///
+/// Any `N − 2f` proof-valid chunks under one root decode, so a retrieval
+/// need not ask all `N` servers: [`Retriever::start_targeted`] asks a
+/// caller-chosen subset, and [`Retriever::escalate`] asks everyone else —
+/// once — when the subset turns out to be too slow or dishonest. The
+/// automaton tracks whom it asked and who has answered, so the `Cancel` on
+/// decode (§6.3) goes only to peers that still owe a chunk.
 pub struct Retriever<C: Coder> {
     n: usize,
     /// Verified chunks grouped by root: `(root, [(index, payload)])`.
     by_root: Vec<(Hash, Vec<(u32, ChunkPayload)>)>,
     result: Option<Retrieved<C::Block>>,
-    /// Send `Cancel` once decoded (§6.3 optimization; configurable).
+    /// Send `Cancel` once decoded (§6.3 optimization).
     early_cancel: bool,
+    /// Servers sent a `RequestChunk`.
+    asked: NodeSet,
+    /// Asked servers that returned anything, valid or not.
+    answered: NodeSet,
+    /// Whether [`Retriever::escalate`] has run (it runs at most once).
+    escalated: bool,
     _coder: std::marker::PhantomData<C>,
 }
 
 impl<C: Coder> Retriever<C> {
-    /// Create and start a retrieval: broadcasts `RequestChunk`.
+    /// Create and start a retrieval that asks all `n` servers.
     pub fn start(n: usize, early_cancel: bool) -> (Retriever<C>, Vec<VidEffect<C::Block>>) {
-        let r = Retriever {
+        let mut r = Retriever::idle(n, early_cancel);
+        let effects = r.escalate();
+        (r, effects)
+    }
+
+    /// Create and start a retrieval that asks only `targets`; `Cancel` on
+    /// decode is always on. The retrieval completes as soon as `N − 2f` of
+    /// them answer under one root; if they might not, the caller follows up
+    /// with [`Retriever::escalate`].
+    pub fn start_targeted(
+        n: usize,
+        targets: impl IntoIterator<Item = NodeId>,
+    ) -> (Retriever<C>, Vec<VidEffect<C::Block>>) {
+        let mut r = Retriever::idle(n, true);
+        let effects = r.ask(targets);
+        (r, effects)
+    }
+
+    /// Request a chunk from each of `targets` that is a server and has not
+    /// been asked yet.
+    fn ask(&mut self, targets: impl IntoIterator<Item = NodeId>) -> Vec<VidEffect<C::Block>> {
+        targets
+            .into_iter()
+            .filter(|to| to.idx() < self.n && self.asked.insert(*to))
+            .map(|to| VidEffect::Send(to, VidMsg::RequestChunk))
+            .collect()
+    }
+
+    fn idle(n: usize, early_cancel: bool) -> Retriever<C> {
+        Retriever {
             n,
             by_root: Vec::new(),
             result: None,
             early_cancel,
+            asked: NodeSet::new(),
+            answered: NodeSet::new(),
+            escalated: false,
             _coder: std::marker::PhantomData,
-        };
-        (r, vec![VidEffect::Broadcast(VidMsg::RequestChunk)])
+        }
+    }
+
+    /// Ask every server not asked yet. Effective at most once per
+    /// retrieval, and never after it finished; returns the requests sent
+    /// (empty when there was no one left to ask).
+    pub fn escalate(&mut self) -> Vec<VidEffect<C::Block>> {
+        if self.escalated || self.result.is_some() {
+            return Vec::new();
+        }
+        self.escalated = true;
+        self.ask((0..self.n as u16).map(NodeId))
     }
 
     /// The retrieval result, once available.
@@ -449,7 +506,29 @@ impl<C: Coder> Retriever<C> {
         self.result.as_ref()
     }
 
+    /// Whether this retrieval has asked (or started out asking) everyone.
+    pub fn escalated(&self) -> bool {
+        self.escalated
+    }
+
+    /// Whether `peer` was asked for its chunk and still owes an answer
+    /// (false for everyone once the retrieval finished: decoding cancels
+    /// what is outstanding).
+    pub fn awaiting(&self, peer: NodeId) -> bool {
+        self.result.is_none() && self.asked.contains(peer) && !self.answered.contains(peer)
+    }
+
+    /// Every peer for which [`Retriever::awaiting`] holds, in id order.
+    pub fn awaited(&self) -> impl Iterator<Item = NodeId> + '_ {
+        (0..self.n as u16).map(NodeId).filter(|p| self.awaiting(*p))
+    }
+
     /// Handle a `ReturnChunk` from server `from`.
+    ///
+    /// Evidence that an asked server is faulty — a chunk that fails
+    /// verification, or one under a second root (correct servers all serve
+    /// the one completed root) — escalates at once: the targeted subset can
+    /// no longer be trusted to hold `N − 2f` good chunks.
     pub fn handle(&mut self, coder: &C, from: NodeId, msg: VidMsg) -> Vec<VidEffect<C::Block>> {
         let mut out = Vec::new();
         if self.result.is_some() {
@@ -463,9 +542,13 @@ impl<C: Coder> Retriever<C> {
         else {
             return out;
         };
+        if !self.asked.contains(from) {
+            return out; // unsolicited: not evidence about anyone we rely on
+        }
+        self.answered.insert(from);
         // Fig. 4 client step 1: the i-th server must return the i-th chunk.
         if proof.index != from.0 as u32 || !coder.verify(&root, &proof, &payload) {
-            return out;
+            return self.escalate();
         }
         let chunks = entry_chunks(&mut self.by_root, root);
         if chunks.iter().any(|(i, _)| *i == proof.index) {
@@ -474,22 +557,15 @@ impl<C: Coder> Retriever<C> {
         chunks.push((proof.index, payload));
         if chunks.len() >= coder.data_chunks() {
             let result = coder.decode(&root, chunks);
-            self.result = Some(result.clone());
-            out.push(VidEffect::Retrieved(result));
+            out.push(VidEffect::Retrieved(result.clone()));
             if self.early_cancel {
-                out.push(VidEffect::Broadcast(VidMsg::Cancel));
+                out.extend(self.awaited().map(|p| VidEffect::Send(p, VidMsg::Cancel)));
             }
+            self.result = Some(result);
+        } else if self.by_root.len() > 1 {
+            return self.escalate();
         }
         out
-    }
-
-    /// Number of servers this retrieval still awaits (for diagnostics).
-    pub fn outstanding(&self) -> usize {
-        if self.result.is_some() {
-            0
-        } else {
-            self.n
-        }
     }
 }
 

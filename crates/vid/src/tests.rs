@@ -97,16 +97,51 @@ impl Net {
     }
 
     fn start_retrieval(&mut self, client: NodeId) {
-        let (r, effects) = Retriever::<RealCoder>::start(self.n, true);
+        let started = Retriever::<RealCoder>::start(self.n, true);
+        self.add_retrieval(client, started);
+    }
+
+    /// A retrieval that asks only `targets` (and whoever a later
+    /// escalation adds).
+    fn start_targeted_retrieval(&mut self, client: NodeId, targets: &[u16]) {
+        let started =
+            Retriever::<RealCoder>::start_targeted(self.n, targets.iter().map(|&t| NodeId(t)));
+        self.add_retrieval(client, started);
+    }
+
+    fn add_retrieval(
+        &mut self,
+        client: NodeId,
+        (r, effects): (Retriever<RealCoder>, Vec<VidEffect<bytes::Bytes>>),
+    ) {
         self.retrievers.push((client, r));
         self.results.push(None);
+        self.route_client_effects(self.retrievers.len() - 1, effects);
+    }
+
+    /// Retrievers only ever address single servers: requests, then cancels.
+    fn route_client_effects(&mut self, pos: usize, effects: Vec<VidEffect<bytes::Bytes>>) {
+        let client = self.retrievers[pos].0;
         for eff in effects {
-            if let VidEffect::Broadcast(msg) = eff {
-                for to in 0..self.n {
-                    self.pool.push((client, NodeId(to as u16), msg.clone()));
+            match eff {
+                VidEffect::Retrieved(r) => {
+                    assert!(self.results[pos].is_none());
+                    self.results[pos] = Some(r);
+                }
+                VidEffect::Send(to, msg) => {
+                    assert!(matches!(msg, VidMsg::RequestChunk | VidMsg::Cancel));
+                    self.pool.push((client, to, msg));
+                }
+                VidEffect::Broadcast(_) | VidEffect::Complete(_) => {
+                    unreachable!("retrievers neither broadcast nor complete")
                 }
             }
         }
+    }
+
+    fn escalate(&mut self, pos: usize) {
+        let effects = self.retrievers[pos].1.escalate();
+        self.route_client_effects(pos, effects);
     }
 
     fn apply_server_effects(&mut self, server: usize, effects: Vec<VidEffect<bytes::Bytes>>) {
@@ -152,24 +187,8 @@ impl Net {
                     .iter()
                     .position(|(c, _)| *c == to)
                     .expect("unknown client");
-                let coder = self.coder.clone();
-                let (_, retr) = &mut self.retrievers[pos];
-                let effects = retr.handle(&coder, from, msg);
-                for eff in effects {
-                    match eff {
-                        VidEffect::Retrieved(r) => {
-                            assert!(self.results[pos].is_none());
-                            self.results[pos] = Some(r);
-                        }
-                        VidEffect::Broadcast(m) => {
-                            for s in 0..self.n {
-                                self.pool.push((to, NodeId(s as u16), m.clone()));
-                            }
-                        }
-                        VidEffect::Send(dst, m) => self.pool.push((to, dst, m)),
-                        VidEffect::Complete(_) => unreachable!(),
-                    }
-                }
+                let effects = self.retrievers[pos].1.handle(&self.coder, from, msg);
+                self.route_client_effects(pos, effects);
             }
         }
     }
@@ -469,6 +488,7 @@ fn retriever_groups_by_root() {
     let b = block(128);
     let enc = coder.encode(&b);
     let (mut retr, _) = Retriever::<RealCoder>::start(n, false);
+    assert!(retr.escalate().is_empty(), "start already asked everyone");
 
     // Bogus root from server 0 (self-consistent Merkle tree over garbage).
     let garbage: Vec<Vec<u8>> = (0..n)
@@ -614,4 +634,150 @@ fn big_block_roundtrip_through_full_protocol() {
     net.start_retrieval(net.client_id(0));
     net.run();
     assert_eq!(net.results[0], Some(Retrieved::Block(b)));
+}
+
+// ---- targeted retrieval: ask a subset, cancel the silent, escalate once ----
+
+/// The `ReturnChunk` an honest server `i` sends for `enc`.
+fn return_chunk(enc: &EncodedBlock, i: usize) -> VidMsg {
+    let (payload, proof) = enc.chunks[i].clone();
+    VidMsg::ReturnChunk {
+        root: enc.root,
+        proof,
+        payload,
+    }
+}
+
+fn requests(effects: &[VidEffect<bytes::Bytes>]) -> Vec<u16> {
+    effects
+        .iter()
+        .map(|e| match e {
+            VidEffect::Send(to, VidMsg::RequestChunk) => to.0,
+            other => panic!("expected only requests, got {other:?}"),
+        })
+        .collect()
+}
+
+fn cancels(effects: &[VidEffect<bytes::Bytes>]) -> Vec<u16> {
+    effects
+        .iter()
+        .filter_map(|e| match e {
+            VidEffect::Send(to, VidMsg::Cancel) => Some(to.0),
+            _ => None,
+        })
+        .collect()
+}
+
+#[test]
+fn targeted_start_asks_exactly_the_targets() {
+    let targets = [NodeId(5), NodeId(1), NodeId(3)];
+    let (retr, effects) = Retriever::<RealCoder>::start_targeted(7, targets);
+    assert_eq!(requests(&effects), vec![5, 1, 3]);
+    for p in 0..7u16 {
+        assert_eq!(retr.awaiting(NodeId(p)), [1, 3, 5].contains(&p), "peer {p}");
+    }
+    // Duplicates and out-of-range ids are not asked (twice).
+    let (_, effects) = Retriever::<RealCoder>::start_targeted(4, [NodeId(2), NodeId(2), NodeId(9)]);
+    assert_eq!(requests(&effects), vec![2]);
+}
+
+#[test]
+fn targeted_retrieval_decodes_with_k_and_cancels_only_the_asked_and_silent() {
+    // N = 7, f = 2, k = 3. Ask five servers; three answer.
+    let (n, f) = (7, 2);
+    let coder = RealCoder::new(n, f);
+    let b = block(4000);
+    let enc = coder.encode(&b);
+    let (mut retr, _) = Retriever::<RealCoder>::start_targeted(n, (0..5).map(NodeId));
+    assert!(retr
+        .handle(&coder, NodeId(0), return_chunk(&enc, 0))
+        .is_empty());
+    // Unsolicited chunks neither count nor mark anyone as answered.
+    assert!(retr
+        .handle(&coder, NodeId(6), return_chunk(&enc, 6))
+        .is_empty());
+    assert!(retr
+        .handle(&coder, NodeId(3), return_chunk(&enc, 3))
+        .is_empty());
+    assert!(retr.result().is_none(), "two chunks cannot decode at k = 3");
+    let effects = retr.handle(&coder, NodeId(4), return_chunk(&enc, 4));
+    assert_eq!(effects[0], VidEffect::Retrieved(Retrieved::Block(b)));
+    // 1 and 2 were asked and stayed silent; 0, 3, 4 answered; 5 and 6 were
+    // never asked.
+    assert_eq!(cancels(&effects), vec![1, 2]);
+    assert_eq!(effects.len(), 3);
+    assert_eq!(retr.awaited().count(), 0, "decode releases everyone");
+    assert!(
+        retr.escalate().is_empty(),
+        "nothing to escalate once decoded"
+    );
+}
+
+#[test]
+fn escalation_asks_each_remaining_peer_exactly_once() {
+    let n = 7;
+    let (mut retr, _) = Retriever::<RealCoder>::start_targeted(n, [NodeId(2), NodeId(4)]);
+    assert_eq!(requests(&retr.escalate()), vec![0, 1, 3, 5, 6]);
+    assert!(retr.escalate().is_empty(), "a retrieval escalates once");
+    assert_eq!(retr.awaited().count(), n);
+}
+
+#[test]
+fn bad_chunk_from_an_asked_peer_escalates_at_once() {
+    let (n, f) = (7, 2);
+    let coder = RealCoder::new(n, f);
+    let enc = coder.encode(&block(900));
+
+    // (a) A chunk that fails verification (server 1 replays server 2's).
+    let (mut retr, _) = Retriever::<RealCoder>::start_targeted(n, (0..4).map(NodeId));
+    let effects = retr.handle(&coder, NodeId(1), return_chunk(&enc, 2));
+    assert_eq!(requests(&effects), vec![4, 5, 6]);
+    assert!(!retr.awaiting(NodeId(1)), "the liar did answer");
+
+    // (b) A proof-valid chunk under a second root.
+    let other = coder.encode(&block(901));
+    let (mut retr, _) = Retriever::<RealCoder>::start_targeted(n, (0..4).map(NodeId));
+    assert!(retr
+        .handle(&coder, NodeId(0), return_chunk(&enc, 0))
+        .is_empty());
+    let effects = retr.handle(&coder, NodeId(3), return_chunk(&other, 3));
+    assert_eq!(requests(&effects), vec![4, 5, 6]);
+    // The honest majority still decodes, and the escalated peers that did
+    // not get to answer are cancelled with the rest.
+    assert!(retr
+        .handle(&coder, NodeId(5), return_chunk(&enc, 5))
+        .is_empty());
+    let effects = retr.handle(&coder, NodeId(6), return_chunk(&enc, 6));
+    assert!(matches!(
+        effects[0],
+        VidEffect::Retrieved(Retrieved::Block(_))
+    ));
+    assert_eq!(cancels(&effects), vec![1, 2, 4]);
+
+    // (c) The same evidence from a peer that was never asked is ignored.
+    let (mut retr, _) = Retriever::<RealCoder>::start_targeted(n, (0..4).map(NodeId));
+    assert!(retr
+        .handle(&coder, NodeId(6), return_chunk(&enc, 2))
+        .is_empty());
+}
+
+#[test]
+fn targeted_retrieval_over_the_full_protocol_needs_escalation_only_when_starved() {
+    // N = 7, f = 2, k = 3: servers 0 and 1 are down. Asking {2, 3, 4}
+    // decodes outright; asking {0, 1, 2} stalls until escalation.
+    let mut net = Net::new(7, 2, 11);
+    let b = block(2000);
+    net.disperse(NodeId(6), &b);
+    net.crashed[0] = true;
+    net.crashed[1] = true;
+    net.run();
+    let (lucky, starved) = (net.client_id(0), net.client_id(1));
+    net.start_targeted_retrieval(lucky, &[2, 3, 4]);
+    net.start_targeted_retrieval(starved, &[0, 1, 2]);
+    net.run();
+    assert_eq!(net.results[0], Some(Retrieved::Block(b.clone())));
+    assert_eq!(net.results[1], None, "one live target cannot decode k = 3");
+    net.escalate(1);
+    net.run();
+    assert_eq!(net.results[1], Some(Retrieved::Block(b)));
 }

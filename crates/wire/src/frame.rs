@@ -402,7 +402,15 @@ mod tests {
     }
 
     fn retrieval_env() -> Envelope {
-        Envelope::vid(Epoch(5), NodeId(1), VidMsg::RequestChunk)
+        Envelope::vid(
+            Epoch(5),
+            NodeId(1),
+            VidMsg::ReturnChunk {
+                root: Hash::digest(b"root"),
+                proof: proof(),
+                payload: ChunkPayload::Real(Bytes::from(vec![0xCD; 300])),
+            },
+        )
     }
 
     #[test]

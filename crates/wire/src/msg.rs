@@ -12,16 +12,18 @@ use dl_crypto::{Hash, MerkleProof};
 /// 1-byte traffic-class tag). The simulator and `dl-net` both use this.
 pub const FRAME_OVERHEAD: usize = 5;
 
-/// The two traffic classes of §5: dispersal traffic (chunks + all agreement
-/// control messages) is prioritized over retrieval traffic, and retrieval
-/// traffic is served in epoch order.
+/// The two traffic classes of §5: dispersal traffic (chunks + every control
+/// message) is prioritized over retrieval bulk, and retrieval bulk is
+/// served in epoch order.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, PartialOrd, Ord, Hash)]
 pub enum TrafficClass {
-    /// Chunk dispersal, GotChunk/Ready votes, and BA messages — everything a
-    /// node needs to *participate in agreement*. High priority.
+    /// Chunk dispersal, GotChunk/Ready votes, BA messages, and the
+    /// retrieval *control* messages (`RequestChunk`, `Cancel`) —
+    /// everything a node needs to participate in agreement or to steer a
+    /// retrieval. High priority.
     Dispersal,
-    /// Block retrieval traffic for the given epoch. Low priority, earlier
-    /// epochs first.
+    /// `ReturnChunk` bulk for the given epoch: the only low-priority
+    /// traffic. Earlier epochs first.
     Retrieval(Epoch),
 }
 
@@ -123,7 +125,7 @@ pub enum VidMsg {
     },
     /// Retriever → servers: block decoded, stop sending chunks. This is the
     /// §6.3 optimization ("a node notifies others when it has decoded a
-    /// block"); it can be disabled in configuration.
+    /// block").
     Cancel,
 }
 
@@ -426,13 +428,14 @@ impl Envelope {
         }
     }
 
-    /// Traffic class for prioritization (§5): retrieval messages are low
-    /// priority keyed by epoch; everything else is dispersal traffic.
+    /// Traffic class for prioritization (§5): `ReturnChunk` bulk is low
+    /// priority keyed by epoch; everything else rides the high-priority
+    /// class. That includes the ~20-byte `RequestChunk` and `Cancel`: parked
+    /// behind seconds of queued chunks, a request starts its chunk late
+    /// and a cancel arrives after the chunk it was meant to stop.
     pub fn class(&self) -> TrafficClass {
         match &self.payload {
-            ProtoMsg::Vid(VidMsg::RequestChunk)
-            | ProtoMsg::Vid(VidMsg::ReturnChunk { .. })
-            | ProtoMsg::Vid(VidMsg::Cancel) => TrafficClass::Retrieval(self.epoch),
+            ProtoMsg::Vid(VidMsg::ReturnChunk { .. }) => TrafficClass::Retrieval(self.epoch),
             _ => TrafficClass::Dispersal,
         }
     }
@@ -573,8 +576,21 @@ mod tests {
         let root = Hash::digest(b"r");
         let disp = Envelope::vid(Epoch(2), NodeId(0), VidMsg::GotChunk { root });
         assert_eq!(disp.class(), TrafficClass::Dispersal);
-        let ret = Envelope::vid(Epoch(2), NodeId(0), VidMsg::RequestChunk);
+        let ret = Envelope::vid(
+            Epoch(2),
+            NodeId(0),
+            VidMsg::ReturnChunk {
+                root,
+                proof: proof(),
+                payload: ChunkPayload::Synthetic { len: 100 },
+            },
+        );
         assert_eq!(ret.class(), TrafficClass::Retrieval(Epoch(2)));
+        // Retrieval *control* must not queue behind retrieval bulk.
+        for ctl in [VidMsg::RequestChunk, VidMsg::Cancel] {
+            let env = Envelope::vid(Epoch(2), NodeId(0), ctl);
+            assert_eq!(env.class(), TrafficClass::Dispersal);
+        }
         let ba = Envelope::ba(Epoch(2), NodeId(0), BaMsg::Term { value: true });
         assert_eq!(ba.class(), TrafficClass::Dispersal);
     }
