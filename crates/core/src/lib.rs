@@ -103,10 +103,3 @@ pub const DEFAULT_PROPOSE_DELAY_MS: u64 = 100;
 pub const DEFAULT_PROPOSE_SIZE: usize = 150 * 1000;
 /// How far (in epochs) beyond our agreement frontier we accept messages.
 pub const DEFAULT_EPOCH_LOOKAHEAD: u64 = 64;
-/// Default byte cap on outstanding undecided dispersal payload when the
-/// epoch dispersal window is open (`NodeConfig::window_bytes_max`). Sized
-/// at 8 windows of the Nagle size threshold: generous enough never to bind
-/// at the evaluated window depths (k ≤ 8) under default proposal sizing,
-/// tight enough that a misconfigured giant window cannot buffer unbounded
-/// payload.
-pub const DEFAULT_WINDOW_BYTES_MAX: u64 = 8 * DEFAULT_PROPOSE_SIZE as u64;

@@ -2,8 +2,8 @@
 //! (paper §4.1–§4.2). Retrieval kick-off lives in [`super::retrieval`].
 //!
 //! BA instances are admitted per epoch as traffic arrives (lazily, through
-//! `ensure_epoch`), bounded by the window-widened lookahead — so with a
-//! dispersal window `k > 1`, the BAs of epochs `e + 1 .. e + k` run
+//! `ensure_epoch`), bounded by the admission horizon — so when loaded
+//! nodes open epochs past the gate (the dispersal window), their BAs run
 //! concurrently with epoch `e`'s, and the agreement frontier still only
 //! advances over *contiguously* fully-decided epochs.
 

@@ -178,8 +178,8 @@ impl<C: BlockCoder> Node<C> {
 
     /// Release the heavyweight state of epochs far behind the delivered
     /// frontier. We keep full history for [`crate::NodeConfig::horizon`]
-    /// epochs so lagging peers can catch up (and pipelined epochs are
-    /// never collected while still inside the window); beyond that,
+    /// epochs so lagging peers can catch up (pipelined epochs sit above
+    /// the delivered frontier and are never candidates); beyond that,
     /// *delivered* slots drop their VID server (chunk memory), retriever
     /// and block body, and the epoch's BA instances (long halted) are
     /// dropped wholesale.

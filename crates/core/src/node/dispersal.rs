@@ -1,35 +1,53 @@
-//! Proposal-side pipeline: the propose gate, the epoch dispersal window,
-//! and the Nagle proposal rule (paper §5).
+//! Proposal-side pipeline: the propose gate, the backlog-triggered
+//! dispersal window, and the Nagle proposal rule (paper §5).
 //!
-//! ## The epoch dispersal window
+//! ## The dispersal window
 //!
 //! The paper's engine advances the propose frontier one epoch at a time:
 //! under [`ProposeGate::DispersalDone`], dispersal of `e + 1` waits for
-//! every BA of `e` to output, leaving the uplink idle during BA rounds.
-//! With `NodeConfig::dispersal_window = k > 1`, a node that has already
-//! dispersed its block for the current epoch may open epochs
-//! `gate + 1 .. gate + k` while agreement is still in flight — pipelining
-//! across consensus instances (Narwhal/Dispel style), paced by the same
-//! Nagle thresholds as ordinary proposals.
+//! every BA of `e` to output, leaving the uplink idle during BA rounds. A
+//! node that has more to say does not wait. Once its block for the current
+//! epoch is out it opens the next epoch past the gate when all of these
+//! hold, each a measurement it already takes:
 //!
-//! Flow control keeps a fast proposer from flooding slow nodes:
+//! * **Trigger — a full Nagle batch is queued** (`queue.bytes() >=
+//!   propose_size`). The node's own backlog is the signal, so each node
+//!   sizes its pipeline from its own load (Dispel), and every pipelined
+//!   epoch carries a full block. With less than a batch waiting the branch
+//!   never fires and the schedule is the paper's gated one, message for
+//!   message.
+//! * **Byte budget** — the payload of our own proposals in epochs whose
+//!   agreement has not finished stays under [`WINDOW_BUDGET_BATCHES`] ×
+//!   `propose_size`; the ledger drains as the agreement frontier moves.
+//! * **Depth** — at most half the admission horizon
+//!   ([`crate::NodeConfig::horizon`]) past the gate, so a peer whose
+//!   frontier trails ours by as much still admits what we send.
+//! * **Not lagging** — DL-Coupled's `empty_when_lagging` rule (§4.5) would
+//!   turn the block empty and leave the batch queued; an epoch opened for
+//!   a batch it may not carry is pure control traffic.
 //!
-//! * **Epoch cap** — at most `k` undecided epochs may hold our dispersal;
-//!   the window is anchored to the gate frontier and only slides when
-//!   commits advance it (commit-driven advancement).
-//! * **Byte cap** — the payload of our own not-yet-decided proposals must
-//!   stay under `NodeConfig::window_bytes_max`; the ledger drains as the
-//!   agreement frontier moves.
-//! * **Spam defence** — DL-Coupled's `empty_when_lagging` rule applies to
-//!   every epoch in the window: while the *gate* has outrun retrieval by
-//!   more than `lag_limit`, window epochs degrade to empty blocks. (The
-//!   test is anchored to the gate, not the proposed epoch — the window
-//!   intentionally runs ahead of the gate, and counting that depth as lag
-//!   would propose empty forever and strand the queue.)
+//! [`ProposeGate::Delivered`] variants (HoneyBadger, HB-Link) never take
+//! the branch: proposing in lockstep with delivery is what the baseline is.
 //!
-//! With `k = 1` the pipelined branch of the advance rule can never fire
-//! (it requires `next < gate + 1`, which the commit-driven branch already
-//! covers), so the schedule is bit-identical to the paper's.
+//! ## No epoch without a block of ours
+//!
+//! Loaded peers turn epochs over faster than an idle node's Nagle delay, so
+//! the gate can pass an epoch before the node proposed in it. Linking
+//! (§4.3) names a proposer's blocks through the *contiguous* prefix `V[j]`
+//! of its completed dispersals: skipping the epoch — what the engine did
+//! before the window — leaves a hole no later block of the node can be
+//! linked across, and any of them that misses its own epoch's commit is
+//! lost with its transactions (a third of the saturated benchmark's
+//! closed-loop clients, once the window was on). AVID-M completes whatever
+//! BA decided, so a linking node disperses an empty filler for that epoch
+//! instead. It never carries transactions — a block known to have missed
+//! its commit is the slowest way to deliver them — and a node catching up
+//! after a restart does not back-fill: the epochs it missed while down
+//! stay a hole, as they always were.
+//!
+//! The rejected triggers — the Nagle *delay*, our own dispersal's
+//! `Complete` — are in the README ("Pipelined dissemination"), with what
+//! each measured.
 
 use std::collections::VecDeque;
 
@@ -43,6 +61,12 @@ use crate::records::StoreRecord;
 use crate::variant::ProposeGate;
 
 use super::{Node, StatEvent, Work};
+
+/// The dispersal window's byte budget, in Nagle batches (`propose_size`) of
+/// our own payload awaiting agreement. A constant, not a field: goodput on
+/// the variable-bandwidth benchmark rises with it up to 8 and is flat from
+/// there to 64.
+pub(super) const WINDOW_BUDGET_BATCHES: u64 = 8;
 
 impl<C: BlockCoder> Node<C> {
     /// Time- and pipeline-driven progress: deliveries, epoch advancement,
@@ -71,30 +95,18 @@ impl<C: BlockCoder> Node<C> {
         }
         // Epoch progression for proposals: DispersedLedger moves on when
         // agreement finishes; HoneyBadger waits for full delivery (§6.2).
-        // The dispersal window adds a second, flow-controlled way forward.
-        loop {
-            let gate = match self.cfg.flags.propose_gate {
-                ProposeGate::DispersalDone => self.agreement_frontier,
-                ProposeGate::Delivered => self.delivered_frontier,
-            };
-            if gate >= self.next_propose_epoch {
-                // Commit-driven: the cluster moved past us.
-                self.next_propose_epoch += 1;
-                self.epoch_entered_ms = now;
-                continue;
-            }
-            // Pipelined entry (only reachable with dispersal_window > 1):
-            // our dispersal for the current epoch is out, the window has
-            // room past the gate, and the byte ledger is under its cap.
-            if self.proposed_up_to >= self.next_propose_epoch
-                && self.next_propose_epoch < gate + self.cfg.dispersal_window
-                && self.inflight_bytes < self.cfg.window_bytes_max
+        // Commit-driven: the cluster moved past us. Otherwise the dispersal
+        // window (module docs) may open the epoch early.
+        while self.gate() >= self.next_propose_epoch || self.window_admits() {
+            // Decided without a block of ours: fill the hole (module docs).
+            if self.proposed_up_to < self.next_propose_epoch
+                && self.cfg.flags.linking
+                && !self.sync_active
             {
-                self.next_propose_epoch += 1;
-                self.epoch_entered_ms = now;
-                continue;
+                self.disperse(self.next_propose_epoch, Vec::new(), work, out);
             }
-            break;
+            self.next_propose_epoch += 1;
+            self.epoch_entered_ms = now;
         }
         self.maybe_propose(now, work, out);
         self.maybe_sync_request(now, out);
@@ -112,6 +124,35 @@ impl<C: BlockCoder> Node<C> {
                 }
             }
         }
+    }
+
+    /// The frontier the propose gate follows.
+    pub(super) fn gate(&self) -> u64 {
+        match self.cfg.flags.propose_gate {
+            ProposeGate::DispersalDone => self.agreement_frontier,
+            ProposeGate::Delivered => self.delivered_frontier,
+        }
+    }
+
+    /// DL-Coupled (§4.5): retrieval lags the gate by more than `lag_limit`
+    /// epochs, so proposals are empty until delivery catches up. Anchored
+    /// to the *gate*, not the proposed epoch: the window runs ahead of the
+    /// gate by design, and counting that depth as lag would keep every
+    /// window epoch empty and strand the queue.
+    fn lagging(&self) -> bool {
+        self.cfg.flags.empty_when_lagging
+            && self.gate() + 1 > self.delivered_frontier + self.cfg.lag_limit
+    }
+
+    /// Whether the dispersal window opens the next epoch past the gate now
+    /// (module docs: trigger, byte budget, depth, not lagging).
+    fn window_admits(&self) -> bool {
+        self.cfg.flags.propose_gate == ProposeGate::DispersalDone
+            && self.proposed_up_to >= self.next_propose_epoch
+            && self.queue.bytes() >= self.cfg.propose_size
+            && self.inflight_bytes < WINDOW_BUDGET_BATCHES * self.cfg.propose_size as u64
+            && self.next_propose_epoch < self.gate() + self.cfg.horizon() / 2
+            && !self.lagging()
     }
 
     /// The Nagle proposal rule (§5): propose when enough bytes queued, or
@@ -172,29 +213,25 @@ impl<C: BlockCoder> Node<C> {
     }
 
     fn propose(&mut self, epoch: u64, work: &mut VecDeque<Work>, out: &mut dyn EffectSink) {
-        self.ensure_epoch(epoch);
-        // DL-Coupled (§4.5): while retrieval lags more than `lag_limit`
-        // epochs behind, propose an empty block so spam cannot outrun
-        // delivery. The test is anchored to the *gate* (the epoch the
-        // strictly gated schedule would propose next — identical to
-        // `epoch` at k = 1), not the pipelined epoch: the window runs up
-        // to k ahead of the gate by design, and counting that depth as
-        // "lag" makes every window epoch permanently empty — the queued
-        // transactions then never drain, and their proposal pressure
-        // spins empty epochs forever. Cluster-outran-our-retrieval is
-        // what the rule is for; the window's own outstanding data is the
-        // byte cap's job.
-        let gate = match self.cfg.flags.propose_gate {
-            ProposeGate::DispersalDone => self.agreement_frontier,
-            ProposeGate::Delivered => self.delivered_frontier,
-        };
-        let lagging = self.cfg.flags.empty_when_lagging
-            && gate + 1 > self.delivered_frontier + self.cfg.lag_limit;
-        let body: Vec<Tx> = if lagging {
+        // DL-Coupled (§4.5): while retrieval lags, propose an empty block
+        // so spam cannot outrun delivery.
+        let body: Vec<Tx> = if self.lagging() {
             Vec::new()
         } else {
             self.queue.drain_all()
         };
+        self.disperse(epoch, body, work, out);
+    }
+
+    /// Disperse our block for `epoch` with `body` as its transactions.
+    fn disperse(
+        &mut self,
+        epoch: u64,
+        body: Vec<Tx>,
+        work: &mut VecDeque<Work>,
+        out: &mut dyn EffectSink,
+    ) {
+        self.ensure_epoch(epoch);
         let v_array: Vec<u64> = self
             .trackers
             .iter()

@@ -31,17 +31,19 @@
 //!    epoch is delivered in a deterministic order (by `(epoch, proposer)`),
 //!    advancing the *delivered frontier*.
 //!
-//! With `NodeConfig::dispersal_window` > 1, phase 1 itself pipelines
-//! *across* epochs: a node that has dispersed its own block for the
-//! current epoch may open (and accept peers' dispersals for) epochs
-//! `e + 1 .. e + k` while agreement for `e` is still running, converting
-//! BA-round idle time on the uplink into throughput (see
-//! `dispersal::advance` for the window rule and its backpressure).
+//! Phase 1 itself pipelines *across* epochs under load: a
+//! [`crate::variant::ProposeGate::DispersalDone`] node that has dispersed
+//! its block for the current epoch and already has a full Nagle batch
+//! queued opens the next epoch while agreement for `e` is still running,
+//! converting BA-round idle time on the uplink into throughput. The
+//! trigger is the node's own backlog, so there is no knob; with less than
+//! a batch waiting the schedule is the paper's gated one (see
+//! [`dispersal`] for the rule, its byte budget and its depth bound).
 //!
 //! ## Module layout
 //!
 //! The automaton is split by pipeline phase: [`dispersal`] (the propose
-//! gate, the Nagle rule and the epoch dispersal window), [`agreement`]
+//! gate, the Nagle rule and the dispersal window), [`agreement`]
 //! (VID completion, BA decisions and the ACS rule), [`delivery`] (epoch
 //! finalization, inter-node linking and garbage collection),
 //! [`retrieval`] (whom a retrieval asks and when it escalates),
@@ -271,9 +273,9 @@ pub struct Node<C: BlockCoder> {
     /// (see `delivery::gc_epochs`).
     gc_horizon: u64,
     /// Payload bytes of our own proposals in epochs whose agreement has
-    /// not finished, oldest first — the epoch dispersal window's
-    /// backpressure ledger. Drained as the agreement frontier advances;
-    /// rebuilt from the `Proposed` records on restart.
+    /// not finished, oldest first — the dispersal window's byte-budget
+    /// ledger. Drained as the agreement frontier advances; rebuilt from
+    /// the `Proposed` records on restart.
     inflight: VecDeque<(u64, u64)>,
     /// Running sum of the `inflight` byte column.
     inflight_bytes: u64,

@@ -1,8 +1,9 @@
+use super::dispersal::WINDOW_BUDGET_BATCHES;
 use super::*;
 use crate::coder::RealBlockCoder;
 use crate::engine::EngineExt;
 use crate::records::StoreRecord;
-use crate::variant::{NodeConfig, ProtocolVariant};
+use crate::variant::{NodeConfig, ProposeGate, ProtocolVariant};
 use dl_crypto::Hash;
 use dl_wire::{
     BaMsg, Block, ClusterConfig, Envelope, Epoch, NodeId, ProtoMsg, SyncMsg, Tx, VidMsg,
@@ -17,6 +18,10 @@ struct Mesh {
     delivered: Vec<Vec<DeliveredBlock>>,
     /// Per-node write-ahead log, as a persistent driver would keep it.
     records: Vec<Vec<StoreRecord>>,
+    /// Per node, proposals made for an epoch its propose gate had not
+    /// reached yet: the dispersal window's pipelined branch, and nothing
+    /// else, makes these.
+    past_gate: Vec<u64>,
     now: u64,
 }
 
@@ -35,6 +40,7 @@ impl Mesh {
             wire: VecDeque::new(),
             delivered: vec![Vec::new(); n],
             records: vec![Vec::new(); n],
+            past_gate: vec![0; n],
             now: 0,
         }
     }
@@ -47,6 +53,13 @@ impl Mesh {
                 }
                 NodeEffect::Deliver(d) => self.delivered[from].push(d),
                 NodeEffect::Persist(rec) => self.records[from].push(rec),
+                // Nothing a node handles in the call that proposes can move
+                // its own gate, so the gate read here is the one it saw.
+                NodeEffect::Stat(StatEvent::Proposed { epoch, .. })
+                    if epoch.0 > self.nodes[from].gate() + 1 =>
+                {
+                    self.past_gate[from] += 1;
+                }
                 NodeEffect::WakeAt(_) | NodeEffect::Stat(_) | NodeEffect::PurgeReturns { .. } => {}
             }
         }
@@ -232,45 +245,6 @@ fn far_future_envelope_dropped() {
     );
     node.handle_vec(NodeId(1), env, 0);
     assert_eq!(node.agreement_frontier(), Epoch(0));
-}
-
-#[test]
-fn window_widens_the_envelope_admission_horizon() {
-    // With a dispersal window wider than the epoch lookahead, peers
-    // legitimately disperse (and vote) up to `window` epochs past our
-    // agreement frontier — those envelopes must be admitted, while the
-    // first epoch beyond the widened horizon is still dropped.
-    let cluster = ClusterConfig::new(4);
-    let mut cfg = NodeConfig::new(cluster.clone(), ProtocolVariant::Dl);
-    cfg.dispersal_window = cfg.epoch_lookahead + 4;
-    let window = cfg.dispersal_window;
-    let mut node = Node::new(NodeId(0), cfg, RealBlockCoder::new(&cluster));
-    let in_window = Envelope::ba(
-        Epoch(window),
-        NodeId(1),
-        BaMsg::BVal {
-            round: 0,
-            value: true,
-        },
-    );
-    node.handle_vec(NodeId(1), in_window, 0);
-    assert!(
-        node.epochs.contains(window),
-        "envelope inside the widened window was dropped"
-    );
-    let beyond = Envelope::ba(
-        Epoch(window + 1),
-        NodeId(1),
-        BaMsg::BVal {
-            round: 0,
-            value: true,
-        },
-    );
-    node.handle_vec(NodeId(1), beyond, 0);
-    assert!(
-        !node.epochs.contains(window + 1),
-        "envelope beyond the widened window was admitted"
-    );
 }
 
 #[test]
@@ -726,154 +700,297 @@ fn honest_mesh_never_escalates_and_asks_k_plus_hedge() {
     }
 }
 
-#[test]
-fn restore_rebuilds_the_window_byte_ledger_and_zeroes_the_retrieval_ledger() {
-    // A wide window whose byte budget covers two outstanding proposals.
-    let cluster = ClusterConfig::new(4);
-    let mut cfg = NodeConfig::new(cluster.clone(), ProtocolVariant::Dl);
-    cfg.dispersal_window = 8;
-    cfg.window_bytes_max = 2 * cfg.propose_size as u64 - 1;
-    let size = cfg.propose_size as u32;
-    let mut node = Node::new(NodeId(0), cfg.clone(), RealBlockCoder::new(&cluster));
+// ---------------------------------------------------------------------------
+// The backlog-triggered dispersal window
+// ---------------------------------------------------------------------------
+
+/// Submit `batches` full Nagle batches to `node` at `t0, t0 + 1, …` and
+/// return the write-ahead records it emitted.
+fn submit_batches(
+    node: &mut Node<RealBlockCoder>,
+    first_seq: u64,
+    batches: u64,
+    t0: u64,
+) -> Vec<StoreRecord> {
+    let size = node.config().propose_size as u32;
     let mut log = Vec::new();
-    for s in 0..4u64 {
-        for eff in node.submit_tx_vec(Tx::synthetic(NodeId(0), s, s, size), s) {
+    for s in first_seq..first_seq + batches {
+        let now = t0 + s;
+        for eff in node.submit_tx_vec(Tx::synthetic(node.id(), s, now, size), now) {
             if let NodeEffect::Persist(rec) = eff {
                 log.push(rec);
             }
         }
     }
-    assert_eq!(node.stats().blocks_proposed, 2, "byte cap stalls at two");
-    // The restarted node is under the same cap: its two undecided
-    // proposals are still outstanding, so nothing new may open.
-    let mut fresh = Node::new(NodeId(0), cfg, RealBlockCoder::new(&cluster));
-    fresh.restore(&log);
-    assert_eq!(fresh.inflight_bytes, 2 * size as u64);
-    for s in 4..8u64 {
-        fresh.submit_tx_vec(Tx::synthetic(NodeId(0), s, 100 + s, size), 100 + s);
-    }
-    assert_eq!(fresh.stats().blocks_proposed, 0, "restart forgot the cap");
-    assert!(fresh.chunk_requests_owed.iter().all(|&c| c == 0));
+    log
 }
 
-// ---------------------------------------------------------------------------
-// Epoch dispersal window
-// ---------------------------------------------------------------------------
-
-/// Drive a solo node (no peers answering, so the gate never moves) with
-/// size-threshold proposals and count how many epochs it opens.
-fn solo_proposals(mut cfg: NodeConfig, submits: usize) -> u64 {
+/// A solo node: no peer ever answers, so its gate never moves and every
+/// proposal after the first can only come from the window.
+fn solo(cfg: NodeConfig) -> Node<RealBlockCoder> {
     let cluster = cfg.cluster.clone();
-    let size = cfg.propose_size;
-    cfg.epoch_lookahead = cfg.epoch_lookahead.max(cfg.dispersal_window);
-    let mut node = Node::new(NodeId(0), cfg, RealBlockCoder::new(&cluster));
-    for s in 0..submits {
-        node.submit_tx_vec(
-            Tx::synthetic(NodeId(0), s as u64, s as u64, size as u32),
-            s as u64,
+    Node::new(NodeId(0), cfg, RealBlockCoder::new(&cluster))
+}
+
+#[test]
+fn full_batches_open_epochs_past_the_gate_up_to_the_byte_budget() {
+    let cluster = ClusterConfig::new(4);
+    for variant in [ProtocolVariant::Dl, ProtocolVariant::DlCoupled] {
+        let mut node = solo(NodeConfig::new(cluster.clone(), variant));
+        submit_batches(&mut node, 0, 2, 0);
+        assert_eq!(
+            node.stats().blocks_proposed,
+            2,
+            "{variant:?}: a waiting batch must open the next epoch at once"
         );
+        assert_eq!(node.agreement_frontier(), Epoch(0), "the gate never moved");
+        submit_batches(&mut node, 2, 2 * WINDOW_BUDGET_BATCHES, 0);
+        assert_eq!(
+            node.stats().blocks_proposed,
+            WINDOW_BUDGET_BATCHES,
+            "{variant:?}: the byte budget must stall the window"
+        );
+        assert_eq!(node.stats().empty_blocks_proposed, 0);
     }
-    node.stats().blocks_proposed
 }
 
 #[test]
-fn pipelined_window_proposes_k_epochs_ahead_then_stalls() {
-    // With no peers, the agreement frontier is pinned at 0, so the gate
-    // never advances: the only way forward is the pipelined branch.
-    // k = 1 must propose exactly once; k = 4 must open epochs 1..=4 and
-    // then stall on the epoch cap, no matter how many proposals queue.
+fn a_partial_batch_waits_for_the_gate_however_long() {
+    // One byte short of a batch behind an outstanding proposal: the Nagle
+    // delay may pass any number of times, the next epoch opens only when
+    // the gate moves (never, here) — or when the byte arrives.
+    let mut node = solo(NodeConfig::new(ClusterConfig::new(4), ProtocolVariant::Dl));
+    let size = node.config().propose_size as u32;
+    submit_batches(&mut node, 0, 1, 0);
+    node.submit_tx_vec(Tx::synthetic(NodeId(0), 1, 1, size - 1), 1);
+    for t in 1..=10 {
+        node.poll_vec(t * node.config().propose_delay_ms);
+    }
+    assert_eq!(node.stats().blocks_proposed, 1, "opened on the delay");
+    node.submit_tx_vec(Tx::synthetic(NodeId(0), 2, 1001, 1), 1001);
+    assert_eq!(node.stats().blocks_proposed, 2, "a full batch must open");
+}
+
+#[test]
+fn window_depth_is_half_the_admission_horizon() {
+    // Depth 4 binds before the 8-batch budget: epochs 1..=4 open, a peer
+    // whose frontier trails ours by 4 still admits all of them, and the
+    // fifth waits for the gate.
+    let mut cfg = NodeConfig::new(ClusterConfig::new(4), ProtocolVariant::Dl);
+    cfg.epoch_lookahead = 8;
+    let mut node = solo(cfg);
+    submit_batches(&mut node, 0, 8, 0);
+    assert_eq!(node.stats().blocks_proposed, 4);
+    assert_eq!(node.next_propose_epoch(), Epoch(4));
+    // A horizon too small to halve leaves the gated schedule only.
+    let mut cfg = NodeConfig::new(ClusterConfig::new(4), ProtocolVariant::Dl);
+    cfg.epoch_lookahead = 2;
+    let mut node = solo(cfg);
+    submit_batches(&mut node, 0, 8, 0);
+    assert_eq!(node.stats().blocks_proposed, 1);
+}
+
+#[test]
+fn lockstep_variants_never_open_an_epoch_past_the_gate() {
     let cluster = ClusterConfig::new(4);
-    let base = NodeConfig::new(cluster, ProtocolVariant::Dl);
-    assert_eq!(solo_proposals(base.clone(), 8), 1, "k=1 must not pipeline");
-    let mut windowed = base;
-    windowed.dispersal_window = 4;
-    assert_eq!(
-        solo_proposals(windowed, 8),
-        4,
-        "k=4 must open exactly the window, then stall"
-    );
+    for variant in [
+        ProtocolVariant::HoneyBadger,
+        ProtocolVariant::HoneyBadgerLink,
+    ] {
+        let mut node = solo(NodeConfig::new(cluster.clone(), variant));
+        submit_batches(&mut node, 0, 8, 0);
+        assert_eq!(node.stats().blocks_proposed, 1, "{variant:?} pipelined");
+    }
 }
 
 #[test]
-fn window_byte_cap_halts_the_pipeline() {
-    // A wide epoch window whose byte budget only covers one outstanding
-    // proposal: the second pipelined epoch must never open.
-    let cluster = ClusterConfig::new(4);
-    let mut cfg = NodeConfig::new(cluster, ProtocolVariant::Dl);
-    cfg.dispersal_window = 8;
-    cfg.window_bytes_max = 1;
-    assert_eq!(
-        solo_proposals(cfg, 8),
-        1,
-        "byte backpressure failed to stall the window"
-    );
-}
-
-#[test]
-fn all_variants_reach_total_order_with_window_4() {
-    for variant in all_variants() {
-        let cluster = ClusterConfig::new(4);
-        let mut cfg = NodeConfig::new(cluster, variant);
-        cfg.dispersal_window = 4;
-        let mut mesh = Mesh::with_cfg(4, cfg);
-        for i in 0..4usize {
-            for s in 0..3u64 {
-                mesh.submit(i, Tx::synthetic(NodeId(i as u16), s, 0, 64));
+fn an_epoch_decided_without_our_block_gets_an_empty_filler() {
+    // Three nodes run two epochs while node 3 hears everything and says
+    // nothing in time: both epochs decide without a block of its. When it
+    // is polled again it must disperse a (late, empty) block for each —
+    // otherwise `V[3]` has a hole at every peer and no later block of
+    // node 3 that misses its commit can ever be linked — and the
+    // transaction it was handed meanwhile rides in the next open epoch.
+    for variant in [ProtocolVariant::Dl, ProtocolVariant::HoneyBadgerLink] {
+        let mut mesh = Mesh::new(4, variant);
+        for round in 0..2u64 {
+            mesh.submit(0, Tx::synthetic(NodeId(0), round, mesh.now, 100));
+            // Node 3 receives (its gate moves) but is never polled, so its
+            // Nagle delay never fires.
+            for _ in 0..30 {
+                mesh.now += 10;
+                for i in 0..3 {
+                    let effs = mesh.nodes[i].poll_vec(mesh.now);
+                    mesh.sink(i, effs);
+                }
+                while let Some((from, to, env)) = mesh.wire.pop_front() {
+                    let effs = mesh.nodes[to.idx()].handle_vec(from, env, mesh.now);
+                    mesh.sink(to.idx(), effs);
+                }
             }
         }
-        mesh.run(1200, 10, &[]);
-        let orders = mesh.tx_orders();
+        let late = &mesh.nodes[3];
+        assert!(late.gate() >= 2, "{variant:?}: the cluster did not move on");
+        let s = *late.stats();
+        assert_eq!(
+            (s.blocks_proposed, s.empty_blocks_proposed),
+            (late.gate(), late.gate()),
+            "{variant:?}: one empty filler per epoch decided without us"
+        );
+        mesh.submit(3, Tx::synthetic(NodeId(3), 0, mesh.now, 100));
+        mesh.run(300, 10, &[]);
+        for (i, node) in mesh.nodes.iter().enumerate() {
+            assert_eq!(node.stats().txs_delivered, 3, "{variant:?} node {i}");
+            // No hole: every peer's completion prefix for node 3 reaches
+            // its last proposal.
+            assert_eq!(
+                node.trackers[3].prefix(),
+                mesh.nodes[3].proposed_up_to,
+                "{variant:?} node {i}: V[3] has a hole"
+            );
+        }
+    }
+}
+
+#[test]
+fn lagging_dl_coupled_node_does_not_spray_empty_window_epochs() {
+    // Agreement two epochs ahead of delivery: DL-Coupled proposes empty
+    // blocks until retrieval catches up. A batch that may not ride in the
+    // block must not open window epochs either — each would be an empty
+    // block, with the batch still queued to trigger the next one.
+    let mut node = solo(NodeConfig::new(
+        ClusterConfig::new(4),
+        ProtocolVariant::DlCoupled,
+    ));
+    node.agreement_frontier = 2;
+    node.proposed_up_to = 2;
+    submit_batches(&mut node, 0, 3, 0);
+    let s = node.stats();
+    assert_eq!((s.blocks_proposed, s.empty_blocks_proposed), (1, 1));
+}
+
+/// The rule is relative to `propose_size`: a small batch keeps the real
+/// coder's share of these mesh runs negligible in debug builds.
+fn small_batch_cfg(variant: ProtocolVariant) -> NodeConfig {
+    let mut cfg = NodeConfig::new(ClusterConfig::new(4), variant);
+    cfg.propose_size = 4_000;
+    cfg
+}
+
+/// What a [`loaded_mesh`] run left behind.
+#[derive(Debug, PartialEq)]
+struct MeshRun {
+    /// Every node's counters: messages, bytes, proposals, deliveries.
+    stats: Vec<NodeStats>,
+    orders: Vec<Vec<(NodeId, u64)>>,
+    past_gate: Vec<u64>,
+}
+
+/// Drive a 4-node mesh through `rounds` rounds in which every node is
+/// handed a full Nagle batch — proposed on the spot — and, before any
+/// answer to that proposal can arrive, a second transaction of
+/// `behind_bytes`.
+fn loaded_mesh(cfg: NodeConfig, rounds: u64, behind_bytes: u32) -> MeshRun {
+    let full = cfg.propose_size as u32;
+    let mut mesh = Mesh::with_cfg(4, cfg);
+    for s in 0..rounds {
+        for i in 0..4usize {
+            let id = NodeId(i as u16);
+            mesh.submit(i, Tx::synthetic(id, 2 * s, mesh.now, full));
+            mesh.submit(i, Tx::synthetic(id, 2 * s + 1, mesh.now, behind_bytes));
+        }
+        mesh.run(30, 10, &[]);
+    }
+    mesh.run(600, 10, &[]);
+    MeshRun {
+        stats: mesh.nodes.iter().map(|n| *n.stats()).collect(),
+        orders: mesh.tx_orders(),
+        past_gate: mesh.past_gate,
+    }
+}
+
+#[test]
+fn below_a_full_batch_the_schedule_is_the_gated_one() {
+    // The old window-of-one schedule-equality test, now a property
+    // of load: with less than `propose_size` queued behind an outstanding
+    // proposal, no node proposes past its gate, and not one message, byte,
+    // proposal or delivery differs from a configuration whose depth bound
+    // (half of a 3-epoch horizon: one epoch, the gate's own) leaves the
+    // window nothing to open.
+    for variant in [ProtocolVariant::Dl, ProtocolVariant::DlCoupled] {
+        let cfg = small_batch_cfg(variant);
+        let mut gated = cfg.clone();
+        gated.epoch_lookahead = 3;
+        let behind = cfg.propose_size as u32 - 1;
+        let free = loaded_mesh(cfg, 3, behind);
+        assert_eq!(free.past_gate, [0; 4], "{variant:?} proposed past its gate");
+        assert_eq!(free.orders[0].len(), 24, "{variant:?} lost transactions");
+        assert_eq!(free, loaded_mesh(gated, 3, behind), "{variant:?}");
+    }
+}
+
+#[test]
+fn all_variants_reach_total_order_under_full_batch_bursts() {
+    for variant in all_variants() {
+        let cfg = small_batch_cfg(variant);
+        let behind = cfg.propose_size as u32;
+        let pipelines = cfg.flags.propose_gate == ProposeGate::DispersalDone;
+        let MeshRun {
+            orders, past_gate, ..
+        } = loaded_mesh(cfg, 3, behind);
         assert!(
             orders.windows(2).all(|w| w[0] == w[1]),
-            "{variant:?} diverged under window 4"
+            "{variant:?} diverged under bursts"
         );
-        assert_eq!(
-            orders[0].len(),
-            12,
-            "{variant:?}: lost transactions under window 4"
-        );
+        assert_eq!(orders[0].len(), 24, "{variant:?}: lost transactions");
+        // Every DL node took the pipelined branch in every round; no
+        // lockstep node ever did.
+        let expect = if pipelines { 3 } else { 0 };
+        assert_eq!(past_gate, [expect; 4], "{variant:?}");
     }
 }
 
 #[test]
-fn window_of_one_is_schedule_identical_to_default() {
-    // At k = 1 the pipelined advance branch is unreachable and the byte
-    // ledger is dead weight: even a zero byte budget must not change a
-    // single message, byte, proposal or delivery relative to the default
-    // configuration.
-    let run = |tune: fn(&mut NodeConfig)| {
-        let cluster = ClusterConfig::new(4);
-        let mut cfg = NodeConfig::new(cluster, ProtocolVariant::Dl);
-        tune(&mut cfg);
-        let mut mesh = Mesh::with_cfg(4, cfg);
-        for i in 0..4usize {
-            for s in 0..2u64 {
-                mesh.submit(i, Tx::synthetic(NodeId(i as u16), s, 0, 64));
-            }
-        }
-        mesh.run(900, 10, &[]);
-        let fingerprints: Vec<(u64, u64, u64, u64)> = mesh
-            .nodes
-            .iter()
-            .map(|n| {
-                let s = n.stats();
-                (
-                    s.blocks_proposed,
-                    s.epochs_delivered,
-                    s.msgs_sent,
-                    s.bytes_sent,
-                )
-            })
-            .collect();
-        (fingerprints, mesh.tx_orders())
-    };
-    let default = run(|_| {});
-    let strangled = run(|cfg| {
-        cfg.dispersal_window = 1;
-        cfg.window_bytes_max = 0;
-    });
+fn restore_rebuilds_the_window_byte_ledger_and_zeroes_the_retrieval_ledger() {
+    let cfg = NodeConfig::new(ClusterConfig::new(4), ProtocolVariant::Dl);
+    let size = cfg.propose_size as u64;
+    let mut node = solo(cfg.clone());
+    let mut log = submit_batches(&mut node, 0, WINDOW_BUDGET_BATCHES + 2, 0);
+    assert_eq!(node.stats().blocks_proposed, WINDOW_BUDGET_BATCHES);
+    // Restored at the budget: the undecided proposals are still
+    // outstanding, so a waiting batch opens nothing.
+    let mut fresh = solo(cfg.clone());
+    fresh.restore(&log);
+    assert_eq!(fresh.inflight_bytes, WINDOW_BUDGET_BATCHES * size);
+    submit_batches(&mut fresh, 100, 2, 100);
     assert_eq!(
-        default, strangled,
-        "k=1 schedule must be unaffected by window knobs"
+        fresh.stats().blocks_proposed,
+        0,
+        "restart forgot the budget"
     );
+    assert!(fresh.chunk_requests_owed.iter().all(|&c| c == 0));
+    // The same log with epoch 1 decided: the restored agreement frontier
+    // covers one ledger entry, the first `advance` drains it, and the node
+    // — now one batch under the budget — opens the epoch after its last.
+    log.extend((0..4).map(|j| StoreRecord::Decided {
+        epoch: Epoch(1),
+        index: NodeId(j),
+        value: true,
+    }));
+    let mut fresh = solo(cfg);
+    fresh.restore(&log);
+    assert_eq!(fresh.agreement_frontier(), Epoch(1));
+    assert_eq!(
+        fresh.inflight_bytes,
+        WINDOW_BUDGET_BATCHES * size,
+        "not yet drained"
+    );
+    submit_batches(&mut fresh, 100, 2, 100);
+    assert_eq!(
+        fresh.inflight_bytes,
+        WINDOW_BUDGET_BATCHES * size,
+        "drained one, added one"
+    );
+    assert_eq!(fresh.stats().blocks_proposed, 1);
+    assert_eq!(fresh.next_propose_epoch(), Epoch(WINDOW_BUDGET_BATCHES + 1));
 }

@@ -15,10 +15,14 @@ use dl_wire::ClusterConfig;
 pub enum ProposeGate {
     /// After epoch `e`'s dispersal phase finishes (all BAs output) —
     /// DispersedLedger's pipeline (§4.5 "Running multiple epochs in
-    /// parallel").
+    /// parallel"). A node with a full Nagle batch already waiting may open
+    /// `e + 1` earlier still: the backlog-triggered dispersal window of
+    /// `node::dispersal`.
     DispersalDone,
     /// After epoch `e` is fully *delivered* — HoneyBadger's lockstep, which
     /// couples proposal rate to download rate (§6.2's latency analysis).
+    /// Never pipelined: lockstep is what the baseline *is*, and letting it
+    /// run ahead measured +7 % goodput for +41 % bytes per payload byte.
     Delivered,
 }
 
@@ -110,28 +114,10 @@ pub struct NodeConfig {
     /// rule kicks in (`P` of §4.5; `P = 1` equals HoneyBadger's coupling).
     pub lag_limit: u64,
     /// Accept messages at most this many epochs past our agreement frontier
-    /// (anti-DoS bound; honest nodes never exceed a handful).
+    /// (anti-DoS bound). An honest node disperses at most half this far
+    /// past its own frontier, so a peer trailing it by as much still admits
+    /// everything it sends.
     pub epoch_lookahead: u64,
-    /// Epoch dispersal window `k`: how many epochs of *dispersal* may run
-    /// ahead of the propose gate's frontier. With `k = 1` (the default and
-    /// the paper's behaviour) a node proposes for epoch `e + 1` only after
-    /// the gate clears epoch `e`; with `k > 1` it may go on dispersing for
-    /// epochs `e + 1 .. e + k` while agreement for `e` is still in flight,
-    /// converting BA-round idle time on the uplink into throughput
-    /// (pipelining across consensus instances, à la Narwhal/Dispel).
-    /// Commit-driven: the window is anchored to the gate frontier, so it
-    /// only slides as agreement (or, for HB-style gates, delivery)
-    /// advances. Flow control: a pipelined epoch also requires the
-    /// outstanding undecided dispersal payload to stay under
-    /// [`NodeConfig::window_bytes_max`], and DL-Coupled's
-    /// `empty_when_lagging` rule applies to every epoch in the window.
-    pub dispersal_window: u64,
-    /// Backpressure cap for the dispersal window: the total payload bytes
-    /// of our own not-yet-decided proposals that may be outstanding before
-    /// the window stops opening new epochs. Irrelevant at `k = 1` (the
-    /// gate itself serializes); at `k > 1` it bounds how far a fast
-    /// proposer can run ahead of slow agreement in bytes, not just epochs.
-    pub window_bytes_max: u64,
 }
 
 impl NodeConfig {
@@ -149,19 +135,16 @@ impl NodeConfig {
             propose_size: crate::DEFAULT_PROPOSE_SIZE,
             lag_limit: 1,
             epoch_lookahead: crate::DEFAULT_EPOCH_LOOKAHEAD,
-            dispersal_window: 1,
-            window_bytes_max: crate::DEFAULT_WINDOW_BYTES_MAX,
         }
     }
 
-    /// The epoch admission and retention span, in epochs past a frontier:
-    /// the anti-DoS lookahead, widened to the dispersal window when that is
-    /// larger so pipelined epochs are never refused or collected early.
+    /// The epoch admission and retention span, in epochs past a frontier.
     /// Every bound that means "how far around the frontier do we keep
     /// state" (message admission, GC, sync batches, log compaction) is
-    /// this one number.
+    /// this one number; the dispersal window's depth bound is half of it
+    /// (see `node::dispersal`).
     pub fn horizon(&self) -> u64 {
-        self.epoch_lookahead.max(self.dispersal_window)
+        self.epoch_lookahead
     }
 }
 
@@ -228,11 +211,7 @@ mod tests {
         assert_eq!(cfg.propose_size, crate::DEFAULT_PROPOSE_SIZE);
         assert_eq!(cfg.epoch_lookahead, crate::DEFAULT_EPOCH_LOOKAHEAD);
         assert_eq!(cfg.lag_limit, 1, "P = 1 equals HoneyBadger's coupling");
-        assert_eq!(
-            cfg.dispersal_window, 1,
-            "pipelining must be opt-in: k = 1 is the paper's schedule"
-        );
-        assert_eq!(cfg.window_bytes_max, crate::DEFAULT_WINDOW_BYTES_MAX);
+        assert_eq!(cfg.horizon(), cfg.epoch_lookahead, "one horizon knob");
     }
 
     #[test]

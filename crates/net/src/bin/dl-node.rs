@@ -33,8 +33,6 @@ use dl_store::FsyncPolicy;
 struct Opts {
     nodes: usize,
     variant: Option<ProtocolVariant>,
-    /// Epoch dispersal window `k` (1 = no pipelining).
-    window: u64,
     txs: u64,
     tx_bytes: u32,
     timeout_ms: u64,
@@ -56,9 +54,8 @@ fn parse_variant(name: &str) -> Option<ProtocolVariant> {
 fn usage() -> ! {
     eprintln!(
         "usage: dl-node [--smoke | --restart-smoke] [--nodes N] \
-         [--variant dl|dl-coupled|hb|hb-link|all] [--window K] [--txs T] \
-         [--tx-bytes B] [--timeout-ms MS] [--data-dir DIR] \
-         [--fsync always|epoch|never]"
+         [--variant dl|dl-coupled|hb|hb-link|all] [--txs T] [--tx-bytes B] \
+         [--timeout-ms MS] [--data-dir DIR] [--fsync always|epoch|never]"
     );
     std::process::exit(2);
 }
@@ -67,7 +64,6 @@ fn main() {
     let mut opts = Opts {
         nodes: 4,
         variant: None, // all four
-        window: 1,
         txs: 8,
         tx_bytes: 300,
         timeout_ms: 120_000,
@@ -93,13 +89,6 @@ fn main() {
                 let v = value("--variant");
                 if v != "all" {
                     opts.variant = Some(parse_variant(&v).unwrap_or_else(|| usage()));
-                }
-            }
-            "--window" => {
-                opts.window = value("--window").parse().unwrap_or_else(|_| usage());
-                if opts.window == 0 {
-                    eprintln!("dl-node: --window must be >= 1");
-                    usage()
                 }
             }
             "--txs" => opts.txs = value("--txs").parse().unwrap_or_else(|_| usage()),
@@ -163,7 +152,6 @@ fn main() {
     let mut failed = false;
     for variant in variants {
         let mut spec = ClusterSpec::new(opts.nodes, variant);
-        spec.window = opts.window;
         spec.store = opts
             .data_dir
             .as_ref()
@@ -173,10 +161,9 @@ fn main() {
             .and_then(|cluster| cluster.run_to_quiescence(opts.txs, opts.tx_bytes, timeout));
         match result {
             Ok(elapsed) => eprintln!(
-                "dl-node: {:<12} {} nodes  window {}  {} txs  total order OK  {:.2}s",
+                "dl-node: {:<12} {} nodes  {} txs  total order OK  {:.2}s",
                 variant.label(),
                 opts.nodes,
-                opts.window,
                 opts.txs,
                 elapsed.as_secs_f64()
             ),

@@ -25,9 +25,6 @@ pub struct ClusterSpec {
     /// Cluster size `N` (`f = ⌊(N−1)/3⌋`).
     pub n: usize,
     pub variant: ProtocolVariant,
-    /// Epoch dispersal window `k` at every node (`1` = the strictly gated
-    /// schedule).
-    pub window: u64,
     /// `Some((root, fsync))` gives node `i` a write-ahead log under
     /// `root/node<i>/`; `None` runs in memory only.
     pub store: Option<(PathBuf, FsyncPolicy)>,
@@ -42,7 +39,6 @@ impl ClusterSpec {
         ClusterSpec {
             n,
             variant,
-            window: 1,
             store: None,
             connect_timeout: CONNECT_TIMEOUT,
             reconnect_backoff_max: RECONNECT_BACKOFF_MAX,
@@ -84,8 +80,7 @@ impl LocalCluster {
     fn spawn_node(&self, i: usize, listener: TcpListener) -> io::Result<NetNode> {
         let id = NodeId(i as u16);
         let cluster = ClusterConfig::new(self.spec.n);
-        let mut node_cfg = NodeConfig::new(cluster.clone(), self.spec.variant);
-        node_cfg.dispersal_window = self.spec.window.max(1);
+        let node_cfg = NodeConfig::new(cluster.clone(), self.spec.variant);
         let mut cfg = NetConfig::new(id, self.peers.clone());
         cfg.connect_timeout = self.spec.connect_timeout;
         cfg.reconnect_backoff_max = self.spec.reconnect_backoff_max;

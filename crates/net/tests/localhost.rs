@@ -138,13 +138,12 @@ fn seven_node_tcp_cluster_smoke() {
 
 #[test]
 fn pipelined_window_cluster_reaches_total_order_over_tcp() {
-    // The epoch dispersal window over the real transport: k = 4 must
-    // still reach agreement + identical total order (the runner asserts
-    // both), exercising the window plumbing through NetNode spawn.
-    let mut spec = ClusterSpec::new(4, ProtocolVariant::Dl);
-    spec.window = 4;
-    spawn(&spec)
-        .run_to_quiescence(8, 300, TIMEOUT)
+    // The dispersal window over the real transport: every node is handed
+    // three full Nagle batches back to back, so each opens epochs past its
+    // gate, and the cluster must still reach agreement + identical total
+    // order (the runner asserts both).
+    spawn(&ClusterSpec::new(4, ProtocolVariant::Dl))
+        .run_to_quiescence(12, 160_000, TIMEOUT)
         .unwrap_or_else(|msg| panic!("{msg}"));
 }
 

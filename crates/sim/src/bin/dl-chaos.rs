@@ -2,14 +2,15 @@
 //!
 //! Each seed deterministically expands to a full scenario
 //! ([`dl_sim::scenario_from_seed`]): protocol variant, cluster size,
-//! adversary behaviour, link-fault schedule (drops, duplicates,
-//! reordering, jitter, partitions) and a crash/revive storm against the
-//! write-ahead logs. The run is audited by the cluster-wide safety
-//! [`dl_sim::Auditor`]; any violation prints its reproducing seed and the
-//! process exits non-zero.
+//! adversary behaviour, client load (a trickle, or bursts of full Nagle
+//! batches that open the dispersal window), link-fault schedule (drops,
+//! duplicates, reordering, jitter, partitions) and a crash/revive storm
+//! against the write-ahead logs. The run is audited by the cluster-wide
+//! safety [`dl_sim::Auditor`]; any violation prints its reproducing seed
+//! and the process exits non-zero.
 //!
 //! ```sh
-//! dl-chaos --seeds 32              # CI: seeds 0..32
+//! dl-chaos --seeds 512             # CI: seeds 0..512
 //! dl-chaos --seed-base 100 --seeds 64
 //! dl-chaos --seed 17               # replay one failing seed
 //! ```
@@ -25,11 +26,12 @@ fn usage() -> ! {
 
 fn describe(sc: &ChaosScenario) -> String {
     format!(
-        "n={} {:?} window={} adversary={} drop={:.3} dup={:.3} reorder={:.2} jitter={}ms \
+        "n={} {:?} load={}x{}B adversary={} drop={:.3} dup={:.3} reorder={:.2} jitter={}ms \
          partitions={} storm={}",
         sc.n,
         sc.variant,
-        sc.dispersal_window,
+        sc.txs_per_node,
+        sc.tx_bytes,
         sc.adversary
             .map_or_else(|| "none".to_string(), |k| format!("{k:?}")),
         sc.plan.drop,

@@ -188,10 +188,6 @@ pub struct ChaosScenario {
     pub seed: u64,
     pub n: usize,
     pub variant: ProtocolVariant,
-    /// Epoch dispersal window `k` for every honest node (1 = no
-    /// pipelining); chaos runs routinely draw `k > 1` so the pipelined
-    /// schedule faces every adversary, partition and crash storm.
-    pub dispersal_window: u64,
     /// The adversary occupying slot `n - 1`, if any.
     pub adversary: Option<SimNodeKind>,
     pub plan: ChaosPlan,
@@ -199,6 +195,13 @@ pub struct ChaosScenario {
     pub actions: Vec<ChaosAction>,
     /// Transactions each honest node submits (before any crash fires).
     pub txs_per_node: u64,
+    /// Size of each. The engine opens an epoch past its propose gate only
+    /// when a full Nagle batch waits behind an outstanding proposal, so
+    /// seeds draw either side of that trigger: a trickle far below
+    /// `propose_size` (the gated schedule) or a burst of transactions each
+    /// above it (the pipelined one) — both face every adversary, partition
+    /// and crash storm.
+    pub tx_bytes: u32,
     /// Deadline for the final run-to-quiescence segment.
     pub max_ms: u64,
 }
@@ -208,6 +211,15 @@ impl ChaosScenario {
     /// when nothing in the scenario can lose protocol messages.
     pub fn lossless(&self) -> bool {
         !self.plan.lossy() && self.actions.is_empty()
+    }
+
+    /// Whether the cluster runs the fluid coder: when the transactions are
+    /// full Nagle batches. Such a seed would put megabytes through
+    /// Reed–Solomon and Merkle hashing (the batch ran 12× slower for it);
+    /// the fluid coder puts the same bytes on the same links, and the real
+    /// coder stays under every trickle seed.
+    pub fn fluid(&self) -> bool {
+        self.tx_bytes as usize >= dl_core::DEFAULT_PROPOSE_SIZE
     }
 }
 
@@ -237,7 +249,13 @@ pub fn scenario_from_seed(seed: u64) -> ChaosScenario {
     let variant = VARIANTS[(seed % 4) as usize];
     let adversary = ADVERSARIES[((seed / 4) % 6) as usize];
     let n = if rng.gen_bool(0.5) { 4 } else { 7 };
-    let dispersal_window = [1u64, 2, 4][rng.gen_range(0..3usize)];
+    // One seed in three bursts: full Nagle batches, each proposed on arrival
+    // with the next arriving behind it (see `ChaosScenario::tx_bytes`).
+    let (txs_per_node, tx_bytes) = if rng.gen_range(0..3u32) == 0 {
+        (3, 160_000)
+    } else {
+        (2, 120)
+    };
     let horizon_ms = 4_000;
     let mut plan = ChaosPlan::quiet(seed);
     plan.horizon_ms = horizon_ms;
@@ -295,11 +313,11 @@ pub fn scenario_from_seed(seed: u64) -> ChaosScenario {
         seed,
         n,
         variant,
-        dispersal_window,
         adversary,
         plan,
         actions,
-        txs_per_node: 2,
+        txs_per_node,
+        tx_bytes,
         max_ms: 600_000,
     }
 }
@@ -480,8 +498,10 @@ pub struct ChaosOutcome {
 /// workload, interleave the crash/revive storm with run segments (auditing
 /// at every boundary), and run the healed cluster to quiescence.
 pub fn run_scenario(sc: &ChaosScenario) -> ChaosOutcome {
-    let mut sim =
-        Simulation::new(SimConfig::new(sc.n, sc.variant).with_window(sc.dispersal_window));
+    let mut sim = Simulation::new(SimConfig {
+        fluid: sc.fluid(),
+        ..SimConfig::new(sc.n, sc.variant)
+    });
     let honest: Vec<bool> = (0..sc.n)
         .map(|i| sc.adversary.is_none() || i != sc.n - 1)
         .collect();
@@ -493,7 +513,7 @@ pub fn run_scenario(sc: &ChaosScenario) -> ChaosOutcome {
         sim.enable_store(i);
         for k in 0..sc.txs_per_node {
             let at = 10 + 40 * k + 7 * i as u64;
-            sim.submit_at(i, at, Tx::synthetic(NodeId(i as u16), k, at, 120));
+            sim.submit_at(i, at, Tx::synthetic(NodeId(i as u16), k, at, sc.tx_bytes));
             submitted += 1;
         }
     }

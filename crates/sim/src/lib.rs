@@ -120,12 +120,6 @@ pub struct SimConfig {
     /// materialization — the way to simulate paper-scale block sizes and
     /// large clusters.
     pub fluid: bool,
-    /// Epoch dispersal window `k` applied to every honest node
-    /// (`NodeConfig::dispersal_window`): disperse epochs `e+1..e+k` while
-    /// agreement for `e` is still in flight. `1` (the default) is the
-    /// paper's strictly-gated schedule, bit-identical to a build without
-    /// the window.
-    pub dispersal_window: u64,
 }
 
 impl SimConfig {
@@ -136,7 +130,6 @@ impl SimConfig {
             variant,
             default_link: LinkSpec::WAN,
             fluid: false,
-            dispersal_window: 1,
         }
     }
 
@@ -146,12 +139,6 @@ impl SimConfig {
             fluid: true,
             ..SimConfig::new(n, variant)
         }
-    }
-
-    /// Set the epoch dispersal window (`k = 1` disables pipelining).
-    pub fn with_window(mut self, k: u64) -> SimConfig {
-        self.dispersal_window = k.max(1);
-        self
     }
 }
 
@@ -546,7 +533,6 @@ pub struct Simulation {
 fn build_engine(
     cluster: &ClusterConfig,
     variant: ProtocolVariant,
-    dispersal_window: u64,
     store: Option<&BlockStore>,
     node: usize,
     kind: SimNodeKind,
@@ -561,8 +547,7 @@ fn build_engine(
         }
     }
     let id = NodeId(node as u16);
-    let mut cfg = NodeConfig::new(cluster.clone(), variant);
-    cfg.dispersal_window = dispersal_window.max(1);
+    let cfg = NodeConfig::new(cluster.clone(), variant);
     match store {
         Some(store) => boxed(id, cfg, FluidCoder::new(cluster, store.clone()), kind),
         None => boxed(id, cfg, RealBlockCoder::new(cluster), kind),
@@ -578,7 +563,6 @@ impl Simulation {
                 build_engine(
                     &cfg.cluster,
                     cfg.variant,
-                    cfg.dispersal_window,
                     store.as_ref(),
                     i,
                     SimNodeKind::Honest,
@@ -625,7 +609,6 @@ impl Simulation {
         let engine = build_engine(
             &self.fabric.cfg.cluster,
             self.fabric.cfg.variant,
-            self.fabric.cfg.dispersal_window,
             self.store.as_ref(),
             node,
             kind,
@@ -702,7 +685,6 @@ impl Simulation {
         let mut engine = build_engine(
             &self.fabric.cfg.cluster,
             self.fabric.cfg.variant,
-            self.fabric.cfg.dispersal_window,
             self.store.as_ref(),
             node,
             SimNodeKind::Honest,

@@ -5,6 +5,7 @@
 
 use std::collections::HashSet;
 
+use dl_core::StatEvent;
 use dl_sim::{
     run_scenario, scenario_from_seed, Auditor, ChaosPlan, ChaosScenario, Partition, SimConfig,
     SimNodeKind, Simulation,
@@ -21,17 +22,31 @@ use dl_wire::NodeId;
 fn chaos_batch_holds_safety_across_32_seeds() {
     let mut lossless_seen = 0u32;
     let mut adversaries_seen: HashSet<String> = HashSet::new();
-    let mut windows_seen: HashSet<u64> = HashSet::new();
+    let mut loads_seen: HashSet<u32> = HashSet::new();
+    let mut pipelined_seen = 0u32;
     for seed in 0..32u64 {
         let sc = scenario_from_seed(seed);
         adversaries_seen.insert(format!("{:?}", sc.adversary));
-        windows_seen.insert(sc.dispersal_window);
+        loads_seen.insert(sc.tx_bytes);
         let out = run_scenario(&sc);
         assert!(
             out.report.quiesced,
             "seed {seed}: cluster failed to quiesce by {} ms",
             sc.max_ms
         );
+        // Bursts arrive 40 ms apart and an epoch takes several 20 ms hops:
+        // node 0 proposing two loaded blocks within 50 ms opened the second
+        // epoch through the dispersal window.
+        let loaded: Vec<u64> = out
+            .report
+            .events
+            .iter()
+            .filter_map(|(at, who, ev)| match ev {
+                StatEvent::Proposed { empty: false, .. } if who.0 == 0 => Some(*at),
+                _ => None,
+            })
+            .collect();
+        pipelined_seen += u32::from(loaded.windows(2).any(|w| w[1] - w[0] < 50));
         assert!(
             out.violations.is_empty(),
             "seed {seed}: safety violated:\n{}",
@@ -75,10 +90,12 @@ fn chaos_batch_holds_safety_across_32_seeds() {
         6,
         "32 seeds missed an adversary: {adversaries_seen:?}"
     );
-    assert!(
-        windows_seen.iter().any(|&k| k > 1),
-        "32 seeds never drew a pipelined dispersal window: {windows_seen:?}"
+    assert_eq!(
+        loads_seen.len(),
+        2,
+        "32 seeds drew only one side of the dispersal window's trigger: {loads_seen:?}"
     );
+    assert!(pipelined_seen > 0, "no seed opened a window epoch");
 }
 
 /// An injected violation must report its reproducing seed, and the report
@@ -90,11 +107,11 @@ fn violations_replay_deterministically_with_their_seed() {
         seed: 42,
         n: 4,
         variant: dl_core::ProtocolVariant::Dl,
-        dispersal_window: 1,
         adversary: None,
         plan: ChaosPlan::quiet(42),
         actions: Vec::new(),
         txs_per_node: 2,
+        tx_bytes: 120,
         max_ms: 600_000,
     };
     let out = run_scenario(&sc);
@@ -139,11 +156,11 @@ fn partition_heals_and_the_cluster_recovers() {
         seed: 7,
         n: 4,
         variant: dl_core::ProtocolVariant::Dl,
-        dispersal_window: 1,
         adversary: None,
         plan,
         actions: Vec::new(),
         txs_per_node: 2,
+        tx_bytes: 120,
         max_ms: 600_000,
     };
     assert!(sc.lossless());
@@ -169,11 +186,11 @@ fn heavy_loss_never_breaks_safety() {
         seed: 3,
         n: 7,
         variant: dl_core::ProtocolVariant::HoneyBadgerLink,
-        dispersal_window: 2,
         adversary: Some(SimNodeKind::Equivocate),
         plan,
         actions: Vec::new(),
         txs_per_node: 2,
+        tx_bytes: 120,
         max_ms: 600_000,
     };
     let out = run_scenario(&sc);

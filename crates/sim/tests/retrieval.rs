@@ -6,10 +6,10 @@
 //! to hold, and this file pins both:
 //!
 //! * **The gate** (release-only, like `window.rs`): on the N = 16 fluid
-//!   tiered-uplink scenario of `window.rs` at `k = 1`, bytes on the wire
-//!   per payload byte and virtual time-to-drain stay at the targeted
-//!   level. Both are pure functions of the event schedule, so a miss is a
-//!   scheduling regression, never runner noise.
+//!   tiered-uplink scenario it shares with `window.rs` (`common`), bytes
+//!   on the wire per payload byte and virtual time-to-drain stay at the
+//!   targeted level. Both are pure functions of the event schedule, so a
+//!   miss is a scheduling regression, never runner noise.
 //! * **Liveness by escalation** (cheap, runs in debug too): with the `f`
 //!   peers a retrieval ranks first silent — mute, or Byzantine dispersers
 //!   that never serve a chunk — every honest transaction is still
@@ -17,8 +17,10 @@
 //!   escalating; with everyone honest on a uniform WAN, escalation stays a
 //!   rarity.
 
+mod common;
+
 use dl_core::{NodeStats, ProtocolVariant};
-use dl_sim::{LinkSpec, SimConfig, SimNodeKind, SimReport, Simulation};
+use dl_sim::{SimConfig, SimNodeKind, SimReport, Simulation};
 use dl_wire::{NodeId, Tx};
 
 fn honest_stats(report: &SimReport) -> Vec<NodeStats> {
@@ -178,46 +180,18 @@ fn honest_uniform_wan_rarely_escalates() {
     assert!(requests >= 7 * started && requests < 8 * started);
 }
 
-/// The release gate. Scenario and constants are `window.rs`'s at `k = 1`:
-/// before targeted retrieval this run put ≈ 41 bytes on the wire per
-/// payload byte and went idle at 7911 virtual ms.
+/// The release gate, on the tiered-uplink scenario `window.rs` shares
+/// (`common`): before targeted retrieval this run put ≈ 41 bytes on the
+/// wire per payload byte and went idle at 7911 virtual ms.
 #[test]
 fn tiered_uplinks_stay_within_the_targeted_byte_and_drain_budget() {
     if cfg!(debug_assertions) {
         eprintln!("skipping retrieval byte/drain gate in debug build");
         return;
     }
-    const N: usize = 16;
-    const TXS_PER_NODE: u64 = 4;
-    const TX_BYTES: u32 = 160_000;
-    const TIERS: [u64; 4] = [1250, 800, 400, 200];
-    let mut sim = Simulation::new(SimConfig::fluid(N, ProtocolVariant::Dl));
-    for node in 0..N {
-        sim.set_uplink(
-            node,
-            LinkSpec {
-                latency_ms: 20,
-                bytes_per_ms: TIERS[node % 4],
-            },
-        );
-    }
-    for round in 0..TXS_PER_NODE {
-        for node in 0..N {
-            let at = round * 150 + node as u64 * 5;
-            sim.submit_at(
-                node,
-                at,
-                Tx::synthetic(NodeId(node as u16), round, at, TX_BYTES),
-            );
-        }
-    }
-    let report = sim.run_until_quiescent(600_000_000);
-    assert!(report.quiesced);
+    let report = common::run_tiered_uplinks();
     let stats = honest_stats(&report);
-    for (i, s) in stats.iter().enumerate() {
-        assert_eq!(s.txs_delivered, TXS_PER_NODE * N as u64, "node {i}");
-    }
-    let payload = TXS_PER_NODE * N as u64 * TX_BYTES as u64;
+    let payload = common::TXS_PER_NODE * common::N as u64 * common::TX_BYTES as u64;
     let wire = sum(&stats, |s| s.bytes_sent) as f64 / payload as f64;
     let drain = report.last_activity_ms;
     eprintln!("retrieval gate: {wire:.1} wire bytes per payload byte, idle at {drain} ms");
