@@ -181,23 +181,23 @@ mod tests {
         }
     }
 
+    fn epoch_delivered() -> StatEvent {
+        StatEvent::EpochDelivered {
+            epoch: Epoch(1),
+            blocks: 2,
+            decided_ms: 3,
+            in_hand_ms: 4,
+        }
+    }
+
     #[test]
     fn vec_sink_reifies_every_effect() {
         let mut v: Vec<NodeEffect> = Vec::new();
         v.wake_at(42);
-        v.stat(StatEvent::EpochDelivered {
-            epoch: Epoch(1),
-            blocks: 2,
-        });
+        v.stat(epoch_delivered());
         assert_eq!(
             v,
-            vec![
-                NodeEffect::WakeAt(42),
-                NodeEffect::Stat(StatEvent::EpochDelivered {
-                    epoch: Epoch(1),
-                    blocks: 2,
-                }),
-            ]
+            vec![NodeEffect::WakeAt(42), NodeEffect::Stat(epoch_delivered())]
         );
     }
 
@@ -205,10 +205,7 @@ mod tests {
     fn default_wake_and_stat_are_noops() {
         let mut c = Counting::default();
         c.wake_at(1);
-        c.stat(StatEvent::EpochDelivered {
-            epoch: Epoch(1),
-            blocks: 0,
-        });
+        c.stat(epoch_delivered());
         assert_eq!(c.sends, 0);
         assert_eq!(c.delivers, 0);
     }

@@ -1,5 +1,7 @@
 //! Agreement-side pipeline: VID completions, BA decisions and the ACS rule
-//! (paper §4.1–§4.2). Retrieval kick-off lives in [`super::retrieval`].
+//! (paper §4.1–§4.2). All three retrieval triggers fire from here — a BA
+//! deciding 1, a completion under retrieve-then-vote, and a dropped block
+//! whose delivery became certain; [`super::retrieval`] has the rules.
 //!
 //! BA instances are admitted per epoch as traffic arrives (lazily, through
 //! `ensure_epoch`), bounded by the admission horizon — so when loaded
@@ -38,13 +40,8 @@ impl<C: BlockCoder> Node<C> {
                 root,
             });
         }
+        let covered = self.trackers[index].prefix();
         self.trackers[index].complete(Epoch(epoch));
-        // Only linking variants can rescue a completed-but-uncommitted
-        // block, so only they need to remember it (a non-linking variant
-        // would leak one entry per dropped block forever).
-        if self.cfg.flags.linking && !self.delivered[index].contains(Epoch(epoch)) {
-            self.undelivered_completions.insert((epoch, index as u16));
-        }
         let st = self
             .epochs
             .get_mut(epoch)
@@ -71,6 +68,8 @@ impl<C: BlockCoder> Node<C> {
             // retrieval starts immediately and the vote waits for it.
             self.start_retrieval(epoch, index, work, out);
         }
+        // Zero-decided blocks the advancing prefix has just uncovered.
+        self.fetch_certain(index, covered + 1, work, out);
     }
 
     /// A retrieval finished (the `Retrieved` event of Fig. 4).
@@ -130,6 +129,9 @@ impl<C: BlockCoder> Node<C> {
             if value {
                 st.decided_ones += 1;
             }
+            if st.all_decided() {
+                st.decided_ms = self.now;
+            }
             // WAL: the decision is durable before the `Term` broadcast
             // that follows it in this effect stream.
             if out.persists() {
@@ -146,6 +148,9 @@ impl<C: BlockCoder> Node<C> {
             // is where DispersedLedger decouples: the retrieval proceeds at
             // our own bandwidth without holding up later epochs.
             self.start_retrieval(epoch, index, work, out);
+        } else {
+            // Dropped here, but certain to be linked if the prefix covers it.
+            self.fetch_certain(index, epoch, work, out);
         }
         // ACS rule: once N−f BAs decided 1, input 0 to the rest (§4.1). The
         // `acs_zeroed` latch makes this fire exactly once per epoch instead

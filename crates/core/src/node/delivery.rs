@@ -1,5 +1,7 @@
 //! Delivery-side pipeline: epoch finalization, inter-node linking (§4.3)
-//! and epoch garbage collection.
+//! and epoch garbage collection. Delivery orders blocks; fetching one here
+//! is a fallback (`try_finalize_next`, phase 2), because a fetch at the
+//! frontier is serial: a round trip per epoch, after its predecessor.
 
 use std::collections::{BTreeSet, VecDeque};
 
@@ -46,7 +48,8 @@ impl<C: BlockCoder> Node<C> {
         }
         // Phase 2: the linking estimate E (Fig. 17) names older blocks that
         // must be delivered alongside this epoch.
-        let st = self.epochs.get(epoch).expect("state exists");
+        let st = self.epochs.get_mut(epoch).expect("state exists");
+        let (decided_ms, in_hand_ms) = (st.decided_ms, *st.in_hand_ms.get_or_insert(now));
         let linked_up_to: Vec<u64> = if self.cfg.flags.linking && committed.len() > f {
             // Borrow the observation arrays straight out of the retrieved
             // blocks — this runs on every delivery attempt, and cloning N
@@ -74,25 +77,19 @@ impl<C: BlockCoder> Node<C> {
         };
         let mut to_deliver: BTreeSet<(u64, u16)> = BTreeSet::new();
         for (j, &up_to) in linked_up_to.iter().enumerate() {
-            // Everything at or below the delivered tracker's prefix is
-            // already delivered; starting there keeps this scan
-            // proportional to actual gaps instead of the full history.
-            for t in self.delivered[j].prefix() + 1..=up_to {
-                if !self.delivered[j].contains(Epoch(t)) {
-                    to_deliver.insert((t, j as u16));
-                }
-            }
+            to_deliver.extend(self.undelivered(j, 1, up_to).map(|t| (t, j as u16)));
         }
         for &j in &committed {
             if !self.delivered[j].contains(Epoch(epoch)) {
                 to_deliver.insert((epoch, j as u16));
             }
         }
-        // Everything in the delivery set must be retrieved; kick off what
-        // is missing and wait. The linking estimate guarantees at least one
-        // correct node completed each of these dispersals, so the
-        // retrievals terminate.
+        // Everything in the delivery set must be retrieved. The certainty
+        // trigger fetched what we saw complete; the rest (catch-up, loss) is
+        // fetched here, counted, and waited for: the estimate guarantees a
+        // correct node completed each dispersal, so the retrievals terminate.
         let mut waiting = false;
+        let started = self.stats.retrievals_started;
         for &(t, j) in &to_deliver {
             self.ensure_epoch(t);
             if self.epochs.get(t).expect("just ensured").retrieved[j as usize].is_none() {
@@ -100,6 +97,7 @@ impl<C: BlockCoder> Node<C> {
                 waiting = true;
             }
         }
+        self.stats.linked_fetches_at_frontier += self.stats.retrievals_started - started;
         if waiting {
             return false;
         }
@@ -110,7 +108,6 @@ impl<C: BlockCoder> Node<C> {
                 .clone()
                 .expect("checked above");
             self.delivered[j as usize].complete(Epoch(t));
-            self.undelivered_completions.remove(&(t, j));
             if j == self.me.0 {
                 self.my_nonempty_proposals.remove(&t);
             }
@@ -169,6 +166,8 @@ impl<C: BlockCoder> Node<C> {
         out.stat(StatEvent::EpochDelivered {
             epoch: Epoch(epoch),
             blocks: to_deliver.len(),
+            decided_ms,
+            in_hand_ms,
         });
         self.stats.epochs_delivered += 1;
         self.delivered_frontier = epoch;

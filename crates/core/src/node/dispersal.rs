@@ -200,16 +200,13 @@ impl<C: BlockCoder> Node<C> {
         if !self.cfg.flags.linking {
             return false;
         }
-        let me = self.me.0;
-        // `my_nonempty_proposals` holds only stranded-or-in-flight own
-        // proposals, so this range scan touches a handful of entries, not
-        // the whole completion backlog.
+        // `my_nonempty_proposals` holds only our undelivered proposals, so
+        // an entry the completion prefix covers is completed and stranded.
+        let completed = self.trackers[self.me.idx()].prefix();
         self.my_nonempty_proposals
-            .range(..=self.delivered_frontier)
-            .any(|&t| {
-                self.undelivered_completions.contains(&(t, me))
-                    && t <= self.trackers[me as usize].prefix()
-            })
+            .range(..=self.delivered_frontier.min(completed))
+            .next()
+            .is_some()
     }
 
     fn propose(&mut self, epoch: u64, work: &mut VecDeque<Work>, out: &mut dyn EffectSink) {

@@ -37,6 +37,10 @@ pub(crate) struct EpochState<C: Coder> {
     /// Whether the ACS zero-fill (input 0 to every un-input BA once `N−f`
     /// ones are in) has already been issued for this epoch.
     pub(crate) acs_zeroed: bool,
+    /// Driver-clock time the last of the `N` BAs decided (0 = replayed).
+    pub(crate) decided_ms: u64,
+    /// Driver-clock time delivery first found every committed block in hand.
+    pub(crate) in_hand_ms: Option<u64>,
     /// Local VID completion per proposer.
     pub(crate) completed: Vec<bool>,
     pub(crate) retrievers: Vec<Option<Retriever<C>>>,
@@ -65,6 +69,8 @@ impl<C: Coder> EpochState<C> {
             decided_count: 0,
             decided_ones: 0,
             acs_zeroed: false,
+            decided_ms: 0,
+            in_hand_ms: None,
             completed: vec![false; n],
             retrievers: (0..n).map(|_| None).collect(),
             retrieval_started_ms: vec![0; n],

@@ -23,13 +23,16 @@
 //!    *agreement frontier* advances and — under the
 //!    [`crate::variant::ProposeGate::DispersalDone`] gate — epoch `e + 1`
 //!    may start.
-//! 2. **Retrieval**: committed blocks (and, with inter-node linking §4.3,
-//!    blocks vouched for by the committed observation arrays) are fetched.
-//!    Retrieval never blocks phase 1 of later epochs — that is the paper's
-//!    core decoupling.
+//! 2. **Retrieval**: a block is fetched the moment it is known to be
+//!    needed, by one of three triggers ([`retrieval`]): its BA decides 1;
+//!    it completes, under retrieve-then-vote; or, with inter-node linking
+//!    (§4.3), its BA decided 0 and a later epoch is certain to link it.
+//!    Retrieval never blocks phase 1 of later epochs, nor delivery of
+//!    earlier ones — that is the paper's core decoupling.
 //! 3. **Delivery**: when every needed block of epoch `e` is retrieved, the
 //!    epoch is delivered in a deterministic order (by `(epoch, proposer)`),
-//!    advancing the *delivered frontier*.
+//!    advancing the *delivered frontier*. Fetching what its linking
+//!    estimate names is a fallback here, for blocks we never saw complete.
 //!
 //! Phase 1 itself pipelines *across* epochs under load: a
 //! [`crate::variant::ProposeGate::DispersalDone`] node that has dispersed
@@ -141,8 +144,16 @@ pub enum StatEvent {
         empty: bool,
     },
     /// Epoch `epoch` was fully delivered (`blocks` blocks in this batch,
-    /// including any recovered by inter-node linking).
-    EpochDelivered { epoch: Epoch, blocks: usize },
+    /// including any recovered by inter-node linking). Driver-clock stamps:
+    /// `decided_ms`, the last of its `N` BAs decided (0 if replayed from a
+    /// log); `in_hand_ms`, delivery first found every committed block
+    /// retrieved — from there to the event is the wait for linked blocks.
+    EpochDelivered {
+        epoch: Epoch,
+        blocks: usize,
+        decided_ms: u64,
+        in_hand_ms: u64,
+    },
 }
 
 /// A block in its final position in the total order.
@@ -179,6 +190,9 @@ pub struct NodeStats {
     pub malformed_blocks_delivered: u64,
     /// Deliveries recovered by inter-node linking.
     pub linked_deliveries: u64,
+    /// Retrievals of linked blocks that delivery had to start itself, at
+    /// the frontier: the fallback the certainty trigger should leave idle.
+    pub linked_fetches_at_frontier: u64,
     pub epochs_delivered: u64,
     pub retrievals_started: u64,
     /// `RequestChunk`s issued by our retrievals, the loopback to our own
@@ -234,11 +248,6 @@ pub struct Node<C: BlockCoder> {
     /// Bodies of our own proposals, kept until commit/requeue resolution
     /// (only populated for non-linking variants, which may drop blocks).
     my_txs: BTreeMap<u64, Vec<Tx>>,
-    /// `(epoch, proposer)` dispersals that completed locally but have not
-    /// been delivered. Entries at or below the delivered frontier missed
-    /// their epoch's commit and need a *later* epoch's linking estimate to
-    /// be rescued (§4.3).
-    undelivered_completions: BTreeSet<(u64, u16)>,
     /// Epochs in which *we* proposed a non-empty block that has not been
     /// delivered yet (linking variants only). Only these entries count as
     /// link-rescue proposal pressure: a node keeps the pipeline moving for
@@ -331,7 +340,6 @@ impl<C: BlockCoder> Node<C> {
             trackers: vec![CompletionTracker::new(); n],
             delivered: vec![CompletionTracker::new(); n],
             my_txs: BTreeMap::new(),
-            undelivered_completions: BTreeSet::new(),
             my_nonempty_proposals: BTreeSet::new(),
             pipeline_dirty: false,
             work_scratch: VecDeque::new(),
@@ -499,11 +507,15 @@ impl<C: BlockCoder> Node<C> {
     /// Central pump: drain the work queue, then advance the epoch pipeline
     /// (deliveries, proposals), repeating until a fixed point.
     fn run(&mut self, mut work: VecDeque<Work>, now: u64, sink: &mut dyn EffectSink) {
+        self.now = now;
         if !self.clock_started {
             self.clock_started = true;
             self.epoch_entered_ms = now;
+            // `restore` is silent: what its log shows certain is fetched now.
+            for j in 0..self.cfg.cluster.n {
+                self.fetch_certain(j, 1, &mut work, sink);
+            }
         }
-        self.now = now;
         loop {
             while let Some(w) = work.pop_front() {
                 self.step(w, &mut work, sink);

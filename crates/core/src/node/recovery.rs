@@ -61,9 +61,6 @@ impl<C: BlockCoder> Node<C> {
                         server.restore(None, Some(*root));
                     }
                     self.trackers[j].complete(*epoch);
-                    if self.cfg.flags.linking && !self.delivered[j].contains(*epoch) {
-                        self.undelivered_completions.insert((e, index.0));
-                    }
                 }
                 StoreRecord::Proposed {
                     epoch,
@@ -100,7 +97,6 @@ impl<C: BlockCoder> Node<C> {
                 } => {
                     let j = proposer.idx();
                     self.delivered[j].complete(*epoch);
-                    self.undelivered_completions.remove(&(epoch.0, proposer.0));
                     if *proposer == self.me {
                         self.my_nonempty_proposals.remove(&epoch.0);
                     }

@@ -1,5 +1,19 @@
-//! Retrieval-side pipeline: whom a retrieval asks for chunks, and when it
-//! gives up on that choice (paper §4.2 retrieval, §6.3 early cancel).
+//! Retrieval-side pipeline: when a block is fetched, whom the retrieval
+//! asks for chunks, and when it gives up on that choice (paper §4.2
+//! retrieval, §6.3 early cancel).
+//!
+//! A block is fetched at the earliest moment it is known to be needed: its
+//! BA decides 1; it completes, under retrieve-then-vote (HoneyBadger,
+//! HB-Link); or — DL and DL-Coupled — its delivery becomes **certain**
+//! ([`Node::fetch_certain`]): `BA(t, j)` decided 0, `VID(t, j)` completed
+//! here, and our contiguous completion prefix `V[j]` covers `t`. AVID-M
+//! completes everywhere what completes anywhere, so every correct `V[j]`
+//! reaches `t` and a later estimate `E[j]` names the block: the fetch
+//! spends no byte delivery would not, it only stops spending it at the
+//! frontier. A proposer with a hole in its dispersals (Byzantine, or back
+//! from a restart) is never covered, so blocks nobody will link buy no
+//! `k`-fold amplification; those, and blocks we never saw complete, are
+//! left to delivery's own fetch.
 //!
 //! Any `k = N − 2f` verified chunks decode a block, so asking all `N`
 //! servers makes every peer upload a chunk for every retrieval —
@@ -40,7 +54,7 @@
 use std::collections::VecDeque;
 
 use dl_vid::{Retriever, VidEffect};
-use dl_wire::{NodeId, VidMsg};
+use dl_wire::{Epoch, NodeId, VidMsg};
 
 use crate::coder::BlockCoder;
 use crate::engine::EffectSink;
@@ -158,6 +172,38 @@ pub(super) fn rank_peers(
 }
 
 impl<C: BlockCoder> Node<C> {
+    /// Proposer `j`'s epochs in `lo..=hi` whose block we have not delivered,
+    /// ascending: the walk behind "which blocks does this estimate name"
+    /// and "which has the completion prefix uncovered". It skips the
+    /// delivered prefix, so it costs the gaps, not the history.
+    pub(super) fn undelivered(&self, j: usize, lo: u64, hi: u64) -> impl Iterator<Item = u64> + '_ {
+        let done = &self.delivered[j];
+        (lo.max(done.prefix() + 1)..=hi).filter(move |&t| !done.contains(Epoch(t)))
+    }
+
+    /// The certainty trigger (module docs): fetch every block of proposer
+    /// `j` from epoch `lo` on that BA decided 0 and our completion prefix
+    /// covers. Idempotent, like `start_retrieval`.
+    pub(super) fn fetch_certain(
+        &mut self,
+        j: usize,
+        lo: u64,
+        work: &mut VecDeque<Work>,
+        out: &mut dyn EffectSink,
+    ) {
+        if !self.cfg.flags.linking || self.cfg.flags.vote_requires_retrieval {
+            return; // nothing is linked, or everything is fetched on completion
+        }
+        let epochs = &self.epochs;
+        let certain: Vec<u64> = self
+            .undelivered(j, lo, self.trackers[j].prefix())
+            .filter(|&t| epochs.get(t).is_some_and(|st| st.decided[j] == Some(false)))
+            .collect();
+        for t in certain {
+            self.start_retrieval(t, j, work, out);
+        }
+    }
+
     /// Start retrieving block `(epoch, index)` unless it is already in hand
     /// or already being fetched.
     pub(super) fn start_retrieval(

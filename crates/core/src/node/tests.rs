@@ -994,3 +994,212 @@ fn restore_rebuilds_the_window_byte_ledger_and_zeroes_the_retrieval_ledger() {
     assert_eq!(fresh.stats().blocks_proposed, 1);
     assert_eq!(fresh.next_propose_epoch(), Epoch(WINDOW_BUDGET_BATCHES + 1));
 }
+
+// ---------------------------------------------------------------------------
+// The certainty trigger: fetch a block the moment its delivery is certain
+// ---------------------------------------------------------------------------
+
+/// Node 0 of a 4-node cluster (f = 1, k = 2) with every peer message
+/// forged, so a test decides which dispersals complete, what each BA
+/// decides and when chunks come back. The clock stands still: the node
+/// never proposes on its own.
+struct Driven {
+    node: Node<RealBlockCoder>,
+    coder: RealBlockCoder,
+    /// `(epoch, proposer, via_link)` of every delivery, in order.
+    delivered: Vec<(u64, u16, bool)>,
+}
+
+impl Driven {
+    fn new(variant: ProtocolVariant) -> Driven {
+        let cluster = ClusterConfig::new(4);
+        Driven {
+            node: solo(NodeConfig::new(cluster.clone(), variant)),
+            coder: RealBlockCoder::new(&cluster),
+            delivered: Vec::new(),
+        }
+    }
+
+    fn encode(&self, block: &Block) -> dl_vid::EncodedBlock {
+        dl_vid::Coder::encode(
+            &self.coder,
+            &crate::coder::BlockCoder::pack(&self.coder, block),
+        )
+    }
+
+    fn feed(&mut self, envs: impl IntoIterator<Item = (u16, Envelope)>) -> Vec<NodeEffect> {
+        let effs: Vec<NodeEffect> = envs
+            .into_iter()
+            .flat_map(|(from, env)| self.node.handle_vec(NodeId(from), env, 0))
+            .collect();
+        self.delivered.extend(effs.iter().filter_map(|e| match e {
+            NodeEffect::Deliver(b) => Some((b.epoch.0, b.proposer.0, b.via_link)),
+            _ => None,
+        }));
+        effs
+    }
+
+    /// `2f + 1` `Ready`s: the block's dispersal completes locally.
+    fn complete(&mut self, block: &Block) -> Vec<NodeEffect> {
+        let (epoch, index) = (block.header.epoch, block.header.proposer);
+        let root = self.encode(block).root;
+        self.feed((1..=3).map(|p| (p, Envelope::vid(epoch, index, VidMsg::Ready { root }))))
+    }
+
+    /// `f + 1` `Term`s: `BA^epoch_index` decides `value`.
+    fn decide(&mut self, epoch: u64, index: u16, value: bool) -> Vec<NodeEffect> {
+        let term = Envelope::ba(Epoch(epoch), NodeId(index), BaMsg::Term { value });
+        self.feed((1..=2).map(|p| (p, term.clone())))
+    }
+
+    /// Every peer returns its chunk; the retrieval hears the ones it asked.
+    fn serve(&mut self, block: &Block) -> Vec<NodeEffect> {
+        let (epoch, index) = (block.header.epoch, block.header.proposer);
+        let enc = self.encode(block);
+        self.feed((1..=3u16).map(|p| {
+            let (payload, proof) = enc.chunks[p as usize].clone();
+            let root = enc.root;
+            let msg = VidMsg::ReturnChunk {
+                root,
+                proof,
+                payload,
+            };
+            (p, Envelope::vid(epoch, index, msg))
+        }))
+    }
+
+    /// Peers 1 and 3 disperse, commit and serve a block for `epoch` whose
+    /// observation arrays vouch for `v_array`; BAs 0 and 2 of the epoch
+    /// decide 0.
+    fn commit_epoch(&mut self, epoch: u64, v_array: [u64; 4]) {
+        self.decide(epoch, 0, false);
+        self.decide(epoch, 2, false);
+        for j in [1, 3] {
+            let block = Block::empty(Epoch(epoch), NodeId(j), v_array.to_vec());
+            self.complete(&block);
+            self.decide(epoch, j, true);
+            self.serve(&block);
+        }
+    }
+}
+
+/// `(epoch, index)` of every block `effs` request chunks of.
+fn fetched(effs: &[NodeEffect]) -> Vec<(u64, u16)> {
+    let mut blocks: Vec<(u64, u16)> = effs
+        .iter()
+        .filter_map(|e| match e {
+            NodeEffect::Send(_, env)
+                if matches!(env.payload, ProtoMsg::Vid(VidMsg::RequestChunk)) =>
+            {
+                Some((env.epoch.0, env.index.0))
+            }
+            _ => None,
+        })
+        .collect();
+    blocks.dedup();
+    blocks
+}
+
+/// Proposer 2's block for `epoch`, carrying one transaction.
+fn block_of_2(epoch: u64) -> Block {
+    let mut block = Block::empty(Epoch(epoch), NodeId(2), vec![0; 4]);
+    block.body.push(Tx::synthetic(NodeId(2), epoch, 0, 100));
+    block
+}
+
+#[test]
+fn a_completed_block_is_fetched_the_moment_its_ba_decides_zero() {
+    for variant in [ProtocolVariant::Dl, ProtocolVariant::DlCoupled] {
+        let mut d = Driven::new(variant);
+        let block = block_of_2(1);
+        assert_eq!(fetched(&d.complete(&block)), [], "{variant:?}");
+        // Same `run` as the decision, with nothing delivered yet.
+        assert_eq!(fetched(&d.decide(1, 2, false)), [(1, 2)], "{variant:?}");
+        assert_eq!(d.node.delivered_frontier(), Epoch(0));
+        d.serve(&block);
+        d.commit_epoch(1, [0; 4]);
+        assert_eq!(d.node.delivered_frontier(), Epoch(1));
+        assert_eq!(d.node.stats().linked_deliveries, 0);
+        // Epoch 2 names the block: it is in hand, so it is delivered in the
+        // `run` that completes epoch 2 and phase 2 fetches nothing.
+        d.commit_epoch(2, [0, 0, 1, 0]);
+        let s = d.node.stats();
+        assert_eq!(d.node.delivered_frontier(), Epoch(2), "{variant:?}");
+        assert_eq!((s.linked_deliveries, s.txs_delivered), (1, 1));
+        assert_eq!(s.linked_fetches_at_frontier, 0, "{variant:?}");
+    }
+}
+
+#[test]
+fn a_late_completion_is_fetched_only_once_the_prefix_covers_it() {
+    let mut d = Driven::new(ProtocolVariant::Dl);
+    assert_eq!(fetched(&d.decide(1, 2, false)), []);
+    assert_eq!(fetched(&d.decide(2, 2, false)), []);
+    // `V[2]` has a hole at epoch 1: no estimate can name epoch 2 yet.
+    assert_eq!(fetched(&d.complete(&block_of_2(2))), []);
+    assert_eq!(d.node.stats().retrievals_started, 0);
+    // Filling the hole releases both.
+    assert_eq!(fetched(&d.complete(&block_of_2(1))), [(1, 2), (2, 2)]);
+}
+
+/// A log that shows `(1, 2)` dropped by its BA and, if `completed`,
+/// dispersed in full.
+fn log_with_block_1_2_dropped(d: &Driven, completed: bool) -> Vec<StoreRecord> {
+    let (epoch, index) = (Epoch(1), NodeId(2));
+    let root = d.encode(&block_of_2(1)).root;
+    let mut log = vec![StoreRecord::Decided {
+        epoch,
+        index,
+        value: false,
+    }];
+    if completed {
+        log.push(StoreRecord::Completed { epoch, index, root });
+    }
+    log
+}
+
+#[test]
+fn restore_rearms_the_fetch_and_falls_back_to_phase_two_without_the_completion() {
+    let order = [(1, 1, false), (1, 3, false), (1, 2, true), (2, 1, false)];
+    for completed in [true, false] {
+        let mut d = Driven::new(ProtocolVariant::Dl);
+        d.node.restore(&log_with_block_1_2_dropped(&d, completed));
+        let rearmed = fetched(&d.node.poll_vec(0));
+        assert_eq!(rearmed, if completed { vec![(1, 2)] } else { vec![] });
+        // Either way the block is delivered where epoch 2 links it; only
+        // the node that never saw it complete fetches it at the frontier.
+        d.commit_epoch(1, [0; 4]);
+        d.commit_epoch(2, [0, 0, 1, 0]);
+        d.serve(&block_of_2(1));
+        assert_eq!(d.delivered[..4], order, "completed = {completed}");
+        let s = d.node.stats();
+        assert_eq!(s.linked_fetches_at_frontier, u64::from(!completed));
+        assert_eq!(s.retrievals_started, 5);
+    }
+}
+
+#[test]
+fn only_dl_and_dl_coupled_take_the_certainty_trigger() {
+    // HoneyBadger and HB-Link fetch on completion, as ever; DL without
+    // linking (an ablation) drops what its BA drops.
+    let cluster = ClusterConfig::new(4);
+    let mut unlinked = ProtocolVariant::Dl.flags();
+    unlinked.linking = false;
+    for flags in [
+        ProtocolVariant::HoneyBadger.flags(),
+        ProtocolVariant::HoneyBadgerLink.flags(),
+        unlinked,
+    ] {
+        let mut d = Driven::new(ProtocolVariant::Dl);
+        // Live: the BA deciding 0 asks nobody anything.
+        d.node = solo(NodeConfig::with_flags(cluster.clone(), flags));
+        d.complete(&block_of_2(1));
+        assert_eq!(fetched(&d.decide(1, 2, false)), [], "{flags:?}");
+        // Restored: HoneyBadger never delivers the block, and HB-Link
+        // fetches it when an estimate names it, as it did before.
+        d.node = solo(NodeConfig::with_flags(cluster.clone(), flags));
+        d.node.restore(&log_with_block_1_2_dropped(&d, true));
+        assert_eq!(fetched(&d.node.poll_vec(0)), [], "{flags:?}");
+        assert_eq!(d.node.stats().retrievals_started, 0, "{flags:?}");
+    }
+}

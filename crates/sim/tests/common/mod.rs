@@ -5,7 +5,7 @@
 //! behind; every transaction is a full Nagle batch, submitted faster than
 //! the gated schedule turns epochs over.
 
-use dl_core::ProtocolVariant;
+use dl_core::{ProtocolVariant, StatEvent};
 use dl_sim::{LinkSpec, SimConfig, SimReport, Simulation};
 use dl_wire::{NodeId, Tx};
 
@@ -49,5 +49,32 @@ pub fn run_tiered_uplinks() -> SimReport {
             "transaction loss at node {i}"
         );
     }
+    assert_linked_blocks_do_not_stall_the_frontier(&report);
     report
+}
+
+/// A fifth of this run's blocks miss their commit and are delivered by
+/// linking. Each is fetched when its delivery becomes certain, so by the
+/// time an estimate names it the block is in hand: delivery's own fetch is
+/// the exception, and an epoch is delivered as soon as its committed blocks
+/// are in hand and its predecessor is out.
+fn assert_linked_blocks_do_not_stall_the_frontier(report: &SimReport) {
+    let stats = report.stats.iter().flatten();
+    let (linked, at_frontier) = stats.fold((0, 0), |(l, a), s| {
+        (l + s.linked_deliveries, a + s.linked_fetches_at_frontier)
+    });
+    let mut previous = [0u64; N];
+    let (mut waited, mut epochs) = (0u64, 0u64);
+    for (at, who, event) in &report.events {
+        if let StatEvent::EpochDelivered { in_hand_ms, .. } = event {
+            waited += at - in_hand_ms.max(&previous[who.idx()]);
+            epochs += 1;
+            previous[who.idx()] = *at;
+        }
+    }
+    let mean = waited as f64 / epochs as f64;
+    eprintln!("linking: {at_frontier} of {linked} fetched at the frontier, {mean:.2} ms mean wait");
+    assert!(linked > 0, "the scenario no longer links anything");
+    assert!(20 * at_frontier <= linked, "{at_frontier} of {linked}");
+    assert!(mean <= 5.0, "{mean:.2} ms from blocks in hand to delivery");
 }
