@@ -25,10 +25,7 @@ pub trait BlockCoder: Coder {
 /// dispersed as real Reed–Solomon chunks under a real Merkle root. The
 /// dispersal representation is a shared [`bytes::Bytes`] buffer, so blocks
 /// and chunk payloads flow through the data plane without deep copies.
-///
-/// Erasure coding and Merkle hashing run on a `dl_pool::Pool`: by default
-/// the process pool (`DL_POOL_THREADS`), so a real node encodes its
-/// dispersal fan-out with all cores; `with_pool` pins an explicit pool.
+/// Erasure coding and Merkle hashing run on the engine's own thread.
 #[derive(Clone, Debug)]
 pub struct RealBlockCoder {
     inner: RealCoder,
@@ -38,16 +35,6 @@ impl RealBlockCoder {
     pub fn new(cluster: &ClusterConfig) -> RealBlockCoder {
         RealBlockCoder {
             inner: RealCoder::new(cluster.n, cluster.f),
-        }
-    }
-
-    /// Coder running its data-plane loops on an explicit pool.
-    pub fn with_pool(
-        cluster: &ClusterConfig,
-        pool: std::sync::Arc<dl_pool::Pool>,
-    ) -> RealBlockCoder {
-        RealBlockCoder {
-            inner: RealCoder::with_pool(cluster.n, cluster.f, pool),
         }
     }
 }

@@ -55,6 +55,8 @@ pub trait EffectSink {
     /// The retrieval for `(epoch, index)` was cancelled by `to`: any
     /// `ReturnChunk` for it still queued toward `to` is dead weight and may
     /// be dropped. Advisory — a driver without per-peer queues ignores it.
+    /// (Signature pinned by the benchmark's forwarding sink,
+    /// `dl-e2e/src/probe.rs`, until the benchmark is next thawed.)
     fn purge_returns(&mut self, _to: NodeId, _epoch: Epoch, _index: NodeId) {}
 }
 

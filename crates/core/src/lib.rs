@@ -90,7 +90,7 @@ mod variant;
 pub use byzantine::{ByzantineBehavior, ByzantineNode};
 pub use coder::{BlockCoder, RealBlockCoder};
 pub use engine::{EffectSink, Engine, EngineExt};
-pub use linking::{compute_linking_estimate, CompletionTracker, Observation};
+pub use linking::{compute_linking_estimate, CompletionTracker};
 pub use node::{DeliveredBlock, Node, NodeEffect, NodeStats, StatEvent};
 pub use queue::InputQueue;
 pub use records::{CompactionPlan, StoreRecord};

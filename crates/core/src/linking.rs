@@ -17,21 +17,6 @@
 
 use dl_wire::Epoch;
 
-/// Observation of one proposer's completion state, extracted from a
-/// committed block.
-///
-/// Ill-formatted blocks and `BAD_UPLOADER` retrievals contribute the all-∞
-/// observation (paper footnote 5); `∞` is represented as `u64::MAX`.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Observation(pub Vec<u64>);
-
-impl Observation {
-    /// The all-∞ observation used for malformed blocks.
-    pub fn infinite(n: usize) -> Observation {
-        Observation(vec![u64::MAX; n])
-    }
-}
-
 /// Tracks, per peer, the largest epoch `t` such that *all* of the peer's
 /// VID instances in epochs `1..=t` have completed locally — the value
 /// `V[j]` a proposer reports (Fig. 17 phase 1 step 1).
@@ -78,21 +63,13 @@ impl CompletionTracker {
 /// committed blocks' `V[j]` entries.
 ///
 /// Requires at least `f+1` observations (an epoch commits `≥ N−f ≥ 2f+1`
-/// blocks, so this always holds for committed epochs).
-pub fn compute_linking_estimate(observations: &[Observation], n: usize, f: usize) -> Vec<u64> {
-    let borrowed: Vec<Option<&[u64]>> = observations.iter().map(|o| Some(o.0.as_slice())).collect();
-    compute_linking_estimate_borrowed(&borrowed, n, f)
-}
-
-/// [`compute_linking_estimate`] over borrowed observation arrays; `None`
-/// stands for the all-∞ observation of a Byzantine block (paper footnote
-/// 5). The delivery hot path calls this on every attempt, so it must not
-/// clone the arrays out of the retrieved blocks.
-pub fn compute_linking_estimate_borrowed(
-    observations: &[Option<&[u64]>],
-    n: usize,
-    f: usize,
-) -> Vec<u64> {
+/// blocks, so this always holds for committed epochs). Each is the
+/// observation array of one committed block, borrowed — the delivery hot
+/// path calls this on every attempt, so it must not clone the arrays out of
+/// the retrieved blocks; `None` stands for the all-∞ observation an
+/// ill-formatted block or a `BAD_UPLOADER` retrieval contributes (paper
+/// footnote 5).
+pub fn compute_linking_estimate(observations: &[Option<&[u64]>], n: usize, f: usize) -> Vec<u64> {
     assert!(
         observations.len() > f,
         "need more than f observations to compute a safe estimate"
@@ -153,10 +130,10 @@ mod tests {
     fn estimate_is_f_plus_one_largest() {
         // N=4, f=1; observations for one column j=0: [5, 3, 9].
         // Descending [9,5,3]; (f+1)-th largest = index 1 = 5.
-        let obs = vec![
-            Observation(vec![5, 0, 0, 0]),
-            Observation(vec![3, 0, 0, 0]),
-            Observation(vec![9, 0, 0, 0]),
+        let obs: [Option<&[u64]>; 3] = [
+            Some(&[5, 0, 0, 0]),
+            Some(&[3, 0, 0, 0]),
+            Some(&[9, 0, 0, 0]),
         ];
         let e = compute_linking_estimate(&obs, 4, 1);
         assert_eq!(e[0], 5);
@@ -166,11 +143,7 @@ mod tests {
     fn byzantine_infinity_discarded() {
         // One all-∞ observation (f=1) cannot raise the estimate above what a
         // correct node reported.
-        let obs = vec![
-            Observation::infinite(4),
-            Observation(vec![2, 2, 2, 2]),
-            Observation(vec![1, 1, 1, 1]),
-        ];
+        let obs: [Option<&[u64]>; 3] = [None, Some(&[2, 2, 2, 2]), Some(&[1, 1, 1, 1])];
         let e = compute_linking_estimate(&obs, 4, 1);
         assert_eq!(e, vec![2, 2, 2, 2]);
     }
@@ -180,14 +153,10 @@ mod tests {
         // Lemma D.4's two-sided bound, spot-checked: with f=1 and three
         // observations of which at most one is a lie, E lies between the
         // min and max correct values.
-        let correct_a = vec![4, 7, 0, 2];
-        let correct_b = vec![6, 5, 1, 2];
-        let lie = vec![u64::MAX, 0, u64::MAX, 9];
-        let obs = vec![
-            Observation(correct_a.clone()),
-            Observation(correct_b.clone()),
-            Observation(lie),
-        ];
+        let correct_a = [4, 7, 0, 2];
+        let correct_b = [6, 5, 1, 2];
+        let lie = [u64::MAX, 0, u64::MAX, 9];
+        let obs: [Option<&[u64]>; 3] = [Some(&correct_a), Some(&correct_b), Some(&lie)];
         let e = compute_linking_estimate(&obs, 4, 1);
         for j in 0..4 {
             let lo = correct_a[j].min(correct_b[j]);
@@ -202,10 +171,10 @@ mod tests {
 
     #[test]
     fn short_observation_counts_as_zero() {
-        let obs = vec![
-            Observation(vec![3]), // malformed: too short
-            Observation(vec![2, 2]),
-            Observation(vec![1, 4]),
+        let obs: [Option<&[u64]>; 3] = [
+            Some(&[3]), // malformed: too short
+            Some(&[2, 2]),
+            Some(&[1, 4]),
         ];
         let e = compute_linking_estimate(&obs, 2, 1);
         assert_eq!(e[0], 2);
@@ -215,6 +184,6 @@ mod tests {
     #[test]
     #[should_panic]
     fn too_few_observations_rejected() {
-        compute_linking_estimate(&[Observation(vec![1])], 1, 1);
+        compute_linking_estimate(&[Some(&[1])], 1, 1);
     }
 }

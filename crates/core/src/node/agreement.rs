@@ -92,11 +92,11 @@ impl<C: BlockCoder> Node<C> {
             Retrieved::BadUploader => None,
         };
         let st = self.epochs.get_mut(epoch).expect("retrieval implies state");
-        // Karn's rule: only retrievals that never escalated are timed.
-        if st.retrievers[index]
-            .as_ref()
-            .is_some_and(|r| !r.escalated())
-        {
+        // The retriever is done: drop it, with its `k` chunk payloads and
+        // its copy of the decoded block, rather than keep it to the GC
+        // horizon. Karn's rule: only retrievals that never escalated are
+        // timed.
+        if st.retrievers[index].take().is_some_and(|r| !r.escalated()) {
             self.retrieval_timer
                 .observe(self.now - st.retrieval_started_ms[index]);
         }

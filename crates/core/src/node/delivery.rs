@@ -9,7 +9,7 @@ use dl_wire::{Epoch, NodeId};
 
 use crate::coder::BlockCoder;
 use crate::engine::EffectSink;
-use crate::linking::compute_linking_estimate_borrowed;
+use crate::linking::compute_linking_estimate;
 use crate::records::StoreRecord;
 
 use super::{DeliveredBlock, Node, StatEvent, Work};
@@ -68,7 +68,7 @@ impl<C: BlockCoder> Node<C> {
             // routinely vouch for dispersals of epochs *ahead* of this
             // one, and those must wait for their own epoch's delivery
             // pass, never be pulled into this batch.
-            compute_linking_estimate_borrowed(&observations, n, f)
+            compute_linking_estimate(&observations, n, f)
                 .into_iter()
                 .map(|e| e.min(epoch))
                 .collect()

@@ -43,6 +43,7 @@ pub(crate) struct EpochState<C: Coder> {
     pub(crate) in_hand_ms: Option<u64>,
     /// Local VID completion per proposer.
     pub(crate) completed: Vec<bool>,
+    /// Retrievals in flight; a slot empties the moment its retrieval ends.
     pub(crate) retrievers: Vec<Option<Retriever<C>>>,
     /// Driver-clock time each retrieval started (meaningful while the
     /// matching `retrievers` slot is occupied): the sample the escalation

@@ -2,9 +2,9 @@
 //!
 //! [`Node`] is the sans-IO engine every driver programs against, via the
 //! [`crate::Engine`] trait. It exposes exactly three entry points —
-//! [`Node::submit_tx`], [`Node::handle`] and [`Node::poll`] — each writing
-//! its effects into a caller-supplied [`crate::EffectSink`] for the driver
-//! to execute. The node multiplexes, per epoch, `N` VID instances (one
+//! [`Engine::submit_tx`], [`Engine::handle`] and [`Engine::poll`] — each
+//! writing its effects into a caller-supplied [`crate::EffectSink`] for the
+//! driver to execute. The node multiplexes, per epoch, `N` VID instances (one
 //! [`dl_vid::VidServer`] per proposer plus our own `Disperser` and on-demand
 //! `Retriever`s) and `N` [`dl_ba::Ba`] instances, and routes incoming
 //! [`Envelope`]s to them by `(epoch, index)`. Drivers never see the inner
@@ -113,7 +113,7 @@ pub enum NodeEffect {
     Send(NodeId, Envelope),
     /// A block reached its position in the total order.
     Deliver(DeliveredBlock),
-    /// Ask the driver to call [`Node::poll`] no later than this time (ms on
+    /// Ask the driver to call [`Engine::poll`] no later than this time (ms on
     /// the driver's clock). Advisory: extra or duplicate polls are harmless,
     /// and periodic-tick drivers may ignore it.
     WakeAt(u64),
@@ -288,7 +288,7 @@ pub struct Node<C: BlockCoder> {
     inflight: VecDeque<(u64, u64)>,
     /// Running sum of the `inflight` byte column.
     inflight_bytes: u64,
-    /// Restart catch-up (see [`Node::restore`]): while true, the node
+    /// Restart catch-up (see [`Engine::restore`]): while true, the node
     /// periodically asks peers for the outcomes of epochs it missed.
     sync_active: bool,
     /// Per-epoch peer-attested outcome vectors collected during catch-up.
@@ -303,7 +303,7 @@ pub struct Node<C: BlockCoder> {
     /// BA instances in epochs below this line run in observer mode: a
     /// pre-crash message of ours could have touched them, so re-initiating
     /// `BVal`/`Aux` there risks equivocating against votes we no longer
-    /// remember sending. Derived in [`Node::restore`].
+    /// remember sending. Derived in [`Engine::restore`].
     ba_observe_below: u64,
     /// The driver's clock at the current entry point.
     now: u64,
@@ -397,41 +397,6 @@ impl<C: BlockCoder> Node<C> {
         Epoch(self.next_propose_epoch)
     }
 
-    /// Entry point 1/3: a client submits a transaction at this node.
-    pub fn submit_tx(&mut self, tx: Tx, now: u64, sink: &mut dyn EffectSink) {
-        self.stats.txs_submitted += 1;
-        self.queue.push(tx);
-        let work = std::mem::take(&mut self.work_scratch);
-        self.run(work, now, sink)
-    }
-
-    /// Entry point 2/3: a peer's envelope arrived. `from` is the
-    /// transport-authenticated sender. Malformed, out-of-range and
-    /// too-far-future envelopes are dropped (Byzantine peers may send
-    /// anything).
-    pub fn handle(&mut self, from: NodeId, env: Envelope, now: u64, sink: &mut dyn EffectSink) {
-        let mut work = std::mem::take(&mut self.work_scratch);
-        self.admit_envelope(from, env, &mut work);
-        self.run(work, now, sink)
-    }
-
-    /// [`Node::handle`] over a burst of same-instant envelopes from one
-    /// peer: each is validated and enqueued, then the engine runs once —
-    /// the pipeline-advance fixed cost is paid per burst, not per message.
-    pub fn handle_burst(
-        &mut self,
-        from: NodeId,
-        envs: &mut Vec<Envelope>,
-        now: u64,
-        sink: &mut dyn EffectSink,
-    ) {
-        let mut work = std::mem::take(&mut self.work_scratch);
-        for env in envs.drain(..) {
-            self.admit_envelope(from, env, &mut work);
-        }
-        self.run(work, now, sink)
-    }
-
     /// Validate an inbound envelope and, if acceptable, enqueue its work
     /// item. Malformed, out-of-range and too-far-future envelopes are
     /// dropped here (Byzantine peers may send anything).
@@ -493,13 +458,6 @@ impl<C: BlockCoder> Node<C> {
             // dl-lint: allow(panic-path): unreachable by construction
             ProtoMsg::Sync(_) => unreachable!("sync handled above"),
         });
-    }
-
-    /// Entry point 3/3: the clock advanced. Drives the Nagle proposal rule
-    /// and anything else that is time- rather than message-triggered.
-    pub fn poll(&mut self, now: u64, sink: &mut dyn EffectSink) {
-        let work = std::mem::take(&mut self.work_scratch);
-        self.run(work, now, sink)
     }
 
     // ---- the engine ----
@@ -763,13 +721,22 @@ impl<C: BlockCoder> Engine for Node<C> {
     }
 
     fn submit_tx(&mut self, tx: Tx, now: u64, sink: &mut dyn EffectSink) {
-        Node::submit_tx(self, tx, now, sink)
+        self.stats.txs_submitted += 1;
+        self.queue.push(tx);
+        let work = std::mem::take(&mut self.work_scratch);
+        self.run(work, now, sink)
     }
 
+    /// Malformed, out-of-range and too-far-future envelopes are dropped
+    /// (Byzantine peers may send anything).
     fn handle(&mut self, from: NodeId, env: Envelope, now: u64, sink: &mut dyn EffectSink) {
-        Node::handle(self, from, env, now, sink)
+        let mut work = std::mem::take(&mut self.work_scratch);
+        self.admit_envelope(from, env, &mut work);
+        self.run(work, now, sink)
     }
 
+    /// Each envelope is validated and enqueued, then the engine runs once —
+    /// the pipeline-advance fixed cost is paid per burst, not per message.
     fn handle_burst(
         &mut self,
         from: NodeId,
@@ -777,11 +744,18 @@ impl<C: BlockCoder> Engine for Node<C> {
         now: u64,
         sink: &mut dyn EffectSink,
     ) {
-        Node::handle_burst(self, from, envs, now, sink)
+        let mut work = std::mem::take(&mut self.work_scratch);
+        for env in envs.drain(..) {
+            self.admit_envelope(from, env, &mut work);
+        }
+        self.run(work, now, sink)
     }
 
+    /// Drives the Nagle proposal rule and anything else that is time-
+    /// rather than message-triggered.
     fn poll(&mut self, now: u64, sink: &mut dyn EffectSink) {
-        Node::poll(self, now, sink)
+        let work = std::mem::take(&mut self.work_scratch);
+        self.run(work, now, sink)
     }
 
     fn stats(&self) -> Option<NodeStats> {
@@ -789,6 +763,6 @@ impl<C: BlockCoder> Engine for Node<C> {
     }
 
     fn restore(&mut self, records: &[StoreRecord]) {
-        Node::restore(self, records)
+        self.replay(records)
     }
 }

@@ -12,9 +12,8 @@ use crate::records::StoreRecord;
 use super::{Node, Work};
 
 impl<C: BlockCoder> Node<C> {
-    /// Rebuild pre-crash state from a replayed write-ahead log. Must run
-    /// before any other entry point; it is silent (no sends, no
-    /// deliveries — the caller already knows everything in `records`).
+    /// [`crate::Engine::restore`]: rebuild pre-crash state from a replayed
+    /// write-ahead log.
     ///
     /// Replay rebuilds exactly what was durably narrated: chunk custody and
     /// completion roots back into the VID servers, BA decisions (as
@@ -29,7 +28,7 @@ impl<C: BlockCoder> Node<C> {
     /// the first polls broadcast [`SyncMsg::Request`] for the epochs the
     /// cluster decided while we were down. Committed-but-unretrieved blocks
     /// are re-fetched through the ordinary retrieval path.
-    pub fn restore(&mut self, records: &[StoreRecord]) {
+    pub(super) fn replay(&mut self, records: &[StoreRecord]) {
         if records.is_empty() {
             return;
         }

@@ -169,6 +169,73 @@ fn dl_tolerates_one_mute_node() {
     assert!(orders[..3].windows(2).all(|w| w[0] == w[1]));
 }
 
+/// What a Byzantine proposer 3 can put on the wire for epoch 1 of a 4-node
+/// cluster: the chunks of a block, chunk 1 two bytes longer than the rest,
+/// under the honest Merkle root over them — every proof verifies.
+fn unequal_length_dispersal(cluster: &ClusterConfig) -> Vec<Envelope> {
+    let coder = RealBlockCoder::new(cluster);
+    let block = Block::empty(Epoch(1), NodeId(3), vec![0; 4]);
+    let enc = dl_vid::Coder::encode(&coder, &crate::coder::BlockCoder::pack(&coder, &block));
+    let mut chunks: Vec<Vec<u8>> = enc
+        .chunks
+        .iter()
+        .map(|(payload, _)| match payload {
+            dl_wire::ChunkPayload::Real(b) => b.to_vec(),
+            dl_wire::ChunkPayload::Synthetic { .. } => unreachable!("real coder"),
+        })
+        .collect();
+    chunks[1].extend_from_slice(&[0xAB, 0xCD]);
+    let tree = dl_crypto::MerkleTree::build(&chunks);
+    chunks
+        .into_iter()
+        .enumerate()
+        .map(|(i, chunk)| {
+            let msg = VidMsg::Chunk {
+                root: tree.root(),
+                proof: tree.prove(i as u32),
+                payload: dl_wire::ChunkPayload::Real(chunk.into()),
+            };
+            Envelope::vid(Epoch(1), NodeId(3), msg)
+        })
+        .collect()
+}
+
+#[test]
+fn unequal_length_chunks_from_a_byzantine_proposer_deliver_as_none_everywhere() {
+    for variant in all_variants() {
+        let mut mesh = Mesh::new(4, variant);
+        let cluster = mesh.nodes[0].config().cluster.clone();
+        mesh.submit(0, Tx::synthetic(NodeId(0), 0, 0, 100));
+        for (to, env) in unequal_length_dispersal(&cluster).into_iter().enumerate() {
+            mesh.wire.push_back((NodeId(3), NodeId(to as u16), env));
+        }
+        // No honest retriever panics, whichever `k` chunks it draws: node 1
+        // holds the odd chunk itself.
+        mesh.run(300, 10, &[3]);
+        // Later epochs keep delivering.
+        for i in 0..3 {
+            mesh.submit(i, Tx::synthetic(NodeId(i as u16), 1, mesh.now, 100));
+        }
+        mesh.run(300, 10, &[3]);
+        let slots = |i: usize| -> Vec<(u64, u16, bool)> {
+            mesh.delivered[i]
+                .iter()
+                .map(|d| (d.epoch.0, d.proposer.0, d.block.is_some()))
+                .collect()
+        };
+        for i in 0..3 {
+            assert_eq!(slots(i), slots(0), "{variant:?}: node {i} diverged");
+            assert_eq!(mesh.nodes[i].stats().txs_delivered, 4, "{variant:?}");
+            assert_eq!(
+                mesh.nodes[i].stats().malformed_blocks_delivered,
+                1,
+                "{variant:?}: node {i}"
+            );
+        }
+        assert!(slots(0).contains(&(1, 3, false)), "{variant:?}");
+    }
+}
+
 #[test]
 fn nagle_delay_holds_proposal_back() {
     let cluster = ClusterConfig::new(4);
@@ -1140,6 +1207,29 @@ fn a_late_completion_is_fetched_only_once_the_prefix_covers_it() {
     assert_eq!(d.node.stats().retrievals_started, 0);
     // Filling the hole releases both.
     assert_eq!(fetched(&d.complete(&block_of_2(1))), [(1, 2), (2, 2)]);
+}
+
+#[test]
+fn a_finished_retriever_is_dropped_and_late_chunks_touch_nothing() {
+    let mut d = Driven::new(ProtocolVariant::Dl);
+    let block = block_of_2(1);
+    d.complete(&block);
+    assert_eq!(fetched(&d.decide(1, 2, true)), [(1, 2)]);
+    assert!(d.node.epochs.get(1).expect("state").retrievers[2].is_some());
+    // Three peers answer where k = 2 decode: the third chunk is late.
+    d.serve(&block);
+    let st = d.node.epochs.get(1).expect("state");
+    assert_eq!(st.retrieved[2], Some(Some(block.clone())));
+    assert!(st.retrievers[2].is_none(), "finished retriever kept");
+    assert!(d.node.chunk_requests_owed.iter().all(|&c| c == 0));
+    // Later still: ignored, and nobody's account is debited twice.
+    let late = d.serve(&block);
+    assert!(
+        late.iter().all(|e| matches!(e, NodeEffect::WakeAt(_))),
+        "{late:?}"
+    );
+    assert!(d.node.chunk_requests_owed.iter().all(|&c| c == 0));
+    assert_eq!(d.node.stats().retrievals_started, 1);
 }
 
 /// A log that shows `(1, 2)` dropped by its BA and, if `completed`,

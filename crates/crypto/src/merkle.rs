@@ -18,6 +18,8 @@
 //!   construction used by the Go Merkle libraries the paper's prototype builds
 //!   on.
 
+#![forbid(unsafe_code)]
+
 use crate::{Hash, Sha256};
 
 const LEAF_PREFIX: u8 = 0x00;
@@ -106,18 +108,9 @@ pub fn expected_path_len(leaf_count: u32) -> usize {
     }
 }
 
-/// Leaf hashing engages the pool only past this many payload bytes: below
-/// it, dispatch overhead beats the win (a tree over a few KB is microseconds).
-const PAR_LEAF_MIN_BYTES: usize = 64 * 1024;
-
-/// Interior layers engage the pool only at this many nodes or more (each
-/// node is one 64-byte compression, so small layers are hashed inline).
-const PAR_LAYER_MIN_NODES: usize = 1024;
-
 impl MerkleTree {
     /// Build a tree over `chunks`. Panics if `chunks` is empty (a dispersal
-    /// always has `N ≥ 4` chunks). Serial; see [`MerkleTree::build_pooled`]
-    /// for the multi-core dispersal path.
+    /// always has `N ≥ 4` chunks).
     pub fn build<T: AsRef<[u8]>>(chunks: &[T]) -> MerkleTree {
         assert!(!chunks.is_empty(), "MerkleTree over zero chunks");
         let count = chunks.len() as u32;
@@ -126,89 +119,19 @@ impl MerkleTree {
             .enumerate()
             .map(|(i, c)| leaf_hash(i as u32, count, c.as_ref()))
             .collect();
-        Self::collapse(leaves, count, None)
-    }
-
-    /// Build a tree with leaf shards and (large) interior layers hashed in
-    /// parallel across `pool`. Byte-identical to [`MerkleTree::build`]: the
-    /// job decomposition only partitions the index space, every hash input
-    /// is position-bound, so scheduling cannot reorder anything observable.
-    pub fn build_pooled<T: AsRef<[u8]> + Sync>(chunks: &[T], pool: &dl_pool::Pool) -> MerkleTree {
-        assert!(!chunks.is_empty(), "MerkleTree over zero chunks");
-        let count = chunks.len() as u32;
-        let total_bytes: usize = chunks.iter().map(|c| c.as_ref().len()).sum();
-        let pool = Some(pool).filter(|p| !p.is_serial() && total_bytes >= PAR_LEAF_MIN_BYTES);
-
-        let leaves: Vec<Hash> = match pool {
-            Some(pool) => {
-                let mut leaves = vec![Hash::ZERO; chunks.len()];
-                let jobs = chunks.len().min(pool.threads() * 4);
-                let per = chunks.len().div_ceil(jobs);
-                let window = dl_pool::SharedMut::new(&mut leaves);
-                pool.run(jobs, |j| {
-                    let start = j * per;
-                    let end = ((j + 1) * per).min(chunks.len());
-                    if start >= end {
-                        return;
-                    }
-                    // SAFETY: jobs cover disjoint index ranges of the
-                    // leaf array.
-                    let dst = unsafe { window.slice_mut(start..end) };
-                    for (off, c) in chunks[start..end].iter().enumerate() {
-                        dst[off] = leaf_hash((start + off) as u32, count, c.as_ref());
-                    }
-                });
-                leaves
-            }
-            None => chunks
-                .iter()
-                .enumerate()
-                .map(|(i, c)| leaf_hash(i as u32, count, c.as_ref()))
-                .collect(),
-        };
-        Self::collapse(leaves, count, pool)
-    }
-
-    /// Fold the leaf layer up to the root, optionally splitting large
-    /// layers across the pool.
-    fn collapse(leaves: Vec<Hash>, count: u32, pool: Option<&dl_pool::Pool>) -> MerkleTree {
         let mut layers = vec![leaves];
         while layers.last().unwrap().len() > 1 {
-            let prev = layers.last().unwrap();
-            let next_len = prev.len().div_ceil(2);
-            let next = match pool.filter(|_| prev.len() >= PAR_LAYER_MIN_NODES) {
-                Some(pool) => {
-                    let mut next = vec![Hash::ZERO; next_len];
-                    let jobs = next_len.min(pool.threads() * 4);
-                    let per = next_len.div_ceil(jobs);
-                    let window = dl_pool::SharedMut::new(&mut next);
-                    pool.run(jobs, |j| {
-                        let start = j * per;
-                        let end = ((j + 1) * per).min(next_len);
-                        if start >= end {
-                            return;
-                        }
-                        // SAFETY: jobs cover disjoint ranges of the layer.
-                        let dst = unsafe { window.slice_mut(start..end) };
-                        for (off, d) in dst.iter_mut().enumerate() {
-                            let i = start + off;
-                            let left = &prev[2 * i];
-                            let right = prev.get(2 * i + 1).unwrap_or(left);
-                            *d = node_hash(left, right);
-                        }
-                    });
-                    next
-                }
-                None => prev
-                    .chunks(2)
-                    .map(|pair| {
-                        let left = &pair[0];
-                        // Duplicate the last node on odd layers.
-                        let right = pair.get(1).unwrap_or(left);
-                        node_hash(left, right)
-                    })
-                    .collect(),
-            };
+            let next = layers
+                .last()
+                .unwrap()
+                .chunks(2)
+                .map(|pair| {
+                    let left = &pair[0];
+                    // Duplicate the last node on odd layers.
+                    let right = pair.get(1).unwrap_or(left);
+                    node_hash(left, right)
+                })
+                .collect();
             layers.push(next);
         }
         MerkleTree {
@@ -267,7 +190,8 @@ mod tests {
 
     #[test]
     fn proofs_verify_for_all_sizes() {
-        for n in 1..=33 {
+        // Every small shape, then deep trees with odd layers on the way up.
+        for n in (1..=33).chain([64, 127, 128, 2500]) {
             let c = chunks(n);
             let t = MerkleTree::build(&c);
             let root = t.root();
@@ -365,40 +289,6 @@ mod tests {
         forged.extend_from_slice(&leaf_hash(0, 2, &c[0]).0);
         forged.extend_from_slice(&leaf_hash(1, 2, &c[1]).0);
         assert_ne!(leaf_hash(0, 1, &forged), t.root());
-    }
-
-    #[test]
-    fn pooled_build_is_identical_to_serial() {
-        // Shards big enough to clear the parallel threshold, counts that
-        // exercise odd layers and uneven job splits.
-        let pool = dl_pool::Pool::new(4);
-        for n in [1usize, 2, 3, 7, 64, 127, 128] {
-            let c: Vec<Vec<u8>> = (0..n).map(|i| vec![i as u8; 4096]).collect();
-            let serial = MerkleTree::build(&c);
-            let pooled = MerkleTree::build_pooled(&c, &pool);
-            assert_eq!(serial.root(), pooled.root(), "n={n}");
-            for i in 0..n as u32 {
-                assert_eq!(serial.prove(i), pooled.prove(i), "n={n} i={i}");
-            }
-        }
-        // Tiny inputs stay under the threshold and must also agree.
-        let tiny = chunks(5);
-        assert_eq!(
-            MerkleTree::build(&tiny).root(),
-            MerkleTree::build_pooled(&tiny, &pool).root()
-        );
-    }
-
-    #[test]
-    fn pooled_build_parallelizes_interior_layers() {
-        // A leaf count past PAR_LAYER_MIN_NODES drives the layer-parallel
-        // path; byte-identity with serial is the assertion that matters.
-        let pool = dl_pool::Pool::new(3);
-        let c: Vec<Vec<u8>> = (0..2500usize).map(|i| vec![(i % 251) as u8; 64]).collect();
-        let serial = MerkleTree::build(&c);
-        let pooled = MerkleTree::build_pooled(&c, &pool);
-        assert_eq!(serial.root(), pooled.root());
-        assert_eq!(serial.prove(2499), pooled.prove(2499));
     }
 
     #[test]

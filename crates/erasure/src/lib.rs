@@ -17,4 +17,4 @@ pub mod gf256;
 pub mod matrix;
 pub mod rs;
 
-pub use rs::{ChunkSet, ReedSolomon, RsError};
+pub use rs::{ReedSolomon, RsError};

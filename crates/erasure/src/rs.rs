@@ -34,6 +34,14 @@
 //! Reconstruction reverses this. A malicious uploader can violate the
 //! framing (bad length, nonzero padding); retrieval surfaces that as
 //! [`RsError::BadFrame`] or via AVID-M's re-encode-and-compare root check.
+//!
+//! The engine encodes and decodes on its own thread, through
+//! [`ReedSolomon::encode_block_shared`] and
+//! [`ReedSolomon::reconstruct_block_shared`]. The two `_pooled` forms, and
+//! with them this crate's `dl-pool` dependency and its two `SharedMut`
+//! windows, are **benchmark-only**: `dl-e2e/src/layers.rs` times them
+//! beside the serial forms, nothing else calls them, and they go when the
+//! benchmark is next thawed (ROADMAP direction 3(d)).
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -149,12 +157,6 @@ impl CodedBlock {
     pub fn chunk_refs(&self) -> Vec<&[u8]> {
         (0..self.n).map(|i| self.chunk_bytes(i)).collect()
     }
-
-    /// Copy the chunks out as owned vectors (compatibility/test helper; the
-    /// dispersal path uses the zero-copy views).
-    pub fn to_vecs(&self) -> Vec<Vec<u8>> {
-        (0..self.n).map(|i| self.chunk_bytes(i).to_vec()).collect()
-    }
 }
 
 /// A systematic `(k, n)` Reed–Solomon code: `n` chunks, any `k` reconstruct.
@@ -236,13 +238,12 @@ impl ReedSolomon {
 
     /// Encode a block into an arena-backed codeword — the dispersal fast
     /// path. One allocation for all `n` chunks; see [`CodedBlock`].
-    /// Serial; [`ReedSolomon::encode_block_shared_pooled`] is the
-    /// multi-core form (byte-identical output).
     pub fn encode_block_shared(&self, block: &[u8]) -> CodedBlock {
         self.encode_block_shared_pooled(block, &Pool::serial())
     }
 
-    /// Encode with the parity stripes fanned out across `pool`.
+    /// **Benchmark-only** (module docs): [`ReedSolomon::encode_block_shared`]
+    /// with the parity stripes fanned out across `pool`.
     ///
     /// The column range `0..shard_len` is split into stripe-aligned jobs;
     /// each job runs the PR 3 cache-blocked loop over its own range,
@@ -315,15 +316,6 @@ impl ReedSolomon {
             shard_len,
             n: self.n,
         }
-    }
-
-    /// Encode a block into `n` equal-length owned chunks.
-    ///
-    /// Compatibility wrapper over [`ReedSolomon::encode_block_shared`]; the
-    /// dispersal path uses the shared form to avoid the per-chunk copies
-    /// this one makes.
-    pub fn encode_block(&self, block: &[u8]) -> Vec<Vec<u8>> {
-        self.encode_block_shared(block).to_vecs()
     }
 
     /// The inverted-submatrix decode plan for one ordered chunk subset,
@@ -438,31 +430,14 @@ impl ReedSolomon {
         Ok(frame)
     }
 
-    /// Reconstruct the `k` data shards from any `k` distinct chunks.
-    ///
-    /// `chunks` supplies `(chunk_index, bytes)` pairs; duplicates are an
-    /// error surfaced as [`RsError::MalformedChunks`]. Compatibility wrapper
-    /// (owned per-shard vectors); the retrieval path uses
-    /// [`ReedSolomon::reconstruct_block_shared`].
-    pub fn reconstruct_data(&self, chunks: &[(usize, &[u8])]) -> Result<Vec<Vec<u8>>, RsError> {
-        let frame = self.reconstruct_frame(chunks, &Pool::serial())?;
-        let shard_len = frame.len() / self.k;
-        if shard_len == 0 {
-            // Zero-length chunks (only a hostile peer sends these; honest
-            // encodings have shard_len ≥ 1): k empty shards, not a panic.
-            return Ok(vec![Vec::new(); self.k]);
-        }
-        Ok(frame.chunks(shard_len).map(<[u8]>::to_vec).collect())
-    }
-
     /// Reconstruct the original block (undoing the length framing) as a
     /// zero-copy window into the decoded frame: the decode writes one
     /// contiguous buffer and the payload is returned without re-copying.
-    /// Serial; see [`ReedSolomon::reconstruct_block_shared_pooled`].
     pub fn reconstruct_block_shared(&self, chunks: &[(usize, &[u8])]) -> Result<Bytes, RsError> {
         self.reconstruct_block_shared_pooled(chunks, &Pool::serial())
     }
 
+    /// **Benchmark-only** (module docs):
     /// [`ReedSolomon::reconstruct_block_shared`] with the decode stripes
     /// fanned out across `pool` (byte-identical output).
     pub fn reconstruct_block_shared_pooled(
@@ -486,66 +461,6 @@ impl ReedSolomon {
             return Err(RsError::BadFrame);
         }
         Ok(Bytes::from(frame).slice(4..4 + len))
-    }
-
-    /// Reconstruct the original block as an owned vector (compatibility
-    /// wrapper; copies the payload out of the decoded frame once).
-    pub fn reconstruct_block(&self, chunks: &[(usize, &[u8])]) -> Result<Vec<u8>, RsError> {
-        Ok(self.reconstruct_block_shared(chunks)?.to_vec())
-    }
-}
-
-/// Accumulates `(index, chunk)` pairs until enough are present to decode.
-///
-/// Chunks arrive from servers in arbitrary order; duplicates, out-of-range
-/// indices and mismatched lengths are ignored. Duplicate detection is a
-/// fixed bitmap sized by `n`, so inserts are O(1) instead of a linear scan.
-#[derive(Clone, Debug)]
-pub struct ChunkSet {
-    chunks: Vec<(usize, Vec<u8>)>,
-    /// One bit per possible chunk index `0..n`.
-    seen: Vec<u64>,
-    n: usize,
-}
-
-impl ChunkSet {
-    /// An empty set accepting chunk indices `0..n`.
-    pub fn new(n: usize) -> ChunkSet {
-        ChunkSet {
-            chunks: Vec::new(),
-            seen: vec![0; n.div_ceil(64)],
-            n,
-        }
-    }
-
-    /// Insert a chunk; returns `true` if it was new and in range.
-    pub fn insert(&mut self, index: usize, bytes: Vec<u8>) -> bool {
-        if index >= self.n {
-            return false;
-        }
-        let (word, bit) = (index / 64, 1u64 << (index % 64));
-        if self.seen[word] & bit != 0 {
-            return false;
-        }
-        self.seen[word] |= bit;
-        self.chunks.push((index, bytes));
-        true
-    }
-
-    pub fn len(&self) -> usize {
-        self.chunks.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.chunks.is_empty()
-    }
-
-    /// Borrow the stored chunks as `(index, &bytes)` pairs.
-    pub fn as_refs(&self) -> Vec<(usize, &[u8])> {
-        self.chunks
-            .iter()
-            .map(|(i, b)| (*i, b.as_slice()))
-            .collect()
     }
 }
 
@@ -608,13 +523,10 @@ mod tests {
     fn systematic_prefix() {
         let rs = ReedSolomon::new(3, 7).unwrap();
         let block = sample_block(100);
-        let chunks = rs.encode_block(&block);
-        assert_eq!(chunks.len(), 7);
+        let coded = rs.encode_block_shared(&block);
+        assert_eq!(coded.chunk_count(), 7);
         // First k chunks concatenated = frame prefix.
-        let mut frame = Vec::new();
-        for c in &chunks[..3] {
-            frame.extend_from_slice(c);
-        }
+        let frame = coded.chunk_refs()[..3].concat();
         assert_eq!(&frame[4..104], &block[..]);
         assert_eq!(u32::from_le_bytes(frame[..4].try_into().unwrap()), 100);
     }
@@ -657,15 +569,18 @@ mod tests {
     fn arena_decode_matches_scalar_reference() {
         let rs = ReedSolomon::new(4, 10).unwrap();
         let block = sample_block(5000);
-        let chunks = rs.encode_block(&block);
+        let coded = rs.encode_block_shared(&block);
         // A mixed data/parity subset in scrambled order.
         let subset: Vec<(usize, &[u8])> = [7usize, 2, 9, 0]
             .iter()
-            .map(|&i| (i, chunks[i].as_slice()))
+            .map(|&i| (i, coded.chunk_bytes(i)))
             .collect();
-        let expect = scalar_ref::decode_data(&rs.enc, 4, &subset);
-        assert_eq!(rs.reconstruct_data(&subset).unwrap(), expect);
-        assert_eq!(rs.reconstruct_block(&subset).unwrap(), block);
+        let expect = scalar_ref::decode_data(&rs.enc, 4, &subset).concat();
+        assert_eq!(
+            rs.reconstruct_frame(&subset, &Pool::serial()).unwrap(),
+            expect
+        );
+        assert_eq!(rs.reconstruct_block_shared(&subset).unwrap(), block);
     }
 
     #[test]
@@ -699,11 +614,11 @@ mod tests {
             let rs = ReedSolomon::for_cluster(n, f).unwrap();
             let k = rs.data_chunks();
             let block = sample_block(300_000);
-            let chunks = rs.encode_block(&block);
+            let coded = rs.encode_block_shared(&block);
             // Parity-heavy subset (the worst case) in scrambled order.
             let subset: Vec<(usize, &[u8])> = (n - k..n)
                 .rev()
-                .map(|i| (i, chunks[i].as_slice()))
+                .map(|i| (i, coded.chunk_bytes(i)))
                 .collect();
             let serial = rs.reconstruct_block_shared(&subset).unwrap();
             let pooled = rs.reconstruct_block_shared_pooled(&subset, &pool).unwrap();
@@ -744,14 +659,14 @@ mod tests {
     fn decode_plan_cache_hits_on_repeated_subset() {
         let rs = ReedSolomon::new(3, 7).unwrap();
         let block = sample_block(600);
-        let chunks = rs.encode_block(&block);
+        let coded = rs.encode_block_shared(&block);
         let subset: Vec<(usize, &[u8])> = [6usize, 1, 4]
             .iter()
-            .map(|&i| (i, chunks[i].as_slice()))
+            .map(|&i| (i, coded.chunk_bytes(i)))
             .collect();
         assert_eq!(rs.cached_decode_plans(), 0);
         for _ in 0..5 {
-            assert_eq!(rs.reconstruct_block(&subset).unwrap(), block);
+            assert_eq!(rs.reconstruct_block_shared(&subset).unwrap(), block);
         }
         // One distinct subset → one cached plan, shared by clones.
         assert_eq!(rs.cached_decode_plans(), 1);
@@ -760,13 +675,13 @@ mod tests {
         // A different subset adds a second plan.
         let other: Vec<(usize, &[u8])> = [5usize, 2, 3]
             .iter()
-            .map(|&i| (i, chunks[i].as_slice()))
+            .map(|&i| (i, coded.chunk_bytes(i)))
             .collect();
-        assert_eq!(clone.reconstruct_block(&other).unwrap(), block);
+        assert_eq!(clone.reconstruct_block_shared(&other).unwrap(), block);
         assert_eq!(rs.cached_decode_plans(), 2);
         // All-data subsets never touch the cache (pure placement).
-        let data: Vec<(usize, &[u8])> = (0..3).map(|i| (i, chunks[i].as_slice())).collect();
-        assert_eq!(rs.reconstruct_block(&data).unwrap(), block);
+        let data: Vec<(usize, &[u8])> = (0..3).map(|i| (i, coded.chunk_bytes(i))).collect();
+        assert_eq!(rs.reconstruct_block_shared(&data).unwrap(), block);
         assert_eq!(rs.cached_decode_plans(), 2);
     }
 
@@ -774,8 +689,8 @@ mod tests {
     fn shared_reconstruct_is_zero_copy_window() {
         let rs = ReedSolomon::new(4, 10).unwrap();
         let block = sample_block(777);
-        let chunks = rs.encode_block(&block);
-        let subset: Vec<(usize, &[u8])> = (5..9).map(|i| (i, chunks[i].as_slice())).collect();
+        let coded = rs.encode_block_shared(&block);
+        let subset: Vec<(usize, &[u8])> = (5..9).map(|i| (i, coded.chunk_bytes(i))).collect();
         let payload = rs.reconstruct_block_shared(&subset).unwrap();
         assert_eq!(&payload[..], &block[..]);
         // Cloning the returned window shares storage: no payload re-copy
@@ -788,31 +703,31 @@ mod tests {
     fn reconstruct_from_data_chunks() {
         let rs = ReedSolomon::new(4, 10).unwrap();
         let block = sample_block(1000);
-        let chunks = rs.encode_block(&block);
-        let subset: Vec<(usize, &[u8])> = (0..4).map(|i| (i, chunks[i].as_slice())).collect();
-        assert_eq!(rs.reconstruct_block(&subset).unwrap(), block);
+        let coded = rs.encode_block_shared(&block);
+        let subset: Vec<(usize, &[u8])> = (0..4).map(|i| (i, coded.chunk_bytes(i))).collect();
+        assert_eq!(rs.reconstruct_block_shared(&subset).unwrap(), block);
     }
 
     #[test]
     fn reconstruct_from_parity_only() {
         let rs = ReedSolomon::new(4, 10).unwrap();
         let block = sample_block(777);
-        let chunks = rs.encode_block(&block);
-        let subset: Vec<(usize, &[u8])> = (6..10).map(|i| (i, chunks[i].as_slice())).collect();
-        assert_eq!(rs.reconstruct_block(&subset).unwrap(), block);
+        let coded = rs.encode_block_shared(&block);
+        let subset: Vec<(usize, &[u8])> = (6..10).map(|i| (i, coded.chunk_bytes(i))).collect();
+        assert_eq!(rs.reconstruct_block_shared(&subset).unwrap(), block);
     }
 
     #[test]
     fn reconstruct_from_every_contiguous_window() {
         let rs = ReedSolomon::new(3, 9).unwrap();
         let block = sample_block(500);
-        let chunks = rs.encode_block(&block);
+        let coded = rs.encode_block_shared(&block);
         for start in 0..=6 {
             let subset: Vec<(usize, &[u8])> = (start..start + 3)
-                .map(|i| (i, chunks[i].as_slice()))
+                .map(|i| (i, coded.chunk_bytes(i)))
                 .collect();
             assert_eq!(
-                rs.reconstruct_block(&subset).unwrap(),
+                rs.reconstruct_block_shared(&subset).unwrap(),
                 block,
                 "start={start}"
             );
@@ -824,35 +739,38 @@ mod tests {
         // The property AVID-M's retrieval check relies on.
         let rs = ReedSolomon::new(5, 16).unwrap();
         let block = sample_block(12345);
-        let chunks = rs.encode_block(&block);
+        let coded = rs.encode_block_shared(&block);
         let subset: Vec<(usize, &[u8])> = [15, 3, 9, 0, 7]
             .iter()
-            .map(|&i| (i, chunks[i].as_slice()))
+            .map(|&i| (i, coded.chunk_bytes(i)))
             .collect();
-        let decoded = rs.reconstruct_block(&subset).unwrap();
-        assert_eq!(rs.encode_block(&decoded), chunks);
+        let decoded = rs.reconstruct_block_shared(&subset).unwrap();
+        assert_eq!(rs.encode_block_shared(&decoded).arena, coded.arena);
     }
 
     #[test]
     fn empty_block() {
         let rs = ReedSolomon::new(4, 13).unwrap();
-        let chunks = rs.encode_block(&[]);
-        assert!(chunks.iter().all(|c| c.len() == 1));
+        let coded = rs.encode_block_shared(&[]);
+        assert_eq!(coded.shard_len(), 1);
         let subset: Vec<(usize, &[u8])> = [2, 5, 11, 12]
             .iter()
-            .map(|&i| (i, chunks[i].as_slice()))
+            .map(|&i| (i, coded.chunk_bytes(i)))
             .collect();
-        assert_eq!(rs.reconstruct_block(&subset).unwrap(), Vec::<u8>::new());
+        assert_eq!(
+            rs.reconstruct_block_shared(&subset).unwrap(),
+            Vec::<u8>::new()
+        );
     }
 
     #[test]
     fn not_enough_chunks() {
         let rs = ReedSolomon::new(4, 10).unwrap();
         let block = sample_block(64);
-        let chunks = rs.encode_block(&block);
-        let subset: Vec<(usize, &[u8])> = (0..3).map(|i| (i, chunks[i].as_slice())).collect();
+        let coded = rs.encode_block_shared(&block);
+        let subset: Vec<(usize, &[u8])> = (0..3).map(|i| (i, coded.chunk_bytes(i))).collect();
         assert_eq!(
-            rs.reconstruct_block(&subset),
+            rs.reconstruct_block_shared(&subset),
             Err(RsError::NotEnoughChunks { have: 3, need: 4 })
         );
     }
@@ -860,38 +778,43 @@ mod tests {
     #[test]
     fn duplicate_chunks_rejected() {
         let rs = ReedSolomon::new(2, 6).unwrap();
-        let chunks = rs.encode_block(&sample_block(10));
-        let subset = vec![(1usize, chunks[1].as_slice()), (1, chunks[1].as_slice())];
-        assert_eq!(rs.reconstruct_block(&subset), Err(RsError::MalformedChunks));
+        let coded = rs.encode_block_shared(&sample_block(10));
+        let subset = vec![(1usize, coded.chunk_bytes(1)), (1, coded.chunk_bytes(1))];
+        assert_eq!(
+            rs.reconstruct_block_shared(&subset),
+            Err(RsError::MalformedChunks)
+        );
     }
 
     #[test]
     fn mismatched_lengths_rejected() {
         let rs = ReedSolomon::new(2, 6).unwrap();
-        let chunks = rs.encode_block(&sample_block(10));
-        let short = &chunks[2][..chunks[2].len() - 1];
-        let subset = vec![(1usize, chunks[1].as_slice()), (2, short)];
-        assert_eq!(rs.reconstruct_block(&subset), Err(RsError::MalformedChunks));
+        let coded = rs.encode_block_shared(&sample_block(10));
+        let short = &coded.chunk_bytes(2)[..coded.shard_len() - 1];
+        let subset = vec![(1usize, coded.chunk_bytes(1)), (2, short)];
+        assert_eq!(
+            rs.reconstruct_block_shared(&subset),
+            Err(RsError::MalformedChunks)
+        );
     }
 
     #[test]
     fn out_of_range_index_rejected() {
         let rs = ReedSolomon::new(2, 6).unwrap();
-        let chunks = rs.encode_block(&sample_block(10));
-        let subset = vec![(1usize, chunks[1].as_slice()), (6, chunks[2].as_slice())];
-        assert_eq!(rs.reconstruct_block(&subset), Err(RsError::MalformedChunks));
+        let coded = rs.encode_block_shared(&sample_block(10));
+        let subset = vec![(1usize, coded.chunk_bytes(1)), (6, coded.chunk_bytes(2))];
+        assert_eq!(
+            rs.reconstruct_block_shared(&subset),
+            Err(RsError::MalformedChunks)
+        );
     }
 
     #[test]
     fn zero_length_chunks_do_not_panic() {
-        // A hostile peer can send equal-length *empty* chunks; both decode
-        // entry points must fail or degrade gracefully, never panic.
+        // A hostile peer can send equal-length *empty* chunks; decode must
+        // fail gracefully, never panic.
         let rs = ReedSolomon::new(2, 6).unwrap();
         let subset: Vec<(usize, &[u8])> = vec![(0, &[][..]), (1, &[][..])];
-        assert_eq!(
-            rs.reconstruct_data(&subset).unwrap(),
-            vec![Vec::<u8>::new(); 2]
-        );
         assert_eq!(rs.reconstruct_block_shared(&subset), Err(RsError::BadFrame));
     }
 
@@ -907,7 +830,7 @@ mod tests {
             .enumerate()
             .map(|(i, c)| (i + 4, c.as_slice()))
             .collect();
-        let _ = rs.reconstruct_block(&subset);
+        let _ = rs.reconstruct_block_shared(&subset);
     }
 
     #[test]
@@ -940,42 +863,14 @@ mod tests {
     }
 
     #[test]
-    fn chunkset_dedup() {
-        let mut cs = ChunkSet::new(6);
-        assert!(cs.insert(3, vec![1, 2]));
-        assert!(!cs.insert(3, vec![9, 9]));
-        assert!(cs.insert(1, vec![4, 5]));
-        // Out-of-range indices are rejected outright.
-        assert!(!cs.insert(6, vec![0]));
-        assert!(!cs.insert(999, vec![0]));
-        assert_eq!(cs.len(), 2);
-        let refs = cs.as_refs();
-        assert_eq!(refs[0].0, 3);
-        assert_eq!(refs[1].0, 1);
-    }
-
-    #[test]
-    fn chunkset_bitmap_spans_words() {
-        // n > 64 exercises the multi-word bitmap.
-        let mut cs = ChunkSet::new(130);
-        for i in 0..130 {
-            assert!(cs.insert(i, vec![i as u8]), "first insert {i}");
-        }
-        for i in 0..130 {
-            assert!(!cs.insert(i, vec![0]), "duplicate insert {i}");
-        }
-        assert_eq!(cs.len(), 130);
-    }
-
-    #[test]
     fn large_cluster_roundtrip() {
         // N = 128, f = 42 → k = 44 (the paper's biggest evaluation size).
         let rs = ReedSolomon::for_cluster(128, 42).unwrap();
         let block = sample_block(10_000);
-        let chunks = rs.encode_block(&block);
+        let coded = rs.encode_block_shared(&block);
         // Take the *last* k chunks (all parity-heavy subset).
         let subset: Vec<(usize, &[u8])> =
-            (128 - 44..128).map(|i| (i, chunks[i].as_slice())).collect();
-        assert_eq!(rs.reconstruct_block(&subset).unwrap(), block);
+            (128 - 44..128).map(|i| (i, coded.chunk_bytes(i))).collect();
+        assert_eq!(rs.reconstruct_block_shared(&subset).unwrap(), block);
     }
 }

@@ -47,6 +47,12 @@ pub const CORPUS: &[Snippet] = &[
         expect: &[RULE_PANIC_PATH],
     },
     Snippet {
+        name: "bad-panic-path-decode-error-in-vid",
+        path: "crates/vid/src/selftest.rs",
+        text: "pub fn f(r: Result<u8, E>) -> u8 {\n    match r {\n        Ok(b) => b,\n        Err(e) => panic!(\"retriever invariant violated: {e}\"),\n    }\n}\n",
+        expect: &[RULE_PANIC_PATH],
+    },
+    Snippet {
         name: "bad-effect-ordering-send-first",
         path: "crates/core/src/selftest.rs",
         text: "fn emit(out: &mut dyn EffectSink) {\n    out.send(to, env);\n    out.persist(rec);\n}\n",

@@ -59,9 +59,10 @@ fn crate_of(path: &str) -> Option<&str> {
 /// that runs under the deterministic simulator or feeds the chaos
 /// engine's "every violation names a reproducing seed" guarantee.
 const DETERMINISTIC_CRATES: &[&str] = &["core", "sim", "ba", "vid"];
-/// Crates whose non-test code must not take a panic path: the engine and
-/// the two drivers that host it in production.
-const PANIC_FREE_CRATES: &[&str] = &["core", "store", "net"];
+/// Crates whose non-test code must not take a panic path: the engine, the
+/// two sub-protocols that parse hostile peers' messages under it, and the
+/// two drivers that host it in production.
+const PANIC_FREE_CRATES: &[&str] = &["core", "vid", "ba", "store", "net"];
 /// Crates where the write-ahead `persist`-before-`send` ordering applies.
 const EFFECT_ORDERED_CRATES: &[&str] = &["core", "sim", "net", "store"];
 
@@ -485,10 +486,13 @@ mod tests {
     #[test]
     fn panic_path_flags_unwrap_in_engine_crates() {
         let bad = "let v = m.get(&k).unwrap();\n";
-        assert_eq!(
-            rules_fired(&run("crates/store/src/x.rs", bad)),
-            vec![RULE_PANIC_PATH]
-        );
+        for krate in ["core", "vid", "ba", "store", "net"] {
+            assert_eq!(
+                rules_fired(&run(&format!("crates/{krate}/src/x.rs"), bad)),
+                vec![RULE_PANIC_PATH],
+                "{krate}"
+            );
+        }
         assert!(
             run("crates/sim/src/x.rs", bad).is_empty(),
             "sim is not panic-scoped"

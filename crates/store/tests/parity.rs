@@ -5,8 +5,8 @@
 use std::collections::VecDeque;
 
 use dl_core::{
-    CompactionPlan, EngineExt, Node, NodeConfig, NodeEffect, ProtocolVariant, RealBlockCoder,
-    StoreRecord,
+    CompactionPlan, Engine, EngineExt, Node, NodeConfig, NodeEffect, ProtocolVariant,
+    RealBlockCoder, StoreRecord,
 };
 use dl_store::{ChainStore, DamageKind, FileStore, MemoryStore};
 use dl_wire::{ClusterConfig, Envelope, NodeId, Tx, WireDecode, WireEncode};

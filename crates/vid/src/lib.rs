@@ -94,35 +94,18 @@ pub struct EncodedBlock {
 /// Blocks are [`bytes::Bytes`]: encode writes the whole codeword into one
 /// arena allocation and every chunk payload is a zero-copy window into it,
 /// so the `N`-recipient dispersal fan-out shares a single buffer. Decode
-/// likewise returns the payload as a window into the decoded frame.
-///
-/// Both directions run on a [`dl_pool::Pool`]: parity stripes and Merkle
-/// leaf hashing fan out across its workers (the default is the process
-/// pool, sized by `DL_POOL_THREADS`; `1` keeps every hot loop on the
-/// calling thread). Output is byte-identical for every pool size.
+/// likewise returns the payload as a window into the decoded frame. Both
+/// run on the calling thread.
 #[derive(Clone, Debug)]
 pub struct RealCoder {
     rs: ReedSolomon,
-    pool: std::sync::Arc<dl_pool::Pool>,
 }
 
 impl RealCoder {
-    /// Coder for a cluster of `n` nodes tolerating `f` faults, encoding on
-    /// the process-wide pool ([`dl_pool::Pool::global`]).
+    /// Coder for a cluster of `n` nodes tolerating `f` faults.
     pub fn new(n: usize, f: usize) -> RealCoder {
-        RealCoder::with_pool(n, f, std::sync::Arc::clone(dl_pool::Pool::global()))
-    }
-
-    /// Coder running its data-plane loops on an explicit pool (tests and
-    /// benchmarks pin pool sizes this way).
-    pub fn with_pool(n: usize, f: usize, pool: std::sync::Arc<dl_pool::Pool>) -> RealCoder {
         let rs = ReedSolomon::for_cluster(n, f).expect("valid cluster parameters");
-        RealCoder { rs, pool }
-    }
-
-    /// The pool this coder encodes on.
-    pub fn pool(&self) -> &std::sync::Arc<dl_pool::Pool> {
-        &self.pool
+        RealCoder { rs }
     }
 }
 
@@ -138,8 +121,8 @@ impl Coder for RealCoder {
     }
 
     fn encode(&self, block: &bytes::Bytes) -> EncodedBlock {
-        let coded = self.rs.encode_block_shared_pooled(block, &self.pool);
-        let tree = MerkleTree::build_pooled(&coded.chunk_refs(), &self.pool);
+        let coded = self.rs.encode_block_shared(block);
+        let tree = MerkleTree::build(&coded.chunk_refs());
         let root = tree.root();
         let chunks = (0..coded.chunk_count())
             .map(|i| (ChunkPayload::Real(coded.chunk(i)), tree.prove(i as u32)))
@@ -162,16 +145,20 @@ impl Coder for RealCoder {
                 ChunkPayload::Synthetic { .. } => None,
             })
             .collect();
-        let block = match self.rs.reconstruct_block_shared_pooled(&refs, &self.pool) {
+        let block = match self.rs.reconstruct_block_shared(&refs) {
             Ok(b) => b,
-            // An inconsistent frame can only come from a bad disperser: the
-            // chunks were proof-checked against the root already.
-            Err(RsError::BadFrame) => return Retrieved::BadUploader,
+            // Chunks of unequal lengths, or a frame whose length field
+            // lies, can only come from a bad disperser: each chunk was
+            // proof-checked against the root already. A retriever that
+            // draws `k` equal-length chunks of such a dispersal fails the
+            // re-encode check below, so the value is the same everywhere.
+            Err(RsError::BadFrame | RsError::MalformedChunks) => return Retrieved::BadUploader,
+            // dl-lint: allow(panic-path): the caller decodes only once it holds data_chunks() chunks
             Err(e) => panic!("retriever invariant violated: {e}"),
         };
         // The AVID-M check (Fig. 4, step 2-4): re-encode and compare roots.
-        let reencoded = self.rs.encode_block_shared_pooled(&block, &self.pool);
-        let recomputed = MerkleTree::build_pooled(&reencoded.chunk_refs(), &self.pool).root();
+        let reencoded = self.rs.encode_block_shared(&block);
+        let recomputed = MerkleTree::build(&reencoded.chunk_refs()).root();
         if recomputed == *root {
             Retrieved::Block(block)
         } else {
@@ -414,12 +401,17 @@ impl<C: Coder> VidServer<C> {
     }
 }
 
-fn entry(list: &mut Vec<(Hash, NodeSet)>, root: Hash) -> &mut NodeSet {
-    if let Some(pos) = list.iter().position(|(r, _)| *r == root) {
-        return &mut list[pos].1;
-    }
-    list.push((root, NodeSet::new()));
-    &mut list.last_mut().unwrap().1
+/// The value filed under `root` in a per-root list, created empty on first
+/// use (a correct run has one root per instance, so a scan beats a map).
+fn entry<T: Default>(list: &mut Vec<(Hash, T)>, root: Hash) -> &mut T {
+    let pos = match list.iter().position(|(r, _)| *r == root) {
+        Some(pos) => pos,
+        None => {
+            list.push((root, T::default()));
+            list.len() - 1
+        }
+    };
+    &mut list[pos].1
 }
 
 /// Client-side automaton for `Retrieve` (Fig. 4).
@@ -448,6 +440,11 @@ pub struct Retriever<C: Coder> {
 
 impl<C: Coder> Retriever<C> {
     /// Create and start a retrieval that asks all `n` servers.
+    /// **Benchmark-only**: `dl-e2e/src/layers.rs` times a retrieval through
+    /// it; the engine starts every retrieval with
+    /// [`Retriever::start_targeted`] and reaches ask-everyone by
+    /// [`Retriever::escalate`]. Goes when the benchmark is next thawed
+    /// (ROADMAP direction 3(d)), and `early_cancel` with it.
     pub fn start(n: usize, early_cancel: bool) -> (Retriever<C>, Vec<VidEffect<C::Block>>) {
         let mut r = Retriever::idle(n, early_cancel);
         let effects = r.escalate();
@@ -550,7 +547,7 @@ impl<C: Coder> Retriever<C> {
         if proof.index != from.0 as u32 || !coder.verify(&root, &proof, &payload) {
             return self.escalate();
         }
-        let chunks = entry_chunks(&mut self.by_root, root);
+        let chunks = entry(&mut self.by_root, root);
         if chunks.iter().any(|(i, _)| *i == proof.index) {
             return out; // duplicate
         }
@@ -567,17 +564,6 @@ impl<C: Coder> Retriever<C> {
         }
         out
     }
-}
-
-fn entry_chunks(
-    list: &mut Vec<(Hash, Vec<(u32, ChunkPayload)>)>,
-    root: Hash,
-) -> &mut Vec<(u32, ChunkPayload)> {
-    if let Some(pos) = list.iter().position(|(r, _)| *r == root) {
-        return &mut list[pos].1;
-    }
-    list.push((root, Vec::new()));
-    &mut list.last_mut().unwrap().1
 }
 
 #[cfg(test)]

@@ -75,22 +75,24 @@ impl Net {
     /// really commits the garbage), but the chunks are not an RS codeword.
     fn disperse_inconsistent(&mut self, from: NodeId, seed: u64) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let k = self.coder.data_chunks();
-        let len = 64usize;
         let garbage: Vec<Vec<u8>> = (0..self.n)
-            .map(|_| (0..len).map(|_| rng.gen()).collect())
+            .map(|_| (0..64).map(|_| rng.gen()).collect())
             .collect();
-        let _ = k;
-        let tree = dl_crypto::MerkleTree::build(&garbage);
-        let root = tree.root();
-        for (i, chunk) in garbage.iter().enumerate() {
+        self.disperse_chunks(from, &garbage);
+    }
+
+    /// A Byzantine disperser that commits to arbitrary chunks, one per
+    /// server, under one honest Merkle root.
+    fn disperse_chunks(&mut self, from: NodeId, chunks: &[Vec<u8>]) {
+        let enc = commit(chunks);
+        for (i, (payload, proof)) in enc.chunks.into_iter().enumerate() {
             self.pool.push((
                 from,
                 NodeId(i as u16),
                 VidMsg::Chunk {
-                    root,
-                    proof: tree.prove(i as u32),
-                    payload: dl_wire::ChunkPayload::Real(bytes::Bytes::from(chunk.clone())),
+                    root: enc.root,
+                    proof,
+                    payload,
                 },
             ));
         }
@@ -202,6 +204,41 @@ fn block(len: usize) -> bytes::Bytes {
     (0..len).map(|i| (i * 37 + 11) as u8).collect()
 }
 
+/// Arbitrary chunks under the honest Merkle root over them: every proof
+/// verifies, whatever the chunks are.
+fn commit(chunks: &[Vec<u8>]) -> EncodedBlock {
+    let tree = dl_crypto::MerkleTree::build(chunks);
+    let chunks = chunks
+        .iter()
+        .enumerate()
+        .map(|(i, c)| {
+            let payload = dl_wire::ChunkPayload::Real(bytes::Bytes::from(c.clone()));
+            (payload, tree.prove(i as u32))
+        })
+        .collect();
+    EncodedBlock {
+        root: tree.root(),
+        chunks,
+    }
+}
+
+/// The honest chunks of a block, except that chunk 1 is two bytes longer
+/// than the rest: the chunks of *unequal lengths* a Byzantine disperser
+/// can commit to. Every `k`-subset without chunk 1 still decodes.
+fn unequal_chunks(coder: &RealCoder, len: usize) -> Vec<Vec<u8>> {
+    let mut chunks: Vec<Vec<u8>> = coder
+        .encode(&block(len))
+        .chunks
+        .iter()
+        .map(|(payload, _)| match payload {
+            dl_wire::ChunkPayload::Real(b) => b.to_vec(),
+            dl_wire::ChunkPayload::Synthetic { .. } => panic!("real coder sends real payloads"),
+        })
+        .collect();
+    chunks[1].extend_from_slice(&[0xAB, 0xCD]);
+    chunks
+}
+
 #[test]
 fn termination_all_correct() {
     for seed in 0..20 {
@@ -301,6 +338,66 @@ fn inconsistent_encoding_yields_bad_uploader_for_every_client() {
         net.run();
         assert_eq!(net.results[0], Some(Retrieved::BadUploader), "seed {seed}");
         assert_eq!(net.results[1], Some(Retrieved::BadUploader), "seed {seed}");
+    }
+}
+
+#[test]
+fn unequal_length_chunks_decode_to_bad_uploader_for_every_subset() {
+    // Correctness when the chunks under one root differ in length: whichever
+    // `k` chunks a retriever draws, in whatever order, it must decode to the
+    // same canonical value, never panic. A subset that spans the odd chunk
+    // cannot be decoded at all; an equal-length one decodes, and its
+    // re-encoding misses the committed root.
+    for (n, f) in [(4, 1), (7, 2)] {
+        let coder = RealCoder::new(n, f);
+        let k = coder.data_chunks();
+        let enc = commit(&unequal_chunks(&coder, 16));
+        let lens: Vec<usize> = enc.chunks.iter().map(|(p, _)| p.chunk_len()).collect();
+        assert!(lens[1] == lens[0] + 2 && lens[2..].iter().all(|&l| l == lens[0]));
+        // Every ordered k-subset: the k base-n digits of `code`, distinct.
+        let mut drawn = 0;
+        for code in 0..n.pow(k as u32) {
+            let subset: Vec<usize> = (0..k).map(|d| code / n.pow(d as u32) % n).collect();
+            if (1..k).any(|a| subset[..a].contains(&subset[a])) {
+                continue;
+            }
+            let chunks: Vec<(u32, dl_wire::ChunkPayload)> = subset
+                .iter()
+                .map(|&i| (i as u32, enc.chunks[i].0.clone()))
+                .collect();
+            assert_eq!(
+                coder.decode(&enc.root, &chunks),
+                Retrieved::BadUploader,
+                "n={n} subset {subset:?}"
+            );
+            drawn += 1;
+        }
+        assert_eq!(drawn, (n - k + 1..=n).product::<usize>(), "n={n}");
+    }
+}
+
+#[test]
+fn unequal_length_chunks_yield_bad_uploader_for_every_client() {
+    // The same dispersal through the full protocol: it completes (every
+    // chunk proves membership), and every client, whichever chunks reach it
+    // first, retrieves BadUploader.
+    for seed in 0..10 {
+        let mut net = Net::new(4, 1, seed);
+        let chunks = unequal_chunks(&net.coder, 16);
+        net.disperse_chunks(NodeId(0), &chunks);
+        net.run();
+        assert!(net.completes.iter().all(|c| c.is_some()), "seed {seed}");
+        for c in 0..3 {
+            net.start_retrieval(net.client_id(c));
+        }
+        net.run();
+        for (c, result) in net.results.iter().enumerate() {
+            assert_eq!(
+                *result,
+                Some(Retrieved::BadUploader),
+                "seed {seed} client {c}"
+            );
+        }
     }
 }
 
@@ -528,6 +625,12 @@ fn retriever_groups_by_root() {
 
 #[test]
 fn dispersal_fan_out_shares_one_chunk_arena() {
+    // A few stripes, and a codeword far past every cache.
+    fan_out_shares_one_chunk_arena(5000);
+    fan_out_shares_one_chunk_arena(600_000);
+}
+
+fn fan_out_shares_one_chunk_arena(len: usize) {
     // The data-plane fast path: the disperser's N chunk messages are
     // zero-copy windows into ONE codeword allocation — the fan-out costs
     // refcount bumps, not per-recipient buffer copies — and each server
@@ -535,13 +638,13 @@ fn dispersal_fan_out_shares_one_chunk_arena() {
     let n = 7;
     let f = 2;
     let coder = RealCoder::new(n, f);
-    let b = block(5000);
+    let b = block(len);
     let effects = Disperser::disperse(&coder, &b);
     assert_eq!(effects.len(), n);
 
     let expected = dl_erasure::ReedSolomon::for_cluster(n, f)
         .unwrap()
-        .encode_block(&b);
+        .encode_block_shared(&b);
     let mut base_ptr: Option<*const u8> = None;
     let mut shard_len = 0usize;
     for (i, eff) in effects.iter().enumerate() {
@@ -553,7 +656,7 @@ fn dispersal_fan_out_shares_one_chunk_arena() {
             panic!("real coder sends real payloads");
         };
         // Identical bytes to what each peer must receive…
-        assert_eq!(*bytes, expected[i], "chunk {i} content");
+        assert_eq!(*bytes, *expected.chunk_bytes(i), "chunk {i} content");
         // …and every payload aliases the same contiguous arena.
         let base = *base_ptr.get_or_insert_with(|| {
             shard_len = bytes.len();
@@ -572,58 +675,6 @@ fn dispersal_fan_out_shares_one_chunk_arena() {
         let cloned = bytes.clone();
         assert_eq!(cloned.as_ref().as_ptr(), bytes.as_ref().as_ptr());
     }
-}
-
-#[test]
-fn pooled_dispersal_fan_out_preserves_the_zero_copy_invariant() {
-    // The tentpole must not regress PR 3/4's guarantee: with the encode
-    // and Merkle work fanned across a multi-thread pool, the N chunk
-    // payloads are still zero-copy windows into ONE codeword arena, and
-    // the bytes are identical to the serial coder's.
-    let n = 7;
-    let f = 2;
-    let pooled = RealCoder::with_pool(n, f, std::sync::Arc::new(dl_pool::Pool::new(4)));
-    let serial = RealCoder::with_pool(n, f, std::sync::Arc::new(dl_pool::Pool::serial()));
-    // Big enough that the parallel thresholds actually engage.
-    let b = block(600_000);
-    let enc_pooled = pooled.encode(&b);
-    let enc_serial = serial.encode(&b);
-    assert_eq!(enc_pooled.root, enc_serial.root, "pooled root diverged");
-
-    let mut base_ptr: Option<*const u8> = None;
-    let mut shard_len = 0usize;
-    for (i, ((payload, proof), (payload_s, proof_s))) in
-        enc_pooled.chunks.iter().zip(&enc_serial.chunks).enumerate()
-    {
-        assert_eq!(proof, proof_s, "proof {i} diverged");
-        let (dl_wire::ChunkPayload::Real(bytes), dl_wire::ChunkPayload::Real(bytes_s)) =
-            (payload, payload_s)
-        else {
-            panic!("real coder sends real payloads");
-        };
-        assert_eq!(bytes.as_ref(), bytes_s.as_ref(), "chunk {i} bytes diverged");
-        let base = *base_ptr.get_or_insert_with(|| {
-            shard_len = bytes.len();
-            bytes.as_ref().as_ptr()
-        });
-        // Pointer identity: chunk i is a window into the shared arena.
-        assert_eq!(
-            bytes.as_ref().as_ptr(),
-            // SAFETY: same as the serial variant above — in-bounds pointer
-            // arithmetic, compared but never dereferenced.
-            unsafe { base.add(i * shard_len) },
-            "pooled chunk {i} is not a view into the shared arena"
-        );
-    }
-
-    // And decode through the pooled coder returns the block.
-    let subset: Vec<(u32, dl_wire::ChunkPayload)> = (f as u32..(n as u32 - f as u32))
-        .map(|i| (i, enc_pooled.chunks[i as usize].0.clone()))
-        .collect();
-    assert_eq!(
-        pooled.decode(&enc_pooled.root, &subset),
-        Retrieved::Block(b)
-    );
 }
 
 #[test]
@@ -679,6 +730,23 @@ fn targeted_start_asks_exactly_the_targets() {
     // Duplicates and out-of-range ids are not asked (twice).
     let (_, effects) = Retriever::<RealCoder>::start_targeted(4, [NodeId(2), NodeId(2), NodeId(9)]);
     assert_eq!(requests(&effects), vec![2]);
+}
+
+#[test]
+fn a_chunk_returned_twice_counts_once() {
+    // k = 2: a server that repeats its chunk must not fill the quorum by
+    // itself — two copies of one index decode nothing.
+    let coder = RealCoder::new(4, 1);
+    let b = block(128);
+    let enc = coder.encode(&b);
+    let (mut retr, _) = Retriever::<RealCoder>::start_targeted(4, [NodeId(1), NodeId(2)]);
+    for _ in 0..2 {
+        let effs = retr.handle(&coder, NodeId(1), return_chunk(&enc, 1));
+        assert!(effs.is_empty(), "{effs:?}");
+    }
+    assert!(retr.result().is_none());
+    let effs = retr.handle(&coder, NodeId(2), return_chunk(&enc, 2));
+    assert_eq!(effs, [VidEffect::Retrieved(Retrieved::Block(b))]);
 }
 
 #[test]
