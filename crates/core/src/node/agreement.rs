@@ -102,6 +102,9 @@ impl<C: BlockCoder> Node<C> {
         }
         st.retrieved[index] = Some(block);
         self.pipeline_dirty = true;
+        // Retrieve-then-vote: a block in hand is what draws an idle node
+        // into the epoch (module docs, "Liveness and quiescence").
+        st.activity |= self.cfg.flags.vote_requires_retrieval;
         if self.cfg.flags.vote_requires_retrieval && st.completed[index] {
             work.push_back(Work::BaInput {
                 epoch,

@@ -51,8 +51,9 @@ pub(crate) struct EpochState<C: Coder> {
     pub(crate) retrieval_started_ms: Vec<u64>,
     /// `Some(None)` = retrieval finished but the proposer was Byzantine.
     pub(crate) retrieved: Vec<Option<Option<Block>>>,
-    /// Whether any peer traffic for this epoch has been observed (the
-    /// "pressure" input to the proposal rule).
+    /// Whether peer traffic for this epoch calls for a block of ours (the
+    /// "pressure" input to the proposal rule): any message from a peer, or
+    /// under retrieve-then-vote a block retrieved.
     pub(crate) activity: bool,
 }
 

@@ -71,6 +71,16 @@
 //! block) whenever the epoch is moving — required for the `N − f` BA
 //! quorum — while letting a fully idle cluster go quiescent, which the
 //! discrete-event driver (`dl-sim`) relies on to detect completion.
+//!
+//! Under retrieve-then-vote (HoneyBadger, HB-Link) the peer traffic that
+//! counts is a peer's epoch-`e` block *in hand*: an idle node joins the
+//! epoch when it has something to vote 1 for. Joining on the first message
+//! lets `N − f` empty blocks complete, download and commit while a loaded
+//! peer's block is still being fetched; ACS then votes that block out,
+//! plain HoneyBadger re-queues and re-proposes it, and the same race runs
+//! again — for ever, once votes stopped waiting behind the very chunks
+//! being fetched (`transport.rs`). A loaded node never waits: its own
+//! queue is its trigger.
 
 mod agreement;
 mod delivery;
@@ -201,6 +211,12 @@ pub struct NodeStats {
     /// Retrievals that fell back to asking every peer (at most once each).
     pub retrievals_escalated: u64,
     pub msgs_sent: u64,
+    /// `wire_size` of every envelope handed to the driver, counted as it is
+    /// handed over — *before* a later `Cancel` purges a queued `ReturnChunk`
+    /// (on `vbw-sat-dl` 2.44 of 24.98 GB per sub-run, 9.8 %, is purged and
+    /// never transmitted) and without the header of each extra segment a
+    /// chunk is cut into. `dl-e2e` reads it as the wire; leave it alone
+    /// until the benchmark is thawed.
     pub bytes_sent: u64,
 }
 
@@ -436,7 +452,9 @@ impl<C: BlockCoder> Node<C> {
             return;
         }
         self.ensure_epoch(e);
-        if from != self.me {
+        // Retrieve-then-vote variants take their pressure from a block in
+        // hand instead (`on_retrieved`).
+        if from != self.me && !self.cfg.flags.vote_requires_retrieval {
             self.epochs.get_mut(e).expect("just ensured").activity = true;
         }
         let index = env.index.idx();

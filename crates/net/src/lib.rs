@@ -23,12 +23,15 @@
 //!   into per-peer outboxes. Wake hints and a coarse tick drive `poll`.
 //! * **writer threads** (one per peer) — connect (with retry), then drain
 //!   the peer's [`SendQueue`] outbox in the §5 priority order: everything
-//!   before `ReturnChunk` bulk, `ReturnChunk`s in epoch order. This is the
-//!   same queue type the simulator's links drain.
+//!   before `ReturnChunk` bulk, `ReturnChunk`s in epoch order and one
+//!   16 KiB write quantum per turn, so a vote queued behind a chunk waits
+//!   for one write of it. This is the same queue, and the same segment
+//!   cursor, the simulator's links drain. A connection that dies takes the
+//!   rest of a partly-written chunk with it.
 //! * **reader threads** (one per accepted connection) — reassemble frames
-//!   with [`FrameDecoder`] across arbitrary TCP read boundaries and feed
-//!   envelopes to the engine thread. Any frame error drops the connection
-//!   (framing is unrecoverable once desynchronized).
+//!   and segments with [`FrameDecoder`] across arbitrary TCP read
+//!   boundaries and feed envelopes to the engine thread. Any frame error
+//!   drops the connection (framing is unrecoverable once desynchronized).
 //!
 //! ## Backpressure
 //!

@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 
 use dl_core::{DeliveredBlock, EffectSink, Engine, NodeStats, StoreRecord, Transport};
 use dl_store::{ChainStore, FileStore, FsyncPolicy};
-use dl_wire::frame::{encode_frame, FrameDecoder, SegmentBuf};
+use dl_wire::frame::{FrameDecoder, SegmentBuf};
 use dl_wire::{Envelope, Epoch, NodeId, Tx, WireDecode, WireEncode};
 
 use crate::config::NetConfig;
@@ -490,7 +490,9 @@ fn sleep_unless_stopped(dur: Duration, stop: &AtomicBool) -> bool {
 }
 
 /// Connect to `addr` (retrying while the peer boots), send our hello, then
-/// drain the outbox in §5 priority order with vectored, zero-copy writes.
+/// drain the outbox in §5 priority order with vectored, zero-copy writes —
+/// one frame per turn, `ReturnChunk` bulk a write quantum at a time, so a
+/// vote queued behind a chunk waits for one write of it, not all of it.
 ///
 /// A dropped connection does **not** retire the peer: the writer dials
 /// again with capped exponential backoff, forever, until node shutdown.
@@ -546,8 +548,7 @@ fn writer_loop(addr: SocketAddr, outbox: Arc<Outbox>, shared: Arc<Shared>, cfg: 
             // connect) means a long-idle connection cannot re-earn
             // backpressure off a single buffered write.
             let mut first_write_ok: Option<Instant> = None;
-            while let Some(env) = outbox.pop_blocking(&shared.stop) {
-                let frame = encode_frame(&env);
+            while let Some(frame) = outbox.next_frame(&shared.stop) {
                 write_segments(&mut stream, &frame)?;
                 // The peer demonstrably drains: reset the dial backoff.
                 backoff = Duration::from_millis(50);
@@ -570,6 +571,7 @@ fn writer_loop(addr: SocketAddr, outbox: Arc<Outbox>, shared: Arc<Shared>, cfg: 
         // within the protocol's loss tolerance; queued envelopes survive
         // and go out on the next connection). Probation until the
         // replacement proves itself; then dial again with backoff.
+        outbox.abandon_partly_sent();
         outbox.set_no_block(true);
         if !sleep_unless_stopped(backoff, &shared.stop) {
             outbox.mark_dead();
@@ -582,6 +584,7 @@ fn writer_loop(addr: SocketAddr, outbox: Arc<Outbox>, shared: Arc<Shared>, cfg: 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dl_wire::VidMsg;
 
     #[test]
     fn write_segments_handles_partial_vectored_writes() {
@@ -606,6 +609,119 @@ mod tests {
         let mut sink = Dribble(Vec::new());
         write_segments(&mut sink, &buf).unwrap();
         assert_eq!(sink.0, buf.to_vec());
+    }
+
+    /// A real dispersal's chunk (k = 2: half of a 2 MB block), served back
+    /// as a retrieval response.
+    fn megabyte_return_chunk() -> Envelope {
+        let block = bytes::Bytes::from((0..2 << 20).map(|i| i as u8).collect::<Vec<u8>>());
+        dl_vid::Disperser::disperse(&dl_vid::RealCoder::new(4, 1), &block)
+            .into_iter()
+            .find_map(|effect| match effect {
+                dl_vid::VidEffect::Send(
+                    _,
+                    VidMsg::Chunk {
+                        root,
+                        proof,
+                        payload,
+                    },
+                ) => Some(VidMsg::ReturnChunk {
+                    root,
+                    proof,
+                    payload,
+                }),
+                _ => None,
+            })
+            .map(|msg| Envelope::vid(Epoch(3), NodeId(1), msg))
+            .expect("a dispersal sends chunks")
+    }
+
+    #[test]
+    fn a_partly_written_chunk_is_dropped_with_its_connection_or_its_peer() {
+        let clears: [fn(&Outbox); 3] = [
+            Outbox::abandon_partly_sent,
+            |outbox| {
+                outbox.set_lossy(true);
+                outbox.set_lossy(false);
+            },
+            Outbox::mark_dead,
+        ];
+        for (i, clear) in clears.into_iter().enumerate() {
+            let stop = AtomicBool::new(false);
+            let outbox = Outbox::new(usize::MAX);
+            outbox.push(megabyte_return_chunk(), &stop);
+            outbox.next_frame(&stop).expect("the chunk's first segment");
+            clear(&outbox);
+            // Whoever reads the next connection has no reassembly open:
+            // the rest of the chunk must not reach it. A dead peer's
+            // outbox takes nothing at all.
+            let vote = Envelope::vid(Epoch(4), NodeId(0), VidMsg::RequestChunk);
+            outbox.push(vote.clone(), &stop);
+            stop.store(true, Ordering::Relaxed);
+            if i < 2 {
+                let mut decoder = FrameDecoder::new();
+                decoder.extend(&outbox.next_frame(&stop).expect("the vote").to_vec());
+                assert_eq!(decoder.next_frame().expect("valid"), Some(vote));
+            }
+            assert!(outbox.next_frame(&stop).is_none(), "clear {i} left bulk");
+        }
+    }
+
+    #[test]
+    fn a_vote_queued_behind_a_megabyte_chunk_is_on_the_wire_within_one_write_quantum() {
+        use crate::outbox::WRITE_QUANTUM;
+
+        /// The socket: takes at most 1000 bytes per call and keeps them.
+        struct Dribble(Vec<u8>);
+        impl Write for Dribble {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                let k = buf.len().min(1000);
+                self.0.extend_from_slice(&buf[..k]);
+                Ok(k)
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+
+        let stop = AtomicBool::new(false);
+        let outbox = Outbox::new(usize::MAX);
+        let mut wire = Dribble(Vec::new());
+        let turn = |wire: &mut Dribble| {
+            let frame = outbox.next_frame(&stop).expect("queued");
+            write_segments(wire, &frame).expect("write to memory");
+        };
+        let chunk = megabyte_return_chunk();
+        let vote = Envelope::vid(Epoch(4), NodeId(0), VidMsg::RequestChunk);
+        // The chunk is being written when the vote is queued.
+        outbox.push(chunk.clone(), &stop);
+        turn(&mut wire);
+        outbox.push(vote.clone(), &stop);
+        turn(&mut wire);
+        assert!(
+            wire.0.len() <= WRITE_QUANTUM + vote.wire_size(),
+            "{} bytes written before the vote was out",
+            wire.0.len()
+        );
+        // The receiver has the vote now, and the chunk — intact — once its
+        // ⌈1 MB / quantum⌉ segments are out.
+        let mut decoder = FrameDecoder::new();
+        decoder.extend(&wire.0);
+        assert_eq!(decoder.next_frame().expect("valid"), Some(vote));
+        assert_eq!(decoder.next_frame().expect("valid"), None);
+        let mut segments = 1;
+        loop {
+            wire.0.clear();
+            turn(&mut wire);
+            segments += 1;
+            decoder.extend(&wire.0);
+            if let Some(env) = decoder.next_frame().expect("valid") {
+                assert_eq!(env, chunk);
+                break;
+            }
+        }
+        let room = WRITE_QUANTUM - dl_wire::FRAME_HEADER_LEN;
+        assert_eq!(segments, chunk.encoded_len().div_ceil(room));
     }
 
     #[test]

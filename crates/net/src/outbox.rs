@@ -8,9 +8,16 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use dl_core::{SendQueue, Transport};
+use dl_wire::frame::{encode_segment, SegmentBuf};
 use dl_wire::{Envelope, Epoch, NodeId};
 
 use crate::node::Shared;
+
+/// Bytes of `ReturnChunk` bulk a writer puts on its socket before it looks
+/// at the high class again: small enough that a vote waits for one write,
+/// not for a megabyte chunk; large enough that the 5-byte header of each
+/// extra segment is noise (0.03 %).
+pub(crate) const WRITE_QUANTUM: usize = 16 << 10;
 
 /// A bounded, §5-prioritized outbox feeding one peer's writer thread.
 pub(crate) struct Outbox {
@@ -59,11 +66,11 @@ impl Outbox {
     }
 
     /// Mark the peer unreachable-for-good: release any backpressured
-    /// producer and discard what is queued (TCP teardown loses it anyway).
+    /// producer and discard what is queued, the rest of a partly-written
+    /// chunk included (TCP teardown loses it anyway).
     pub(crate) fn mark_dead(&self) {
         self.dead.store(true, Ordering::Relaxed);
-        let mut q = self.queue.lock().expect("outbox lock");
-        while q.pop().is_some() {}
+        *self.queue.lock().expect("outbox lock") = SendQueue::new();
         self.cv.notify_all();
     }
 
@@ -73,8 +80,7 @@ impl Outbox {
     pub(crate) fn set_lossy(&self, lossy: bool) {
         self.lossy.store(lossy, Ordering::Relaxed);
         if lossy {
-            let mut q = self.queue.lock().expect("outbox lock");
-            while q.pop().is_some() {}
+            *self.queue.lock().expect("outbox lock") = SendQueue::new();
             self.cv.notify_all();
         }
     }
@@ -120,15 +126,31 @@ impl Outbox {
         }
     }
 
-    /// Next envelope in priority order; blocks until one is available or
-    /// the node stops.
-    pub(crate) fn pop_blocking(&self, stop: &AtomicBool) -> Option<Envelope> {
+    /// The connection died: what it carried of a partly-written chunk died
+    /// with the receiver's reassembly, so the rest must not follow on the
+    /// next connection (whose reader would see a continuation with no
+    /// start). Lost like any envelope caught mid-write — with any second
+    /// answer to the same retrieval queued behind it, which is all
+    /// `purge_returns` can name.
+    pub(crate) fn abandon_partly_sent(&self) {
+        let mut q = self.queue.lock().expect("outbox lock");
+        if let Some((epoch, index)) = q.partly_sent().map(|env| (env.epoch, env.index)) {
+            q.purge_returns(epoch, index);
+        }
+    }
+
+    /// The next frame to write, in priority order: a whole high-class
+    /// envelope, or at most [`WRITE_QUANTUM`] of the `ReturnChunk` being
+    /// sent. Blocks until there is one or the node stops.
+    pub(crate) fn next_frame(&self, stop: &AtomicBool) -> Option<SegmentBuf> {
         let mut q = self.queue.lock().expect("outbox lock");
         loop {
-            if let Some(env) = q.pop() {
+            if let Some(seg) = q.pop_segment(WRITE_QUANTUM) {
                 // Space freed: release any backpressured producer.
                 self.cv.notify_all();
-                return Some(env);
+                let env = seg.env.as_ref().or(q.partly_sent());
+                let env = env.expect("a segment's envelope is handed over or still open");
+                return Some(encode_segment(env, seg.offset, seg.len));
             }
             if stop.load(Ordering::Relaxed) {
                 return None;
@@ -265,7 +287,7 @@ mod tests {
         });
         std::thread::sleep(Duration::from_millis(150));
         // Drain one: the producer must unblock.
-        assert!(outbox.pop_blocking(&stop).is_some());
+        assert!(outbox.next_frame(&stop).is_some());
         let waited = blocked.join().unwrap();
         assert!(
             waited >= Duration::from_millis(100),

@@ -12,7 +12,7 @@
 //! sees a bad hello or a poisoned [`dl_wire::frame::FrameDecoder`] drops
 //! that connection and nothing else — honest traffic keeps flowing.
 
-use std::io::{self, Write};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
@@ -86,4 +86,47 @@ pub fn send_envelopes(addr: SocketAddr, hello_as: u16, envs: &[Envelope]) -> io:
         stream.write_all(&bytes)?;
     }
     stream.flush()
+}
+
+/// A frame header as the wire has it — `[len][tag]` — whatever it claims:
+/// the raw material of framing attacks.
+pub fn raw_header(tag: u8, len: u32) -> Vec<u8> {
+    let mut header = len.to_le_bytes().to_vec();
+    header.push(tag);
+    header
+}
+
+/// A header that tells the truth about the `body` that follows it.
+pub fn raw_frame(tag: u8, body: &[u8]) -> Vec<u8> {
+    [&raw_header(tag, body.len() as u32), body].concat()
+}
+
+/// Dial `addr` as node `hello_as`, write `bytes` as they are, and report
+/// whether the listener then hung up (EOF or reset within `wait`) — what
+/// it must do the moment framing is violated, and must not do to a stream
+/// that is merely unusual.
+pub fn dropped_after(
+    addr: SocketAddr,
+    hello_as: u16,
+    bytes: &[u8],
+    wait: Duration,
+) -> io::Result<bool> {
+    let mut stream = TcpStream::connect(addr)?;
+    stream.write_all(&hello_as.to_le_bytes())?;
+    stream.write_all(bytes)?;
+    stream.flush()?;
+    stream.set_read_timeout(Some(wait))?;
+    match stream.read(&mut [0u8; 1]) {
+        // Listeners never write on an inbound connection.
+        Ok(k) => Ok(k == 0),
+        Err(e)
+            if matches!(
+                e.kind(),
+                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+            ) =>
+        {
+            Ok(false)
+        }
+        Err(_) => Ok(true),
+    }
 }

@@ -9,8 +9,10 @@ use std::time::Duration;
 use dl_core::ProtocolVariant;
 use dl_net::{ClusterSpec, LocalCluster};
 use dl_vid::{RealCoder, VidEffect};
-use dl_wire::frame::encode_frame;
-use dl_wire::{ChunkPayload, Envelope, Epoch, NodeId, SyncMsg, Tx, VidMsg};
+use dl_wire::frame::{encode_frame, encode_segment};
+use dl_wire::{
+    ChunkPayload, Envelope, Epoch, NodeId, SyncMsg, Tx, VidMsg, WireEncode, MAX_FRAME_BODY,
+};
 
 mod hostile;
 
@@ -126,6 +128,78 @@ fn cluster_survives_a_garbage_speaking_peer() {
         orders.windows(2).all(|w| w[0] == w[1]),
         "orders diverged after garbage peer"
     );
+    cluster.shutdown();
+}
+
+#[test]
+fn a_peer_that_breaks_segment_framing_is_hung_up_on() {
+    // Three streams no honest writer produces, each a hello and a few
+    // dozen bytes: the reader must drop the connection on the header that
+    // breaks the rule, not wait for bytes that will never come.
+    let cluster = spawn(&ClusterSpec::new(4, ProtocolVariant::Dl));
+    let vote = Envelope::vid(Epoch(1), NodeId(0), VidMsg::RequestChunk).to_bytes();
+    let (start, more, end) = (2, 3, 4);
+    let attacks = [
+        (
+            "continuation without a start",
+            hostile::raw_frame(more, &vote[..4]),
+        ),
+        (
+            // Each length is admissible, their sum is not.
+            "reassembly past MAX_FRAME_BODY",
+            [
+                hostile::raw_frame(start, &vote[..4]),
+                hostile::raw_header(more, MAX_FRAME_BODY as u32 - 2),
+            ]
+            .concat(),
+        ),
+        (
+            // A vote cut in two: a valid envelope of the wrong class.
+            "class byte disagrees",
+            [
+                hostile::raw_frame(start, &vote[..4]),
+                hostile::raw_frame(end, &vote[4..]),
+            ]
+            .concat(),
+        ),
+    ];
+    for (what, bytes) in &attacks {
+        let dropped = hostile::dropped_after(cluster.addr(0), 2, bytes, Duration::from_secs(10));
+        assert!(dropped.expect("attack io"), "{what}: connection kept");
+    }
+    // The control: a retrieval response nobody asked for, honestly cut in
+    // three with a vote in between, is merely unusual — the engine ignores
+    // it and the connection stays.
+    let block = bytes::Bytes::from(vec![7u8; 1000]);
+    let chunk = dl_vid::Disperser::disperse(&RealCoder::new(4, 1), &block)
+        .into_iter()
+        .find_map(|effect| match effect {
+            VidEffect::Send(
+                _,
+                VidMsg::Chunk {
+                    root,
+                    proof,
+                    payload,
+                },
+            ) => Some(VidMsg::ReturnChunk {
+                root,
+                proof,
+                payload,
+            }),
+            _ => None,
+        })
+        .map(|msg| Envelope::vid(Epoch(1), NodeId(0), msg))
+        .expect("a dispersal sends chunks");
+    let body = chunk.encoded_len();
+    let honest = [
+        encode_segment(&chunk, 0, 100).to_vec(),
+        hostile::raw_frame(0, &vote),
+        encode_segment(&chunk, 100, 300).to_vec(),
+        encode_segment(&chunk, 400, body - 400).to_vec(),
+    ]
+    .concat();
+    let dropped = hostile::dropped_after(cluster.addr(0), 2, &honest, Duration::from_millis(500));
+    assert!(!dropped.expect("io"), "honest segments: connection dropped");
     cluster.shutdown();
 }
 

@@ -8,14 +8,38 @@
 //!
 //! ## Link model
 //!
-//! Each directed link serializes messages: a message of `wire_size()` bytes
-//! occupies the link for `size / bandwidth` milliseconds, then arrives
-//! `latency` milliseconds later. Queued messages drain in the two-class
-//! priority order of §5 via the shared [`SendQueue`] (the same queue the
-//! real TCP transport `dl-net` drains): dispersal and control traffic
-//! strictly before `ReturnChunk` bulk, and that bulk in epoch order — the
+//! Each directed link serializes *frames*. A frame carries everything of
+//! the high class that is queued, whole, and then tops itself up with
+//! `ReturnChunk` bulk to exactly one quantum — `FRAME_QUANTUM_MS`
+//! milliseconds of the link's capacity *at that moment* — through the
+//! shared [`SendQueue`]'s segment cursor (the cursor the real TCP transport
+//! `dl-net` drains). It occupies the link for `bytes / bandwidth`
+//! milliseconds and what it finished arrives `latency` milliseconds later;
+//! an envelope arrives with the frame that carries its last byte. So the
+//! §5 rule — dispersal and control strictly before retrieval bulk, bulk in
+//! epoch order — holds per quantum, not per chunk: a vote that becomes
+//! ready while a 25 kB chunk is on a 100 B/ms link waits for the end of the
+//! current frame, not 250 ms for the end of the chunk, and a rate re-drawn
+//! by [`Simulation::set_link`] governs the chunk's next frame. That is the
 //! rule that lets a node keep *voting* (and steering its retrievals) at
-//! full speed while it catches up on block downloads.
+//! full speed while it catches up on block downloads. Every segment after
+//! an envelope's first costs one more frame header of link time, exactly
+//! as `dl-net` writes one to the socket.
+//!
+//! The quantum is in time, not bytes, so that no frame pays the
+//! millisecond grid's round-up (the prototype this was sized with measured
+//! 1200 B and 4 kB segments at 8.34 and 9.17 MB/s on `vbw-sat-dl`); on a
+//! link slower than 100 B/ms it is the fewest whole milliseconds that
+//! carry 100 bytes, so a header is at most 5 % of a segment. `dl-e2e`,
+//! seed 1, 10 s, untraced — p50 / p95 in ms, goodput in MB/s, wall clock
+//! of one `vbw-sat-dl` run (the finer schedule costs heap events):
+//!
+//! | quantum | `vbw-rate-dl` p50 / p95 | `vbw-sat-dl` goodput · p50 / p95 | wall |
+//! |---|---|---|---|
+//! | whole envelopes (before) | 759 / 1575 | 8.81 · 1703 / 2944 | 59 s |
+//! | **1 ms** | **556 / 1137** | 10.03 · 1435 / 2952 | 107 s |
+//! | 2 ms | 563 / 1127 | 10.09 · 1442 / 2842 | 97 s |
+//! | 4 ms | 575 / 1154 | 10.11 · 1445 / 2823 | 84 s |
 //!
 //! ## Drivers and quiescence
 //!
@@ -35,7 +59,7 @@ pub mod chaos;
 pub mod fluid;
 
 use std::cmp::Ordering;
-use std::collections::{BTreeSet, BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
 
 use rand::Rng;
 
@@ -44,7 +68,7 @@ use dl_core::{
     NodeStats, ProtocolVariant, RealBlockCoder, SendQueue, StatEvent, StoreRecord, Transport,
 };
 use dl_store::{ChainStore, MemoryStore};
-use dl_wire::{ClusterConfig, Envelope, Epoch, NodeId, Tx, WireDecode, WireEncode};
+use dl_wire::{ClusterConfig, Envelope, Epoch, NodeId, Tx, WireDecode, WireEncode, FRAME_OVERHEAD};
 
 pub use chaos::{
     run_scenario, scenario_from_seed, Auditor, ChaosAction, ChaosOutcome, ChaosPlan, ChaosScenario,
@@ -169,9 +193,11 @@ pub struct SimReport {
     pub stats: Vec<Option<NodeStats>>,
     /// Stat events in emission order: `(when, who, event)`.
     pub events: Vec<(u64, NodeId, StatEvent)>,
-    /// Envelopes dropped from link queues by retrieval-cancel purge hints.
+    /// Envelopes dropped from link queues by retrieval-cancel purge hints,
+    /// partly-sent ones included.
     pub purged_envelopes: u64,
-    /// Queued bytes reclaimed by retrieval-cancel purge hints.
+    /// Queued bytes reclaimed by retrieval-cancel purge hints (of a
+    /// partly-sent chunk, the unsent remainder).
     pub purged_bytes: u64,
 }
 
@@ -184,6 +210,69 @@ impl SimReport {
             .flat_map(|b| b.body.iter().map(Tx::id))
             .collect()
     }
+
+    /// Where the confirmation latency of `node`'s own transactions went,
+    /// from the stamps the engine already emits: each transaction is
+    /// followed from `Tx::submit_ms` to the `Proposed` event of the block
+    /// that carried it, to `decided_ms` and `in_hand_ms` of the epoch whose
+    /// delivery put that block in the total order, to that
+    /// `EpochDelivered` event. The four phases sum to the latency exactly.
+    pub fn latency_phases(&self, node: usize) -> LatencyPhases {
+        let mut proposed_at = BTreeMap::new();
+        let mut phases = LatencyPhases::default();
+        let mut blocks = self.delivered[node].iter();
+        let own = self.events.iter().filter(|(_, who, _)| who.idx() == node);
+        for (at, _, event) in own {
+            let (count, decided_ms, in_hand_ms) = match *event {
+                StatEvent::Proposed { epoch, .. } => {
+                    proposed_at.insert(epoch, *at);
+                    continue;
+                }
+                StatEvent::EpochDelivered {
+                    blocks,
+                    decided_ms,
+                    in_hand_ms,
+                    ..
+                } => (blocks, decided_ms, in_hand_ms),
+            };
+            // The event closes the batch of `count` deliveries.
+            for d in blocks.by_ref().take(count) {
+                let Some(block) = d.block.as_ref().filter(|_| d.proposer.idx() == node) else {
+                    continue;
+                };
+                let proposed = proposed_at.get(&d.epoch).copied().unwrap_or(0);
+                for tx in &block.body {
+                    // Stamps of a restored node can be 0; clamping keeps
+                    // every phase non-negative and the sum exact.
+                    let proposed = proposed.clamp(tx.submit_ms, *at);
+                    let decided = decided_ms.clamp(proposed, *at);
+                    let in_hand = in_hand_ms.clamp(decided, *at);
+                    phases.txs += 1;
+                    phases.submit_to_proposed_ms += proposed - tx.submit_ms;
+                    phases.proposed_to_decided_ms += decided - proposed;
+                    phases.decided_to_in_hand_ms += in_hand - decided;
+                    phases.in_hand_to_delivered_ms += at - in_hand;
+                }
+            }
+        }
+        phases
+    }
+}
+
+/// Total milliseconds a node's own delivered transactions spent in each
+/// phase of confirmation ([`SimReport::latency_phases`]); divide by `txs`
+/// for means, add field-wise across nodes.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct LatencyPhases {
+    pub txs: u64,
+    /// Waiting in the node's queue (Nagle, the propose gate, the window).
+    pub submit_to_proposed_ms: u64,
+    /// Dispersal and agreement: until the last BA of the delivering epoch.
+    pub proposed_to_decided_ms: u64,
+    /// Retrieval of that epoch's committed blocks, and its predecessors.
+    pub decided_to_in_hand_ms: u64,
+    /// Waiting for blocks the linking estimate names.
+    pub in_hand_to_delivered_ms: u64,
 }
 
 struct Link {
@@ -202,6 +291,25 @@ struct Link {
     arrive_scheduled: bool,
     /// Whether a pump event at `busy_until` is outstanding.
     ready_scheduled: bool,
+}
+
+/// Milliseconds of link capacity one frame carries of `ReturnChunk` bulk
+/// before the high class is looked at again (the table in the crate docs).
+const FRAME_QUANTUM_MS: u64 = 1;
+
+/// No frame budget is smaller than this, so a continuation header is never
+/// more than a twentieth of its segment — and a link slower than a header
+/// per millisecond still moves bulk.
+const FRAME_BYTES_MIN: u64 = 20 * FRAME_OVERHEAD as u64;
+
+impl Link {
+    /// Bytes of one frame: a whole number of milliseconds of the link's
+    /// current capacity, so a full frame pays no round-up in
+    /// [`LinkSpec::tx_ms`].
+    fn frame_budget(&self) -> usize {
+        let rate = self.spec.bytes_per_ms;
+        (rate * FRAME_QUANTUM_MS.max(FRAME_BYTES_MIN.div_ceil(rate))) as usize
+    }
 }
 
 enum EvKind {
@@ -306,15 +414,16 @@ impl Fabric {
     /// Start the next transmission on the link if it is idle, and keep
     /// exactly one pump event outstanding while it has backlog.
     ///
-    /// Transmissions are *frames*: everything queued, in §5 priority
-    /// order, up to one millisecond of link capacity goes out as a single
-    /// transmission — the way a real transport coalesces small messages
-    /// into segments. Without framing, every sub-millisecond message
-    /// would be charged the 1 ms event-grid minimum (a ~20× bandwidth
-    /// distortion for ~60-byte BA messages) and would cost its own pair
-    /// of heap events; with it, both the virtual byte accounting and the
-    /// event count track the frame, so per-message simulator overhead
-    /// stays flat as bursts grow.
+    /// Transmissions are *frames*: everything queued of the high class,
+    /// then `ReturnChunk` bulk up to one quantum of link capacity
+    /// ([`Link::frame_budget`]), goes out as a single transmission — the way
+    /// a real transport coalesces small messages into segments and cuts
+    /// large ones. Without framing, every sub-millisecond message would be
+    /// charged the 1 ms event-grid minimum (a ~20× bandwidth distortion for
+    /// ~60-byte BA messages) and would cost its own pair of heap events;
+    /// with it, both the virtual byte accounting and the event count track
+    /// the frame. Only a high-class envelope larger than the quantum (a
+    /// dispersal `Chunk`) makes a frame longer than that.
     fn pump_link(&mut self, from: NodeId, to: NodeId) {
         let now = self.now;
         let li = from.idx() * self.cfg.cluster.n + to.idx();
@@ -365,45 +474,38 @@ fn pump_link_inner(
     // Probabilistic faults only apply inside the plan's horizon, so every
     // scenario ends on a clean network.
     let mut faulty = chaos.take().filter(|c| c.plan.horizon_ms > now);
-    // Fill the frame: at least one envelope, then keep going while the
-    // frame is still under one millisecond of capacity.
-    let budget = link.spec.bytes_per_ms as usize;
+    // Fill the frame: the high class whole, bulk to the byte. Fault
+    // decisions are per envelope, taken as its last segment leaves; the
+    // link time of every segment is charged either way.
+    let budget = link.frame_budget();
     let mut frame_bytes = 0usize;
-    let mut popped = 0usize;
     let start = link.inflight.len();
-    match faulty.as_deref_mut() {
-        None => {
-            while frame_bytes < budget {
-                let Some(env) = link.queue.pop() else { break };
-                frame_bytes += env.wire_size();
-                link.inflight.push_back((0, env)); // arrival patched below
-                popped += 1;
-            }
-        }
-        Some(chaos::ChaosState {
+    while frame_bytes < budget {
+        let Some(seg) = link.queue.pop_segment(budget - frame_bytes) else {
+            break;
+        };
+        frame_bytes += seg.wire_bytes();
+        let Some(env) = seg.env else { continue };
+        if let Some(chaos::ChaosState {
             plan,
             link_rngs,
             dropped,
             duplicated,
-        }) => {
+        }) = faulty.as_deref_mut()
+        {
             let rng = &mut link_rngs[li];
-            while frame_bytes < budget {
-                let Some(env) = link.queue.pop() else { break };
-                frame_bytes += env.wire_size();
-                popped += 1;
-                if plan.drop > 0.0 && rng.gen_bool(plan.drop) {
-                    *dropped += 1;
-                    continue; // the bytes were charged; the payload is lost
-                }
-                if plan.duplicate > 0.0 && rng.gen_bool(plan.duplicate) {
-                    *duplicated += 1;
-                    link.inflight.push_back((0, env.clone()));
-                }
-                link.inflight.push_back((0, env));
+            if plan.drop > 0.0 && rng.gen_bool(plan.drop) {
+                *dropped += 1;
+                continue; // the bytes were charged; the payload is lost
+            }
+            if plan.duplicate > 0.0 && rng.gen_bool(plan.duplicate) {
+                *duplicated += 1;
+                link.inflight.push_back((0, env.clone()));
             }
         }
+        link.inflight.push_back((0, env)); // arrival patched below
     }
-    if popped == 0 {
+    if frame_bytes == 0 {
         return (None, None);
     }
     let tx_ms = link.spec.tx_ms(frame_bytes);
@@ -663,10 +765,12 @@ impl Simulation {
     }
 
     /// Crash `node`: its slot goes mute (receives and sends nothing) and
-    /// everything still queued on its uplinks is lost — only the write-ahead
-    /// log enabled with [`Simulation::enable_store`] survives. Envelopes
-    /// already transmitted (in flight) still arrive, like packets on the
-    /// wire at the instant a real process dies.
+    /// everything still queued on its uplinks is lost, the unsent remainder
+    /// of a partly-sent chunk with it (a dead process does not finish a
+    /// frame) — only the write-ahead log enabled with
+    /// [`Simulation::enable_store`] survives. Envelopes already transmitted
+    /// (in flight) still arrive, like packets on the wire at the instant a
+    /// real process dies.
     pub fn crash(&mut self, node: usize) {
         self.set_node_kind(node, SimNodeKind::Mute);
         for to in 0..self.fabric.cfg.cluster.n {

@@ -378,3 +378,69 @@ fn report_exposes_proposal_and_epoch_events() {
         .iter()
         .any(|(_, _, e)| matches!(e, StatEvent::EpochDelivered { .. })));
 }
+
+#[test]
+fn latency_phases_account_for_every_millisecond_of_a_nodes_own_transactions() {
+    // A slow uplink at node 3 makes retrieval visible; staggered
+    // submissions make the queueing phase visible.
+    let mut sim = Simulation::new(SimConfig::new(4, ProtocolVariant::Dl));
+    sim.set_uplink(
+        3,
+        LinkSpec {
+            latency_ms: 20,
+            bytes_per_ms: 50,
+        },
+    );
+    for i in 0..4usize {
+        for s in 0..6u64 {
+            let at = 40 * s + 10 * i as u64;
+            sim.submit_at(i, at, Tx::synthetic(NodeId(i as u16), s, at, 3_000));
+        }
+    }
+    let report = sim.run_until_quiescent(600_000);
+    assert!(report.quiesced);
+    for node in 0..4 {
+        let phases = report.latency_phases(node);
+        // Only the node's own transactions, each once, and the four phases
+        // sum to submit → deliver exactly.
+        let own: Vec<u64> = report.delivered[node]
+            .iter()
+            .filter(|d| d.proposer.idx() == node)
+            .flat_map(|d| {
+                d.block
+                    .iter()
+                    .flat_map(|b| &b.body)
+                    .map(|tx| d.delivered_ms - tx.submit_ms)
+            })
+            .collect();
+        assert_eq!(phases.txs, 6, "node {node}");
+        assert_eq!(phases.txs as usize, own.len());
+        let total = phases.submit_to_proposed_ms
+            + phases.proposed_to_decided_ms
+            + phases.decided_to_in_hand_ms
+            + phases.in_hand_to_delivered_ms;
+        assert_eq!(total, own.iter().sum::<u64>(), "node {node}");
+        // Nagle holds a 3 kB transaction back; agreement takes round trips.
+        assert!(phases.submit_to_proposed_ms > 0);
+        assert!(phases.proposed_to_decided_ms >= phases.txs * 4 * 20);
+    }
+}
+
+#[test]
+fn idle_peers_do_not_vote_out_the_one_loaded_nodes_block() {
+    // One node has everything to say, the others nothing. Under
+    // retrieve-then-vote the idle nodes' empty blocks finish first; if
+    // they are proposed on the epoch's first message, `N − f` of them
+    // commit while the loaded block is still being downloaded, ACS votes
+    // it out, and plain HoneyBadger re-queues and re-proposes it for ever.
+    for variant in ALL_VARIANTS {
+        let mut sim = Simulation::new(SimConfig::fluid(4, variant));
+        for s in 0..5u64 {
+            sim.submit_at(0, s, Tx::synthetic(NodeId(0), s, s, 160_000));
+        }
+        let report = sim.run_until_quiescent(60_000);
+        assert!(report.quiesced, "{variant:?}: the loaded node is starved");
+        assert_total_order(&report, &[0, 1, 2, 3], 5);
+        assert_eq!(report.stats[0].unwrap().txs_requeued, 0, "{variant:?}");
+    }
+}

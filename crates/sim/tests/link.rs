@@ -1,0 +1,201 @@
+//! The link model, one directed link at a time: frames are a quantum of
+//! the link's *current* capacity, so a vote overtakes a chunk that is
+//! already on the wire, a re-drawn rate governs the chunk's next frame,
+//! and a crash or a cancel takes the unsent remainder with it.
+//!
+//! The cluster's slots 0 and 1 hold [`Probe`]s — an engine that sends what
+//! the test scripts and logs what arrives — so every number below is a
+//! property of `dl-sim`'s fabric and `dl_core::SendQueue`, not of the
+//! protocol.
+
+use std::cell::RefCell;
+use std::rc::Rc;
+
+use dl_core::{EffectSink, Engine, ProtocolVariant};
+use dl_crypto::{Hash, MerkleProof};
+use dl_sim::{LinkSpec, SimConfig, Simulation};
+use dl_wire::{ChunkPayload, Envelope, Epoch, NodeId, Tx, VidMsg, FRAME_OVERHEAD};
+
+const LATENCY_MS: u64 = 20;
+/// The `vbw-*` workloads' floor: a 25 kB chunk holds this link for 250 ms.
+const SLOW: LinkSpec = LinkSpec {
+    latency_ms: LATENCY_MS,
+    bytes_per_ms: 100,
+};
+/// Milliseconds of link a frame carries (`dl-sim`'s private quantum).
+const Q_MS: u64 = 1;
+/// Bytes of an envelope's encoding one full [`SLOW`] frame carries.
+const SLOW_FRAME_BODY: u64 = SLOW.bytes_per_ms * Q_MS - FRAME_OVERHEAD as u64;
+const CHUNK_BYTES: u32 = 25_000;
+const SENDER: usize = 0;
+const RECEIVER: usize = 1;
+
+type Log = Rc<RefCell<Vec<(u64, Envelope)>>>;
+
+/// Sends to [`RECEIVER`] what the transactions submitted to it spell — the
+/// payload length picks the action, `seq` the epoch — and logs arrivals.
+struct Probe {
+    id: NodeId,
+    log: Log,
+}
+
+/// Script: a vote (any high-class envelope).
+const VOTE: u32 = 0;
+/// Script: the sender's engine cancels the chunk's retrieval.
+const PURGE: u32 = 1;
+
+fn chunk(epoch: u64) -> Envelope {
+    Envelope::vid(
+        Epoch(epoch),
+        NodeId(SENDER as u16),
+        VidMsg::ReturnChunk {
+            root: Hash::digest(b"r"),
+            proof: MerkleProof {
+                index: 0,
+                leaf_count: 1,
+                path: Vec::new(),
+            },
+            payload: ChunkPayload::Synthetic { len: CHUNK_BYTES },
+        },
+    )
+}
+
+fn vote(epoch: u64) -> Envelope {
+    Envelope::vid(Epoch(epoch), NodeId(SENDER as u16), VidMsg::RequestChunk)
+}
+
+impl Engine for Probe {
+    fn id(&self) -> NodeId {
+        self.id
+    }
+
+    fn submit_tx(&mut self, tx: Tx, _now: u64, sink: &mut dyn EffectSink) {
+        let to = NodeId(RECEIVER as u16);
+        match tx.payload.len() as u32 {
+            VOTE => sink.send(to, vote(tx.seq)),
+            PURGE => sink.purge_returns(to, Epoch(tx.seq), self.id),
+            _ => sink.send(to, chunk(tx.seq)),
+        }
+    }
+
+    fn handle(&mut self, _from: NodeId, env: Envelope, now: u64, _sink: &mut dyn EffectSink) {
+        self.log.borrow_mut().push((now, env));
+    }
+
+    fn poll(&mut self, _now: u64, _sink: &mut dyn EffectSink) {}
+}
+
+/// A cluster whose 0 → 1 link is [`SLOW`], and the receiver's arrival log.
+fn probed_link() -> (Simulation, Log) {
+    let mut sim = Simulation::new(SimConfig::fluid(4, ProtocolVariant::Dl));
+    let log = Log::default();
+    for id in [SENDER, RECEIVER] {
+        sim.set_engine(
+            id,
+            Box::new(Probe {
+                id: NodeId(id as u16),
+                log: Rc::clone(&log),
+            }),
+        );
+    }
+    sim.set_link(SENDER, RECEIVER, SLOW);
+    (sim, log)
+}
+
+fn script(sim: &mut Simulation, at_ms: u64, epoch: u64, what: u32) {
+    sim.submit_at(
+        SENDER,
+        at_ms,
+        Tx::synthetic(NodeId(SENDER as u16), epoch, at_ms, what),
+    );
+}
+
+#[test]
+fn a_vote_pushed_behind_a_chunk_on_the_wire_arrives_within_a_quantum() {
+    let (mut sim, log) = probed_link();
+    script(&mut sim, 0, 7, CHUNK_BYTES);
+    script(&mut sim, 1, 9, VOTE);
+    let report = sim.run_until_quiescent(10_000);
+    assert!(report.quiesced);
+    let log = log.borrow();
+    // The vote waits for the frame under way and rides the next one.
+    assert_eq!(log[0].1, vote(9));
+    assert!(
+        log[0].0 <= 1 + LATENCY_MS + Q_MS + 1,
+        "vote arrived at {} ms",
+        log[0].0
+    );
+    // The chunk pays for the vote's frame share and one header per extra
+    // segment, nothing else: 250 ms of link at 100 B/ms, plus those.
+    assert_eq!(log[1].1, chunk(7));
+    let whole = chunk(7).wire_size() as u64;
+    let at_least = whole.div_ceil(SLOW.bytes_per_ms) + LATENCY_MS;
+    assert!(
+        (at_least..=at_least + at_least / 15).contains(&log[1].0),
+        "chunk arrived at {} ms, whole-envelope time {at_least}",
+        log[1].0
+    );
+    assert_eq!(log.len(), 2);
+}
+
+#[test]
+fn a_rate_re_drawn_mid_chunk_governs_the_chunks_next_frame() {
+    let (mut sim, log) = probed_link();
+    script(&mut sim, 0, 7, CHUNK_BYTES);
+    sim.run_until_quiescent(10);
+    let fast = LinkSpec {
+        latency_ms: LATENCY_MS,
+        bytes_per_ms: 2000,
+    };
+    sim.set_link(SENDER, RECEIVER, fast);
+    let report = sim.run_until_quiescent(10_000);
+    assert!(report.quiesced);
+    // Frames begun at 0..=10 ms carried 100 bytes each, header included;
+    // the rest goes at 2000 a millisecond from 11 ms on. A chunk that held
+    // the link at its opening rate would arrive at 271 ms.
+    let body = (chunk(7).wire_size() - FRAME_OVERHEAD) as u64;
+    let left = body - 11 * SLOW_FRAME_BODY;
+    let fast_frames = left.div_ceil(fast.bytes_per_ms * Q_MS - FRAME_OVERHEAD as u64);
+    assert_eq!(
+        *log.borrow(),
+        vec![(11 + fast_frames * Q_MS + LATENCY_MS, chunk(7))]
+    );
+}
+
+#[test]
+fn a_crash_takes_the_partly_sent_chunk_with_it() {
+    let (mut sim, log) = probed_link();
+    script(&mut sim, 0, 7, CHUNK_BYTES);
+    // A vote that left before the crash is on the wire and still arrives.
+    script(&mut sim, 5, 9, VOTE);
+    sim.run_until_quiescent(10);
+    sim.crash(SENDER);
+    let report = sim.run_until_quiescent(10_000);
+    assert!(report.quiesced, "a dead node's link kept pumping");
+    assert_eq!(log.borrow().len(), 1, "the dead node finished its chunk");
+    assert_eq!(log.borrow()[0].1, vote(9));
+    assert!(report.last_activity_ms <= 10 + LATENCY_MS);
+}
+
+#[test]
+fn a_cancel_purges_the_unsent_remainder_of_a_partly_sent_chunk() {
+    let (mut sim, log) = probed_link();
+    script(&mut sim, 0, 7, CHUNK_BYTES);
+    script(&mut sim, 0, 8, CHUNK_BYTES); // queued behind it, another retrieval
+    script(&mut sim, 10, 7, PURGE);
+    let report = sim.run_until_quiescent(10_000);
+    assert!(report.quiesced);
+    // Ten or eleven 100-byte frames left before the cancel; the rest of
+    // the chunk is reclaimed and reported, and the link moves on.
+    assert_eq!(report.purged_envelopes, 1);
+    let whole = chunk(7).wire_size() as u64;
+    let sent = whole - report.purged_bytes;
+    assert!(
+        (10 * SLOW_FRAME_BODY..=11 * SLOW_FRAME_BODY).contains(&sent),
+        "{sent} bytes sent"
+    );
+    let log = log.borrow();
+    assert_eq!(log.len(), 1);
+    assert_eq!(log[0].1, chunk(8));
+    assert!(log[0].0 <= 11 + whole.div_ceil(SLOW_FRAME_BODY) + LATENCY_MS + 1);
+}

@@ -19,11 +19,13 @@ use dl_core::{Node, NodeConfig, ProtocolVariant, RealBlockCoder, StatEvent};
 use dl_sim::{SimConfig, SimReport, Simulation};
 use dl_wire::{ClusterConfig, NodeId, Tx};
 
-/// The acceptance gate: the scenario drains in ≤ 2,400 virtual ms. The
-/// strictly gated schedule took 4670; a fixed four-epoch window opened on
-/// the Nagle delay took 3310; the backlog trigger 2420 while linked blocks
-/// were fetched at the delivery frontier, and measures 2266 now that they
-/// are fetched when their delivery is certain (`common` gates that too).
+/// The acceptance gate: the scenario drains in ≤ 2,094 virtual ms (the
+/// measured 1994 plus 5 %). The strictly gated schedule took 4670; a fixed
+/// four-epoch window opened on the Nagle delay took 3310; the backlog
+/// trigger 2420 while linked blocks were fetched at the delivery frontier
+/// and 2266 once they were fetched when their delivery is certain (`common`
+/// gates that too); 1994 now that votes no longer wait behind a chunk that
+/// is already on the wire (`link.rs`).
 #[test]
 fn tiered_uplinks_drain_within_the_pipelined_budget() {
     if cfg!(debug_assertions) {
@@ -34,7 +36,7 @@ fn tiered_uplinks_drain_within_the_pipelined_budget() {
     }
     let drain = common::run_tiered_uplinks().last_activity_ms;
     eprintln!("window gate: network idle at {drain} ms");
-    assert!(drain <= 2_400, "network idle at {drain} ms (≤ 2400)");
+    assert!(drain <= 2_094, "network idle at {drain} ms (≤ 2094)");
 }
 
 /// Bursts of full Nagle batches at every node of a 4-node WAN cluster, one

@@ -1,17 +1,28 @@
 //! The framed, zero-copy wire surface.
 //!
-//! A transport frame is a length-delimited envelope:
+//! A transport frame is a length-delimited envelope, or a length-delimited
+//! run of one:
 //!
 //! ```text
-//! [ body_len: u32 le ][ class: u8 ][ body: Envelope encoding ]
+//! [ len: u32 le ][ tag: u8 ][ len bytes of an Envelope encoding ]
 //! ```
 //!
-//! `body_len` counts only the body, so a frame occupies exactly
-//! [`Envelope::wire_size`] bytes — the byte count the discrete-event
-//! simulator charges for link time is the byte count `dl-net` puts on a
-//! socket. The `class` byte carries the [`TrafficClass`] tag (0 =
-//! dispersal, 1 = retrieval); it is a pure function of the envelope, and
-//! strict decoding rejects frames where the two disagree.
+//! Tags 0 and 1 carry a whole envelope and name its [`TrafficClass`] (0 =
+//! dispersal, 1 = retrieval); the tag is a pure function of the envelope,
+//! and strict decoding rejects frames where the two disagree. `len` counts
+//! only the body, so such a frame occupies exactly [`Envelope::wire_size`]
+//! bytes — the byte count the discrete-event simulator charges for link
+//! time is the byte count `dl-net` puts on a socket.
+//!
+//! Tags 2, 3 and 4 carry a retrieval-class envelope in *segments* — its
+//! first bytes, more of them, its last — so that a sender draining a
+//! `dl_core::SendQueue` can put high-class frames between two segments of
+//! a `ReturnChunk` instead of behind the whole of it ([`encode_segment`]).
+//! At most one envelope is open per stream; each segment after the first
+//! costs one more 5-byte header, which the simulator charges too. A sender
+//! that drops the rest of an open envelope (its retrieval was cancelled)
+//! just opens the next one: the receiver discards the unfinished
+//! reassembly when a tag-1 or tag-2 frame arrives.
 //!
 //! ## Zero-copy encode
 //!
@@ -28,17 +39,18 @@
 //! ## Strict decode
 //!
 //! [`FrameDecoder`] reassembles frames from arbitrary TCP read boundaries
-//! and rejects, with a typed [`FrameError`]: oversized length prefixes
-//! (before buffering, so a Byzantine peer cannot make us allocate), unknown
-//! class tags, class tags inconsistent with the decoded envelope, and
-//! bodies that fail the strict envelope codec (truncated, trailing bytes,
-//! bad tags). Any error poisons the stream — framing is unrecoverable once
-//! desynchronized, so transports must drop the connection.
+//! and rejects, with a typed [`FrameError`]: oversized length prefixes and
+//! reassemblies (before buffering, so a Byzantine peer cannot make us
+//! allocate), unknown tags, a continuation with no envelope open, class
+//! tags inconsistent with the decoded envelope (a segmented envelope is
+//! retrieval-class), and bodies that fail the strict envelope codec
+//! (truncated, trailing bytes, bad tags). Any error poisons the stream —
+//! framing is unrecoverable once desynchronized, so transports must drop
+//! the connection.
 
 use bytes::Bytes;
 
 use crate::codec::{CodecError, WireDecode, WireEncode, MAX_FIELD_LEN};
-use crate::config::Epoch;
 use crate::msg::{Envelope, TrafficClass, FRAME_OVERHEAD};
 
 /// Bytes of frame header preceding the body: 4-byte length + 1-byte class.
@@ -157,6 +169,28 @@ impl SegmentBuf {
         self.copy_into(&mut out);
         out
     }
+
+    /// Append bytes `skip..skip + len` of this buffer to `out`: shared
+    /// payloads as sub-windows of the same allocation, owned bytes copied.
+    fn put_window(&self, mut skip: usize, mut len: usize, out: &mut SegmentBuf) {
+        for part in &self.parts {
+            let size = part.as_slice().len();
+            if skip >= size {
+                skip -= size;
+                continue;
+            }
+            let take = (size - skip).min(len);
+            match part {
+                SegPart::Owned(v) => out.head_mut().extend_from_slice(&v[skip..skip + take]),
+                SegPart::Shared(b) => out.put_shared(&b.slice(skip..skip + take)),
+            }
+            skip = 0;
+            len -= take;
+            if len == 0 {
+                break;
+            }
+        }
+    }
 }
 
 /// Types whose encoding can be emitted as zero-copy segments.
@@ -172,8 +206,8 @@ pub trait WireEncodeSegmented: WireEncode {
 /// The wire tag for a traffic class (the `class` byte of a frame header).
 pub fn class_tag(class: TrafficClass) -> u8 {
     match class {
-        TrafficClass::Dispersal => 0,
-        TrafficClass::Retrieval(_) => 1,
+        TrafficClass::Dispersal => TAG_DISPERSAL,
+        TrafficClass::Retrieval(_) => TAG_RETRIEVAL,
     }
 }
 
@@ -190,17 +224,54 @@ pub fn encode_frame(env: &Envelope) -> SegmentBuf {
     out
 }
 
+/// Tag of a frame that carries a whole dispersal-class envelope.
+const TAG_DISPERSAL: u8 = 0;
+/// Tag of a frame that carries a whole retrieval-class envelope.
+const TAG_RETRIEVAL: u8 = 1;
+/// Tag of the frame that opens a segmented envelope.
+const TAG_BULK_START: u8 = 2;
+/// Tag of a segment that neither opens nor finishes its envelope.
+const TAG_BULK_MORE: u8 = 3;
+/// Tag of the segment that carries an envelope's last byte.
+const TAG_BULK_END: u8 = 4;
+
+/// Bytes `offset..offset + len` of `env`'s encoding as a frame of their
+/// own — what a transport writes for one `dl_core::Segment`. The whole
+/// encoding is [`encode_frame`]; a proper part (of a retrieval-class
+/// envelope: nothing else is ever cut) is a start, middle or end segment.
+/// Chunk payload bytes stay windows into the encode arena.
+pub fn encode_segment(env: &Envelope, offset: usize, len: usize) -> SegmentBuf {
+    let frame = encode_frame(env);
+    let body_len = frame.len() - FRAME_HEADER_LEN;
+    debug_assert!(offset + len <= body_len);
+    let tag = match (offset == 0, offset + len == body_len) {
+        (true, true) => return frame,
+        (true, false) => TAG_BULK_START,
+        (false, false) => TAG_BULK_MORE,
+        (false, true) => TAG_BULK_END,
+    };
+    let mut out = SegmentBuf::new();
+    let head = out.head_mut();
+    (len as u32).encode(head);
+    head.push(tag);
+    frame.put_window(FRAME_HEADER_LEN + offset, len, &mut out);
+    out
+}
+
 /// Why a frame was rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FrameError {
-    /// The length prefix exceeds [`MAX_FRAME_BODY`]; rejected before any
-    /// body bytes are buffered.
+    /// The length prefix — or, for a segment, the reassembly it would
+    /// extend — exceeds [`MAX_FRAME_BODY`]; rejected before any of its
+    /// bytes are buffered.
     Oversized { len: usize },
     /// The class byte is not a known [`TrafficClass`] tag.
     BadClass(u8),
     /// The class byte disagrees with the class derived from the decoded
     /// envelope (an honest sender can never produce this).
     ClassMismatch { tagged: u8, actual: u8 },
+    /// A middle or end segment arrived with no envelope open.
+    ContinuationWithoutStart,
     /// The body failed the strict envelope codec.
     Codec(CodecError),
     /// [`FrameDecoder::next_frame`] called again after a previous error:
@@ -212,7 +283,7 @@ impl std::fmt::Display for FrameError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             FrameError::Oversized { len } => {
-                write!(f, "frame body of {len} bytes exceeds {MAX_FRAME_BODY}")
+                write!(f, "envelope of {len} bytes exceeds {MAX_FRAME_BODY}")
             }
             FrameError::BadClass(tag) => write!(f, "unknown traffic class tag {tag}"),
             FrameError::ClassMismatch { tagged, actual } => {
@@ -220,6 +291,9 @@ impl std::fmt::Display for FrameError {
                     f,
                     "frame tagged class {tagged} but envelope is class {actual}"
                 )
+            }
+            FrameError::ContinuationWithoutStart => {
+                write!(f, "continuation segment with no envelope open")
             }
             FrameError::Codec(_) => write!(f, "frame body failed strict decode"),
             FrameError::Poisoned => write!(f, "frame stream already poisoned by a prior error"),
@@ -260,6 +334,8 @@ pub struct FrameDecoder {
     buf: Vec<u8>,
     /// Bytes of `buf` already consumed by returned frames.
     consumed: usize,
+    /// The segments received so far of the one envelope that may be open.
+    open: Option<Vec<u8>>,
     poisoned: bool,
 }
 
@@ -301,56 +377,83 @@ impl FrameDecoder {
     }
 
     fn try_next(&mut self) -> Result<Option<Envelope>, FrameError> {
-        let avail = &self.buf[self.consumed..];
-        if avail.len() < 4 {
-            return Ok(None);
+        // One frame per turn; a segment that leaves its envelope open
+        // yields nothing, so look at the frame after it.
+        loop {
+            let avail = &self.buf[self.consumed..];
+            if avail.len() < 4 {
+                return Ok(None);
+            }
+            let body_len = u32::from_le_bytes(avail[..4].try_into().expect("4 bytes")) as usize;
+            // Reject absurd lengths from the prefix alone — before waiting
+            // for (or allocating room for) a body a Byzantine peer will
+            // never send.
+            if body_len > MAX_FRAME_BODY {
+                return Err(FrameError::Oversized { len: body_len });
+            }
+            if avail.len() < FRAME_HEADER_LEN {
+                return Ok(None);
+            }
+            // Validate the tag as soon as it arrives: a bad one must not
+            // make us buffer up to MAX_FRAME_BODY of garbage first.
+            let tag = avail[4];
+            match (tag, &self.open) {
+                (TAG_DISPERSAL | TAG_RETRIEVAL | TAG_BULK_START, _) => {}
+                (TAG_BULK_MORE | TAG_BULK_END, Some(open)) => {
+                    let len = open.len() + body_len;
+                    if len > MAX_FRAME_BODY {
+                        return Err(FrameError::Oversized { len });
+                    }
+                }
+                (TAG_BULK_MORE | TAG_BULK_END, None) => {
+                    return Err(FrameError::ContinuationWithoutStart)
+                }
+                _ => return Err(FrameError::BadClass(tag)),
+            }
+            if avail.len() < FRAME_HEADER_LEN + body_len {
+                return Ok(None);
+            }
+            let body = &avail[FRAME_HEADER_LEN..FRAME_HEADER_LEN + body_len];
+            let env = match tag {
+                TAG_DISPERSAL => Some(Envelope::from_bytes(body)?),
+                // The next bulk envelope opens: whatever was open, its
+                // sender dropped the rest of.
+                TAG_RETRIEVAL => {
+                    self.open = None;
+                    Some(Envelope::from_bytes(body)?)
+                }
+                TAG_BULK_START => {
+                    self.open = Some(body.to_vec());
+                    None
+                }
+                _ => {
+                    let mut whole = self.open.take().expect("checked with the tag");
+                    whole.extend_from_slice(body);
+                    if tag == TAG_BULK_END {
+                        Some(Envelope::from_bytes(&whole)?)
+                    } else {
+                        self.open = Some(whole);
+                        None
+                    }
+                }
+            };
+            self.consumed += FRAME_HEADER_LEN + body_len;
+            let Some(env) = env else { continue };
+            // Only the retrieval class is ever cut into segments.
+            let tagged = tag.min(TAG_RETRIEVAL);
+            let actual = class_tag(env.class());
+            if tagged != actual {
+                return Err(FrameError::ClassMismatch { tagged, actual });
+            }
+            return Ok(Some(env));
         }
-        let body_len = u32::from_le_bytes(avail[..4].try_into().expect("4 bytes")) as usize;
-        // Reject absurd lengths from the prefix alone — before waiting for
-        // (or allocating room for) a body a Byzantine peer will never send.
-        if body_len > MAX_FRAME_BODY {
-            return Err(FrameError::Oversized { len: body_len });
-        }
-        if avail.len() < FRAME_HEADER_LEN {
-            return Ok(None);
-        }
-        // Validate the class byte as soon as it arrives: a bad tag must
-        // not make us buffer up to MAX_FRAME_BODY of garbage first.
-        let tag = avail[4];
-        if tag > 1 {
-            return Err(FrameError::BadClass(tag));
-        }
-        if avail.len() < FRAME_HEADER_LEN + body_len {
-            return Ok(None);
-        }
-        let body = &avail[FRAME_HEADER_LEN..FRAME_HEADER_LEN + body_len];
-        let env = Envelope::from_bytes(body)?;
-        let actual = class_tag(env.class());
-        if tag != actual {
-            return Err(FrameError::ClassMismatch {
-                tagged: tag,
-                actual,
-            });
-        }
-        self.consumed += FRAME_HEADER_LEN + body_len;
-        Ok(Some(env))
-    }
-}
-
-/// Epoch-aware class tag helper for debugging/tooling: the class a frame
-/// tagged `tag` for `epoch` represents.
-pub fn class_from_tag(tag: u8, epoch: Epoch) -> Option<TrafficClass> {
-    match tag {
-        0 => Some(TrafficClass::Dispersal),
-        1 => Some(TrafficClass::Retrieval(epoch)),
-        _ => None,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::NodeId;
+    use crate::config::{Epoch, NodeId};
     use crate::msg::{BaMsg, ChunkPayload, VidMsg};
     use dl_crypto::{Hash, MerkleProof};
 
@@ -520,6 +623,148 @@ mod tests {
         }
     }
 
+    /// `env` cut at each of `cuts` (offsets into its encoding), one frame
+    /// per piece.
+    fn segment_frames(env: &Envelope, cuts: &[usize]) -> Vec<Vec<u8>> {
+        let mut edges = vec![0];
+        edges.extend_from_slice(cuts);
+        edges.push(env.encoded_len());
+        edges
+            .windows(2)
+            .map(|w| encode_segment(env, w[0], w[1] - w[0]).to_vec())
+            .collect()
+    }
+
+    #[test]
+    fn a_chunk_cut_at_every_byte_boundary_reassembles_across_arbitrary_reads() {
+        // Two segments at every cut, a vote between them (the reason the
+        // cut exists), then three segments at a spread of cut pairs — all
+        // dribbled to the decoder in pseudo-random read sizes.
+        let (env, vote) = (retrieval_env(), ba_env());
+        let body = env.encoded_len();
+        let mut rng = Rng(7);
+        let mut cut_sets: Vec<Vec<usize>> = (1..body).map(|cut| vec![cut]).collect();
+        cut_sets.extend(
+            (1..body - 1)
+                .step_by(13)
+                .map(|a| vec![a, a + 1 + rng.below(body - a - 1)]),
+        );
+        for cuts in cut_sets {
+            let frames = segment_frames(&env, &cuts);
+            assert_eq!(
+                frames.iter().map(Vec::len).sum::<usize>(),
+                env.wire_size() + cuts.len() * FRAME_HEADER_LEN,
+                "each extra segment costs one header"
+            );
+            let mut stream = frames[0].clone();
+            stream.extend_from_slice(&encode_frame(&vote).to_vec());
+            stream.extend(frames[1..].iter().flatten());
+            let mut dec = FrameDecoder::new();
+            let mut got = Vec::new();
+            let mut pos = 0;
+            while pos < stream.len() {
+                let take = (1 + rng.below(61)).min(stream.len() - pos);
+                dec.extend(&stream[pos..pos + take]);
+                pos += take;
+                while let Some(env) = dec.next_frame().expect("honest stream") {
+                    got.push(env);
+                }
+            }
+            assert_eq!(got, vec![vote.clone(), env.clone()], "cuts {cuts:?}");
+            assert_eq!(dec.pending(), 0);
+        }
+    }
+
+    #[test]
+    fn segment_payload_bytes_are_windows_not_copies() {
+        let payload = Bytes::from(vec![0x5A; 4096]);
+        let env = Envelope::vid(
+            Epoch(1),
+            NodeId(0),
+            VidMsg::ReturnChunk {
+                root: Hash::digest(b"r"),
+                proof: proof(),
+                payload: ChunkPayload::Real(payload.clone()),
+            },
+        );
+        let head = env.encoded_len() - payload.len();
+        let seg = encode_segment(&env, head + 1000, 2000);
+        let shared: Vec<&Bytes> = seg.shared_segments().collect();
+        assert_eq!(shared.len(), 1);
+        assert_eq!(shared[0].as_ref().as_ptr(), payload[1000..].as_ptr());
+        assert_eq!(shared[0].len(), 2000);
+        assert_eq!(seg.len(), FRAME_HEADER_LEN + 2000);
+        // The whole encoding as one "segment" is the plain frame.
+        let whole = encode_segment(&env, 0, env.encoded_len());
+        assert_eq!(whole.to_vec(), encode_frame(&env).to_vec());
+    }
+
+    #[test]
+    fn an_unfinished_reassembly_is_discarded_when_the_next_bulk_envelope_opens() {
+        // The sender purged the rest of `a` (its retrieval was cancelled)
+        // and went on to `b`, whole or segmented: `b` arrives, `a` never.
+        let a = retrieval_env();
+        let mut b = retrieval_env();
+        b.epoch = Epoch(6);
+        let a_frames = segment_frames(&a, &[100]);
+        for b_frames in [segment_frames(&b, &[]), segment_frames(&b, &[40, 200])] {
+            let mut dec = FrameDecoder::new();
+            dec.extend(&a_frames[0]);
+            assert_eq!(dec.next_frame().unwrap(), None);
+            dec.extend(&b_frames.concat());
+            assert_eq!(dec.next_frame().unwrap(), Some(b.clone()));
+            // `a`'s tail now has nothing to continue.
+            dec.extend(&a_frames[1]);
+            assert_eq!(dec.next_frame(), Err(FrameError::ContinuationWithoutStart));
+        }
+    }
+
+    #[test]
+    fn continuation_without_a_start_is_rejected_from_the_header_alone() {
+        for tag in [TAG_BULK_MORE, TAG_BULK_END] {
+            let mut dec = FrameDecoder::new();
+            let mut hdr = Vec::new();
+            1000u32.encode(&mut hdr);
+            hdr.push(tag);
+            dec.extend(&hdr);
+            assert_eq!(dec.next_frame(), Err(FrameError::ContinuationWithoutStart));
+            assert_eq!(dec.next_frame(), Err(FrameError::Poisoned));
+        }
+    }
+
+    #[test]
+    fn reassembly_past_max_frame_body_is_rejected_before_buffering() {
+        // Each prefix is admissible by itself; the sum is not, and the
+        // claimed bytes are never waited for.
+        let mut dec = FrameDecoder::new();
+        dec.extend(&segment_frames(&retrieval_env(), &[100])[0]);
+        let mut hdr = Vec::new();
+        ((MAX_FRAME_BODY - 50) as u32).encode(&mut hdr);
+        hdr.push(TAG_BULK_MORE);
+        dec.extend(&hdr);
+        assert_eq!(
+            dec.next_frame(),
+            Err(FrameError::Oversized {
+                len: MAX_FRAME_BODY + 50
+            })
+        );
+    }
+
+    #[test]
+    fn a_segmented_envelope_must_be_retrieval_class() {
+        // A vote cut in two reassembles to a valid envelope of the wrong
+        // class: nothing honest sends that.
+        let mut dec = FrameDecoder::new();
+        dec.extend(&segment_frames(&ba_env(), &[5]).concat());
+        assert_eq!(
+            dec.next_frame(),
+            Err(FrameError::ClassMismatch {
+                tagged: 1,
+                actual: 0
+            })
+        );
+    }
+
     #[test]
     fn oversized_length_prefix_rejected_before_buffering() {
         let mut dec = FrameDecoder::new();
@@ -657,18 +902,6 @@ mod tests {
             dec.next_frame(),
             Err(FrameError::Codec(CodecError::LengthOverflow))
         );
-    }
-
-    #[test]
-    fn class_tag_mapping() {
-        assert_eq!(class_tag(TrafficClass::Dispersal), 0);
-        assert_eq!(class_tag(TrafficClass::Retrieval(Epoch(9))), 1);
-        assert_eq!(class_from_tag(0, Epoch(9)), Some(TrafficClass::Dispersal));
-        assert_eq!(
-            class_from_tag(1, Epoch(9)),
-            Some(TrafficClass::Retrieval(Epoch(9)))
-        );
-        assert_eq!(class_from_tag(2, Epoch(9)), None);
     }
 
     #[test]

@@ -23,8 +23,8 @@ pub use block::{Block, BlockBody, BlockHeader, Tx};
 pub use codec::{CodecError, WireDecode, WireEncode};
 pub use config::{ClusterConfig, Epoch, NodeId};
 pub use frame::{
-    encode_frame, FrameDecoder, FrameError, SegmentBuf, WireEncodeSegmented, FRAME_HEADER_LEN,
-    MAX_FRAME_BODY,
+    encode_frame, encode_segment, FrameDecoder, FrameError, SegmentBuf, WireEncodeSegmented,
+    FRAME_HEADER_LEN, MAX_FRAME_BODY,
 };
 pub use msg::{
     BaMsg, ChunkPayload, Envelope, ProtoMsg, SyncMsg, TrafficClass, VidMsg, FRAME_OVERHEAD,
