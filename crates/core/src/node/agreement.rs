@@ -1,7 +1,8 @@
 //! Agreement-side pipeline: VID completions, BA decisions and the ACS rule
 //! (paper §4.1–§4.2). All three retrieval triggers fire from here — a BA
-//! deciding 1, a completion under retrieve-then-vote, and a dropped block
-//! whose delivery became certain; [`super::retrieval`] has the rules.
+//! deciding 1, a completion under retrieve-then-vote, and a completion
+//! whose delivery the prefix makes certain; [`super::retrieval`] has the
+//! rules.
 //!
 //! BA instances are admitted per epoch as traffic arrives (lazily, through
 //! `ensure_epoch`), bounded by the admission horizon — so when loaded
@@ -68,7 +69,8 @@ impl<C: BlockCoder> Node<C> {
             // retrieval starts immediately and the vote waits for it.
             self.start_retrieval(epoch, index, work, out);
         }
-        // Zero-decided blocks the advancing prefix has just uncovered.
+        // Every block the advancing prefix has just covered, this one
+        // included: its delivery is now certain, whatever its BA decides.
         self.fetch_certain(index, covered + 1, work, out);
     }
 
@@ -147,13 +149,11 @@ impl<C: BlockCoder> Node<C> {
         }
         self.pipeline_dirty = true;
         if value {
-            // The block is committed; fetch it if we have not already. This
-            // is where DispersedLedger decouples: the retrieval proceeds at
-            // our own bandwidth without holding up later epochs.
+            // The block is committed; fetch it if we have not already (a
+            // completion the prefix covers started it). This is where
+            // DispersedLedger decouples: the retrieval proceeds at our own
+            // bandwidth without holding up later epochs.
             self.start_retrieval(epoch, index, work, out);
-        } else {
-            // Dropped here, but certain to be linked if the prefix covers it.
-            self.fetch_certain(index, epoch, work, out);
         }
         // ACS rule: once N−f BAs decided 1, input 0 to the rest (§4.1). The
         // `acs_zeroed` latch makes this fire exactly once per epoch instead

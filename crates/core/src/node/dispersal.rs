@@ -10,12 +10,16 @@
 //! epoch is out it opens the next epoch past the gate when all of these
 //! hold, each a measurement it already takes:
 //!
-//! * **Trigger — a full Nagle batch is queued** (`queue.bytes() >=
-//!   propose_size`). The node's own backlog is the signal, so each node
-//!   sizes its pipeline from its own load (Dispel), and every pipelined
-//!   epoch carries a full block. With less than a batch waiting the branch
-//!   never fires and the schedule is the paper's gated one, message for
-//!   message.
+//! * **Trigger — `d` full Nagle batches are queued** for an epoch that
+//!   would open `d = next_propose_epoch − gate()` epochs past the gate
+//!   (`queue.bytes() >= d × propose_size`). The node's own backlog is the
+//!   signal, so each node sizes its pipeline from its own load (Dispel),
+//!   and every pipelined epoch carries at least a full block. The first
+//!   pipelined epoch (`d = 1`) opens on one batch; each deeper one waits
+//!   for one batch more, so a saturated node opens fewer, fuller epochs
+//!   and pays each epoch's `N³` control envelopes and `N` coder calls less
+//!   often. With less than a batch waiting the branch never fires and the
+//!   schedule is the paper's gated one, message for message.
 //! * **Byte budget** — the payload of our own proposals in epochs whose
 //!   agreement has not finished stays under [`WINDOW_BUDGET_BATCHES`] ×
 //!   `propose_size`; the ledger drains as the agreement frontier moves.
@@ -147,9 +151,10 @@ impl<C: BlockCoder> Node<C> {
     /// Whether the dispersal window opens the next epoch past the gate now
     /// (module docs: trigger, byte budget, depth, not lagging).
     fn window_admits(&self) -> bool {
+        let depth = self.next_propose_epoch.saturating_sub(self.gate());
         self.cfg.flags.propose_gate == ProposeGate::DispersalDone
             && self.proposed_up_to >= self.next_propose_epoch
-            && self.queue.bytes() >= self.cfg.propose_size
+            && self.queue.bytes() as u64 >= depth * self.cfg.propose_size as u64
             && self.inflight_bytes < WINDOW_BUDGET_BATCHES * self.cfg.propose_size as u64
             && self.next_propose_epoch < self.gate() + self.cfg.horizon() / 2
             && !self.lagging()

@@ -26,7 +26,8 @@
 //! 2. **Retrieval**: a block is fetched the moment it is known to be
 //!    needed, by one of three triggers ([`retrieval`]): its BA decides 1;
 //!    it completes, under retrieve-then-vote; or, with inter-node linking
-//!    (§4.3), its BA decided 0 and a later epoch is certain to link it.
+//!    (§4.3), it completes and the proposer's completion prefix covers it,
+//!    so it is delivered whatever its BA decides.
 //!    Retrieval never blocks phase 1 of later epochs, nor delivery of
 //!    earlier ones — that is the paper's core decoupling.
 //! 3. **Delivery**: when every needed block of epoch `e` is retrieved, the
@@ -37,11 +38,12 @@
 //! Phase 1 itself pipelines *across* epochs under load: a
 //! [`crate::variant::ProposeGate::DispersalDone`] node that has dispersed
 //! its block for the current epoch and already has a full Nagle batch
-//! queued opens the next epoch while agreement for `e` is still running,
-//! converting BA-round idle time on the uplink into throughput. The
-//! trigger is the node's own backlog, so there is no knob; with less than
-//! a batch waiting the schedule is the paper's gated one (see
-//! [`dispersal`] for the rule, its byte budget and its depth bound).
+//! queued — `d` batches for an epoch `d` past the gate — opens the next
+//! epoch while agreement for `e` is still running, converting BA-round
+//! idle time on the uplink into throughput. The trigger is the node's own
+//! backlog, so there is no knob; with less than a batch waiting the
+//! schedule is the paper's gated one (see [`dispersal`] for the rule, its
+//! byte budget and its depth bound).
 //!
 //! ## Module layout
 //!

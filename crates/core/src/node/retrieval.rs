@@ -2,18 +2,21 @@
 //! asks for chunks, and when it gives up on that choice (paper §4.2
 //! retrieval, §6.3 early cancel).
 //!
-//! A block is fetched at the earliest moment it is known to be needed: its
-//! BA decides 1; it completes, under retrieve-then-vote (HoneyBadger,
-//! HB-Link); or — DL and DL-Coupled — its delivery becomes **certain**
-//! ([`Node::fetch_certain`]): `BA(t, j)` decided 0, `VID(t, j)` completed
-//! here, and our contiguous completion prefix `V[j]` covers `t`. AVID-M
-//! completes everywhere what completes anywhere, so every correct `V[j]`
-//! reaches `t` and a later estimate `E[j]` names the block: the fetch
-//! spends no byte delivery would not, it only stops spending it at the
-//! frontier. A proposer with a hole in its dispersals (Byzantine, or back
-//! from a restart) is never covered, so blocks nobody will link buy no
-//! `k`-fold amplification; those, and blocks we never saw complete, are
-//! left to delivery's own fetch.
+//! A block is fetched at the earliest moment it is known to be needed: it
+//! completes, under retrieve-then-vote (HoneyBadger, HB-Link); or — DL and
+//! DL-Coupled — its delivery becomes **certain** ([`Node::fetch_certain`]):
+//! `VID(t, j)` completed here and our contiguous completion prefix `V[j]`
+//! covers `t`, whether or not `BA(t, j)` has decided. If it decides 1 the
+//! block is committed; if 0, AVID-M completes everywhere what completes
+//! anywhere, so every correct `V[j]` reaches `t` and a later estimate
+//! `E[j]` links it. Either way the fetch spends no byte delivery would
+//! not; it only overlaps retrieval with agreement instead of starting it
+//! one agreement later. DL still votes on availability alone, so it votes
+//! earlier than HoneyBadger and fetches no later. A proposer with a hole
+//! in its dispersals (Byzantine, or back from a restart) is never covered,
+//! so blocks nobody will link buy no `k`-fold amplification. A BA deciding
+//! 1 fetches what we never saw complete or the prefix does not cover, and
+//! delivery's own fetch is the last fallback.
 //!
 //! Any `k = N − 2f` verified chunks decode a block, so asking all `N`
 //! servers makes every peer upload a chunk for every retrieval —
@@ -181,9 +184,9 @@ impl<C: BlockCoder> Node<C> {
         (lo.max(done.prefix() + 1)..=hi).filter(move |&t| !done.contains(Epoch(t)))
     }
 
-    /// The certainty trigger (module docs): fetch every block of proposer
-    /// `j` from epoch `lo` on that BA decided 0 and our completion prefix
-    /// covers. Idempotent, like `start_retrieval`.
+    /// The certainty trigger (module docs): fetch every undelivered block
+    /// of proposer `j` from epoch `lo` on that our completion prefix
+    /// covers, decided or not. Idempotent, like `start_retrieval`.
     pub(super) fn fetch_certain(
         &mut self,
         j: usize,
@@ -197,7 +200,7 @@ impl<C: BlockCoder> Node<C> {
         let epochs = &self.epochs;
         let certain: Vec<u64> = self
             .undelivered(j, lo, self.trackers[j].prefix())
-            .filter(|&t| epochs.get(t).is_some_and(|st| st.decided[j] == Some(false)))
+            .filter(|&t| epochs.contains(t)) // never resurrect a collected epoch
             .collect();
         for t in certain {
             self.start_retrieval(t, j, work, out);

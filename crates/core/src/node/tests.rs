@@ -804,19 +804,32 @@ fn full_batches_open_epochs_past_the_gate_up_to_the_byte_budget() {
     let cluster = ClusterConfig::new(4);
     for variant in [ProtocolVariant::Dl, ProtocolVariant::DlCoupled] {
         let mut node = solo(NodeConfig::new(cluster.clone(), variant));
+        let size = node.config().propose_size as u64;
         submit_batches(&mut node, 0, 2, 0);
         assert_eq!(
             node.stats().blocks_proposed,
             2,
-            "{variant:?}: a waiting batch must open the next epoch at once"
+            "{variant:?}: d = 1: a waiting batch must open the next epoch at once"
         );
         assert_eq!(node.agreement_frontier(), Epoch(0), "the gate never moved");
-        submit_batches(&mut node, 2, 2 * WINDOW_BUDGET_BATCHES, 0);
+        submit_batches(&mut node, 2, 1, 0);
         assert_eq!(
             node.stats().blocks_proposed,
-            WINDOW_BUDGET_BATCHES,
+            2,
+            "{variant:?}: d = 2 must wait for a second batch"
+        );
+        submit_batches(&mut node, 3, 1, 0);
+        assert_eq!(node.stats().blocks_proposed, 3, "{variant:?}: d = 2");
+        assert_eq!(node.inflight_bytes, 4 * size, "two batches in one block");
+        // d = 3 and d = 4 open on three and four batches: 1 + 1 + 2 + 3 + 4
+        // = 11 in flight, past the budget of 8, and the window stalls.
+        submit_batches(&mut node, 4, 2 * WINDOW_BUDGET_BATCHES, 0);
+        assert_eq!(
+            node.stats().blocks_proposed,
+            5,
             "{variant:?}: the byte budget must stall the window"
         );
+        assert_eq!(node.inflight_bytes, 11 * size);
         assert_eq!(node.stats().empty_blocks_proposed, 0);
     }
 }
@@ -1022,44 +1035,43 @@ fn restore_rebuilds_the_window_byte_ledger_and_zeroes_the_retrieval_ledger() {
     let cfg = NodeConfig::new(ClusterConfig::new(4), ProtocolVariant::Dl);
     let size = cfg.propose_size as u64;
     let mut node = solo(cfg.clone());
-    let mut log = submit_batches(&mut node, 0, WINDOW_BUDGET_BATCHES + 2, 0);
-    assert_eq!(node.stats().blocks_proposed, WINDOW_BUDGET_BATCHES);
-    // Restored at the budget: the undecided proposals are still
-    // outstanding, so a waiting batch opens nothing.
+    // Epochs 1..=5 open on 1, 1, 2, 3 and 4 batches: 11 in flight, past
+    // the budget of 8.
+    let mut log = submit_batches(&mut node, 0, 11, 0);
+    assert_eq!(node.stats().blocks_proposed, 5);
+    assert!(node.inflight_bytes >= WINDOW_BUDGET_BATCHES * size);
+    // Restored past the budget: the undecided proposals are still
+    // outstanding, so batches enough to walk past every one of them (d
+    // batches for depth d) open nothing.
     let mut fresh = solo(cfg.clone());
     fresh.restore(&log);
-    assert_eq!(fresh.inflight_bytes, WINDOW_BUDGET_BATCHES * size);
-    submit_batches(&mut fresh, 100, 2, 100);
+    assert_eq!(fresh.inflight_bytes, 11 * size);
+    submit_batches(&mut fresh, 100, 5, 100);
     assert_eq!(
         fresh.stats().blocks_proposed,
         0,
         "restart forgot the budget"
     );
     assert!(fresh.chunk_requests_owed.iter().all(|&c| c == 0));
-    // The same log with epoch 1 decided: the restored agreement frontier
-    // covers one ledger entry, the first `advance` drains it, and the node
-    // — now one batch under the budget — opens the epoch after its last.
-    log.extend((0..4).map(|j| StoreRecord::Decided {
-        epoch: Epoch(1),
-        index: NodeId(j),
-        value: true,
+    // The same log with epochs 1..=4 decided: the restored agreement
+    // frontier covers four ledger entries (7 batches), the first `advance`
+    // drains them, and the node — now under the budget — opens the epoch
+    // after its last on one batch (d = 1), and the next only on two.
+    log.extend((1..=4).flat_map(|e| {
+        (0..4).map(move |j| StoreRecord::Decided {
+            epoch: Epoch(e),
+            index: NodeId(j),
+            value: true,
+        })
     }));
     let mut fresh = solo(cfg);
     fresh.restore(&log);
-    assert_eq!(fresh.agreement_frontier(), Epoch(1));
-    assert_eq!(
-        fresh.inflight_bytes,
-        WINDOW_BUDGET_BATCHES * size,
-        "not yet drained"
-    );
+    assert_eq!(fresh.agreement_frontier(), Epoch(4));
+    assert_eq!(fresh.inflight_bytes, 11 * size, "not yet drained");
     submit_batches(&mut fresh, 100, 2, 100);
-    assert_eq!(
-        fresh.inflight_bytes,
-        WINDOW_BUDGET_BATCHES * size,
-        "drained one, added one"
-    );
+    assert_eq!(fresh.inflight_bytes, 5 * size, "drained seven, added one");
     assert_eq!(fresh.stats().blocks_proposed, 1);
-    assert_eq!(fresh.next_propose_epoch(), Epoch(WINDOW_BUDGET_BATCHES + 1));
+    assert_eq!(fresh.next_propose_epoch(), Epoch(6));
 }
 
 // ---------------------------------------------------------------------------
@@ -1175,13 +1187,18 @@ fn block_of_2(epoch: u64) -> Block {
 }
 
 #[test]
-fn a_completed_block_is_fetched_the_moment_its_ba_decides_zero() {
+fn a_completed_block_is_fetched_before_any_ba_decides() {
     for variant in [ProtocolVariant::Dl, ProtocolVariant::DlCoupled] {
         let mut d = Driven::new(variant);
         let block = block_of_2(1);
-        assert_eq!(fetched(&d.complete(&block)), [], "{variant:?}");
-        // Same `run` as the decision, with nothing delivered yet.
-        assert_eq!(fetched(&d.decide(1, 2, false)), [(1, 2)], "{variant:?}");
+        // The forged `Ready`s complete the dispersal and the prefix covers
+        // it: the `RequestChunk`s go out in that same `run`, with no BA of
+        // the epoch decided.
+        assert_eq!(fetched(&d.complete(&block)), [(1, 2)], "{variant:?}");
+        let st = d.node.epochs.get(1).expect("state");
+        assert!(st.decided.iter().all(Option::is_none), "{variant:?}");
+        // Its BA deciding 0 fetches nothing more.
+        assert_eq!(fetched(&d.decide(1, 2, false)), [], "{variant:?}");
         assert_eq!(d.node.delivered_frontier(), Epoch(0));
         d.serve(&block);
         d.commit_epoch(1, [0; 4]);
@@ -1213,8 +1230,8 @@ fn a_late_completion_is_fetched_only_once_the_prefix_covers_it() {
 fn a_finished_retriever_is_dropped_and_late_chunks_touch_nothing() {
     let mut d = Driven::new(ProtocolVariant::Dl);
     let block = block_of_2(1);
-    d.complete(&block);
-    assert_eq!(fetched(&d.decide(1, 2, true)), [(1, 2)]);
+    assert_eq!(fetched(&d.complete(&block)), [(1, 2)]);
+    assert_eq!(fetched(&d.decide(1, 2, true)), [], "already under way");
     assert!(d.node.epochs.get(1).expect("state").retrievers[2].is_some());
     // Three peers answer where k = 2 decode: the third chunk is late.
     d.serve(&block);
@@ -1270,8 +1287,8 @@ fn restore_rearms_the_fetch_and_falls_back_to_phase_two_without_the_completion()
 
 #[test]
 fn only_dl_and_dl_coupled_take_the_certainty_trigger() {
-    // HoneyBadger and HB-Link fetch on completion, as ever; DL without
-    // linking (an ablation) drops what its BA drops.
+    // HoneyBadger and HB-Link fetch on completion to vote, as ever; DL
+    // without linking (an ablation) fetches only what its BA commits.
     let cluster = ClusterConfig::new(4);
     let mut unlinked = ProtocolVariant::Dl.flags();
     unlinked.linking = false;
@@ -1281,9 +1298,15 @@ fn only_dl_and_dl_coupled_take_the_certainty_trigger() {
         unlinked,
     ] {
         let mut d = Driven::new(ProtocolVariant::Dl);
-        // Live: the BA deciding 0 asks nobody anything.
+        // Live: a completion fetches only to vote, the BA deciding 0 asks
+        // nobody anything.
         d.node = solo(NodeConfig::with_flags(cluster.clone(), flags));
-        d.complete(&block_of_2(1));
+        let to_vote = if flags.vote_requires_retrieval {
+            vec![(1, 2)]
+        } else {
+            vec![]
+        };
+        assert_eq!(fetched(&d.complete(&block_of_2(1))), to_vote, "{flags:?}");
         assert_eq!(fetched(&d.decide(1, 2, false)), [], "{flags:?}");
         // Restored: HoneyBadger never delivers the block, and HB-Link
         // fetches it when an estimate names it, as it did before.

@@ -15,9 +15,9 @@ use dl_wire::ClusterConfig;
 pub enum ProposeGate {
     /// After epoch `e`'s dispersal phase finishes (all BAs output) —
     /// DispersedLedger's pipeline (§4.5 "Running multiple epochs in
-    /// parallel"). A node with a full Nagle batch already waiting may open
-    /// `e + 1` earlier still: the backlog-triggered dispersal window of
-    /// `node::dispersal`.
+    /// parallel"). A node with `d` full Nagle batches already waiting may
+    /// open the epoch `d` past the gate earlier still: the
+    /// backlog-triggered dispersal window of `node::dispersal`.
     DispersalDone,
     /// After epoch `e` is fully *delivered* — HoneyBadger's lockstep, which
     /// couples proposal rate to download rate (§6.2's latency analysis).

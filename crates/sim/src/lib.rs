@@ -26,20 +26,33 @@
 //! an envelope's first costs one more frame header of link time, exactly
 //! as `dl-net` writes one to the socket.
 //!
+//! A link is pumped at instants: when a frame ends with backlog behind it,
+//! and when an envelope lands on an empty queue. The pumps due at one
+//! instant run from a single heap event, after every node event of that
+//! instant and in `(from, to)` order. So a frame that starts at `t`
+//! carries everything queued up to `t`, whichever of `t`'s events the heap
+//! happened to pop first: a vote sent as a chunk's frame ends rides the
+//! next frame, never one frame later.
+//!
 //! The quantum is in time, not bytes, so that no frame pays the
 //! millisecond grid's round-up (the prototype this was sized with measured
 //! 1200 B and 4 kB segments at 8.34 and 9.17 MB/s on `vbw-sat-dl`); on a
 //! link slower than 100 B/ms it is the fewest whole milliseconds that
 //! carry 100 bytes, so a header is at most 5 % of a segment. `dl-e2e`,
-//! seed 1, 10 s, untraced — p50 / p95 in ms, goodput in MB/s, wall clock
-//! of one `vbw-sat-dl` run (the finer schedule costs heap events):
+//! seed 1, 10 s, untraced — p50 / p95 in ms, goodput in MB/s — when the
+//! quantum was chosen:
 //!
-//! | quantum | `vbw-rate-dl` p50 / p95 | `vbw-sat-dl` goodput · p50 / p95 | wall |
-//! |---|---|---|---|
-//! | whole envelopes (before) | 759 / 1575 | 8.81 · 1703 / 2944 | 59 s |
-//! | **1 ms** | **556 / 1137** | 10.03 · 1435 / 2952 | 107 s |
-//! | 2 ms | 563 / 1127 | 10.09 · 1442 / 2842 | 97 s |
-//! | 4 ms | 575 / 1154 | 10.11 · 1445 / 2823 | 84 s |
+//! | quantum | `vbw-rate-dl` p50 / p95 | `vbw-sat-dl` goodput · p50 / p95 |
+//! |---|---|---|
+//! | whole envelopes (before) | 759 / 1575 | 8.81 · 1703 / 2944 |
+//! | **1 ms** | **556 / 1137** | 10.03 · 1435 / 2952 |
+//! | 2 ms | 563 / 1127 | 10.09 · 1442 / 2842 |
+//! | 4 ms | 575 / 1154 | 10.11 · 1445 / 2823 |
+//!
+//! The 1 ms frames cost wall clock: a `vbw-sat-dl` run took 59 s with whole
+//! envelopes and 108 s with a heap event per frame (2 cores). Pumping an
+//! instant's links from one heap event, with `dl-core`'s fuller pipelined
+//! epochs, brings it to 64 s.
 //!
 //! ## Drivers and quiescence
 //!
@@ -59,6 +72,7 @@ pub mod chaos;
 pub mod fluid;
 
 use std::cmp::Ordering;
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
 
 use rand::Rng;
@@ -289,8 +303,6 @@ struct Link {
     inflight: VecDeque<(u64, Envelope)>,
     /// Whether a heap event for this link's head arrival is outstanding.
     arrive_scheduled: bool,
-    /// Whether a pump event at `busy_until` is outstanding.
-    ready_scheduled: bool,
 }
 
 /// Milliseconds of link capacity one frame carries of `ReturnChunk` bulk
@@ -315,7 +327,8 @@ impl Link {
 enum EvKind {
     Submit {
         node: NodeId,
-        tx: Tx,
+        /// Boxed so that every heap entry stays a few words.
+        tx: Box<Tx>,
     },
     Poll {
         node: NodeId,
@@ -325,13 +338,13 @@ enum EvKind {
         from: NodeId,
         to: NodeId,
     },
-    /// The link finished a transmission while it had backlog; pump its
-    /// queue.
-    LinkReady {
-        from: NodeId,
-        to: NodeId,
-    },
+    /// Pump every link due at this instant ([`Fabric::pumps`]).
+    Pumps,
 }
+
+/// The tie-break key of [`EvKind::Pumps`]: above every node's, so an
+/// instant's link pumps run after all of its node events.
+const PUMPS_KEY: u16 = u16::MAX;
 
 struct Ev {
     at: u64,
@@ -340,7 +353,8 @@ struct Ev {
     /// group them by the node whose state they touch — at N=64 a single
     /// millisecond carries thousands of arrivals, and processing each
     /// node's share as one burst keeps that node's epoch state cache-warm
-    /// instead of hopping randomly across the whole cluster's.
+    /// instead of hopping randomly across the whole cluster's. Link pumps
+    /// come last ([`PUMPS_KEY`]).
     node_key: u16,
     seq: u64,
     kind: EvKind,
@@ -374,6 +388,9 @@ struct Fabric {
     /// loop their own traffic back internally).
     links: Vec<Link>,
     events: BinaryHeap<Ev>,
+    /// Due link pumps, per instant: the indices into `links` to pump then.
+    /// Each instant here has exactly one [`EvKind::Pumps`] heap event.
+    pumps: BTreeMap<u64, Vec<u32>>,
     seq: u64,
     now: u64,
     last_activity: u64,
@@ -396,10 +413,7 @@ impl Fabric {
         let node_key = match &kind {
             EvKind::Submit { node, .. } | EvKind::Poll { node } => node.0,
             EvKind::Arrive { to, .. } => to.0,
-            // Pumps touch only link state, which is stored row-major by
-            // sender — key them by `from` so a sender's pump burst walks
-            // one contiguous row of `links`.
-            EvKind::LinkReady { from, .. } => from.0,
+            EvKind::Pumps => PUMPS_KEY,
         };
         let seq = self.seq;
         self.seq += 1;
@@ -411,8 +425,34 @@ impl Fabric {
         });
     }
 
-    /// Start the next transmission on the link if it is idle, and keep
-    /// exactly one pump event outstanding while it has backlog.
+    /// Pump link `li` at `at`. One heap event per instant serves every link
+    /// due then, so scheduling costs a map entry, not a heap entry.
+    fn schedule_pump(&mut self, at: u64, li: usize) {
+        match self.pumps.entry(at) {
+            Entry::Occupied(mut due) => due.get_mut().push(li as u32),
+            Entry::Vacant(slot) => {
+                slot.insert(vec![li as u32]);
+                self.push_event(at, EvKind::Pumps);
+            }
+        }
+    }
+
+    /// Run the pumps due at `at`, in `(from, to)` order. The instant's node
+    /// events have all run ([`PUMPS_KEY`]), so a frame that starts now
+    /// carries everything queued up to now, whichever of them the heap
+    /// popped first.
+    fn run_pumps(&mut self, at: u64) {
+        let mut due = self.pumps.remove(&at).unwrap_or_default();
+        due.sort_unstable();
+        due.dedup();
+        self.events_processed += due.len() as u64;
+        for &li in &due {
+            self.pump_link(li as usize);
+        }
+    }
+
+    /// Start the next transmission on link `li` if it is idle, and keep a
+    /// pump due at the end of it while the link has backlog.
     ///
     /// Transmissions are *frames*: everything queued of the high class,
     /// then `ReturnChunk` bulk up to one quantum of link capacity
@@ -424,24 +464,30 @@ impl Fabric {
     /// with it, both the virtual byte accounting and the event count track
     /// the frame. Only a high-class envelope larger than the quantum (a
     /// dispersal `Chunk`) makes a frame longer than that.
-    fn pump_link(&mut self, from: NodeId, to: NodeId) {
-        let now = self.now;
-        let li = from.idx() * self.cfg.cluster.n + to.idx();
-        let (arrive_at, ready_at) =
-            pump_link_inner(&mut self.links[li], self.chaos.as_mut(), li, from, to, now);
+    fn pump_link(&mut self, li: usize) {
+        let n = self.cfg.cluster.n;
+        let (from, to) = (NodeId((li / n) as u16), NodeId((li % n) as u16));
+        let (arrive_at, pump_at) = pump_link_inner(
+            &mut self.links[li],
+            self.chaos.as_mut(),
+            li,
+            from,
+            to,
+            self.now,
+        );
         if let Some(at) = arrive_at {
             self.push_event(at, EvKind::Arrive { from, to });
         }
-        if let Some(at) = ready_at {
-            self.push_event(at, EvKind::LinkReady { from, to });
+        if let Some(at) = pump_at {
+            self.schedule_pump(at, li);
         }
     }
 }
 
 /// Core of [`Fabric::pump_link`], split out so the link and the chaos
 /// state borrow independently of the event heap. Mutates the link (and the
-/// link's fault stream) and returns the `(Arrive, LinkReady)` event times
-/// to schedule, if any.
+/// link's fault stream) and returns when its next frame arrives and when it
+/// must be pumped again, if at all.
 fn pump_link_inner(
     link: &mut Link,
     mut chaos: Option<&mut chaos::ChaosState>,
@@ -451,25 +497,18 @@ fn pump_link_inner(
     now: u64,
 ) -> (Option<u64>, Option<u64>) {
     // A severed link holds its queue — a partition is an outage, not loss —
-    // and retries at the earliest heal time. Envelopes already transmitted
-    // still arrive, like packets on the wire when a cable is cut.
-    if let Some(chaos) = &chaos {
-        if let Some(heal) = chaos.severed_until(from.idx(), to.idx(), now) {
-            if !link.queue.is_empty() && !link.ready_scheduled {
-                link.ready_scheduled = true;
-                return (None, Some(heal.max(now + 1)));
-            }
-            return (None, None);
-        }
+    // and is busy until the earliest heal time. Envelopes already
+    // transmitted still arrive, like packets on the wire when a cable is
+    // cut.
+    if let Some(heal) = chaos
+        .as_ref()
+        .and_then(|c| c.severed_until(from.idx(), to.idx(), now))
+    {
+        link.busy_until = link.busy_until.max(heal).max(now + 1);
     }
     if link.busy_until > now {
-        // Busy: make sure the backlog gets pumped when the current
-        // transmission ends.
-        if !link.queue.is_empty() && !link.ready_scheduled {
-            link.ready_scheduled = true;
-            return (None, Some(link.busy_until));
-        }
-        return (None, None);
+        // Severed: come back when the link is free, if it has backlog.
+        return (None, (!link.queue.is_empty()).then_some(link.busy_until));
     }
     // Probabilistic faults only apply inside the plan's horizon, so every
     // scenario ends on a clean network.
@@ -546,25 +585,30 @@ fn pump_link_inner(
             events.0 = Some(arrive_at);
         }
     }
-    if !link.queue.is_empty() && !link.ready_scheduled {
-        link.ready_scheduled = true;
-        events.1 = Some(now + tx_ms);
+    if !link.queue.is_empty() {
+        events.1 = Some(link.busy_until);
     }
     events
 }
 
 /// The virtual network is one of the two [`Transport`] implementations in
 /// the workspace (the other is `dl-net`'s TCP mesh): `send` enqueues on the
-/// directed link's [`SendQueue`] and starts a transmission if the link is
-/// idle.
+/// directed link's [`SendQueue`]. A link with backlog always has a pump
+/// due — when its transmission under way ends or, if it is idle, after the
+/// current instant's node events — so only an envelope pushed onto an
+/// empty queue schedules one.
 impl Transport for Fabric {
     fn send(&mut self, from: NodeId, to: NodeId, env: Envelope) {
         assert_ne!(from, to, "nodes must loop self-traffic back internally");
         self.last_activity = self.now;
-        self.links[from.idx() * self.cfg.cluster.n + to.idx()]
-            .queue
-            .push(env);
-        self.pump_link(from, to);
+        let li = from.idx() * self.cfg.cluster.n + to.idx();
+        let link = &mut self.links[li];
+        let idle = link.queue.is_empty();
+        link.queue.push(env);
+        if idle {
+            let at = link.busy_until.max(self.now);
+            self.schedule_pump(at, li);
+        }
     }
 }
 
@@ -678,7 +722,6 @@ impl Simulation {
                 queue: SendQueue::new(),
                 inflight: VecDeque::new(),
                 arrive_scheduled: false,
-                ready_scheduled: false,
             })
             .collect();
         Simulation {
@@ -687,6 +730,7 @@ impl Simulation {
                 cfg,
                 links,
                 events: BinaryHeap::new(),
+                pumps: BTreeMap::new(),
                 seq: 0,
                 now: 0,
                 last_activity: 0,
@@ -820,7 +864,7 @@ impl Simulation {
             at_ms,
             EvKind::Submit {
                 node: NodeId(node as u16),
-                tx,
+                tx: Box::new(tx),
             },
         );
     }
@@ -852,7 +896,7 @@ impl Simulation {
             match ev.kind {
                 EvKind::Submit { node, tx } => {
                     fabric.events_processed += 1;
-                    nodes[node.idx()].submit_tx(tx, now, &mut FabricSink { from: node, fabric });
+                    nodes[node.idx()].submit_tx(*tx, now, &mut FabricSink { from: node, fabric });
                 }
                 EvKind::Poll { node } => {
                     fabric.events_processed += 1;
@@ -894,12 +938,7 @@ impl Simulation {
                         &mut FabricSink { from: to, fabric },
                     );
                 }
-                EvKind::LinkReady { from, to } => {
-                    fabric.events_processed += 1;
-                    fabric.links[from.idx() * fabric.cfg.cluster.n + to.idx()].ready_scheduled =
-                        false;
-                    fabric.pump_link(from, to);
-                }
+                EvKind::Pumps => fabric.run_pumps(ev.at),
             }
         }
         SimReport {
@@ -937,6 +976,7 @@ mod tests {
             },
         };
         heap.push(ev(10, 0, 1));
+        heap.push(ev(5, PUMPS_KEY, 3));
         heap.push(ev(5, 1, 2));
         heap.push(ev(5, 1, 4));
         heap.push(ev(5, 2, 0));
@@ -944,8 +984,18 @@ mod tests {
             .map(|e| (e.at, e.node_key, e.seq))
             .collect();
         // Same-time events group by destination node (they are concurrent,
-        // so this is just a deterministic tie-break), FIFO within a node.
-        assert_eq!(order, vec![(5, 1, 2), (5, 1, 4), (5, 2, 0), (10, 0, 1)]);
+        // so this is just a deterministic tie-break), FIFO within a node;
+        // the instant's link pumps come last, however old.
+        assert_eq!(
+            order,
+            vec![
+                (5, 1, 2),
+                (5, 1, 4),
+                (5, 2, 0),
+                (5, PUMPS_KEY, 3),
+                (10, 0, 1)
+            ]
+        );
     }
 
     #[test]

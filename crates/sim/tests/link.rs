@@ -139,6 +139,68 @@ fn a_vote_pushed_behind_a_chunk_on_the_wire_arrives_within_a_quantum() {
 }
 
 #[test]
+fn a_vote_sent_as_a_frame_ends_rides_the_next_frame_whatever_the_heap_pops_first() {
+    // The 1 ms frames of the chunk end at every whole millisecond. The vote
+    // is scripted for 5 ms before the run — its submission is older than
+    // the pump the frame ending at 5 ms schedules — or after running to
+    // 4 ms, when it is younger. Either way the link's pumps run after the
+    // instant's node events, so the frame that starts at 5 ms carries it.
+    let mut arrivals = Vec::new();
+    for scripted_late in [false, true] {
+        let (mut sim, log) = probed_link();
+        script(&mut sim, 0, 7, CHUNK_BYTES);
+        if scripted_late {
+            sim.run_until_quiescent(4);
+        }
+        script(&mut sim, 5, 9, VOTE);
+        assert!(sim.run_until_quiescent(10_000).quiesced);
+        let log = log.borrow();
+        assert_eq!(log[0].1, vote(9));
+        arrivals.push(log[0].0);
+    }
+    assert_eq!(arrivals, [5 + Q_MS + LATENCY_MS; 2]);
+}
+
+#[test]
+fn two_runs_of_one_seed_pump_the_same_schedule() {
+    // A DL cluster whose uplinks are re-drawn every 100 ms from one seed,
+    // run from outside in slices as `dl-e2e` does.
+    let run = |seed: u64| {
+        let mut sim = Simulation::new(SimConfig::fluid(7, ProtocolVariant::Dl));
+        let mut x = seed;
+        for s in 0..8u64 {
+            for node in 0..7 {
+                let at = 50 * s + 3 * node as u64;
+                sim.submit_at(node, at, Tx::synthetic(NodeId(node as u16), s, at, 30_000));
+            }
+        }
+        for slice in 0..20 {
+            for node in 0..7 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let bytes_per_ms = 100 + x % 1900;
+                sim.set_uplink(
+                    node,
+                    LinkSpec {
+                        latency_ms: LATENCY_MS,
+                        bytes_per_ms,
+                    },
+                );
+            }
+            sim.run_until_quiescent(100 * slice);
+        }
+        sim.run_until_quiescent(600_000)
+    };
+    let (a, b) = (run(1), run(1));
+    assert!(a.quiesced);
+    assert_eq!(a.tx_order(0).len(), 56, "lost transactions");
+    assert_eq!(a.events_processed, b.events_processed);
+    assert_eq!(a.delivered, b.delivered);
+    assert_eq!(a.events, b.events);
+}
+
+#[test]
 fn a_rate_re_drawn_mid_chunk_governs_the_chunks_next_frame() {
     let (mut sim, log) = probed_link();
     script(&mut sim, 0, 7, CHUNK_BYTES);

@@ -180,6 +180,52 @@ fn honest_uniform_wan_rarely_escalates() {
     assert!(requests >= 7 * started && requests < 8 * started);
 }
 
+/// The fetch-at-completion gate (release-only): `dl-e2e`'s `coded-n16`
+/// load — N = 16 on a uniform WAN, Poisson arrivals of 6 × 25 kB
+/// transactions a second per node for 10 s — in fluid mode. A DL node
+/// fetches a block as soon as its dispersal completes here and the
+/// proposer's completion prefix covers it, while its BA still runs, so
+/// from the delivering epoch's last decision to its blocks in hand
+/// ([`SimReport::latency_phases`]) a transaction waits 13.5 ms on the
+/// mean. Fetching when a BA decided took 55.3 ms.
+#[test]
+fn blocks_are_in_hand_soon_after_their_epoch_decides() {
+    if cfg!(debug_assertions) {
+        eprintln!("skipping decided-to-in-hand gate in debug build");
+        return;
+    }
+    const N: usize = 16;
+    let mut sim = Simulation::new(SimConfig::fluid(N, ProtocolVariant::Dl));
+    // xorshift64: exponential gaps with a 1000 / 6 ms mean.
+    let mut x = 0x9e37_79b9_7f4a_7c15u64;
+    let mut submitted = 0;
+    for node in 0..N {
+        let (mut at, mut seq) = (11 * node as u64, 0);
+        while at < 10_000 {
+            sim.submit_at(
+                node,
+                at,
+                Tx::synthetic(NodeId(node as u16), seq, at, 25_000),
+            );
+            (seq, submitted) = (seq + 1, submitted + 1);
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let u = ((x >> 11) as f64 + 0.5) / (1u64 << 53) as f64;
+            at += ((-u.ln() * 1000.0 / 6.0) as u64).max(1);
+        }
+    }
+    let report = sim.run_until_quiescent(600_000);
+    assert!(report.quiesced);
+    let (txs, waited) = (0..N)
+        .map(|i| report.latency_phases(i))
+        .fold((0, 0), |(t, w), p| (t + p.txs, w + p.decided_to_in_hand_ms));
+    assert_eq!(txs, submitted, "lost transactions");
+    let mean = waited as f64 / txs as f64;
+    eprintln!("fetch gate: {mean:.1} ms from decided to in hand");
+    assert!(mean <= 25.0, "{mean:.1} ms from decided to in hand (≤ 25)");
+}
+
 /// The release gate, on the tiered-uplink scenario `window.rs` shares
 /// (`common`): before targeted retrieval this run put ≈ 41 bytes on the
 /// wire per payload byte and went idle at 7911 virtual ms. It measures
