@@ -2,7 +2,7 @@
 //!
 //! DispersedLedger (like HoneyBadger) runs `N` BA instances per epoch to agree
 //! on which dispersals to commit (paper §4.1). This crate implements the BA
-//! protocol the paper cites — Mostéfaoui, Hamouma, Raynal, *Signature-free
+//! protocol the paper cites — Mostéfaoui, Moumen, Raynal, *Signature-free
 //! asynchronous Byzantine consensus with t < n/3 and O(n²) messages* (PODC
 //! 2014) — as a deterministic, sans-IO automaton, plus:
 //!
@@ -11,7 +11,7 @@
 //! * a **termination gadget** (`Term` messages): deciding nodes announce
 //!   their decision; `f+1` matching announcements let a node decide
 //!   directly, and `2f+1` let it stop participating. This is the standard
-//!   practical fix for MHR14's "decide but keep running" behaviour.
+//!   practical fix for MMR14's "decide but keep running" behaviour.
 //!
 //! The automaton ([`Ba`]) consumes `(from, BaMsg)` pairs and emits
 //! [`BaEffect`]s (broadcasts and the decision event). Drivers — the
@@ -51,7 +51,7 @@ struct RoundState {
     bval_from: [NodeSet; 2],
     /// Whether we broadcast `BVal(v)` ourselves, per value.
     bval_sent: [bool; 2],
-    /// `bin_values` of MHR14: values backed by `2f+1` BVals.
+    /// `bin_values` of MMR14: values backed by `2f+1` BVals.
     bin_values: [bool; 2],
     /// Nodes from which we received an `Aux`, per value (a node counts once;
     /// the first value it sends wins).
@@ -150,7 +150,7 @@ impl Ba {
         self.halted
     }
 
-    /// Current round (for diagnostics and the round-latency bench).
+    /// Current round (for diagnostics).
     pub fn round(&self) -> usize {
         self.round
     }

@@ -29,15 +29,20 @@ struct Net {
     /// (from, to, msg)
     pool: Vec<(NodeId, NodeId, BaMsg)>,
     decisions: Vec<Option<bool>>,
+    /// `Ba::round()` of each node when its `Decide` was applied: one past
+    /// the deciding round, unless `f + 1` Terms decided it mid-round.
+    decided_round: Vec<Option<usize>>,
     rng: StdRng,
     /// Probability (percent) that a delivered message is also re-delivered.
     dup_percent: u32,
 }
 
 impl Net {
-    fn new(n: usize, f: usize, behaviors: Vec<Behavior>, seed: u64) -> Net {
+    /// `salt` names the instance, and so its coin sequence; `seed` draws the
+    /// delivery schedule.
+    fn new(n: usize, f: usize, behaviors: Vec<Behavior>, salt: u64, seed: u64) -> Net {
         assert_eq!(behaviors.len(), n);
-        let salt = Hash::digest(b"ba-test-instance");
+        let salt = Hash::digest_parts(&[b"ba-test-instance", &salt.to_le_bytes()]);
         let nodes = behaviors
             .iter()
             .map(|b| match b {
@@ -51,6 +56,7 @@ impl Net {
             behaviors,
             pool: Vec::new(),
             decisions: vec![None; n],
+            decided_round: vec![None; n],
             rng: StdRng::seed_from_u64(seed),
             dup_percent: 0,
         }
@@ -73,6 +79,7 @@ impl Net {
                         "double decide at node {node}"
                     );
                     self.decisions[node] = Some(v);
+                    self.decided_round[node] = self.nodes[node].as_ref().map(Ba::round);
                 }
             }
         }
@@ -180,14 +187,41 @@ fn all_honest(n: usize) -> Vec<Behavior> {
 #[test]
 fn unanimous_one_decides_one_fast() {
     for seed in 0..30 {
-        let mut net = Net::new(4, 1, all_honest(4), seed);
+        let mut net = Net::new(4, 1, all_honest(4), seed, seed);
         net.input_all(&[true; 4]);
         assert!(net.run(), "termination failed at seed {seed}");
         net.check_agreement_validity(&[true; 4]);
         assert!(net.decisions.iter().all(|d| *d == Some(true)));
-        // With the biased round-0 coin, unanimous-1 must finish in round 0/1.
-        for ba in net.nodes.iter().flatten() {
-            assert!(ba.round() <= 2, "took {} rounds", ba.round());
+        // Round 0's coin is 1, so unanimous-1 decides in round 0.
+        for (i, r) in net.decided_round.iter().enumerate() {
+            assert!(*r <= Some(1), "node {i} decided at round() {r:?}");
+        }
+    }
+}
+
+/// An absent proposer's BA: `f` nodes silent and every correct node
+/// inputs 0 (the ACS zero-fill). Round 1's coin is 0, so every correct node
+/// decides by then, whatever the salt; with a hashed round-1 coin about
+/// half the salts would wait for a later round.
+#[test]
+fn unanimous_zero_with_f_mute_decides_by_round_one_for_every_salt() {
+    let (n, f) = (16, 5);
+    let mut behaviors = all_honest(n);
+    for b in &mut behaviors[n - f..] {
+        *b = Behavior::Mute;
+    }
+    let inputs = vec![false; n];
+    for salt in 0..64 {
+        let mut net = Net::new(n, f, behaviors.clone(), salt, salt);
+        net.input_all(&inputs);
+        assert!(net.run(), "salt {salt}");
+        net.check_agreement_validity(&inputs);
+        for i in 0..n - f {
+            let r = net.decided_round[i];
+            assert!(
+                r <= Some(2),
+                "salt {salt}: node {i} decided at round() {r:?}"
+            );
         }
     }
 }
@@ -195,7 +229,7 @@ fn unanimous_one_decides_one_fast() {
 #[test]
 fn unanimous_zero_decides_zero() {
     for seed in 0..30 {
-        let mut net = Net::new(4, 1, all_honest(4), seed);
+        let mut net = Net::new(4, 1, all_honest(4), seed, seed);
         net.input_all(&[false; 4]);
         assert!(net.run());
         net.check_agreement_validity(&[false; 4]);
@@ -207,7 +241,7 @@ fn unanimous_zero_decides_zero() {
 fn mixed_inputs_agree() {
     for seed in 0..50 {
         let inputs = [true, false, true, false];
-        let mut net = Net::new(4, 1, all_honest(4), seed);
+        let mut net = Net::new(4, 1, all_honest(4), seed, seed);
         net.input_all(&inputs);
         assert!(net.run(), "seed {seed}");
         net.check_agreement_validity(&inputs);
@@ -219,7 +253,7 @@ fn mixed_inputs_larger_cluster() {
     for seed in 0..10 {
         let n = 7;
         let inputs: Vec<bool> = (0..n).map(|i| i % 3 == 0).collect();
-        let mut net = Net::new(n, 2, all_honest(n), seed);
+        let mut net = Net::new(n, 2, all_honest(n), seed, seed);
         net.input_all(&inputs);
         assert!(net.run(), "seed {seed}");
         net.check_agreement_validity(&inputs);
@@ -232,7 +266,7 @@ fn tolerates_f_crashed_nodes() {
         let mut behaviors = all_honest(4);
         behaviors[3] = Behavior::Mute;
         let inputs = [true, true, true, true];
-        let mut net = Net::new(4, 1, behaviors, seed);
+        let mut net = Net::new(4, 1, behaviors, seed, seed);
         net.input_all(&inputs);
         assert!(net.run(), "crash-tolerance failed at seed {seed}");
         net.check_agreement_validity(&inputs);
@@ -249,7 +283,7 @@ fn tolerates_crashes_in_larger_cluster() {
         behaviors[4] = Behavior::Mute;
         behaviors[8] = Behavior::Mute;
         let inputs: Vec<bool> = (0..n).map(|i| i % 2 == 0).collect();
-        let mut net = Net::new(n, f, behaviors, seed);
+        let mut net = Net::new(n, f, behaviors, seed, seed);
         net.input_all(&inputs);
         assert!(net.run(), "seed {seed}");
         net.check_agreement_validity(&inputs);
@@ -258,30 +292,38 @@ fn tolerates_crashes_in_larger_cluster() {
 
 #[test]
 fn tolerates_equivocators() {
-    for seed in 0..30 {
+    for (salt, seed) in salts_and_schedules(16, 16) {
         let mut behaviors = all_honest(4);
         behaviors[0] = Behavior::Equivocate;
         let inputs = [false, true, true, true];
-        let mut net = Net::new(4, 1, behaviors, seed);
+        let mut net = Net::new(4, 1, behaviors, salt, seed);
         net.input_all(&inputs);
-        assert!(net.run(), "equivocator broke liveness at seed {seed}");
+        assert!(
+            net.run(),
+            "equivocator broke liveness at salt {salt} seed {seed}"
+        );
         net.check_agreement_validity(&inputs);
     }
 }
 
 #[test]
 fn tolerates_equivocators_with_split_honest_inputs() {
-    for seed in 0..30 {
+    for (salt, seed) in salts_and_schedules(16, 16) {
         let n = 7;
         let mut behaviors = all_honest(n);
         behaviors[2] = Behavior::Equivocate;
         behaviors[5] = Behavior::Equivocate;
         let inputs: Vec<bool> = (0..n).map(|i| i < 3).collect();
-        let mut net = Net::new(n, 2, behaviors, seed);
+        let mut net = Net::new(n, 2, behaviors, salt, seed);
         net.input_all(&inputs);
-        assert!(net.run(), "seed {seed}");
+        assert!(net.run(), "salt {salt} seed {seed}");
         net.check_agreement_validity(&inputs);
     }
+}
+
+/// Every pairing of `salts` coin sequences with `schedules` delivery orders.
+fn salts_and_schedules(salts: u64, schedules: u64) -> impl Iterator<Item = (u64, u64)> {
+    (0..salts).flat_map(move |salt| (0..schedules).map(move |seed| (salt, seed)))
 }
 
 #[test]
@@ -289,7 +331,7 @@ fn future_round_spam_is_bounded() {
     let mut behaviors = all_honest(4);
     behaviors[2] = Behavior::FutureSpam;
     let inputs = [true, true, true, true];
-    let mut net = Net::new(4, 1, behaviors, 7);
+    let mut net = Net::new(4, 1, behaviors, 7, 7);
     net.input_all(&inputs);
     assert!(net.run());
     net.check_agreement_validity(&inputs);
@@ -303,7 +345,7 @@ fn future_round_spam_is_bounded() {
 fn duplicate_deliveries_are_harmless() {
     for seed in 0..20 {
         let inputs = [true, false, false, true];
-        let mut net = Net::new(4, 1, all_honest(4), seed);
+        let mut net = Net::new(4, 1, all_honest(4), seed, seed);
         net.dup_percent = 50;
         net.input_all(&inputs);
         assert!(net.run(), "seed {seed}");
@@ -324,7 +366,7 @@ fn double_input_ignored() {
 #[test]
 fn instance_halts_and_garbage_collects() {
     for seed in 0..10 {
-        let mut net = Net::new(4, 1, all_honest(4), seed);
+        let mut net = Net::new(4, 1, all_honest(4), seed, seed);
         net.input_all(&[true; 4]);
         assert!(net.run());
         // After full delivery every honest node must have quiesced: decided
@@ -337,7 +379,7 @@ fn instance_halts_and_garbage_collects() {
 
 #[test]
 fn no_effects_after_halt() {
-    let mut net = Net::new(4, 1, all_honest(4), 3);
+    let mut net = Net::new(4, 1, all_honest(4), 3, 3);
     net.input_all(&[true; 4]);
     assert!(net.run());
     let ba = net.nodes[0].as_mut().unwrap();
@@ -388,14 +430,14 @@ fn conflicting_terms_from_byzantine_minority_do_not_decide() {
 fn many_seeds_agreement_fuzz() {
     // Broad fuzz over cluster sizes, inputs and schedules.
     let mut rng = StdRng::seed_from_u64(42);
-    for _ in 0..40 {
+    for _ in 0..512 {
         let n = *[4usize, 5, 7, 10].get(rng.gen_range(0..4)).unwrap();
         let f = (n - 1) / 3;
         let inputs: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.5)).collect();
-        let seed = rng.gen();
-        let mut net = Net::new(n, f, all_honest(n), seed);
+        let (salt, seed) = (rng.gen(), rng.gen());
+        let mut net = Net::new(n, f, all_honest(n), salt, seed);
         net.input_all(&inputs);
-        assert!(net.run(), "n={n} seed={seed}");
+        assert!(net.run(), "n={n} salt={salt} seed={seed}");
         net.check_agreement_validity(&inputs);
     }
 }

@@ -444,3 +444,62 @@ fn idle_peers_do_not_vote_out_the_one_loaded_nodes_block() {
         assert_eq!(report.stats[0].unwrap().txs_requeued, 0, "{variant:?}");
     }
 }
+
+/// The agreement-tail gate (release-only): `dl-e2e`'s `crash-revive-n7`
+/// load — Poisson arrivals of 10 × 10 kB transactions a second at nodes
+/// 0–5 for 10 s — on a fluid N = 7 cluster whose node 6 is mute. Node 6's
+/// BA in every epoch gets 0 from the ACS zero-fill at every correct node,
+/// and the epoch waits for it. Round 1's coin is 0, so that BA decides in
+/// round 1: proposed → decided ([`SimReport::latency_phases`]) is 201.6 ms
+/// on the mean. With a hashed round-1 coin it waited a geometric number of
+/// rounds: 244.6 ms.
+///
+/// [`SimReport::latency_phases`]: dl_sim::SimReport::latency_phases
+#[test]
+fn a_mute_proposers_ba_does_not_hold_up_its_epoch() {
+    if cfg!(debug_assertions) {
+        eprintln!("skipping agreement-tail gate in debug build");
+        return;
+    }
+    const N: usize = 7;
+    let mut sim = Simulation::new(SimConfig::fluid(N, ProtocolVariant::Dl));
+    sim.set_node_kind(N - 1, SimNodeKind::Mute);
+    // xorshift64: exponential gaps with a 100 ms mean.
+    let mut x = 0x9e37_79b9_7f4a_7c15u64;
+    let mut submitted = 0;
+    for node in 0..N - 1 {
+        let (mut at, mut seq) = (11 * node as u64, 0);
+        while at < 10_000 {
+            sim.submit_at(
+                node,
+                at,
+                Tx::synthetic(NodeId(node as u16), seq, at, 10_000),
+            );
+            (seq, submitted) = (seq + 1, submitted + 1);
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let u = ((x >> 11) as f64 + 0.5) / (1u64 << 53) as f64;
+            at += ((-u.ln() * 100.0) as u64).max(1);
+        }
+    }
+    let report = sim.run_until_quiescent(600_000);
+    assert!(report.quiesced);
+    let (txs, proposed, decided) =
+        (0..N - 1)
+            .map(|i| report.latency_phases(i))
+            .fold((0, 0, 0), |(t, p, d), ph| {
+                (
+                    t + ph.txs,
+                    p + ph.submit_to_proposed_ms,
+                    d + ph.proposed_to_decided_ms,
+                )
+            });
+    assert_eq!(txs, submitted, "lost transactions");
+    let (proposed, decided) = (proposed as f64 / txs as f64, decided as f64 / txs as f64);
+    eprintln!("agreement-tail gate: {proposed:.1} ms submit → proposed, {decided:.1} ms proposed → decided");
+    assert!(
+        decided <= 220.0,
+        "{decided:.1} ms from proposed to decided (≤ 220)"
+    );
+}

@@ -25,7 +25,9 @@ use dl_wire::{ClusterConfig, NodeId, Tx};
 /// trigger 2420 while linked blocks were fetched at the delivery frontier
 /// and 2266 once they were fetched when their delivery is certain (`common`
 /// gates that too); 1994 now that votes no longer wait behind a chunk that
-/// is already on the wire (`link.rs`).
+/// is already on the wire (`link.rs`). It measures 2052: the coin's fixed
+/// round-1 flip decides the slow tier's BAs 0 sooner, so more of its blocks
+/// are linked over more epochs (2034 with a hashed round-1 coin).
 #[test]
 fn tiered_uplinks_drain_within_the_pipelined_budget() {
     if cfg!(debug_assertions) {

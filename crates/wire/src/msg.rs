@@ -227,7 +227,7 @@ impl WireDecode for VidMsg {
     }
 }
 
-/// Binary Agreement messages (Mostéfaoui–Hamouma–Raynal '14 plus the
+/// Binary Agreement messages (Mostéfaoui–Moumen–Raynal '14 plus the
 /// practical termination gadget; see `dl-ba` docs).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum BaMsg {
