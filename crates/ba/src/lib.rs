@@ -25,6 +25,27 @@
 //!
 //! The test suite checks all three across randomized schedules and Byzantine
 //! behaviours (mute, equivocating, value-flipping adversaries).
+//!
+//! ## Availability is the first vote
+//!
+//! DispersedLedger inputs 1 to `BA(j)` when `VID(j)` completes, on `2f+1`
+//! `Ready`s, and AVID's `Ready` phase is round 0's BV-broadcast of 1: relay
+//! at `f+1`, take the value at `2f+1`. So after [`Ba::vote_by_ready`] each
+//! `Ready(j)` received, our own included, is fed to [`Ba::ready`] as its
+//! sender's round-0 `BVal(1)`; the instance sends no round-0 `BVal(1)` and
+//! ignores explicit ones. `1` enters `bin_values` at completion, one
+//! message delay sooner. Round 0's `BVal(0)` (the ACS zero-fill) and later
+//! rounds are unchanged.
+//!
+//! * **Agreement** is MMR14's: it rests only on one `Aux` per correct node
+//!   per round and on a common coin, and neither changed.
+//! * **Validity**, in ACS form: a decided 1 needs `2f+1` `Ready`s, so `f+1`
+//!   correct ones, and AVID's amplification then completes the dispersal
+//!   everywhere. BV-Obligation and BV-Uniformity follow the same way.
+//! * **The relay case**: a correct node that sent `Ready` and later
+//!   zero-fills 0 has sent a `BVal` for both values, which MMR14 allows.
+//!   Only one root gathers correct `Ready`s; the same holds for a restarted
+//!   observer whose post-restart `Ready` meets a pre-crash `BVal(0)`.
 
 #![forbid(unsafe_code)]
 
@@ -110,6 +131,8 @@ pub struct Ba {
     /// Observer mode (restart recovery): track state and allow `Term`
     /// amplification, but never send `BVal`/`Aux` — see [`Ba::observe_only`].
     observer: bool,
+    /// Round 0's `BVal(1)` travels as VID `Ready`s — see [`Ba::vote_by_ready`].
+    by_ready: bool,
 }
 
 impl Ba {
@@ -131,6 +154,7 @@ impl Ba {
             halted: false,
             input_taken: false,
             observer: false,
+            by_ready: false,
         }
     }
 
@@ -184,6 +208,24 @@ impl Ba {
         self.observer = true;
     }
 
+    /// Take round 0's `BVal(1)` from the dispersal's `Ready`s ([`Ba::ready`];
+    /// module docs). Call before any input.
+    pub fn vote_by_ready(&mut self) {
+        self.by_ready = true;
+        self.rounds[0].bval_sent[1] = true;
+    }
+
+    /// `from`'s `Ready` for this instance's dispersal: its round-0 `BVal(1)`
+    /// after [`Ba::vote_by_ready`], ignored otherwise.
+    pub fn ready(&mut self, from: NodeId) -> Vec<BaEffect> {
+        let mut out = Vec::new();
+        if self.by_ready && !self.halted {
+            self.on_bval(from, 0, true, &mut out);
+            self.try_progress(&mut out);
+        }
+        out
+    }
+
     /// Propose a value. Ignored if already input.
     pub fn input(&mut self, value: bool) -> Vec<BaEffect> {
         let mut out = Vec::new();
@@ -205,6 +247,8 @@ impl Ba {
             return out;
         }
         match msg {
+            // No correct node sends a round-0 `BVal(1)`: its `Ready` was it.
+            BaMsg::BVal { round, value } if self.by_ready && round == 0 && value => {}
             BaMsg::BVal { round, value } => self.on_bval(from, round as usize, value, &mut out),
             BaMsg::Aux { round, value } => self.on_aux(from, round as usize, value, &mut out),
             BaMsg::Term { value } => self.on_term(from, value, &mut out),

@@ -20,14 +20,37 @@ enum Behavior {
     Equivocate,
     /// Sends BVal/Aux for rounds far in the future (memory-exhaustion probe).
     FutureSpam,
+    /// Availability voting only: `Ready`s to a random half of the nodes,
+    /// explicit round-0 `BVal`s of both values, and an `Aux` and a `Term`
+    /// of a random value per recipient.
+    ReadyLiar,
+}
+
+/// What travels between harness nodes: a BA message, or a dispersal's
+/// `Ready`, which an availability-voting instance counts as the sender's
+/// round-0 `BVal(1)` ([`Ba::ready`]).
+#[derive(Clone, Copy, Debug)]
+enum Wire {
+    Ba(BaMsg),
+    Ready,
+    /// Addressed by a node to itself: the ACS zero-fill reaching it (input
+    /// 0), at whatever point of the schedule the pool delivers it.
+    ZeroFill,
+}
+
+impl From<BaMsg> for Wire {
+    fn from(msg: BaMsg) -> Wire {
+        Wire::Ba(msg)
+    }
 }
 
 struct Net {
     n: usize,
+    f: usize,
     nodes: Vec<Option<Ba>>, // None for Byzantine nodes
     behaviors: Vec<Behavior>,
     /// (from, to, msg)
-    pool: Vec<(NodeId, NodeId, BaMsg)>,
+    pool: Vec<(NodeId, NodeId, Wire)>,
     decisions: Vec<Option<bool>>,
     /// `Ba::round()` of each node when its `Decide` was applied: one past
     /// the deciding round, unless `f + 1` Terms decided it mid-round.
@@ -35,6 +58,13 @@ struct Net {
     rng: StdRng,
     /// Probability (percent) that a delivered message is also re-delivered.
     dup_percent: u32,
+    /// Availability voting ([`Net::by_ready`]): the dispersal each node runs
+    /// beside its instance — distinct `Ready` senders heard, and whether it
+    /// sent its own `Ready`.
+    readys: Vec<NodeSet>,
+    ready_sent: Vec<bool>,
+    /// The value each honest instance took as its input.
+    inputs: Vec<Option<bool>>,
 }
 
 impl Net {
@@ -52,6 +82,7 @@ impl Net {
             .collect();
         Net {
             n,
+            f,
             nodes,
             behaviors,
             pool: Vec::new(),
@@ -59,19 +90,72 @@ impl Net {
             decided_round: vec![None; n],
             rng: StdRng::seed_from_u64(seed),
             dup_percent: 0,
+            readys: vec![NodeSet::new(); n],
+            ready_sent: vec![false; n],
+            inputs: vec![None; n],
         }
     }
 
-    fn broadcast(&mut self, from: usize, msg: BaMsg) {
+    /// Switch every honest instance to availability voting.
+    fn by_ready(mut self) -> Net {
+        for ba in self.nodes.iter_mut().flatten() {
+            ba.vote_by_ready();
+        }
+        self
+    }
+
+    fn broadcast(&mut self, from: usize, msg: impl Into<Wire> + Copy) {
         for to in 0..self.n {
             self.pool
-                .push((NodeId(from as u16), NodeId(to as u16), msg));
+                .push((NodeId(from as u16), NodeId(to as u16), msg.into()));
+        }
+    }
+
+    /// Honest node `node` sends its `Ready` (once).
+    fn send_ready(&mut self, node: usize) {
+        if !std::mem::replace(&mut self.ready_sent[node], true) {
+            self.broadcast(node, Wire::Ready);
+        }
+    }
+
+    /// AVID's `Ready` handler at honest node `to`: amplify at `f+1`, complete
+    /// — and vote 1 — at `2f+1`; the instance counts the sender's vote.
+    fn on_ready(&mut self, to: usize, from: NodeId) {
+        if !self.readys[to].insert(from) {
+            return;
+        }
+        let count = self.readys[to].len();
+        if count > self.f {
+            self.send_ready(to);
+        }
+        let effects = self.nodes[to].as_mut().unwrap().ready(from);
+        self.apply_effects(to, effects);
+        if count > 2 * self.f {
+            self.input(to, true);
         }
     }
 
     fn apply_effects(&mut self, node: usize, effects: Vec<BaEffect>) {
         for eff in effects {
             match eff {
+                BaEffect::Broadcast(m) if self.nodes[node].as_ref().unwrap().by_ready => {
+                    match m {
+                        BaMsg::BVal {
+                            round: 0,
+                            value: true,
+                        } => panic!("node {node} sent a round-0 BVal(1)"),
+                        BaMsg::Aux {
+                            round: 0,
+                            value: true,
+                        } => assert!(
+                            self.readys[node].len() > 2 * self.f,
+                            "node {node} sent round-0 Aux(1) on {} Readys",
+                            self.readys[node].len()
+                        ),
+                        _ => {}
+                    }
+                    self.broadcast(node, m);
+                }
                 BaEffect::Broadcast(m) => self.broadcast(node, m),
                 BaEffect::Decide(v) => {
                     assert!(
@@ -88,52 +172,87 @@ impl Net {
     fn input_all(&mut self, inputs: &[bool]) {
         // Byzantine nodes inject their traffic "at input time".
         for (i, &input) in inputs.iter().enumerate() {
-            match self.behaviors[i] {
-                Behavior::Honest => {
-                    let effects = self.nodes[i].as_mut().unwrap().input(input);
-                    self.apply_effects(i, effects);
+            if self.behaviors[i] == Behavior::Honest {
+                self.input(i, input);
+            } else {
+                self.inject(i);
+            }
+        }
+    }
+
+    fn input(&mut self, node: usize, value: bool) {
+        let ba = self.nodes[node].as_mut().unwrap();
+        if !ba.has_input() {
+            self.inputs[node] = Some(value);
+        }
+        let effects = ba.input(value);
+        self.apply_effects(node, effects);
+    }
+
+    /// Byzantine node `i` puts all its traffic in the pool.
+    fn inject(&mut self, i: usize) {
+        match self.behaviors[i] {
+            Behavior::Honest | Behavior::Mute => {}
+            Behavior::Equivocate => {
+                // Conflicting BVals: value depends on recipient parity,
+                // plus contradictory Aux for both values.
+                for to in 0..self.n {
+                    let v = to % 2 == 0;
+                    self.send(i, to, BaMsg::BVal { round: 0, value: v });
+                    self.send(
+                        i,
+                        to,
+                        BaMsg::Aux {
+                            round: 0,
+                            value: !v,
+                        },
+                    );
+                    self.send(i, to, BaMsg::Term { value: v });
                 }
-                Behavior::Mute => {}
-                Behavior::Equivocate => {
-                    // Conflicting BVals: value depends on recipient parity,
-                    // plus contradictory Aux for both values.
-                    for to in 0..self.n {
-                        let v = to % 2 == 0;
-                        self.pool.push((
-                            NodeId(i as u16),
-                            NodeId(to as u16),
-                            BaMsg::BVal { round: 0, value: v },
-                        ));
-                        self.pool.push((
-                            NodeId(i as u16),
-                            NodeId(to as u16),
-                            BaMsg::Aux {
-                                round: 0,
-                                value: !v,
+            }
+            Behavior::FutureSpam => {
+                for to in 0..self.n {
+                    for r in [500u16, 1000, 60000] {
+                        self.send(
+                            i,
+                            to,
+                            BaMsg::BVal {
+                                round: r,
+                                value: true,
                             },
-                        ));
-                        self.pool.push((
-                            NodeId(i as u16),
-                            NodeId(to as u16),
-                            BaMsg::Term { value: v },
-                        ));
-                    }
-                }
-                Behavior::FutureSpam => {
-                    for to in 0..self.n {
-                        for r in [500u16, 1000, 60000] {
-                            self.pool.push((
-                                NodeId(i as u16),
-                                NodeId(to as u16),
-                                BaMsg::BVal {
-                                    round: r,
-                                    value: true,
-                                },
-                            ));
-                        }
+                        );
                     }
                 }
             }
+            Behavior::ReadyLiar => {
+                for to in 0..self.n {
+                    if self.rng.gen_bool(0.5) {
+                        self.send(i, to, Wire::Ready);
+                    }
+                    for value in [false, true] {
+                        self.send(i, to, BaMsg::BVal { round: 0, value });
+                    }
+                    let value = self.rng.gen_bool(0.5);
+                    self.send(i, to, BaMsg::Aux { round: 0, value });
+                    self.send(i, to, BaMsg::Term { value });
+                }
+            }
+        }
+    }
+
+    fn send(&mut self, from: usize, to: usize, msg: impl Into<Wire>) {
+        self.pool
+            .push((NodeId(from as u16), NodeId(to as u16), msg.into()));
+    }
+
+    fn deliver(&mut self, from: NodeId, to: usize, msg: Wire) {
+        match msg {
+            Wire::Ba(msg) => {
+                let effects = self.nodes[to].as_mut().unwrap().handle(from, msg);
+                self.apply_effects(to, effects);
+            }
+            Wire::Ready => self.on_ready(to, from),
+            Wire::ZeroFill => self.input(to, false),
         }
     }
 
@@ -147,12 +266,10 @@ impl Net {
             let idx = self.rng.gen_range(0..self.pool.len());
             let (from, to, msg) = self.pool.swap_remove(idx);
             let duplicate = self.rng.gen_range(0..100) < self.dup_percent;
-            if let Some(ba) = self.nodes[to.idx()].as_mut() {
-                let effects = ba.handle(from, msg);
-                self.apply_effects(to.idx(), effects);
+            if self.nodes[to.idx()].is_some() {
+                self.deliver(from, to.idx(), msg);
                 if duplicate {
-                    let effects = self.nodes[to.idx()].as_mut().unwrap().handle(from, msg);
-                    self.apply_effects(to.idx(), effects);
+                    self.deliver(from, to.idx(), msg);
                 }
             }
         }
@@ -440,6 +557,86 @@ fn many_seeds_agreement_fuzz() {
         assert!(net.run(), "n={n} salt={salt} seed={seed}");
         net.check_agreement_validity(&inputs);
     }
+}
+
+/// Availability voting ([`Ba::vote_by_ready`]) under adversarial `Ready` /
+/// `BVal` interleavings, over 1,024 (salt, schedule) pairs. Each draws a
+/// cluster of 4 or 7 with up to `f` Byzantine members, mute or
+/// [`Behavior::ReadyLiar`]; honest servers that `Ready` on their own (they
+/// saw `2f+1` `GotChunk`s); and honest nodes whose ACS zero-fill lands at a
+/// random point of the schedule — before, after or instead of completing,
+/// so some `Ready` and then input 0. Whoever has not input when the network
+/// drains zero-fills then, as ACS eventually makes it.
+///
+/// Agreement and termination hold; 1 is decided only if `f+1` honest nodes
+/// sent `Ready`, and then every honest node completed the dispersal (ACS
+/// validity: the block is retrievable everywhere); 0 only if an honest node
+/// input it. `Net::apply_effects` checks every send: no honest round-0
+/// `BVal(1)`, and no round-0 `Aux(1)` before `2f+1` distinct `Ready`s.
+#[test]
+fn readys_are_the_round_zero_vote_for_one() {
+    let mut decided = [0u32; 2];
+    for (salt, seed) in salts_and_schedules(32, 32) {
+        let mut rng = StdRng::seed_from_u64(salt << 32 | seed);
+        let n = if rng.gen_bool(0.5) { 4 } else { 7 };
+        let f = (n - 1) / 3;
+        let mut behaviors = all_honest(n);
+        for b in behaviors.iter_mut().rev().take(rng.gen_range(0..f + 1)) {
+            *b = if rng.gen_bool(0.5) {
+                Behavior::Mute
+            } else {
+                Behavior::ReadyLiar
+            };
+        }
+        let honest: Vec<usize> = (0..n)
+            .filter(|&i| behaviors[i] == Behavior::Honest)
+            .collect();
+        let initiate = rng.gen_range(0..101u32);
+        let mut net = Net::new(n, f, behaviors, salt, seed).by_ready();
+        for i in 0..n {
+            if !honest.contains(&i) {
+                net.inject(i);
+                continue;
+            }
+            if rng.gen_range(0..100) < initiate {
+                net.send_ready(i);
+            }
+            if rng.gen_bool(0.5) {
+                net.send(i, i, Wire::ZeroFill);
+            }
+        }
+        net.run();
+        for &i in &honest {
+            if net.inputs[i].is_none() {
+                net.send(i, i, Wire::ZeroFill);
+            }
+        }
+        assert!(net.run(), "salt {salt} seed {seed}: no termination");
+        let v = net.decisions[honest[0]].unwrap();
+        for &i in &honest {
+            assert_eq!(net.decisions[i], Some(v), "salt {salt} seed {seed}");
+        }
+        if v {
+            let readied = honest.iter().filter(|&&i| net.ready_sent[i]).count();
+            assert!(
+                readied > f,
+                "salt {salt} seed {seed}: 1 on {readied} honest Readys"
+            );
+            for &i in &honest {
+                assert!(net.readys[i].len() > 2 * f, "salt {salt} seed {seed}: {i}");
+            }
+        } else {
+            assert!(
+                honest.iter().any(|&i| net.inputs[i] == Some(false)),
+                "salt {salt} seed {seed}: 0 that no honest node input"
+            );
+        }
+        decided[v as usize] += 1;
+    }
+    assert!(
+        decided.iter().all(|&d| d > 100),
+        "one-sided coverage: {decided:?}"
+    );
 }
 
 #[test]

@@ -1,7 +1,9 @@
 //! Agreement-side pipeline: VID completions, BA decisions and the ACS rule
-//! (paper §4.1–§4.2). All three retrieval triggers fire from here — a BA
-//! deciding 1, a completion under retrieve-then-vote, and a completion
-//! whose delivery the prefix makes certain; [`super::retrieval`] has the
+//! (paper §4.1–§4.2). Under DL a BA's round-0 `BVal(1)`s are the `Ready`s
+//! `Node::step` routes to it, so the vote input at completion sends
+//! `Aux(1)` at once. Retrieval triggers fire from here — a BA deciding 1, a
+//! completion under retrieve-then-vote, a completion that advances the
+//! prefix — and as our own `Ready` goes out; [`super::retrieval`] has the
 //! rules.
 //!
 //! BA instances are admitted per epoch as traffic arrives (lazily, through
@@ -71,7 +73,7 @@ impl<C: BlockCoder> Node<C> {
         }
         // Every block the advancing prefix has just covered, this one
         // included: its delivery is now certain, whatever its BA decides.
-        self.fetch_certain(index, covered + 1, work, out);
+        self.fetch_certain(index, covered + 1, self.trackers[index].prefix(), work, out);
     }
 
     /// A retrieval finished (the `Retrieved` event of Fig. 4).

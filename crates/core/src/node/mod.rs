@@ -22,12 +22,12 @@
 //!    HoneyBadger, §4.1). When *all* BAs of epoch `e` have output, the
 //!    *agreement frontier* advances and — under the
 //!    [`crate::variant::ProposeGate::DispersalDone`] gate — epoch `e + 1`
-//!    may start.
+//!    may start. Under DL a VID `Ready` is also its sender's round-0
+//!    `BVal(1)` in the BA (`dl_ba`).
 //! 2. **Retrieval**: a block is fetched the moment it is known to be
-//!    needed, by one of three triggers ([`retrieval`]): its BA decides 1;
-//!    it completes, under retrieve-then-vote; or, with inter-node linking
-//!    (§4.3), it completes and the proposer's completion prefix covers it,
-//!    so it is delivered whatever its BA decides.
+//!    needed ([`retrieval`]): its BA decides 1; it completes, under
+//!    retrieve-then-vote; or, with inter-node linking (§4.3), its delivery
+//!    is certain whatever its BA decides — asked for with our own `Ready`.
 //!    Retrieval never blocks phase 1 of later epochs, nor delivery of
 //!    earlier ones — that is the paper's core decoupling.
 //! 3. **Delivery**: when every needed block of epoch `e` is retrieved, the
@@ -491,7 +491,7 @@ impl<C: BlockCoder> Node<C> {
             self.epoch_entered_ms = now;
             // `restore` is silent: what its log shows certain is fetched now.
             for j in 0..self.cfg.cluster.n {
-                self.fetch_certain(j, 1, &mut work, sink);
+                self.fetch_certain(j, 1, self.trackers[j].prefix(), &mut work, sink);
             }
         }
         loop {
@@ -542,6 +542,11 @@ impl<C: BlockCoder> Node<C> {
                     self.apply_vid_effects(epoch, index, effects, work, out);
                     return;
                 }
+                // Under DL a `Ready` is also its sender's round-0 `BVal(1)`.
+                let votes = match msg {
+                    VidMsg::Ready { .. } if !st.bas.is_empty() => st.bas[index].ready(from),
+                    _ => Vec::new(),
+                };
                 let effects = {
                     // §5 early cancellation, extended to the send path: the
                     // canceller no longer wants chunks, so anything still
@@ -573,6 +578,7 @@ impl<C: BlockCoder> Node<C> {
                     }
                 };
                 self.apply_vid_effects(epoch, index, effects, work, out);
+                self.apply_ba_effects(epoch, index, votes, work, out);
             }
             Work::Ba {
                 epoch,
@@ -618,10 +624,14 @@ impl<C: BlockCoder> Node<C> {
                 VidEffect::Send(to, msg) => {
                     // The retrieval ledger follows the effects: only
                     // retrievers emit these two, a request puts its target
-                    // in our debt and a cancel releases it.
+                    // in our debt (once per retrieval: an escalation's
+                    // re-ask adds none) and a cancel releases it.
                     match msg {
                         VidMsg::RequestChunk => {
-                            self.chunk_requests_owed[to.idx()] += 1;
+                            let reask = self.epochs.get(epoch).is_some_and(|st| {
+                                st.retrievers[index].as_ref().is_some_and(|r| r.reasks(to))
+                            });
+                            self.chunk_requests_owed[to.idx()] += u32::from(!reask);
                             self.stats.chunk_requests_sent += 1;
                         }
                         VidMsg::Cancel => self.chunk_requests_owed[to.idx()] -= 1,
@@ -643,6 +653,7 @@ impl<C: BlockCoder> Node<C> {
                     }
                 }
                 VidEffect::Broadcast(msg) => {
+                    let ready = matches!(msg, VidMsg::Ready { .. });
                     for to in 0..self.cfg.cluster.n as u16 {
                         let to = NodeId(to);
                         if to == self.me {
@@ -659,6 +670,11 @@ impl<C: BlockCoder> Node<C> {
                                 out,
                             );
                         }
+                    }
+                    // Only our server broadcasts. Its `Ready` asks for the
+                    // block its completion would make certain (`retrieval`).
+                    if ready && self.trackers[index].prefix() + 1 >= epoch {
+                        self.fetch_certain(index, epoch, epoch, work, out);
                     }
                 }
                 VidEffect::Complete(root) => self.on_complete(epoch, index, root, work, out),
@@ -723,11 +739,14 @@ impl<C: BlockCoder> Node<C> {
             ])
         });
         let mut st = EpochState::new(self.me, n, f, salts);
-        // Restart recovery: a pre-crash message of ours could have touched
-        // any epoch below the observe line, including ones whose state is
-        // created lazily after the restart.
-        if epoch < self.ba_observe_below {
-            for ba in &mut st.bas {
+        for ba in &mut st.bas {
+            if !self.cfg.flags.vote_requires_retrieval {
+                ba.vote_by_ready(); // availability is the first vote (`dl_ba`)
+            }
+            // Restart recovery: a pre-crash message of ours could have
+            // touched any epoch below the observe line, including ones
+            // whose state is created lazily after the restart.
+            if epoch < self.ba_observe_below {
                 ba.observe_only();
             }
         }

@@ -4,19 +4,23 @@
 //!
 //! A block is fetched at the earliest moment it is known to be needed: it
 //! completes, under retrieve-then-vote (HoneyBadger, HB-Link); or — DL and
-//! DL-Coupled — its delivery becomes **certain** ([`Node::fetch_certain`]):
-//! `VID(t, j)` completed here and our contiguous completion prefix `V[j]`
-//! covers `t`, whether or not `BA(t, j)` has decided. If it decides 1 the
-//! block is committed; if 0, AVID-M completes everywhere what completes
-//! anywhere, so every correct `V[j]` reaches `t` and a later estimate
-//! `E[j]` links it. Either way the fetch spends no byte delivery would
-//! not; it only overlaps retrieval with agreement instead of starting it
-//! one agreement later. DL still votes on availability alone, so it votes
-//! earlier than HoneyBadger and fetches no later. A proposer with a hole
-//! in its dispersals (Byzantine, or back from a restart) is never covered,
-//! so blocks nobody will link buy no `k`-fold amplification. A BA deciding
-//! 1 fetches what we never saw complete or the prefix does not cover, and
-//! delivery's own fetch is the last fallback.
+//! DL-Coupled — its delivery becomes **certain**: `VID(t, j)` completes
+//! here and our contiguous completion prefix `V[j]` covers `t`, whether or
+//! not `BA(t, j)` has decided. If it decides 1 the block is committed; if
+//! 0, AVID-M completes everywhere what completes anywhere, so every correct
+//! `V[j]` reaches `t` and a later estimate `E[j]` links it. Either way the
+//! fetch spends no byte delivery would not; it only overlaps retrieval with
+//! agreement instead of starting it one agreement later. The requests
+//! leave **with our own `Ready`** for `(t, j)` when `V[j] ≥ t − 1`: a
+//! `Ready` is also round 0's `BVal(1)` (`dl_ba`), so `BA(t, j)` can finish
+//! one hop after completion, and requests sent at completion would bring
+//! the chunks a hop later. Servers defer a request until their own
+//! completion (Fig. 4), so no byte moves sooner than it would have. A
+//! proposer with a hole in its dispersals (Byzantine, or back from a
+//! restart) is never covered, so blocks nobody will link buy no `k`-fold
+//! amplification. A BA deciding 1 fetches what we never saw complete or
+//! the prefix does not cover, and delivery's own fetch is the last
+//! fallback.
 //!
 //! Any `k = N − 2f` verified chunks decode a block, so asking all `N`
 //! servers makes every peer upload a chunk for every retrieval —
@@ -45,14 +49,14 @@
 //!   ask-everyone); with it they cost the first deadline and little after;
 //! * on decode it cancels only the asked peers that have not answered;
 //! * **liveness is kept by escalation**: a retrieval that has not decoded
-//!   asks every not-yet-asked peer, once — immediately when an asked peer
-//!   returns a chunk that fails verification or sits under a second root
-//!   (`dl_vid::Retriever::handle`), and otherwise at a deadline taken from
-//!   this node's own retrieval times ([`RetrievalTimer`]). After
-//!   escalation the retrieval is the paper's ask-everyone retrieval, so
-//!   every termination argument for that one carries over; before it, at
-//!   most one timer per retrieval is armed and none re-arms, so an idle
-//!   cluster still goes quiescent.
+//!   asks every peer that has not answered (a lost request is sent again),
+//!   once — immediately when an asked peer returns a chunk that fails
+//!   verification or sits under a second root (`dl_vid::Retriever::handle`),
+//!   and otherwise at a deadline taken from this node's own retrieval
+//!   times ([`RetrievalTimer`]). After escalation the retrieval is the
+//!   paper's ask-everyone retrieval, so every termination argument for that
+//!   one carries over; before it, at most one timer per retrieval is armed
+//!   and none re-arms, so an idle cluster still goes quiescent.
 
 use std::collections::VecDeque;
 
@@ -185,12 +189,14 @@ impl<C: BlockCoder> Node<C> {
     }
 
     /// The certainty trigger (module docs): fetch every undelivered block
-    /// of proposer `j` from epoch `lo` on that our completion prefix
-    /// covers, decided or not. Idempotent, like `start_retrieval`.
+    /// of proposer `j` in epochs `lo..=hi` — ones our completion prefix
+    /// covers, or will once the `Ready` we just sent completes — decided
+    /// or not. Idempotent, like `start_retrieval`.
     pub(super) fn fetch_certain(
         &mut self,
         j: usize,
         lo: u64,
+        hi: u64,
         work: &mut VecDeque<Work>,
         out: &mut dyn EffectSink,
     ) {
@@ -199,7 +205,7 @@ impl<C: BlockCoder> Node<C> {
         }
         let epochs = &self.epochs;
         let certain: Vec<u64> = self
-            .undelivered(j, lo, self.trackers[j].prefix())
+            .undelivered(j, lo, hi)
             .filter(|&t| epochs.contains(t)) // never resurrect a collected epoch
             .collect();
         for t in certain {

@@ -22,6 +22,8 @@ struct Mesh {
     /// reached yet: the dispersal window's pipelined branch, and nothing
     /// else, makes these.
     past_gate: Vec<u64>,
+    /// When set, every entry-point call's effects, `(node, effects)`.
+    runs: Option<Vec<(usize, Vec<NodeEffect>)>>,
     now: u64,
 }
 
@@ -41,11 +43,15 @@ impl Mesh {
             delivered: vec![Vec::new(); n],
             records: vec![Vec::new(); n],
             past_gate: vec![0; n],
+            runs: None,
             now: 0,
         }
     }
 
     fn sink(&mut self, from: usize, effects: Vec<NodeEffect>) {
+        if let Some(runs) = &mut self.runs {
+            runs.push((from, effects.clone()));
+        }
         for eff in effects {
             match eff {
                 NodeEffect::Send(to, env) => {
@@ -1314,5 +1320,105 @@ fn only_dl_and_dl_coupled_take_the_certainty_trigger() {
         d.node.restore(&log_with_block_1_2_dropped(&d, true));
         assert_eq!(fetched(&d.node.poll_vec(0)), [], "{flags:?}");
         assert_eq!(d.node.stats().retrievals_started, 0, "{flags:?}");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Availability is the first vote: a `Ready` is round 0's `BVal(1)`
+// ---------------------------------------------------------------------------
+
+/// Every entry-point call of a 4-node mesh in which each node submits one
+/// transaction, as `(node, its effects)`; every transaction is delivered.
+fn mesh_runs(variant: ProtocolVariant) -> Vec<(usize, Vec<NodeEffect>)> {
+    let mut mesh = Mesh::new(4, variant);
+    mesh.runs = Some(Vec::new());
+    for i in 0..4 {
+        mesh.submit(i, Tx::synthetic(NodeId(i as u16), 0, 0, 100));
+    }
+    mesh.run(300, 10, &[]);
+    assert!(mesh.tx_orders().iter().all(|o| o.len() == 4), "{variant:?}");
+    mesh.runs.take().expect("recorded")
+}
+
+/// `(epoch, index)` of every envelope in `effs` whose payload is `want`'s.
+fn sent(effs: &[NodeEffect], want: impl Fn(&ProtoMsg) -> bool) -> Vec<(u64, u16)> {
+    effs.iter()
+        .filter_map(|e| match e {
+            NodeEffect::Send(_, env) if want(&env.payload) => Some((env.epoch.0, env.index.0)),
+            _ => None,
+        })
+        .collect()
+}
+
+/// `(epoch, index)` of every dispersal that completed in `effs`' call.
+fn completions(effs: &[NodeEffect]) -> Vec<(u64, u16)> {
+    effs.iter()
+        .filter_map(|e| match e {
+            NodeEffect::Persist(StoreRecord::Completed { epoch, index, .. }) => {
+                Some((epoch.0, index.0))
+            }
+            _ => None,
+        })
+        .collect()
+}
+
+#[test]
+fn dl_votes_and_fetches_with_its_ready_and_honeybadger_does_not() {
+    let bval_one = |p: &ProtoMsg| {
+        matches!(
+            p,
+            ProtoMsg::Ba(BaMsg::BVal {
+                round: 0,
+                value: true
+            })
+        )
+    };
+    let aux_one = |p: &ProtoMsg| {
+        matches!(
+            p,
+            ProtoMsg::Ba(BaMsg::Aux {
+                round: 0,
+                value: true
+            })
+        )
+    };
+    let ready = |p: &ProtoMsg| matches!(p, ProtoMsg::Vid(VidMsg::Ready { .. }));
+    let request = |p: &ProtoMsg| matches!(p, ProtoMsg::Vid(VidMsg::RequestChunk));
+    let mut before_completion = 0;
+    for (node, effs) in mesh_runs(ProtocolVariant::Dl) {
+        assert_eq!(
+            sent(&effs, bval_one),
+            [],
+            "node {node} sent a round-0 BVal(1)"
+        );
+        let (aux, readys) = (sent(&effs, aux_one), sent(&effs, ready));
+        for c in completions(&effs) {
+            assert!(
+                aux.contains(&c),
+                "node {node}: {c:?} completed without Aux(1)"
+            );
+        }
+        for r in sent(&effs, request) {
+            assert!(
+                readys.contains(&r),
+                "node {node}: {r:?} requested without Ready"
+            );
+            before_completion += usize::from(!completions(&effs).contains(&r));
+        }
+    }
+    assert!(before_completion > 0, "every request waited for completion");
+    // Retrieve-then-vote is untouched: a fresh round-0 BVal(1) per vote, and
+    // chunks asked for at completion.
+    let runs = mesh_runs(ProtocolVariant::HoneyBadger);
+    assert!(runs
+        .iter()
+        .any(|(_, effs)| !sent(effs, bval_one).is_empty()));
+    for (node, effs) in runs {
+        for r in sent(&effs, request) {
+            assert!(
+                completions(&effs).contains(&r),
+                "node {node}: {r:?} asked early"
+            );
+        }
     }
 }

@@ -13,6 +13,7 @@
 //! dl-chaos --seeds 512             # CI: seeds 0..512
 //! dl-chaos --seed-base 100 --seeds 64
 //! dl-chaos --seed 17               # replay one failing seed
+//! dl-chaos --seed 17 --seed 40     # or a list of them
 //! ```
 
 use std::process::ExitCode;
@@ -20,7 +21,7 @@ use std::process::ExitCode;
 use dl_sim::{run_scenario, scenario_from_seed, ChaosScenario};
 
 fn usage() -> ! {
-    eprintln!("usage: dl-chaos [--seeds N] [--seed-base B] [--seed S] [--max-ms MS]");
+    eprintln!("usage: dl-chaos [--seeds N] [--seed-base B] [--seed S]... [--max-ms MS]");
     std::process::exit(2);
 }
 
@@ -46,7 +47,7 @@ fn describe(sc: &ChaosScenario) -> String {
 fn main() -> ExitCode {
     let mut seeds = 32u64;
     let mut seed_base = 0u64;
-    let mut only_seed: Option<u64> = None;
+    let mut only_seeds: Vec<u64> = Vec::new();
     let mut max_ms: Option<u64> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -59,14 +60,15 @@ fn main() -> ExitCode {
         match arg.as_str() {
             "--seeds" => seeds = value("--seeds").parse().unwrap_or_else(|_| usage()),
             "--seed-base" => seed_base = value("--seed-base").parse().unwrap_or_else(|_| usage()),
-            "--seed" => only_seed = Some(value("--seed").parse().unwrap_or_else(|_| usage())),
+            "--seed" => only_seeds.push(value("--seed").parse().unwrap_or_else(|_| usage())),
             "--max-ms" => max_ms = Some(value("--max-ms").parse().unwrap_or_else(|_| usage())),
             _ => usage(),
         }
     }
-    let batch: Vec<u64> = match only_seed {
-        Some(s) => vec![s],
-        None => (seed_base..seed_base + seeds).collect(),
+    let batch: Vec<u64> = if only_seeds.is_empty() {
+        (seed_base..seed_base + seeds).collect()
+    } else {
+        only_seeds
     };
 
     let mut failures = 0u32;

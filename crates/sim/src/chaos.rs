@@ -30,10 +30,10 @@
 //! 4. **Restart consistency** — a node revived from its write-ahead log
 //!    never contradicts what it delivered before the crash.
 //!
-//! Liveness under message loss is deliberately *not* asserted: a dropped
-//! binary-agreement vote is never retransmitted, so an epoch can stall —
-//! quietly, with the cluster quiescing safely. Scenarios without loss or
-//! crashes additionally assert full delivery.
+//! Every scenario must quiesce: a lost retrieval request or chunk is
+//! re-asked when the retrieval escalates (seeds 0..15000 all do). Full
+//! delivery is asserted only without loss or crashes: a dropped
+//! binary-agreement vote is never retransmitted, so an epoch can stall.
 
 use std::collections::BTreeSet;
 use std::fmt;

@@ -98,6 +98,31 @@ fn chaos_batch_holds_safety_across_32_seeds() {
     assert!(pipelined_seen > 0, "no seed opened a window epoch");
 }
 
+/// Seeds that spun instead of quiescing while a retrieval's escalation asked
+/// only peers it had never asked: DL-Coupled clusters under loss, where a
+/// dropped targeted `RequestChunk` (or its answer) left a node's delivery
+/// waiting on a retrieval for good, and the lagging rule plus that node's
+/// link-rescue pressure kept proposing empty epochs. 7809 spun with a fresh
+/// round-0 `BVal(1)` wave per vote; 4597 and 11261 once a `Ready` counted
+/// as that vote; 1825, 5725, 13601, 13705 and 13821 once the fetch also
+/// left with our `Ready` (8097 too, in another build of that change).
+/// Re-asking the silent targets quiesces all of them. CI's `dl-chaos` step
+/// runs them too.
+const PINNED_SEEDS: [u64; 9] = [1825, 4597, 5725, 7809, 8097, 11261, 13601, 13705, 13821];
+
+#[test]
+fn pinned_retrieval_stall_seeds_quiesce_and_audit_clean() {
+    for seed in PINNED_SEEDS {
+        let out = run_scenario(&scenario_from_seed(seed));
+        assert!(out.report.quiesced, "seed {seed}: did not quiesce");
+        assert!(
+            out.violations.is_empty(),
+            "seed {seed}: {:?}",
+            out.violations
+        );
+    }
+}
+
 /// An injected violation must report its reproducing seed, and the report
 /// must be deterministic: two fresh auditors over the same doctored run
 /// produce byte-identical findings.

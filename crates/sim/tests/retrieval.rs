@@ -182,12 +182,15 @@ fn honest_uniform_wan_rarely_escalates() {
 
 /// The fetch-at-completion gate (release-only): `dl-e2e`'s `coded-n16`
 /// load — N = 16 on a uniform WAN, Poisson arrivals of 6 × 25 kB
-/// transactions a second per node for 10 s — in fluid mode. A DL node
-/// fetches a block as soon as its dispersal completes here and the
-/// proposer's completion prefix covers it, while its BA still runs, so
-/// from the delivering epoch's last decision to its blocks in hand
-/// ([`SimReport::latency_phases`]) a transaction waits 13.5 ms on the
-/// mean. Fetching when a BA decided took 55.3 ms.
+/// transactions a second per node for 10 s — in fluid mode. A DL node asks
+/// for a block's chunks with its own `Ready` when the proposer's completion
+/// prefix reaches the epoch before, while its BA still runs, so from the
+/// delivering epoch's last decision to its blocks in hand
+/// ([`SimReport::latency_phases`]) a transaction waits 11.1 ms on the
+/// mean. Asking at completion read 13.5 ms while a BA took a fresh round-0
+/// `BVal(1)` wave, and 31.8 ms — failing this gate — once a `Ready` counted
+/// as that vote: agreement then finishes one hop after completion, the
+/// chunks two. Fetching when a BA decided took 55.3 ms.
 #[test]
 fn blocks_are_in_hand_soon_after_their_epoch_decides() {
     if cfg!(debug_assertions) {
@@ -229,7 +232,10 @@ fn blocks_are_in_hand_soon_after_their_epoch_decides() {
 /// The release gate, on the tiered-uplink scenario `window.rs` shares
 /// (`common`): before targeted retrieval this run put ≈ 41 bytes on the
 /// wire per payload byte and went idle at 7911 virtual ms. It measures
-/// 19.8 bytes and 2052 ms. The bytes were 18.4 while chunks went out whole
+/// 21.2 bytes and 2053 ms. The bytes were 19.8 (drain 2052) before
+/// escalation re-asked silent targets, 20.2 with the re-ask alone, and the
+/// rest came with a `Ready` counting as round 0's `BVal(1)` and the chunks
+/// asked for alongside it. They were 18.4 while chunks went out whole
 /// (drain 2266): the faster schedule turns the same payload over in more,
 /// smaller blocks (1920 retrievals for 1440) and its shorter RTO is
 /// outlasted more often (78 escalations for 11), and `bytes_sent` counts

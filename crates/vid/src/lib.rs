@@ -418,10 +418,10 @@ fn entry<T: Default>(list: &mut Vec<(Hash, T)>, root: Hash) -> &mut T {
 ///
 /// Any `N − 2f` proof-valid chunks under one root decode, so a retrieval
 /// need not ask all `N` servers: [`Retriever::start_targeted`] asks a
-/// caller-chosen subset, and [`Retriever::escalate`] asks everyone else —
-/// once — when the subset turns out to be too slow or dishonest. The
-/// automaton tracks whom it asked and who has answered, so the `Cancel` on
-/// decode (§6.3) goes only to peers that still owe a chunk.
+/// caller-chosen subset, and [`Retriever::escalate`] asks every server that
+/// has not answered — once — when the subset turns out to be too slow or
+/// dishonest. The automaton tracks whom it asked and who has answered, so
+/// the `Cancel` on decode (§6.3) goes only to peers that still owe a chunk.
 pub struct Retriever<C: Coder> {
     n: usize,
     /// Verified chunks grouped by root: `(root, [(index, payload)])`.
@@ -429,8 +429,8 @@ pub struct Retriever<C: Coder> {
     result: Option<Retrieved<C::Block>>,
     /// Send `Cancel` once decoded (§6.3 optimization).
     early_cancel: bool,
-    /// Servers sent a `RequestChunk`.
-    asked: NodeSet,
+    /// Servers the start asked (after escalation every server counts).
+    targets: NodeSet,
     /// Asked servers that returned anything, valid or not.
     answered: NodeSet,
     /// Whether [`Retriever::escalate`] has run (it runs at most once).
@@ -444,7 +444,7 @@ impl<C: Coder> Retriever<C> {
     /// it; the engine starts every retrieval with
     /// [`Retriever::start_targeted`] and reaches ask-everyone by
     /// [`Retriever::escalate`]. Goes when the benchmark is next thawed
-    /// (ROADMAP direction 3(d)), and `early_cancel` with it.
+    /// (ROADMAP direction 1(a)), and `early_cancel` with it.
     pub fn start(n: usize, early_cancel: bool) -> (Retriever<C>, Vec<VidEffect<C::Block>>) {
         let mut r = Retriever::idle(n, early_cancel);
         let effects = r.escalate();
@@ -460,18 +460,12 @@ impl<C: Coder> Retriever<C> {
         targets: impl IntoIterator<Item = NodeId>,
     ) -> (Retriever<C>, Vec<VidEffect<C::Block>>) {
         let mut r = Retriever::idle(n, true);
-        let effects = r.ask(targets);
-        (r, effects)
-    }
-
-    /// Request a chunk from each of `targets` that is a server and has not
-    /// been asked yet.
-    fn ask(&mut self, targets: impl IntoIterator<Item = NodeId>) -> Vec<VidEffect<C::Block>> {
-        targets
+        let effects = targets
             .into_iter()
-            .filter(|to| to.idx() < self.n && self.asked.insert(*to))
+            .filter(|to| to.idx() < n && r.targets.insert(*to))
             .map(|to| VidEffect::Send(to, VidMsg::RequestChunk))
-            .collect()
+            .collect();
+        (r, effects)
     }
 
     fn idle(n: usize, early_cancel: bool) -> Retriever<C> {
@@ -480,22 +474,24 @@ impl<C: Coder> Retriever<C> {
             by_root: Vec::new(),
             result: None,
             early_cancel,
-            asked: NodeSet::new(),
+            targets: NodeSet::new(),
             answered: NodeSet::new(),
             escalated: false,
             _coder: std::marker::PhantomData,
         }
     }
 
-    /// Ask every server not asked yet. Effective at most once per
-    /// retrieval, and never after it finished; returns the requests sent
-    /// (empty when there was no one left to ask).
+    /// Ask every server that has not answered, silent targets again (a
+    /// request or its answer may have been lost). Effective at most once
+    /// per retrieval, and never after it finished; returns the requests.
     pub fn escalate(&mut self) -> Vec<VidEffect<C::Block>> {
         if self.escalated || self.result.is_some() {
             return Vec::new();
         }
         self.escalated = true;
-        self.ask((0..self.n as u16).map(NodeId))
+        self.awaited()
+            .map(|to| VidEffect::Send(to, VidMsg::RequestChunk))
+            .collect()
     }
 
     /// The retrieval result, once available.
@@ -512,7 +508,17 @@ impl<C: Coder> Retriever<C> {
     /// (false for everyone once the retrieval finished: decoding cancels
     /// what is outstanding).
     pub fn awaiting(&self, peer: NodeId) -> bool {
-        self.result.is_none() && self.asked.contains(peer) && !self.answered.contains(peer)
+        self.result.is_none() && self.asked(peer) && !self.answered.contains(peer)
+    }
+
+    /// Whether a request to `peer` now repeats one: escalation ran and
+    /// `peer` was among the start's targets.
+    pub fn reasks(&self, peer: NodeId) -> bool {
+        self.escalated && self.targets.contains(peer)
+    }
+
+    fn asked(&self, peer: NodeId) -> bool {
+        peer.idx() < self.n && (self.escalated || self.targets.contains(peer))
     }
 
     /// Every peer for which [`Retriever::awaiting`] holds, in id order.
@@ -539,7 +545,7 @@ impl<C: Coder> Retriever<C> {
         else {
             return out;
         };
-        if !self.asked.contains(from) {
+        if !self.asked(from) {
             return out; // unsolicited: not evidence about anyone we rely on
         }
         self.answered.insert(from);

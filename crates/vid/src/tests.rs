@@ -783,11 +783,21 @@ fn targeted_retrieval_decodes_with_k_and_cancels_only_the_asked_and_silent() {
 
 #[test]
 fn escalation_asks_each_remaining_peer_exactly_once() {
-    let n = 7;
+    // Every peer that has not answered is asked, the silent target 2 again
+    // (its request or its answer may have been lost); 4 answered and is
+    // left alone.
+    let (n, f) = (7, 2);
+    let coder = RealCoder::new(n, f);
+    let enc = coder.encode(&block(900));
     let (mut retr, _) = Retriever::<RealCoder>::start_targeted(n, [NodeId(2), NodeId(4)]);
-    assert_eq!(requests(&retr.escalate()), vec![0, 1, 3, 5, 6]);
+    assert!(retr
+        .handle(&coder, NodeId(4), return_chunk(&enc, 4))
+        .is_empty());
+    assert!(!retr.reasks(NodeId(2)));
+    assert_eq!(requests(&retr.escalate()), vec![0, 1, 2, 3, 5, 6]);
+    assert!(retr.reasks(NodeId(2)) && !retr.reasks(NodeId(3)));
     assert!(retr.escalate().is_empty(), "a retrieval escalates once");
-    assert_eq!(retr.awaited().count(), n);
+    assert_eq!(retr.awaited().count(), n - 1);
 }
 
 #[test]
@@ -796,10 +806,11 @@ fn bad_chunk_from_an_asked_peer_escalates_at_once() {
     let coder = RealCoder::new(n, f);
     let enc = coder.encode(&block(900));
 
-    // (a) A chunk that fails verification (server 1 replays server 2's).
+    // (a) A chunk that fails verification (server 1 replays server 2's):
+    // everyone but the liar is asked, the silent targets again.
     let (mut retr, _) = Retriever::<RealCoder>::start_targeted(n, (0..4).map(NodeId));
     let effects = retr.handle(&coder, NodeId(1), return_chunk(&enc, 2));
-    assert_eq!(requests(&effects), vec![4, 5, 6]);
+    assert_eq!(requests(&effects), vec![0, 2, 3, 4, 5, 6]);
     assert!(!retr.awaiting(NodeId(1)), "the liar did answer");
 
     // (b) A proof-valid chunk under a second root.
@@ -809,7 +820,7 @@ fn bad_chunk_from_an_asked_peer_escalates_at_once() {
         .handle(&coder, NodeId(0), return_chunk(&enc, 0))
         .is_empty());
     let effects = retr.handle(&coder, NodeId(3), return_chunk(&other, 3));
-    assert_eq!(requests(&effects), vec![4, 5, 6]);
+    assert_eq!(requests(&effects), vec![1, 2, 4, 5, 6]);
     // The honest majority still decodes, and the escalated peers that did
     // not get to answer are cancelled with the rest.
     assert!(retr
