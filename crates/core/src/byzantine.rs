@@ -331,6 +331,7 @@ mod tests {
     use super::*;
     use crate::coder::RealBlockCoder;
     use crate::engine::EngineExt;
+    use crate::node::tests::through_the_codec;
     use crate::node::{Node, NodeEffect};
     use crate::variant::ProtocolVariant;
     use dl_wire::ClusterConfig;
@@ -342,7 +343,9 @@ mod tests {
     fn sink(from: usize, effs: Vec<NodeEffect>, wire: &mut Wire, orders: &mut TxOrders) {
         for eff in effs {
             match eff {
-                NodeEffect::Send(to, env) => wire.push_back((NodeId(from as u16), to, env)),
+                NodeEffect::Send(to, env) => {
+                    wire.push_back((NodeId(from as u16), to, through_the_codec(env)))
+                }
                 NodeEffect::Deliver(d) => {
                     if let Some(b) = d.block {
                         orders[from].extend(b.body.iter().map(Tx::id));

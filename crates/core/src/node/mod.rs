@@ -91,7 +91,7 @@ mod epochs;
 mod recovery;
 mod retrieval;
 #[cfg(test)]
-mod tests;
+pub(crate) mod tests;
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 

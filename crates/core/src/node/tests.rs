@@ -10,8 +10,21 @@ use dl_wire::{
 };
 use std::collections::VecDeque;
 
+/// `env` framed for a socket and read back, as `dl-net` would deliver it:
+/// the frame is exactly `wire_size()` bytes and decodes to `env` itself.
+pub(crate) fn through_the_codec(env: Envelope) -> Envelope {
+    let frame = dl_wire::encode_frame(&env).to_vec();
+    assert_eq!(frame.len(), env.wire_size(), "{env:?}");
+    let mut decoder = dl_wire::FrameDecoder::new();
+    decoder.extend(&frame);
+    let decoded = decoder.next_frame().expect("a valid frame");
+    assert_eq!(decoded.as_ref(), Some(&env));
+    assert_eq!(decoder.pending(), 0);
+    decoded.expect("just compared")
+}
+
 /// Synchronous full-mesh harness: delivers every wire message each
-/// tick, polling all nodes on a fixed cadence.
+/// tick, polling all nodes on a fixed cadence, each through the codec.
 struct Mesh {
     nodes: Vec<Node<RealBlockCoder>>,
     wire: VecDeque<(NodeId, NodeId, Envelope)>,
@@ -54,9 +67,7 @@ impl Mesh {
         }
         for eff in effects {
             match eff {
-                NodeEffect::Send(to, env) => {
-                    self.wire.push_back((NodeId(from as u16), to, env));
-                }
+                NodeEffect::Send(to, env) => self.send(NodeId(from as u16), to, env),
                 NodeEffect::Deliver(d) => self.delivered[from].push(d),
                 NodeEffect::Persist(rec) => self.records[from].push(rec),
                 // Nothing a node handles in the call that proposes can move
@@ -69,6 +80,11 @@ impl Mesh {
                 NodeEffect::WakeAt(_) | NodeEffect::Stat(_) | NodeEffect::PurgeReturns { .. } => {}
             }
         }
+    }
+
+    /// Put `env` on the wire from `from` to `to`, as its decoded frame.
+    fn send(&mut self, from: NodeId, to: NodeId, env: Envelope) {
+        self.wire.push_back((from, to, through_the_codec(env)));
     }
 
     fn submit(&mut self, node: usize, tx: Tx) {
@@ -213,7 +229,7 @@ fn unequal_length_chunks_from_a_byzantine_proposer_deliver_as_none_everywhere() 
         let cluster = mesh.nodes[0].config().cluster.clone();
         mesh.submit(0, Tx::synthetic(NodeId(0), 0, 0, 100));
         for (to, env) in unequal_length_dispersal(&cluster).into_iter().enumerate() {
-            mesh.wire.push_back((NodeId(3), NodeId(to as u16), env));
+            mesh.send(NodeId(3), NodeId(to as u16), env);
         }
         // No honest retriever panics, whichever `k` chunks it draws: node 1
         // holds the odd chunk itself.

@@ -401,7 +401,7 @@ mod tests {
             proof: MerkleProof {
                 index: 0,
                 leaf_count: 4,
-                path: vec![],
+                path: vec![Hash::ZERO; 2],
             },
             payload: ChunkPayload::Real(bytes::Bytes::from_static(b"chunk")),
         }

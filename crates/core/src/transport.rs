@@ -21,7 +21,7 @@
 //!   is finished: anything of the high class overtakes it, no other
 //!   `ReturnChunk` does, older epoch or not.
 //!
-//! The control messages are ~20 bytes and steer the bulk: a `RequestChunk`
+//! The control messages are 8 bytes and steer the bulk: a `RequestChunk`
 //! parked behind seconds of queued chunks starts its own chunk that much
 //! later, and a `Cancel` (§6.3) parked there arrives after the chunk it was
 //! meant to stop. Keeping them out of the bulk queue costs the

@@ -271,8 +271,8 @@ mod tests {
         let outbox = Arc::new(Outbox::new(64)); // tiny bound
         let stop = Arc::new(AtomicBool::new(false));
         let env = Envelope::vid(dl_wire::Epoch(1), NodeId(0), dl_wire::VidMsg::RequestChunk);
-        // Fill past the bound: wire_size ~16 bytes, bound 64.
-        for _ in 0..4 {
+        // Fill to the bound: 8-byte envelopes, bound 64.
+        while outbox.queue.lock().unwrap().queued_bytes() < 64 {
             outbox.push(env.clone(), &stop);
         }
         let full = Arc::clone(&outbox);

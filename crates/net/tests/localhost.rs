@@ -142,14 +142,14 @@ fn a_peer_that_breaks_segment_framing_is_hung_up_on() {
     let attacks = [
         (
             "continuation without a start",
-            hostile::raw_frame(more, &vote[..4]),
+            hostile::raw_frame(more, &vote[..2]),
         ),
         (
             // Each length is admissible, their sum is not.
             "reassembly past MAX_FRAME_BODY",
             [
-                hostile::raw_frame(start, &vote[..4]),
-                hostile::raw_header(more, MAX_FRAME_BODY as u32 - 2),
+                hostile::raw_frame(start, &vote[..2]),
+                hostile::raw_header(more, MAX_FRAME_BODY as u32 - 1),
             ]
             .concat(),
         ),
@@ -157,8 +157,8 @@ fn a_peer_that_breaks_segment_framing_is_hung_up_on() {
             // A vote cut in two: a valid envelope of the wrong class.
             "class byte disagrees",
             [
-                hostile::raw_frame(start, &vote[..4]),
-                hostile::raw_frame(end, &vote[4..]),
+                hostile::raw_frame(start, &vote[..2]),
+                hostile::raw_frame(end, &vote[2..]),
             ]
             .concat(),
         ),

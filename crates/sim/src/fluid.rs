@@ -199,18 +199,38 @@ mod tests {
         // The fidelity property: a fluid chunk message occupies exactly
         // as many wire bytes as the real coder's chunk for the same
         // block, so virtual-time results carry over.
+        // Chunk lengths are swept across the payload length's varint
+        // edges (127/128 and 16,383/16,384 bytes), and each chunk is sized
+        // as the whole envelope that carries it.
         let cluster = ClusterConfig::new(7);
         let fluid = FluidCoder::new(&cluster, BlockStore::new());
         let real = dl_core::RealBlockCoder::new(&cluster);
-        let block = sample(3, 9, 10_000);
-        let enc_f = fluid.encode(&block);
-        let enc_r = dl_vid::Coder::encode(&real, &BlockCoder::pack(&real, &block));
-        assert_eq!(enc_f.chunks.len(), enc_r.chunks.len());
-        for (i, ((pf, prf_f), (pr, prf_r))) in enc_f.chunks.iter().zip(&enc_r.chunks).enumerate() {
-            assert_eq!(pf.encoded_len(), pr.encoded_len(), "chunk {i} payload");
-            assert_eq!(prf_f.index, prf_r.index, "chunk {i} proof index");
-            assert_eq!(prf_f.path.len(), prf_r.path.len(), "chunk {i} path depth");
+        let edges = [127, 128, 16_383, 16_384];
+        let mut seen = std::collections::BTreeSet::new();
+        for len in edges.iter().flat_map(|&e| 3 * e - 40..3 * e) {
+            let block = sample(3, 9, len as u32);
+            let enc_f = fluid.encode(&block);
+            let enc_r = dl_vid::Coder::encode(&real, &BlockCoder::pack(&real, &block));
+            assert_eq!(enc_f.chunks.len(), enc_r.chunks.len());
+            for (i, (f, r)) in enc_f.chunks.into_iter().zip(enc_r.chunks).enumerate() {
+                seen.insert(f.0.chunk_len());
+                assert_eq!(f.0.chunk_len(), r.0.chunk_len(), "tx {len}: chunk {i}");
+                let env = |(payload, proof), root| {
+                    let msg = dl_wire::VidMsg::Chunk {
+                        root,
+                        proof,
+                        payload,
+                    };
+                    dl_wire::Envelope::vid(dl_wire::Epoch(3), dl_wire::NodeId(1), msg)
+                };
+                assert_eq!(
+                    env(f, enc_f.root).wire_size(),
+                    env(r, enc_r.root).wire_size(),
+                    "tx {len}: chunk {i}"
+                );
+            }
         }
+        assert!(edges.iter().all(|e| seen.contains(e)), "{seen:?}");
     }
 
     #[test]

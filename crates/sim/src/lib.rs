@@ -459,8 +459,9 @@ impl Fabric {
     /// ([`Link::frame_budget`]), goes out as a single transmission — the way
     /// a real transport coalesces small messages into segments and cuts
     /// large ones. Without framing, every sub-millisecond message would be
-    /// charged the 1 ms event-grid minimum (a ~20× bandwidth distortion for
-    /// ~60-byte BA messages) and would cost its own pair of heap events;
+    /// charged the 1 ms event-grid minimum (a ~140× bandwidth distortion for
+    /// a 9-byte BA vote on a 10 Mbit/s link) and would cost its own pair of
+    /// heap events;
     /// with it, both the virtual byte accounting and the event count track
     /// the frame. Only a high-class envelope larger than the quantum (a
     /// dispersal `Chunk`) makes a frame longer than that.

@@ -186,8 +186,8 @@ fn honest_uniform_wan_rarely_escalates() {
 /// for a block's chunks with its own `Ready` when the proposer's completion
 /// prefix reaches the epoch before, while its BA still runs, so from the
 /// delivering epoch's last decision to its blocks in hand
-/// ([`SimReport::latency_phases`]) a transaction waits 11.1 ms on the
-/// mean. Asking at completion read 13.5 ms while a BA took a fresh round-0
+/// ([`SimReport::latency_phases`]) a transaction waits 10.5 ms on the
+/// mean (11.1 with fixed-width envelope fields). Asking at completion read 13.5 ms while a BA took a fresh round-0
 /// `BVal(1)` wave, and 31.8 ms — failing this gate — once a `Ready` counted
 /// as that vote: agreement then finishes one hop after completion, the
 /// chunks two. Fetching when a BA decided took 55.3 ms.
@@ -232,7 +232,8 @@ fn blocks_are_in_hand_soon_after_their_epoch_decides() {
 /// The release gate, on the tiered-uplink scenario `window.rs` shares
 /// (`common`): before targeted retrieval this run put ≈ 41 bytes on the
 /// wire per payload byte and went idle at 7911 virtual ms. It measures
-/// 21.2 bytes and 2053 ms. The bytes were 19.8 (drain 2052) before
+/// 20.6 bytes and 2028 ms, and 21.2 and 2053 with fixed-width envelope
+/// fields. The bytes were 19.8 (drain 2052) before
 /// escalation re-asked silent targets, 20.2 with the re-ask alone, and the
 /// rest came with a `Ready` counting as round 0's `BVal(1)` and the chunks
 /// asked for alongside it. They were 18.4 while chunks went out whole

@@ -12,7 +12,10 @@
 //! materialized bytes — which the simulator's fluid mode uses to avoid
 //! shuffling gigabytes through memory while still charging exact wire bytes.
 
-use crate::codec::{read_u16, read_u32, read_u64, read_u8, CodecError, WireDecode, WireEncode};
+use crate::codec::{
+    payload_len, put_payload_head, put_varint, read_len, read_payload, read_varint, varint_len,
+    CodecError, WireDecode, WireEncode,
+};
 use crate::config::{Epoch, NodeId};
 use bytes::Bytes;
 
@@ -66,41 +69,41 @@ impl Tx {
     }
 }
 
+/// `varint origin · varint seq · varint submit_ms · payload`.
 impl WireEncode for Tx {
     fn encode(&self, buf: &mut Vec<u8>) {
-        self.origin.0.encode(buf);
-        self.seq.encode(buf);
-        self.submit_ms.encode(buf);
+        put_varint(buf, self.origin.0.into());
+        put_varint(buf, self.seq);
+        put_varint(buf, self.submit_ms);
         match &self.payload {
             TxPayload::Real(b) => {
-                buf.push(0);
-                b.encode(buf);
+                put_payload_head(buf, false, b.len());
+                buf.extend_from_slice(b);
             }
             TxPayload::Synthetic { len } => {
-                buf.push(1);
-                len.encode(buf);
+                put_payload_head(buf, true, *len as usize);
                 buf.extend(std::iter::repeat_n(0u8, *len as usize));
             }
         }
     }
     fn encoded_len(&self) -> usize {
-        2 + 8 + 8 + 1 + 4 + self.payload.len()
+        varint_len(self.origin.0.into())
+            + varint_len(self.seq)
+            + varint_len(self.submit_ms)
+            + payload_len(self.payload.len())
     }
 }
 
 impl WireDecode for Tx {
     fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
-        let origin = NodeId(read_u16(buf)?);
-        let seq = read_u64(buf)?;
-        let submit_ms = read_u64(buf)?;
-        let payload = match read_u8(buf)? {
-            0 => TxPayload::Real(Bytes::decode(buf)?),
-            1 => {
-                let len = read_u32(buf)? as usize;
-                crate::codec::read_bytes(buf, len)?;
-                TxPayload::Synthetic { len: len as u32 }
-            }
-            _ => return Err(CodecError::InvalidValue("tx payload tag")),
+        let origin = NodeId(read_varint(buf)?);
+        let seq = read_varint(buf)?;
+        let submit_ms = read_varint(buf)?;
+        let payload = match read_payload(buf)? {
+            (true, zeros) => TxPayload::Synthetic {
+                len: zeros.len() as u32,
+            },
+            (false, bytes) => TxPayload::Real(Bytes::copy_from_slice(bytes)),
         };
         Ok(Tx {
             origin,
@@ -121,22 +124,31 @@ pub struct BlockHeader {
     pub v_array: Vec<u64>,
 }
 
+/// `varint epoch · varint proposer · varint N · N × varint V[j]`.
 impl WireEncode for BlockHeader {
     fn encode(&self, buf: &mut Vec<u8>) {
-        self.epoch.0.encode(buf);
-        self.proposer.0.encode(buf);
-        self.v_array.encode(buf);
+        put_varint(buf, self.epoch.0);
+        put_varint(buf, self.proposer.0.into());
+        put_varint(buf, self.v_array.len() as u64);
+        for &v in &self.v_array {
+            put_varint(buf, v);
+        }
     }
     fn encoded_len(&self) -> usize {
-        8 + 2 + self.v_array.encoded_len()
+        varint_len(self.epoch.0)
+            + varint_len(self.proposer.0.into())
+            + varint_len(self.v_array.len() as u64)
+            + self.v_array.iter().map(|&v| varint_len(v)).sum::<usize>()
     }
 }
 
 impl WireDecode for BlockHeader {
     fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
-        let epoch = Epoch(read_u64(buf)?);
-        let proposer = NodeId(read_u16(buf)?);
-        let v_array = Vec::<u64>::decode(buf)?;
+        let epoch = Epoch(read_varint(buf)?);
+        let proposer = NodeId(read_varint(buf)?);
+        let v_array = (0..read_len(buf)?)
+            .map(|_| read_varint(buf))
+            .collect::<Result<_, _>>()?;
         Ok(BlockHeader {
             epoch,
             proposer,
@@ -255,7 +267,9 @@ mod tests {
 
     #[test]
     fn header_size_scales_with_n() {
-        // V array costs 8 bytes per node — the price of inter-node linking.
+        // V array costs a varint per node — the price of inter-node
+        // linking: one byte while every entry is below 128, plus one for a
+        // count past 127.
         let h4 = BlockHeader {
             epoch: Epoch(1),
             proposer: NodeId(0),
@@ -266,7 +280,12 @@ mod tests {
             proposer: NodeId(0),
             v_array: vec![0; 128],
         };
-        assert_eq!(h128.encoded_len() - h4.encoded_len(), 8 * 124);
+        assert_eq!(h128.encoded_len() - h4.encoded_len(), 124 + 1);
+        let late = BlockHeader {
+            v_array: vec![200; 128],
+            ..h128.clone()
+        };
+        assert_eq!(late.encoded_len() - h128.encoded_len(), 128);
     }
 
     #[test]

@@ -2,7 +2,10 @@
 //! Agreement messages, and the envelope that routes them to a per-epoch,
 //! per-proposer protocol instance.
 
-use crate::codec::{read_u16, read_u32, read_u64, read_u8, CodecError, WireDecode, WireEncode};
+use crate::codec::{
+    payload_len, put_payload_head, put_varint, read_len, read_payload, read_u8, read_varint, take,
+    varint_len, CodecError, WireDecode, WireEncode,
+};
 use crate::config::{Epoch, NodeId};
 use crate::frame::{SegmentBuf, WireEncodeSegmented};
 use bytes::Bytes;
@@ -51,20 +54,17 @@ impl ChunkPayload {
 
 impl WireEncodeSegmented for ChunkPayload {
     fn encode_segments(&self, out: &mut SegmentBuf) {
+        let head = out.head_mut();
         match self {
             ChunkPayload::Real(b) => {
-                let head = out.head_mut();
-                head.push(0);
-                (b.len() as u32).encode(head);
+                put_payload_head(head, false, b.len());
                 // The payload rides as a shared window — for a dispersal
                 // chunk this is the erasure coder's arena, refcounted, not
                 // copied.
                 out.put_shared(b);
             }
             ChunkPayload::Synthetic { len } => {
-                let head = out.head_mut();
-                head.push(1);
-                len.encode(head);
+                put_payload_head(head, true, *len as usize);
                 // Fluid-mode chunks have no real bytes; the wire image is
                 // zeros of the declared length so encoded_len stays exact
                 // (written in place — no per-call allocation).
@@ -83,21 +83,18 @@ impl WireEncode for ChunkPayload {
         seg.copy_into(buf);
     }
     fn encoded_len(&self) -> usize {
-        1 + 4 + self.chunk_len()
+        payload_len(self.chunk_len())
     }
 }
 
 impl WireDecode for ChunkPayload {
     fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
-        match read_u8(buf)? {
-            0 => Ok(ChunkPayload::Real(Bytes::decode(buf)?)),
-            1 => {
-                let len = read_u32(buf)? as usize;
-                crate::codec::read_bytes(buf, len)?;
-                Ok(ChunkPayload::Synthetic { len: len as u32 })
-            }
-            _ => Err(CodecError::InvalidValue("chunk payload tag")),
-        }
+        Ok(match read_payload(buf)? {
+            (true, zeros) => ChunkPayload::Synthetic {
+                len: zeros.len() as u32,
+            },
+            (false, bytes) => ChunkPayload::Real(Bytes::copy_from_slice(bytes)),
+        })
     }
 }
 
@@ -129,104 +126,6 @@ pub enum VidMsg {
     Cancel,
 }
 
-impl VidMsg {
-    fn tag(&self) -> u8 {
-        match self {
-            VidMsg::Chunk { .. } => 0,
-            VidMsg::GotChunk { .. } => 1,
-            VidMsg::Ready { .. } => 2,
-            VidMsg::RequestChunk => 3,
-            VidMsg::ReturnChunk { .. } => 4,
-            VidMsg::Cancel => 5,
-        }
-    }
-}
-
-impl WireEncodeSegmented for VidMsg {
-    fn encode_segments(&self, out: &mut SegmentBuf) {
-        out.head_mut().push(self.tag());
-        match self {
-            VidMsg::Chunk {
-                root,
-                proof,
-                payload,
-            }
-            | VidMsg::ReturnChunk {
-                root,
-                proof,
-                payload,
-            } => {
-                let head = out.head_mut();
-                root.encode(head);
-                proof.encode(head);
-                payload.encode_segments(out);
-            }
-            VidMsg::GotChunk { root } | VidMsg::Ready { root } => root.encode(out.head_mut()),
-            VidMsg::RequestChunk | VidMsg::Cancel => {}
-        }
-    }
-}
-
-impl WireEncode for VidMsg {
-    /// Flat path: delegates to [`WireEncodeSegmented::encode_segments`].
-    fn encode(&self, buf: &mut Vec<u8>) {
-        let mut seg = SegmentBuf::new();
-        self.encode_segments(&mut seg);
-        seg.copy_into(buf);
-    }
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            VidMsg::Chunk {
-                root,
-                proof,
-                payload,
-            }
-            | VidMsg::ReturnChunk {
-                root,
-                proof,
-                payload,
-            } => root.encoded_len() + proof.encoded_len() + payload.encoded_len(),
-            VidMsg::GotChunk { root } | VidMsg::Ready { root } => root.encoded_len(),
-            VidMsg::RequestChunk | VidMsg::Cancel => 0,
-        }
-    }
-}
-
-impl WireDecode for VidMsg {
-    fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
-        let tag = read_u8(buf)?;
-        Ok(match tag {
-            0 | 4 => {
-                let root = Hash::decode(buf)?;
-                let proof = MerkleProof::decode(buf)?;
-                let payload = ChunkPayload::decode(buf)?;
-                if tag == 0 {
-                    VidMsg::Chunk {
-                        root,
-                        proof,
-                        payload,
-                    }
-                } else {
-                    VidMsg::ReturnChunk {
-                        root,
-                        proof,
-                        payload,
-                    }
-                }
-            }
-            1 => VidMsg::GotChunk {
-                root: Hash::decode(buf)?,
-            },
-            2 => VidMsg::Ready {
-                root: Hash::decode(buf)?,
-            },
-            3 => VidMsg::RequestChunk,
-            5 => VidMsg::Cancel,
-            _ => return Err(CodecError::InvalidValue("vid message tag")),
-        })
-    }
-}
-
 /// Binary Agreement messages (Mostéfaoui–Moumen–Raynal '14 plus the
 /// practical termination gadget; see `dl-ba` docs).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -237,52 +136,6 @@ pub enum BaMsg {
     Aux { round: u16, value: bool },
     /// "I decided `value`" — lets peers finish without running more rounds.
     Term { value: bool },
-}
-
-impl WireEncode for BaMsg {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            BaMsg::BVal { round, value } => {
-                buf.push(0);
-                round.encode(buf);
-                value.encode(buf);
-            }
-            BaMsg::Aux { round, value } => {
-                buf.push(1);
-                round.encode(buf);
-                value.encode(buf);
-            }
-            BaMsg::Term { value } => {
-                buf.push(2);
-                value.encode(buf);
-            }
-        }
-    }
-    fn encoded_len(&self) -> usize {
-        match self {
-            BaMsg::BVal { .. } | BaMsg::Aux { .. } => 4,
-            BaMsg::Term { .. } => 2,
-        }
-    }
-}
-
-impl WireDecode for BaMsg {
-    fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
-        Ok(match read_u8(buf)? {
-            0 => BaMsg::BVal {
-                round: read_u16(buf)?,
-                value: crate::codec::read_bool(buf)?,
-            },
-            1 => BaMsg::Aux {
-                round: read_u16(buf)?,
-                value: crate::codec::read_bool(buf)?,
-            },
-            2 => BaMsg::Term {
-                value: crate::codec::read_bool(buf)?,
-            },
-            _ => return Err(CodecError::InvalidValue("ba message tag")),
-        })
-    }
 }
 
 /// Catch-up synchronization messages for restart recovery.
@@ -304,36 +157,6 @@ pub enum SyncMsg {
     Outcome { committed: Vec<bool> },
 }
 
-impl WireEncode for SyncMsg {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            SyncMsg::Request => buf.push(0),
-            SyncMsg::Outcome { committed } => {
-                buf.push(1);
-                committed.encode(buf);
-            }
-        }
-    }
-    fn encoded_len(&self) -> usize {
-        match self {
-            SyncMsg::Request => 1,
-            SyncMsg::Outcome { committed } => 1 + committed.encoded_len(),
-        }
-    }
-}
-
-impl WireDecode for SyncMsg {
-    fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
-        Ok(match read_u8(buf)? {
-            0 => SyncMsg::Request,
-            1 => SyncMsg::Outcome {
-                committed: Vec::<bool>::decode(buf)?,
-            },
-            _ => return Err(CodecError::InvalidValue("sync message tag")),
-        })
-    }
-}
-
 /// Either sub-protocol's message.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum ProtoMsg {
@@ -342,23 +165,58 @@ pub enum ProtoMsg {
     Sync(SyncMsg),
 }
 
+impl ProtoMsg {
+    /// The kind byte, which names the message and, for a vote, its value:
+    /// `BVal`, `Aux` and `Term` are 6, 8 and 10 plus the value.
+    fn kind(&self) -> u8 {
+        match self {
+            ProtoMsg::Vid(VidMsg::Chunk { .. }) => 0,
+            ProtoMsg::Vid(VidMsg::GotChunk { .. }) => 1,
+            ProtoMsg::Vid(VidMsg::Ready { .. }) => 2,
+            ProtoMsg::Vid(VidMsg::RequestChunk) => 3,
+            ProtoMsg::Vid(VidMsg::ReturnChunk { .. }) => 4,
+            ProtoMsg::Vid(VidMsg::Cancel) => 5,
+            ProtoMsg::Ba(BaMsg::BVal { value, .. }) => 6 + *value as u8,
+            ProtoMsg::Ba(BaMsg::Aux { value, .. }) => 8 + *value as u8,
+            ProtoMsg::Ba(BaMsg::Term { value }) => 10 + *value as u8,
+            ProtoMsg::Sync(SyncMsg::Request) => 12,
+            ProtoMsg::Sync(SyncMsg::Outcome { .. }) => 13,
+        }
+    }
+}
+
+/// `kind u8 · fields`: a chunk is `root · proof · payload`, a `GotChunk` or
+/// `Ready` its root, a `BVal` or `Aux` its `varint round`, an `Outcome` a
+/// bitmap; the other kinds have no fields.
 impl WireEncodeSegmented for ProtoMsg {
     fn encode_segments(&self, out: &mut SegmentBuf) {
+        let head = out.head_mut();
+        head.push(self.kind());
         match self {
-            ProtoMsg::Vid(m) => {
-                out.head_mut().push(0);
-                m.encode_segments(out);
+            ProtoMsg::Vid(
+                VidMsg::Chunk {
+                    root,
+                    proof,
+                    payload,
+                }
+                | VidMsg::ReturnChunk {
+                    root,
+                    proof,
+                    payload,
+                },
+            ) => {
+                root.encode(head);
+                proof.encode(head);
+                payload.encode_segments(out);
             }
-            ProtoMsg::Ba(m) => {
-                let head = out.head_mut();
-                head.push(1);
-                m.encode(head);
+            ProtoMsg::Vid(VidMsg::GotChunk { root } | VidMsg::Ready { root }) => root.encode(head),
+            ProtoMsg::Ba(BaMsg::BVal { round, .. } | BaMsg::Aux { round, .. }) => {
+                put_varint(head, (*round).into())
             }
-            ProtoMsg::Sync(m) => {
-                let head = out.head_mut();
-                head.push(2);
-                m.encode(head);
-            }
+            ProtoMsg::Sync(SyncMsg::Outcome { committed }) => put_bitmap(head, committed),
+            ProtoMsg::Vid(VidMsg::RequestChunk | VidMsg::Cancel)
+            | ProtoMsg::Ba(BaMsg::Term { .. })
+            | ProtoMsg::Sync(SyncMsg::Request) => {}
         }
     }
 }
@@ -372,22 +230,98 @@ impl WireEncode for ProtoMsg {
     }
     fn encoded_len(&self) -> usize {
         1 + match self {
-            ProtoMsg::Vid(m) => m.encoded_len(),
-            ProtoMsg::Ba(m) => m.encoded_len(),
-            ProtoMsg::Sync(m) => m.encoded_len(),
+            ProtoMsg::Vid(
+                VidMsg::Chunk {
+                    root,
+                    proof,
+                    payload,
+                }
+                | VidMsg::ReturnChunk {
+                    root,
+                    proof,
+                    payload,
+                },
+            ) => root.encoded_len() + proof.encoded_len() + payload.encoded_len(),
+            ProtoMsg::Vid(VidMsg::GotChunk { root } | VidMsg::Ready { root }) => root.encoded_len(),
+            ProtoMsg::Ba(BaMsg::BVal { round, .. } | BaMsg::Aux { round, .. }) => {
+                varint_len((*round).into())
+            }
+            ProtoMsg::Sync(SyncMsg::Outcome { committed }) => {
+                varint_len(committed.len() as u64) + committed.len().div_ceil(8)
+            }
+            ProtoMsg::Vid(VidMsg::RequestChunk | VidMsg::Cancel)
+            | ProtoMsg::Ba(BaMsg::Term { .. })
+            | ProtoMsg::Sync(SyncMsg::Request) => 0,
         }
     }
 }
 
 impl WireDecode for ProtoMsg {
     fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
-        Ok(match read_u8(buf)? {
-            0 => ProtoMsg::Vid(VidMsg::decode(buf)?),
-            1 => ProtoMsg::Ba(BaMsg::decode(buf)?),
-            2 => ProtoMsg::Sync(SyncMsg::decode(buf)?),
-            _ => return Err(CodecError::InvalidValue("proto message tag")),
+        let kind = read_u8(buf)?;
+        let value = kind % 2 == 1;
+        Ok(match kind {
+            0 | 4 => {
+                let root = Hash::decode(buf)?;
+                let proof = MerkleProof::decode(buf)?;
+                let payload = ChunkPayload::decode(buf)?;
+                ProtoMsg::Vid(if kind == 0 {
+                    VidMsg::Chunk {
+                        root,
+                        proof,
+                        payload,
+                    }
+                } else {
+                    VidMsg::ReturnChunk {
+                        root,
+                        proof,
+                        payload,
+                    }
+                })
+            }
+            1 => ProtoMsg::Vid(VidMsg::GotChunk {
+                root: Hash::decode(buf)?,
+            }),
+            2 => ProtoMsg::Vid(VidMsg::Ready {
+                root: Hash::decode(buf)?,
+            }),
+            3 => ProtoMsg::Vid(VidMsg::RequestChunk),
+            5 => ProtoMsg::Vid(VidMsg::Cancel),
+            6 | 7 => ProtoMsg::Ba(BaMsg::BVal {
+                round: read_varint(buf)?,
+                value,
+            }),
+            8 | 9 => ProtoMsg::Ba(BaMsg::Aux {
+                round: read_varint(buf)?,
+                value,
+            }),
+            10 | 11 => ProtoMsg::Ba(BaMsg::Term { value }),
+            12 => ProtoMsg::Sync(SyncMsg::Request),
+            13 => ProtoMsg::Sync(SyncMsg::Outcome {
+                committed: read_bitmap(buf)?,
+            }),
+            _ => return Err(CodecError::InvalidValue("message kind")),
         })
     }
+}
+
+/// `varint len · ⌈len / 8⌉ bytes`, `bits[j]` at bit `j % 8` of byte `j / 8`.
+fn put_bitmap(buf: &mut Vec<u8>, bits: &[bool]) {
+    put_varint(buf, bits.len() as u64);
+    buf.extend(
+        bits.chunks(8)
+            .map(|byte| byte.iter().rev().fold(0u8, |acc, &b| acc << 1 | b as u8)),
+    );
+}
+
+/// The inverse of [`put_bitmap`]; the padding bits past `len` must be zero.
+fn read_bitmap(buf: &mut &[u8]) -> Result<Vec<bool>, CodecError> {
+    let len = read_len(buf)?;
+    let bytes = take(buf, len.div_ceil(8))?;
+    if len % 8 != 0 && bytes[len / 8] >> (len % 8) != 0 {
+        return Err(CodecError::InvalidValue("bitmap padding"));
+    }
+    Ok((0..len).map(|j| bytes[j / 8] >> (j % 8) & 1 == 1).collect())
 }
 
 /// A routed protocol message: epoch `e`, instance owner `index` (the node
@@ -430,7 +364,7 @@ impl Envelope {
 
     /// Traffic class for prioritization (§5): `ReturnChunk` bulk is low
     /// priority keyed by epoch; everything else rides the high-priority
-    /// class. That includes the ~20-byte `RequestChunk` and `Cancel`: parked
+    /// class. That includes the 8-byte `RequestChunk` and `Cancel`: parked
     /// behind seconds of queued chunks, a request starts its chunk late
     /// and a cancel arrives after the chunk it was meant to stop.
     pub fn class(&self) -> TrafficClass {
@@ -446,11 +380,12 @@ impl Envelope {
     }
 }
 
+/// `varint epoch · varint index · kind u8 · fields`.
 impl WireEncodeSegmented for Envelope {
     fn encode_segments(&self, out: &mut SegmentBuf) {
         let head = out.head_mut();
-        self.epoch.0.encode(head);
-        self.index.0.encode(head);
+        put_varint(head, self.epoch.0);
+        put_varint(head, self.index.0.into());
         self.payload.encode_segments(out);
     }
 }
@@ -463,14 +398,14 @@ impl WireEncode for Envelope {
         seg.copy_into(buf);
     }
     fn encoded_len(&self) -> usize {
-        8 + 2 + self.payload.encoded_len()
+        varint_len(self.epoch.0) + varint_len(self.index.0.into()) + self.payload.encoded_len()
     }
 }
 
 impl WireDecode for Envelope {
     fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
-        let epoch = Epoch(read_u64(buf)?);
-        let index = NodeId(read_u16(buf)?);
+        let epoch = Epoch(read_varint(buf)?);
+        let index = NodeId(read_varint(buf)?);
         let payload = ProtoMsg::decode(buf)?;
         Ok(Envelope {
             epoch,
@@ -560,8 +495,157 @@ mod tests {
         let p = ChunkPayload::Synthetic { len: 1000 };
         let bytes = p.to_bytes();
         assert_eq!(bytes.len(), p.encoded_len());
-        assert_eq!(p.encoded_len(), 1 + 4 + 1000);
+        assert_eq!(p.encoded_len(), 1 + 2 + 1000);
         assert_eq!(ChunkPayload::from_bytes(&bytes).unwrap(), p);
+    }
+
+    /// One envelope of every kind at `(epoch, index)`: votes in `round`,
+    /// chunks under `proof` with `len`-byte payloads.
+    fn every_kind(
+        epoch: u64,
+        index: u16,
+        round: u16,
+        proof: MerkleProof,
+        len: usize,
+    ) -> Vec<Envelope> {
+        let root = Hash::digest(b"root");
+        let real = ChunkPayload::Real(Bytes::from(vec![9u8; len]));
+        let synthetic = ChunkPayload::Synthetic { len: len as u32 };
+        let (e, i) = (Epoch(epoch), NodeId(index));
+        let mut envs: Vec<Envelope> = [
+            VidMsg::Chunk {
+                root,
+                proof: proof.clone(),
+                payload: real,
+            },
+            VidMsg::ReturnChunk {
+                root,
+                proof,
+                payload: synthetic,
+            },
+            VidMsg::GotChunk { root },
+            VidMsg::Ready { root },
+            VidMsg::RequestChunk,
+            VidMsg::Cancel,
+        ]
+        .into_iter()
+        .map(|m| Envelope::vid(e, i, m))
+        .collect();
+        for value in [false, true] {
+            envs.push(Envelope::ba(e, i, BaMsg::BVal { round, value }));
+            envs.push(Envelope::ba(e, i, BaMsg::Aux { round, value }));
+            envs.push(Envelope::ba(e, i, BaMsg::Term { value }));
+        }
+        envs.push(Envelope::sync(e, SyncMsg::Request));
+        for bits in [0, 1, 8, 9, 130] {
+            let committed = (0..bits).map(|j| j % 3 != 1).collect();
+            envs.push(Envelope::sync(e, SyncMsg::Outcome { committed }));
+        }
+        envs
+    }
+
+    #[test]
+    fn every_kind_roundtrips_at_the_varint_edges() {
+        let proof = |index: u32, leaf_count: u32| MerkleProof {
+            index,
+            leaf_count,
+            path: vec![Hash::digest(b"p"); dl_crypto::merkle::expected_path_len(leaf_count)],
+        };
+        let mut kinds = std::collections::BTreeSet::new();
+        for epoch in [0, 127, 128, 16_383, 16_384, u64::MAX] {
+            for round in [0, 127, 128, u16::MAX] {
+                for index in [0, 127, 128, u16::MAX] {
+                    for env in every_kind(epoch, index, round, proof(0, 1), 0) {
+                        kinds.insert(env.payload.kind());
+                        roundtrip(env);
+                    }
+                }
+            }
+        }
+        assert_eq!(kinds.len(), 14, "the envelope kinds");
+        for (index, leaf_count) in [(0, 1), (1, 127), (126, 127), (127, 128), (128, 129)] {
+            for len in [0, 127, 128, 16_383, 16_384] {
+                for env in every_kind(5, 1, 1, proof(index, leaf_count), len) {
+                    roundtrip(env);
+                }
+            }
+        }
+    }
+
+    /// `bytes` is an envelope encoding only up to its last field, whose
+    /// decoding fails with `err`.
+    fn rejected(bytes: &[u8], err: CodecError) {
+        assert_eq!(Envelope::from_bytes(bytes), Err(err), "{bytes:?}");
+    }
+
+    #[test]
+    fn only_canonical_in_range_varints_decode() {
+        let overlong = CodecError::InvalidValue("overlong varint");
+        let overflow = CodecError::InvalidValue("varint overflow");
+        // RequestChunk at epoch 0, index 0 is [0, 0, 3].
+        assert!(Envelope::from_bytes(&[0, 0, 3]).is_ok());
+        rejected(&[0x80, 0x00, 0, 3], overlong.clone());
+        rejected(&[0, 0x81, 0x00, 3], overlong.clone());
+        // Index 2^16, round 2^16: past u16.
+        rejected(&[0, 0x80, 0x80, 0x04, 3], overflow.clone());
+        rejected(&[0, 0, 7, 0x80, 0x80, 0x04], overflow.clone());
+        // An epoch of 65 bits, and one that never ends.
+        rejected(
+            &[
+                0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02, 0, 3,
+            ],
+            overflow.clone(),
+        );
+        rejected(&[0xff; 12], overflow);
+        // u64::MAX itself is fine.
+        roundtrip(Envelope::vid(Epoch(u64::MAX), NodeId(0), VidMsg::Cancel));
+    }
+
+    #[test]
+    fn out_of_range_proofs_padded_bitmaps_and_huge_lengths_are_rejected() {
+        let root = Hash::digest(b"r").0;
+        // Chunk kind, root, then proof index 4 of 4 leaves.
+        let mut chunk = vec![0, 0, 0];
+        chunk.extend_from_slice(&root);
+        let mut bad_index = chunk.clone();
+        bad_index.extend_from_slice(&[4, 4]);
+        rejected(&bad_index, CodecError::InvalidValue("merkle proof index"));
+        // A leaf count of 0 has no valid index.
+        let mut no_leaves = chunk.clone();
+        no_leaves.extend_from_slice(&[0, 0]);
+        rejected(&no_leaves, CodecError::InvalidValue("merkle proof index"));
+        // Proof 0 of 1 leaf (no path), then a payload claiming one byte past
+        // MAX_FIELD_LEN: rejected from the length alone, with no bytes after
+        // it to back any buffer.
+        for tag in [0, 1] {
+            let mut huge = chunk.clone();
+            huge.extend_from_slice(&[0, 1, tag]);
+            crate::codec::put_varint(&mut huge, crate::codec::MAX_FIELD_LEN as u64 + 1);
+            rejected(&huge, CodecError::LengthOverflow);
+        }
+        // A synthetic payload's bytes are zeros.
+        let mut synthetic = chunk;
+        synthetic.extend_from_slice(&[0, 1, 1, 2, 0, 7]);
+        rejected(&synthetic, CodecError::InvalidValue("synthetic payload"));
+        // Outcome of 3 bits: 0b101 is fine, a padding bit is not, and a
+        // bitmap past MAX_FIELD_LEN bits is rejected from its length.
+        assert_eq!(
+            Envelope::from_bytes(&[0, 0, 13, 3, 0b101]).unwrap(),
+            Envelope::sync(
+                Epoch(0),
+                SyncMsg::Outcome {
+                    committed: vec![true, false, true]
+                }
+            )
+        );
+        rejected(
+            &[0, 0, 13, 3, 0b1101],
+            CodecError::InvalidValue("bitmap padding"),
+        );
+        let mut huge = vec![0, 0, 13];
+        crate::codec::put_varint(&mut huge, u64::MAX);
+        rejected(&huge, CodecError::LengthOverflow);
+        rejected(&[0, 0, 14], CodecError::InvalidValue("message kind"));
     }
 
     #[test]
@@ -618,27 +702,36 @@ mod tests {
     #[test]
     fn control_messages_are_small() {
         // The design premise: agreement traffic is tiny next to block data.
+        // At epoch < 128 and N ≤ 128 a vote is the 5-byte frame header,
+        // one byte each of epoch, index and kind, and one of round.
         let root = Hash::digest(b"r");
-        let got = Envelope::vid(Epoch(1), NodeId(0), VidMsg::GotChunk { root });
-        assert!(got.wire_size() < 64);
-        let bval = Envelope::ba(
-            Epoch(1),
-            NodeId(0),
-            BaMsg::BVal {
-                round: 0,
-                value: true,
-            },
-        );
-        assert!(bval.wire_size() < 32);
+        let (e, i) = (Epoch(127), NodeId(127));
+        let size = |m: ProtoMsg| {
+            Envelope {
+                epoch: e,
+                index: i,
+                payload: m,
+            }
+            .wire_size()
+        };
+        for value in [false, true] {
+            assert_eq!(size(ProtoMsg::Ba(BaMsg::BVal { round: 1, value })), 9);
+            assert_eq!(size(ProtoMsg::Ba(BaMsg::Aux { round: 1, value })), 9);
+            assert_eq!(size(ProtoMsg::Ba(BaMsg::Term { value })), 8);
+        }
+        assert_eq!(size(ProtoMsg::Vid(VidMsg::GotChunk { root })), 40);
+        assert_eq!(size(ProtoMsg::Vid(VidMsg::Ready { root })), 40);
+        assert_eq!(size(ProtoMsg::Vid(VidMsg::RequestChunk)), 8);
+        assert_eq!(size(ProtoMsg::Vid(VidMsg::Cancel)), 8);
     }
 
     #[test]
     fn garbage_rejected() {
-        assert!(Envelope::from_bytes(&[1, 2, 3]).is_err());
-        let mut buf = Vec::new();
-        1u64.encode(&mut buf);
-        2u16.encode(&mut buf);
-        buf.push(9); // bad ProtoMsg tag
-        assert!(Envelope::from_bytes(&buf).is_err());
+        assert!(Envelope::from_bytes(&[1, 2]).is_err());
+        assert!(
+            Envelope::from_bytes(&[1, 2, 3, 0]).is_err(),
+            "trailing byte"
+        );
+        assert!(Envelope::from_bytes(&[1, 2, 99]).is_err(), "bad kind");
     }
 }
