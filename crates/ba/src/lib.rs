@@ -48,6 +48,21 @@
 //!   observer whose post-restart `Ready` meets a pre-crash `BVal(0)`.
 
 #![forbid(unsafe_code)]
+// Replays identically from a seed: no hashed collections, no wall clock.
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)]
+// Parses hostile peers' messages: no panic path outside tests, `.expect`
+// included.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 pub mod coin;
 

@@ -288,9 +288,11 @@ impl<C: BlockCoder> Engine for ByzantineNode<C> {
         }
         self.attacked_up_to = epoch;
         match self.behavior {
-            // Mute returns from `handle` before reaching the attack
-            // dispatch; hitting this arm means that early-return was lost.
-            // dl-lint: allow(panic-path): unreachable by construction
+            #[expect(
+                clippy::unreachable,
+                reason = "Mute returns from `handle` before the attack dispatch; \
+                          reaching this arm means that early return was lost"
+            )]
             ByzantineBehavior::Mute => unreachable!(),
             ByzantineBehavior::Equivocate => self.attack(epoch, sink),
             ByzantineBehavior::DelayRelease => self.attack_delay_release(epoch, now, sink),

@@ -76,6 +76,21 @@
 //! ```
 
 #![forbid(unsafe_code)]
+// Replays identically from a seed: no hashed collections, no wall clock.
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)]
+// No panic path outside tests. `.expect("…")` stays: its message states a
+// checked state-machine invariant (an epoch entry created earlier in the
+// same call), and corrupted protocol state should crash, not limp.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 pub mod byzantine;
 mod coder;

@@ -112,7 +112,7 @@ impl<T> EpochRing<T> {
         }
     }
 
-    #[cfg_attr(not(test), allow(dead_code))] // exercised by the parity tests
+    #[cfg_attr(not(test), expect(dead_code, reason = "exercised by the parity tests"))]
     pub(crate) fn len(&self) -> usize {
         self.live + self.old.len()
     }

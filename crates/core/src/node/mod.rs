@@ -473,9 +473,11 @@ impl<C: BlockCoder> Node<C> {
                 from,
                 msg,
             },
-            // The match above this one consumes every Sync message; a Sync
-            // reaching this arm is a routing bug worth crashing loudly on.
-            // dl-lint: allow(panic-path): unreachable by construction
+            #[expect(
+                clippy::unreachable,
+                reason = "the match above consumes every Sync message; one \
+                          reaching this arm is a routing bug worth crashing on"
+            )]
             ProtoMsg::Sync(_) => unreachable!("sync handled above"),
         });
     }

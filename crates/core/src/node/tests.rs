@@ -8,7 +8,7 @@ use dl_crypto::Hash;
 use dl_wire::{
     BaMsg, Block, ClusterConfig, Envelope, Epoch, NodeId, ProtoMsg, SyncMsg, Tx, VidMsg,
 };
-use std::collections::VecDeque;
+use std::collections::{BTreeSet, VecDeque};
 
 /// `env` framed for a socket and read back, as `dl-net` would deliver it:
 /// the frame is exactly `wire_size()` bytes and decodes to `env` itself.
@@ -1435,6 +1435,64 @@ fn dl_votes_and_fetches_with_its_ready_and_honeybadger_does_not() {
                 completions(&effs).contains(&r),
                 "node {node}: {r:?} asked early"
             );
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The write-ahead rule, on the effect stream itself
+// ---------------------------------------------------------------------------
+
+#[test]
+fn every_effect_follows_its_write_ahead_record() {
+    // `(record, epoch, index, value)`: what a record makes durable, and what
+    // an effect needs durable first (`records` module docs). `Completed` is
+    // left out: a BA may relay `BVal(1)` on f + 1 peers' word before our own
+    // dispersal completes.
+    type Key = (&'static str, u64, u16, bool);
+    for variant in all_variants() {
+        let mut held: Vec<BTreeSet<Key>> = vec![BTreeSet::new(); 4];
+        for (node, effs) in mesh_runs(variant) {
+            let me = node as u16;
+            for eff in &effs {
+                let needs: Key = match eff {
+                    NodeEffect::Persist(rec) => {
+                        held[node].insert(match rec {
+                            StoreRecord::Chunk { epoch, index, .. } => {
+                                ("Chunk", epoch.0, index.0, false)
+                            }
+                            StoreRecord::Proposed { epoch, .. } => ("Proposed", epoch.0, me, false),
+                            StoreRecord::Decided {
+                                epoch,
+                                index,
+                                value,
+                            } => ("Decided", epoch.0, index.0, *value),
+                            StoreRecord::Delivered {
+                                epoch, proposer, ..
+                            } => ("Delivered", epoch.0, proposer.0, false),
+                            _ => continue,
+                        });
+                        continue;
+                    }
+                    NodeEffect::Send(_, env) => {
+                        let (e, i) = (env.epoch.0, env.index.0);
+                        match env.payload {
+                            ProtoMsg::Vid(VidMsg::GotChunk { .. }) => ("Chunk", e, i, false),
+                            ProtoMsg::Vid(VidMsg::Chunk { .. }) if i == me => {
+                                ("Proposed", e, i, false)
+                            }
+                            ProtoMsg::Ba(BaMsg::Term { value }) => ("Decided", e, i, value),
+                            _ => continue,
+                        }
+                    }
+                    NodeEffect::Deliver(d) => ("Delivered", d.epoch.0, d.proposer.0, false),
+                    _ => continue,
+                };
+                assert!(
+                    held[node].contains(&needs),
+                    "{variant:?} node {node}: an effect ran ahead of its {needs:?} record"
+                );
+            }
         }
     }
 }

@@ -68,6 +68,20 @@
 //! [`NodeId`]: dl_wire::NodeId
 
 #![forbid(unsafe_code)]
+// No panic path outside tests and the `dl-node` binary. `.expect("…")`
+// stays for two deliberate crash classes: a poisoned lock (another thread
+// already panicked) and a failed WAL append or fsync (a node that cannot
+// make its log durable must stop before it can un-say state).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 mod cluster;
 mod config;

@@ -331,10 +331,11 @@ pub struct SharedMut<'a, T> {
     ptr: *mut T,
     len: usize,
     /// Debug-build registry of every range handed out by [`SharedMut::slice_mut`].
-    /// Overlap detection is the dynamic complement of the static `dl-lint`
-    /// pass: disjointness of the caller's decomposition is the one
-    /// invariant text analysis cannot see. Release builds carry no
-    /// registry and no locking.
+    /// Overlap detection is the dynamic complement of clippy's
+    /// `undocumented_unsafe_blocks`: disjointness of the caller's
+    /// decomposition is the one invariant a `// SAFETY:` comment can state
+    /// but no static check can see. Release builds carry no registry and no
+    /// locking.
     #[cfg(debug_assertions)]
     claimed: std::sync::Mutex<Vec<std::ops::Range<usize>>>,
     _marker: std::marker::PhantomData<&'a mut [T]>,
@@ -381,7 +382,10 @@ impl<'a, T> SharedMut<'a, T> {
     /// # Safety
     /// No two concurrently-live views (across all threads) may overlap,
     /// and a range must not be re-claimed while the window lives.
-    #[allow(clippy::mut_from_ref)]
+    #[expect(
+        clippy::mut_from_ref,
+        reason = "disjoint views of one window, per the safety contract above"
+    )]
     pub unsafe fn slice_mut(&self, range: std::ops::Range<usize>) -> &mut [T] {
         assert!(
             range.start <= range.end && range.end <= self.len,

@@ -67,6 +67,8 @@
 //! reports.
 
 #![forbid(unsafe_code)]
+// Replays identically from a seed: no hashed collections, no wall clock.
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)]
 
 pub mod chaos;
 pub mod fluid;

@@ -36,6 +36,19 @@
 //! record being written — never previously-synced history.
 
 #![forbid(unsafe_code)]
+// No panic path outside tests. `.expect("…")` stays for memory-store lock
+// poisoning (propagating an earlier panic) and the segment scanner's
+// infallible fixed-width slice-to-array conversions.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};

@@ -27,6 +27,21 @@
 //! equivocation faults, and by `dl-core`'s integration suites.
 
 #![cfg_attr(not(test), forbid(unsafe_code))]
+// Replays identically from a seed: no hashed collections, no wall clock.
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)]
+// Parses hostile peers' messages: no panic path outside tests, `.expect`
+// included.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 pub mod cost;
 
@@ -103,6 +118,11 @@ pub struct RealCoder {
 
 impl RealCoder {
     /// Coder for a cluster of `n` nodes tolerating `f` faults.
+    #[expect(
+        clippy::expect_used,
+        reason = "(n, f) that is not a BFT cluster is a start-up configuration \
+                  error; nothing a peer sends reaches it"
+    )]
     pub fn new(n: usize, f: usize) -> RealCoder {
         let rs = ReedSolomon::for_cluster(n, f).expect("valid cluster parameters");
         RealCoder { rs }
@@ -153,7 +173,10 @@ impl Coder for RealCoder {
             // draws `k` equal-length chunks of such a dispersal fails the
             // re-encode check below, so the value is the same everywhere.
             Err(RsError::BadFrame | RsError::MalformedChunks) => return Retrieved::BadUploader,
-            // dl-lint: allow(panic-path): the caller decodes only once it holds data_chunks() chunks
+            #[expect(
+                clippy::panic,
+                reason = "the caller decodes only once it holds data_chunks() chunks"
+            )]
             Err(e) => panic!("retriever invariant violated: {e}"),
         };
         // The AVID-M check (Fig. 4, step 2-4): re-encode and compare roots.
