@@ -1,9 +1,9 @@
 //! The driver↔engine seam: [`Engine`] and [`EffectSink`].
 //!
-//! Every cluster member — honest [`crate::Node`], faulty
-//! [`crate::ByzantineNode`], or anything a test invents — presents the same
-//! four-method surface to its driver: `submit_tx` / `handle` / `poll` push
-//! events *in*, and every resulting effect is written *out* through a
+//! Every cluster member — honest [`crate::Node`], one of `dl-sim`'s faulty
+//! members, or anything a test invents — presents the same four-method
+//! surface to its driver: `submit_tx` / `handle` / `poll` push events
+//! *in*, and every resulting effect is written *out* through a
 //! caller-supplied [`EffectSink`]. Drivers hold cluster slots as
 //! `Box<dyn Engine>` and never match on node kinds, and because the sink is
 //! borrowed from the driver there is no per-event `Vec<NodeEffect>`

@@ -19,7 +19,7 @@
 //! The node is **sans-IO**: it consumes `(from, Envelope)` pairs plus a
 //! millisecond clock and writes its effects into a driver-supplied
 //! [`EffectSink`]. Drivers program against the [`Engine`] trait — honest
-//! [`Node`]s and faulty [`ByzantineNode`]s occupy cluster slots
+//! [`Node`]s and the simulator's faulty members occupy cluster slots
 //! interchangeably as `Box<dyn Engine>`. Two drivers ship in this
 //! workspace: `dl-sim` (discrete-event WAN emulation used by the paper's
 //! benchmark reproductions) and `dl-net` (a real TCP mesh).
@@ -92,29 +92,28 @@
     )
 )]
 
-pub mod byzantine;
 mod coder;
 mod engine;
 mod linking;
 mod node;
 mod queue;
 mod records;
-pub mod transport;
+mod transport;
 mod variant;
 
-pub use byzantine::{ByzantineBehavior, ByzantineNode};
 pub use coder::{BlockCoder, RealBlockCoder};
 pub use engine::{EffectSink, Engine, EngineExt};
-pub use linking::{compute_linking_estimate, CompletionTracker};
 pub use node::{DeliveredBlock, Node, NodeEffect, NodeStats, StatEvent};
-pub use queue::InputQueue;
-pub use records::{CompactionPlan, StoreRecord};
-pub use transport::{SendQueue, Transport};
-pub use variant::{NodeConfig, ProposeGate, ProtocolVariant, VariantFlags};
+pub use records::StoreRecord;
+pub use transport::SendQueue;
+pub use variant::{NodeConfig, ProtocolVariant};
 
-/// Default Nagle delay threshold for block proposal (paper §5: 100 ms).
-pub const DEFAULT_PROPOSE_DELAY_MS: u64 = 100;
+/// Nagle delay threshold for block proposal (paper §5: 100 ms).
+const PROPOSE_DELAY_MS: u64 = 100;
+/// Epochs of retrieval lag DL-Coupled tolerates before it proposes empty
+/// blocks (`P` of §4.5; `P = 1` equals HoneyBadger's coupling).
+const LAG_LIMIT: u64 = 1;
 /// Default Nagle size threshold for block proposal (paper §5: 150 KB).
 pub const DEFAULT_PROPOSE_SIZE: usize = 150 * 1000;
 /// How far (in epochs) beyond our agreement frontier we accept messages.
-pub const DEFAULT_EPOCH_LOOKAHEAD: u64 = 64;
+const DEFAULT_EPOCH_LOOKAHEAD: u64 = 64;

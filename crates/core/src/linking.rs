@@ -25,7 +25,7 @@ use dl_wire::Epoch;
 /// finish here before its epoch-7 one), so the tracker keeps a prefix
 /// counter plus the sparse set of completions beyond it.
 #[derive(Clone, Debug, Default)]
-pub struct CompletionTracker {
+pub(crate) struct CompletionTracker {
     prefix: u64,
     beyond: std::collections::BTreeSet<u64>,
 }
@@ -69,7 +69,11 @@ impl CompletionTracker {
 /// the retrieved blocks; `None` stands for the all-∞ observation an
 /// ill-formatted block or a `BAD_UPLOADER` retrieval contributes (paper
 /// footnote 5).
-pub fn compute_linking_estimate(observations: &[Option<&[u64]>], n: usize, f: usize) -> Vec<u64> {
+pub(crate) fn compute_linking_estimate(
+    observations: &[Option<&[u64]>],
+    n: usize,
+    f: usize,
+) -> Vec<u64> {
     assert!(
         observations.len() > f,
         "need more than f observations to compute a safe estimate"

@@ -50,7 +50,7 @@ impl<C: BlockCoder> Node<C> {
             .get_mut(epoch)
             .expect("completion implies state");
         st.completed[index] = true;
-        if !self.cfg.flags.vote_requires_retrieval {
+        if !self.cfg.variant.retrieve_then_vote() {
             // DispersedLedger: availability alone justifies the vote (§4.2).
             work.push_back(Work::BaInput {
                 epoch,
@@ -108,8 +108,8 @@ impl<C: BlockCoder> Node<C> {
         self.pipeline_dirty = true;
         // Retrieve-then-vote: a block in hand is what draws an idle node
         // into the epoch (module docs, "Liveness and quiescence").
-        st.activity |= self.cfg.flags.vote_requires_retrieval;
-        if self.cfg.flags.vote_requires_retrieval && st.completed[index] {
+        st.activity |= self.cfg.variant.retrieve_then_vote();
+        if self.cfg.variant.retrieve_then_vote() && st.completed[index] {
             work.push_back(Work::BaInput {
                 epoch,
                 index,

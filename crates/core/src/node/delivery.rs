@@ -50,7 +50,7 @@ impl<C: BlockCoder> Node<C> {
         // must be delivered alongside this epoch.
         let st = self.epochs.get_mut(epoch).expect("state exists");
         let (decided_ms, in_hand_ms) = (st.decided_ms, *st.in_hand_ms.get_or_insert(now));
-        let linked_up_to: Vec<u64> = if self.cfg.flags.linking && committed.len() > f {
+        let linked_up_to: Vec<u64> = if self.cfg.variant.links() && committed.len() > f {
             // Borrow the observation arrays straight out of the retrieved
             // blocks — this runs on every delivery attempt, and cloning N
             // length-N arrays here was quadratic per attempt.
@@ -152,7 +152,7 @@ impl<C: BlockCoder> Node<C> {
         if let Some(txs) = self.my_txs.remove(&epoch) {
             let dropped =
                 self.epochs.get(epoch).expect("state exists").decided[self.me.idx()] == Some(false);
-            if dropped && !self.cfg.flags.linking {
+            if dropped && !self.cfg.variant.links() {
                 self.stats.txs_requeued += txs.len() as u64;
                 self.queue.push_front_batch(txs);
             }
@@ -196,7 +196,7 @@ impl<C: BlockCoder> Node<C> {
         if new_horizon <= self.gc_horizon {
             return;
         }
-        let linking = self.cfg.flags.linking;
+        let linking = self.cfg.variant.links();
         let Node {
             epochs,
             delivered,

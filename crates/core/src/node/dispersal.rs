@@ -4,9 +4,9 @@
 //! ## The dispersal window
 //!
 //! The paper's engine advances the propose frontier one epoch at a time:
-//! under [`ProposeGate::DispersalDone`], dispersal of `e + 1` waits for
-//! every BA of `e` to output, leaving the uplink idle during BA rounds. A
-//! node that has more to say does not wait. Once its block for the current
+//! under DispersedLedger's gate, dispersal of `e + 1` waits for every BA
+//! of `e` to output, leaving the uplink idle during BA rounds. A node that
+//! has more to say does not wait. Once its block for the current
 //! epoch is out it opens the next epoch past the gate when all of these
 //! hold, each a measurement it already takes:
 //!
@@ -30,8 +30,8 @@
 //!   turn the block empty and leave the batch queued; an epoch opened for
 //!   a batch it may not carry is pure control traffic.
 //!
-//! [`ProposeGate::Delivered`] variants (HoneyBadger, HB-Link) never take
-//! the branch: proposing in lockstep with delivery is what the baseline is.
+//! Retrieve-then-vote variants (HoneyBadger, HB-Link) never take the
+//! branch: proposing in lockstep with delivery is what the baseline is.
 //!
 //! ## No epoch without a block of ours
 //!
@@ -62,7 +62,6 @@ use crate::coder::BlockCoder;
 use crate::engine::EffectSink;
 use crate::linking::CompletionTracker;
 use crate::records::StoreRecord;
-use crate::variant::ProposeGate;
 
 use super::{Node, StatEvent, Work};
 
@@ -104,7 +103,7 @@ impl<C: BlockCoder> Node<C> {
         while self.gate() >= self.next_propose_epoch || self.window_admits() {
             // Decided without a block of ours: fill the hole (module docs).
             if self.proposed_up_to < self.next_propose_epoch
-                && self.cfg.flags.linking
+                && self.cfg.variant.links()
                 && !self.sync_active
             {
                 self.disperse(self.next_propose_epoch, Vec::new(), work, out);
@@ -122,7 +121,7 @@ impl<C: BlockCoder> Node<C> {
                 .get(self.next_propose_epoch)
                 .is_some_and(|st| st.activity);
             if pressure || !self.queue.is_empty() || self.link_rescue_pending() {
-                let due = self.epoch_entered_ms + self.cfg.propose_delay_ms;
+                let due = self.epoch_entered_ms + crate::PROPOSE_DELAY_MS;
                 if now < due {
                     out.wake_at(due);
                 }
@@ -130,29 +129,31 @@ impl<C: BlockCoder> Node<C> {
         }
     }
 
-    /// The frontier the propose gate follows.
+    /// The frontier the propose gate follows: delivery under
+    /// retrieve-then-vote, agreement otherwise.
     pub(super) fn gate(&self) -> u64 {
-        match self.cfg.flags.propose_gate {
-            ProposeGate::DispersalDone => self.agreement_frontier,
-            ProposeGate::Delivered => self.delivered_frontier,
+        if self.cfg.variant.retrieve_then_vote() {
+            self.delivered_frontier
+        } else {
+            self.agreement_frontier
         }
     }
 
-    /// DL-Coupled (§4.5): retrieval lags the gate by more than `lag_limit`
+    /// DL-Coupled (§4.5): retrieval lags the gate by more than `LAG_LIMIT`
     /// epochs, so proposals are empty until delivery catches up. Anchored
     /// to the *gate*, not the proposed epoch: the window runs ahead of the
     /// gate by design, and counting that depth as lag would keep every
     /// window epoch empty and strand the queue.
     fn lagging(&self) -> bool {
-        self.cfg.flags.empty_when_lagging
-            && self.gate() + 1 > self.delivered_frontier + self.cfg.lag_limit
+        self.cfg.variant.empty_when_lagging()
+            && self.gate() + 1 > self.delivered_frontier + crate::LAG_LIMIT
     }
 
     /// Whether the dispersal window opens the next epoch past the gate now
     /// (module docs: trigger, byte budget, depth, not lagging).
     fn window_admits(&self) -> bool {
         let depth = self.next_propose_epoch.saturating_sub(self.gate());
-        self.cfg.flags.propose_gate == ProposeGate::DispersalDone
+        !self.cfg.variant.retrieve_then_vote()
             && self.proposed_up_to >= self.next_propose_epoch
             && self.queue.bytes() as u64 >= depth * self.cfg.propose_size as u64
             && self.inflight_bytes < WINDOW_BUDGET_BATCHES * self.cfg.propose_size as u64
@@ -171,7 +172,7 @@ impl<C: BlockCoder> Node<C> {
         let pressure = self.epochs.get(e).is_some_and(|st| st.activity);
         let due_size = self.queue.bytes() >= self.cfg.propose_size;
         let due_time = (pressure || !self.queue.is_empty() || self.link_rescue_pending())
-            && now >= self.epoch_entered_ms + self.cfg.propose_delay_ms;
+            && now >= self.epoch_entered_ms + crate::PROPOSE_DELAY_MS;
         if !due_size && !due_time {
             return;
         }
@@ -202,7 +203,7 @@ impl<C: BlockCoder> Node<C> {
     /// same proposer is missing, and pressure waits for our local
     /// completion prefix to cover it.
     pub(super) fn link_rescue_pending(&self) -> bool {
-        if !self.cfg.flags.linking {
+        if !self.cfg.variant.links() {
             return false;
         }
         // `my_nonempty_proposals` holds only our undelivered proposals, so
@@ -276,7 +277,7 @@ impl<C: BlockCoder> Node<C> {
         // (§4.2): keep the body so it can be re-queued. With linking a
         // completed transaction-bearing dispersal is eventually delivered —
         // remember the epoch so its rescue counts as proposal pressure.
-        if !self.cfg.flags.linking {
+        if !self.cfg.variant.links() {
             self.my_txs.insert(epoch, block.body.clone());
         } else if !block.body.is_empty() {
             self.my_nonempty_proposals.insert(epoch);

@@ -20,10 +20,9 @@
 //!    BAs agree on which dispersals completed. Once `N − f` BAs decide 1,
 //!    the node inputs 0 to every remaining BA (the ACS construction of
 //!    HoneyBadger, §4.1). When *all* BAs of epoch `e` have output, the
-//!    *agreement frontier* advances and — under the
-//!    [`crate::variant::ProposeGate::DispersalDone`] gate — epoch `e + 1`
-//!    may start. Under DL a VID `Ready` is also its sender's round-0
-//!    `BVal(1)` in the BA (`dl_ba`).
+//!    *agreement frontier* advances and — under DispersedLedger's propose
+//!    gate — epoch `e + 1` may start. Under DL a VID `Ready` is also its
+//!    sender's round-0 `BVal(1)` in the BA (`dl_ba`).
 //! 2. **Retrieval**: a block is fetched the moment it is known to be
 //!    needed ([`retrieval`]): its BA decides 1; it completes, under
 //!    retrieve-then-vote; or, with inter-node linking (§4.3), its delivery
@@ -35,15 +34,14 @@
 //!    advancing the *delivered frontier*. Fetching what its linking
 //!    estimate names is a fallback here, for blocks we never saw complete.
 //!
-//! Phase 1 itself pipelines *across* epochs under load: a
-//! [`crate::variant::ProposeGate::DispersalDone`] node that has dispersed
-//! its block for the current epoch and already has a full Nagle batch
-//! queued — `d` batches for an epoch `d` past the gate — opens the next
-//! epoch while agreement for `e` is still running, converting BA-round
-//! idle time on the uplink into throughput. The trigger is the node's own
-//! backlog, so there is no knob; with less than a batch waiting the
-//! schedule is the paper's gated one (see [`dispersal`] for the rule, its
-//! byte budget and its depth bound).
+//! Phase 1 itself pipelines *across* epochs under load: a DL or DL-Coupled
+//! node that has dispersed its block for the current epoch and already has
+//! a full Nagle batch queued — `d` batches for an epoch `d` past the gate —
+//! opens the next epoch while agreement for `e` is still running,
+//! converting BA-round idle time on the uplink into throughput. The
+//! trigger is the node's own backlog, so there is no knob; with less than
+//! a batch waiting the schedule is the paper's gated one (see [`dispersal`]
+//! for the rule, its byte budget and its depth bound).
 //!
 //! ## Module layout
 //!
@@ -58,11 +56,11 @@
 //!
 //! ## Variant switches
 //!
-//! The four evaluated protocols share this one engine;
-//! [`crate::VariantFlags`] selects the behaviour: `vote_requires_retrieval`
-//! makes BAs wait for the full block (HoneyBadger), `propose_gate` couples
-//! or decouples epoch progression from delivery, `linking` turns on §4.3,
-//! and `empty_when_lagging` is DL-Coupled's spam defence (§4.5).
+//! The four evaluated protocols share this one engine; three questions to
+//! [`crate::ProtocolVariant`] select the behaviour: `retrieve_then_vote`
+//! makes BAs wait for the full block and couples epoch progression to
+//! delivery (HoneyBadger), `links` turns on §4.3, and
+//! `empty_when_lagging` is DL-Coupled's spam defence (§4.5).
 //!
 //! ## Liveness and quiescence
 //!
@@ -91,7 +89,7 @@ mod epochs;
 mod recovery;
 mod retrieval;
 #[cfg(test)]
-pub(crate) mod tests;
+mod tests;
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -456,7 +454,7 @@ impl<C: BlockCoder> Node<C> {
         self.ensure_epoch(e);
         // Retrieve-then-vote variants take their pressure from a block in
         // hand instead (`on_retrieved`).
-        if from != self.me && !self.cfg.flags.vote_requires_retrieval {
+        if from != self.me && !self.cfg.variant.retrieve_then_vote() {
             self.epochs.get_mut(e).expect("just ensured").activity = true;
         }
         let index = env.index.idx();
@@ -742,7 +740,7 @@ impl<C: BlockCoder> Node<C> {
         });
         let mut st = EpochState::new(self.me, n, f, salts);
         for ba in &mut st.bas {
-            if !self.cfg.flags.vote_requires_retrieval {
+            if !self.cfg.variant.retrieve_then_vote() {
                 ba.vote_by_ready(); // availability is the first vote (`dl_ba`)
             }
             // Restart recovery: a pre-crash message of ours could have

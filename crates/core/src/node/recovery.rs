@@ -69,7 +69,7 @@ impl<C: BlockCoder> Node<C> {
                     self.proposed_up_to = self.proposed_up_to.max(epoch.0);
                     self.inflight.push_back((epoch.0, *payload_bytes));
                     self.inflight_bytes += payload_bytes;
-                    if self.cfg.flags.linking && *nonempty {
+                    if self.cfg.variant.links() && *nonempty {
                         self.my_nonempty_proposals.insert(epoch.0);
                     }
                 }
@@ -154,9 +154,9 @@ impl<C: BlockCoder> Node<C> {
             return;
         }
         let due = self.sync_last_request_ms == 0
-            || now >= self.sync_last_request_ms + self.cfg.propose_delay_ms;
+            || now >= self.sync_last_request_ms + crate::PROPOSE_DELAY_MS;
         if !due {
-            out.wake_at(self.sync_last_request_ms + self.cfg.propose_delay_ms);
+            out.wake_at(self.sync_last_request_ms + crate::PROPOSE_DELAY_MS);
             return;
         }
         if self.sync_progress {
@@ -178,7 +178,7 @@ impl<C: BlockCoder> Node<C> {
                 self.push_send(to, Envelope::sync(Epoch(from_epoch), SyncMsg::Request), out);
             }
         }
-        out.wake_at(now + self.cfg.propose_delay_ms);
+        out.wake_at(now + crate::PROPOSE_DELAY_MS);
     }
 
     /// A catch-up sync message arrived.

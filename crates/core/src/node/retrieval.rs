@@ -200,8 +200,8 @@ impl<C: BlockCoder> Node<C> {
         work: &mut VecDeque<Work>,
         out: &mut dyn EffectSink,
     ) {
-        if !self.cfg.flags.linking || self.cfg.flags.vote_requires_retrieval {
-            return; // nothing is linked, or everything is fetched on completion
+        if self.cfg.variant.retrieve_then_vote() {
+            return; // everything is fetched on completion
         }
         let epochs = &self.epochs;
         let certain: Vec<u64> = self
@@ -239,7 +239,7 @@ impl<C: BlockCoder> Node<C> {
         st.retrievers[index] = Some(retriever);
         st.retrieval_started_ms[index] = self.now;
         self.stats.retrievals_started += 1;
-        let deadline = self.now + self.retrieval_timer.deadline_ms(self.cfg.propose_delay_ms);
+        let deadline = self.now + self.retrieval_timer.deadline_ms(crate::PROPOSE_DELAY_MS);
         self.retrieval_deadlines
             .insert((deadline, epoch, index as u16));
         out.wake_at(deadline);

@@ -3,7 +3,7 @@ use super::*;
 use crate::coder::RealBlockCoder;
 use crate::engine::EngineExt;
 use crate::records::StoreRecord;
-use crate::variant::{NodeConfig, ProposeGate, ProtocolVariant};
+use crate::variant::{NodeConfig, ProtocolVariant};
 use dl_crypto::Hash;
 use dl_wire::{
     BaMsg, Block, ClusterConfig, Envelope, Epoch, NodeId, ProtoMsg, SyncMsg, Tx, VidMsg,
@@ -12,7 +12,7 @@ use std::collections::{BTreeSet, VecDeque};
 
 /// `env` framed for a socket and read back, as `dl-net` would deliver it:
 /// the frame is exactly `wire_size()` bytes and decodes to `env` itself.
-pub(crate) fn through_the_codec(env: Envelope) -> Envelope {
+fn through_the_codec(env: Envelope) -> Envelope {
     let frame = dl_wire::encode_frame(&env).to_vec();
     assert_eq!(frame.len(), env.wire_size(), "{env:?}");
     let mut decoder = dl_wire::FrameDecoder::new();
@@ -866,7 +866,7 @@ fn a_partial_batch_waits_for_the_gate_however_long() {
     submit_batches(&mut node, 0, 1, 0);
     node.submit_tx_vec(Tx::synthetic(NodeId(0), 1, 1, size - 1), 1);
     for t in 1..=10 {
-        node.poll_vec(t * node.config().propose_delay_ms);
+        node.poll_vec(t * crate::PROPOSE_DELAY_MS);
     }
     assert_eq!(node.stats().blocks_proposed, 1, "opened on the delay");
     node.submit_tx_vec(Tx::synthetic(NodeId(0), 2, 1001, 1), 1001);
@@ -1036,7 +1036,7 @@ fn all_variants_reach_total_order_under_full_batch_bursts() {
     for variant in all_variants() {
         let cfg = small_batch_cfg(variant);
         let behind = cfg.propose_size as u32;
-        let pipelines = cfg.flags.propose_gate == ProposeGate::DispersalDone;
+        let pipelines = !variant.retrieve_then_vote();
         let MeshRun {
             orders, past_gate, ..
         } = loaded_mesh(cfg, 3, behind);
@@ -1309,33 +1309,26 @@ fn restore_rearms_the_fetch_and_falls_back_to_phase_two_without_the_completion()
 
 #[test]
 fn only_dl_and_dl_coupled_take_the_certainty_trigger() {
-    // HoneyBadger and HB-Link fetch on completion to vote, as ever; DL
-    // without linking (an ablation) fetches only what its BA commits.
-    let cluster = ClusterConfig::new(4);
-    let mut unlinked = ProtocolVariant::Dl.flags();
-    unlinked.linking = false;
-    for flags in [
-        ProtocolVariant::HoneyBadger.flags(),
-        ProtocolVariant::HoneyBadgerLink.flags(),
-        unlinked,
+    // HoneyBadger and HB-Link fetch on completion to vote, as ever.
+    for variant in [
+        ProtocolVariant::HoneyBadger,
+        ProtocolVariant::HoneyBadgerLink,
     ] {
-        let mut d = Driven::new(ProtocolVariant::Dl);
+        let mut d = Driven::new(variant);
         // Live: a completion fetches only to vote, the BA deciding 0 asks
         // nobody anything.
-        d.node = solo(NodeConfig::with_flags(cluster.clone(), flags));
-        let to_vote = if flags.vote_requires_retrieval {
-            vec![(1, 2)]
-        } else {
-            vec![]
-        };
-        assert_eq!(fetched(&d.complete(&block_of_2(1))), to_vote, "{flags:?}");
-        assert_eq!(fetched(&d.decide(1, 2, false)), [], "{flags:?}");
+        assert_eq!(
+            fetched(&d.complete(&block_of_2(1))),
+            [(1, 2)],
+            "{variant:?}"
+        );
+        assert_eq!(fetched(&d.decide(1, 2, false)), [], "{variant:?}");
         // Restored: HoneyBadger never delivers the block, and HB-Link
         // fetches it when an estimate names it, as it did before.
-        d.node = solo(NodeConfig::with_flags(cluster.clone(), flags));
+        d.node = solo(NodeConfig::new(ClusterConfig::new(4), variant));
         d.node.restore(&log_with_block_1_2_dropped(&d, true));
-        assert_eq!(fetched(&d.node.poll_vec(0)), [], "{flags:?}");
-        assert_eq!(d.node.stats().retrievals_started, 0, "{flags:?}");
+        assert_eq!(fetched(&d.node.poll_vec(0)), [], "{variant:?}");
+        assert_eq!(d.node.stats().retrievals_started, 0, "{variant:?}");
     }
 }
 

@@ -11,7 +11,7 @@ use std::collections::VecDeque;
 
 /// FIFO transaction queue tracking queued payload bytes.
 #[derive(Debug, Default)]
-pub struct InputQueue {
+pub(crate) struct InputQueue {
     txs: VecDeque<Tx>,
     bytes: usize,
 }
@@ -47,11 +47,6 @@ impl InputQueue {
         self.bytes
     }
 
-    /// Queued transaction count.
-    pub fn len(&self) -> usize {
-        self.txs.len()
-    }
-
     pub fn is_empty(&self) -> bool {
         self.txs.is_empty()
     }
@@ -72,7 +67,6 @@ mod tests {
         q.push(tx(0, 100));
         q.push(tx(1, 50));
         assert_eq!(q.bytes(), 150);
-        assert_eq!(q.len(), 2);
         let drained = q.drain_all();
         assert_eq!(drained.len(), 2);
         assert_eq!(q.bytes(), 0);
@@ -96,7 +90,7 @@ mod tests {
         q.push(tx(3, 7));
         q.push_front_batch(vec![tx(0, 100), tx(1, 50)]);
         assert_eq!(q.bytes(), 157, "re-queued payload bytes must count");
-        assert_eq!(q.len(), 3);
+        assert_eq!(q.drain_all().len(), 3);
     }
 
     #[test]
@@ -104,8 +98,8 @@ mod tests {
         let mut q = InputQueue::new();
         q.push(tx(0, 5));
         q.push_front_batch(Vec::new());
-        assert_eq!(q.len(), 1);
         assert_eq!(q.bytes(), 5);
+        assert_eq!(q.drain_all().len(), 1);
     }
 
     #[test]
@@ -133,8 +127,8 @@ mod tests {
         let mut q = InputQueue::new();
         q.push(tx(0, 0));
         q.push(tx(1, 0));
-        assert_eq!(q.len(), 2);
         assert_eq!(q.bytes(), 0);
         assert!(!q.is_empty());
+        assert_eq!(q.drain_all().len(), 2);
     }
 }

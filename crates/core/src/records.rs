@@ -23,8 +23,6 @@ use dl_crypto::{Hash, MerkleProof};
 use dl_wire::codec::{read_u8, WireDecode, WireEncode};
 use dl_wire::{Block, ChunkPayload, CodecError, Epoch, NodeId};
 
-use crate::NodeConfig;
-
 /// One durable state transition of a node.
 ///
 /// The sequence of records *is* the ledger: replaying them rebuilds the
@@ -84,95 +82,9 @@ impl StoreRecord {
     const TAG_DELIVERED: u8 = 4;
     const TAG_EPOCH_DELIVERED: u8 = 5;
 
-    /// The epoch this record belongs to.
-    pub fn epoch(&self) -> Epoch {
-        match self {
-            StoreRecord::Chunk { epoch, .. }
-            | StoreRecord::Completed { epoch, .. }
-            | StoreRecord::Proposed { epoch, .. }
-            | StoreRecord::Decided { epoch, .. }
-            | StoreRecord::Delivered { epoch, .. }
-            | StoreRecord::EpochDelivered { epoch } => *epoch,
-        }
-    }
-
     /// True for the record the `EpochBoundary` fsync policy syncs after.
     pub fn is_epoch_boundary(&self) -> bool {
         matches!(self, StoreRecord::EpochDelivered { .. })
-    }
-}
-
-/// What a log rewrite may drop: the compaction policy for `dl-store`'s
-/// segment compaction.
-///
-/// Chunk custody is by far the bulk of a log (every chunk payload plus its
-/// Merkle proof), and it exists only so a restarted node can keep serving
-/// retrievals for epochs that have not finished. Once a slot has been
-/// *delivered* everywhere below the durable horizon, its chunk is dead
-/// weight: `restore` replays it into a server that `gc_epochs` immediately
-/// collects. Everything else stays — `Completed` records feed the per-node
-/// completion trackers, `Decided`/`Delivered`/`Proposed`/`EpochDelivered`
-/// rebuild the cursors, and chunks for *undelivered* slots below the
-/// horizon may still be needed by the linking rescue path.
-///
-/// The floor is the one `Node::gc_epochs` uses: `max(EpochDelivered) −
-/// NodeConfig::horizon()`, so compaction never outruns what the engine
-/// itself retains.
-#[derive(Debug, Clone)]
-pub struct CompactionPlan {
-    /// Epochs strictly below this are candidates for chunk dropping.
-    floor: u64,
-    /// `(epoch, proposer)` slots with a durable `Delivered` record.
-    delivered: std::collections::BTreeSet<(u64, u16)>,
-}
-
-impl CompactionPlan {
-    /// Derive the plan from a decoded log and the `NodeConfig` its owner
-    /// runs with.
-    pub fn build(records: &[StoreRecord], cfg: &NodeConfig) -> CompactionPlan {
-        let mut horizon = 0u64;
-        let mut delivered = std::collections::BTreeSet::new();
-        for rec in records {
-            match rec {
-                StoreRecord::EpochDelivered { epoch } => horizon = horizon.max(epoch.0),
-                StoreRecord::Delivered {
-                    epoch, proposer, ..
-                } => {
-                    delivered.insert((epoch.0, proposer.0));
-                }
-                _ => {}
-            }
-        }
-        CompactionPlan {
-            floor: horizon.saturating_sub(cfg.horizon()),
-            delivered,
-        }
-    }
-
-    /// Epochs strictly below this floor may shed delivered chunks.
-    pub fn floor(&self) -> Epoch {
-        Epoch(self.floor)
-    }
-
-    /// Whether a record must survive the rewrite.
-    pub fn keep(&self, rec: &StoreRecord) -> bool {
-        match rec {
-            StoreRecord::Chunk { epoch, index, .. } => {
-                epoch.0 >= self.floor || !self.delivered.contains(&(epoch.0, index.0))
-            }
-            _ => true,
-        }
-    }
-
-    /// [`CompactionPlan::keep`] over an encoded record, for drivers that
-    /// rewrite logs without decoding them into engine state. Undecodable
-    /// bytes are kept verbatim: compaction must never *change* what a
-    /// replay sees, only shrink it.
-    pub fn keep_raw(&self, bytes: &[u8]) -> bool {
-        match StoreRecord::from_bytes(bytes) {
-            Ok(rec) => self.keep(&rec),
-            Err(_) => true,
-        }
     }
 }
 
@@ -312,13 +224,6 @@ mod tests {
     use super::*;
     use dl_wire::{BlockHeader, Tx};
 
-    fn cfg_with_lookahead(epoch_lookahead: u64) -> NodeConfig {
-        NodeConfig {
-            epoch_lookahead,
-            ..NodeConfig::new(dl_wire::ClusterConfig::new(4), crate::ProtocolVariant::Dl)
-        }
-    }
-
     fn roundtrip(rec: StoreRecord) {
         let bytes = rec.to_bytes();
         assert_eq!(bytes.len(), rec.encoded_len());
@@ -391,76 +296,5 @@ mod tests {
     #[test]
     fn junk_tag_is_rejected() {
         assert!(StoreRecord::from_bytes(&[9, 0, 0, 0, 0, 0, 0, 0, 0]).is_err());
-    }
-
-    fn chunk(epoch: u64, index: u16) -> StoreRecord {
-        StoreRecord::Chunk {
-            epoch: Epoch(epoch),
-            index: NodeId(index),
-            root: Hash::digest(b"root"),
-            proof: MerkleProof {
-                index: 0,
-                leaf_count: 4,
-                path: vec![Hash::ZERO; 2],
-            },
-            payload: ChunkPayload::Real(bytes::Bytes::from_static(b"chunk")),
-        }
-    }
-
-    #[test]
-    fn compaction_drops_only_delivered_chunks_below_the_floor() {
-        let records = vec![
-            chunk(1, 0),
-            StoreRecord::Delivered {
-                epoch: Epoch(1),
-                proposer: NodeId(0),
-                via_link: false,
-                block: None,
-            },
-            chunk(2, 1), // never delivered: a linking-rescue candidate
-            chunk(9, 0), // delivered but above the floor
-            StoreRecord::Delivered {
-                epoch: Epoch(9),
-                proposer: NodeId(0),
-                via_link: false,
-                block: None,
-            },
-            StoreRecord::EpochDelivered { epoch: Epoch(10) },
-        ];
-        let plan = CompactionPlan::build(&records, &cfg_with_lookahead(2));
-        assert_eq!(plan.floor(), Epoch(8));
-        assert!(!plan.keep(&records[0]), "delivered chunk below floor kept");
-        assert!(plan.keep(&records[1]), "Delivered record dropped");
-        assert!(plan.keep(&records[2]), "undelivered chunk dropped");
-        assert!(plan.keep(&records[3]), "chunk above floor dropped");
-        assert!(plan.keep(&records[5]), "EpochDelivered dropped");
-    }
-
-    #[test]
-    fn compaction_of_an_empty_or_young_log_keeps_everything() {
-        let records = vec![chunk(1, 0), StoreRecord::EpochDelivered { epoch: Epoch(1) }];
-        // Horizon 1, lookahead 64: floor saturates at 0, nothing dropped.
-        let plan = CompactionPlan::build(&records, &cfg_with_lookahead(64));
-        assert_eq!(plan.floor(), Epoch(0));
-        assert!(records.iter().all(|r| plan.keep(r)));
-    }
-
-    #[test]
-    fn keep_raw_matches_keep_and_preserves_junk() {
-        let records = vec![
-            chunk(1, 0),
-            StoreRecord::Delivered {
-                epoch: Epoch(1),
-                proposer: NodeId(0),
-                via_link: false,
-                block: None,
-            },
-            StoreRecord::EpochDelivered { epoch: Epoch(70) },
-        ];
-        let plan = CompactionPlan::build(&records, &cfg_with_lookahead(2));
-        for rec in &records {
-            assert_eq!(plan.keep_raw(&rec.to_bytes()), plan.keep(rec));
-        }
-        assert!(plan.keep_raw(&[9, 9, 9]), "undecodable bytes dropped");
     }
 }

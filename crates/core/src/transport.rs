@@ -1,5 +1,4 @@
-//! Driver-agnostic transport pieces: the [`Transport`] seam and the §5
-//! two-class prioritized [`SendQueue`] with its segment cursor.
+//! The §5 two-class prioritized [`SendQueue`] with its segment cursor.
 //!
 //! The paper's §5 send rule is a property of the *transport*, not of any
 //! one driver: both the simulator's link model and the real TCP transport
@@ -36,15 +35,6 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use dl_wire::{Envelope, Epoch, NodeId, ProtoMsg, TrafficClass, VidMsg, FRAME_OVERHEAD};
-
-/// A cluster's message fabric, as seen by a driver routing engine `send`
-/// effects. Implemented by the simulator (envelopes enter a virtual link)
-/// and by `dl-net` (envelopes enter a per-peer TCP outbox).
-pub trait Transport {
-    /// Queue `env` from `from` for delivery to `to`, honoring the §5
-    /// priorities. `from != to`: engines loop self-traffic internally.
-    fn send(&mut self, from: NodeId, to: NodeId, env: Envelope);
-}
 
 /// One transmission unit of a [`SendQueue`]: a whole envelope, or a run of
 /// bytes of the `ReturnChunk` at the head of the low class.

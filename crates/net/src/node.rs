@@ -10,7 +10,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use dl_core::{DeliveredBlock, EffectSink, Engine, NodeStats, StoreRecord, Transport};
+use dl_core::{DeliveredBlock, EffectSink, Engine, NodeStats, StoreRecord};
 use dl_store::{ChainStore, FileStore, FsyncPolicy};
 use dl_wire::frame::{FrameDecoder, SegmentBuf};
 use dl_wire::{Envelope, Epoch, NodeId, Tx, WireDecode, WireEncode};

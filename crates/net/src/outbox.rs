@@ -7,7 +7,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use dl_core::{SendQueue, Transport};
+use dl_core::SendQueue;
 use dl_wire::frame::{encode_segment, SegmentBuf};
 use dl_wire::{Envelope, Epoch, NodeId};
 
@@ -164,15 +164,15 @@ impl Outbox {
     }
 }
 
-/// The per-peer outboxes: `dl-net`'s implementation of the [`Transport`]
-/// seam (the simulator's link fabric is the other).
+/// The per-peer outboxes of one node.
 pub(crate) struct Outboxes {
     pub(crate) slots: Vec<Option<Arc<Outbox>>>,
     pub(crate) shared: Arc<Shared>,
 }
 
-impl Transport for Outboxes {
-    fn send(&mut self, from: NodeId, to: NodeId, env: Envelope) {
+impl Outboxes {
+    /// Queue `env` from `from` for `to`, honoring the §5 priorities.
+    pub(crate) fn send(&self, from: NodeId, to: NodeId, env: Envelope) {
         // Same contract the simulator asserts: engines loop self-traffic
         // internally, so a self-send is an engine bug — fail loudly in
         // debug instead of silently dropping (slots[me] is None).

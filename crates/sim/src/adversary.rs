@@ -1,0 +1,336 @@
+//! Faulty cluster members: what a slot of each faulty [`SimNodeKind`] runs.
+//!
+//! An [`Adversary`] implements the same [`Engine`] trait as the honest
+//! [`dl_core::Node`], so the simulator drops one into a cluster slot as a
+//! `Box<dyn Engine>` without special-casing. Five kinds ship:
+//!
+//! * [`SimNodeKind::Mute`] — a crashed node: consumes everything, emits
+//!   nothing. Exercises the `f`-crash-tolerance of every layer.
+//! * [`SimNodeKind::Equivocate`] — a malicious proposer: disperses *two
+//!   different blocks* for the same epoch, sending chunks of block A (under
+//!   A's Merkle root) to even-numbered peers and chunks of block B to
+//!   odd-numbered peers, and votes contradictorily in every BA. AVID-M
+//!   guarantees no root can assemble an `N − f` quorum, so the
+//!   equivocator's dispersal never completes and its BA slot decides 0 —
+//!   the cluster commits the epoch without it.
+//! * [`SimNodeKind::DelayRelease`] — a straggling proposer by choice: builds
+//!   a *valid* dispersal but withholds every chunk and vote until the last
+//!   useful moment, probing the pipeline's tolerance for late-but-correct
+//!   traffic (the epoch must commit either with the late block or, if the
+//!   ACS zero-fill won the race, without it — never inconsistently).
+//! * [`SimNodeKind::SelectiveSend`] — disperses a valid block to one peer
+//!   short of any completing quorum, so its dispersal can never gather
+//!   `N − f` acknowledgements and the cluster must commit the epoch around
+//!   the permanently-pending slot.
+//! * [`SimNodeKind::GarbageChunks`] — sends structurally well-formed chunks
+//!   whose Merkle proofs do not verify against the advertised root,
+//!   exercising every honest node's chunk-rejection path end to end.
+
+use dl_core::{BlockCoder, EffectSink, Engine};
+use dl_crypto::Hash;
+use dl_wire::{BaMsg, Block, ClusterConfig, Envelope, Epoch, NodeId, Tx, VidMsg};
+
+use crate::SimNodeKind;
+
+/// How long a [`SimNodeKind::DelayRelease`] node sits on its chunks and
+/// votes: several Nagle delays — late enough that honest peers' epochs are
+/// well under way, early enough to still be usable.
+const RELEASE_DELAY_MS: u64 = 350;
+
+/// A faulty cluster member with the same [`Engine`] interface as
+/// [`dl_core::Node`].
+pub(crate) struct Adversary<C: BlockCoder> {
+    me: NodeId,
+    cluster: ClusterConfig,
+    coder: C,
+    kind: SimNodeKind,
+    /// Highest epoch this node has attacked (0 = none yet).
+    attacked_up_to: u64,
+    /// Envelopes a `DelayRelease` node is sitting on: `(due, to, env)`.
+    withheld: Vec<(u64, NodeId, Envelope)>,
+}
+
+impl<C: BlockCoder> Adversary<C> {
+    pub(crate) fn new(
+        me: NodeId,
+        cluster: ClusterConfig,
+        coder: C,
+        kind: SimNodeKind,
+    ) -> Adversary<C> {
+        assert!(me.idx() < cluster.n, "node id out of range");
+        Adversary {
+            me,
+            cluster,
+            coder,
+            kind,
+            attacked_up_to: 0,
+            withheld: Vec::new(),
+        }
+    }
+
+    /// One valid block for `epoch`, encoded: the raw material for the
+    /// behaviours that disperse real (if ill-intentioned) payloads.
+    fn valid_encoding(&self, epoch: u64) -> (Block, dl_vid::EncodedBlock) {
+        let block = Block {
+            header: dl_wire::BlockHeader {
+                epoch: Epoch(epoch),
+                proposer: self.me,
+                v_array: vec![0; self.cluster.n],
+            },
+            body: vec![Tx::synthetic(self.me, epoch, 0, 64)],
+        };
+        let enc = self.coder.encode(&self.coder.pack(&block));
+        (block, enc)
+    }
+
+    /// `DelayRelease`: build a fully valid dispersal, then sit on every
+    /// chunk and vote until `now + RELEASE_DELAY_MS`.
+    fn attack_delay_release(&mut self, epoch: u64, now: u64, sink: &mut dyn EffectSink) {
+        let n = self.cluster.n;
+        let (_, enc) = self.valid_encoding(epoch);
+        let due = now + RELEASE_DELAY_MS;
+        for i in 0..n {
+            let to = NodeId(i as u16);
+            if to == self.me {
+                continue;
+            }
+            let (payload, proof) = enc.chunks[i].clone();
+            self.withheld.push((
+                due,
+                to,
+                Envelope::vid(
+                    Epoch(epoch),
+                    self.me,
+                    VidMsg::Chunk {
+                        root: enc.root,
+                        proof,
+                        payload,
+                    },
+                ),
+            ));
+            self.withheld.push((
+                due,
+                to,
+                Envelope::ba(
+                    Epoch(epoch),
+                    self.me,
+                    BaMsg::BVal {
+                        round: 0,
+                        value: true,
+                    },
+                ),
+            ));
+        }
+        sink.wake_at(due);
+    }
+
+    /// `SelectiveSend`: a valid dispersal to one peer short of a quorum —
+    /// even if every recipient acknowledges, completion needs `N − f`
+    /// votes and only `N − f − 1` peers ever saw a chunk.
+    fn attack_selective_send(&self, epoch: u64, sink: &mut dyn EffectSink) {
+        let n = self.cluster.n;
+        let f = self.cluster.f;
+        let (_, enc) = self.valid_encoding(epoch);
+        let mut sent = 0usize;
+        for i in 0..n {
+            let to = NodeId(i as u16);
+            if to == self.me || sent == n - f - 1 {
+                continue;
+            }
+            sent += 1;
+            let (payload, proof) = enc.chunks[i].clone();
+            sink.send(
+                to,
+                Envelope::vid(
+                    Epoch(epoch),
+                    self.me,
+                    VidMsg::Chunk {
+                        root: enc.root,
+                        proof,
+                        payload,
+                    },
+                ),
+            );
+        }
+    }
+
+    /// `GarbageChunks`: structurally well-formed chunks advertised under a
+    /// root their Merkle proofs cannot verify against. Every honest server
+    /// must reject them without acknowledging or storing anything.
+    fn attack_garbage_chunks(&self, epoch: u64, sink: &mut dyn EffectSink) {
+        let n = self.cluster.n;
+        let (_, enc) = self.valid_encoding(epoch);
+        let bogus_root = Hash::digest(b"dl-byzantine-garbage-root");
+        for i in 0..n {
+            let to = NodeId(i as u16);
+            if to == self.me {
+                continue;
+            }
+            let (payload, proof) = enc.chunks[i].clone();
+            sink.send(
+                to,
+                Envelope::vid(
+                    Epoch(epoch),
+                    self.me,
+                    VidMsg::Chunk {
+                        root: bogus_root,
+                        proof,
+                        payload,
+                    },
+                ),
+            );
+        }
+    }
+
+    /// The equivocation payload for one epoch: two conflicting dispersals
+    /// plus contradictory BA votes.
+    fn attack(&self, epoch: u64, sink: &mut dyn EffectSink) {
+        let n = self.cluster.n;
+        let block_a = Block {
+            header: dl_wire::BlockHeader {
+                epoch: Epoch(epoch),
+                proposer: self.me,
+                v_array: vec![0; n],
+            },
+            body: vec![Tx::synthetic(self.me, epoch, 0, 64)],
+        };
+        let mut block_b = block_a.clone();
+        block_b.body = vec![Tx::synthetic(self.me, epoch, 1, 96)];
+        let enc_a = self.coder.encode(&self.coder.pack(&block_a));
+        let enc_b = self.coder.encode(&self.coder.pack(&block_b));
+        for i in 0..n {
+            let to = NodeId(i as u16);
+            if to == self.me {
+                continue;
+            }
+            let (enc, root) = if i % 2 == 0 {
+                (&enc_a, enc_a.root)
+            } else {
+                (&enc_b, enc_b.root)
+            };
+            let (payload, proof) = enc.chunks[i].clone();
+            sink.send(
+                to,
+                Envelope::vid(
+                    Epoch(epoch),
+                    self.me,
+                    VidMsg::Chunk {
+                        root,
+                        proof,
+                        payload,
+                    },
+                ),
+            );
+            // Contradictory binary-agreement votes on every instance.
+            for j in 0..n {
+                sink.send(
+                    to,
+                    Envelope::ba(
+                        Epoch(epoch),
+                        NodeId(j as u16),
+                        BaMsg::BVal {
+                            round: 0,
+                            value: i % 2 == 0,
+                        },
+                    ),
+                );
+            }
+        }
+    }
+}
+
+impl<C: BlockCoder> Engine for Adversary<C> {
+    fn id(&self) -> NodeId {
+        self.me
+    }
+
+    /// Faulty nodes ignore client transactions.
+    fn submit_tx(&mut self, _tx: Tx, _now: u64, _sink: &mut dyn EffectSink) {}
+
+    /// Reactive kinds attack an epoch the first time they see traffic for
+    /// it; mute nodes drop everything.
+    fn handle(&mut self, _from: NodeId, env: Envelope, now: u64, sink: &mut dyn EffectSink) {
+        let epoch = env.epoch.0;
+        if epoch == 0 || epoch <= self.attacked_up_to || epoch > self.attacked_up_to + 8 {
+            return; // once per epoch; bounded lookahead
+        }
+        self.attacked_up_to = epoch;
+        match self.kind {
+            SimNodeKind::Honest | SimNodeKind::Mute => {}
+            SimNodeKind::Equivocate => self.attack(epoch, sink),
+            SimNodeKind::DelayRelease => self.attack_delay_release(epoch, now, sink),
+            SimNodeKind::SelectiveSend => self.attack_selective_send(epoch, sink),
+            SimNodeKind::GarbageChunks => self.attack_garbage_chunks(epoch, sink),
+        }
+    }
+
+    /// A `DelayRelease` node flushes whatever it has been sitting on once
+    /// the release time passes; every other kind is purely reactive.
+    fn poll(&mut self, now: u64, sink: &mut dyn EffectSink) {
+        if self.withheld.is_empty() {
+            return;
+        }
+        let mut next_due: Option<u64> = None;
+        let mut i = 0;
+        while i < self.withheld.len() {
+            if self.withheld[i].0 <= now {
+                let (_, to, env) = self.withheld.swap_remove(i);
+                sink.send(to, env);
+            } else {
+                let due = self.withheld[i].0;
+                next_due = Some(next_due.map_or(due, |d| d.min(due)));
+                i += 1;
+            }
+        }
+        if let Some(due) = next_due {
+            sink.wake_at(due);
+        }
+    }
+
+    // `stats` keeps the default `None`: a faulty node's self-reported
+    // counters would be meaningless.
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dl_core::{EngineExt, RealBlockCoder};
+
+    fn adversary(kind: SimNodeKind) -> Adversary<RealBlockCoder> {
+        let cluster = ClusterConfig::new(4);
+        let coder = RealBlockCoder::new(&cluster);
+        Adversary::new(NodeId(3), cluster, coder, kind)
+    }
+
+    fn vote() -> Envelope {
+        Envelope::ba(
+            Epoch(1),
+            NodeId(0),
+            BaMsg::BVal {
+                round: 0,
+                value: true,
+            },
+        )
+    }
+
+    #[test]
+    fn equivocator_attacks_each_epoch_once() {
+        let mut byz = adversary(SimNodeKind::Equivocate);
+        let first = byz.handle_vec(NodeId(0), vote(), 0);
+        assert!(!first.is_empty());
+        assert!(
+            byz.handle_vec(NodeId(0), vote(), 5).is_empty(),
+            "second attack on same epoch"
+        );
+    }
+
+    #[test]
+    fn mute_node_is_silent() {
+        let mut byz = adversary(SimNodeKind::Mute);
+        assert!(byz
+            .submit_tx_vec(Tx::synthetic(NodeId(3), 0, 0, 10), 0)
+            .is_empty());
+        assert!(byz.poll_vec(1000).is_empty());
+        assert!(byz.handle_vec(NodeId(0), vote(), 0).is_empty());
+    }
+}

@@ -9,9 +9,9 @@
 //! itself: any failing seed replays exactly, message for message.
 //!
 //! [`scenario_from_seed`] widens that to whole scenarios: cluster size,
-//! protocol variant, adversary behaviour (all five of
-//! [`dl_core::ByzantineBehavior`]'s faces via [`SimNodeKind`]), crash/revive
-//! storms against the write-ahead logs, and the client workload.
+//! protocol variant, adversary behaviour (all five faulty
+//! [`SimNodeKind`]s), crash/revive storms against the write-ahead logs,
+//! and the client workload.
 //! [`run_scenario`] executes one and cross-checks every honest node with the
 //! [`Auditor`]; `cargo run -p dl-sim --bin dl-chaos` batches seeds and
 //! prints the reproducing seed of any violation.

@@ -59,8 +59,8 @@
 //! The simulator is an [`EffectSink`]: engine `send`s become link
 //! transmissions, `wake_at` schedules a future [`Engine::poll`], and
 //! `deliver`/`stat` are recorded into the [`SimReport`]. Cluster slots are
-//! held uniformly as `Box<dyn Engine>` — honest, mute and equivocating
-//! members are interchangeable, with no dispatch enum in the driver.
+//! held uniformly as `Box<dyn Engine>` — honest members and the faulty
+//! [`SimNodeKind`]s are interchangeable once built.
 //! Because the engine is quiescent-by-design (an idle cluster emits
 //! nothing), "the event heap drained" is exactly "the protocol finished all
 //! outstanding work", which is what [`Simulation::run_until_quiescent`]
@@ -70,6 +70,7 @@
 // Replays identically from a seed: no hashed collections, no wall clock.
 #![deny(clippy::disallowed_types, clippy::disallowed_methods)]
 
+mod adversary;
 pub mod chaos;
 pub mod fluid;
 
@@ -80,12 +81,13 @@ use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
 use rand::Rng;
 
 use dl_core::{
-    ByzantineBehavior, ByzantineNode, DeliveredBlock, EffectSink, Engine, Node, NodeConfig,
-    NodeStats, ProtocolVariant, RealBlockCoder, SendQueue, StatEvent, StoreRecord, Transport,
+    DeliveredBlock, EffectSink, Engine, Node, NodeConfig, NodeStats, ProtocolVariant,
+    RealBlockCoder, SendQueue, StatEvent, StoreRecord,
 };
 use dl_store::{ChainStore, MemoryStore};
 use dl_wire::{ClusterConfig, Envelope, Epoch, NodeId, Tx, WireDecode, WireEncode, FRAME_OVERHEAD};
 
+use adversary::Adversary;
 pub use chaos::{
     run_scenario, scenario_from_seed, Auditor, ChaosAction, ChaosOutcome, ChaosPlan, ChaosScenario,
     Partition, Violation,
@@ -115,13 +117,15 @@ impl LinkSpec {
     }
 }
 
-/// What occupies a cluster slot.
+/// What occupies a cluster slot: an honest [`Node`], or one of the five
+/// faulty members of the private `adversary` module.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SimNodeKind {
     Honest,
     /// Crashed node: receives and sends nothing.
     Mute,
-    /// Equivocating disperser/voter (see [`dl_core::byzantine`]).
+    /// Disperses two conflicting blocks per epoch and votes both ways in
+    /// every BA.
     Equivocate,
     /// Withholds its dispersal chunks and votes until the last useful
     /// moment.
@@ -130,20 +134,6 @@ pub enum SimNodeKind {
     SelectiveSend,
     /// Disperses chunks whose Merkle proofs do not verify.
     GarbageChunks,
-}
-
-impl SimNodeKind {
-    /// The faulty behaviour this slot runs, or `None` for honest slots.
-    fn behavior(self) -> Option<ByzantineBehavior> {
-        match self {
-            SimNodeKind::Honest => None,
-            SimNodeKind::Mute => Some(ByzantineBehavior::Mute),
-            SimNodeKind::Equivocate => Some(ByzantineBehavior::Equivocate),
-            SimNodeKind::DelayRelease => Some(ByzantineBehavior::DelayRelease),
-            SimNodeKind::SelectiveSend => Some(ByzantineBehavior::SelectiveSend),
-            SimNodeKind::GarbageChunks => Some(ByzantineBehavior::GarbageChunks),
-        }
-    }
 }
 
 /// Simulation parameters.
@@ -594,13 +584,11 @@ fn pump_link_inner(
     events
 }
 
-/// The virtual network is one of the two [`Transport`] implementations in
-/// the workspace (the other is `dl-net`'s TCP mesh): `send` enqueues on the
-/// directed link's [`SendQueue`]. A link with backlog always has a pump
-/// due — when its transmission under way ends or, if it is idle, after the
-/// current instant's node events — so only an envelope pushed onto an
-/// empty queue schedules one.
-impl Transport for Fabric {
+impl Fabric {
+    /// Queue `env` on the directed link's [`SendQueue`]. A link with
+    /// backlog always has a pump due — when its transmission under way ends
+    /// or, if it is idle, after the current instant's node events — so only
+    /// an envelope pushed onto an empty queue schedules one.
     fn send(&mut self, from: NodeId, to: NodeId, env: Envelope) {
         assert_ne!(from, to, "nodes must loop self-traffic back internally");
         self.last_activity = self.now;
@@ -690,9 +678,9 @@ fn build_engine(
     where
         C: dl_core::BlockCoder + 'static,
     {
-        match kind.behavior() {
-            None => Box::new(Node::new(id, cfg, coder)),
-            Some(behavior) => Box::new(ByzantineNode::new(id, cfg, coder, behavior)),
+        match kind {
+            SimNodeKind::Honest => Box::new(Node::new(id, cfg, coder)),
+            kind => Box::new(Adversary::new(id, cfg.cluster, coder, kind)),
         }
     }
     let id = NodeId(node as u16);
@@ -765,8 +753,8 @@ impl Simulation {
         self.set_engine(node, engine);
     }
 
-    /// Install an arbitrary engine into a cluster slot (custom Byzantine
-    /// behaviours, instrumented wrappers, …).
+    /// Install an arbitrary engine into a cluster slot (custom faulty
+    /// members, instrumented wrappers, …).
     pub fn set_engine(&mut self, node: usize, engine: Box<dyn Engine>) {
         assert_eq!(engine.id(), NodeId(node as u16), "engine id/slot mismatch");
         self.nodes[node] = engine;

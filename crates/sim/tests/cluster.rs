@@ -120,6 +120,52 @@ fn dl_variant_tolerates_an_equivocating_node() {
 }
 
 #[test]
+fn dl_tolerates_every_faulty_slot_kind() {
+    const HONEST: [usize; 3] = [0, 1, 3];
+    for kind in [
+        SimNodeKind::Mute,
+        SimNodeKind::Equivocate,
+        SimNodeKind::DelayRelease,
+        SimNodeKind::SelectiveSend,
+        SimNodeKind::GarbageChunks,
+    ] {
+        let mut sim = Simulation::new(SimConfig::new(4, ProtocolVariant::Dl));
+        sim.set_node_kind(2, kind);
+        submit_workload(&mut sim, &HONEST, 2);
+        let report = sim.run_until_quiescent(600_000);
+        assert!(report.quiesced, "{kind:?} broke liveness");
+        assert!(report.stats[2].is_none(), "{kind:?} slot reported stats");
+        for i in HONEST {
+            let stats = report.stats[i].unwrap();
+            assert_eq!(stats.malformed_blocks_delivered, 0, "{kind:?} node {i}");
+        }
+        if kind == SimNodeKind::DelayRelease {
+            // The withheld block is valid, so it may deliver (late) beside
+            // the honest transactions, but in one order everywhere.
+            let order = report.tx_order(0);
+            for i in HONEST {
+                assert_eq!(report.tx_order(i), order, "{kind:?} node {i}");
+                for s in 0..2 {
+                    let id = (NodeId(i as u16), s);
+                    assert!(order.contains(&id), "{kind:?} lost {id:?}");
+                }
+            }
+            continue;
+        }
+        // Every other kind's dispersal can never complete, so no slot of
+        // its blocks is ever delivered, not even as an empty `None` slot.
+        assert_total_order(&report, &HONEST, 6);
+        for i in HONEST {
+            let delivered = &report.delivered[i];
+            assert!(
+                delivered.iter().all(|d| d.proposer != NodeId(2)),
+                "{kind:?} node {i}"
+            );
+        }
+    }
+}
+
+#[test]
 fn slow_uplink_does_not_block_the_cluster() {
     // One node with a 100x slower uplink: the paper's headline scenario.
     // The cluster must still commit and deliver everything submitted at the

@@ -78,14 +78,6 @@ pub trait ChainStore: Send {
 
     /// Read back every whole record, in append order.
     fn replay(&self) -> io::Result<Vec<Vec<u8>>>;
-
-    /// Rewrite the log keeping only records for which `keep` returns true,
-    /// preserving order. The predicate sees the raw record bytes (the
-    /// policy — e.g. `dl-core`'s `CompactionPlan` — lives with whoever
-    /// understands them). The rewrite is atomic with respect to crashes
-    /// for file-backed stores: either the old log or the complete new one
-    /// survives, never a mix.
-    fn compact(&mut self, keep: &mut dyn FnMut(&[u8]) -> bool) -> io::Result<()>;
 }
 
 /// When a file-backed store fsyncs.
@@ -157,14 +149,6 @@ impl ChainStore for MemoryStore {
 
     fn replay(&self) -> io::Result<Vec<Vec<u8>>> {
         Ok(self.records.lock().expect("memory store lock").clone())
-    }
-
-    fn compact(&mut self, keep: &mut dyn FnMut(&[u8]) -> bool) -> io::Result<()> {
-        self.records
-            .lock()
-            .expect("memory store lock")
-            .retain(|r| keep(r));
-        Ok(())
     }
 }
 
@@ -295,40 +279,6 @@ impl ChainStore for FileStore {
         let mut records = Vec::new();
         scan_segment(&bytes, |payload| records.push(payload.to_vec()));
         Ok(records)
-    }
-
-    fn compact(&mut self, keep: &mut dyn FnMut(&[u8]) -> bool) -> io::Result<()> {
-        let records = self.replay()?;
-        let tmp = self.path.with_extension("compact");
-        {
-            let mut out = FileStore::open(&tmp)?;
-            // A leftover temp file from an interrupted compaction is stale:
-            // start over.
-            out.file.set_len(0)?;
-            out.end = 0;
-            out.file.seek(SeekFrom::Start(0))?;
-            for rec in &records {
-                if keep(rec) {
-                    out.append(rec)?;
-                }
-            }
-            out.file.sync_all()?;
-        }
-        // Atomic cutover: the segment is either the old log or the complete
-        // compacted one, never a mix.
-        std::fs::rename(&tmp, &self.path)?;
-        if let Some(dir) = self.path.parent() {
-            // Make the rename itself durable; best-effort (some filesystems
-            // refuse to open a directory for writing).
-            if let Ok(d) = File::open(dir) {
-                let _ = d.sync_all();
-            }
-        }
-        let reopened = FileStore::open(&self.path)?;
-        self.file = reopened.file;
-        self.end = reopened.end;
-        self.damage = reopened.damage;
-        Ok(())
     }
 }
 
@@ -566,50 +516,6 @@ mod tests {
         let (off, kind) = scan_segment(&oversize, |_| {});
         assert_eq!(kind, Some(DamageKind::Corruption));
         assert_eq!(off, 0);
-    }
-
-    #[test]
-    fn memory_store_compaction_keeps_order() {
-        let mut store = MemoryStore::new();
-        for rec in [b"a".as_slice(), b"drop", b"b", b"drop", b"c"] {
-            store.append(rec).unwrap();
-        }
-        store.compact(&mut |r| r != b"drop").unwrap();
-        assert_eq!(
-            store.replay().unwrap(),
-            vec![b"a".to_vec(), b"b".to_vec(), b"c".to_vec()]
-        );
-    }
-
-    #[test]
-    fn file_store_compaction_shrinks_and_survives_reopen() {
-        let path = tmp_path("compact");
-        let _ = std::fs::remove_file(&path);
-        let mut store = FileStore::open(&path).unwrap();
-        store.append(b"keep-1").unwrap();
-        store.append(&[0xCD; 4096]).unwrap();
-        store.append(b"keep-2").unwrap();
-        store.sync().unwrap();
-        let before = store.log_bytes();
-        store.compact(&mut |r| r.len() < 100).unwrap();
-        assert!(store.log_bytes() < before, "log did not shrink");
-        assert_eq!(
-            store.replay().unwrap(),
-            vec![b"keep-1".to_vec(), b"keep-2".to_vec()]
-        );
-        assert!(store.tail_damage().is_none());
-        // The compacted store keeps accepting appends, and a reopen sees a
-        // consistent log.
-        store.append(b"keep-3").unwrap();
-        store.sync().unwrap();
-        drop(store);
-        let store = FileStore::open(&path).unwrap();
-        assert_eq!(
-            store.replay().unwrap(),
-            vec![b"keep-1".to_vec(), b"keep-2".to_vec(), b"keep-3".to_vec()]
-        );
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(path.with_extension("compact"));
     }
 
     #[test]

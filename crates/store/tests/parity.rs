@@ -5,22 +5,19 @@
 use std::collections::VecDeque;
 
 use dl_core::{
-    CompactionPlan, Engine, EngineExt, Node, NodeConfig, NodeEffect, ProtocolVariant,
-    RealBlockCoder, StoreRecord,
+    Engine, EngineExt, Node, NodeConfig, NodeEffect, ProtocolVariant, RealBlockCoder, StoreRecord,
 };
 use dl_store::{ChainStore, DamageKind, FileStore, MemoryStore};
 use dl_wire::{ClusterConfig, Envelope, NodeId, Tx, WireDecode, WireEncode};
 
-/// Drive a 4-node cluster synchronously with `cfg`, appending every node's
-/// WAL records to the supplied stores (one per node), and return the final
-/// nodes. One transaction is submitted per round, rotating proposers, with
-/// 250 virtual ms per round — enough for at least one epoch each.
-fn run_cluster_cfg(
-    stores: &mut [Vec<&mut dyn ChainStore>],
-    cfg: &NodeConfig,
-    rounds: u64,
-) -> Vec<Node<RealBlockCoder>> {
-    let cluster = cfg.cluster.clone();
+/// Drive a 4-node DL cluster synchronously, appending every node's WAL
+/// records to the supplied stores (one per node), and return the final
+/// nodes. One transaction is submitted per round for three rounds, rotating
+/// proposers, with 250 virtual ms per round — enough for at least one epoch
+/// each.
+fn run_cluster(stores: &mut [Vec<&mut dyn ChainStore>]) -> Vec<Node<RealBlockCoder>> {
+    let cluster = ClusterConfig::new(4);
+    let cfg = NodeConfig::new(cluster.clone(), ProtocolVariant::Dl);
     let mut nodes: Vec<Node<RealBlockCoder>> = (0..4)
         .map(|i| Node::new(NodeId(i), cfg.clone(), RealBlockCoder::new(&cluster)))
         .collect();
@@ -43,7 +40,7 @@ fn run_cluster_cfg(
             }
         }
     };
-    for round in 0..rounds {
+    for round in 0..3 {
         let i = (round % 4) as usize;
         let effs = nodes[i].submit_tx_vec(Tx::synthetic(NodeId(i as u16), round, now, 120), now);
         sink(i, effs, &mut wire, stores);
@@ -62,29 +59,18 @@ fn run_cluster_cfg(
     nodes
 }
 
-/// The original two-epoch workload: transactions from the even nodes at
-/// t=0, then 800 virtual ms to quiescence.
-fn run_cluster(stores: &mut [Vec<&mut dyn ChainStore>]) -> Vec<Node<RealBlockCoder>> {
-    let cluster = ClusterConfig::new(4);
-    let cfg = NodeConfig::new(cluster, ProtocolVariant::Dl);
-    run_cluster_cfg(stores, &cfg, 3)
-}
-
 fn decode_all(raw: &[Vec<u8>]) -> Vec<StoreRecord> {
     raw.iter()
         .map(|r| StoreRecord::from_bytes(r).expect("valid record"))
         .collect()
 }
 
-fn restored_with(records: &[StoreRecord], cfg: &NodeConfig) -> Node<RealBlockCoder> {
-    let mut node = Node::new(NodeId(3), cfg.clone(), RealBlockCoder::new(&cfg.cluster));
+fn restored(records: &[StoreRecord]) -> Node<RealBlockCoder> {
+    let cluster = ClusterConfig::new(4);
+    let cfg = NodeConfig::new(cluster.clone(), ProtocolVariant::Dl);
+    let mut node = Node::new(NodeId(3), cfg, RealBlockCoder::new(&cluster));
     node.restore(records);
     node
-}
-
-fn restored(records: &[StoreRecord]) -> Node<RealBlockCoder> {
-    let cfg = NodeConfig::new(ClusterConfig::new(4), ProtocolVariant::Dl);
-    restored_with(records, &cfg)
 }
 
 #[test]
@@ -179,67 +165,6 @@ fn torn_file_tail_degrades_to_a_clean_prefix() {
     // The surviving prefix still decodes and restores cleanly.
     let node = restored(&decode_all(&torn));
     assert!(node.sync_active());
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn compacted_log_replays_to_the_same_state() {
-    // A long run with a tight GC window, so plenty of chunk custody falls
-    // below the delivered horizon — then compaction must shrink the log
-    // without changing anything a restore can observe.
-    let dir = std::env::temp_dir().join(format!("dl-store-compact-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let mut cfg = NodeConfig::new(ClusterConfig::new(4), ProtocolVariant::Dl);
-    cfg.epoch_lookahead = 2;
-    let mut mem: Vec<MemoryStore> = (0..4).map(|_| MemoryStore::new()).collect();
-    let mut file: Vec<FileStore> = (0..4)
-        .map(|i| FileStore::open(dir.join(format!("node{i}.log"))).expect("open"))
-        .collect();
-    {
-        let mut stores: Vec<Vec<&mut dyn ChainStore>> = Vec::new();
-        for (m, f) in mem.iter_mut().zip(file.iter_mut()) {
-            stores.push(vec![m as &mut dyn ChainStore, f as &mut dyn ChainStore]);
-        }
-        run_cluster_cfg(&mut stores, &cfg, 24);
-    }
-    file[3].sync().expect("sync");
-    let full = decode_all(&mem[3].replay().unwrap());
-    let plan = CompactionPlan::build(&full, &cfg);
-    assert!(
-        plan.floor().0 > 1,
-        "workload never crossed the GC horizon (floor {:?})",
-        plan.floor()
-    );
-    let dropped = full.iter().filter(|r| !plan.keep(r)).count();
-    assert!(dropped > 0, "no chunk ever became compactable");
-    let before = file[3].log_bytes();
-    file[3]
-        .compact(&mut |raw| plan.keep_raw(raw))
-        .expect("compact");
-    assert!(
-        file[3].log_bytes() < before,
-        "compaction did not shrink the log ({before} bytes before and after)"
-    );
-    let compacted = decode_all(&file[3].replay().unwrap());
-    assert_eq!(compacted.len(), full.len() - dropped);
-    // Restoring from the compacted log is indistinguishable from the full
-    // one: same durable horizon, same derived cursors, and the identical
-    // effect stream on the first post-restart poll.
-    let mut from_full = restored_with(&full, &cfg);
-    let mut from_compacted = restored_with(&compacted, &cfg);
-    assert_eq!(
-        from_full.delivered_frontier(),
-        from_compacted.delivered_frontier()
-    );
-    assert_eq!(
-        from_full.agreement_frontier(),
-        from_compacted.agreement_frontier()
-    );
-    assert_eq!(
-        from_full.poll_vec(10_000),
-        from_compacted.poll_vec(10_000),
-        "restored nodes diverged on their first poll"
-    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

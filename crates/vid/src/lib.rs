@@ -43,8 +43,6 @@
     )
 )]
 
-pub mod cost;
-
 use dl_crypto::{Hash, MerkleProof, MerkleTree};
 use dl_erasure::{ReedSolomon, RsError};
 use dl_wire::{ChunkPayload, NodeId, NodeSet, VidMsg};

@@ -1,12 +1,11 @@
 //! Minimal binary codec: little-endian fixed-width integers, canonical
-//! LEB128 varints, varint-length-prefixed byte strings.
+//! LEB128 varints, tagged varint-length-prefixed payloads.
 //!
 //! Two traits, [`WireEncode`] and [`WireDecode`], implemented for the
 //! primitives the protocol needs. Decoding is strict: trailing bytes, short
 //! buffers and out-of-range tags are errors, so a malformed message from a
 //! Byzantine peer is rejected rather than misinterpreted.
 
-use bytes::Bytes;
 use dl_crypto::merkle::expected_path_len;
 use dl_crypto::{Hash, MerkleProof};
 
@@ -202,15 +201,6 @@ pub fn read_payload<'a>(buf: &mut &'a [u8]) -> Result<(bool, &'a [u8]), CodecErr
     Ok((synthetic, bytes))
 }
 
-impl WireEncode for u8 {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        buf.push(*self);
-    }
-    fn encoded_len(&self) -> usize {
-        1
-    }
-}
-
 impl WireEncode for bool {
     fn encode(&self, buf: &mut Vec<u8>) {
         buf.push(*self as u8);
@@ -237,11 +227,6 @@ impl_int!(u16, 2);
 impl_int!(u32, 4);
 impl_int!(u64, 8);
 
-impl WireDecode for u8 {
-    fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
-        read_u8(buf)
-    }
-}
 impl WireDecode for bool {
     fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
         read_bool(buf)
@@ -260,24 +245,6 @@ impl WireDecode for u32 {
 impl WireDecode for u64 {
     fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
         read_u64(buf)
-    }
-}
-
-/// Byte string: `varint len · bytes`.
-impl WireEncode for Bytes {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        put_varint(buf, self.len() as u64);
-        buf.extend_from_slice(self);
-    }
-    fn encoded_len(&self) -> usize {
-        varint_len(self.len() as u64) + self.len()
-    }
-}
-
-impl WireDecode for Bytes {
-    fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
-        let len = read_len(buf)?;
-        Ok(Bytes::copy_from_slice(take(buf, len)?))
     }
 }
 
@@ -368,19 +335,11 @@ mod tests {
 
     #[test]
     fn primitives_roundtrip() {
-        roundtrip(0u8);
-        roundtrip(255u8);
         roundtrip(true);
         roundtrip(false);
         roundtrip(0xBEEFu16);
         roundtrip(0xDEADBEEFu32);
         roundtrip(0x0123_4567_89AB_CDEFu64);
-    }
-
-    #[test]
-    fn bytes_roundtrip() {
-        roundtrip(Bytes::from(vec![1u8, 2, 3]));
-        roundtrip(Bytes::new());
     }
 
     #[test]
@@ -429,14 +388,13 @@ mod tests {
         // Rejected from the length alone: no bytes follow to back it.
         let mut buf = Vec::new();
         put_varint(&mut buf, MAX_FIELD_LEN as u64 + 1);
-        assert_eq!(Bytes::from_bytes(&buf), Err(CodecError::LengthOverflow));
         assert_eq!(
             Vec::<u64>::from_bytes(&buf),
             Err(CodecError::LengthOverflow)
         );
         buf.clear();
         put_varint(&mut buf, MAX_FIELD_LEN as u64);
-        assert_eq!(Bytes::from_bytes(&buf), Err(CodecError::UnexpectedEnd));
+        assert_eq!(Vec::<u64>::from_bytes(&buf), Err(CodecError::UnexpectedEnd));
     }
 
     #[test]

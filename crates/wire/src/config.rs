@@ -82,16 +82,6 @@ impl ClusterConfig {
         }
     }
 
-    /// Cluster with an explicit `f`. Panics unless `n ≥ 3f + 1`.
-    pub fn with_f(n: usize, f: usize) -> ClusterConfig {
-        assert!(n >= 3 * f + 1, "need N >= 3f+1 (got N={n}, f={f})");
-        ClusterConfig {
-            n,
-            f,
-            coin_seed: [0x42; 32],
-        }
-    }
-
     /// Quorum that guarantees a majority of correct nodes behind it: `N − f`.
     pub fn quorum(&self) -> usize {
         self.n - self.f
@@ -127,12 +117,6 @@ mod tests {
         assert_eq!(c.data_chunks(), 6);
         // N - f >= 2f + 1 must hold for AVID-M's Ready amplification.
         assert!(c.quorum() >= 2 * c.f + 1);
-    }
-
-    #[test]
-    #[should_panic]
-    fn rejects_too_many_faults() {
-        ClusterConfig::with_f(6, 2);
     }
 
     #[test]

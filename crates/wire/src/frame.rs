@@ -204,7 +204,7 @@ pub trait WireEncodeSegmented: WireEncode {
 }
 
 /// The wire tag for a traffic class (the `class` byte of a frame header).
-pub fn class_tag(class: TrafficClass) -> u8 {
+fn class_tag(class: TrafficClass) -> u8 {
     match class {
         TrafficClass::Dispersal => TAG_DISPERSAL,
         TrafficClass::Retrieval(_) => TAG_RETRIEVAL,
