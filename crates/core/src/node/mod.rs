@@ -205,10 +205,12 @@ pub struct NodeStats {
     pub linked_fetches_at_frontier: u64,
     pub epochs_delivered: u64,
     pub retrievals_started: u64,
-    /// `RequestChunk`s issued by our retrievals, the loopback to our own
-    /// server included: over-fetch is this ÷ (`k` · `retrievals_started`).
+    /// Chunk requests (bare or proven) issued by our retrievals, the
+    /// loopback to our own server included: over-fetch is this ÷ (`k` ·
+    /// `retrievals_started`).
     pub chunk_requests_sent: u64,
-    /// Retrievals that fell back to asking every peer (at most once each).
+    /// Retrievals that fell back to asking every peer (at most once each):
+    /// on a deadline, on a bad proven chunk, or from bare chunks to proofs.
     pub retrievals_escalated: u64,
     pub msgs_sent: u64,
     /// `wire_size` of every envelope handed to the driver, counted as it is
@@ -323,7 +325,7 @@ pub struct Node<C: BlockCoder> {
     ba_observe_below: u64,
     /// The driver's clock at the current entry point.
     now: u64,
-    /// Per peer, how many `RequestChunk`s of our retrievals it has neither
+    /// Per peer, how many chunk requests of our retrievals it has neither
     /// answered nor been released from by a `Cancel` — the load signal of
     /// the retrieval target choice (see [`retrieval`]). Not persisted: a
     /// restarted node owes and is owed nothing it remembers, so the ledger
@@ -522,11 +524,12 @@ impl<C: BlockCoder> Node<C> {
                 // disjoint fields.
                 let Node { coder, epochs, .. } = self;
                 let st = epochs.get_mut(epoch).expect("just ensured");
-                if matches!(msg, VidMsg::ReturnChunk { .. }) {
+                if matches!(msg, VidMsg::ReturnChunk { .. } | VidMsg::ReturnBare { .. }) {
                     let Some(r) = st.retrievers[index].as_mut() else {
                         return; // no retrieval running: ignore
                     };
                     let answers_a_request = r.awaiting(from);
+                    let proven = matches!(msg, VidMsg::ReturnChunk { .. });
                     let effects = r.handle(coder, from, msg);
                     if answers_a_request {
                         // A peer that serves what it was asked for is
@@ -534,17 +537,21 @@ impl<C: BlockCoder> Node<C> {
                         self.chunk_requests_owed[from.idx()] -= 1;
                         self.chunk_requests_defaulted[from.idx()] = 0;
                     }
-                    if self.note_escalation(&effects) {
+                    if self.note_escalation(&effects) && proven {
                         // Escalation on evidence: this chunk proved `from`
-                        // faulty.
+                        // faulty. (A bare chunk that completes a failed
+                        // re-encoding blames nobody in particular.)
                         self.chunk_requests_defaulted[from.idx()] += 1;
                     }
                     self.apply_vid_effects(epoch, index, effects, work, out);
                     return;
                 }
-                // Under DL a `Ready` is also its sender's round-0 `BVal(1)`.
+                // Under DL a `Ready` is also its sender's round-0 `BVal(1)`,
+                // whatever its root: a root-less one counts at once.
                 let votes = match msg {
-                    VidMsg::Ready { .. } if !st.bas.is_empty() => st.bas[index].ready(from),
+                    VidMsg::Ready { .. } | VidMsg::ReadyAsGot if !st.bas.is_empty() => {
+                        st.bas[index].ready(from)
+                    }
                     _ => Vec::new(),
                 };
                 let effects = {
@@ -627,7 +634,7 @@ impl<C: BlockCoder> Node<C> {
                     // in our debt (once per retrieval: an escalation's
                     // re-ask adds none) and a cancel releases it.
                     match msg {
-                        VidMsg::RequestChunk => {
+                        VidMsg::RequestChunk | VidMsg::RequestProven => {
                             let reask = self.epochs.get(epoch).is_some_and(|st| {
                                 st.retrievers[index].as_ref().is_some_and(|r| r.reasks(to))
                             });
@@ -653,7 +660,7 @@ impl<C: BlockCoder> Node<C> {
                     }
                 }
                 VidEffect::Broadcast(msg) => {
-                    let ready = matches!(msg, VidMsg::Ready { .. });
+                    let ready = matches!(msg, VidMsg::Ready { .. } | VidMsg::ReadyAsGot);
                     for to in 0..self.cfg.cluster.n as u16 {
                         let to = NodeId(to);
                         if to == self.me {

@@ -30,7 +30,7 @@
 //!
 //! * it asks our own server (a loopback, free) plus the `k − 1 + h` remote
 //!   peers that owe us the fewest chunks — the per-peer ledger
-//!   `chunk_requests_owed` counts our `RequestChunk`s a peer has not yet
+//!   `chunk_requests_owed` counts our chunk requests a peer has not yet
 //!   answered, so this is join-shortest-queue: a peer whose link to us is
 //!   slow or backlogged accumulates debt and is passed over, a fast one
 //!   drains its debt and serves more, and the split follows bandwidth as
@@ -56,7 +56,13 @@
 //!   times ([`RetrievalTimer`]). After escalation the retrieval is the
 //!   paper's ask-everyone retrieval, so every termination argument for that
 //!   one carries over; before it, at most one timer per retrieval is armed
-//!   and none re-arms, so an idle cluster still goes quiescent.
+//!   and none re-arms, so an idle cluster still goes quiescent;
+//! * a retrieval started once our own server has sent `Ready` (or seen the
+//!   dispersal complete) knows the committed root and asks for **bare
+//!   chunks**: no root, no Merkle path, only the re-encoding check
+//!   (`dl_vid` crate docs). If that check fails, the retriever asks every
+//!   peer once more with proofs; that fall-back counts as its escalation,
+//!   and blames nobody, since any of the `k` bare chunks may be the lie.
 
 use std::collections::VecDeque;
 
@@ -235,7 +241,11 @@ impl<C: BlockCoder> Node<C> {
             .into_iter()
             .take(remote),
         );
-        let (retriever, effects) = Retriever::<C>::start_targeted(self.cfg.cluster.n, targets);
+        // Knowing the committed root — we sent `Ready` for it, or saw it
+        // complete — lets the retrieval take bare chunks (`dl_vid`).
+        let root = st.servers[index].as_ref().and_then(|s| s.committed_root());
+        let (retriever, effects) =
+            Retriever::<C>::start_targeted(self.cfg.cluster.n, root, targets);
         st.retrievers[index] = Some(retriever);
         st.retrieval_started_ms[index] = self.now;
         self.stats.retrievals_started += 1;
@@ -279,12 +289,16 @@ impl<C: BlockCoder> Node<C> {
     }
 
     /// Count a retrieval's escalation if `effects` carry one: after the
-    /// start, escalation is a retriever's only source of `RequestChunk`s,
-    /// and it happens at most once.
+    /// start, escalation — on a deadline, on evidence, or the fall-back
+    /// from bare chunks to proofs — is a retriever's only source of
+    /// requests, and it happens at most once.
     pub(super) fn note_escalation(&mut self, effects: &[VidEffect<C::Block>]) -> bool {
-        let escalated = effects
-            .iter()
-            .any(|e| matches!(e, VidEffect::Send(_, VidMsg::RequestChunk)));
+        let escalated = effects.iter().any(|e| {
+            matches!(
+                e,
+                VidEffect::Send(_, VidMsg::RequestChunk | VidMsg::RequestProven)
+            )
+        });
         self.stats.retrievals_escalated += u64::from(escalated);
         escalated
     }

@@ -661,6 +661,47 @@ fn restarted_node_replays_its_log_and_catches_up() {
 }
 
 #[test]
+fn the_codec_carries_rootless_readys_bare_chunks_and_proven_requests() {
+    // A DL mesh whose node 3 misses epochs and restarts from its log: every
+    // envelope goes through `through_the_codec`. The live nodes send their
+    // `Ready`s root-less and fetch bare chunks; the restarted node fetches
+    // what it missed with proofs.
+    let cluster = ClusterConfig::new(4);
+    let cfg = NodeConfig::new(cluster.clone(), ProtocolVariant::Dl);
+    let mut mesh = Mesh::with_cfg(4, cfg.clone());
+    mesh.runs = Some(Vec::new());
+    mesh.submit(0, Tx::synthetic(NodeId(0), 0, 0, 100));
+    mesh.run(60, 10, &[]);
+    mesh.submit(1, Tx::synthetic(NodeId(1), 1, mesh.now, 100));
+    mesh.run(60, 10, &[3]);
+    let mut fresh = Node::new(NodeId(3), cfg, RealBlockCoder::new(&cluster));
+    fresh.restore(&mesh.records[3]);
+    mesh.nodes[3] = fresh;
+    mesh.run(200, 10, &[]);
+    let orders = mesh.tx_orders();
+    assert!(orders.iter().all(|o| *o == orders[0] && o.len() == 2));
+    let runs = mesh.runs.take().expect("recorded");
+    let carried = |want: fn(&VidMsg) -> bool, by: fn(usize) -> bool| {
+        runs.iter().any(|(node, effs)| {
+            by(*node)
+                && effs.iter().any(
+                    |e| matches!(e, NodeEffect::Send(_, env) if matches!(&env.payload, ProtoMsg::Vid(m) if want(m))),
+                )
+        })
+    };
+    let live = |node: usize| node != 3;
+    let anyone = |_: usize| true;
+    assert!(carried(|m| matches!(m, VidMsg::ReadyAsGot), live));
+    assert!(carried(|m| matches!(m, VidMsg::RequestChunk), live));
+    assert!(carried(|m| matches!(m, VidMsg::ReturnBare { .. }), live));
+    assert!(carried(
+        |m| matches!(m, VidMsg::RequestProven),
+        |node| node == 3
+    ));
+    assert!(carried(|m| matches!(m, VidMsg::ReturnChunk { .. }), anyone));
+}
+
+#[test]
 fn restore_of_an_empty_log_is_a_fresh_start() {
     let cluster = ClusterConfig::new(4);
     let cfg = NodeConfig::new(cluster.clone(), ProtocolVariant::Dl);
@@ -1153,11 +1194,16 @@ impl Driven {
         self.feed((1..=2).map(|p| (p, term.clone())))
     }
 
-    /// Every peer returns its chunk; the retrieval hears the ones it asked.
+    /// Every peer returns its chunk, bare and then with its proof; the
+    /// retrieval hears the ones it asked, in the form it asked for.
     fn serve(&mut self, block: &Block) -> Vec<NodeEffect> {
         let (epoch, index) = (block.header.epoch, block.header.proposer);
         let enc = self.encode(block);
-        self.feed((1..=3u16).map(|p| {
+        let bare = (1..=3u16).map(|p| {
+            let payload = enc.chunks[p as usize].0.clone();
+            (p, VidMsg::ReturnBare { payload })
+        });
+        let proven = (1..=3u16).map(|p| {
             let (payload, proof) = enc.chunks[p as usize].clone();
             let root = enc.root;
             let msg = VidMsg::ReturnChunk {
@@ -1165,8 +1211,13 @@ impl Driven {
                 proof,
                 payload,
             };
-            (p, Envelope::vid(epoch, index, msg))
-        }))
+            (p, msg)
+        });
+        let answers: Vec<_> = bare
+            .chain(proven)
+            .map(|(p, msg)| (p, Envelope::vid(epoch, index, msg)))
+            .collect();
+        self.feed(answers)
     }
 
     /// Peers 1 and 3 disperse, commit and serve a block for `epoch` whose
@@ -1190,7 +1241,10 @@ fn fetched(effs: &[NodeEffect]) -> Vec<(u64, u16)> {
         .iter()
         .filter_map(|e| match e {
             NodeEffect::Send(_, env)
-                if matches!(env.payload, ProtoMsg::Vid(VidMsg::RequestChunk)) =>
+                if matches!(
+                    env.payload,
+                    ProtoMsg::Vid(VidMsg::RequestChunk | VidMsg::RequestProven)
+                ) =>
             {
                 Some((env.epoch.0, env.index.0))
             }
@@ -1391,8 +1445,14 @@ fn dl_votes_and_fetches_with_its_ready_and_honeybadger_does_not() {
             })
         )
     };
-    let ready = |p: &ProtoMsg| matches!(p, ProtoMsg::Vid(VidMsg::Ready { .. }));
-    let request = |p: &ProtoMsg| matches!(p, ProtoMsg::Vid(VidMsg::RequestChunk));
+    let ready =
+        |p: &ProtoMsg| matches!(p, ProtoMsg::Vid(VidMsg::Ready { .. } | VidMsg::ReadyAsGot));
+    let request = |p: &ProtoMsg| {
+        matches!(
+            p,
+            ProtoMsg::Vid(VidMsg::RequestChunk | VidMsg::RequestProven)
+        )
+    };
     let mut before_completion = 0;
     for (node, effs) in mesh_runs(ProtocolVariant::Dl) {
         assert_eq!(

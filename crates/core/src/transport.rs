@@ -174,10 +174,11 @@ impl SendQueue {
         self.bytes
     }
 
-    /// Drop every queued `ReturnChunk` for `(epoch, index)` — the receiver
-    /// cancelled this retrieval, so the chunks are dead weight (§5's early
-    /// cancellation, extended to the send queue) — the unsent remainder of
-    /// a partly-sent one included. Returns `(envelopes, bytes)` purged.
+    /// Drop every queued `ReturnChunk` or `ReturnBare` for `(epoch, index)`
+    /// — the receiver cancelled this retrieval, so the chunks are dead
+    /// weight (§5's early cancellation, extended to the send queue) — the
+    /// unsent remainder of a partly-sent one included. Returns
+    /// `(envelopes, bytes)` purged.
     pub fn purge_returns(&mut self, epoch: Epoch, index: NodeId) -> (usize, usize) {
         let mut count = 0usize;
         let mut bytes = 0usize;
@@ -191,7 +192,10 @@ impl SendQueue {
         if let Some(bucket) = self.retrieval.get_mut(&epoch.0) {
             bucket.retain(|env| {
                 let dead = env.index == index
-                    && matches!(env.payload, ProtoMsg::Vid(VidMsg::ReturnChunk { .. }));
+                    && matches!(
+                        env.payload,
+                        ProtoMsg::Vid(VidMsg::ReturnChunk { .. } | VidMsg::ReturnBare { .. })
+                    );
                 if dead {
                     count += 1;
                     bytes += env.wire_size();

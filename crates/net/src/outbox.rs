@@ -113,7 +113,7 @@ impl Outbox {
         self.cv.notify_all();
     }
 
-    /// Drop every queued `ReturnChunk` for the cancelled retrieval
+    /// Drop every queued returned chunk for the cancelled retrieval
     /// `(epoch, index)`. Freed bytes may release a backpressured producer.
     pub(crate) fn purge_returns(&self, epoch: Epoch, index: NodeId) {
         let (count, _) = self

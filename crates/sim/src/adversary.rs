@@ -24,11 +24,19 @@
 //!   the permanently-pending slot.
 //! * [`SimNodeKind::GarbageChunks`] — sends structurally well-formed chunks
 //!   whose Merkle proofs do not verify against the advertised root,
-//!   exercising every honest node's chunk-rejection path end to end.
+//!   exercising every honest node's chunk-rejection path end to end; and,
+//!   as a retrieval server, answers every chunk request with wrong bytes of
+//!   the right length (bare, or under the chunk's own root and proof),
+//!   which forces an optimistic retrieval's re-encoding check to fail and
+//!   the retriever to fall back to proofs.
+
+use std::collections::BTreeMap;
 
 use dl_core::{BlockCoder, EffectSink, Engine};
-use dl_crypto::Hash;
-use dl_wire::{BaMsg, Block, ClusterConfig, Envelope, Epoch, NodeId, Tx, VidMsg};
+use dl_crypto::{Hash, MerkleProof};
+use dl_wire::{
+    BaMsg, Block, ChunkPayload, ClusterConfig, Envelope, Epoch, NodeId, ProtoMsg, Tx, VidMsg,
+};
 
 use crate::SimNodeKind;
 
@@ -48,6 +56,12 @@ pub(crate) struct Adversary<C: BlockCoder> {
     attacked_up_to: u64,
     /// Envelopes a `DelayRelease` node is sitting on: `(due, to, env)`.
     withheld: Vec<(u64, NodeId, Envelope)>,
+    /// `GarbageChunks` as a server: per `(epoch, index)`, the chunk it was
+    /// dispersed, to lie about.
+    chunks: BTreeMap<(u64, u16), (Hash, MerkleProof, ChunkPayload)>,
+    /// `GarbageChunks` as a server: requests that came before their chunk,
+    /// `(epoch, index, from, with proof)`.
+    requests: Vec<(u64, u16, NodeId, bool)>,
 }
 
 impl<C: BlockCoder> Adversary<C> {
@@ -65,7 +79,52 @@ impl<C: BlockCoder> Adversary<C> {
             kind,
             attacked_up_to: 0,
             withheld: Vec::new(),
+            chunks: BTreeMap::new(),
+            requests: Vec::new(),
         }
+    }
+
+    /// `GarbageChunks` as a retrieval server: keep each chunk it is sent,
+    /// and answer each request for it — once the chunk is here — with
+    /// inverted bytes of the chunk's length, bare or under the chunk's own
+    /// root and proof, as the request asked.
+    fn serve_garbage(&mut self, from: NodeId, env: &Envelope, sink: &mut dyn EffectSink) {
+        let key = (env.epoch.0, env.index.0);
+        match &env.payload {
+            ProtoMsg::Vid(VidMsg::Chunk {
+                root,
+                proof,
+                payload,
+            }) if from == env.index => {
+                self.chunks
+                    .entry(key)
+                    .or_insert_with(|| (*root, proof.clone(), payload.clone()));
+            }
+            ProtoMsg::Vid(VidMsg::RequestChunk) => self.requests.push((key.0, key.1, from, false)),
+            ProtoMsg::Vid(VidMsg::RequestProven) => self.requests.push((key.0, key.1, from, true)),
+            _ => return,
+        }
+        let chunks = &self.chunks;
+        self.requests.retain(|&(epoch, index, to, proven)| {
+            let Some((root, proof, payload)) = chunks.get(&(epoch, index)) else {
+                return true;
+            };
+            let payload = match payload {
+                ChunkPayload::Real(b) => ChunkPayload::Real(b.iter().map(|x| !x).collect()),
+                synthetic => synthetic.clone(),
+            };
+            let msg = if proven {
+                VidMsg::ReturnChunk {
+                    root: *root,
+                    proof: proof.clone(),
+                    payload,
+                }
+            } else {
+                VidMsg::ReturnBare { payload }
+            };
+            sink.send(to, Envelope::vid(Epoch(epoch), NodeId(index), msg));
+            false
+        });
     }
 
     /// One valid block for `epoch`, encoded: the raw material for the
@@ -249,7 +308,10 @@ impl<C: BlockCoder> Engine for Adversary<C> {
 
     /// Reactive kinds attack an epoch the first time they see traffic for
     /// it; mute nodes drop everything.
-    fn handle(&mut self, _from: NodeId, env: Envelope, now: u64, sink: &mut dyn EffectSink) {
+    fn handle(&mut self, from: NodeId, env: Envelope, now: u64, sink: &mut dyn EffectSink) {
+        if self.kind == SimNodeKind::GarbageChunks {
+            self.serve_garbage(from, &env, sink);
+        }
         let epoch = env.epoch.0;
         if epoch == 0 || epoch <= self.attacked_up_to || epoch > self.attacked_up_to + 8 {
             return; // once per epoch; bounded lookahead

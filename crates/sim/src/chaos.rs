@@ -37,6 +37,7 @@
 
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
 
 use dl_core::ProtocolVariant;
 use dl_wire::{NodeId, Tx};
@@ -348,8 +349,9 @@ pub struct Auditor {
     seed: u64,
     honest: Vec<bool>,
     cluster_n: usize,
-    /// `(node, its delivery log at crash time)`.
-    snapshots: Vec<(usize, Vec<dl_core::DeliveredBlock>)>,
+    /// `(node, its delivery log at crash time)`, sharing the report's
+    /// blocks.
+    snapshots: Vec<(usize, Vec<Arc<dl_core::DeliveredBlock>>)>,
     seen: BTreeSet<String>,
     violations: Vec<Violation>,
 }

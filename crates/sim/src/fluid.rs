@@ -152,18 +152,22 @@ impl Coder for FluidCoder {
             // violation like an undecodable dispersal rather than panic.
             return Retrieved::BadUploader;
         }
-        match self
-            .store
-            .blocks
-            .lock()
-            .expect("block store lock")
-            .get(root)
-        {
-            Some(block) => Retrieved::Block(block.clone()),
-            // Unknown commitment: in fluid mode only possible for a
-            // dispersal that never went through `encode` — the moral
-            // equivalent of an inconsistent encoding.
-            None => Retrieved::BadUploader,
+        let store = self.store.blocks.lock().expect("block store lock");
+        // Unknown commitment: in fluid mode only possible for a dispersal
+        // that never went through `encode` — the moral equivalent of an
+        // inconsistent encoding.
+        let Some(block) = store.get(root) else {
+            return Retrieved::BadUploader;
+        };
+        // The fluid re-encoding check: `encode` would declare every chunk
+        // `shard_len` long. A bare chunk of another length or kind cannot
+        // be the block's, as on the real coder.
+        let shard = self.shard_len(block);
+        let fits = |p: &ChunkPayload| matches!(p, ChunkPayload::Synthetic { len } if *len as usize == shard);
+        if chunks.iter().all(|(_, p)| fits(p)) {
+            Retrieved::Block(block.clone())
+        } else {
+            Retrieved::BadUploader
         }
     }
 }
@@ -256,6 +260,23 @@ mod tests {
         assert_ne!(a, b);
         assert_ne!(a, c);
         assert_ne!(b, c);
+    }
+
+    #[test]
+    fn chunks_of_the_wrong_length_or_kind_fail_the_reencoding() {
+        let cluster = ClusterConfig::new(4);
+        let coder = FluidCoder::new(&cluster, BlockStore::new());
+        let enc = coder.encode(&sample(1, 0, 500));
+        let ChunkPayload::Synthetic { len } = enc.chunks[0].0 else {
+            panic!("fluid chunks are synthetic");
+        };
+        for odd in [
+            ChunkPayload::Synthetic { len: len + 1 },
+            ChunkPayload::Real(bytes::Bytes::from(vec![0; len as usize])),
+        ] {
+            let subset = [(0, enc.chunks[0].0.clone()), (1, odd)];
+            assert_eq!(coder.decode(&enc.root, &subset), Retrieved::BadUploader);
+        }
     }
 
     #[test]

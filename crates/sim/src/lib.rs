@@ -77,6 +77,7 @@ pub mod fluid;
 use std::cmp::Ordering;
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
+use std::sync::Arc;
 
 use rand::Rng;
 
@@ -132,7 +133,8 @@ pub enum SimNodeKind {
     DelayRelease,
     /// Disperses to one peer short of any completing quorum.
     SelectiveSend,
-    /// Disperses chunks whose Merkle proofs do not verify.
+    /// Disperses chunks whose Merkle proofs do not verify, and answers
+    /// every chunk request with wrong bytes of the right length.
     GarbageChunks,
 }
 
@@ -193,8 +195,9 @@ pub struct SimReport {
     /// the heap pop). Cumulative across resumed runs.
     pub events_processed: u64,
     /// Per node, every block it delivered, in delivery order. Byzantine
-    /// slots stay empty.
-    pub delivered: Vec<Vec<DeliveredBlock>>,
+    /// slots stay empty. Shared with the simulation, so taking a report of
+    /// a long run copies pointers, not blocks.
+    pub delivered: Vec<Vec<Arc<DeliveredBlock>>>,
     /// Per node, the engine counters (None for Byzantine slots).
     pub stats: Vec<Option<NodeStats>>,
     /// Stat events in emission order: `(when, who, event)`.
@@ -388,7 +391,7 @@ struct Fabric {
     last_activity: u64,
     events_processed: u64,
     scheduled_polls: BTreeSet<(u64, u16)>,
-    delivered: Vec<Vec<DeliveredBlock>>,
+    delivered: Vec<Vec<Arc<DeliveredBlock>>>,
     stat_events: Vec<(u64, NodeId, StatEvent)>,
     /// Per-node write-ahead logs (the simulated disks). `None` until the
     /// scenario opts a node in with [`Simulation::enable_store`]. Kept on
@@ -617,7 +620,7 @@ impl EffectSink for FabricSink<'_> {
 
     fn deliver(&mut self, block: DeliveredBlock) {
         self.fabric.last_activity = self.fabric.now;
-        self.fabric.delivered[self.from.idx()].push(block);
+        self.fabric.delivered[self.from.idx()].push(Arc::new(block));
     }
 
     fn wake_at(&mut self, at_ms: u64) {

@@ -146,7 +146,8 @@ fn violations_replay_deterministically_with_their_seed() {
     // proposer — breaking prefix consistency and header validity at once.
     let mut doctored = out.report.clone();
     let honest_proposer = doctored.delivered[0][0].proposer;
-    doctored.delivered[0][0].proposer = NodeId((honest_proposer.0 + 1) % 4);
+    std::sync::Arc::make_mut(&mut doctored.delivered[0][0]).proposer =
+        NodeId((honest_proposer.0 + 1) % 4);
     let findings: Vec<Vec<String>> = (0..2)
         .map(|_| {
             let mut auditor = Auditor::new(42, vec![true; 4]);

@@ -17,6 +17,38 @@
 //!   as the canonical [`Retrieved::BadUploader`] value at *every* correct
 //!   retriever.
 //!
+//! ## Bytes the receiver does not need
+//!
+//! Two messages leave out what their receiver already has:
+//!
+//! * **A `Ready` names its root only when the sender's `GotChunk` did
+//!   not.** A server that broadcast `GotChunk(r)` sends its `Ready(r)` as
+//!   [`VidMsg::ReadyAsGot`], and a receiver counts it as `Ready` for the
+//!   sender's `GotChunk` root — or, if that `GotChunk` has not arrived yet,
+//!   holds it and counts it once it does. A restored server did not send
+//!   its `GotChunk` in this incarnation, so its `Ready` names the root.
+//! * **A retrieval that knows the committed root takes bare chunks.** It
+//!   knows it once its own server sent `Ready(r)` or completed
+//!   ([`VidServer::committed_root`]). Servers answer its
+//!   [`VidMsg::RequestChunk`] with the payload alone, and it decodes `k`
+//!   of them, re-encodes and compares against `r`. A mismatch, or a decode
+//!   error, makes it drop them and ask every server once more with
+//!   [`VidMsg::RequestProven`]: the proven path above. A retrieval that
+//!   does not know the root — a revived node fetching what it missed —
+//!   takes the proven path from the start.
+//!
+//! **Safety of the optimistic path.** It outputs a block only if that
+//! block's re-encoding matches `r`, and `r` is the only root that can
+//! complete: a correct server sends `Ready` for one root, and every
+//! correct `Ready` is for the root that gathered `N − f` `GotChunk`s or
+//! `f + 1` `Ready`s. The proven path outputs the block whose re-encoding
+//! matches `r` too, so by collision resistance the two outputs are the
+//! same block. An inconsistent dispersal has no block whose re-encoding
+//! matches its root, so the optimistic path never outputs anything for it;
+//! every retriever falls back and reaches `BadUploader` as before. Lying
+//! servers cost a fall-back, never a wrong block. The per-chunk proofs only
+//! assign blame, which the happy path never needs.
+//!
 //! The block data path is abstracted behind the [`Coder`] trait so the
 //! discrete-event simulator can run the identical control logic without
 //! materializing gigabytes of chunk bytes ([`RealCoder`] does real
@@ -87,9 +119,10 @@ pub trait Coder {
     /// Verify that `payload` is chunk `proof.index` under `root`.
     fn verify(&self, root: &Hash, proof: &MerkleProof, payload: &ChunkPayload) -> bool;
 
-    /// Decode from at least `data_chunks()` verified chunks (`(index,
-    /// payload)` pairs, distinct indices, all under `root`), performing the
-    /// re-encode consistency check.
+    /// Decode from at least `data_chunks()` chunks (`(index, payload)`
+    /// pairs, distinct indices: proof-checked under `root`, or bare ones
+    /// this is the only check of), performing the re-encode consistency
+    /// check against `root`.
     fn decode(&self, root: &Hash, chunks: &[(u32, ChunkPayload)]) -> Retrieved<Self::Block>;
 }
 
@@ -156,20 +189,23 @@ impl Coder for RealCoder {
     }
 
     fn decode(&self, root: &Hash, chunks: &[(u32, ChunkPayload)]) -> Retrieved<bytes::Bytes> {
-        let refs: Vec<(usize, &[u8])> = chunks
-            .iter()
-            .filter_map(|(i, p)| match p {
-                ChunkPayload::Real(b) => Some((*i as usize, b.as_ref())),
-                ChunkPayload::Synthetic { .. } => None,
-            })
-            .collect();
+        let mut refs: Vec<(usize, &[u8])> = Vec::with_capacity(chunks.len());
+        for (i, p) in chunks {
+            match p {
+                ChunkPayload::Real(b) => refs.push((*i as usize, b.as_ref())),
+                // Never proof-valid here, so only a bare chunk from a lying
+                // server gets this far: not a codeword.
+                ChunkPayload::Synthetic { .. } => return Retrieved::BadUploader,
+            }
+        }
         let block = match self.rs.reconstruct_block_shared(&refs) {
             Ok(b) => b,
             // Chunks of unequal lengths, or a frame whose length field
-            // lies, can only come from a bad disperser: each chunk was
-            // proof-checked against the root already. A retriever that
-            // draws `k` equal-length chunks of such a dispersal fails the
-            // re-encode check below, so the value is the same everywhere.
+            // lies: proof-checked chunks show a bad disperser, and a
+            // retriever that draws `k` equal-length chunks of such a
+            // dispersal fails the re-encode check below, so the value is
+            // the same everywhere. Bare chunks may show a lying server
+            // instead; the retriever then asks again with proofs.
             Err(RsError::BadFrame | RsError::MalformedChunks) => return Retrieved::BadUploader,
             #[expect(
                 clippy::panic,
@@ -236,17 +272,24 @@ pub struct VidServer<C: Coder> {
     f: usize,
     /// `MyChunk`/`MyProof`/`MyRoot` of Fig. 3.
     my_chunk: Option<(Hash, ChunkPayload, MerkleProof)>,
-    got_chunk_sent: bool,
+    /// The root of the `GotChunk` this incarnation broadcast: a `Ready` for
+    /// it goes out as [`VidMsg::ReadyAsGot`].
+    announced: Option<Hash>,
     /// Distinct senders of `GotChunk(r)`, per root.
     got_from: Vec<(Hash, NodeSet)>,
     /// Distinct senders of `Ready(r)`, per root.
     ready_from: Vec<(Hash, NodeSet)>,
-    ready_sent: bool,
+    /// Senders of a `ReadyAsGot` whose `GotChunk` has not arrived yet: each
+    /// counts as `Ready` for that root when it lands.
+    ready_held: NodeSet,
+    /// The root of the `Ready` we sent (or, restored, the completed one).
+    ready_root: Option<Hash>,
     /// `ChunkRoot`: set at Complete.
     complete_root: Option<Hash>,
     /// Retrieval requests deferred until we can serve them (Fig. 4: "defer
-    /// responding if dispersal is not Complete or any variable is unset").
-    pending_requests: Vec<NodeId>,
+    /// responding if dispersal is not Complete or any variable is unset"),
+    /// each with whether it asked for the proof.
+    pending_requests: Vec<(NodeId, bool)>,
     _coder: std::marker::PhantomData<C>,
 }
 
@@ -257,10 +300,11 @@ impl<C: Coder> VidServer<C> {
             n,
             f,
             my_chunk: None,
-            got_chunk_sent: false,
+            announced: None,
             got_from: Vec::new(),
             ready_from: Vec::new(),
-            ready_sent: false,
+            ready_held: NodeSet::new(),
+            ready_root: None,
             complete_root: None,
             pending_requests: Vec::new(),
             _coder: std::marker::PhantomData,
@@ -270,6 +314,13 @@ impl<C: Coder> VidServer<C> {
     /// Whether dispersal has completed here.
     pub fn completed(&self) -> Option<Hash> {
         self.complete_root
+    }
+
+    /// The root this server vouched for with its own `Ready`, or saw
+    /// complete: the only root that can complete anywhere, so a retrieval
+    /// that knows it may take bare chunks (see [`Retriever`]).
+    pub fn committed_root(&self) -> Option<Hash> {
+        self.complete_root.or(self.ready_root)
     }
 
     /// The chunk this server stores, if any (root, payload, proof). The
@@ -282,12 +333,14 @@ impl<C: Coder> VidServer<C> {
 
     /// Rebuild pre-crash dispersal state from durable records.
     ///
-    /// A restored chunk is marked as already announced (`GotChunk` went out
+    /// A restored chunk counts as announced (its `GotChunk` went out
     /// with the original accept; re-broadcasting is pure duplicate
-    /// traffic). A restored completion also restores `ready_sent`: a
-    /// `Complete` implies `2f+1` `Ready`s were exchanged, ours among the
-    /// possible contributors, and a duplicate `Ready` would be deduped
-    /// anyway — staying quiet is the cheaper equivalent.
+    /// traffic). This incarnation did not send that `GotChunk`, though, so
+    /// a later `Ready` names its root: the crash may have beaten the
+    /// `GotChunk` to the wire. A restored completion also restores our
+    /// `Ready`: a `Complete` implies `2f+1` `Ready`s were exchanged, ours
+    /// among the possible contributors, and a duplicate `Ready` would be
+    /// deduped anyway — staying quiet is the cheaper equivalent.
     pub fn restore(
         &mut self,
         chunk: Option<(Hash, ChunkPayload, MerkleProof)>,
@@ -295,11 +348,10 @@ impl<C: Coder> VidServer<C> {
     ) {
         if let Some(chunk) = chunk {
             self.my_chunk = Some(chunk);
-            self.got_chunk_sent = true;
         }
         if let Some(root) = complete_root {
             self.complete_root = Some(root);
-            self.ready_sent = true;
+            self.ready_root = Some(root);
         }
     }
 
@@ -316,13 +368,21 @@ impl<C: Coder> VidServer<C> {
             } => self.on_chunk(coder, root, proof, payload, &mut out),
             VidMsg::GotChunk { root } => self.on_got_chunk(from, root, &mut out),
             VidMsg::Ready { root } => self.on_ready(from, root, &mut out),
-            VidMsg::RequestChunk => self.on_request(from, &mut out),
+            VidMsg::ReadyAsGot => match self.got_root(from) {
+                Some(root) => self.on_ready(from, root, &mut out),
+                // Overtook its `GotChunk`: counted when that lands.
+                None => {
+                    self.ready_held.insert(from);
+                }
+            },
+            VidMsg::RequestChunk => self.on_request(from, false, &mut out),
+            VidMsg::RequestProven => self.on_request(from, true, &mut out),
             VidMsg::Cancel => {
-                self.pending_requests.retain(|&n| n != from);
+                self.pending_requests.retain(|&(n, _)| n != from);
             }
-            VidMsg::ReturnChunk { .. } => {
-                // Server role never consumes ReturnChunk; the node routes
-                // those to its Retriever. Ignore quietly.
+            VidMsg::ReturnChunk { .. } | VidMsg::ReturnBare { .. } => {
+                // Server role never consumes returned chunks; the node
+                // routes those to its Retriever. Ignore quietly.
             }
         }
         out
@@ -345,30 +405,56 @@ impl<C: Coder> VidServer<C> {
         // whole-codeword dispersal arena, and `my_chunk` lives for the
         // epoch — keeping the window would pin `n·shard_len` bytes to
         // retain `shard_len` of them.
+        // Step 3: one GotChunk ever, with it (a restored chunk's went out
+        // before the crash).
         if self.my_chunk.is_none() {
             let payload = match payload {
                 ChunkPayload::Real(b) => ChunkPayload::Real(bytes::Bytes::copy_from_slice(&b)),
                 synthetic => synthetic,
             };
             self.my_chunk = Some((root, payload, proof));
-        }
-        // Step 3: one GotChunk ever.
-        if !self.got_chunk_sent {
-            self.got_chunk_sent = true;
+            self.announced = Some(root);
             out.push(VidEffect::Broadcast(VidMsg::GotChunk { root }));
         }
         self.flush_pending(out);
     }
 
+    /// The root of `from`'s `GotChunk`, if one arrived (the first root
+    /// that lists it: a correct server sends one).
+    fn got_root(&self, from: NodeId) -> Option<Hash> {
+        self.got_from
+            .iter()
+            .find(|(_, senders)| senders.contains(from))
+            .map(|(root, _)| *root)
+    }
+
     fn on_got_chunk(&mut self, from: NodeId, root: Hash, out: &mut Vec<VidEffect<C::Block>>) {
+        let first = self.got_root(from).is_none();
         let senders = entry(&mut self.got_from, root);
         if !senders.insert(from) {
             return;
         }
-        if senders.len() >= self.n - self.f && !self.ready_sent {
-            self.ready_sent = true;
-            out.push(VidEffect::Broadcast(VidMsg::Ready { root }));
+        if senders.len() >= self.n - self.f {
+            self.send_ready(root, out);
         }
+        if first && self.ready_held.remove(from) {
+            self.on_ready(from, root, out);
+        }
+    }
+
+    /// Broadcast our one `Ready`, for `root`, unless it went out already
+    /// (Lemma B.3: never for a second root). The root rides along only if
+    /// our `GotChunk` did not carry it.
+    fn send_ready(&mut self, root: Hash, out: &mut Vec<VidEffect<C::Block>>) {
+        if self.ready_root.is_some() {
+            return;
+        }
+        self.ready_root = Some(root);
+        out.push(VidEffect::Broadcast(if self.announced == Some(root) {
+            VidMsg::ReadyAsGot
+        } else {
+            VidMsg::Ready { root }
+        }));
     }
 
     fn on_ready(&mut self, from: NodeId, root: Hash, out: &mut Vec<VidEffect<C::Block>>) {
@@ -378,9 +464,8 @@ impl<C: Coder> VidServer<C> {
         }
         let count = senders.len();
         // Ready amplification (f+1) — Fig. 3 Ready handler step 2.
-        if count >= self.f + 1 && !self.ready_sent {
-            self.ready_sent = true;
-            out.push(VidEffect::Broadcast(VidMsg::Ready { root }));
+        if count >= self.f + 1 {
+            self.send_ready(root, out);
         }
         // Completion (2f+1) — step 3.
         if count >= 2 * self.f + 1 && self.complete_root.is_none() {
@@ -390,9 +475,12 @@ impl<C: Coder> VidServer<C> {
         }
     }
 
-    fn on_request(&mut self, from: NodeId, out: &mut Vec<VidEffect<C::Block>>) {
-        if !self.pending_requests.contains(&from) {
-            self.pending_requests.push(from);
+    /// A request, deferred until we can serve it; a proven request
+    /// upgrades a pending bare one from the same peer.
+    fn on_request(&mut self, from: NodeId, proven: bool, out: &mut Vec<VidEffect<C::Block>>) {
+        match self.pending_requests.iter_mut().find(|(n, _)| *n == from) {
+            Some((_, with_proof)) => *with_proof |= proven,
+            None => self.pending_requests.push((from, proven)),
         }
         self.flush_pending(out);
     }
@@ -409,15 +497,18 @@ impl<C: Coder> VidServer<C> {
         if *my_root != complete_root {
             return; // our chunk is under a different root; we cannot serve
         }
-        for to in self.pending_requests.drain(..) {
-            out.push(VidEffect::Send(
-                to,
+        for (to, proven) in self.pending_requests.drain(..) {
+            let payload = payload.clone();
+            let msg = if proven {
                 VidMsg::ReturnChunk {
                     root: complete_root,
                     proof: proof.clone(),
-                    payload: payload.clone(),
-                },
-            ));
+                    payload,
+                }
+            } else {
+                VidMsg::ReturnBare { payload }
+            };
+            out.push(VidEffect::Send(to, msg));
         }
     }
 }
@@ -443,8 +534,22 @@ fn entry<T: Default>(list: &mut Vec<(Hash, T)>, root: Hash) -> &mut T {
 /// has not answered — once — when the subset turns out to be too slow or
 /// dishonest. The automaton tracks whom it asked and who has answered, so
 /// the `Cancel` on decode (§6.3) goes only to peers that still owe a chunk.
+///
+/// A retrieval started with the committed root is **optimistic**: it asks
+/// with [`VidMsg::RequestChunk`], takes bare chunks ([`VidMsg::ReturnBare`],
+/// index = sender) and, after `N − 2f` of them, decodes, re-encodes and
+/// compares against that root. A match is the block. A mismatch or a
+/// decode error cannot say whether the disperser or a server lied, so the
+/// bare chunks are dropped and every server is asked once more, with
+/// proofs ([`VidMsg::RequestProven`]). The proven path is the paper's, and
+/// only it yields [`Retrieved::BadUploader`]. See the crate docs for why
+/// the two paths agree.
 pub struct Retriever<C: Coder> {
     n: usize,
+    /// While optimistic: the committed root and the bare chunks `(index,
+    /// payload)` gathered so far. `None` once the retrieval asks with
+    /// proofs.
+    optimistic: Option<(Hash, Vec<(u32, ChunkPayload)>)>,
     /// Verified chunks grouped by root: `(root, [(index, payload)])`.
     by_root: Vec<(Hash, Vec<(u32, ChunkPayload)>)>,
     result: Option<Retrieved<C::Block>>,
@@ -452,53 +557,70 @@ pub struct Retriever<C: Coder> {
     early_cancel: bool,
     /// Servers the start asked (after escalation every server counts).
     targets: NodeSet,
-    /// Asked servers that returned anything, valid or not.
+    /// Asked servers that returned anything since they were last asked.
     answered: NodeSet,
-    /// Whether [`Retriever::escalate`] has run (it runs at most once).
+    /// Peers the latest requests asked again while they still owed an
+    /// answer to an earlier one.
+    reasked: NodeSet,
+    /// Whether every server has been asked ([`Retriever::escalate`], or the
+    /// fall-back to proofs); it happens at most once.
     escalated: bool,
     _coder: std::marker::PhantomData<C>,
 }
 
 impl<C: Coder> Retriever<C> {
-    /// Create and start a retrieval that asks all `n` servers.
+    /// Create and start a retrieval that asks all `n` servers, with proofs.
     /// **Benchmark-only**: `dl-e2e/src/layers.rs` times a retrieval through
     /// it; the engine starts every retrieval with
     /// [`Retriever::start_targeted`] and reaches ask-everyone by
     /// [`Retriever::escalate`]. Goes when the benchmark is next thawed
     /// (ROADMAP direction 1(a)), and `early_cancel` with it.
     pub fn start(n: usize, early_cancel: bool) -> (Retriever<C>, Vec<VidEffect<C::Block>>) {
-        let mut r = Retriever::idle(n, early_cancel);
+        let mut r = Retriever::idle(n, None, early_cancel);
         let effects = r.escalate();
         (r, effects)
     }
 
     /// Create and start a retrieval that asks only `targets`; `Cancel` on
-    /// decode is always on. The retrieval completes as soon as `N − 2f` of
-    /// them answer under one root; if they might not, the caller follows up
-    /// with [`Retriever::escalate`].
+    /// decode is always on. With the committed `root` it is optimistic
+    /// (bare chunks), without it proven. The retrieval completes as soon as
+    /// `N − 2f` of them answer under one root; if they might not, the
+    /// caller follows up with [`Retriever::escalate`].
     pub fn start_targeted(
         n: usize,
+        root: Option<Hash>,
         targets: impl IntoIterator<Item = NodeId>,
     ) -> (Retriever<C>, Vec<VidEffect<C::Block>>) {
-        let mut r = Retriever::idle(n, true);
+        let mut r = Retriever::idle(n, root, true);
+        let ask = r.request();
         let effects = targets
             .into_iter()
             .filter(|to| to.idx() < n && r.targets.insert(*to))
-            .map(|to| VidEffect::Send(to, VidMsg::RequestChunk))
+            .map(|to| VidEffect::Send(to, ask.clone()))
             .collect();
         (r, effects)
     }
 
-    fn idle(n: usize, early_cancel: bool) -> Retriever<C> {
+    fn idle(n: usize, root: Option<Hash>, early_cancel: bool) -> Retriever<C> {
         Retriever {
             n,
+            optimistic: root.map(|root| (root, Vec::new())),
             by_root: Vec::new(),
             result: None,
             early_cancel,
             targets: NodeSet::new(),
             answered: NodeSet::new(),
+            reasked: NodeSet::new(),
             escalated: false,
             _coder: std::marker::PhantomData,
+        }
+    }
+
+    /// The request this retrieval sends: bare while optimistic.
+    fn request(&self) -> VidMsg {
+        match self.optimistic {
+            Some(_) => VidMsg::RequestChunk,
+            None => VidMsg::RequestProven,
         }
     }
 
@@ -509,9 +631,23 @@ impl<C: Coder> Retriever<C> {
         if self.escalated || self.result.is_some() {
             return Vec::new();
         }
+        self.reasked = self.awaited().collect();
         self.escalated = true;
+        let ask = self.request();
         self.awaited()
-            .map(|to| VidEffect::Send(to, VidMsg::RequestChunk))
+            .map(|to| VidEffect::Send(to, ask.clone()))
+            .collect()
+    }
+
+    /// The bare chunks failed the re-encoding check: drop them and ask
+    /// every server once more, with proofs.
+    fn fall_back(&mut self) -> Vec<VidEffect<C::Block>> {
+        self.optimistic = None;
+        self.reasked = self.awaited().collect();
+        self.escalated = true;
+        self.answered = NodeSet::new();
+        (0..self.n as u16)
+            .map(|to| VidEffect::Send(NodeId(to), VidMsg::RequestProven))
             .collect()
     }
 
@@ -532,10 +668,11 @@ impl<C: Coder> Retriever<C> {
         self.result.is_none() && self.asked(peer) && !self.answered.contains(peer)
     }
 
-    /// Whether a request to `peer` now repeats one: escalation ran and
-    /// `peer` was among the start's targets.
+    /// Whether the latest request to `peer` repeats one it still owed an
+    /// answer to: a silent target that escalation, or the fall-back to
+    /// proofs, asked again.
     pub fn reasks(&self, peer: NodeId) -> bool {
-        self.escalated && self.targets.contains(peer)
+        self.reasked.contains(peer)
     }
 
     fn asked(&self, peer: NodeId) -> bool {
@@ -547,29 +684,50 @@ impl<C: Coder> Retriever<C> {
         (0..self.n as u16).map(NodeId).filter(|p| self.awaiting(*p))
     }
 
-    /// Handle a `ReturnChunk` from server `from`.
+    /// Handle a returned chunk from server `from`: a `ReturnBare` while
+    /// optimistic, a `ReturnChunk` once proven. Either marks `from` as
+    /// having answered; the other kind's payload (a late answer to a bare
+    /// request, or an answer nobody asked for) is dropped.
     ///
-    /// Evidence that an asked server is faulty — a chunk that fails
+    /// Evidence that an asked server is faulty — a proven chunk that fails
     /// verification, or one under a second root (correct servers all serve
     /// the one completed root) — escalates at once: the targeted subset can
     /// no longer be trusted to hold `N − 2f` good chunks.
     pub fn handle(&mut self, coder: &C, from: NodeId, msg: VidMsg) -> Vec<VidEffect<C::Block>> {
         let mut out = Vec::new();
-        if self.result.is_some() {
-            return out; // already done
-        }
-        let VidMsg::ReturnChunk {
-            root,
-            proof,
-            payload,
-        } = msg
-        else {
+        if self.result.is_some() || !self.asked(from) {
+            // Done, or unsolicited: not evidence about anyone we rely on.
             return out;
-        };
-        if !self.asked(from) {
-            return out; // unsolicited: not evidence about anyone we rely on
         }
+        let (root, proof, payload) = match msg {
+            VidMsg::ReturnBare { payload } => {
+                self.answered.insert(from);
+                let Some((root, bare)) = self.optimistic.as_mut() else {
+                    return out;
+                };
+                if bare.iter().any(|(i, _)| *i == from.0 as u32) {
+                    return out; // duplicate
+                }
+                bare.push((from.0 as u32, payload));
+                if bare.len() < coder.data_chunks() {
+                    return out;
+                }
+                return match coder.decode(root, bare) {
+                    Retrieved::Block(block) => self.finish(Retrieved::Block(block)),
+                    Retrieved::BadUploader => self.fall_back(),
+                };
+            }
+            VidMsg::ReturnChunk {
+                root,
+                proof,
+                payload,
+            } => (root, proof, payload),
+            _ => return out,
+        };
         self.answered.insert(from);
+        if self.optimistic.is_some() {
+            return out;
+        }
         // Fig. 4 client step 1: the i-th server must return the i-th chunk.
         if proof.index != from.0 as u32 || !coder.verify(&root, &proof, &payload) {
             return self.escalate();
@@ -581,14 +739,20 @@ impl<C: Coder> Retriever<C> {
         chunks.push((proof.index, payload));
         if chunks.len() >= coder.data_chunks() {
             let result = coder.decode(&root, chunks);
-            out.push(VidEffect::Retrieved(result.clone()));
-            if self.early_cancel {
-                out.extend(self.awaited().map(|p| VidEffect::Send(p, VidMsg::Cancel)));
-            }
-            self.result = Some(result);
+            out = self.finish(result);
         } else if self.by_root.len() > 1 {
             return self.escalate();
         }
+        out
+    }
+
+    /// Output `result`, cancelling the asked peers that still owe a chunk.
+    fn finish(&mut self, result: Retrieved<C::Block>) -> Vec<VidEffect<C::Block>> {
+        let mut out = vec![VidEffect::Retrieved(result.clone())];
+        if self.early_cancel {
+            out.extend(self.awaited().map(|p| VidEffect::Send(p, VidMsg::Cancel)));
+        }
+        self.result = Some(result);
         out
     }
 }

@@ -104,10 +104,18 @@ impl Net {
     }
 
     /// A retrieval that asks only `targets` (and whoever a later
-    /// escalation adds).
+    /// escalation adds), with proofs.
     fn start_targeted_retrieval(&mut self, client: NodeId, targets: &[u16]) {
-        let started =
-            Retriever::<RealCoder>::start_targeted(self.n, targets.iter().map(|&t| NodeId(t)));
+        let targets = targets.iter().map(|&t| NodeId(t));
+        let started = Retriever::<RealCoder>::start_targeted(self.n, None, targets);
+        self.add_retrieval(client, started);
+    }
+
+    /// A retrieval that knows the committed `root`: it asks every server
+    /// for bare chunks.
+    fn start_optimistic_retrieval(&mut self, client: NodeId, root: Hash) {
+        let targets = (0..self.n as u16).map(NodeId);
+        let started = Retriever::<RealCoder>::start_targeted(self.n, Some(root), targets);
         self.add_retrieval(client, started);
     }
 
@@ -131,7 +139,10 @@ impl Net {
                     self.results[pos] = Some(r);
                 }
                 VidEffect::Send(to, msg) => {
-                    assert!(matches!(msg, VidMsg::RequestChunk | VidMsg::Cancel));
+                    assert!(matches!(
+                        msg,
+                        VidMsg::RequestChunk | VidMsg::RequestProven | VidMsg::Cancel
+                    ));
                     self.pool.push((client, to, msg));
                 }
                 VidEffect::Broadcast(_) | VidEffect::Complete(_) => {
@@ -568,9 +579,11 @@ fn cancel_clears_pending_request() {
         effects.extend(server.handle(&coder, NodeId(i), VidMsg::Ready { root: enc.root }));
     }
     assert!(
-        !effects
-            .iter()
-            .any(|e| matches!(e, VidEffect::Send(to, VidMsg::ReturnChunk { .. }) if *to == client)),
+        !effects.iter().any(|e| matches!(
+            e,
+            VidEffect::Send(to, VidMsg::ReturnChunk { .. } | VidMsg::ReturnBare { .. })
+                if *to == client
+        )),
         "canceled request served anyway"
     );
 }
@@ -703,7 +716,7 @@ fn requests(effects: &[VidEffect<bytes::Bytes>]) -> Vec<u16> {
     effects
         .iter()
         .map(|e| match e {
-            VidEffect::Send(to, VidMsg::RequestChunk) => to.0,
+            VidEffect::Send(to, VidMsg::RequestProven) => to.0,
             other => panic!("expected only requests, got {other:?}"),
         })
         .collect()
@@ -722,13 +735,14 @@ fn cancels(effects: &[VidEffect<bytes::Bytes>]) -> Vec<u16> {
 #[test]
 fn targeted_start_asks_exactly_the_targets() {
     let targets = [NodeId(5), NodeId(1), NodeId(3)];
-    let (retr, effects) = Retriever::<RealCoder>::start_targeted(7, targets);
+    let (retr, effects) = Retriever::<RealCoder>::start_targeted(7, None, targets);
     assert_eq!(requests(&effects), vec![5, 1, 3]);
     for p in 0..7u16 {
         assert_eq!(retr.awaiting(NodeId(p)), [1, 3, 5].contains(&p), "peer {p}");
     }
     // Duplicates and out-of-range ids are not asked (twice).
-    let (_, effects) = Retriever::<RealCoder>::start_targeted(4, [NodeId(2), NodeId(2), NodeId(9)]);
+    let (_, effects) =
+        Retriever::<RealCoder>::start_targeted(4, None, [NodeId(2), NodeId(2), NodeId(9)]);
     assert_eq!(requests(&effects), vec![2]);
 }
 
@@ -739,7 +753,7 @@ fn a_chunk_returned_twice_counts_once() {
     let coder = RealCoder::new(4, 1);
     let b = block(128);
     let enc = coder.encode(&b);
-    let (mut retr, _) = Retriever::<RealCoder>::start_targeted(4, [NodeId(1), NodeId(2)]);
+    let (mut retr, _) = Retriever::<RealCoder>::start_targeted(4, None, [NodeId(1), NodeId(2)]);
     for _ in 0..2 {
         let effs = retr.handle(&coder, NodeId(1), return_chunk(&enc, 1));
         assert!(effs.is_empty(), "{effs:?}");
@@ -756,7 +770,7 @@ fn targeted_retrieval_decodes_with_k_and_cancels_only_the_asked_and_silent() {
     let coder = RealCoder::new(n, f);
     let b = block(4000);
     let enc = coder.encode(&b);
-    let (mut retr, _) = Retriever::<RealCoder>::start_targeted(n, (0..5).map(NodeId));
+    let (mut retr, _) = Retriever::<RealCoder>::start_targeted(n, None, (0..5).map(NodeId));
     assert!(retr
         .handle(&coder, NodeId(0), return_chunk(&enc, 0))
         .is_empty());
@@ -789,7 +803,7 @@ fn escalation_asks_each_remaining_peer_exactly_once() {
     let (n, f) = (7, 2);
     let coder = RealCoder::new(n, f);
     let enc = coder.encode(&block(900));
-    let (mut retr, _) = Retriever::<RealCoder>::start_targeted(n, [NodeId(2), NodeId(4)]);
+    let (mut retr, _) = Retriever::<RealCoder>::start_targeted(n, None, [NodeId(2), NodeId(4)]);
     assert!(retr
         .handle(&coder, NodeId(4), return_chunk(&enc, 4))
         .is_empty());
@@ -808,14 +822,14 @@ fn bad_chunk_from_an_asked_peer_escalates_at_once() {
 
     // (a) A chunk that fails verification (server 1 replays server 2's):
     // everyone but the liar is asked, the silent targets again.
-    let (mut retr, _) = Retriever::<RealCoder>::start_targeted(n, (0..4).map(NodeId));
+    let (mut retr, _) = Retriever::<RealCoder>::start_targeted(n, None, (0..4).map(NodeId));
     let effects = retr.handle(&coder, NodeId(1), return_chunk(&enc, 2));
     assert_eq!(requests(&effects), vec![0, 2, 3, 4, 5, 6]);
     assert!(!retr.awaiting(NodeId(1)), "the liar did answer");
 
     // (b) A proof-valid chunk under a second root.
     let other = coder.encode(&block(901));
-    let (mut retr, _) = Retriever::<RealCoder>::start_targeted(n, (0..4).map(NodeId));
+    let (mut retr, _) = Retriever::<RealCoder>::start_targeted(n, None, (0..4).map(NodeId));
     assert!(retr
         .handle(&coder, NodeId(0), return_chunk(&enc, 0))
         .is_empty());
@@ -834,7 +848,7 @@ fn bad_chunk_from_an_asked_peer_escalates_at_once() {
     assert_eq!(cancels(&effects), vec![1, 2, 4]);
 
     // (c) The same evidence from a peer that was never asked is ignored.
-    let (mut retr, _) = Retriever::<RealCoder>::start_targeted(n, (0..4).map(NodeId));
+    let (mut retr, _) = Retriever::<RealCoder>::start_targeted(n, None, (0..4).map(NodeId));
     assert!(retr
         .handle(&coder, NodeId(6), return_chunk(&enc, 2))
         .is_empty());
@@ -859,4 +873,277 @@ fn targeted_retrieval_over_the_full_protocol_needs_escalation_only_when_starved(
     net.escalate(1);
     net.run();
     assert_eq!(net.results[1], Some(Retrieved::Block(b)));
+}
+
+// ---- root-less Ready and optimistic (proof-free) retrieval ----
+
+/// The bare chunk honest server `i` returns for `enc`.
+fn bare_chunk(enc: &EncodedBlock, i: usize) -> VidMsg {
+    VidMsg::ReturnBare {
+        payload: enc.chunks[i].0.clone(),
+    }
+}
+
+/// `enc`'s chunk `i` with its bytes inverted: wrong bytes, right length.
+fn lying_chunk(enc: &EncodedBlock, i: usize) -> VidMsg {
+    let dl_wire::ChunkPayload::Real(b) = &enc.chunks[i].0 else {
+        panic!("real coder sends real payloads");
+    };
+    let payload = b.iter().map(|x| !x).collect();
+    VidMsg::ReturnBare {
+        payload: dl_wire::ChunkPayload::Real(payload),
+    }
+}
+
+fn broadcasts(effects: &[VidEffect<bytes::Bytes>]) -> Vec<VidMsg> {
+    effects
+        .iter()
+        .filter_map(|e| match e {
+            VidEffect::Broadcast(m) => Some(m.clone()),
+            _ => None,
+        })
+        .collect()
+}
+
+#[test]
+fn a_ready_names_its_root_only_when_our_gotchunk_did_not() {
+    let (n, f) = (4, 1);
+    let coder = RealCoder::new(n, f);
+    let enc = coder.encode(&block(64));
+    let root = enc.root;
+    // Server 1 holds its chunk and broadcast GotChunk(root): its Ready
+    // leaves root-less.
+    let mut holder: VidServer<RealCoder> = VidServer::new(NodeId(1), n, f);
+    let (payload, proof) = enc.chunks[1].clone();
+    let chunk = VidMsg::Chunk {
+        root,
+        proof,
+        payload,
+    };
+    let effs = holder.handle(&coder, NodeId(0), chunk);
+    assert_eq!(broadcasts(&effs), [VidMsg::GotChunk { root }]);
+    let mut effs = Vec::new();
+    for i in [0u16, 2, 3] {
+        effs.extend(holder.handle(&coder, NodeId(i), VidMsg::GotChunk { root }));
+    }
+    assert_eq!(broadcasts(&effs), [VidMsg::ReadyAsGot]);
+    assert_eq!(holder.committed_root(), Some(root));
+    // Server 2 never got its chunk: its Ready (here by amplification)
+    // must carry the root.
+    let mut bystander: VidServer<RealCoder> = VidServer::new(NodeId(2), n, f);
+    assert_eq!(bystander.committed_root(), None);
+    let _ = bystander.handle(&coder, NodeId(0), VidMsg::Ready { root });
+    let effs = bystander.handle(&coder, NodeId(1), VidMsg::Ready { root });
+    assert_eq!(broadcasts(&effs), [VidMsg::Ready { root }]);
+    assert_eq!(bystander.committed_root(), Some(root));
+}
+
+#[test]
+fn a_rootless_ready_before_its_gotchunk_counts_exactly_once() {
+    let (n, f) = (4, 1);
+    let coder = RealCoder::new(n, f);
+    let root = Hash::digest(b"r");
+    let mut server: VidServer<RealCoder> = VidServer::new(NodeId(0), n, f);
+    // Node 1's root-less Ready overtakes its GotChunk, twice over; node 2's
+    // arrives in order.
+    for _ in 0..2 {
+        assert!(server
+            .handle(&coder, NodeId(1), VidMsg::ReadyAsGot)
+            .is_empty());
+    }
+    let _ = server.handle(&coder, NodeId(2), VidMsg::GotChunk { root });
+    // One Ready (node 2's) is below the f + 1 = 2 amplification line.
+    assert!(server
+        .handle(&coder, NodeId(2), VidMsg::ReadyAsGot)
+        .is_empty());
+    // Node 1's GotChunk lands: its held Ready counts now, reaching f + 1.
+    let effs = server.handle(&coder, NodeId(1), VidMsg::GotChunk { root });
+    assert_eq!(broadcasts(&effs), [VidMsg::Ready { root }]);
+    // Once: neither a repeat of its GotChunk nor of its Ready adds a vote,
+    // so 2f + 1 = 3 needs a third sender.
+    let mut effs = server.handle(&coder, NodeId(1), VidMsg::GotChunk { root });
+    effs.extend(server.handle(&coder, NodeId(1), VidMsg::ReadyAsGot));
+    effs.extend(server.handle(&coder, NodeId(1), VidMsg::Ready { root }));
+    assert!(effs.is_empty(), "{effs:?}");
+    assert_eq!(server.completed(), None);
+    let effs = server.handle(&coder, NodeId(3), VidMsg::Ready { root });
+    assert!(effs.contains(&VidEffect::Complete(root)));
+}
+
+#[test]
+fn a_restored_server_sends_ready_with_its_root() {
+    // The crash may have beaten the restored chunk's GotChunk to the wire,
+    // so no peer can be assumed to know the root from it.
+    let (n, f) = (4, 1);
+    let coder = RealCoder::new(n, f);
+    let enc = coder.encode(&block(64));
+    let root = enc.root;
+    let (payload, proof) = enc.chunks[0].clone();
+    let mut server: VidServer<RealCoder> = VidServer::new(NodeId(0), n, f);
+    server.restore(Some((root, payload, proof)), None);
+    let mut effs = Vec::new();
+    for i in 1..=3u16 {
+        effs.extend(server.handle(&coder, NodeId(i), VidMsg::GotChunk { root }));
+    }
+    assert_eq!(broadcasts(&effs), [VidMsg::Ready { root }]);
+}
+
+#[test]
+fn servers_answer_bare_requests_bare_and_proven_ones_with_the_proof() {
+    let (n, f) = (4, 1);
+    let coder = RealCoder::new(n, f);
+    let enc = coder.encode(&block(64));
+    let mut server: VidServer<RealCoder> = VidServer::new(NodeId(1), n, f);
+    let (bare, proven, upgraded) = (NodeId(7), NodeId(8), NodeId(9));
+    let _ = server.handle(&coder, bare, VidMsg::RequestChunk);
+    let _ = server.handle(&coder, proven, VidMsg::RequestProven);
+    // A proven request upgrades a pending bare one: one answer, proven.
+    let _ = server.handle(&coder, upgraded, VidMsg::RequestChunk);
+    let _ = server.handle(&coder, upgraded, VidMsg::RequestProven);
+    let (payload, proof) = enc.chunks[1].clone();
+    let chunk = VidMsg::Chunk {
+        root: enc.root,
+        proof,
+        payload,
+    };
+    let _ = server.handle(&coder, NodeId(0), chunk);
+    let mut effs = Vec::new();
+    for i in [0u16, 2, 3] {
+        effs.extend(server.handle(&coder, NodeId(i), VidMsg::Ready { root: enc.root }));
+    }
+    let sends: Vec<_> = effs
+        .iter()
+        .filter_map(|e| match e {
+            VidEffect::Send(to, m) => Some((*to, m.clone())),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(
+        sends,
+        [
+            (bare, bare_chunk(&enc, 1)),
+            (proven, return_chunk(&enc, 1)),
+            (upgraded, return_chunk(&enc, 1)),
+        ]
+    );
+}
+
+#[test]
+fn a_retriever_without_a_root_asks_with_proofs() {
+    let root = Hash::digest(b"r");
+    let (_, effects) = Retriever::<RealCoder>::start_targeted(4, None, [NodeId(1)]);
+    assert_eq!(effects, [VidEffect::Send(NodeId(1), VidMsg::RequestProven)]);
+    let (_, effects) = Retriever::<RealCoder>::start(4, true);
+    assert_eq!(requests(&effects), vec![0, 1, 2, 3]);
+    // With the root, the ask is bare, and so is its escalation.
+    let (mut retr, effects) = Retriever::<RealCoder>::start_targeted(4, Some(root), [NodeId(1)]);
+    assert_eq!(effects, [VidEffect::Send(NodeId(1), VidMsg::RequestChunk)]);
+    assert!(retr
+        .escalate()
+        .iter()
+        .all(|e| matches!(e, VidEffect::Send(_, VidMsg::RequestChunk))));
+    // Bare chunks are no use to a proven retrieval: dropped, though they
+    // do count as answers.
+    let coder = RealCoder::new(4, 1);
+    let enc = coder.encode(&block(100));
+    let (mut retr, _) = Retriever::<RealCoder>::start_targeted(4, None, (0..4).map(NodeId));
+    for i in 0..4 {
+        assert!(retr
+            .handle(&coder, NodeId(i), bare_chunk(&enc, i as usize))
+            .is_empty());
+    }
+    assert!(retr.result().is_none());
+    assert_eq!(retr.awaited().count(), 0);
+}
+
+#[test]
+fn optimistic_retrieval_decodes_bare_chunks_over_the_full_protocol() {
+    for seed in 0..10 {
+        let mut net = Net::new(7, 2, seed);
+        let b = block(3000);
+        net.disperse(NodeId(2), &b);
+        net.run();
+        let root = net.completes[0].expect("completed");
+        net.start_optimistic_retrieval(net.client_id(0), root);
+        net.run();
+        assert_eq!(net.results[0], Some(Retrieved::Block(b)), "seed {seed}");
+        assert!(!net.retrievers[0].1.escalated(), "seed {seed}: fell back");
+    }
+}
+
+#[test]
+fn a_lying_server_costs_a_fall_back_not_a_wrong_block() {
+    // N = 7, f = 2, k = 3. Servers 0 and 1 answer with wrong bytes of the
+    // right length; 2 is honest. The re-encoding misses the root, so the
+    // retrieval asks everyone again, with proofs, and decodes from those.
+    let (n, f) = (7, 2);
+    let coder = RealCoder::new(n, f);
+    let b = block(2000);
+    let enc = coder.encode(&b);
+    let (mut retr, _) =
+        Retriever::<RealCoder>::start_targeted(n, Some(enc.root), (0..4).map(NodeId));
+    assert!(retr
+        .handle(&coder, NodeId(0), lying_chunk(&enc, 0))
+        .is_empty());
+    assert!(retr
+        .handle(&coder, NodeId(2), bare_chunk(&enc, 2))
+        .is_empty());
+    let effects = retr.handle(&coder, NodeId(1), lying_chunk(&enc, 1));
+    assert_eq!(requests(&effects), (0..n as u16).collect::<Vec<_>>());
+    assert!(retr.escalated() && retr.result().is_none());
+    // Server 3 owed its bare answer and was asked again; the three that
+    // answered were asked afresh.
+    assert!(retr.reasks(NodeId(3)) && !retr.reasks(NodeId(0)) && !retr.reasks(NodeId(4)));
+    // A late bare answer is dropped; proven chunks decode.
+    assert!(retr
+        .handle(&coder, NodeId(3), bare_chunk(&enc, 3))
+        .is_empty());
+    for i in [4usize, 5] {
+        assert!(retr
+            .handle(&coder, NodeId(i as u16), return_chunk(&enc, i))
+            .is_empty());
+    }
+    let effects = retr.handle(&coder, NodeId(6), return_chunk(&enc, 6));
+    assert_eq!(effects[0], VidEffect::Retrieved(Retrieved::Block(b)));
+    assert_eq!(cancels(&effects), vec![0, 1, 2]);
+    // A synthetic payload is no codeword either, and never a panic.
+    let (mut retr, _) =
+        Retriever::<RealCoder>::start_targeted(n, Some(enc.root), (0..3).map(NodeId));
+    let synthetic = VidMsg::ReturnBare {
+        payload: dl_wire::ChunkPayload::Synthetic { len: 10 },
+    };
+    let _ = retr.handle(&coder, NodeId(0), synthetic);
+    let _ = retr.handle(&coder, NodeId(1), bare_chunk(&enc, 1));
+    let effects = retr.handle(&coder, NodeId(2), bare_chunk(&enc, 2));
+    assert_eq!(requests(&effects).len(), n);
+}
+
+#[test]
+fn inconsistent_encoding_yields_bad_uploader_through_mismatch_then_proofs() {
+    // Every retriever knows the committed root and starts optimistic; the
+    // bare chunks cannot re-encode to it, so each falls back, and the
+    // proven path yields the same BadUploader at every retriever.
+    for seed in 0..10 {
+        let mut net = Net::new(4, 1, seed);
+        if seed % 2 == 0 {
+            net.disperse_inconsistent(NodeId(0), seed);
+        } else {
+            let chunks = unequal_chunks(&net.coder, 16);
+            net.disperse_chunks(NodeId(0), &chunks);
+        }
+        net.run();
+        let root = net.completes[1].expect("completes");
+        for c in 0..3 {
+            net.start_optimistic_retrieval(net.client_id(c), root);
+        }
+        net.run();
+        for (c, (_, retr)) in net.retrievers.iter().enumerate() {
+            assert_eq!(
+                net.results[c],
+                Some(Retrieved::BadUploader),
+                "seed {seed} client {c}"
+            );
+            assert!(retr.escalated(), "seed {seed} client {c}: never fell back");
+        }
+    }
 }

@@ -21,12 +21,12 @@ pub const FRAME_OVERHEAD: usize = 5;
 #[derive(Clone, Copy, PartialEq, Eq, Debug, PartialOrd, Ord, Hash)]
 pub enum TrafficClass {
     /// Chunk dispersal, GotChunk/Ready votes, BA messages, and the
-    /// retrieval *control* messages (`RequestChunk`, `Cancel`) —
+    /// retrieval *control* messages (the requests and `Cancel`) —
     /// everything a node needs to participate in agreement or to steer a
     /// retrieval. High priority.
     Dispersal,
-    /// `ReturnChunk` bulk for the given epoch: the only low-priority
-    /// traffic. Earlier epochs first.
+    /// `ReturnChunk` and `ReturnBare` bulk for the given epoch: the only
+    /// low-priority traffic. Earlier epochs first.
     Retrieval(Epoch),
 }
 
@@ -112,14 +112,28 @@ pub enum VidMsg {
     GotChunk { root: Hash },
     /// Server broadcast: ready to complete dispersal of root `r`.
     Ready { root: Hash },
-    /// Retriever → servers: please send your chunk (Fig. 4).
+    /// Server broadcast: `Ready` for the root our own `GotChunk` named. That
+    /// `GotChunk` went out earlier on every link, so the root crosses each
+    /// link once; a receiver reads this as `Ready` for the sender's
+    /// `GotChunk` root.
+    ReadyAsGot,
+    /// Retriever → servers: please send your chunk (Fig. 4), payload only.
+    /// The retriever already knows the root and checks the re-encoding.
     RequestChunk,
-    /// Server → retriever: chunk + proof under the completed root.
+    /// Retriever → servers: please send your chunk with its root and Merkle
+    /// proof — the proven path, for a retriever that does not know the root
+    /// or whose bare chunks failed the re-encoding check.
+    RequestProven,
+    /// Server → retriever: chunk + proof under the completed root, the
+    /// answer to [`VidMsg::RequestProven`].
     ReturnChunk {
         root: Hash,
         proof: MerkleProof,
         payload: ChunkPayload,
     },
+    /// Server → retriever: the chunk alone, the answer to
+    /// [`VidMsg::RequestChunk`]. Its index is the sender's id.
+    ReturnBare { payload: ChunkPayload },
     /// Retriever → servers: block decoded, stop sending chunks. This is the
     /// §6.3 optimization ("a node notifies others when it has decoded a
     /// block").
@@ -181,13 +195,17 @@ impl ProtoMsg {
             ProtoMsg::Ba(BaMsg::Term { value }) => 10 + *value as u8,
             ProtoMsg::Sync(SyncMsg::Request) => 12,
             ProtoMsg::Sync(SyncMsg::Outcome { .. }) => 13,
+            ProtoMsg::Vid(VidMsg::ReadyAsGot) => 14,
+            ProtoMsg::Vid(VidMsg::RequestProven) => 15,
+            ProtoMsg::Vid(VidMsg::ReturnBare { .. }) => 16,
         }
     }
 }
 
-/// `kind u8 · fields`: a chunk is `root · proof · payload`, a `GotChunk` or
-/// `Ready` its root, a `BVal` or `Aux` its `varint round`, an `Outcome` a
-/// bitmap; the other kinds have no fields.
+/// `kind u8 · fields`: a chunk is `root · proof · payload`, a bare
+/// `ReturnBare` its payload, a `GotChunk` or `Ready` its root, a `BVal` or
+/// `Aux` its `varint round`, an `Outcome` a bitmap; the other kinds have no
+/// fields.
 impl WireEncodeSegmented for ProtoMsg {
     fn encode_segments(&self, out: &mut SegmentBuf) {
         let head = out.head_mut();
@@ -209,12 +227,15 @@ impl WireEncodeSegmented for ProtoMsg {
                 proof.encode(head);
                 payload.encode_segments(out);
             }
+            ProtoMsg::Vid(VidMsg::ReturnBare { payload }) => payload.encode_segments(out),
             ProtoMsg::Vid(VidMsg::GotChunk { root } | VidMsg::Ready { root }) => root.encode(head),
             ProtoMsg::Ba(BaMsg::BVal { round, .. } | BaMsg::Aux { round, .. }) => {
                 put_varint(head, (*round).into())
             }
             ProtoMsg::Sync(SyncMsg::Outcome { committed }) => put_bitmap(head, committed),
-            ProtoMsg::Vid(VidMsg::RequestChunk | VidMsg::Cancel)
+            ProtoMsg::Vid(
+                VidMsg::ReadyAsGot | VidMsg::RequestChunk | VidMsg::RequestProven | VidMsg::Cancel,
+            )
             | ProtoMsg::Ba(BaMsg::Term { .. })
             | ProtoMsg::Sync(SyncMsg::Request) => {}
         }
@@ -242,6 +263,7 @@ impl WireEncode for ProtoMsg {
                     payload,
                 },
             ) => root.encoded_len() + proof.encoded_len() + payload.encoded_len(),
+            ProtoMsg::Vid(VidMsg::ReturnBare { payload }) => payload.encoded_len(),
             ProtoMsg::Vid(VidMsg::GotChunk { root } | VidMsg::Ready { root }) => root.encoded_len(),
             ProtoMsg::Ba(BaMsg::BVal { round, .. } | BaMsg::Aux { round, .. }) => {
                 varint_len((*round).into())
@@ -249,7 +271,9 @@ impl WireEncode for ProtoMsg {
             ProtoMsg::Sync(SyncMsg::Outcome { committed }) => {
                 varint_len(committed.len() as u64) + committed.len().div_ceil(8)
             }
-            ProtoMsg::Vid(VidMsg::RequestChunk | VidMsg::Cancel)
+            ProtoMsg::Vid(
+                VidMsg::ReadyAsGot | VidMsg::RequestChunk | VidMsg::RequestProven | VidMsg::Cancel,
+            )
             | ProtoMsg::Ba(BaMsg::Term { .. })
             | ProtoMsg::Sync(SyncMsg::Request) => 0,
         }
@@ -299,6 +323,11 @@ impl WireDecode for ProtoMsg {
             12 => ProtoMsg::Sync(SyncMsg::Request),
             13 => ProtoMsg::Sync(SyncMsg::Outcome {
                 committed: read_bitmap(buf)?,
+            }),
+            14 => ProtoMsg::Vid(VidMsg::ReadyAsGot),
+            15 => ProtoMsg::Vid(VidMsg::RequestProven),
+            16 => ProtoMsg::Vid(VidMsg::ReturnBare {
+                payload: ChunkPayload::decode(buf)?,
             }),
             _ => return Err(CodecError::InvalidValue("message kind")),
         })
@@ -362,14 +391,16 @@ impl Envelope {
         }
     }
 
-    /// Traffic class for prioritization (§5): `ReturnChunk` bulk is low
-    /// priority keyed by epoch; everything else rides the high-priority
-    /// class. That includes the 8-byte `RequestChunk` and `Cancel`: parked
+    /// Traffic class for prioritization (§5): `ReturnChunk` and `ReturnBare`
+    /// bulk is low priority keyed by epoch; everything else rides the
+    /// high-priority class. That includes the 8-byte requests and `Cancel`: parked
     /// behind seconds of queued chunks, a request starts its chunk late
     /// and a cancel arrives after the chunk it was meant to stop.
     pub fn class(&self) -> TrafficClass {
         match &self.payload {
-            ProtoMsg::Vid(VidMsg::ReturnChunk { .. }) => TrafficClass::Retrieval(self.epoch),
+            ProtoMsg::Vid(VidMsg::ReturnChunk { .. } | VidMsg::ReturnBare { .. }) => {
+                TrafficClass::Retrieval(self.epoch)
+            }
             _ => TrafficClass::Dispersal,
         }
     }
@@ -444,10 +475,15 @@ mod tests {
             },
             VidMsg::GotChunk { root },
             VidMsg::Ready { root },
+            VidMsg::ReadyAsGot,
             VidMsg::RequestChunk,
+            VidMsg::RequestProven,
             VidMsg::ReturnChunk {
                 root,
                 proof: proof(),
+                payload: ChunkPayload::Real(Bytes::from(vec![7u8; 5])),
+            },
+            VidMsg::ReturnBare {
                 payload: ChunkPayload::Real(Bytes::from(vec![7u8; 5])),
             },
             VidMsg::Cancel,
@@ -521,11 +557,19 @@ mod tests {
             VidMsg::ReturnChunk {
                 root,
                 proof,
-                payload: synthetic,
+                payload: synthetic.clone(),
+            },
+            VidMsg::ReturnBare {
+                payload: synthetic.clone(),
+            },
+            VidMsg::ReturnBare {
+                payload: ChunkPayload::Real(Bytes::from(vec![5u8; len])),
             },
             VidMsg::GotChunk { root },
             VidMsg::Ready { root },
+            VidMsg::ReadyAsGot,
             VidMsg::RequestChunk,
+            VidMsg::RequestProven,
             VidMsg::Cancel,
         ]
         .into_iter()
@@ -562,7 +606,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(kinds.len(), 14, "the envelope kinds");
+        assert_eq!(kinds.len(), 17, "the envelope kinds");
         for (index, leaf_count) in [(0, 1), (1, 127), (126, 127), (127, 128), (128, 129)] {
             for len in [0, 127, 128, 16_383, 16_384] {
                 for env in every_kind(5, 1, 1, proof(index, leaf_count), len) {
@@ -645,7 +689,7 @@ mod tests {
         let mut huge = vec![0, 0, 13];
         crate::codec::put_varint(&mut huge, u64::MAX);
         rejected(&huge, CodecError::LengthOverflow);
-        rejected(&[0, 0, 14], CodecError::InvalidValue("message kind"));
+        rejected(&[0, 0, 17], CodecError::InvalidValue("message kind"));
     }
 
     #[test]
@@ -670,8 +714,16 @@ mod tests {
             },
         );
         assert_eq!(ret.class(), TrafficClass::Retrieval(Epoch(2)));
+        let bare = Envelope::vid(
+            Epoch(2),
+            NodeId(0),
+            VidMsg::ReturnBare {
+                payload: ChunkPayload::Synthetic { len: 100 },
+            },
+        );
+        assert_eq!(bare.class(), TrafficClass::Retrieval(Epoch(2)));
         // Retrieval *control* must not queue behind retrieval bulk.
-        for ctl in [VidMsg::RequestChunk, VidMsg::Cancel] {
+        for ctl in [VidMsg::RequestChunk, VidMsg::RequestProven, VidMsg::Cancel] {
             let env = Envelope::vid(Epoch(2), NodeId(0), ctl);
             assert_eq!(env.class(), TrafficClass::Dispersal);
         }
@@ -721,8 +773,72 @@ mod tests {
         }
         assert_eq!(size(ProtoMsg::Vid(VidMsg::GotChunk { root })), 40);
         assert_eq!(size(ProtoMsg::Vid(VidMsg::Ready { root })), 40);
+        // The root crosses a link once: a `Ready` after our `GotChunk`
+        // names none.
+        assert_eq!(size(ProtoMsg::Vid(VidMsg::ReadyAsGot)), 8);
         assert_eq!(size(ProtoMsg::Vid(VidMsg::RequestChunk)), 8);
+        assert_eq!(size(ProtoMsg::Vid(VidMsg::RequestProven)), 8);
         assert_eq!(size(ProtoMsg::Vid(VidMsg::Cancel)), 8);
+        // At N = 32 a proven 50-byte chunk carries a 32-byte root and a
+        // five-hash path (1 + 1 + 160 bytes of proof); a bare one, none.
+        let payload = ChunkPayload::Real(Bytes::from(vec![1u8; 50]));
+        let proof = MerkleProof {
+            index: 31,
+            leaf_count: 32,
+            path: vec![root; 5],
+        };
+        let proven = ProtoMsg::Vid(VidMsg::ReturnChunk {
+            root,
+            proof,
+            payload: payload.clone(),
+        });
+        assert_eq!(size(proven), 8 + 32 + 162 + 52);
+        assert_eq!(size(ProtoMsg::Vid(VidMsg::ReturnBare { payload })), 8 + 52);
+    }
+
+    #[test]
+    fn the_new_kinds_decode_strictly() {
+        // ReadyAsGot (14) and RequestProven (15) have no fields: a trailing
+        // byte is an error, as is a root after them.
+        assert_eq!(
+            Envelope::from_bytes(&[0, 0, 14]).unwrap(),
+            Envelope::vid(Epoch(0), NodeId(0), VidMsg::ReadyAsGot)
+        );
+        assert_eq!(
+            Envelope::from_bytes(&[0, 0, 15]).unwrap(),
+            Envelope::vid(Epoch(0), NodeId(0), VidMsg::RequestProven)
+        );
+        for kind in [14, 15] {
+            assert!(Envelope::from_bytes(&[0, 0, kind, 0]).is_err(), "{kind}");
+            let mut with_root = vec![0, 0, kind];
+            with_root.extend_from_slice(&Hash::digest(b"r").0);
+            assert!(Envelope::from_bytes(&with_root).is_err(), "{kind}");
+        }
+        // ReturnBare (16) is `payload` alone: tag, varint length, bytes.
+        assert_eq!(
+            Envelope::from_bytes(&[0, 0, 16, 0, 2, 7, 9]).unwrap(),
+            Envelope::vid(
+                Epoch(0),
+                NodeId(0),
+                VidMsg::ReturnBare {
+                    payload: ChunkPayload::Real(Bytes::from(vec![7, 9])),
+                }
+            )
+        );
+        rejected(&[0, 0, 16], CodecError::UnexpectedEnd);
+        rejected(&[0, 0, 16, 0, 3, 7, 9], CodecError::UnexpectedEnd);
+        assert!(
+            Envelope::from_bytes(&[0, 0, 16, 0, 1, 7, 9]).is_err(),
+            "trailing byte"
+        );
+        rejected(
+            &[0, 0, 16, 1, 2, 0, 7],
+            CodecError::InvalidValue("synthetic payload"),
+        );
+        rejected(&[0, 0, 16, 2, 0], CodecError::InvalidValue("payload tag"));
+        let mut huge = vec![0, 0, 16, 0];
+        crate::codec::put_varint(&mut huge, crate::codec::MAX_FIELD_LEN as u64 + 1);
+        rejected(&huge, CodecError::LengthOverflow);
     }
 
     #[test]
