@@ -20,7 +20,7 @@
 //! byte-stable across runs and platforms.
 
 use dl_crypto::{Hash, MerkleProof};
-use dl_wire::codec::{read_u8, WireDecode, WireEncode};
+use dl_wire::codec::{read_u8, Sink, WireDecode, WireEncode};
 use dl_wire::{Block, ChunkPayload, CodecError, Epoch, NodeId};
 
 /// One durable state transition of a node.
@@ -89,25 +89,7 @@ impl StoreRecord {
 }
 
 impl WireEncode for StoreRecord {
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            StoreRecord::Chunk {
-                root,
-                proof,
-                payload,
-                ..
-            } => 8 + 2 + root.encoded_len() + proof.encoded_len() + payload.encoded_len(),
-            StoreRecord::Completed { root, .. } => 8 + 2 + root.encoded_len(),
-            StoreRecord::Proposed { .. } => 8 + 1 + 8,
-            StoreRecord::Decided { .. } => 8 + 2 + 1,
-            StoreRecord::Delivered { block, .. } => {
-                8 + 2 + 1 + 1 + block.as_ref().map_or(0, |b| b.encoded_len())
-            }
-            StoreRecord::EpochDelivered { .. } => 8,
-        }
-    }
-
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode_to(&self, out: &mut impl Sink) {
         match self {
             StoreRecord::Chunk {
                 epoch,
@@ -116,38 +98,38 @@ impl WireEncode for StoreRecord {
                 proof,
                 payload,
             } => {
-                buf.push(Self::TAG_CHUNK);
-                epoch.0.encode(buf);
-                index.0.encode(buf);
-                root.encode(buf);
-                proof.encode(buf);
-                payload.encode(buf);
+                out.put_u8(Self::TAG_CHUNK);
+                epoch.0.encode_to(out);
+                index.0.encode_to(out);
+                root.encode_to(out);
+                proof.encode_to(out);
+                payload.encode_to(out);
             }
             StoreRecord::Completed { epoch, index, root } => {
-                buf.push(Self::TAG_COMPLETED);
-                epoch.0.encode(buf);
-                index.0.encode(buf);
-                root.encode(buf);
+                out.put_u8(Self::TAG_COMPLETED);
+                epoch.0.encode_to(out);
+                index.0.encode_to(out);
+                root.encode_to(out);
             }
             StoreRecord::Proposed {
                 epoch,
                 nonempty,
                 payload_bytes,
             } => {
-                buf.push(Self::TAG_PROPOSED);
-                epoch.0.encode(buf);
-                nonempty.encode(buf);
-                payload_bytes.encode(buf);
+                out.put_u8(Self::TAG_PROPOSED);
+                epoch.0.encode_to(out);
+                nonempty.encode_to(out);
+                payload_bytes.encode_to(out);
             }
             StoreRecord::Decided {
                 epoch,
                 index,
                 value,
             } => {
-                buf.push(Self::TAG_DECIDED);
-                epoch.0.encode(buf);
-                index.0.encode(buf);
-                value.encode(buf);
+                out.put_u8(Self::TAG_DECIDED);
+                epoch.0.encode_to(out);
+                index.0.encode_to(out);
+                value.encode_to(out);
             }
             StoreRecord::Delivered {
                 epoch,
@@ -155,21 +137,18 @@ impl WireEncode for StoreRecord {
                 via_link,
                 block,
             } => {
-                buf.push(Self::TAG_DELIVERED);
-                epoch.0.encode(buf);
-                proposer.0.encode(buf);
-                via_link.encode(buf);
-                match block {
-                    Some(b) => {
-                        buf.push(1);
-                        b.encode(buf);
-                    }
-                    None => buf.push(0),
+                out.put_u8(Self::TAG_DELIVERED);
+                epoch.0.encode_to(out);
+                proposer.0.encode_to(out);
+                via_link.encode_to(out);
+                block.is_some().encode_to(out);
+                if let Some(b) = block {
+                    b.encode_to(out);
                 }
             }
             StoreRecord::EpochDelivered { epoch } => {
-                buf.push(Self::TAG_EPOCH_DELIVERED);
-                epoch.0.encode(buf);
+                out.put_u8(Self::TAG_EPOCH_DELIVERED);
+                epoch.0.encode_to(out);
             }
         }
     }

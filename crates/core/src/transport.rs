@@ -34,7 +34,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use dl_wire::{Envelope, Epoch, NodeId, ProtoMsg, TrafficClass, VidMsg, FRAME_OVERHEAD};
+use dl_wire::{Envelope, Epoch, NodeId, ProtoMsg, TrafficClass, VidMsg, FRAME_HEADER_LEN};
 
 /// One transmission unit of a [`SendQueue`]: a whole envelope, or a run of
 /// bytes of the `ReturnChunk` at the head of the low class.
@@ -54,7 +54,7 @@ impl Segment {
     /// header. A whole envelope's is its [`Envelope::wire_size`]; cutting
     /// one into `s` segments costs `s − 1` headers more.
     pub fn wire_bytes(&self) -> usize {
-        self.len + FRAME_OVERHEAD
+        self.len + FRAME_HEADER_LEN
     }
 }
 
@@ -113,11 +113,11 @@ impl SendQueue {
             self.len -= 1;
             return Some(Segment {
                 offset: 0,
-                len: size - FRAME_OVERHEAD,
+                len: size - FRAME_HEADER_LEN,
                 env: Some(env),
             });
         }
-        let room = max_bytes.checked_sub(FRAME_OVERHEAD).filter(|&r| r > 0)?;
+        let room = max_bytes.checked_sub(FRAME_HEADER_LEN).filter(|&r| r > 0)?;
         if self.open.is_none() {
             let mut entry = self.retrieval.first_entry()?;
             let env = entry.get_mut().pop_front().expect("no empty buckets");
@@ -128,7 +128,7 @@ impl SendQueue {
         }
         let (env, sent) = self.open.as_mut().expect("opened above");
         let offset = *sent;
-        let left = env.wire_size() - FRAME_OVERHEAD - offset;
+        let left = env.wire_size() - FRAME_HEADER_LEN - offset;
         if left > room {
             *sent += room;
             self.bytes -= room;
@@ -138,7 +138,7 @@ impl SendQueue {
                 env: None,
             });
         }
-        self.bytes -= left + FRAME_OVERHEAD;
+        self.bytes -= left + FRAME_HEADER_LEN;
         self.len -= 1;
         Some(Segment {
             offset,
@@ -343,11 +343,11 @@ mod tests {
     fn a_budget_without_room_for_bulk_hands_out_the_high_class_only() {
         let mut q = SendQueue::new();
         q.push(return_chunk(1, 0));
-        assert_eq!(q.pop_segment(FRAME_OVERHEAD), None);
+        assert_eq!(q.pop_segment(FRAME_HEADER_LEN), None);
         assert!(!q.is_empty(), "the chunk is still queued");
         q.push(dispersal(1));
         assert_eq!(q.pop_segment(0).and_then(|s| s.env), Some(dispersal(1)));
-        let seg = q.pop_segment(FRAME_OVERHEAD + 1).expect("one byte fits");
+        let seg = q.pop_segment(FRAME_HEADER_LEN + 1).expect("one byte fits");
         assert_eq!((seg.offset, seg.len, seg.env), (0, 1, None));
     }
 
@@ -397,7 +397,7 @@ mod tests {
         // A partial send takes its bytes off the count and leaves the
         // envelope on it; what is left includes one header for the rest.
         let seg = q.pop_segment(100).expect("bulk queued");
-        assert_eq!(seg.len, 100 - FRAME_OVERHEAD);
+        assert_eq!(seg.len, 100 - FRAME_HEADER_LEN);
         let left = 3 * chunk.wire_size() - seg.len;
         assert_eq!((q.len(), q.queued_bytes()), (3, left));
         // The cancel takes the unsent remainder and the queued copy.
@@ -529,7 +529,7 @@ mod tests {
                         match seg.env {
                             Some(env) => {
                                 assert_eq!(seg.offset + seg.len, env.encoded_len());
-                                bytes_out += FRAME_OVERHEAD;
+                                bytes_out += FRAME_HEADER_LEN;
                                 let at = pushed.iter().position(|p| *p == env);
                                 pushed.remove(at.expect("handed over once"));
                                 if !high {

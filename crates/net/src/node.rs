@@ -584,7 +584,7 @@ fn writer_loop(addr: SocketAddr, outbox: Arc<Outbox>, shared: Arc<Shared>, cfg: 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dl_wire::VidMsg;
+    use dl_wire::{Sink, VidMsg};
 
     #[test]
     fn write_segments_handles_partial_vectored_writes() {
@@ -603,9 +603,9 @@ mod tests {
         }
 
         let mut buf = SegmentBuf::new();
-        buf.head_mut().extend_from_slice(b"header");
+        buf.put(b"header");
         buf.put_shared(&bytes::Bytes::from(vec![7u8; 200]));
-        buf.head_mut().extend_from_slice(b"tail");
+        buf.put(b"tail");
         let mut sink = Dribble(Vec::new());
         write_segments(&mut sink, &buf).unwrap();
         assert_eq!(sink.0, buf.to_vec());

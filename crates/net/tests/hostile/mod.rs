@@ -79,11 +79,8 @@ impl HostilePeer {
 pub fn send_envelopes(addr: SocketAddr, hello_as: u16, envs: &[Envelope]) -> io::Result<()> {
     let mut stream = TcpStream::connect(addr)?;
     stream.write_all(&hello_as.to_le_bytes())?;
-    let mut bytes = Vec::new();
     for env in envs {
-        bytes.clear();
-        encode_frame(env).copy_into(&mut bytes);
-        stream.write_all(&bytes)?;
+        stream.write_all(&encode_frame(env).to_vec())?;
     }
     stream.flush()
 }

@@ -217,8 +217,8 @@ mod tests {
             let enc_r = dl_vid::Coder::encode(&real, &BlockCoder::pack(&real, &block));
             assert_eq!(enc_f.chunks.len(), enc_r.chunks.len());
             for (i, (f, r)) in enc_f.chunks.into_iter().zip(enc_r.chunks).enumerate() {
-                seen.insert(f.0.chunk_len());
-                assert_eq!(f.0.chunk_len(), r.0.chunk_len(), "tx {len}: chunk {i}");
+                seen.insert(f.0.len());
+                assert_eq!(f.0.len(), r.0.len(), "tx {len}: chunk {i}");
                 let env = |(payload, proof), root| {
                     let msg = dl_wire::VidMsg::Chunk {
                         root,

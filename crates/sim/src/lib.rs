@@ -86,7 +86,9 @@ use dl_core::{
     RealBlockCoder, SendQueue, StatEvent, StoreRecord,
 };
 use dl_store::{ChainStore, MemoryStore};
-use dl_wire::{ClusterConfig, Envelope, Epoch, NodeId, Tx, WireDecode, WireEncode, FRAME_OVERHEAD};
+use dl_wire::{
+    ClusterConfig, Envelope, Epoch, NodeId, Tx, WireDecode, WireEncode, FRAME_HEADER_LEN,
+};
 
 use adversary::Adversary;
 pub use chaos::{
@@ -307,7 +309,7 @@ const FRAME_QUANTUM_MS: u64 = 1;
 /// No frame budget is smaller than this, so a continuation header is never
 /// more than a twentieth of its segment — and a link slower than a header
 /// per millisecond still moves bulk.
-const FRAME_BYTES_MIN: u64 = 20 * FRAME_OVERHEAD as u64;
+const FRAME_BYTES_MIN: u64 = 20 * FRAME_HEADER_LEN as u64;
 
 impl Link {
     /// Bytes of one frame: a whole number of milliseconds of the link's

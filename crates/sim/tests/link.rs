@@ -14,7 +14,7 @@ use std::rc::Rc;
 use dl_core::{EffectSink, Engine, ProtocolVariant};
 use dl_crypto::{Hash, MerkleProof};
 use dl_sim::{LinkSpec, SimConfig, Simulation};
-use dl_wire::{ChunkPayload, Envelope, Epoch, NodeId, Tx, VidMsg, FRAME_OVERHEAD};
+use dl_wire::{ChunkPayload, Envelope, Epoch, NodeId, Tx, VidMsg, FRAME_HEADER_LEN};
 
 const LATENCY_MS: u64 = 20;
 /// The `vbw-*` workloads' floor: a 25 kB chunk holds this link for 250 ms.
@@ -25,7 +25,7 @@ const SLOW: LinkSpec = LinkSpec {
 /// Milliseconds of link a frame carries (`dl-sim`'s private quantum).
 const Q_MS: u64 = 1;
 /// Bytes of an envelope's encoding one full [`SLOW`] frame carries.
-const SLOW_FRAME_BODY: u64 = SLOW.bytes_per_ms * Q_MS - FRAME_OVERHEAD as u64;
+const SLOW_FRAME_BODY: u64 = SLOW.bytes_per_ms * Q_MS - FRAME_HEADER_LEN as u64;
 const CHUNK_BYTES: u32 = 25_000;
 const SENDER: usize = 0;
 const RECEIVER: usize = 1;
@@ -215,9 +215,9 @@ fn a_rate_re_drawn_mid_chunk_governs_the_chunks_next_frame() {
     // Frames begun at 0..=10 ms carried 100 bytes each, header included;
     // the rest goes at 2000 a millisecond from 11 ms on. A chunk that held
     // the link at its opening rate would arrive at 271 ms.
-    let body = (chunk(7).wire_size() - FRAME_OVERHEAD) as u64;
+    let body = (chunk(7).wire_size() - FRAME_HEADER_LEN) as u64;
     let left = body - 11 * SLOW_FRAME_BODY;
-    let fast_frames = left.div_ceil(fast.bytes_per_ms * Q_MS - FRAME_OVERHEAD as u64);
+    let fast_frames = left.div_ceil(fast.bytes_per_ms * Q_MS - FRAME_HEADER_LEN as u64);
     assert_eq!(
         *log.borrow(),
         vec![(11 + fast_frames * Q_MS + LATENCY_MS, chunk(7))]

@@ -363,7 +363,7 @@ fn unequal_length_chunks_decode_to_bad_uploader_for_every_subset() {
         let coder = RealCoder::new(n, f);
         let k = coder.data_chunks();
         let enc = commit(&unequal_chunks(&coder, 16));
-        let lens: Vec<usize> = enc.chunks.iter().map(|(p, _)| p.chunk_len()).collect();
+        let lens: Vec<usize> = enc.chunks.iter().map(|(p, _)| p.len()).collect();
         assert!(lens[1] == lens[0] + 2 && lens[2..].iter().all(|&l| l == lens[0]));
         // Every ordered k-subset: the k base-n digits of `code`, distinct.
         let mut drawn = 0;
@@ -602,7 +602,7 @@ fn retriever_groups_by_root() {
 
     // Bogus root from server 0 (self-consistent Merkle tree over garbage).
     let garbage: Vec<Vec<u8>> = (0..n)
-        .map(|i| vec![i as u8; enc.chunks[0].0.chunk_len()])
+        .map(|i| vec![i as u8; enc.chunks[0].0.len()])
         .collect();
     let gt = dl_crypto::MerkleTree::build(&garbage);
     let effs = retr.handle(

@@ -12,12 +12,9 @@
 //! materialized bytes — which the simulator's fluid mode uses to avoid
 //! shuffling gigabytes through memory while still charging exact wire bytes.
 
-use crate::codec::{
-    payload_len, put_payload_head, put_varint, read_len, read_payload, read_varint, varint_len,
-    CodecError, WireDecode, WireEncode,
-};
+use crate::codec::{read_len, read_varint, CodecError, Sink, WireDecode, WireEncode};
 use crate::config::{Epoch, NodeId};
-use bytes::Bytes;
+use crate::msg::ChunkPayload;
 
 /// A client transaction.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -29,28 +26,12 @@ pub struct Tx {
     /// Submission time, milliseconds on the driver's clock.
     pub submit_ms: u64,
     /// Payload bytes (real or declared-length synthetic).
-    pub payload: TxPayload,
+    pub payload: ChunkPayload,
 }
 
-/// Transaction payload.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum TxPayload {
-    Real(Bytes),
-    Synthetic { len: u32 },
-}
-
-impl TxPayload {
-    pub fn len(&self) -> usize {
-        match self {
-            TxPayload::Real(b) => b.len(),
-            TxPayload::Synthetic { len } => *len as usize,
-        }
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
+/// Transaction payload: the same bytes, encoding and strict decode as a
+/// chunk's. The benchmark harness names it.
+pub type TxPayload = ChunkPayload;
 
 impl Tx {
     /// A synthetic transaction of `len` payload bytes.
@@ -59,7 +40,7 @@ impl Tx {
             origin,
             seq,
             submit_ms,
-            payload: TxPayload::Synthetic { len },
+            payload: ChunkPayload::Synthetic { len },
         }
     }
 
@@ -71,26 +52,11 @@ impl Tx {
 
 /// `varint origin · varint seq · varint submit_ms · payload`.
 impl WireEncode for Tx {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        put_varint(buf, self.origin.0.into());
-        put_varint(buf, self.seq);
-        put_varint(buf, self.submit_ms);
-        match &self.payload {
-            TxPayload::Real(b) => {
-                put_payload_head(buf, false, b.len());
-                buf.extend_from_slice(b);
-            }
-            TxPayload::Synthetic { len } => {
-                put_payload_head(buf, true, *len as usize);
-                buf.extend(std::iter::repeat_n(0u8, *len as usize));
-            }
-        }
-    }
-    fn encoded_len(&self) -> usize {
-        varint_len(self.origin.0.into())
-            + varint_len(self.seq)
-            + varint_len(self.submit_ms)
-            + payload_len(self.payload.len())
+    fn encode_to(&self, out: &mut impl Sink) {
+        out.put_varint(self.origin.0.into());
+        out.put_varint(self.seq);
+        out.put_varint(self.submit_ms);
+        self.payload.encode_to(out);
     }
 }
 
@@ -99,12 +65,7 @@ impl WireDecode for Tx {
         let origin = NodeId(read_varint(buf)?);
         let seq = read_varint(buf)?;
         let submit_ms = read_varint(buf)?;
-        let payload = match read_payload(buf)? {
-            (true, zeros) => TxPayload::Synthetic {
-                len: zeros.len() as u32,
-            },
-            (false, bytes) => TxPayload::Real(Bytes::copy_from_slice(bytes)),
-        };
+        let payload = ChunkPayload::decode(buf)?;
         Ok(Tx {
             origin,
             seq,
@@ -126,19 +87,13 @@ pub struct BlockHeader {
 
 /// `varint epoch · varint proposer · varint N · N × varint V[j]`.
 impl WireEncode for BlockHeader {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        put_varint(buf, self.epoch.0);
-        put_varint(buf, self.proposer.0.into());
-        put_varint(buf, self.v_array.len() as u64);
+    fn encode_to(&self, out: &mut impl Sink) {
+        out.put_varint(self.epoch.0);
+        out.put_varint(self.proposer.0.into());
+        out.put_varint(self.v_array.len() as u64);
         for &v in &self.v_array {
-            put_varint(buf, v);
+            out.put_varint(v);
         }
-    }
-    fn encoded_len(&self) -> usize {
-        varint_len(self.epoch.0)
-            + varint_len(self.proposer.0.into())
-            + varint_len(self.v_array.len() as u64)
-            + self.v_array.iter().map(|&v| varint_len(v)).sum::<usize>()
     }
 }
 
@@ -194,12 +149,9 @@ impl Block {
 }
 
 impl WireEncode for Block {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.header.encode(buf);
-        self.body.encode(buf);
-    }
-    fn encoded_len(&self) -> usize {
-        self.header.encoded_len() + self.body.encoded_len()
+    fn encode_to(&self, out: &mut impl Sink) {
+        self.header.encode_to(out);
+        self.body.encode_to(out);
     }
 }
 
@@ -227,7 +179,7 @@ mod tests {
                     origin: NodeId(2),
                     seq: 0,
                     submit_ms: 123,
-                    payload: TxPayload::Real(Bytes::from(vec![1, 2, 3])),
+                    payload: ChunkPayload::Real(bytes::Bytes::from(vec![1, 2, 3])),
                 },
                 Tx::synthetic(NodeId(2), 1, 456, 250),
             ],
@@ -246,7 +198,7 @@ mod tests {
     fn synthetic_tx_roundtrips_as_synthetic() {
         let tx = Tx::synthetic(NodeId(1), 9, 0, 100);
         let back = Tx::from_bytes(&tx.to_bytes()).unwrap();
-        assert_eq!(back.payload, TxPayload::Synthetic { len: 100 });
+        assert_eq!(back.payload, ChunkPayload::Synthetic { len: 100 });
     }
 
     #[test]

@@ -2,10 +2,13 @@
 //! LEB128 varints, tagged varint-length-prefixed payloads.
 //!
 //! Two traits, [`WireEncode`] and [`WireDecode`], implemented for the
-//! primitives the protocol needs. Decoding is strict: trailing bytes, short
-//! buffers and out-of-range tags are errors, so a malformed message from a
-//! Byzantine peer is rejected rather than misinterpreted.
+//! primitives the protocol needs. A type describes its encoding once, as a
+//! walk over its fields into a [`Sink`] that writes or counts them.
+//! Decoding is strict: trailing bytes, short buffers and out-of-range tags
+//! are errors, so a malformed message from a Byzantine peer is rejected
+//! rather than misinterpreted.
 
+use bytes::Bytes;
 use dl_crypto::merkle::expected_path_len;
 use dl_crypto::{Hash, MerkleProof};
 
@@ -46,18 +49,93 @@ impl From<CodecError> for std::io::Error {
 /// peer from making us allocate absurd buffers.
 pub const MAX_FIELD_LEN: usize = 64 << 20;
 
+/// Where an encoding goes: the fields of a [`WireEncode`] walk, in wire
+/// order.
+pub trait Sink {
+    /// Append `bytes`.
+    fn put(&mut self, bytes: &[u8]);
+
+    /// Append `n` zero bytes.
+    fn put_zeros(&mut self, n: usize);
+
+    /// Append one byte.
+    fn put_u8(&mut self, b: u8);
+
+    /// Append the varint encoding of `v`.
+    fn put_varint(&mut self, v: u64);
+
+    /// Append a chunk or transaction payload; a sink that keeps segments
+    /// shares it rather than copying it.
+    fn put_shared(&mut self, bytes: &Bytes) {
+        self.put(bytes);
+    }
+}
+
+/// The writing sink, inlined into the walks of other crates: a block's
+/// encode is thousands of these calls.
+impl Sink for Vec<u8> {
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+    #[inline]
+    fn put_zeros(&mut self, n: usize) {
+        self.resize(self.len() + n, 0);
+    }
+    #[inline]
+    fn put_u8(&mut self, b: u8) {
+        self.push(b);
+    }
+    #[inline]
+    fn put_varint(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.push(v as u8);
+    }
+}
+
+/// The counting sink behind [`WireEncode::encoded_len`].
+struct Len(usize);
+
+impl Sink for Len {
+    fn put(&mut self, bytes: &[u8]) {
+        self.0 += bytes.len();
+    }
+    fn put_zeros(&mut self, n: usize) {
+        self.0 += n;
+    }
+    fn put_u8(&mut self, _: u8) {
+        self.0 += 1;
+    }
+    fn put_varint(&mut self, v: u64) {
+        self.0 += varint_len(v);
+    }
+}
+
 /// Types that can be written to the wire.
 pub trait WireEncode {
+    /// Walk the fields of `self` into `out`: the one description of this
+    /// type's encoding.
+    fn encode_to(&self, out: &mut impl Sink);
+
     /// Append the encoding of `self` to `buf`.
-    fn encode(&self, buf: &mut Vec<u8>);
+    fn encode(&self, buf: &mut Vec<u8>) {
+        self.encode_to(buf);
+    }
 
     /// Exact number of bytes [`encode`](WireEncode::encode) appends.
-    fn encoded_len(&self) -> usize;
+    fn encoded_len(&self) -> usize {
+        let mut len = Len(0);
+        self.encode_to(&mut len);
+        len.0
+    }
 
     /// Encode into a fresh buffer.
     fn to_bytes(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(self.encoded_len());
-        self.encode(&mut buf);
+        self.encode_to(&mut buf);
         debug_assert_eq!(buf.len(), self.encoded_len());
         buf
     }
@@ -132,15 +210,6 @@ pub fn varint_len(v: u64) -> usize {
     (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
 }
 
-/// Append the varint encoding of `v`.
-pub fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
-    while v >= 0x80 {
-        buf.push(v as u8 | 0x80);
-        v >>= 7;
-    }
-    buf.push(v as u8);
-}
-
 /// Read a varint into a `T`. Only the canonical encoding is accepted: a
 /// final zero byte after the first (overlong), bits past 64, or a value
 /// `T` cannot hold are errors, so every value has exactly one encoding.
@@ -172,60 +241,25 @@ pub fn read_len(buf: &mut &[u8]) -> Result<usize, CodecError> {
     }
 }
 
-/// Head of a chunk or transaction payload of `len` bytes: `tag u8 · varint
-/// len`, tag 0 for real bytes and 1 for a synthetic payload, whose bytes
-/// are zeros.
-pub fn put_payload_head(buf: &mut Vec<u8>, synthetic: bool, len: usize) {
-    buf.push(synthetic as u8);
-    put_varint(buf, len as u64);
-}
-
-/// Encoded size of a payload of `len` bytes, head included.
-pub fn payload_len(len: usize) -> usize {
-    1 + varint_len(len as u64) + len
-}
-
-/// Read a payload: whether it is synthetic, and its bytes. A synthetic
-/// payload's bytes must be zeros.
-pub fn read_payload<'a>(buf: &mut &'a [u8]) -> Result<(bool, &'a [u8]), CodecError> {
-    let synthetic = match read_u8(buf)? {
-        0 => false,
-        1 => true,
-        _ => return Err(CodecError::InvalidValue("payload tag")),
-    };
-    let len = read_len(buf)?;
-    let bytes = take(buf, len)?;
-    if synthetic && bytes.iter().any(|&b| b != 0) {
-        return Err(CodecError::InvalidValue("synthetic payload"));
-    }
-    Ok((synthetic, bytes))
-}
-
 impl WireEncode for bool {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        buf.push(*self as u8);
-    }
-    fn encoded_len(&self) -> usize {
-        1
+    fn encode_to(&self, out: &mut impl Sink) {
+        out.put_u8(*self as u8);
     }
 }
 
 macro_rules! impl_int {
-    ($ty:ty, $len:expr) => {
+    ($ty:ty) => {
         impl WireEncode for $ty {
-            fn encode(&self, buf: &mut Vec<u8>) {
-                buf.extend_from_slice(&self.to_le_bytes());
-            }
-            fn encoded_len(&self) -> usize {
-                $len
+            fn encode_to(&self, out: &mut impl Sink) {
+                out.put(&self.to_le_bytes());
             }
         }
     };
 }
 
-impl_int!(u16, 2);
-impl_int!(u32, 4);
-impl_int!(u64, 8);
+impl_int!(u16);
+impl_int!(u32);
+impl_int!(u64);
 
 impl WireDecode for bool {
     fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
@@ -250,14 +284,11 @@ impl WireDecode for u64 {
 
 /// List: `varint count · items`.
 impl<T: WireEncode> WireEncode for Vec<T> {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        put_varint(buf, self.len() as u64);
+    fn encode_to(&self, out: &mut impl Sink) {
+        out.put_varint(self.len() as u64);
         for item in self {
-            item.encode(buf);
+            item.encode_to(out);
         }
-    }
-    fn encoded_len(&self) -> usize {
-        varint_len(self.len() as u64) + self.iter().map(|i| i.encoded_len()).sum::<usize>()
     }
 }
 
@@ -273,11 +304,8 @@ impl<T: WireDecode> WireDecode for Vec<T> {
 }
 
 impl WireEncode for Hash {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        buf.extend_from_slice(&self.0);
-    }
-    fn encoded_len(&self) -> usize {
-        32
+    fn encode_to(&self, out: &mut impl Sink) {
+        out.put(&self.0);
     }
 }
 
@@ -292,15 +320,12 @@ impl WireDecode for Hash {
 /// proof with a path of any other length has no encoding that decodes back
 /// to it.
 impl WireEncode for MerkleProof {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        put_varint(buf, self.index.into());
-        put_varint(buf, self.leaf_count.into());
+    fn encode_to(&self, out: &mut impl Sink) {
+        out.put_varint(self.index.into());
+        out.put_varint(self.leaf_count.into());
         for h in &self.path {
-            h.encode(buf);
+            h.encode_to(out);
         }
-    }
-    fn encoded_len(&self) -> usize {
-        varint_len(self.index.into()) + varint_len(self.leaf_count.into()) + 32 * self.path.len()
     }
 }
 
@@ -387,13 +412,13 @@ mod tests {
     fn huge_length_prefix_rejected() {
         // Rejected from the length alone: no bytes follow to back it.
         let mut buf = Vec::new();
-        put_varint(&mut buf, MAX_FIELD_LEN as u64 + 1);
+        buf.put_varint(MAX_FIELD_LEN as u64 + 1);
         assert_eq!(
             Vec::<u64>::from_bytes(&buf),
             Err(CodecError::LengthOverflow)
         );
         buf.clear();
-        put_varint(&mut buf, MAX_FIELD_LEN as u64);
+        buf.put_varint(MAX_FIELD_LEN as u64);
         assert_eq!(Vec::<u64>::from_bytes(&buf), Err(CodecError::UnexpectedEnd));
     }
 
@@ -420,7 +445,7 @@ mod tests {
     fn varints_are_canonical_and_sized_exactly() {
         for v in [0, 1, 127, 128, 16_383, 16_384, u32::MAX as u64, u64::MAX] {
             let mut buf = Vec::new();
-            put_varint(&mut buf, v);
+            buf.put_varint(v);
             assert_eq!(buf.len(), varint_len(v), "{v}");
             assert_eq!(read_varint::<u64>(&mut &buf[..]), Ok(v));
         }

@@ -26,15 +26,16 @@
 //!
 //! ## Zero-copy encode
 //!
-//! [`encode_frame`] produces a [`SegmentBuf`], not a `Vec<u8>`: small
-//! fields (header, tags, Merkle proofs) accumulate into owned buffers,
-//! while each chunk payload is appended as a shared [`Bytes`] segment — a
-//! refcount bump on the erasure coder's codeword arena. A transport writes
-//! the segments with vectored IO ([`SegmentBuf::io_slices`]), so a block's
-//! chunk travels from the encode arena to the socket without ever being
-//! memcpy'd into a contiguous frame. The flat [`WireEncode::encode`] path
-//! for payload-bearing types delegates to the segment path, so there is
-//! exactly one encoding routine per type.
+//! [`encode_frame`] runs the envelope's one field walk
+//! ([`WireEncode::encode_to`]) into a [`SegmentBuf`], the segment-keeping
+//! [`Sink`]: small fields (header, tags, Merkle proofs) accumulate into
+//! owned buffers, while each chunk payload is appended as a shared
+//! [`Bytes`] segment — a refcount bump on the erasure coder's codeword
+//! arena. A transport writes the segments with vectored IO
+//! ([`SegmentBuf::io_slices`]), so a block's chunk travels from the encode
+//! arena to the socket without ever being memcpy'd into a contiguous frame.
+//! The same walk into a `Vec<u8>` is [`WireEncode::encode`], and into a
+//! counter [`WireEncode::encoded_len`], so the three cannot disagree.
 //!
 //! ## Strict decode
 //!
@@ -50,11 +51,12 @@
 
 use bytes::Bytes;
 
-use crate::codec::{CodecError, WireDecode, WireEncode, MAX_FIELD_LEN};
-use crate::msg::{Envelope, TrafficClass, FRAME_OVERHEAD};
+use crate::codec::{CodecError, Sink, WireDecode, WireEncode, MAX_FIELD_LEN};
+use crate::msg::{Envelope, TrafficClass};
 
-/// Bytes of frame header preceding the body: 4-byte length + 1-byte class.
-pub const FRAME_HEADER_LEN: usize = FRAME_OVERHEAD;
+/// Bytes of frame header preceding the body: 4-byte length + 1-byte tag.
+/// Every frame costs them, on a socket and in the simulator's link time.
+pub const FRAME_HEADER_LEN: usize = 5;
 
 /// Upper bound on a frame body. A body is one envelope: its largest field
 /// is bounded by [`MAX_FIELD_LEN`], plus slack for the envelope/proof
@@ -83,10 +85,11 @@ impl SegPart {
 /// form one contiguous wire image, without forcing shared payloads to be
 /// copied into place.
 ///
-/// Writers append small fields through [`SegmentBuf::head_mut`] and large
-/// shared payloads through [`SegmentBuf::put_shared`]; readers either walk
-/// [`SegmentBuf::segments`] / [`SegmentBuf::io_slices`] (vectored IO) or
-/// flatten with [`SegmentBuf::copy_into`] (the compatibility path).
+/// Writers append through its [`Sink`] impl: small fields into an owned
+/// tail, large shared payloads ([`Sink::put_shared`]) as segments of their
+/// own. Readers either walk [`SegmentBuf::segments`] /
+/// [`SegmentBuf::io_slices`] (vectored IO) or flatten with
+/// [`SegmentBuf::to_vec`].
 #[derive(Default)]
 pub struct SegmentBuf {
     parts: Vec<SegPart>,
@@ -104,23 +107,13 @@ impl SegmentBuf {
 
     /// The owned buffer at the tail, for appending small fields. Creates a
     /// fresh owned segment if the tail is currently a shared payload.
-    pub fn head_mut(&mut self) -> &mut Vec<u8> {
+    fn head_mut(&mut self) -> &mut Vec<u8> {
         if !matches!(self.parts.last(), Some(SegPart::Owned(_))) {
             self.parts.push(SegPart::Owned(Vec::new()));
         }
         match self.parts.last_mut() {
             Some(SegPart::Owned(v)) => v,
             _ => unreachable!("just ensured an owned tail"),
-        }
-    }
-
-    /// Append a shared payload as a zero-copy segment (refcount bump, no
-    /// byte copy), unless it is small enough that inlining wins.
-    pub fn put_shared(&mut self, bytes: &Bytes) {
-        if bytes.len() <= Self::INLINE_COPY_MAX {
-            self.head_mut().extend_from_slice(bytes);
-        } else {
-            self.parts.push(SegPart::Shared(bytes.clone()));
         }
     }
 
@@ -155,18 +148,12 @@ impl SegmentBuf {
             .collect()
     }
 
-    /// Flatten into `buf` (the copying compatibility path).
-    pub fn copy_into(&self, buf: &mut Vec<u8>) {
-        buf.reserve(self.len());
-        for part in &self.parts {
-            buf.extend_from_slice(part.as_slice());
-        }
-    }
-
     /// Flatten into a fresh `Vec<u8>`.
     pub fn to_vec(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.len());
-        self.copy_into(&mut out);
+        for part in &self.parts {
+            out.extend_from_slice(part.as_slice());
+        }
         out
     }
 
@@ -181,7 +168,7 @@ impl SegmentBuf {
             }
             let take = (size - skip).min(len);
             match part {
-                SegPart::Owned(v) => out.head_mut().extend_from_slice(&v[skip..skip + take]),
+                SegPart::Owned(v) => out.put(&v[skip..skip + take]),
                 SegPart::Shared(b) => out.put_shared(&b.slice(skip..skip + take)),
             }
             skip = 0;
@@ -193,14 +180,29 @@ impl SegmentBuf {
     }
 }
 
-/// Types whose encoding can be emitted as zero-copy segments.
-///
-/// This is the primary encode path for payload-bearing types; their flat
-/// [`WireEncode::encode`] delegates here, so the two can never drift.
-pub trait WireEncodeSegmented: WireEncode {
-    /// Append the encoding of `self` to `out`, splitting shared payloads
-    /// into zero-copy segments.
-    fn encode_segments(&self, out: &mut SegmentBuf);
+/// The segment-keeping sink.
+impl Sink for SegmentBuf {
+    fn put(&mut self, bytes: &[u8]) {
+        self.head_mut().extend_from_slice(bytes);
+    }
+    fn put_zeros(&mut self, n: usize) {
+        self.head_mut().put_zeros(n);
+    }
+    fn put_u8(&mut self, b: u8) {
+        self.head_mut().push(b);
+    }
+    fn put_varint(&mut self, v: u64) {
+        self.head_mut().put_varint(v);
+    }
+    /// A zero-copy segment (refcount bump, no byte copy), unless the
+    /// payload is small enough that inlining wins.
+    fn put_shared(&mut self, bytes: &Bytes) {
+        if bytes.len() <= Self::INLINE_COPY_MAX {
+            self.put(bytes);
+        } else {
+            self.parts.push(SegPart::Shared(bytes.clone()));
+        }
+    }
 }
 
 /// The wire tag for a traffic class (the `class` byte of a frame header).
@@ -216,10 +218,9 @@ fn class_tag(class: TrafficClass) -> u8 {
 /// chunk payload a shared window (no copy of the encode arena).
 pub fn encode_frame(env: &Envelope) -> SegmentBuf {
     let mut out = SegmentBuf::new();
-    let head = out.head_mut();
-    (env.encoded_len() as u32).encode(head);
-    head.push(class_tag(env.class()));
-    env.encode_segments(&mut out);
+    (env.encoded_len() as u32).encode_to(&mut out);
+    out.put_u8(class_tag(env.class()));
+    env.encode_to(&mut out);
     debug_assert_eq!(out.len(), env.wire_size());
     out
 }
@@ -251,9 +252,8 @@ pub fn encode_segment(env: &Envelope, offset: usize, len: usize) -> SegmentBuf {
         (false, true) => TAG_BULK_END,
     };
     let mut out = SegmentBuf::new();
-    let head = out.head_mut();
-    (len as u32).encode(head);
-    head.push(tag);
+    (len as u32).encode_to(&mut out);
+    out.put_u8(tag);
     frame.put_window(FRAME_HEADER_LEN + offset, len, &mut out);
     out
 }
@@ -568,9 +568,9 @@ mod tests {
     #[test]
     fn head_mut_after_shared_segment_starts_a_new_owned_part() {
         let mut buf = SegmentBuf::new();
-        buf.head_mut().extend_from_slice(b"head");
+        buf.put(b"head");
         buf.put_shared(&Bytes::from(vec![9u8; 100]));
-        buf.head_mut().extend_from_slice(b"tail");
+        buf.put(b"tail");
         let parts: Vec<Vec<u8>> = buf.segments().map(<[u8]>::to_vec).collect();
         assert_eq!(parts.len(), 3);
         assert_eq!(parts[0], b"head");

@@ -3,17 +3,12 @@
 //! per-proposer protocol instance.
 
 use crate::codec::{
-    payload_len, put_payload_head, put_varint, read_len, read_payload, read_u8, read_varint, take,
-    varint_len, CodecError, WireDecode, WireEncode,
+    read_len, read_u8, read_varint, take, CodecError, Sink, WireDecode, WireEncode,
 };
 use crate::config::{Epoch, NodeId};
-use crate::frame::{SegmentBuf, WireEncodeSegmented};
+use crate::frame::FRAME_HEADER_LEN;
 use bytes::Bytes;
 use dl_crypto::{Hash, MerkleProof};
-
-/// Bytes added per message by the transport framing (4-byte length prefix +
-/// 1-byte traffic-class tag). The simulator and `dl-net` both use this.
-pub const FRAME_OVERHEAD: usize = 5;
 
 /// The two traffic classes of §5: dispersal traffic (chunks + every control
 /// message) is prioritized over retrieval bulk, and retrieval bulk is
@@ -30,12 +25,13 @@ pub enum TrafficClass {
     Retrieval(Epoch),
 }
 
-/// Payload of a chunk on the wire.
+/// Payload of a chunk or a transaction on the wire.
 ///
-/// `Real` carries actual erasure-coded bytes. `Synthetic` is used by the
-/// simulator's fluid mode: the chunk has a *declared* length (charged by the
-/// byte accounting) but the content lives in a shared block store. Encoding a
-/// synthetic payload writes `len` zero bytes so `encoded_len` is always exact.
+/// `Real` carries actual bytes. `Synthetic` is used by the simulator's
+/// fluid mode: the payload has a *declared* length (charged by the byte
+/// accounting) but no content — a chunk's lives in a shared block store.
+/// Encoding a synthetic payload writes `len` zero bytes so `encoded_len` is
+/// always exact.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum ChunkPayload {
     Real(Bytes),
@@ -43,58 +39,56 @@ pub enum ChunkPayload {
 }
 
 impl ChunkPayload {
-    /// Length of the chunk this payload represents.
-    pub fn chunk_len(&self) -> usize {
+    /// Length of the payload, declared or real.
+    pub fn len(&self) -> usize {
         match self {
             ChunkPayload::Real(b) => b.len(),
             ChunkPayload::Synthetic { len } => *len as usize,
         }
     }
+
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
 }
 
-impl WireEncodeSegmented for ChunkPayload {
-    fn encode_segments(&self, out: &mut SegmentBuf) {
-        let head = out.head_mut();
+/// `tag u8 · varint len · len bytes`: tag 0 for real bytes, 1 for a
+/// synthetic payload, whose bytes are zeros.
+impl WireEncode for ChunkPayload {
+    fn encode_to(&self, out: &mut impl Sink) {
         match self {
             ChunkPayload::Real(b) => {
-                put_payload_head(head, false, b.len());
-                // The payload rides as a shared window — for a dispersal
-                // chunk this is the erasure coder's arena, refcounted, not
-                // copied.
+                out.put_u8(0);
+                out.put_varint(b.len() as u64);
+                // A dispersal chunk is a window of the erasure coder's
+                // arena: a segment sink shares it rather than copying it.
                 out.put_shared(b);
             }
             ChunkPayload::Synthetic { len } => {
-                put_payload_head(head, true, *len as usize);
-                // Fluid-mode chunks have no real bytes; the wire image is
-                // zeros of the declared length so encoded_len stays exact
-                // (written in place — no per-call allocation).
-                head.extend(std::iter::repeat_n(0u8, *len as usize));
+                out.put_u8(1);
+                out.put_varint((*len).into());
+                out.put_zeros(*len as usize);
             }
         }
     }
 }
 
-impl WireEncode for ChunkPayload {
-    /// Flat path: delegates to [`WireEncodeSegmented::encode_segments`] so
-    /// there is exactly one encoding routine to keep correct.
-    fn encode(&self, buf: &mut Vec<u8>) {
-        let mut seg = SegmentBuf::new();
-        self.encode_segments(&mut seg);
-        seg.copy_into(buf);
-    }
-    fn encoded_len(&self) -> usize {
-        payload_len(self.chunk_len())
-    }
-}
-
 impl WireDecode for ChunkPayload {
     fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
-        Ok(match read_payload(buf)? {
-            (true, zeros) => ChunkPayload::Synthetic {
-                len: zeros.len() as u32,
-            },
-            (false, bytes) => ChunkPayload::Real(Bytes::copy_from_slice(bytes)),
-        })
+        let synthetic = match read_u8(buf)? {
+            0 => false,
+            1 => true,
+            _ => return Err(CodecError::InvalidValue("payload tag")),
+        };
+        let len = read_len(buf)?;
+        let bytes = take(buf, len)?;
+        if !synthetic {
+            return Ok(ChunkPayload::Real(Bytes::copy_from_slice(bytes)));
+        }
+        if bytes.iter().any(|&b| b != 0) {
+            return Err(CodecError::InvalidValue("synthetic payload"));
+        }
+        Ok(ChunkPayload::Synthetic { len: len as u32 })
     }
 }
 
@@ -206,10 +200,9 @@ impl ProtoMsg {
 /// `ReturnBare` its payload, a `GotChunk` or `Ready` its root, a `BVal` or
 /// `Aux` its `varint round`, an `Outcome` a bitmap; the other kinds have no
 /// fields.
-impl WireEncodeSegmented for ProtoMsg {
-    fn encode_segments(&self, out: &mut SegmentBuf) {
-        let head = out.head_mut();
-        head.push(self.kind());
+impl WireEncode for ProtoMsg {
+    fn encode_to(&self, out: &mut impl Sink) {
+        out.put_u8(self.kind());
         match self {
             ProtoMsg::Vid(
                 VidMsg::Chunk {
@@ -223,59 +216,23 @@ impl WireEncodeSegmented for ProtoMsg {
                     payload,
                 },
             ) => {
-                root.encode(head);
-                proof.encode(head);
-                payload.encode_segments(out);
+                root.encode_to(out);
+                proof.encode_to(out);
+                payload.encode_to(out);
             }
-            ProtoMsg::Vid(VidMsg::ReturnBare { payload }) => payload.encode_segments(out),
-            ProtoMsg::Vid(VidMsg::GotChunk { root } | VidMsg::Ready { root }) => root.encode(head),
+            ProtoMsg::Vid(VidMsg::ReturnBare { payload }) => payload.encode_to(out),
+            ProtoMsg::Vid(VidMsg::GotChunk { root } | VidMsg::Ready { root }) => {
+                root.encode_to(out)
+            }
             ProtoMsg::Ba(BaMsg::BVal { round, .. } | BaMsg::Aux { round, .. }) => {
-                put_varint(head, (*round).into())
+                out.put_varint((*round).into())
             }
-            ProtoMsg::Sync(SyncMsg::Outcome { committed }) => put_bitmap(head, committed),
+            ProtoMsg::Sync(SyncMsg::Outcome { committed }) => put_bitmap(out, committed),
             ProtoMsg::Vid(
                 VidMsg::ReadyAsGot | VidMsg::RequestChunk | VidMsg::RequestProven | VidMsg::Cancel,
             )
             | ProtoMsg::Ba(BaMsg::Term { .. })
             | ProtoMsg::Sync(SyncMsg::Request) => {}
-        }
-    }
-}
-
-impl WireEncode for ProtoMsg {
-    /// Flat path: delegates to [`WireEncodeSegmented::encode_segments`].
-    fn encode(&self, buf: &mut Vec<u8>) {
-        let mut seg = SegmentBuf::new();
-        self.encode_segments(&mut seg);
-        seg.copy_into(buf);
-    }
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            ProtoMsg::Vid(
-                VidMsg::Chunk {
-                    root,
-                    proof,
-                    payload,
-                }
-                | VidMsg::ReturnChunk {
-                    root,
-                    proof,
-                    payload,
-                },
-            ) => root.encoded_len() + proof.encoded_len() + payload.encoded_len(),
-            ProtoMsg::Vid(VidMsg::ReturnBare { payload }) => payload.encoded_len(),
-            ProtoMsg::Vid(VidMsg::GotChunk { root } | VidMsg::Ready { root }) => root.encoded_len(),
-            ProtoMsg::Ba(BaMsg::BVal { round, .. } | BaMsg::Aux { round, .. }) => {
-                varint_len((*round).into())
-            }
-            ProtoMsg::Sync(SyncMsg::Outcome { committed }) => {
-                varint_len(committed.len() as u64) + committed.len().div_ceil(8)
-            }
-            ProtoMsg::Vid(
-                VidMsg::ReadyAsGot | VidMsg::RequestChunk | VidMsg::RequestProven | VidMsg::Cancel,
-            )
-            | ProtoMsg::Ba(BaMsg::Term { .. })
-            | ProtoMsg::Sync(SyncMsg::Request) => 0,
         }
     }
 }
@@ -335,12 +292,11 @@ impl WireDecode for ProtoMsg {
 }
 
 /// `varint len · ⌈len / 8⌉ bytes`, `bits[j]` at bit `j % 8` of byte `j / 8`.
-fn put_bitmap(buf: &mut Vec<u8>, bits: &[bool]) {
-    put_varint(buf, bits.len() as u64);
-    buf.extend(
-        bits.chunks(8)
-            .map(|byte| byte.iter().rev().fold(0u8, |acc, &b| acc << 1 | b as u8)),
-    );
+fn put_bitmap(out: &mut impl Sink, bits: &[bool]) {
+    out.put_varint(bits.len() as u64);
+    for byte in bits.chunks(8) {
+        out.put_u8(byte.iter().rev().fold(0u8, |acc, &b| acc << 1 | b as u8));
+    }
 }
 
 /// The inverse of [`put_bitmap`]; the padding bits past `len` must be zero.
@@ -407,29 +363,16 @@ impl Envelope {
 
     /// Total bytes on the wire including transport framing.
     pub fn wire_size(&self) -> usize {
-        self.encoded_len() + FRAME_OVERHEAD
+        self.encoded_len() + FRAME_HEADER_LEN
     }
 }
 
 /// `varint epoch · varint index · kind u8 · fields`.
-impl WireEncodeSegmented for Envelope {
-    fn encode_segments(&self, out: &mut SegmentBuf) {
-        let head = out.head_mut();
-        put_varint(head, self.epoch.0);
-        put_varint(head, self.index.0.into());
-        self.payload.encode_segments(out);
-    }
-}
-
 impl WireEncode for Envelope {
-    /// Flat path: delegates to [`WireEncodeSegmented::encode_segments`].
-    fn encode(&self, buf: &mut Vec<u8>) {
-        let mut seg = SegmentBuf::new();
-        self.encode_segments(&mut seg);
-        seg.copy_into(buf);
-    }
-    fn encoded_len(&self) -> usize {
-        varint_len(self.epoch.0) + varint_len(self.index.0.into()) + self.payload.encoded_len()
+    fn encode_to(&self, out: &mut impl Sink) {
+        out.put_varint(self.epoch.0);
+        out.put_varint(self.index.0.into());
+        self.payload.encode_to(out);
     }
 }
 
@@ -664,7 +607,7 @@ mod tests {
         for tag in [0, 1] {
             let mut huge = chunk.clone();
             huge.extend_from_slice(&[0, 1, tag]);
-            crate::codec::put_varint(&mut huge, crate::codec::MAX_FIELD_LEN as u64 + 1);
+            huge.put_varint(crate::codec::MAX_FIELD_LEN as u64 + 1);
             rejected(&huge, CodecError::LengthOverflow);
         }
         // A synthetic payload's bytes are zeros.
@@ -687,7 +630,7 @@ mod tests {
             CodecError::InvalidValue("bitmap padding"),
         );
         let mut huge = vec![0, 0, 13];
-        crate::codec::put_varint(&mut huge, u64::MAX);
+        huge.put_varint(u64::MAX);
         rejected(&huge, CodecError::LengthOverflow);
         rejected(&[0, 0, 17], CodecError::InvalidValue("message kind"));
     }
@@ -837,7 +780,7 @@ mod tests {
         );
         rejected(&[0, 0, 16, 2, 0], CodecError::InvalidValue("payload tag"));
         let mut huge = vec![0, 0, 16, 0];
-        crate::codec::put_varint(&mut huge, crate::codec::MAX_FIELD_LEN as u64 + 1);
+        huge.put_varint(crate::codec::MAX_FIELD_LEN as u64 + 1);
         rejected(&huge, CodecError::LengthOverflow);
     }
 
