@@ -34,7 +34,9 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use dl_wire::{Envelope, Epoch, NodeId, ProtoMsg, TrafficClass, VidMsg, FRAME_HEADER_LEN};
+use dl_wire::{
+    Envelope, Epoch, NodeId, ProtoMsg, TrafficClass, VidMsg, WireEncode, FRAME_HEADER_LEN,
+};
 
 /// One transmission unit of a [`SendQueue`]: a whole envelope, or a run of
 /// bytes of the `ReturnChunk` at the head of the low class.
@@ -70,17 +72,30 @@ impl Segment {
 /// keyed by epoch), so class-segregated FIFOs give the exact same drain
 /// order with O(1) contiguous push/pop: a `VecDeque` for dispersal and one
 /// `VecDeque` per active retrieval epoch (a handful at any time) in a
-/// `BTreeMap`.
+/// `BTreeMap`. Each entry carries its encoding's length, measured once at
+/// [`SendQueue::push`]: the cursor reads it on every frame of a chunk.
 #[derive(Default)]
 pub struct SendQueue {
-    dispersal: VecDeque<Envelope>,
-    retrieval: BTreeMap<u64, VecDeque<Envelope>>,
+    dispersal: VecDeque<Queued>,
+    retrieval: BTreeMap<u64, VecDeque<Queued>>,
     /// The segment cursor: the `ReturnChunk` being sent and how many bytes
     /// of its encoding have been handed out. Held outside its epoch bucket
     /// so that nothing pushed later sorts ahead of it.
-    open: Option<(Envelope, usize)>,
+    open: Option<(Queued, usize)>,
     len: usize,
     bytes: usize,
+}
+
+/// A queued envelope and the length of its encoding.
+struct Queued {
+    env: Envelope,
+    body: usize,
+}
+
+/// The longest run of bulk whose segment fits `max_bytes` of link, header
+/// included.
+fn segment_room(max_bytes: usize) -> usize {
+    max_bytes.saturating_sub(FRAME_HEADER_LEN)
 }
 
 impl SendQueue {
@@ -90,12 +105,15 @@ impl SendQueue {
 
     /// Queue `env` with its [`TrafficClass`] priority.
     pub fn push(&mut self, env: Envelope) {
-        self.bytes += env.wire_size();
+        let body = env.encoded_len();
+        self.bytes += body + FRAME_HEADER_LEN;
         self.len += 1;
-        match env.class() {
-            TrafficClass::Dispersal => self.dispersal.push_back(env),
+        let class = env.class();
+        let queued = Queued { env, body };
+        match class {
+            TrafficClass::Dispersal => self.dispersal.push_back(queued),
             TrafficClass::Retrieval(epoch) => {
-                self.retrieval.entry(epoch.0).or_default().push_back(env)
+                self.retrieval.entry(epoch.0).or_default().push_back(queued)
             }
         }
     }
@@ -107,28 +125,27 @@ impl SendQueue {
     /// `max_bytes` has no room for a frame header and a byte of bulk, which
     /// [`SendQueue::is_empty`] tells apart.
     pub fn pop_segment(&mut self, max_bytes: usize) -> Option<Segment> {
-        if let Some(env) = self.dispersal.pop_front() {
-            let size = env.wire_size();
-            self.bytes -= size;
+        if let Some(Queued { env, body }) = self.dispersal.pop_front() {
+            self.bytes -= body + FRAME_HEADER_LEN;
             self.len -= 1;
             return Some(Segment {
                 offset: 0,
-                len: size - FRAME_HEADER_LEN,
+                len: body,
                 env: Some(env),
             });
         }
-        let room = max_bytes.checked_sub(FRAME_HEADER_LEN).filter(|&r| r > 0)?;
+        let room = Some(segment_room(max_bytes)).filter(|&r| r > 0)?;
         if self.open.is_none() {
             let mut entry = self.retrieval.first_entry()?;
-            let env = entry.get_mut().pop_front().expect("no empty buckets");
+            let queued = entry.get_mut().pop_front().expect("no empty buckets");
             if entry.get().is_empty() {
                 entry.remove();
             }
-            self.open = Some((env, 0));
+            self.open = Some((queued, 0));
         }
-        let (env, sent) = self.open.as_mut().expect("opened above");
+        let (open, sent) = self.open.as_mut().expect("opened above");
         let offset = *sent;
-        let left = env.wire_size() - FRAME_HEADER_LEN - offset;
+        let left = open.body - offset;
         if left > room {
             *sent += room;
             self.bytes -= room;
@@ -143,7 +160,7 @@ impl SendQueue {
         Some(Segment {
             offset,
             len: left,
-            env: self.open.take().map(|(env, _)| env),
+            env: self.open.take().map(|(open, _)| open.env),
         })
     }
 
@@ -157,7 +174,27 @@ impl SendQueue {
     /// driver that writes real bytes encodes it when its first segment is
     /// handed out.
     pub fn partly_sent(&self) -> Option<&Envelope> {
-        self.open.as_ref().map(|(env, _)| env)
+        self.open.as_ref().map(|(open, _)| &open.env)
+    }
+
+    /// What the next calls of `pop_segment(max_bytes)` would hand out if
+    /// nothing were pushed meanwhile, while they carry only the middle of
+    /// the partly-sent chunk: `(len, count)` — `count` segments of `len`
+    /// bytes each, before the one that finishes the chunk. `None` while
+    /// the high class is not empty or no chunk is partly sent.
+    pub fn middle_segments(&self, max_bytes: usize) -> Option<(usize, usize)> {
+        let (open, sent) = self.open.as_ref().filter(|_| self.dispersal.is_empty())?;
+        let room = Some(segment_room(max_bytes)).filter(|&r| r > 0)?;
+        Some((room, (open.body - sent - 1) / room))
+    }
+
+    /// Hand out `count` middle segments of `len` bytes at once: the state
+    /// that many `pop_segment` calls leave ([`SendQueue::middle_segments`]).
+    pub fn skip_segments(&mut self, len: usize, count: usize) {
+        let (open, sent) = self.open.as_mut().expect("a partly-sent chunk");
+        debug_assert!(*sent + len * count < open.body);
+        *sent += len * count;
+        self.bytes -= len * count;
     }
 
     pub fn len(&self) -> usize {
@@ -182,15 +219,15 @@ impl SendQueue {
     pub fn purge_returns(&mut self, epoch: Epoch, index: NodeId) -> (usize, usize) {
         let mut count = 0usize;
         let mut bytes = 0usize;
-        if let Some((env, sent)) = &self.open {
-            if env.epoch == epoch && env.index == index {
+        if let Some((open, sent)) = &self.open {
+            if open.env.epoch == epoch && open.env.index == index {
                 count = 1;
-                bytes = env.wire_size() - sent;
+                bytes = open.body - sent + FRAME_HEADER_LEN;
                 self.open = None;
             }
         }
         if let Some(bucket) = self.retrieval.get_mut(&epoch.0) {
-            bucket.retain(|env| {
+            bucket.retain(|Queued { env, body }| {
                 let dead = env.index == index
                     && matches!(
                         env.payload,
@@ -198,7 +235,7 @@ impl SendQueue {
                     );
                 if dead {
                     count += 1;
-                    bytes += env.wire_size();
+                    bytes += body + FRAME_HEADER_LEN;
                 }
                 !dead
             });

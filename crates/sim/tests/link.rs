@@ -261,3 +261,89 @@ fn a_cancel_purges_the_unsent_remainder_of_a_partly_sent_chunk() {
     assert_eq!(log[0].1, chunk(8));
     assert!(log[0].0 <= 11 + whole.div_ceil(SLOW_FRAME_BODY) + LATENCY_MS + 1);
 }
+
+// A chunk alone on a link coasts: the frames that carry only its middle
+// are accounted in one step, not pumped one by one. Everything below must
+// read as if each of those frames had been pumped.
+
+/// Milliseconds of [`SLOW`] link the whole of `chunk(7)` takes alone.
+fn chunk_frames() -> u64 {
+    ((chunk(7).wire_size() - FRAME_HEADER_LEN) as u64).div_ceil(SLOW_FRAME_BODY)
+}
+
+#[test]
+fn a_vote_pushed_at_any_millisecond_of_a_coasting_chunk_leaves_in_the_next_frame() {
+    let mut chunk_arrivals = Vec::new();
+    for at in 1..chunk_frames() - 1 {
+        let (mut sim, log) = probed_link();
+        script(&mut sim, 0, 7, CHUNK_BYTES);
+        script(&mut sim, at, 9, VOTE);
+        assert!(sim.run_until_quiescent(10_000).quiesced);
+        let log = log.borrow();
+        assert_eq!(log[0], (at + Q_MS + LATENCY_MS, vote(9)), "vote at {at} ms");
+        assert_eq!(log[1].1, chunk(7));
+        chunk_arrivals.push(log[1].0);
+    }
+    // The vote displaces the same bytes of chunk wherever it lands.
+    chunk_arrivals.dedup();
+    assert_eq!(chunk_arrivals.len(), 1, "{chunk_arrivals:?}");
+}
+
+#[test]
+fn an_uplink_re_drawn_between_slices_mid_coast_applies_from_the_next_frame() {
+    let fast = LinkSpec {
+        latency_ms: LATENCY_MS,
+        bytes_per_ms: 2000,
+    };
+    for stop in [1, 2, 37, 100, 200] {
+        let (mut sim, log) = probed_link();
+        script(&mut sim, 0, 7, CHUNK_BYTES);
+        sim.run_until_quiescent(stop);
+        sim.set_uplink(SENDER, fast);
+        assert!(sim.run_until_quiescent(10_000).quiesced);
+        // Frames begun at 0..=stop went at the slow rate.
+        let body = (chunk(7).wire_size() - FRAME_HEADER_LEN) as u64;
+        let left = body - (stop + 1) * SLOW_FRAME_BODY;
+        let fast_frames = left.div_ceil(fast.bytes_per_ms * Q_MS - FRAME_HEADER_LEN as u64);
+        assert_eq!(
+            *log.borrow(),
+            vec![(stop + 1 + fast_frames * Q_MS + LATENCY_MS, chunk(7))],
+            "re-drawn after {stop} ms"
+        );
+    }
+}
+
+#[test]
+fn a_cancel_mid_coast_purges_exactly_the_unsent_remainder() {
+    for at in [1, 2, 10, 99, 200] {
+        let (mut sim, log) = probed_link();
+        script(&mut sim, 0, 7, CHUNK_BYTES);
+        script(&mut sim, at, 7, PURGE);
+        let report = sim.run_until_quiescent(10_000);
+        assert!(report.quiesced);
+        // The frames begun before the cancel carried the chunk; the one
+        // that starts with it does not.
+        assert_eq!(report.purged_envelopes, 1);
+        let sent = chunk(7).wire_size() as u64 - report.purged_bytes;
+        assert_eq!(sent, at * SLOW_FRAME_BODY, "cancelled at {at} ms");
+        assert!(log.borrow().is_empty());
+    }
+}
+
+#[test]
+fn events_processed_counts_the_coasted_frames() {
+    // One submission, a pump per frame, one arrival — whether the run is
+    // sliced or not.
+    for slice in [10_000, 7, 1] {
+        let (mut sim, log) = probed_link();
+        script(&mut sim, 0, 7, CHUNK_BYTES);
+        let mut report = sim.run_until_quiescent(0);
+        let mut until = 0;
+        while !report.quiesced {
+            until += slice;
+            report = sim.run_until_quiescent(until);
+        }
+        assert_eq!(report.events_processed, 1 + chunk_frames() + 1);
+        assert_eq!(log.borrow()[0], (chunk_frames() + LATENCY_MS, chunk(7)));
+    }
+}
