@@ -20,7 +20,7 @@
 //!   is finished: anything of the high class overtakes it, no other
 //!   `ReturnChunk` does, older epoch or not.
 //!
-//! The control messages are 8 bytes and steer the bulk: a `RequestChunk`
+//! The control messages are 4 bytes and steer the bulk: a `RequestChunk`
 //! parked behind seconds of queued chunks starts its own chunk that much
 //! later, and a `Cancel` (§6.3) parked there arrives after the chunk it was
 //! meant to stop. Keeping them out of the bulk queue costs the
@@ -35,7 +35,8 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use dl_wire::{
-    Envelope, Epoch, NodeId, ProtoMsg, TrafficClass, VidMsg, WireEncode, FRAME_HEADER_LEN,
+    frame_header_len, max_body_len, Envelope, Epoch, NodeId, ProtoMsg, TrafficClass, VidMsg,
+    WireEncode,
 };
 
 /// One transmission unit of a [`SendQueue`]: a whole envelope, or a run of
@@ -52,11 +53,11 @@ pub struct Segment {
 }
 
 impl Segment {
-    /// What the segment occupies on a link: its bytes plus one frame
+    /// What the segment occupies on a link: its bytes plus its frame
     /// header. A whole envelope's is its [`Envelope::wire_size`]; cutting
     /// one into `s` segments costs `s − 1` headers more.
     pub fn wire_bytes(&self) -> usize {
-        self.len + FRAME_HEADER_LEN
+        framed(self.len)
     }
 }
 
@@ -92,10 +93,9 @@ struct Queued {
     body: usize,
 }
 
-/// The longest run of bulk whose segment fits `max_bytes` of link, header
-/// included.
-fn segment_room(max_bytes: usize) -> usize {
-    max_bytes.saturating_sub(FRAME_HEADER_LEN)
+/// Link bytes of a frame carrying `len` bytes of an encoding.
+fn framed(len: usize) -> usize {
+    len + frame_header_len(len)
 }
 
 impl SendQueue {
@@ -106,7 +106,7 @@ impl SendQueue {
     /// Queue `env` with its [`TrafficClass`] priority.
     pub fn push(&mut self, env: Envelope) {
         let body = env.encoded_len();
-        self.bytes += body + FRAME_HEADER_LEN;
+        self.bytes += framed(body);
         self.len += 1;
         let class = env.class();
         let queued = Queued { env, body };
@@ -126,7 +126,7 @@ impl SendQueue {
     /// [`SendQueue::is_empty`] tells apart.
     pub fn pop_segment(&mut self, max_bytes: usize) -> Option<Segment> {
         if let Some(Queued { env, body }) = self.dispersal.pop_front() {
-            self.bytes -= body + FRAME_HEADER_LEN;
+            self.bytes -= framed(body);
             self.len -= 1;
             return Some(Segment {
                 offset: 0,
@@ -134,7 +134,7 @@ impl SendQueue {
                 env: Some(env),
             });
         }
-        let room = Some(segment_room(max_bytes)).filter(|&r| r > 0)?;
+        let room = Some(max_body_len(max_bytes)).filter(|&r| r > 0)?;
         if self.open.is_none() {
             let mut entry = self.retrieval.first_entry()?;
             let queued = entry.get_mut().pop_front().expect("no empty buckets");
@@ -148,14 +148,14 @@ impl SendQueue {
         let left = open.body - offset;
         if left > room {
             *sent += room;
-            self.bytes -= room;
+            self.bytes -= framed(left) - framed(left - room);
             return Some(Segment {
                 offset,
                 len: room,
                 env: None,
             });
         }
-        self.bytes -= left + FRAME_HEADER_LEN;
+        self.bytes -= framed(left);
         self.len -= 1;
         Some(Segment {
             offset,
@@ -184,7 +184,7 @@ impl SendQueue {
     /// the high class is not empty or no chunk is partly sent.
     pub fn middle_segments(&self, max_bytes: usize) -> Option<(usize, usize)> {
         let (open, sent) = self.open.as_ref().filter(|_| self.dispersal.is_empty())?;
-        let room = Some(segment_room(max_bytes)).filter(|&r| r > 0)?;
+        let room = Some(max_body_len(max_bytes)).filter(|&r| r > 0)?;
         Some((room, (open.body - sent - 1) / room))
     }
 
@@ -192,9 +192,10 @@ impl SendQueue {
     /// that many `pop_segment` calls leave ([`SendQueue::middle_segments`]).
     pub fn skip_segments(&mut self, len: usize, count: usize) {
         let (open, sent) = self.open.as_mut().expect("a partly-sent chunk");
-        debug_assert!(*sent + len * count < open.body);
+        let left = open.body - *sent;
+        debug_assert!(len * count < left);
         *sent += len * count;
-        self.bytes -= len * count;
+        self.bytes -= framed(left) - framed(left - len * count);
     }
 
     pub fn len(&self) -> usize {
@@ -222,7 +223,7 @@ impl SendQueue {
         if let Some((open, sent)) = &self.open {
             if open.env.epoch == epoch && open.env.index == index {
                 count = 1;
-                bytes = open.body - sent + FRAME_HEADER_LEN;
+                bytes = framed(open.body - sent);
                 self.open = None;
             }
         }
@@ -235,7 +236,7 @@ impl SendQueue {
                     );
                 if dead {
                     count += 1;
-                    bytes += body + FRAME_HEADER_LEN;
+                    bytes += framed(*body);
                 }
                 !dead
             });
@@ -355,7 +356,7 @@ mod tests {
         let body = chunk.encoded_len();
         q.push(chunk.clone());
         let first = q.pop_segment(400).expect("bulk queued");
-        assert_eq!((first.offset, first.len, &first.env), (0, 395, &None));
+        assert_eq!((first.offset, first.len, &first.env), (0, 398, &None));
         assert_eq!(first.wire_bytes(), 400);
         assert_eq!(q.partly_sent(), Some(&chunk));
         // Pushed while the chunk is half sent: a vote, and a chunk of an
@@ -368,9 +369,9 @@ mod tests {
         // The half-sent chunk resumes where it stopped and is handed over
         // with its last byte; only then the older epoch's.
         let second = q.pop_segment(400).expect("chunk resumes");
-        assert_eq!((second.offset, second.len, &second.env), (395, 395, &None));
+        assert_eq!((second.offset, second.len, &second.env), (398, 398, &None));
         let last = q.pop_segment(usize::MAX).expect("chunk finishes");
-        assert_eq!((last.offset, last.len), (790, body - 790));
+        assert_eq!((last.offset, last.len), (796, body - 796));
         assert_eq!(last.env, Some(chunk));
         assert_eq!(q.partly_sent(), None);
         assert_eq!(drain(&mut q), vec![return_chunk(2, 1)]);
@@ -380,11 +381,11 @@ mod tests {
     fn a_budget_without_room_for_bulk_hands_out_the_high_class_only() {
         let mut q = SendQueue::new();
         q.push(return_chunk(1, 0));
-        assert_eq!(q.pop_segment(FRAME_HEADER_LEN), None);
+        assert_eq!(q.pop_segment(1), None);
         assert!(!q.is_empty(), "the chunk is still queued");
         q.push(dispersal(1));
         assert_eq!(q.pop_segment(0).and_then(|s| s.env), Some(dispersal(1)));
-        let seg = q.pop_segment(FRAME_HEADER_LEN + 1).expect("one byte fits");
+        let seg = q.pop_segment(2).expect("one byte fits");
         assert_eq!((seg.offset, seg.len, seg.env), (0, 1, None));
     }
 
@@ -434,7 +435,7 @@ mod tests {
         // A partial send takes its bytes off the count and leaves the
         // envelope on it; what is left includes one header for the rest.
         let seg = q.pop_segment(100).expect("bulk queued");
-        assert_eq!(seg.len, 100 - FRAME_HEADER_LEN);
+        assert_eq!(seg.len, 100 - frame_header_len(98));
         let left = 3 * chunk.wire_size() - seg.len;
         assert_eq!((q.len(), q.queued_bytes()), (3, left));
         // The cancel takes the unsent remainder and the queued copy.
@@ -534,17 +535,16 @@ mod tests {
         for seed in 1..50u64 {
             let mut rng = Rng(seed);
             let mut q = SendQueue::new();
-            // Wire bytes pushed, handed out and purged must balance; every
-            // envelope handed over must be one that was pushed and not yet
-            // seen (the serial in its length makes chunks unique).
+            // The queued bytes are always what sending everything left
+            // would take, the rest of a partly-sent chunk in one segment;
+            // every envelope handed over must be one that was pushed and
+            // not yet seen (the serial in its length makes chunks unique).
             let mut pushed: Vec<Envelope> = Vec::new();
-            let (mut bytes_in, mut bytes_out, mut bytes_purged) = (0usize, 0usize, 0usize);
             let mut next_offset = 0usize;
             for step in 0..600 {
                 match rng.below(10) {
                     0..=3 => {
                         let env = random_envelope(&mut rng, step);
-                        bytes_in += env.wire_size();
                         pushed.push(env.clone());
                         q.push(env);
                     }
@@ -553,7 +553,6 @@ mod tests {
                         let Some(seg) = q.pop_segment(max) else {
                             continue;
                         };
-                        bytes_out += seg.len;
                         let high =
                             seg.env.as_ref().map(Envelope::class) == Some(TrafficClass::Dispersal);
                         if high {
@@ -566,7 +565,6 @@ mod tests {
                         match seg.env {
                             Some(env) => {
                                 assert_eq!(seg.offset + seg.len, env.encoded_len());
-                                bytes_out += FRAME_HEADER_LEN;
                                 let at = pushed.iter().position(|p| *p == env);
                                 pushed.remove(at.expect("handed over once"));
                                 if !high {
@@ -582,8 +580,9 @@ mod tests {
                     _ => {
                         let (epoch, index) = (Epoch(1 + rng.below(4)), NodeId(rng.below(3) as u16));
                         let was_open = q.partly_sent().cloned();
+                        let queued = q.queued_bytes();
                         let (count, bytes) = q.purge_returns(epoch, index);
-                        bytes_purged += bytes;
+                        assert_eq!(queued - q.queued_bytes(), bytes);
                         let before = pushed.len();
                         pushed.retain(|p| {
                             p.class() != TrafficClass::Retrieval(epoch) || p.index != index
@@ -595,7 +594,11 @@ mod tests {
                     }
                 }
                 assert_eq!(q.len(), pushed.len(), "seed {seed} step {step}");
-                assert_eq!(q.queued_bytes(), bytes_in - bytes_out - bytes_purged);
+                let whole: usize = pushed.iter().map(Envelope::wire_size).sum();
+                let sent = q.partly_sent().map_or(0, |open| {
+                    open.wire_size() - framed(open.encoded_len() - next_offset)
+                });
+                assert_eq!(q.queued_bytes(), whole - sent, "seed {seed} step {step}");
             }
         }
     }

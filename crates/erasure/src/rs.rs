@@ -41,7 +41,7 @@
 //! with them this crate's `dl-pool` dependency and its two `SharedMut`
 //! windows, are **benchmark-only**: `dl-e2e/src/layers.rs` times them
 //! beside the serial forms, nothing else calls them, and they go when the
-//! benchmark is next thawed (ROADMAP direction 1(a)).
+//! benchmark is next thawed (ROADMAP direction 2(a)).
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};

@@ -720,7 +720,7 @@ mod tests {
                 break;
             }
         }
-        let room = WRITE_QUANTUM - dl_wire::FRAME_HEADER_LEN;
+        let room = dl_wire::max_body_len(WRITE_QUANTUM);
         assert_eq!(segments, chunk.encoded_len().div_ceil(room));
     }
 

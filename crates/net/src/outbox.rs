@@ -15,8 +15,8 @@ use crate::node::Shared;
 
 /// Bytes of `ReturnChunk` bulk a writer puts on its socket before it looks
 /// at the high class again: small enough that a vote waits for one write,
-/// not for a megabyte chunk; large enough that the 5-byte header of each
-/// extra segment is noise (0.03 %).
+/// not for a megabyte chunk; large enough that the 3-byte header of each
+/// extra segment is noise (0.02 %).
 pub(crate) const WRITE_QUANTUM: usize = 16 << 10;
 
 /// A bounded, §5-prioritized outbox feeding one peer's writer thread.
@@ -271,7 +271,7 @@ mod tests {
         let outbox = Arc::new(Outbox::new(64)); // tiny bound
         let stop = Arc::new(AtomicBool::new(false));
         let env = Envelope::vid(dl_wire::Epoch(1), NodeId(0), dl_wire::VidMsg::RequestChunk);
-        // Fill to the bound: 8-byte envelopes, bound 64.
+        // Fill to the bound: 4-byte envelopes, bound 64.
         while outbox.queue.lock().unwrap().queued_bytes() < 64 {
             outbox.push(env.clone(), &stop);
         }

@@ -17,7 +17,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
 use dl_wire::frame::encode_frame;
-use dl_wire::Envelope;
+use dl_wire::{Envelope, Sink};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -85,17 +85,17 @@ pub fn send_envelopes(addr: SocketAddr, hello_as: u16, envs: &[Envelope]) -> io:
     stream.flush()
 }
 
-/// A frame header as the wire has it — `[len][tag]` — whatever it claims:
-/// the raw material of framing attacks.
-pub fn raw_header(tag: u8, len: u32) -> Vec<u8> {
-    let mut header = len.to_le_bytes().to_vec();
-    header.push(tag);
+/// A frame header as the wire has it — one varint of `len << 3 | tag` —
+/// whatever it claims: the raw material of framing attacks.
+pub fn raw_header(tag: u8, len: u64) -> Vec<u8> {
+    let mut header = Vec::new();
+    header.put_varint(len << 3 | u64::from(tag));
     header
 }
 
 /// A header that tells the truth about the `body` that follows it.
 pub fn raw_frame(tag: u8, body: &[u8]) -> Vec<u8> {
-    [&raw_header(tag, body.len() as u32), body].concat()
+    [&raw_header(tag, body.len() as u64), body].concat()
 }
 
 /// Dial `addr` as node `hello_as`, write `bytes` as they are, and report

@@ -111,7 +111,8 @@ fn cluster_survives_a_garbage_speaking_peer() {
         // Also a frame with an absurd length prefix on a second connection.
         let mut evil2 = TcpStream::connect(cluster.addr(1)).expect("connect");
         evil2.write_all(&3u16.to_le_bytes()).expect("hello");
-        evil2.write_all(&u32::MAX.to_le_bytes()).expect("bomb");
+        let bomb = hostile::raw_header(0, u32::MAX.into());
+        evil2.write_all(&bomb).expect("bomb");
     }
     for s in 0..4u64 {
         cluster.submit(
@@ -133,13 +134,26 @@ fn cluster_survives_a_garbage_speaking_peer() {
 
 #[test]
 fn a_peer_that_breaks_segment_framing_is_hung_up_on() {
-    // Three streams no honest writer produces, each a hello and a few
-    // dozen bytes: the reader must drop the connection on the header that
-    // breaks the rule, not wait for bytes that will never come.
+    // Streams no honest writer produces, each a hello and a few dozen
+    // bytes: the reader must drop the connection on the header that breaks
+    // the rule, not wait for bytes that will never come.
     let cluster = spawn(&ClusterSpec::new(4, ProtocolVariant::Dl));
     let vote = Envelope::vid(Epoch(1), NodeId(0), VidMsg::RequestChunk).to_bytes();
     let (start, more, end) = (2, 3, 4);
+    let padded = {
+        // The vote's one-byte header, padded to two: the same value, not
+        // its one encoding.
+        let header = hostile::raw_header(0, vote.len() as u64);
+        [&[header[0] | 0x80, 0][..], &vote].concat()
+    };
     let attacks = [
+        (
+            "length past MAX_FRAME_BODY",
+            hostile::raw_header(0, MAX_FRAME_BODY as u64 + 1),
+        ),
+        ("non-canonical header", padded),
+        ("header longer than any legal one", vec![0x80; 5]),
+        ("unknown tag", hostile::raw_frame(5, &vote)),
         (
             "continuation without a start",
             hostile::raw_frame(more, &vote[..2]),
@@ -149,7 +163,7 @@ fn a_peer_that_breaks_segment_framing_is_hung_up_on() {
             "reassembly past MAX_FRAME_BODY",
             [
                 hostile::raw_frame(start, &vote[..2]),
-                hostile::raw_header(more, MAX_FRAME_BODY as u32 - 1),
+                hostile::raw_header(more, MAX_FRAME_BODY as u64 - 1),
             ]
             .concat(),
         ),

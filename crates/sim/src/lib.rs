@@ -38,7 +38,8 @@
 //! millisecond grid's round-up (the prototype this was sized with measured
 //! 1200 B and 4 kB segments at 8.34 and 9.17 MB/s on `vbw-sat-dl`); on a
 //! link slower than 100 B/ms it is the fewest whole milliseconds that
-//! carry 100 bytes, so a header is at most 5 % of a segment. `dl-e2e`,
+//! carry 100 bytes (`FRAME_BYTES_MIN`), so a continuation header — 2 bytes
+//! on any segment of 16 B to 2 KiB — is at most 2 % of its segment. `dl-e2e`,
 //! seed 1, 10 s, untraced — p50 / p95 in ms, goodput in MB/s — when the
 //! quantum was chosen:
 //!
@@ -102,8 +103,8 @@ use dl_core::{
 };
 use dl_store::{ChainStore, MemoryStore};
 use dl_wire::{
-    ClusterConfig, Envelope, Epoch, NodeId, TrafficClass, Tx, WireDecode, WireEncode,
-    FRAME_HEADER_LEN,
+    frame_header_len, ClusterConfig, Envelope, Epoch, NodeId, TrafficClass, Tx, WireDecode,
+    WireEncode,
 };
 
 use adversary::Adversary;
@@ -349,10 +350,10 @@ impl Coast {
 /// before the high class is looked at again (the table in the crate docs).
 const FRAME_QUANTUM_MS: u64 = 1;
 
-/// No frame budget is smaller than this, so a continuation header is never
-/// more than a twentieth of its segment — and a link slower than a header
-/// per millisecond still moves bulk.
-const FRAME_BYTES_MIN: u64 = 20 * FRAME_HEADER_LEN as u64;
+/// No frame budget is smaller than this, so a continuation header (2 bytes
+/// here) is never more than a fiftieth of its segment — and a link slower
+/// than a header per millisecond still moves bulk.
+const FRAME_BYTES_MIN: u64 = 100;
 
 impl Link {
     /// End the coast, if any, accounting its frames that start at or
@@ -363,7 +364,7 @@ impl Link {
     fn settle(&mut self, until: u64) -> Option<(u64, u64)> {
         let coast = self.coast.take()?;
         let frames = match until.checked_sub(coast.from) {
-            Some(after) => (after / coast.frame_ms + 1).min(coast.frames),
+            Some(after) => (after / coast.frame_ms).min(coast.frames - 1) + 1,
             None => 0,
         };
         self.queue.skip_segments(coast.seg_len, frames as usize);
@@ -698,7 +699,7 @@ fn pump_link_inner(
                 let coast = Coast {
                     from: link.busy_until,
                     frames: frames as u64,
-                    frame_ms: link.spec.tx_ms(seg_len + FRAME_HEADER_LEN),
+                    frame_ms: link.spec.tx_ms(seg_len + frame_header_len(seg_len)),
                     seg_len,
                 };
                 events.1 = Some(coast.end());

@@ -1,7 +1,9 @@
 //! The link model, one directed link at a time: frames are a quantum of
 //! the link's *current* capacity, so a vote overtakes a chunk that is
 //! already on the wire, a re-drawn rate governs the chunk's next frame,
-//! and a crash or a cancel takes the unsent remainder with it.
+//! and a crash or a cancel takes the unsent remainder with it — all of it
+//! exactly as if the link were pumped frame by frame while it coasts
+//! through the frames that carry only the middle of a chunk.
 //!
 //! The cluster's slots 0 and 1 hold [`Probe`]s — an engine that sends what
 //! the test scripts and logs what arrives — so every number below is a
@@ -14,7 +16,9 @@ use std::rc::Rc;
 use dl_core::{EffectSink, Engine, ProtocolVariant};
 use dl_crypto::{Hash, MerkleProof};
 use dl_sim::{LinkSpec, SimConfig, Simulation};
-use dl_wire::{ChunkPayload, Envelope, Epoch, NodeId, Tx, VidMsg, FRAME_HEADER_LEN};
+use dl_wire::{
+    frame_header_len, max_body_len, ChunkPayload, Envelope, Epoch, NodeId, Tx, VidMsg, WireEncode,
+};
 
 const LATENCY_MS: u64 = 20;
 /// The `vbw-*` workloads' floor: a 25 kB chunk holds this link for 250 ms.
@@ -24,8 +28,25 @@ const SLOW: LinkSpec = LinkSpec {
 };
 /// Milliseconds of link a frame carries (`dl-sim`'s private quantum).
 const Q_MS: u64 = 1;
-/// Bytes of an envelope's encoding one full [`SLOW`] frame carries.
-const SLOW_FRAME_BODY: u64 = SLOW.bytes_per_ms * Q_MS - FRAME_HEADER_LEN as u64;
+/// Bytes of an envelope's encoding one full frame of `rate` carries.
+fn frame_body(rate: u64) -> u64 {
+    max_body_len((rate * Q_MS) as usize) as u64
+}
+
+/// The same of a full [`SLOW`] frame: 98 bytes behind a 2-byte header.
+fn slow_frame_body() -> u64 {
+    frame_body(SLOW.bytes_per_ms)
+}
+
+/// Bytes of `chunk(7)`'s encoding.
+fn chunk_body() -> u64 {
+    chunk(7).encoded_len() as u64
+}
+
+/// Frames of [`SLOW`] link the whole of `chunk(7)` takes alone.
+fn chunk_frames() -> u64 {
+    chunk_body().div_ceil(slow_frame_body())
+}
 const CHUNK_BYTES: u32 = 25_000;
 const SENDER: usize = 0;
 const RECEIVER: usize = 1;
@@ -140,25 +161,32 @@ fn a_vote_pushed_behind_a_chunk_on_the_wire_arrives_within_a_quantum() {
 
 #[test]
 fn a_vote_sent_as_a_frame_ends_rides_the_next_frame_whatever_the_heap_pops_first() {
-    // The 1 ms frames of the chunk end at every whole millisecond. The vote
-    // is scripted for 5 ms before the run — its submission is older than
-    // the pump the frame ending at 5 ms schedules — or after running to
-    // 4 ms, when it is younger. Either way the link's pumps run after the
-    // instant's node events, so the frame that starts at 5 ms carries it.
-    let mut arrivals = Vec::new();
-    for scripted_late in [false, true] {
-        let (mut sim, log) = probed_link();
-        script(&mut sim, 0, 7, CHUNK_BYTES);
-        if scripted_late {
-            sim.run_until_quiescent(4);
+    // The 1 ms frames of the chunk end at every whole millisecond, and all
+    // but the first and the last carry only its middle: the link coasts
+    // through them. The vote is scripted for `at` ms before the run — its
+    // submission is older than the pump the frame ending at `at` would
+    // schedule — or after running to `at − 1`, when it is younger. Either
+    // way the link's pumps run after the instant's node events, so the
+    // frame that starts at `at` carries it.
+    let mut chunk_arrivals = Vec::new();
+    for at in 1..chunk_frames() - 1 {
+        for scripted_late in [false, true] {
+            let (mut sim, log) = probed_link();
+            script(&mut sim, 0, 7, CHUNK_BYTES);
+            if scripted_late {
+                sim.run_until_quiescent(at - 1);
+            }
+            script(&mut sim, at, 9, VOTE);
+            assert!(sim.run_until_quiescent(10_000).quiesced);
+            let log = log.borrow();
+            assert_eq!(log[0], (at + Q_MS + LATENCY_MS, vote(9)), "vote at {at}");
+            assert_eq!(log[1].1, chunk(7));
+            chunk_arrivals.push(log[1].0);
         }
-        script(&mut sim, 5, 9, VOTE);
-        assert!(sim.run_until_quiescent(10_000).quiesced);
-        let log = log.borrow();
-        assert_eq!(log[0].1, vote(9));
-        arrivals.push(log[0].0);
     }
-    assert_eq!(arrivals, [5 + Q_MS + LATENCY_MS; 2]);
+    // The vote displaces the same bytes of chunk wherever it lands.
+    chunk_arrivals.dedup();
+    assert_eq!(chunk_arrivals.len(), 1, "{chunk_arrivals:?}");
 }
 
 #[test]
@@ -202,26 +230,31 @@ fn two_runs_of_one_seed_pump_the_same_schedule() {
 
 #[test]
 fn a_rate_re_drawn_mid_chunk_governs_the_chunks_next_frame() {
-    let (mut sim, log) = probed_link();
-    script(&mut sim, 0, 7, CHUNK_BYTES);
-    sim.run_until_quiescent(10);
     let fast = LinkSpec {
         latency_ms: LATENCY_MS,
         bytes_per_ms: 2000,
     };
-    sim.set_link(SENDER, RECEIVER, fast);
-    let report = sim.run_until_quiescent(10_000);
-    assert!(report.quiesced);
-    // Frames begun at 0..=10 ms carried 100 bytes each, header included;
-    // the rest goes at 2000 a millisecond from 11 ms on. A chunk that held
-    // the link at its opening rate would arrive at 271 ms.
-    let body = (chunk(7).wire_size() - FRAME_HEADER_LEN) as u64;
-    let left = body - 11 * SLOW_FRAME_BODY;
-    let fast_frames = left.div_ceil(fast.bytes_per_ms * Q_MS - FRAME_HEADER_LEN as u64);
-    assert_eq!(
-        *log.borrow(),
-        vec![(11 + fast_frames * Q_MS + LATENCY_MS, chunk(7))]
-    );
+    // Stopped at any point of the chunk's coast, as `dl-e2e` stops every
+    // virtual second to re-draw the uplinks.
+    for stop in [1, 2, 10, 37, 100, 200] {
+        let (mut sim, log) = probed_link();
+        script(&mut sim, 0, 7, CHUNK_BYTES);
+        sim.run_until_quiescent(stop);
+        sim.set_uplink(SENDER, fast);
+        let report = sim.run_until_quiescent(10_000);
+        assert!(report.quiesced);
+        // Frames begun at 0..=stop ms carried 100 bytes each, header
+        // included; the rest goes at 2000 a millisecond from the next
+        // millisecond on. A chunk that held the link at its opening rate
+        // would arrive at 276 ms.
+        let left = chunk_body() - (stop + 1) * slow_frame_body();
+        let fast_frames = left.div_ceil(frame_body(fast.bytes_per_ms));
+        assert_eq!(
+            *log.borrow(),
+            vec![(stop + 1 + fast_frames * Q_MS + LATENCY_MS, chunk(7))],
+            "re-drawn after {stop} ms"
+        );
+    }
 }
 
 #[test]
@@ -241,92 +274,25 @@ fn a_crash_takes_the_partly_sent_chunk_with_it() {
 
 #[test]
 fn a_cancel_purges_the_unsent_remainder_of_a_partly_sent_chunk() {
-    let (mut sim, log) = probed_link();
-    script(&mut sim, 0, 7, CHUNK_BYTES);
-    script(&mut sim, 0, 8, CHUNK_BYTES); // queued behind it, another retrieval
-    script(&mut sim, 10, 7, PURGE);
-    let report = sim.run_until_quiescent(10_000);
-    assert!(report.quiesced);
-    // Ten or eleven 100-byte frames left before the cancel; the rest of
-    // the chunk is reclaimed and reported, and the link moves on.
-    assert_eq!(report.purged_envelopes, 1);
-    let whole = chunk(7).wire_size() as u64;
-    let sent = whole - report.purged_bytes;
-    assert!(
-        (10 * SLOW_FRAME_BODY..=11 * SLOW_FRAME_BODY).contains(&sent),
-        "{sent} bytes sent"
-    );
-    let log = log.borrow();
-    assert_eq!(log.len(), 1);
-    assert_eq!(log[0].1, chunk(8));
-    assert!(log[0].0 <= 11 + whole.div_ceil(SLOW_FRAME_BODY) + LATENCY_MS + 1);
-}
-
-// A chunk alone on a link coasts: the frames that carry only its middle
-// are accounted in one step, not pumped one by one. Everything below must
-// read as if each of those frames had been pumped.
-
-/// Milliseconds of [`SLOW`] link the whole of `chunk(7)` takes alone.
-fn chunk_frames() -> u64 {
-    ((chunk(7).wire_size() - FRAME_HEADER_LEN) as u64).div_ceil(SLOW_FRAME_BODY)
-}
-
-#[test]
-fn a_vote_pushed_at_any_millisecond_of_a_coasting_chunk_leaves_in_the_next_frame() {
-    let mut chunk_arrivals = Vec::new();
-    for at in 1..chunk_frames() - 1 {
-        let (mut sim, log) = probed_link();
-        script(&mut sim, 0, 7, CHUNK_BYTES);
-        script(&mut sim, at, 9, VOTE);
-        assert!(sim.run_until_quiescent(10_000).quiesced);
-        let log = log.borrow();
-        assert_eq!(log[0], (at + Q_MS + LATENCY_MS, vote(9)), "vote at {at} ms");
-        assert_eq!(log[1].1, chunk(7));
-        chunk_arrivals.push(log[1].0);
-    }
-    // The vote displaces the same bytes of chunk wherever it lands.
-    chunk_arrivals.dedup();
-    assert_eq!(chunk_arrivals.len(), 1, "{chunk_arrivals:?}");
-}
-
-#[test]
-fn an_uplink_re_drawn_between_slices_mid_coast_applies_from_the_next_frame() {
-    let fast = LinkSpec {
-        latency_ms: LATENCY_MS,
-        bytes_per_ms: 2000,
-    };
-    for stop in [1, 2, 37, 100, 200] {
-        let (mut sim, log) = probed_link();
-        script(&mut sim, 0, 7, CHUNK_BYTES);
-        sim.run_until_quiescent(stop);
-        sim.set_uplink(SENDER, fast);
-        assert!(sim.run_until_quiescent(10_000).quiesced);
-        // Frames begun at 0..=stop went at the slow rate.
-        let body = (chunk(7).wire_size() - FRAME_HEADER_LEN) as u64;
-        let left = body - (stop + 1) * SLOW_FRAME_BODY;
-        let fast_frames = left.div_ceil(fast.bytes_per_ms * Q_MS - FRAME_HEADER_LEN as u64);
-        assert_eq!(
-            *log.borrow(),
-            vec![(stop + 1 + fast_frames * Q_MS + LATENCY_MS, chunk(7))],
-            "re-drawn after {stop} ms"
-        );
-    }
-}
-
-#[test]
-fn a_cancel_mid_coast_purges_exactly_the_unsent_remainder() {
     for at in [1, 2, 10, 99, 200] {
         let (mut sim, log) = probed_link();
         script(&mut sim, 0, 7, CHUNK_BYTES);
+        script(&mut sim, 0, 8, CHUNK_BYTES); // queued behind it, another retrieval
         script(&mut sim, at, 7, PURGE);
         let report = sim.run_until_quiescent(10_000);
         assert!(report.quiesced);
-        // The frames begun before the cancel carried the chunk; the one
-        // that starts with it does not.
+        // The frames begun before the cancel carried the chunk, the one
+        // that starts with it does not: the rest, which would have gone
+        // in one segment behind its own header, is reclaimed and reported,
+        // and the link moves on.
         assert_eq!(report.purged_envelopes, 1);
-        let sent = chunk(7).wire_size() as u64 - report.purged_bytes;
-        assert_eq!(sent, at * SLOW_FRAME_BODY, "cancelled at {at} ms");
-        assert!(log.borrow().is_empty());
+        let left = (chunk_body() - at * slow_frame_body()) as usize;
+        let rest = (left + frame_header_len(left)) as u64;
+        assert_eq!(report.purged_bytes, rest, "cancelled at {at} ms");
+        let log = log.borrow();
+        assert_eq!(log.len(), 1);
+        assert_eq!(log[0].1, chunk(8));
+        assert!(log[0].0 <= at + 1 + chunk_frames() + LATENCY_MS + 1);
     }
 }
 

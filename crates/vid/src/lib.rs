@@ -574,7 +574,7 @@ impl<C: Coder> Retriever<C> {
     /// it; the engine starts every retrieval with
     /// [`Retriever::start_targeted`] and reaches ask-everyone by
     /// [`Retriever::escalate`]. Goes when the benchmark is next thawed
-    /// (ROADMAP direction 1(a)), and `early_cancel` with it.
+    /// (ROADMAP direction 2(a)), and `early_cancel` with it.
     pub fn start(n: usize, early_cancel: bool) -> (Retriever<C>, Vec<VidEffect<C::Block>>) {
         let mut r = Retriever::idle(n, None, early_cancel);
         let effects = r.escalate();

@@ -1,25 +1,28 @@
 //! The framed, zero-copy wire surface.
 //!
 //! A transport frame is a length-delimited envelope, or a length-delimited
-//! run of one:
+//! run of one, behind a header of one canonical LEB128 varint:
 //!
 //! ```text
-//! [ len: u32 le ][ tag: u8 ][ len bytes of an Envelope encoding ]
+//! [ varint: len << 3 | tag ][ len bytes of an Envelope encoding ]
 //! ```
 //!
-//! Tags 0 and 1 carry a whole envelope and name its [`TrafficClass`] (0 =
-//! dispersal, 1 = retrieval); the tag is a pure function of the envelope,
-//! and strict decoding rejects frames where the two disagree. `len` counts
-//! only the body, so such a frame occupies exactly [`Envelope::wire_size`]
-//! bytes — the byte count the discrete-event simulator charges for link
-//! time is the byte count `dl-net` puts on a socket.
+//! A body under 16 bytes (a vote, a `Term`, a request) pays one header
+//! byte, one under 2 KiB two, a 25 kB chunk three, and no legal frame more
+//! than [`MAX_FRAME_HEADER_LEN`]. Tags 0 and 1 carry a whole envelope and
+//! name its [`TrafficClass`] (0 = dispersal, 1 = retrieval); the tag is a
+//! pure function of the envelope, and strict decoding rejects frames where
+//! the two disagree. `len` counts only the body, so such a frame occupies
+//! exactly [`Envelope::wire_size`] bytes — the byte count the
+//! discrete-event simulator charges for link time is the byte count
+//! `dl-net` puts on a socket.
 //!
 //! Tags 2, 3 and 4 carry a retrieval-class envelope in *segments* — its
 //! first bytes, more of them, its last — so that a sender draining a
 //! `dl_core::SendQueue` can put high-class frames between two segments of
 //! a `ReturnChunk` instead of behind the whole of it ([`encode_segment`]).
 //! At most one envelope is open per stream; each segment after the first
-//! costs one more 5-byte header, which the simulator charges too. A sender
+//! costs one more header, which the simulator charges too. A sender
 //! that drops the rest of an open envelope (its retrieval was cancelled)
 //! just opens the next one: the receiver discards the unfinished
 //! reassembly when a tag-1 or tag-2 frame arrives.
@@ -40,40 +43,61 @@
 //! ## Strict decode
 //!
 //! [`FrameDecoder`] reassembles frames from arbitrary TCP read boundaries
-//! and rejects, with a typed [`FrameError`]: oversized length prefixes and
-//! reassemblies (before buffering, so a Byzantine peer cannot make us
-//! allocate), unknown tags, a continuation with no envelope open, class
-//! tags inconsistent with the decoded envelope (a segmented envelope is
-//! retrieval-class), and bodies that fail the strict envelope codec
-//! (truncated, trailing bytes, bad tags). Any error poisons the stream —
-//! framing is unrecoverable once desynchronized, so transports must drop
-//! the connection.
+//! and rejects, with a typed [`FrameError`]: non-canonical or over-long
+//! headers, oversized lengths and reassemblies (from the header, before
+//! buffering, so a Byzantine peer cannot make us allocate), unknown tags,
+//! a continuation with no envelope open, class tags inconsistent with the
+//! decoded envelope (a segmented envelope is retrieval-class), and bodies
+//! that fail the strict envelope codec (truncated, trailing bytes, bad
+//! tags). Any error poisons the stream — framing is unrecoverable once
+//! desynchronized, so transports must drop the connection.
 
 use bytes::Bytes;
 
-use crate::codec::{CodecError, Sink, WireDecode, WireEncode, MAX_FIELD_LEN};
+use crate::codec::{varint_len, CodecError, Sink, WireDecode, WireEncode, MAX_FIELD_LEN};
 use crate::msg::{Envelope, TrafficClass};
-
-/// Bytes of frame header preceding the body: 4-byte length + 1-byte tag.
-/// Every frame costs them, on a socket and in the simulator's link time.
-pub const FRAME_HEADER_LEN: usize = 5;
 
 /// Upper bound on a frame body. A body is one envelope: its largest field
 /// is bounded by [`MAX_FIELD_LEN`], plus slack for the envelope/proof
-/// metadata around it. Anything larger is rejected from the length prefix
-/// alone.
+/// metadata around it. Anything larger is rejected from the header alone.
 pub const MAX_FRAME_BODY: usize = MAX_FIELD_LEN + (16 << 10);
 
-/// One segment of a segmented encoding.
-enum SegPart {
-    /// Bytes owned by the buffer (headers, tags, small fields).
-    Owned(Vec<u8>),
-    /// A shared window into someone else's allocation (chunk payloads).
-    Shared(Bytes),
+/// Bytes of the longest legal frame header, that of a [`MAX_FRAME_BODY`]
+/// body; a header varint still open after this many bytes is rejected.
+pub const MAX_FRAME_HEADER_LEN: usize = 5;
+
+/// Bytes of the header of a frame whose body is `body_len` bytes. Every
+/// frame costs them, on a socket and in the simulator's link time.
+pub fn frame_header_len(body_len: usize) -> usize {
+    varint_len((body_len as u64) << 3)
 }
 
-impl SegPart {
-    fn as_slice(&self) -> &[u8] {
+/// The longest body whose frame, header included, fits in `frame_bytes`
+/// (0 if none does). A body one byte longer can need a header one byte
+/// longer, so the frame can fall a byte short of `frame_bytes`.
+pub fn max_body_len(frame_bytes: usize) -> usize {
+    let mut len = frame_bytes.saturating_sub(1);
+    while len > 0 && frame_header_len(len) > frame_bytes - len {
+        len -= 1;
+    }
+    len
+}
+
+/// Write the header of a frame with a `body_len`-byte body and `tag`.
+fn put_header(out: &mut impl Sink, body_len: usize, tag: u8) {
+    out.put_varint((body_len as u64) << 3 | u64::from(tag));
+}
+
+/// One segment of a segmented encoding.
+enum SegPart<'a> {
+    /// Bytes owned by the buffer (headers, tags, small fields).
+    Owned(&'a [u8]),
+    /// A shared window into someone else's allocation (chunk payloads).
+    Shared(&'a Bytes),
+}
+
+impl<'a> SegPart<'a> {
+    fn as_slice(&self) -> &'a [u8] {
         match self {
             SegPart::Owned(v) => v,
             SegPart::Shared(b) => b,
@@ -85,18 +109,20 @@ impl SegPart {
 /// form one contiguous wire image, without forcing shared payloads to be
 /// copied into place.
 ///
-/// Writers append through its [`Sink`] impl: small fields into an owned
-/// tail, large shared payloads ([`Sink::put_shared`]) as segments of their
-/// own. Readers either walk [`SegmentBuf::segments`] /
-/// [`SegmentBuf::io_slices`] (vectored IO) or flatten with
-/// [`SegmentBuf::to_vec`].
+/// Writers append through its [`Sink`] impl: small fields into one owned
+/// run, large shared payloads ([`Sink::put_shared`]) aside, each with the
+/// offset in the owned run where it goes. Readers either walk
+/// [`SegmentBuf::segments`] / [`SegmentBuf::io_slices`] (vectored IO) or
+/// flatten with [`SegmentBuf::to_vec`].
 #[derive(Default)]
 pub struct SegmentBuf {
-    parts: Vec<SegPart>,
+    owned: Vec<u8>,
+    /// Shared payloads in wire order, each after `owned[..at]`.
+    shared: Vec<(usize, Bytes)>,
 }
 
 impl SegmentBuf {
-    /// Shared payloads at or below this size are copied into the owned head
+    /// Shared payloads at or below this size are copied into the owned run
     /// instead of becoming their own segment: a 2-element iovec for a
     /// 16-byte field costs more than the copy saves.
     pub const INLINE_COPY_MAX: usize = 64;
@@ -105,21 +131,24 @@ impl SegmentBuf {
         SegmentBuf::default()
     }
 
-    /// The owned buffer at the tail, for appending small fields. Creates a
-    /// fresh owned segment if the tail is currently a shared payload.
-    fn head_mut(&mut self) -> &mut Vec<u8> {
-        if !matches!(self.parts.last(), Some(SegPart::Owned(_))) {
-            self.parts.push(SegPart::Owned(Vec::new()));
-        }
-        match self.parts.last_mut() {
-            Some(SegPart::Owned(v)) => v,
-            _ => unreachable!("just ensured an owned tail"),
-        }
+    /// The owned runs and shared payloads in wire order; no owned run is
+    /// empty.
+    fn parts(&self) -> impl Iterator<Item = SegPart<'_>> {
+        let mut from = 0;
+        let ends = self.shared.iter().map(Some).chain([None]);
+        ends.flat_map(move |shared| {
+            let to = shared.map_or(self.owned.len(), |(at, _)| *at);
+            let owned = (to > from).then(|| SegPart::Owned(&self.owned[from..to]));
+            from = to;
+            owned
+                .into_iter()
+                .chain(shared.map(|(_, b)| SegPart::Shared(b)))
+        })
     }
 
     /// Total encoded length across all segments.
     pub fn len(&self) -> usize {
-        self.parts.iter().map(|p| p.as_slice().len()).sum()
+        self.owned.len() + self.shared.iter().map(|(_, b)| b.len()).sum::<usize>()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -128,31 +157,25 @@ impl SegmentBuf {
 
     /// The segments, in wire order.
     pub fn segments(&self) -> impl Iterator<Item = &[u8]> {
-        self.parts.iter().map(SegPart::as_slice)
+        self.parts().map(|p| p.as_slice())
     }
 
     /// The shared (zero-copy) segments only — what a transport avoids
     /// copying, and what tests assert pointer identity on.
     pub fn shared_segments(&self) -> impl Iterator<Item = &Bytes> {
-        self.parts.iter().filter_map(|p| match p {
-            SegPart::Shared(b) => Some(b),
-            SegPart::Owned(_) => None,
-        })
+        self.shared.iter().map(|(_, b)| b)
     }
 
     /// Borrow the segments as an iovec for `Write::write_vectored`.
     pub fn io_slices(&self) -> Vec<std::io::IoSlice<'_>> {
-        self.parts
-            .iter()
-            .map(|p| std::io::IoSlice::new(p.as_slice()))
-            .collect()
+        self.segments().map(std::io::IoSlice::new).collect()
     }
 
     /// Flatten into a fresh `Vec<u8>`.
     pub fn to_vec(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.len());
-        for part in &self.parts {
-            out.extend_from_slice(part.as_slice());
+        for part in self.segments() {
+            out.extend_from_slice(part);
         }
         out
     }
@@ -160,7 +183,7 @@ impl SegmentBuf {
     /// Append bytes `skip..skip + len` of this buffer to `out`: shared
     /// payloads as sub-windows of the same allocation, owned bytes copied.
     fn put_window(&self, mut skip: usize, mut len: usize, out: &mut SegmentBuf) {
-        for part in &self.parts {
+        for part in self.parts() {
             let size = part.as_slice().len();
             if skip >= size {
                 skip -= size;
@@ -183,16 +206,16 @@ impl SegmentBuf {
 /// The segment-keeping sink.
 impl Sink for SegmentBuf {
     fn put(&mut self, bytes: &[u8]) {
-        self.head_mut().extend_from_slice(bytes);
+        self.owned.extend_from_slice(bytes);
     }
     fn put_zeros(&mut self, n: usize) {
-        self.head_mut().put_zeros(n);
+        self.owned.put_zeros(n);
     }
     fn put_u8(&mut self, b: u8) {
-        self.head_mut().push(b);
+        self.owned.push(b);
     }
     fn put_varint(&mut self, v: u64) {
-        self.head_mut().put_varint(v);
+        self.owned.put_varint(v);
     }
     /// A zero-copy segment (refcount bump, no byte copy), unless the
     /// payload is small enough that inlining wins.
@@ -200,12 +223,12 @@ impl Sink for SegmentBuf {
         if bytes.len() <= Self::INLINE_COPY_MAX {
             self.put(bytes);
         } else {
-            self.parts.push(SegPart::Shared(bytes.clone()));
+            self.shared.push((self.owned.len(), bytes.clone()));
         }
     }
 }
 
-/// The wire tag for a traffic class (the `class` byte of a frame header).
+/// The wire tag for a traffic class (the tag of a frame header).
 fn class_tag(class: TrafficClass) -> u8 {
     match class {
         TrafficClass::Dispersal => TAG_DISPERSAL,
@@ -218,8 +241,7 @@ fn class_tag(class: TrafficClass) -> u8 {
 /// chunk payload a shared window (no copy of the encode arena).
 pub fn encode_frame(env: &Envelope) -> SegmentBuf {
     let mut out = SegmentBuf::new();
-    (env.encoded_len() as u32).encode_to(&mut out);
-    out.put_u8(class_tag(env.class()));
+    put_header(&mut out, env.encoded_len(), class_tag(env.class()));
     env.encode_to(&mut out);
     debug_assert_eq!(out.len(), env.wire_size());
     out
@@ -242,32 +264,34 @@ const TAG_BULK_END: u8 = 4;
 /// envelope: nothing else is ever cut) is a start, middle or end segment.
 /// Chunk payload bytes stay windows into the encode arena.
 pub fn encode_segment(env: &Envelope, offset: usize, len: usize) -> SegmentBuf {
-    let frame = encode_frame(env);
-    let body_len = frame.len() - FRAME_HEADER_LEN;
-    debug_assert!(offset + len <= body_len);
-    let tag = match (offset == 0, offset + len == body_len) {
-        (true, true) => return frame,
+    let mut body = SegmentBuf::new();
+    env.encode_to(&mut body);
+    debug_assert!(offset + len <= body.len());
+    let tag = match (offset == 0, offset + len == body.len()) {
+        (true, true) => return encode_frame(env),
         (true, false) => TAG_BULK_START,
         (false, false) => TAG_BULK_MORE,
         (false, true) => TAG_BULK_END,
     };
     let mut out = SegmentBuf::new();
-    (len as u32).encode_to(&mut out);
-    out.put_u8(tag);
-    frame.put_window(FRAME_HEADER_LEN + offset, len, &mut out);
+    put_header(&mut out, len, tag);
+    body.put_window(offset, len, &mut out);
     out
 }
 
 /// Why a frame was rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FrameError {
-    /// The length prefix — or, for a segment, the reassembly it would
+    /// The header's length — or, for a segment, the reassembly it would
     /// extend — exceeds [`MAX_FRAME_BODY`]; rejected before any of its
     /// bytes are buffered.
     Oversized { len: usize },
-    /// The class byte is not a known [`TrafficClass`] tag.
+    /// The header varint is not canonical (a final zero byte after the
+    /// first) or runs past [`MAX_FRAME_HEADER_LEN`] bytes.
+    BadHeader,
+    /// The tag is not a known one (0–4).
     BadClass(u8),
-    /// The class byte disagrees with the class derived from the decoded
+    /// The tag disagrees with the class derived from the decoded
     /// envelope (an honest sender can never produce this).
     ClassMismatch { tagged: u8, actual: u8 },
     /// A middle or end segment arrived with no envelope open.
@@ -285,6 +309,7 @@ impl std::fmt::Display for FrameError {
             FrameError::Oversized { len } => {
                 write!(f, "envelope of {len} bytes exceeds {MAX_FRAME_BODY}")
             }
+            FrameError::BadHeader => write!(f, "non-canonical or over-long frame header"),
             FrameError::BadClass(tag) => write!(f, "unknown traffic class tag {tag}"),
             FrameError::ClassMismatch { tagged, actual } => {
                 write!(
@@ -381,22 +406,11 @@ impl FrameDecoder {
         // yields nothing, so look at the frame after it.
         loop {
             let avail = &self.buf[self.consumed..];
-            if avail.len() < 4 {
+            let Some((header_len, body_len, tag)) = read_header(avail)? else {
                 return Ok(None);
-            }
-            let body_len = u32::from_le_bytes(avail[..4].try_into().expect("4 bytes")) as usize;
-            // Reject absurd lengths from the prefix alone — before waiting
-            // for (or allocating room for) a body a Byzantine peer will
-            // never send.
-            if body_len > MAX_FRAME_BODY {
-                return Err(FrameError::Oversized { len: body_len });
-            }
-            if avail.len() < FRAME_HEADER_LEN {
-                return Ok(None);
-            }
+            };
             // Validate the tag as soon as it arrives: a bad one must not
             // make us buffer up to MAX_FRAME_BODY of garbage first.
-            let tag = avail[4];
             match (tag, &self.open) {
                 (TAG_DISPERSAL | TAG_RETRIEVAL | TAG_BULK_START, _) => {}
                 (TAG_BULK_MORE | TAG_BULK_END, Some(open)) => {
@@ -410,10 +424,10 @@ impl FrameDecoder {
                 }
                 _ => return Err(FrameError::BadClass(tag)),
             }
-            if avail.len() < FRAME_HEADER_LEN + body_len {
+            if avail.len() < header_len + body_len {
                 return Ok(None);
             }
-            let body = &avail[FRAME_HEADER_LEN..FRAME_HEADER_LEN + body_len];
+            let body = &avail[header_len..header_len + body_len];
             let env = match tag {
                 TAG_DISPERSAL => Some(Envelope::from_bytes(body)?),
                 // The next bulk envelope opens: whatever was open, its
@@ -437,7 +451,7 @@ impl FrameDecoder {
                     }
                 }
             };
-            self.consumed += FRAME_HEADER_LEN + body_len;
+            self.consumed += header_len + body_len;
             let Some(env) = env else { continue };
             // Only the retrieval class is ever cut into segments.
             let tagged = tag.min(TAG_RETRIEVAL);
@@ -448,6 +462,31 @@ impl FrameDecoder {
             return Ok(Some(env));
         }
     }
+}
+
+/// The frame header at the front of `avail` as `(header bytes, body
+/// length, tag)`, `None` until all of it has arrived. A length past
+/// [`MAX_FRAME_BODY`] is rejected from the header alone — before waiting
+/// for (or allocating room for) a body a Byzantine peer will never send.
+fn read_header(avail: &[u8]) -> Result<Option<(usize, usize, u8)>, FrameError> {
+    let mut v = 0u64;
+    for (i, &b) in avail.iter().take(MAX_FRAME_HEADER_LEN).enumerate() {
+        v |= u64::from(b & 0x7f) << (7 * i);
+        if b & 0x80 == 0 {
+            if b == 0 && i > 0 {
+                return Err(FrameError::BadHeader);
+            }
+            let len = (v >> 3) as usize;
+            if len > MAX_FRAME_BODY {
+                return Err(FrameError::Oversized { len });
+            }
+            return Ok(Some((i + 1, len, (v & 7) as u8)));
+        }
+    }
+    if avail.len() >= MAX_FRAME_HEADER_LEN {
+        return Err(FrameError::BadHeader);
+    }
+    Ok(None)
 }
 
 #[cfg(test)]
@@ -504,6 +543,18 @@ mod tests {
         )
     }
 
+    /// A frame header with whatever length and tag it claims.
+    fn header(tag: u8, len: usize) -> Vec<u8> {
+        let mut out = Vec::new();
+        put_header(&mut out, len, tag);
+        out
+    }
+
+    /// `body` behind a header claiming `len` bytes.
+    fn framed(tag: u8, len: usize, body: &[u8]) -> Vec<u8> {
+        [header(tag, len), body.to_vec()].concat()
+    }
+
     fn retrieval_env() -> Envelope {
         Envelope::vid(
             Epoch(5),
@@ -548,10 +599,8 @@ mod tests {
         assert_eq!(shared[0].as_ref().as_ptr(), payload.as_ref().as_ptr());
         assert_eq!(shared[0].len(), payload.len());
         // And the flattened bytes still equal the flat encode path.
-        let mut flat = Vec::new();
-        (env.encoded_len() as u32).encode(&mut flat);
-        flat.push(class_tag(env.class()));
-        env.encode(&mut flat);
+        let body = env.to_bytes();
+        let flat = framed(class_tag(env.class()), body.len(), &body);
         assert_eq!(frame.to_vec(), flat);
     }
 
@@ -626,13 +675,19 @@ mod tests {
     /// `env` cut at each of `cuts` (offsets into its encoding), one frame
     /// per piece.
     fn segment_frames(env: &Envelope, cuts: &[usize]) -> Vec<Vec<u8>> {
-        let mut edges = vec![0];
-        edges.extend_from_slice(cuts);
-        edges.push(env.encoded_len());
-        edges
-            .windows(2)
-            .map(|w| encode_segment(env, w[0], w[1] - w[0]).to_vec())
+        segment_lens(env, cuts)
+            .scan(0, |offset, len| {
+                *offset += len;
+                Some(encode_segment(env, *offset - len, len).to_vec())
+            })
             .collect()
+    }
+
+    /// The lengths of the pieces [`segment_frames`] cuts.
+    fn segment_lens<'a>(env: &Envelope, cuts: &'a [usize]) -> impl Iterator<Item = usize> + 'a {
+        let edges = [0].into_iter().chain(cuts.iter().copied());
+        let ends = cuts.iter().copied().chain([env.encoded_len()]);
+        edges.zip(ends).map(|(from, to)| to - from)
     }
 
     #[test]
@@ -653,8 +708,10 @@ mod tests {
             let frames = segment_frames(&env, &cuts);
             assert_eq!(
                 frames.iter().map(Vec::len).sum::<usize>(),
-                env.wire_size() + cuts.len() * FRAME_HEADER_LEN,
-                "each extra segment costs one header"
+                body + segment_lens(&env, &cuts)
+                    .map(frame_header_len)
+                    .sum::<usize>(),
+                "each segment costs a header of its own length"
             );
             let mut stream = frames[0].clone();
             stream.extend_from_slice(&encode_frame(&vote).to_vec());
@@ -693,7 +750,7 @@ mod tests {
         assert_eq!(shared.len(), 1);
         assert_eq!(shared[0].as_ref().as_ptr(), payload[1000..].as_ptr());
         assert_eq!(shared[0].len(), 2000);
-        assert_eq!(seg.len(), FRAME_HEADER_LEN + 2000);
+        assert_eq!(seg.len(), frame_header_len(2000) + 2000);
         // The whole encoding as one "segment" is the plain frame.
         let whole = encode_segment(&env, 0, env.encoded_len());
         assert_eq!(whole.to_vec(), encode_frame(&env).to_vec());
@@ -723,10 +780,7 @@ mod tests {
     fn continuation_without_a_start_is_rejected_from_the_header_alone() {
         for tag in [TAG_BULK_MORE, TAG_BULK_END] {
             let mut dec = FrameDecoder::new();
-            let mut hdr = Vec::new();
-            1000u32.encode(&mut hdr);
-            hdr.push(tag);
-            dec.extend(&hdr);
+            dec.extend(&header(tag, 1000));
             assert_eq!(dec.next_frame(), Err(FrameError::ContinuationWithoutStart));
             assert_eq!(dec.next_frame(), Err(FrameError::Poisoned));
         }
@@ -738,10 +792,7 @@ mod tests {
         // claimed bytes are never waited for.
         let mut dec = FrameDecoder::new();
         dec.extend(&segment_frames(&retrieval_env(), &[100])[0]);
-        let mut hdr = Vec::new();
-        ((MAX_FRAME_BODY - 50) as u32).encode(&mut hdr);
-        hdr.push(TAG_BULK_MORE);
-        dec.extend(&hdr);
+        dec.extend(&header(TAG_BULK_MORE, MAX_FRAME_BODY - 50));
         assert_eq!(
             dec.next_frame(),
             Err(FrameError::Oversized {
@@ -768,8 +819,8 @@ mod tests {
     #[test]
     fn oversized_length_prefix_rejected_before_buffering() {
         let mut dec = FrameDecoder::new();
-        let mut hdr = Vec::new();
-        ((MAX_FRAME_BODY + 1) as u32).encode(&mut hdr);
+        let hdr = header(TAG_DISPERSAL, MAX_FRAME_BODY + 1);
+        assert_eq!(hdr.len(), MAX_FRAME_HEADER_LEN);
         dec.extend(&hdr);
         assert_eq!(
             dec.next_frame(),
@@ -783,14 +834,53 @@ mod tests {
     }
 
     #[test]
+    fn non_canonical_and_over_long_headers_are_rejected() {
+        // A vote's header padded to two bytes, and to the longest legal
+        // header: the same value, but not its one encoding.
+        let body = ba_env().to_bytes();
+        let canonical = header(TAG_DISPERSAL, body.len());
+        assert_eq!(canonical.len(), 1);
+        for pad in 1..MAX_FRAME_HEADER_LEN {
+            let mut padded = vec![canonical[0] | 0x80];
+            padded.extend(std::iter::repeat_n(0x80, pad - 1));
+            padded.push(0);
+            let mut dec = FrameDecoder::new();
+            dec.extend(&[padded, body.clone()].concat());
+            assert_eq!(dec.next_frame(), Err(FrameError::BadHeader), "pad {pad}");
+        }
+        // A varint still open after the longest legal header is rejected
+        // as soon as that many bytes are in, whatever would follow.
+        let mut dec = FrameDecoder::new();
+        dec.extend(&[0x80; MAX_FRAME_HEADER_LEN - 1]);
+        assert_eq!(dec.next_frame(), Ok(None));
+        dec.extend(&[0x80]);
+        assert_eq!(dec.next_frame(), Err(FrameError::BadHeader));
+    }
+
+    #[test]
+    fn header_lengths_follow_the_body() {
+        assert_eq!(frame_header_len(MAX_FRAME_BODY), MAX_FRAME_HEADER_LEN);
+        for (body, header) in [(0, 1), (15, 1), (16, 2), (2047, 2), (2048, 3), (25_000, 3)] {
+            assert_eq!(frame_header_len(body), header, "{body}-byte body");
+        }
+        // The longest body of a frame budget is exact: one byte more and
+        // the frame, header included, no longer fits.
+        let fits = |body: usize, budget: usize| body + frame_header_len(body) <= budget;
+        for budget in (0..5000).chain(262_100..262_200) {
+            let body = max_body_len(budget);
+            assert!(body == 0 || fits(body, budget), "{budget}");
+            assert!(!fits(body + 1, budget), "{budget}");
+        }
+        assert!(max_body_len(usize::MAX) > MAX_FRAME_BODY);
+    }
+
+    #[test]
     fn corrupted_length_prefix_over_claims_then_fails_strict_decode() {
         // A length prefix claiming more than the body swallows the next
         // frame's bytes and must fail the strict envelope codec (trailing
         // bytes), not silently misparse.
-        let env = ba_env();
-        let mut bytes = encode_frame(&env).to_vec();
-        let real_len = u32::from_le_bytes(bytes[..4].try_into().unwrap());
-        bytes[..4].copy_from_slice(&(real_len + 3).to_le_bytes());
+        let body = ba_env().to_bytes();
+        let mut bytes = framed(TAG_DISPERSAL, body.len() + 3, &body);
         bytes.extend_from_slice(&[0, 0, 0]); // the swallowed bytes
         let mut dec = FrameDecoder::new();
         dec.extend(&bytes);
@@ -799,38 +889,30 @@ mod tests {
 
     #[test]
     fn corrupted_length_prefix_under_claims_fails() {
-        let env = chunk_env(128);
-        let mut bytes = encode_frame(&env).to_vec();
-        let real_len = u32::from_le_bytes(bytes[..4].try_into().unwrap());
-        bytes[..4].copy_from_slice(&(real_len - 1).to_le_bytes());
+        let body = chunk_env(128).to_bytes();
         let mut dec = FrameDecoder::new();
-        dec.extend(&bytes);
+        dec.extend(&framed(TAG_DISPERSAL, body.len() - 1, &body));
         assert!(matches!(dec.next_frame(), Err(FrameError::Codec(_))));
     }
 
     #[test]
     fn bad_class_tag_rejected_from_the_header_alone() {
-        // Only the 5-byte header has arrived: a bad class must be rejected
-        // now, not after buffering the (large, claimed) body.
+        // Only the header has arrived: a bad class must be rejected now,
+        // not after buffering the (large, claimed) body.
         let mut dec = FrameDecoder::new();
-        let mut hdr = Vec::new();
-        ((MAX_FRAME_BODY - 1) as u32).encode(&mut hdr);
-        hdr.push(9);
-        dec.extend(&hdr);
-        assert_eq!(dec.next_frame(), Err(FrameError::BadClass(9)));
+        dec.extend(&header(5, MAX_FRAME_BODY - 1));
+        assert_eq!(dec.next_frame(), Err(FrameError::BadClass(5)));
     }
 
     #[test]
     fn bad_and_mismatched_class_tags_rejected() {
-        let env = ba_env(); // dispersal class
-        let mut bytes = encode_frame(&env).to_vec();
-        bytes[4] = 7;
+        let body = ba_env().to_bytes(); // dispersal class
         let mut dec = FrameDecoder::new();
-        dec.extend(&bytes);
+        dec.extend(&framed(7, body.len(), &body));
         assert_eq!(dec.next_frame(), Err(FrameError::BadClass(7)));
 
-        let mut bytes = encode_frame(&env).to_vec();
-        bytes[4] = 1; // valid tag, wrong class for a BA message
+        // A valid tag, but the wrong class for a BA message.
+        let bytes = framed(TAG_RETRIEVAL, body.len(), &body);
         let mut dec = FrameDecoder::new();
         dec.extend(&bytes);
         assert_eq!(
@@ -884,11 +966,8 @@ mod tests {
                 assert_eq!(env.to_bytes(), body);
             }
             let _ = crate::Block::from_bytes(&body);
-            let mut framed = (len as u32).to_le_bytes().to_vec();
-            framed.push(rng.below(6) as u8);
-            framed.extend_from_slice(&body);
             let mut dec = FrameDecoder::new();
-            dec.extend(&framed);
+            dec.extend(&framed(rng.below(8) as u8, len, &body));
             let _ = dec.next_frame();
             let mut dec = FrameDecoder::new();
             dec.extend(&body);

@@ -28,8 +28,8 @@ pub use block::{Block, BlockBody, BlockHeader, Tx};
 pub use codec::{CodecError, Sink, WireDecode, WireEncode};
 pub use config::{ClusterConfig, Epoch, NodeId};
 pub use frame::{
-    encode_frame, encode_segment, FrameDecoder, FrameError, SegmentBuf, FRAME_HEADER_LEN,
-    MAX_FRAME_BODY,
+    encode_frame, encode_segment, frame_header_len, max_body_len, FrameDecoder, FrameError,
+    SegmentBuf, MAX_FRAME_BODY,
 };
 pub use msg::{BaMsg, ChunkPayload, Envelope, ProtoMsg, SyncMsg, TrafficClass, VidMsg};
 pub use nodeset::NodeSet;

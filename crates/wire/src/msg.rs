@@ -6,7 +6,7 @@ use crate::codec::{
     read_len, read_u8, read_varint, take, CodecError, Sink, WireDecode, WireEncode,
 };
 use crate::config::{Epoch, NodeId};
-use crate::frame::FRAME_HEADER_LEN;
+use crate::frame::frame_header_len;
 use bytes::Bytes;
 use dl_crypto::{Hash, MerkleProof};
 
@@ -349,7 +349,7 @@ impl Envelope {
 
     /// Traffic class for prioritization (§5): `ReturnChunk` and `ReturnBare`
     /// bulk is low priority keyed by epoch; everything else rides the
-    /// high-priority class. That includes the 8-byte requests and `Cancel`: parked
+    /// high-priority class. That includes the 4-byte requests and `Cancel`: parked
     /// behind seconds of queued chunks, a request starts its chunk late
     /// and a cancel arrives after the chunk it was meant to stop.
     pub fn class(&self) -> TrafficClass {
@@ -363,7 +363,8 @@ impl Envelope {
 
     /// Total bytes on the wire including transport framing.
     pub fn wire_size(&self) -> usize {
-        self.encoded_len() + FRAME_HEADER_LEN
+        let body = self.encoded_len();
+        body + frame_header_len(body)
     }
 }
 
@@ -697,8 +698,9 @@ mod tests {
     #[test]
     fn control_messages_are_small() {
         // The design premise: agreement traffic is tiny next to block data.
-        // At epoch < 128 and N ≤ 128 a vote is the 5-byte frame header,
-        // one byte each of epoch, index and kind, and one of round.
+        // At epoch < 128 and N ≤ 128 a vote is one byte each of frame
+        // header, epoch, index and kind, and one of round; a body of 16
+        // bytes or more takes a second header byte.
         let root = Hash::digest(b"r");
         let (e, i) = (Epoch(127), NodeId(127));
         let size = |m: ProtoMsg| {
@@ -710,18 +712,18 @@ mod tests {
             .wire_size()
         };
         for value in [false, true] {
-            assert_eq!(size(ProtoMsg::Ba(BaMsg::BVal { round: 1, value })), 9);
-            assert_eq!(size(ProtoMsg::Ba(BaMsg::Aux { round: 1, value })), 9);
-            assert_eq!(size(ProtoMsg::Ba(BaMsg::Term { value })), 8);
+            assert_eq!(size(ProtoMsg::Ba(BaMsg::BVal { round: 1, value })), 5);
+            assert_eq!(size(ProtoMsg::Ba(BaMsg::Aux { round: 1, value })), 5);
+            assert_eq!(size(ProtoMsg::Ba(BaMsg::Term { value })), 4);
         }
-        assert_eq!(size(ProtoMsg::Vid(VidMsg::GotChunk { root })), 40);
-        assert_eq!(size(ProtoMsg::Vid(VidMsg::Ready { root })), 40);
+        assert_eq!(size(ProtoMsg::Vid(VidMsg::GotChunk { root })), 37);
+        assert_eq!(size(ProtoMsg::Vid(VidMsg::Ready { root })), 37);
         // The root crosses a link once: a `Ready` after our `GotChunk`
         // names none.
-        assert_eq!(size(ProtoMsg::Vid(VidMsg::ReadyAsGot)), 8);
-        assert_eq!(size(ProtoMsg::Vid(VidMsg::RequestChunk)), 8);
-        assert_eq!(size(ProtoMsg::Vid(VidMsg::RequestProven)), 8);
-        assert_eq!(size(ProtoMsg::Vid(VidMsg::Cancel)), 8);
+        assert_eq!(size(ProtoMsg::Vid(VidMsg::ReadyAsGot)), 4);
+        assert_eq!(size(ProtoMsg::Vid(VidMsg::RequestChunk)), 4);
+        assert_eq!(size(ProtoMsg::Vid(VidMsg::RequestProven)), 4);
+        assert_eq!(size(ProtoMsg::Vid(VidMsg::Cancel)), 4);
         // At N = 32 a proven 50-byte chunk carries a 32-byte root and a
         // five-hash path (1 + 1 + 160 bytes of proof); a bare one, none.
         let payload = ChunkPayload::Real(Bytes::from(vec![1u8; 50]));
@@ -735,8 +737,8 @@ mod tests {
             proof,
             payload: payload.clone(),
         });
-        assert_eq!(size(proven), 8 + 32 + 162 + 52);
-        assert_eq!(size(ProtoMsg::Vid(VidMsg::ReturnBare { payload })), 8 + 52);
+        assert_eq!(size(proven), 5 + 32 + 162 + 52);
+        assert_eq!(size(ProtoMsg::Vid(VidMsg::ReturnBare { payload })), 5 + 52);
     }
 
     #[test]

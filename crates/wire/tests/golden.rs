@@ -6,8 +6,8 @@ use bytes::Bytes;
 use dl_crypto::merkle::expected_path_len;
 use dl_crypto::{Hash, MerkleProof, Sha256};
 use dl_wire::{
-    encode_frame, encode_segment, BaMsg, Block, BlockHeader, ChunkPayload, Envelope, Epoch, NodeId,
-    SyncMsg, Tx, VidMsg, WireDecode, WireEncode,
+    encode_frame, encode_segment, frame_header_len, BaMsg, Block, BlockHeader, ChunkPayload,
+    Envelope, Epoch, NodeId, SyncMsg, Tx, VidMsg, WireDecode, WireEncode,
 };
 
 /// Appends `bytes`, which claim to be `len` long, to the pinned stream.
@@ -74,8 +74,9 @@ fn every_kind(epoch: u64, index: u16, round: u16, proof: MerkleProof, len: usize
 fn the_wire_bytes_are_pinned() {
     // Every kind at the varint edges, flat and framed; a block of real and
     // synthetic transactions; a `ReturnChunk` cut in two at offsets 1, 64
-    // and body − 1. The digest was taken before the encoders became one
-    // field walk each.
+    // and body − 1. Re-pinned when the frame header became one varint of
+    // `len << 3 | tag` in place of `[u32 len][u8 tag]`: every frame and
+    // segment moved, no envelope or block body did.
     let mut h = Sha256::new();
     let mut envs = Vec::new();
     for v in [0, 127, 128, 16_383, 16_384, u16::MAX as u64, u64::MAX] {
@@ -126,11 +127,11 @@ fn the_wire_bytes_are_pinned() {
     for cut in [1, 64, body - 1] {
         for (offset, len) in [(0, cut), (cut, body - cut)] {
             let frame = encode_segment(&ret, offset, len).to_vec();
-            pin(&mut h, len + 5, &frame);
+            pin(&mut h, len + frame_header_len(len), &frame);
         }
     }
     assert_eq!(
         Hash(h.finalize()).to_hex(),
-        "ad001933f87937dfa77deafec0c4e50e417d62bcb0a0346a54d8c3deafd62374"
+        "4dd8ebc91bf06ab506e3ef107976be6e043fc5e29d8f81eea054155a407fd66c"
     );
 }
