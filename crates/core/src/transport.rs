@@ -177,27 +177,6 @@ impl SendQueue {
         self.open.as_ref().map(|(open, _)| &open.env)
     }
 
-    /// What the next calls of `pop_segment(max_bytes)` would hand out if
-    /// nothing were pushed meanwhile, while they carry only the middle of
-    /// the partly-sent chunk: `(len, count)` — `count` segments of `len`
-    /// bytes each, before the one that finishes the chunk. `None` while
-    /// the high class is not empty or no chunk is partly sent.
-    pub fn middle_segments(&self, max_bytes: usize) -> Option<(usize, usize)> {
-        let (open, sent) = self.open.as_ref().filter(|_| self.dispersal.is_empty())?;
-        let room = Some(max_body_len(max_bytes)).filter(|&r| r > 0)?;
-        Some((room, (open.body - sent - 1) / room))
-    }
-
-    /// Hand out `count` middle segments of `len` bytes at once: the state
-    /// that many `pop_segment` calls leave ([`SendQueue::middle_segments`]).
-    pub fn skip_segments(&mut self, len: usize, count: usize) {
-        let (open, sent) = self.open.as_mut().expect("a partly-sent chunk");
-        let left = open.body - *sent;
-        debug_assert!(len * count < left);
-        *sent += len * count;
-        self.bytes -= framed(left) - framed(left - len * count);
-    }
-
     pub fn len(&self) -> usize {
         self.len
     }

@@ -26,7 +26,7 @@
 //! an envelope's first costs one more frame header of link time, exactly
 //! as `dl-net` writes one to the socket.
 //!
-//! A link is pumped at instants: when a frame ends with backlog behind it,
+//! A link is pumped once per frame: when a frame ends with backlog behind it,
 //! and when an envelope lands on an empty queue. The pumps due at one
 //! instant run from a single heap event, after every node event of that
 //! instant and in `(from, to)` order. So a frame that starts at `t`
@@ -54,21 +54,6 @@
 //! envelopes and 108 s with a heap event per frame (2 cores). Pumping an
 //! instant's links from one heap event, with `dl-core`'s fuller pipelined
 //! epochs, brought it to 64 s.
-//!
-//! Most of those frames hand nothing over: they carry only the middle of
-//! a `ReturnChunk` (75 % of `vbw-sat-dl`'s link pumps). So a link
-//! *coasts*: when a frame ends inside the partly-sent chunk and nothing of
-//! the high class is queued, the link's one pump is scheduled at the frame
-//! that finishes the chunk, and the frames in between are accounted in one
-//! step — advancing the cursor, the link's busy time and
-//! [`SimReport::events_processed`] as pumping each would have — when
-//! something touches the link: a high-class send or a cancel's purge
-//! (the frames begun before that instant), the end of a run at its
-//! deadline (those begun by then, so a rate re-drawn between runs governs
-//! the next frame), or the coast's own end. Every report is the same as
-//! with a pump per frame; nothing coasts while a chaos plan is installed.
-//! On `vbw-sat-dl` (seed 1, its six sub-runs) link pumps fell 137.8 M →
-//! 35.0 M.
 //!
 //! ## Drivers and quiescence
 //!
@@ -102,10 +87,7 @@ use dl_core::{
     RealBlockCoder, SendQueue, StatEvent, StoreRecord,
 };
 use dl_store::{ChainStore, MemoryStore};
-use dl_wire::{
-    frame_header_len, ClusterConfig, Envelope, Epoch, NodeId, TrafficClass, Tx, WireDecode,
-    WireEncode,
-};
+use dl_wire::{ClusterConfig, Envelope, Epoch, NodeId, Tx, WireDecode, WireEncode};
 
 use adversary::Adversary;
 pub use chaos::{
@@ -208,10 +190,12 @@ pub struct SimReport {
     /// the deadline.
     pub quiesced: bool,
     /// Discrete events processed since the simulation was constructed —
-    /// the denominator for per-event cost accounting. Submissions, polls
-    /// and link pumps count one each; an arrival burst counts one per
-    /// delivered envelope (the unit of protocol work is the message, not
-    /// the heap pop). Cumulative across resumed runs.
+    /// the denominator for per-event cost accounting. Submissions and
+    /// polls count one each, and so does each link pump that runs: one per
+    /// link and instant it is due at, so one per frame the link sends. An
+    /// arrival burst counts one per delivered envelope (the unit of
+    /// protocol work is the message, not the heap pop). Cumulative across
+    /// resumed runs.
     pub events_processed: u64,
     /// Per node, every block it delivered, in delivery order. Byzantine
     /// slots stay empty. Shared with the simulation, so taking a report of
@@ -317,33 +301,6 @@ struct Link {
     inflight: VecDeque<(u64, Envelope)>,
     /// Whether a heap event for this link's head arrival is outstanding.
     arrive_scheduled: bool,
-    /// The pure-bulk frames the link is coasting through, if any.
-    coast: Option<Coast>,
-    /// The instant of the link's one due pump, if any: an entry in
-    /// [`Fabric::pumps`] for any other instant was withdrawn.
-    pump_at: Option<u64>,
-}
-
-/// A run of frames that each carry one more segment of the middle of the
-/// partly-sent `ReturnChunk` and nothing else: they hand no envelope over,
-/// so the link is not pumped for them. Its one pump is due at [`Coast::end`],
-/// the frame that finishes the chunk; the frames before it are accounted
-/// in one step ([`Link::settle`]) when that pump runs, when something
-/// touches the link, or when a run stops at its deadline.
-struct Coast {
-    /// Start of the first coasted frame (the end of the real one before).
-    from: u64,
-    frames: u64,
-    frame_ms: u64,
-    /// Bytes of the chunk's encoding each coasted frame carries.
-    seg_len: usize,
-}
-
-impl Coast {
-    /// Start of the frame after the coast, which finishes the chunk.
-    fn end(&self) -> u64 {
-        self.from + self.frames * self.frame_ms
-    }
 }
 
 /// Milliseconds of link capacity one frame carries of `ReturnChunk` bulk
@@ -356,23 +313,6 @@ const FRAME_QUANTUM_MS: u64 = 1;
 const FRAME_BYTES_MIN: u64 = 100;
 
 impl Link {
-    /// End the coast, if any, accounting its frames that start at or
-    /// before `until` as frame-by-frame pumping would have sent them: the
-    /// cursor advances past their segments and the link is busy until the
-    /// next frame's start. Returns the start of the last accounted frame,
-    /// and how many frames were accounted.
-    fn settle(&mut self, until: u64) -> Option<(u64, u64)> {
-        let coast = self.coast.take()?;
-        let frames = match until.checked_sub(coast.from) {
-            Some(after) => (after / coast.frame_ms).min(coast.frames - 1) + 1,
-            None => 0,
-        };
-        self.queue.skip_segments(coast.seg_len, frames as usize);
-        self.busy_until = coast.from + frames * coast.frame_ms;
-        let last_start = self.busy_until.saturating_sub(coast.frame_ms);
-        Some((last_start, frames))
-    }
-
     /// Bytes of one frame: a whole number of milliseconds of the link's
     /// current capacity, so a full frame pays no round-up in
     /// [`LinkSpec::tx_ms`].
@@ -446,10 +386,8 @@ struct Fabric {
     /// loop their own traffic back internally).
     links: Vec<Link>,
     events: BinaryHeap<Ev>,
-    /// Due link pumps, per instant: the indices into `links` to pump then,
-    /// each live while it is its link's [`Link::pump_at`]. Each instant
-    /// here has one [`EvKind::Pumps`] heap event; one whose entries were
-    /// all withdrawn ([`Fabric::end_coast`]) is skipped.
+    /// Due link pumps, per instant: the indices into `links` to pump then.
+    /// Each instant here has exactly one [`EvKind::Pumps`] heap event.
     pumps: BTreeMap<u64, Vec<u32>>,
     seq: u64,
     now: u64,
@@ -488,7 +426,6 @@ impl Fabric {
     /// Pump link `li` at `at`. One heap event per instant serves every link
     /// due then, so scheduling costs a map entry, not a heap entry.
     fn schedule_pump(&mut self, at: u64, li: usize) {
-        self.links[li].pump_at = Some(at);
         match self.pumps.entry(at) {
             Entry::Occupied(mut due) => due.get_mut().push(li as u32),
             Entry::Vacant(slot) => {
@@ -496,19 +433,6 @@ impl Fabric {
                 self.push_event(at, EvKind::Pumps);
             }
         }
-    }
-
-    /// Whether a pump due at `at` is live; if none is, forget the instant.
-    fn pumps_due(&mut self, at: u64) -> bool {
-        let links = &self.links;
-        let live = self
-            .pumps
-            .get(&at)
-            .is_some_and(|due| due.iter().any(|&li| links[li as usize].pump_at == Some(at)));
-        if !live {
-            self.pumps.remove(&at);
-        }
-        live
     }
 
     /// Run the pumps due at `at`, in `(from, to)` order. The instant's node
@@ -519,34 +443,10 @@ impl Fabric {
         let mut due = self.pumps.remove(&at).unwrap_or_default();
         due.sort_unstable();
         due.dedup();
-        for li in due.into_iter().map(|li| li as usize) {
-            if self.links[li].pump_at == Some(at) {
-                self.links[li].pump_at = None;
-                self.events_processed += 1;
-                self.pump_link(li);
-            }
+        self.events_processed += due.len() as u64;
+        for li in due {
+            self.pump_link(li as usize);
         }
-    }
-
-    /// Something touches link `li` at node-event time: end its coast at
-    /// the frames that started before now, and pump it where frame-by-frame
-    /// pumping would have next.
-    fn touch(&mut self, li: usize) {
-        self.end_coast(li, self.now.saturating_sub(1));
-    }
-
-    /// End link `li`'s coast, if any, at the frames that start at or before
-    /// `until` ([`Link::settle`]), and move its pump to where frame-by-frame
-    /// pumping had it.
-    fn end_coast(&mut self, li: usize, until: u64) {
-        let Some((last_start, frames)) = self.links[li].settle(until) else {
-            return;
-        };
-        self.events_processed += frames;
-        if frames > 0 {
-            self.now = self.now.max(last_start);
-        }
-        self.schedule_pump(self.links[li].busy_until, li);
     }
 
     /// Start the next transmission on link `li` if it is idle, and keep a
@@ -564,12 +464,9 @@ impl Fabric {
     /// the frame. Only a high-class envelope larger than the quantum (a
     /// dispersal `Chunk`) makes a frame longer than that.
     fn pump_link(&mut self, li: usize) {
-        if let Some((_, frames)) = self.links[li].settle(u64::MAX) {
-            self.events_processed += frames;
-        }
         let n = self.cfg.cluster.n;
         let (from, to) = (NodeId((li / n) as u16), NodeId((li % n) as u16));
-        let (arrive_at, pump_at) = pump_link_inner(
+        let (arrive_at, next_pump) = pump_link_inner(
             &mut self.links[li],
             self.chaos.as_mut(),
             li,
@@ -580,7 +477,7 @@ impl Fabric {
         if let Some(at) = arrive_at {
             self.push_event(at, EvKind::Arrive { from, to });
         }
-        if let Some(at) = pump_at {
+        if let Some(at) = next_pump {
             self.schedule_pump(at, li);
         }
     }
@@ -589,9 +486,7 @@ impl Fabric {
 /// Core of [`Fabric::pump_link`], split out so the link and the chaos
 /// state borrow independently of the event heap. Mutates the link (and the
 /// link's fault stream) and returns when its next frame arrives and when it
-/// must be pumped again, if at all: at the end of this frame, or — when
-/// the frames after it would carry only the middle of the chunk it ends
-/// in and no chaos plan is installed — at the end of that [`Coast`].
+/// must be pumped again, if at all.
 fn pump_link_inner(
     link: &mut Link,
     mut chaos: Option<&mut chaos::ChaosState>,
@@ -610,7 +505,6 @@ fn pump_link_inner(
     {
         link.busy_until = link.busy_until.max(heal).max(now + 1);
     }
-    let calm = chaos.is_none();
     if link.busy_until > now {
         // Severed: come back when the link is free, if it has backlog.
         return (None, (!link.queue.is_empty()).then_some(link.busy_until));
@@ -693,20 +587,6 @@ fn pump_link_inner(
     if !link.queue.is_empty() {
         events.1 = Some(link.busy_until);
     }
-    if calm {
-        if let Some((seg_len, frames)) = link.queue.middle_segments(budget) {
-            if frames > 0 {
-                let coast = Coast {
-                    from: link.busy_until,
-                    frames: frames as u64,
-                    frame_ms: link.spec.tx_ms(seg_len + frame_header_len(seg_len)),
-                    seg_len,
-                };
-                events.1 = Some(coast.end());
-                link.coast = Some(coast);
-            }
-        }
-    }
     events
 }
 
@@ -719,9 +599,6 @@ impl Fabric {
         assert_ne!(from, to, "nodes must loop self-traffic back internally");
         self.last_activity = self.now;
         let li = from.idx() * self.cfg.cluster.n + to.idx();
-        if env.class() == TrafficClass::Dispersal {
-            self.touch(li);
-        }
         let link = &mut self.links[li];
         let idle = link.queue.is_empty();
         link.queue.push(env);
@@ -775,9 +652,9 @@ impl EffectSink for FabricSink<'_> {
     }
 
     fn purge_returns(&mut self, to: NodeId, epoch: Epoch, index: NodeId) {
-        let li = self.from.idx() * self.fabric.cfg.cluster.n + to.idx();
-        self.fabric.touch(li);
-        let (count, bytes) = self.fabric.links[li].queue.purge_returns(epoch, index);
+        let n = self.fabric.cfg.cluster.n;
+        let link = &mut self.fabric.links[self.from.idx() * n + to.idx()];
+        let (count, bytes) = link.queue.purge_returns(epoch, index);
         self.fabric.purged_envelopes += count as u64;
         self.fabric.purged_bytes += bytes as u64;
     }
@@ -842,8 +719,6 @@ impl Simulation {
                 queue: SendQueue::new(),
                 inflight: VecDeque::new(),
                 arrive_scheduled: false,
-                coast: None,
-                pump_at: None,
             })
             .collect();
         Simulation {
@@ -1004,18 +879,8 @@ impl Simulation {
         } = self;
         let mut quiesced = true;
         while let Some(ev) = fabric.events.peek() {
-            let (at, pumps) = (ev.at, matches!(ev.kind, EvKind::Pumps));
-            if pumps && !fabric.pumps_due(at) {
-                fabric.events.pop();
-                continue;
-            }
-            if at > max_ms {
+            if ev.at > max_ms {
                 quiesced = false;
-                // A run never returns with a link coasting: what the
-                // driver changes next applies from the next frame.
-                for li in 0..fabric.links.len() {
-                    fabric.end_coast(li, max_ms);
-                }
                 break;
             }
             let ev = fabric.events.pop().expect("peeked above");

@@ -2,8 +2,8 @@
 //! the link's *current* capacity, so a vote overtakes a chunk that is
 //! already on the wire, a re-drawn rate governs the chunk's next frame,
 //! and a crash or a cancel takes the unsent remainder with it — all of it
-//! exactly as if the link were pumped frame by frame while it coasts
-//! through the frames that carry only the middle of a chunk.
+//! one frame, and one pump, at a time, the frames that carry only the
+//! middle of a chunk included.
 //!
 //! The cluster's slots 0 and 1 hold [`Probe`]s — an engine that sends what
 //! the test scripts and logs what arrives — so every number below is a
@@ -162,12 +162,12 @@ fn a_vote_pushed_behind_a_chunk_on_the_wire_arrives_within_a_quantum() {
 #[test]
 fn a_vote_sent_as_a_frame_ends_rides_the_next_frame_whatever_the_heap_pops_first() {
     // The 1 ms frames of the chunk end at every whole millisecond, and all
-    // but the first and the last carry only its middle: the link coasts
-    // through them. The vote is scripted for `at` ms before the run — its
-    // submission is older than the pump the frame ending at `at` would
-    // schedule — or after running to `at − 1`, when it is younger. Either
-    // way the link's pumps run after the instant's node events, so the
-    // frame that starts at `at` carries it.
+    // but the first and the last carry only its middle. The vote is
+    // scripted for `at` ms before the run — its submission is older than
+    // the pump the frame ending at `at` would schedule — or after running
+    // to `at − 1`, when it is younger. Either way the link's pumps run
+    // after the instant's node events, so the frame that starts at `at`
+    // carries it.
     let mut chunk_arrivals = Vec::new();
     for at in 1..chunk_frames() - 1 {
         for scripted_late in [false, true] {
@@ -234,7 +234,7 @@ fn a_rate_re_drawn_mid_chunk_governs_the_chunks_next_frame() {
         latency_ms: LATENCY_MS,
         bytes_per_ms: 2000,
     };
-    // Stopped at any point of the chunk's coast, as `dl-e2e` stops every
+    // Stopped at any frame of the chunk, as `dl-e2e` stops every
     // virtual second to re-draw the uplinks.
     for stop in [1, 2, 10, 37, 100, 200] {
         let (mut sim, log) = probed_link();
@@ -297,7 +297,7 @@ fn a_cancel_purges_the_unsent_remainder_of_a_partly_sent_chunk() {
 }
 
 #[test]
-fn events_processed_counts_the_coasted_frames() {
+fn events_processed_counts_one_pump_per_frame() {
     // One submission, a pump per frame, one arrival — whether the run is
     // sliced or not.
     for slice in [10_000, 7, 1] {

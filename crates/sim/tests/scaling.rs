@@ -42,10 +42,16 @@ fn per_event_cost_flat_within_2x_from_n16_to_n64() {
         eprintln!("skipping wall-clock scaling bound in debug build");
         return;
     }
-    let base = ns_per_event(16);
-    let big = ns_per_event(64);
-    // Generous 2× bound (the measured ratio is ~1.7 on a single core):
-    // catches a superlinearity relapse, tolerates box noise.
+    // Interleaved, best of three each: a neighbour that holds the core
+    // through one run slows that run, not the fastest of three.
+    let (mut base, mut big) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..3 {
+        base = base.min(ns_per_event(16));
+        big = big.min(ns_per_event(64));
+    }
+    eprintln!("best of 3: N=16 {base:.0} ns/event, N=64 {big:.0} ns/event");
+    // Generous 2× bound (the best-of-3 ratio measures 1.27–1.35 on 2
+    // cores): catches a superlinearity relapse, tolerates box noise.
     assert!(
         big <= base * 2.0,
         "per-event cost grew superlinearly: N=16 {base:.0} ns/event, N=64 {big:.0} ns/event"
