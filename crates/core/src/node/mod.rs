@@ -96,7 +96,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use dl_ba::BaEffect;
 use dl_crypto::Hash;
 use dl_vid::VidEffect;
-use dl_wire::{BaMsg, Block, Envelope, Epoch, NodeId, ProtoMsg, SyncMsg, Tx, VidMsg};
+use dl_wire::{BaMsg, Block, Envelope, Epoch, NodeId, NodeSet, ProtoMsg, SyncMsg, Tx, VidMsg};
 
 use crate::coder::BlockCoder;
 use crate::engine::{EffectSink, Engine};
@@ -212,6 +212,9 @@ pub struct NodeStats {
     /// Retrievals that fell back to asking every peer (at most once each):
     /// on a deadline, on a bad proven chunk, or from bare chunks to proofs.
     pub retrievals_escalated: u64,
+    /// Instance messages handed to the driver: an envelope counts once per
+    /// instance it names, so a batch of `m` broadcasts counts `m`. The
+    /// number of envelopes is not counted.
     pub msgs_sent: u64,
     /// `wire_size` of every envelope handed to the driver, counted as it is
     /// handed over — *before* a later `Cancel` purges a queued `ReturnChunk`
@@ -337,10 +340,16 @@ pub struct Node<C: BlockCoder> {
     /// a chunk: debt that decoding does not forgive, only the peer's next
     /// answer does. Added to `chunk_requests_owed` when targets are ranked.
     chunk_requests_defaulted: Vec<u32>,
-    /// `(deadline, epoch, index)` of retrievals that may still escalate.
-    retrieval_deadlines: BTreeSet<(u64, u64, u16)>,
+    /// `(deadline, epoch, index, re-asks so far)` of retrievals that may
+    /// still escalate or re-ask.
+    retrieval_deadlines: BTreeSet<(u64, u64, u16, u8)>,
     /// This node's observed retrieval times, for the escalation deadline.
     retrieval_timer: RetrievalTimer,
+    /// This entry point's broadcasts of batchable messages, as `(epoch,
+    /// message, instances)` in the order each group opened: sent when the
+    /// entry point ends, one envelope per peer for all of a group's
+    /// instances (see [`Envelope`]'s batches).
+    batched: Vec<(u64, ProtoMsg, NodeSet)>,
     stats: NodeStats,
 }
 
@@ -381,6 +390,7 @@ impl<C: BlockCoder> Node<C> {
             chunk_requests_defaulted: vec![0; n],
             retrieval_deadlines: BTreeSet::new(),
             retrieval_timer: RetrievalTimer::default(),
+            batched: Vec::new(),
             stats: NodeStats::default(),
         }
     }
@@ -431,7 +441,7 @@ impl<C: BlockCoder> Node<C> {
         if e < self.gc_horizon && !self.epochs.contains(e) {
             return;
         }
-        if env.index.idx() >= n || from.idx() >= n {
+        if env.last_member().idx() >= n || from.idx() >= n {
             return;
         }
         // Catch-up sync messages are routed before the epoch-state checks:
@@ -459,27 +469,34 @@ impl<C: BlockCoder> Node<C> {
         if from != self.me && !self.cfg.variant.retrieve_then_vote() {
             self.epochs.get_mut(e).expect("just ensured").activity = true;
         }
-        let index = env.index.idx();
-        work.push_back(match env.payload {
-            ProtoMsg::Vid(msg) => Work::Vid {
+        // A batch is one work item per member, as if each had come alone.
+        let members = env.members();
+        match env.payload {
+            ProtoMsg::Vid(msg) if !env.is_batch() => work.push_back(Work::Vid {
                 epoch: e,
-                index,
+                index: env.index.idx(),
                 from,
                 msg,
-            },
-            ProtoMsg::Ba(msg) => Work::Ba {
+            }),
+            ProtoMsg::Vid(msg) => work.extend(members.map(|m| Work::Vid {
                 epoch: e,
-                index,
+                index: m.idx(),
+                from,
+                msg: msg.clone(),
+            })),
+            ProtoMsg::Ba(msg) => work.extend(members.map(|m| Work::Ba {
+                epoch: e,
+                index: m.idx(),
                 from,
                 msg,
-            },
+            })),
             #[expect(
                 clippy::unreachable,
                 reason = "the match above consumes every Sync message; one \
                           reaching this arm is a routing bug worth crashing on"
             )]
             ProtoMsg::Sync(_) => unreachable!("sync handled above"),
-        });
+        }
     }
 
     // ---- the engine ----
@@ -505,6 +522,7 @@ impl<C: BlockCoder> Node<C> {
                 break;
             }
         }
+        self.send_batched(sink);
         // Hand the (now empty) buffer back for the next entry point.
         self.work_scratch = work;
     }
@@ -661,23 +679,13 @@ impl<C: BlockCoder> Node<C> {
                 }
                 VidEffect::Broadcast(msg) => {
                     let ready = matches!(msg, VidMsg::Ready { .. } | VidMsg::ReadyAsGot);
-                    for to in 0..self.cfg.cluster.n as u16 {
-                        let to = NodeId(to);
-                        if to == self.me {
-                            work.push_back(Work::Vid {
-                                epoch,
-                                index,
-                                from: self.me,
-                                msg: msg.clone(),
-                            });
-                        } else {
-                            self.push_send(
-                                to,
-                                Envelope::vid(Epoch(epoch), NodeId(index as u16), msg.clone()),
-                                out,
-                            );
-                        }
-                    }
+                    work.push_back(Work::Vid {
+                        epoch,
+                        index,
+                        from: self.me,
+                        msg: msg.clone(),
+                    });
+                    self.broadcast(epoch, index, ProtoMsg::Vid(msg), out);
                     // Only our server broadcasts. Its `Ready` asks for the
                     // block its completion would make certain (`retrieval`).
                     if ready && self.trackers[index].prefix() + 1 >= epoch {
@@ -701,31 +709,77 @@ impl<C: BlockCoder> Node<C> {
         for eff in effects {
             match eff {
                 BaEffect::Broadcast(msg) => {
-                    for to in 0..self.cfg.cluster.n as u16 {
-                        let to = NodeId(to);
-                        if to == self.me {
-                            work.push_back(Work::Ba {
-                                epoch,
-                                index,
-                                from: self.me,
-                                msg,
-                            });
-                        } else {
-                            self.push_send(
-                                to,
-                                Envelope::ba(Epoch(epoch), NodeId(index as u16), msg),
-                                out,
-                            );
-                        }
-                    }
+                    work.push_back(Work::Ba {
+                        epoch,
+                        index,
+                        from: self.me,
+                        msg,
+                    });
+                    self.broadcast(epoch, index, ProtoMsg::Ba(msg), out);
                 }
                 BaEffect::Decide(v) => self.on_decide(epoch, index, v, work, out),
             }
         }
     }
 
+    /// Send `msg` of instance `(epoch, index)` to every peer: at once, or,
+    /// for a batchable message, with this entry point's batch of it.
+    fn broadcast(&mut self, epoch: u64, index: usize, msg: ProtoMsg, out: &mut dyn EffectSink) {
+        let instance = NodeId(index as u16);
+        if !msg.batchable() {
+            return self.send_to_peers(Envelope::new(Epoch(epoch), instance, msg), out);
+        }
+        match self
+            .batched
+            .iter_mut()
+            .rev()
+            .find(|(e, m, _)| *e == epoch && *m == msg)
+        {
+            Some((_, _, members)) => {
+                members.insert(instance);
+            }
+            None => {
+                let mut members = NodeSet::new();
+                members.insert(instance);
+                self.batched.push((epoch, msg, members));
+            }
+        }
+    }
+
+    /// Send this entry point's batches: per group, as few envelopes as
+    /// [`Envelope::BATCH_SPAN`] allows, each to every peer.
+    fn send_batched(&mut self, out: &mut dyn EffectSink) {
+        let mut batched = std::mem::take(&mut self.batched);
+        for (epoch, msg, members) in batched.drain(..) {
+            let mut open: Option<Envelope> = None;
+            for m in members.iter() {
+                if open.as_mut().is_some_and(|env| env.add_member(m)) {
+                    continue;
+                }
+                let next = Envelope::new(Epoch(epoch), m, msg.clone());
+                if let Some(env) = open.replace(next) {
+                    self.send_to_peers(env, out);
+                }
+            }
+            if let Some(env) = open {
+                self.send_to_peers(env, out);
+            }
+        }
+        // Keep the buffer for the next entry point.
+        self.batched = batched;
+    }
+
+    fn send_to_peers(&mut self, env: Envelope, out: &mut dyn EffectSink) {
+        for to in (0..self.cfg.cluster.n as u16).map(NodeId) {
+            if to != self.me {
+                self.push_send(to, env.clone(), out);
+            }
+        }
+    }
+
+    /// Counts each instance a batch names as one message.
     fn push_send(&mut self, to: NodeId, env: Envelope, out: &mut dyn EffectSink) {
-        self.stats.msgs_sent += 1;
+        self.stats.msgs_sent += env.members().count() as u64;
         self.stats.bytes_sent += env.wire_size() as u64;
         out.send(to, env);
     }

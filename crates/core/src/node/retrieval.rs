@@ -55,8 +55,11 @@
 //!   and otherwise at a deadline taken from this node's own retrieval
 //!   times ([`RetrievalTimer`]). After escalation the retrieval is the
 //!   paper's ask-everyone retrieval, so every termination argument for that
-//!   one carries over; before it, at most one timer per retrieval is armed
-//!   and none re-arms, so an idle cluster still goes quiescent;
+//!   one carries over. Loss can eat escalation's requests or their answers
+//!   as well, so each further deadline re-asks the peers still silent, up
+//!   to [`RETRIEVAL_REASKS`] times: a retrieval has at most one timer armed
+//!   at a time and a bounded number in all, so an idle cluster still goes
+//!   quiescent even when a retrieval's servers never complete;
 //! * a retrieval started once our own server has sent `Ready` (or seen the
 //!   dispersal complete) knows the committed root and asks for **bare
 //!   chunks**: no root, no Merkle path, only the re-encoding check
@@ -94,6 +97,16 @@ const RETRIEVAL_RTO_INITIAL_MS: u64 = 1000;
 /// 2⁴ × the base rides out a 32-fold slowdown, and keeps the last armed
 /// wake-up of a finished run seconds, not minutes, away.
 const RETRIEVAL_BACKOFF_MAX: u32 = 4;
+
+/// Deadlines after escalation at which a retrieval that has still not
+/// decoded re-asks the peers that owe it an answer, one deadline apart.
+/// Without them a chaos scenario whose partition swallowed all three
+/// answers to a node's escalation left that node's delivery waiting for
+/// good, and link-rescue pressure from its own undelivered block kept the
+/// cluster proposing empty epochs (`dl-sim`'s chaos seeds 825, 12221).
+/// Bounded: servers that never complete (their `Ready`s were lost too)
+/// never answer, and a retrieval waiting on them must stop waking us.
+const RETRIEVAL_REASKS: u8 = 4;
 
 /// Retransmission-timeout style estimator (RFC 6298) over this node's own
 /// retrieval times: smoothed mean plus four mean deviations, Karn's rule
@@ -249,22 +262,35 @@ impl<C: BlockCoder> Node<C> {
         st.retrievers[index] = Some(retriever);
         st.retrieval_started_ms[index] = self.now;
         self.stats.retrievals_started += 1;
-        let deadline = self.now + self.retrieval_timer.deadline_ms(crate::PROPOSE_DELAY_MS);
-        self.retrieval_deadlines
-            .insert((deadline, epoch, index as u16));
-        out.wake_at(deadline);
+        self.arm_retrieval_deadline(epoch, index, 0, out);
         self.apply_vid_effects(epoch, index, effects, work, out);
     }
 
-    /// Escalate every retrieval whose deadline has passed. Entries of
-    /// retrievals that already finished (or were collected) fall out here.
+    /// Wake at the next deadline of retrieval `(epoch, index)`, which has
+    /// re-asked `reasks` times so far.
+    fn arm_retrieval_deadline(
+        &mut self,
+        epoch: u64,
+        index: usize,
+        reasks: u8,
+        out: &mut dyn EffectSink,
+    ) {
+        let deadline = self.now + self.retrieval_timer.deadline_ms(crate::PROPOSE_DELAY_MS);
+        self.retrieval_deadlines
+            .insert((deadline, epoch, index as u16, reasks));
+        out.wake_at(deadline);
+    }
+
+    /// Escalate, or re-ask for, every retrieval whose deadline has passed.
+    /// Entries of retrievals that already finished (or were collected)
+    /// fall out here.
     pub(super) fn escalate_overdue(
         &mut self,
         now: u64,
         work: &mut VecDeque<Work>,
         out: &mut dyn EffectSink,
     ) {
-        while let Some(&(due, epoch, index)) = self.retrieval_deadlines.first() {
+        while let Some(&(due, epoch, index, reasks)) = self.retrieval_deadlines.first() {
             if due > now {
                 break;
             }
@@ -279,10 +305,18 @@ impl<C: BlockCoder> Node<C> {
             for silent in retriever.awaited() {
                 self.chunk_requests_defaulted[silent.idx()] += 1;
             }
-            let effects = retriever.escalate();
-            let started_ms = st.retrieval_started_ms[index];
-            if self.note_escalation(&effects) {
-                self.retrieval_timer.timed_out(started_ms, now);
+            let effects = if retriever.escalated() {
+                retriever.reask()
+            } else {
+                let effects = retriever.escalate();
+                let started_ms = st.retrieval_started_ms[index];
+                if self.note_escalation(&effects) {
+                    self.retrieval_timer.timed_out(started_ms, now);
+                }
+                effects
+            };
+            if !effects.is_empty() && reasks < RETRIEVAL_REASKS {
+                self.arm_retrieval_deadline(epoch, index, reasks + 1, out);
             }
             self.apply_vid_effects(epoch, index, effects, work, out);
         }

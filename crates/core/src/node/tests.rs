@@ -1508,7 +1508,7 @@ fn every_effect_follows_its_write_ahead_record() {
         for (node, effs) in mesh_runs(variant) {
             let me = node as u16;
             for eff in &effs {
-                let needs: Key = match eff {
+                let needs: Vec<Key> = match eff {
                     NodeEffect::Persist(rec) => {
                         held[node].insert(match rec {
                             StoreRecord::Chunk { epoch, index, .. } => {
@@ -1530,22 +1530,155 @@ fn every_effect_follows_its_write_ahead_record() {
                     NodeEffect::Send(_, env) => {
                         let (e, i) = (env.epoch.0, env.index.0);
                         match env.payload {
-                            ProtoMsg::Vid(VidMsg::GotChunk { .. }) => ("Chunk", e, i, false),
+                            ProtoMsg::Vid(VidMsg::GotChunk { .. }) => vec![("Chunk", e, i, false)],
                             ProtoMsg::Vid(VidMsg::Chunk { .. }) if i == me => {
-                                ("Proposed", e, i, false)
+                                vec![("Proposed", e, i, false)]
                             }
-                            ProtoMsg::Ba(BaMsg::Term { value }) => ("Decided", e, i, value),
+                            // A batched `Term` needs every member's decision.
+                            ProtoMsg::Ba(BaMsg::Term { value }) => {
+                                env.members().map(|m| ("Decided", e, m.0, value)).collect()
+                            }
                             _ => continue,
                         }
                     }
-                    NodeEffect::Deliver(d) => ("Delivered", d.epoch.0, d.proposer.0, false),
+                    NodeEffect::Deliver(d) => vec![("Delivered", d.epoch.0, d.proposer.0, false)],
                     _ => continue,
                 };
-                assert!(
-                    held[node].contains(&needs),
-                    "{variant:?} node {node}: an effect ran ahead of its {needs:?} record"
-                );
+                for needs in needs {
+                    assert!(
+                        held[node].contains(&needs),
+                        "{variant:?} node {node}: an effect ran ahead of its {needs:?} record"
+                    );
+                }
             }
         }
     }
+}
+
+/// Round 0's `BVal(0)` for instances `0..4` of epoch 1, from one peer: a
+/// batch, or (`split`) the same messages as four envelopes of one burst.
+fn bval0_from_one_peer(split: bool) -> Vec<Envelope> {
+    let vote = BaMsg::BVal {
+        round: 0,
+        value: false,
+    };
+    let mut batch = Envelope::ba(Epoch(1), NodeId(0), vote);
+    for m in 1..4 {
+        assert!(batch.add_member(NodeId(m)));
+    }
+    if !split {
+        return vec![batch];
+    }
+    let members = batch.members();
+    members
+        .map(|m| Envelope::new(batch.epoch, m, batch.payload.clone()))
+        .collect()
+}
+
+/// The bursts of [`bval0_from_one_peer`]'s votes, then of `Term(0)` for
+/// the same four instances, from peers 1 and 2 — `f + 1` of them at N = 4,
+/// enough to relay the votes and decide all four — and of `ReadyAsGot` from
+/// peer 3. Returns each burst's effects.
+fn batched_script(node: &mut Node<RealBlockCoder>, split: bool) -> Vec<Vec<NodeEffect>> {
+    let with = |payload: ProtoMsg| {
+        move |mut env: Envelope| {
+            env.payload = payload.clone();
+            env
+        }
+    };
+    let term = with(ProtoMsg::Ba(BaMsg::Term { value: false }));
+    let ready = with(ProtoMsg::Vid(VidMsg::ReadyAsGot));
+    let mut bursts: Vec<(u16, Vec<Envelope>)> = Vec::new();
+    for from in [1, 2] {
+        bursts.push((from, bval0_from_one_peer(split)));
+    }
+    for from in [1, 2] {
+        bursts.push((
+            from,
+            bval0_from_one_peer(split).into_iter().map(&term).collect(),
+        ));
+    }
+    bursts.push((
+        3,
+        bval0_from_one_peer(split).into_iter().map(&ready).collect(),
+    ));
+    bursts
+        .into_iter()
+        .map(|(from, mut envs)| {
+            let mut out = Vec::new();
+            node.handle_burst(NodeId(from), &mut envs, 5, &mut out);
+            out
+        })
+        .collect()
+}
+
+#[test]
+fn one_calls_identical_broadcasts_leave_as_one_envelope_per_peer() {
+    let cluster = ClusterConfig::new(4);
+    let mut node = solo(NodeConfig::new(cluster, ProtocolVariant::Dl));
+    let runs = batched_script(&mut node, true);
+    // The second peer's `BVal(0)`s make f + 1 for four instances in one
+    // call: each relays, and each peer gets one envelope naming all four.
+    let relayed: Vec<_> = runs[1]
+        .iter()
+        .filter_map(|eff| match eff {
+            NodeEffect::Send(to, env) if matches!(env.payload, ProtoMsg::Ba(_)) => Some((to, env)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(relayed.len(), 3, "{relayed:?}");
+    for (to, env) in relayed {
+        assert_ne!(*to, NodeId(0));
+        let members: Vec<u16> = env.members().map(|m| m.0).collect();
+        assert_eq!(members, [0, 1, 2, 3], "{env:?}");
+        through_the_codec(env.clone());
+    }
+    // The decisions leave the same way, beside the empty filler block the
+    // decided epoch gets; `msgs_sent` counts each member as one message.
+    let mut msgs = 0;
+    for eff in runs.iter().flatten() {
+        if let NodeEffect::Send(_, env) = eff {
+            msgs += env.members().count() as u64;
+            if let ProtoMsg::Ba(_) = env.payload {
+                assert_eq!(env.members().map(|m| m.0).collect::<Vec<_>>(), [0, 1, 2, 3]);
+            }
+        }
+    }
+    assert_eq!(node.stats().msgs_sent, msgs);
+    assert_eq!(
+        msgs,
+        3 * 4 + 3 * 2 + 3 * 4,
+        "BVals, the filler's two kinds, Terms"
+    );
+}
+
+#[test]
+fn a_batch_has_the_effects_of_its_members_sent_one_by_one() {
+    let cluster = ClusterConfig::new(4);
+    let cfg = NodeConfig::new(cluster, ProtocolVariant::Dl);
+    let (mut batched, mut split) = (solo(cfg.clone()), solo(cfg));
+    let runs = batched_script(&mut batched, false);
+    assert_eq!(runs, batched_script(&mut split, true));
+    assert_eq!(batched.stats(), split.stats());
+    // The script decided all four instances, and the decisions went out
+    // as one batched `Term` per peer.
+    let decided = ProtoMsg::Ba(BaMsg::Term { value: false });
+    let terms = runs[2..4].iter().flatten().filter(
+        |eff| matches!(eff, NodeEffect::Send(_, env) if env.payload == decided && env.is_batch()),
+    );
+    assert_eq!(terms.count(), 3);
+    assert_eq!(batched.agreement_frontier(), Epoch(1));
+}
+
+#[test]
+fn a_batch_naming_a_member_past_the_cluster_is_dropped_whole() {
+    let cluster = ClusterConfig::new(4);
+    let mut node = solo(NodeConfig::new(cluster, ProtocolVariant::Dl));
+    let mut env = Envelope::ba(Epoch(1), NodeId(2), BaMsg::Term { value: true });
+    assert!(env.add_member(NodeId(4)));
+    assert!(node.handle_vec(NodeId(1), env, 0).is_empty());
+    assert!(
+        !node.epochs.contains(1),
+        "no epoch state for a dropped batch"
+    );
 }

@@ -11,7 +11,8 @@ use dl_net::{ClusterSpec, LocalCluster};
 use dl_vid::{RealCoder, VidEffect};
 use dl_wire::frame::{encode_frame, encode_segment};
 use dl_wire::{
-    ChunkPayload, Envelope, Epoch, NodeId, SyncMsg, Tx, VidMsg, WireEncode, MAX_FRAME_BODY,
+    BaMsg, ChunkPayload, Envelope, Epoch, NodeId, ProtoMsg, SyncMsg, Tx, VidMsg, WireEncode,
+    MAX_FRAME_BODY,
 };
 
 mod hostile;
@@ -417,6 +418,49 @@ fn absurd_future_sync_outcomes_are_ignored() {
     assert!(
         orders.windows(2).all(|w| w[0] == w[1]),
         "orders diverged after absurd sync claims"
+    );
+    cluster.shutdown();
+}
+
+#[test]
+fn a_batch_naming_a_member_past_the_cluster_is_dropped() {
+    // Batches that decode fine but name instances 4 and 48 of a 4-node
+    // cluster: the engine's admit path drops each whole, and the cluster
+    // keeps delivering.
+    let cluster = spawn(&ClusterSpec::new(4, ProtocolVariant::Dl));
+    cluster.submit(0, Tx::synthetic(NodeId(0), 0, 0, 200));
+    assert!(cluster.wait_delivered(1, TIMEOUT), "no baseline progress");
+    let mut envs = Vec::new();
+    for (first, past) in [(0, 4), (3, 4), (2, 48)] {
+        for msg in [
+            ProtoMsg::Ba(BaMsg::Term { value: false }),
+            ProtoMsg::Ba(BaMsg::BVal {
+                round: 0,
+                value: false,
+            }),
+            ProtoMsg::Vid(VidMsg::ReadyAsGot),
+        ] {
+            for epoch in 1..4 {
+                let mut env = Envelope::new(Epoch(epoch), NodeId(first), msg.clone());
+                assert!(env.add_member(NodeId(past)));
+                envs.push(env);
+            }
+        }
+    }
+    for to in 0..3 {
+        hostile::send_envelopes(cluster.addr(to), 3, &envs).expect("send");
+    }
+    for s in 1..4u64 {
+        cluster.submit(s as usize, Tx::synthetic(NodeId(s as u16), s, 0, 200));
+    }
+    assert!(
+        cluster.wait_delivered(4, TIMEOUT),
+        "cluster lost liveness after batches past the cluster"
+    );
+    let orders = cluster.tx_orders();
+    assert!(
+        orders.windows(2).all(|w| w[0] == w[1]),
+        "orders diverged after batches past the cluster"
     );
     cluster.shutdown();
 }

@@ -31,9 +31,10 @@
 //!    never contradicts what it delivered before the crash.
 //!
 //! Every scenario must quiesce: a lost retrieval request or chunk is
-//! re-asked when the retrieval escalates (seeds 0..15000 all do). Full
-//! delivery is asserted only without loss or crashes: a dropped
-//! binary-agreement vote is never retransmitted, so an epoch can stall.
+//! re-asked when the retrieval escalates and at the deadlines after it
+//! (seeds 0..15000 all do). Full delivery is asserted only without loss
+//! or crashes: a dropped binary-agreement vote is never retransmitted, so
+//! an epoch can stall.
 
 use std::collections::BTreeSet;
 use std::fmt;

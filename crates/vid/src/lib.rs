@@ -532,8 +532,10 @@ fn entry<T: Default>(list: &mut Vec<(Hash, T)>, root: Hash) -> &mut T {
 /// need not ask all `N` servers: [`Retriever::start_targeted`] asks a
 /// caller-chosen subset, and [`Retriever::escalate`] asks every server that
 /// has not answered — once — when the subset turns out to be too slow or
-/// dishonest. The automaton tracks whom it asked and who has answered, so
-/// the `Cancel` on decode (§6.3) goes only to peers that still owe a chunk.
+/// dishonest; [`Retriever::reask`] repeats that for the servers still
+/// silent after it. The automaton tracks whom it asked and who has
+/// answered, so the `Cancel` on decode (§6.3) goes only to peers that still
+/// owe a chunk.
 ///
 /// A retrieval started with the committed root is **optimistic**: it asks
 /// with [`VidMsg::RequestChunk`], takes bare chunks ([`VidMsg::ReturnBare`],
@@ -633,6 +635,23 @@ impl<C: Coder> Retriever<C> {
         }
         self.reasked = self.awaited().collect();
         self.escalated = true;
+        self.ask_awaited()
+    }
+
+    /// Ask every server that still owes an answer once more: after
+    /// escalation, a request or its answer may have been lost too. Only
+    /// the caller's timer calls this — evidence never does, so a lying
+    /// server cannot make a retrieval re-send. Nothing before escalation
+    /// or after the retrieval finished; returns the requests.
+    pub fn reask(&mut self) -> Vec<VidEffect<C::Block>> {
+        if !self.escalated || self.result.is_some() {
+            return Vec::new();
+        }
+        self.reasked = self.awaited().collect();
+        self.ask_awaited()
+    }
+
+    fn ask_awaited(&self) -> Vec<VidEffect<C::Block>> {
         let ask = self.request();
         self.awaited()
             .map(|to| VidEffect::Send(to, ask.clone()))

@@ -815,6 +815,31 @@ fn escalation_asks_each_remaining_peer_exactly_once() {
 }
 
 #[test]
+fn reask_repeats_the_requests_still_owed_after_escalation() {
+    let (n, f) = (7, 2);
+    let coder = RealCoder::new(n, f);
+    let b = block(900);
+    let enc = coder.encode(&b);
+    let (mut retr, _) = Retriever::<RealCoder>::start_targeted(n, None, [NodeId(2), NodeId(4)]);
+    assert!(retr.reask().is_empty(), "no re-ask before escalation");
+    assert!(retr
+        .handle(&coder, NodeId(4), return_chunk(&enc, 4))
+        .is_empty());
+    retr.escalate();
+    assert!(retr
+        .handle(&coder, NodeId(0), return_chunk(&enc, 0))
+        .is_empty());
+    // The answers of 1, 2, 3, 5 and 6 were lost: each is asked again, and
+    // every one of them is a repeat.
+    assert_eq!(requests(&retr.reask()), vec![1, 2, 3, 5, 6]);
+    assert!((1..4).chain(5..7).all(|p| retr.reasks(NodeId(p))));
+    assert!(!retr.reasks(NodeId(0)) && !retr.reasks(NodeId(4)));
+    let effects = retr.handle(&coder, NodeId(5), return_chunk(&enc, 5));
+    assert_eq!(effects[0], VidEffect::Retrieved(Retrieved::Block(b)));
+    assert!(retr.reask().is_empty(), "nothing to re-ask once decoded");
+}
+
+#[test]
 fn bad_chunk_from_an_asked_peer_escalates_at_once() {
     let (n, f) = (7, 2);
     let coder = RealCoder::new(n, f);

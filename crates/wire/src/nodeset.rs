@@ -52,7 +52,14 @@ impl NodeSet {
 
     /// Iterate members in increasing id order.
     pub fn iter(&self) -> impl Iterator<Item = NodeId> + '_ {
-        (0..256u16).map(NodeId).filter(move |n| self.contains(*n))
+        self.bits.iter().enumerate().flat_map(|(word, &bits)| {
+            let mut rest = bits;
+            std::iter::from_fn(move || {
+                let bit = rest.trailing_zeros();
+                rest &= rest.wrapping_sub(1);
+                (bit < 64).then(|| NodeId(word as u16 * 64 + bit as u16))
+            })
+        })
     }
 
     fn locate(node: NodeId) -> (usize, u32) {

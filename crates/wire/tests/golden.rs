@@ -135,3 +135,46 @@ fn the_wire_bytes_are_pinned() {
         "4dd8ebc91bf06ab506e3ef107976be6e043fc5e29d8f81eea054155a407fd66c"
     );
 }
+
+#[test]
+fn the_batch_bytes_are_pinned() {
+    // Every batchable kind as a batch at its edges: one extra member, the
+    // widest span, `index` 0, and the highest index a batch may start at.
+    // Single envelopes keep the bytes pinned above.
+    let mut h = Sha256::new();
+    for epoch in [1, 128, u64::MAX] {
+        for round in [0, 128] {
+            let kinds: Vec<_> = every_kind(epoch, 0, round, proof(0, 1), 0)
+                .into_iter()
+                .filter(|env| env.payload.batchable())
+                .collect();
+            assert_eq!(
+                kinds.len(),
+                7,
+                "BVal, Aux and Term of each value, ReadyAsGot"
+            );
+            for env in kinds {
+                let span = Envelope::BATCH_SPAN;
+                for (index, more) in [
+                    (0, vec![1]),
+                    (0, vec![span]),
+                    (9, vec![10, 30, 9 + span]),
+                    (255 - span, (256 - span..=255).collect()),
+                    (254, vec![255]),
+                ] {
+                    let mut batch = Envelope::new(env.epoch, NodeId(index), env.payload.clone());
+                    for m in more {
+                        assert!(batch.add_member(NodeId(m)), "{m} joins {index}");
+                    }
+                    pin(&mut h, batch.encoded_len(), &batch.to_bytes());
+                    pin(&mut h, batch.wire_size(), &encode_frame(&batch).to_vec());
+                    assert_eq!(Envelope::from_bytes(&batch.to_bytes()), Ok(batch));
+                }
+            }
+        }
+    }
+    assert_eq!(
+        Hash(h.finalize()).to_hex(),
+        "d6a146a7e151c58a487710fc405408a8a794540819cd61f569ca807469f65ad7"
+    );
+}
