@@ -34,6 +34,13 @@ pub trait EffectSink {
 
     /// Ask the driver to call [`Engine::poll`] no later than `at_ms` (on
     /// the driver's clock). Advisory: extra or duplicate polls are harmless.
+    ///
+    /// A hint at or before the current time means "poll me once everything
+    /// that has arrived is handed over": the engine holds what it would
+    /// batch across the entry points of one instant, and that poll sends
+    /// it. A driver that polls before handing over the rest of the instant
+    /// only batches less; one that never answers delays the held messages
+    /// to the engine's next entry point at a later time.
     fn wake_at(&mut self, _at_ms: u64) {}
 
     /// An observability event; ignoring it is always safe.

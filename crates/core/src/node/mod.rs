@@ -43,6 +43,14 @@
 //! a batch waiting the schedule is the paper's gated one (see [`dispersal`]
 //! for the rule, its byte budget and its depth bound).
 //!
+//! ## Instants
+//!
+//! What several instances broadcast alike — votes, `ReadyAsGot`s, and
+//! `GotChunk`s under one digest (`dl_vid`'s "Bytes the receiver does not
+//! need") — is held across the entry points of one driver time and leaves
+//! as one envelope per peer: the node asks for `wake_at(now)`, and the poll
+//! that answers sends it ([`crate::EffectSink::wake_at`]).
+//!
 //! ## Module layout
 //!
 //! The automaton is split by pipeline phase: [`dispersal`] (the propose
@@ -96,7 +104,9 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use dl_ba::BaEffect;
 use dl_crypto::Hash;
 use dl_vid::VidEffect;
-use dl_wire::{BaMsg, Block, Envelope, Epoch, NodeId, NodeSet, ProtoMsg, SyncMsg, Tx, VidMsg};
+use dl_wire::{
+    got_digest, BaMsg, Block, Envelope, Epoch, NodeId, NodeSet, ProtoMsg, SyncMsg, Tx, VidMsg,
+};
 
 use crate::coder::BlockCoder;
 use crate::engine::{EffectSink, Engine};
@@ -125,7 +135,8 @@ pub enum NodeEffect {
     Deliver(DeliveredBlock),
     /// Ask the driver to call [`Engine::poll`] no later than this time (ms on
     /// the driver's clock). Advisory: extra or duplicate polls are harmless,
-    /// and periodic-tick drivers may ignore it.
+    /// and periodic-tick drivers may ignore it. At or before now it asks
+    /// for the poll that ends the instant ([`EffectSink::wake_at`]).
     WakeAt(u64),
     /// An observability event (proposals, epoch completions). Drivers may
     /// log or aggregate these; ignoring them is always safe.
@@ -251,6 +262,9 @@ enum Work {
         epoch: u64,
         msg: SyncMsg,
     },
+    /// A `GotChunk` batch: its digest is checked when its turn comes, so
+    /// a member's chunk earlier in the same burst is in hand by then.
+    GotBatch { from: NodeId, env: Envelope },
 }
 
 /// The DispersedLedger node automaton. See the module docs for the protocol
@@ -345,10 +359,13 @@ pub struct Node<C: BlockCoder> {
     retrieval_deadlines: BTreeSet<(u64, u64, u16, u8)>,
     /// This node's observed retrieval times, for the escalation deadline.
     retrieval_timer: RetrievalTimer,
-    /// This entry point's broadcasts of batchable messages, as `(epoch,
-    /// message, instances)` in the order each group opened: sent when the
-    /// entry point ends, one envelope per peer for all of a group's
-    /// instances (see [`Envelope`]'s batches).
+    /// This instant's broadcasts of batchable messages, as `(epoch,
+    /// message, instances)` in the order each group opened: held while the
+    /// driver's clock stays at [`Node::now`] and sent by the poll that
+    /// answers our `wake_at(now)`, or first thing at a later instant — one
+    /// envelope per peer for all of a group's instances (see [`Envelope`]'s
+    /// batches). A `GotChunk` group is keyed by its epoch alone (its root
+    /// field zeroed): each member's root is its server's stored one.
     batched: Vec<(u64, ProtoMsg, NodeSet)>,
     stats: NodeStats,
 }
@@ -469,6 +486,10 @@ impl<C: BlockCoder> Node<C> {
         if from != self.me && !self.cfg.variant.retrieve_then_vote() {
             self.epochs.get_mut(e).expect("just ensured").activity = true;
         }
+        if matches!(env.payload, ProtoMsg::Vid(VidMsg::GotChunk { .. })) && env.is_batch() {
+            work.push_back(Work::GotBatch { from, env });
+            return;
+        }
         // A batch is one work item per member, as if each had come alone.
         let members = env.members();
         match env.payload {
@@ -504,6 +525,10 @@ impl<C: BlockCoder> Node<C> {
     /// Central pump: drain the work queue, then advance the epoch pipeline
     /// (deliveries, proposals), repeating until a fixed point.
     fn run(&mut self, mut work: VecDeque<Work>, now: u64, sink: &mut dyn EffectSink) {
+        // A later instant: what the last one held leaves first.
+        if now != self.now {
+            self.send_batched(sink);
+        }
         self.now = now;
         if !self.clock_started {
             self.clock_started = true;
@@ -522,9 +547,16 @@ impl<C: BlockCoder> Node<C> {
                 break;
             }
         }
-        self.send_batched(sink);
         // Hand the (now empty) buffer back for the next entry point.
         self.work_scratch = work;
+    }
+
+    /// Ends an entry point other than `poll`: the instant's batches stay
+    /// open until the driver has handed over everything else of `now`.
+    fn hold(&self, now: u64, sink: &mut dyn EffectSink) {
+        if !self.batched.is_empty() {
+            sink.wake_at(now);
+        }
     }
 
     fn step(&mut self, w: Work, work: &mut VecDeque<Work>, out: &mut dyn EffectSink) {
@@ -633,6 +665,50 @@ impl<C: BlockCoder> Node<C> {
                 self.apply_ba_effects(epoch, index, effects, work, out);
             }
             Work::Sync { from, epoch, msg } => self.on_sync(from, epoch, msg, work, out),
+            Work::GotBatch { from, env } => self.on_got_batch(from, env, work, out),
+        }
+    }
+
+    /// A peer's `GotChunk` batch: its members' `GotChunk`s under our own
+    /// roots if the digest checks, else one `RootsWanted` for them all.
+    fn on_got_batch(
+        &mut self,
+        from: NodeId,
+        env: Envelope,
+        work: &mut VecDeque<Work>,
+        out: &mut dyn EffectSink,
+    ) {
+        let ProtoMsg::Vid(VidMsg::GotChunk { root: digest }) = env.payload else {
+            return;
+        };
+        let Some(roots) = self.stored_roots(&env) else {
+            return;
+        };
+        let epoch = env.epoch.0;
+        match roots.into_iter().collect::<Option<Vec<_>>>() {
+            Some(roots) if got_digest(env.epoch, roots.iter().copied()) == digest => {
+                for (m, root) in roots {
+                    let msg = VidMsg::GotChunk { root };
+                    let index = m.idx();
+                    self.step(
+                        Work::Vid {
+                            epoch,
+                            index,
+                            from,
+                            msg,
+                        },
+                        work,
+                        out,
+                    );
+                }
+            }
+            _ => {
+                let mut ask = Envelope::vid(env.epoch, env.index, VidMsg::RootsWanted);
+                for m in env.members().skip(1) {
+                    ask.add_member(m);
+                }
+                self.push_send(from, ask, out);
+            }
         }
     }
 
@@ -729,6 +805,13 @@ impl<C: BlockCoder> Node<C> {
         if !msg.batchable() {
             return self.send_to_peers(Envelope::new(Epoch(epoch), instance, msg), out);
         }
+        // One group per epoch: each member's root is filled in as it leaves.
+        let msg = match msg {
+            ProtoMsg::Vid(VidMsg::GotChunk { .. }) => {
+                ProtoMsg::Vid(VidMsg::GotChunk { root: Hash::ZERO })
+            }
+            msg => msg,
+        };
         match self
             .batched
             .iter_mut()
@@ -746,7 +829,7 @@ impl<C: BlockCoder> Node<C> {
         }
     }
 
-    /// Send this entry point's batches: per group, as few envelopes as
+    /// Send the held batches: per group, as few envelopes as
     /// [`Envelope::BATCH_SPAN`] allows, each to every peer.
     fn send_batched(&mut self, out: &mut dyn EffectSink) {
         let mut batched = std::mem::take(&mut self.batched);
@@ -758,15 +841,44 @@ impl<C: BlockCoder> Node<C> {
                 }
                 let next = Envelope::new(Epoch(epoch), m, msg.clone());
                 if let Some(env) = open.replace(next) {
-                    self.send_to_peers(env, out);
+                    self.send_sealed(env, out);
                 }
             }
             if let Some(env) = open {
-                self.send_to_peers(env, out);
+                self.send_sealed(env, out);
             }
         }
-        // Keep the buffer for the next entry point.
+        // Keep the buffer for the next instant.
         self.batched = batched;
+    }
+
+    /// Our stored chunk's root for each instance `env` names (`None` where
+    /// we hold no chunk), or `None` if its epoch or a slot was collected.
+    fn stored_roots(&self, env: &Envelope) -> Option<Vec<Option<(NodeId, Hash)>>> {
+        let st = self.epochs.get(env.epoch.0)?;
+        env.members()
+            .map(|m| {
+                let server = st.servers[m.idx()].as_ref()?;
+                Some(server.stored_chunk().map(|(root, ..)| (m, *root)))
+            })
+            .collect()
+    }
+
+    /// Send a held envelope to every peer. A `GotChunk` one names its
+    /// member's root, or, for several, the digest of their roots.
+    fn send_sealed(&mut self, mut env: Envelope, out: &mut dyn EffectSink) {
+        if matches!(env.payload, ProtoMsg::Vid(VidMsg::GotChunk { .. })) {
+            let roots = self.stored_roots(&env);
+            let Some(roots) = roots.and_then(|r| r.into_iter().collect::<Option<Vec<_>>>()) else {
+                return;
+            };
+            let root = match roots[..] {
+                [(_, only)] => only,
+                _ => got_digest(env.epoch, roots),
+            };
+            env.payload = ProtoMsg::Vid(VidMsg::GotChunk { root });
+        }
+        self.send_to_peers(env, out);
     }
 
     fn send_to_peers(&mut self, env: Envelope, out: &mut dyn EffectSink) {
@@ -824,7 +936,8 @@ impl<C: BlockCoder> Engine for Node<C> {
         self.stats.txs_submitted += 1;
         self.queue.push(tx);
         let work = std::mem::take(&mut self.work_scratch);
-        self.run(work, now, sink)
+        self.run(work, now, sink);
+        self.hold(now, sink);
     }
 
     /// Malformed, out-of-range and too-far-future envelopes are dropped
@@ -832,7 +945,8 @@ impl<C: BlockCoder> Engine for Node<C> {
     fn handle(&mut self, from: NodeId, env: Envelope, now: u64, sink: &mut dyn EffectSink) {
         let mut work = std::mem::take(&mut self.work_scratch);
         self.admit_envelope(from, env, &mut work);
-        self.run(work, now, sink)
+        self.run(work, now, sink);
+        self.hold(now, sink);
     }
 
     /// Each envelope is validated and enqueued, then the engine runs once —
@@ -848,14 +962,21 @@ impl<C: BlockCoder> Engine for Node<C> {
         for env in envs.drain(..) {
             self.admit_envelope(from, env, &mut work);
         }
-        self.run(work, now, sink)
+        self.run(work, now, sink);
+        self.hold(now, sink);
     }
 
     /// Drives the Nagle proposal rule and anything else that is time-
-    /// rather than message-triggered.
+    /// rather than message-triggered, then sends the instant's batches. A
+    /// poll at the instant the last entry point ran only sends: that entry
+    /// point ran the engine to a fixed point at `now`, and every timer the
+    /// engine sets lies after the instant that set it.
     fn poll(&mut self, now: u64, sink: &mut dyn EffectSink) {
-        let work = std::mem::take(&mut self.work_scratch);
-        self.run(work, now, sink)
+        if !self.clock_started || now != self.now {
+            let work = std::mem::take(&mut self.work_scratch);
+            self.run(work, now, sink);
+        }
+        self.send_batched(sink);
     }
 
     fn stats(&self) -> Option<NodeStats> {

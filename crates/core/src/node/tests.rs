@@ -89,7 +89,21 @@ impl Mesh {
 
     fn submit(&mut self, node: usize, tx: Tx) {
         let effs = self.nodes[node].submit_tx_vec(tx, self.now);
+        let effs = self.settled(node, effs);
         self.sink(node, effs);
+    }
+
+    /// `effs` of one call to `node`, and of the poll that ends its instant
+    /// if it asked for one now: the mesh hands over one envelope per
+    /// instant.
+    fn settled(&mut self, node: usize, mut effs: Vec<NodeEffect>) -> Vec<NodeEffect> {
+        if effs
+            .iter()
+            .any(|e| matches!(e, NodeEffect::WakeAt(at) if *at <= self.now))
+        {
+            effs.extend(self.nodes[node].poll_vec(self.now));
+        }
+        effs
     }
 
     /// Run `ticks` steps of `step_ms` each, delivering all in-flight
@@ -110,6 +124,7 @@ impl Mesh {
                     continue;
                 }
                 let effs = self.nodes[to.idx()].handle_vec(from, env, self.now);
+                let effs = self.settled(to.idx(), effs);
                 self.sink(to.idx(), effs);
             }
         }
@@ -357,8 +372,10 @@ fn chunk_from_non_proposer_rejected() {
         },
     );
     assert!(node.handle_vec(NodeId(3), env.clone(), 0).is_empty());
-    // The same chunk from its proposer is accepted (GotChunk goes out).
-    let effs = node.handle_vec(NodeId(2), env, 0);
+    // The same chunk from its proposer is accepted (GotChunk goes out
+    // once the instant is settled).
+    let mut effs = node.handle_vec(NodeId(2), env, 0);
+    effs.extend(node.poll_vec(0));
     assert!(effs.iter().any(|e| matches!(e, NodeEffect::Send(..))));
 }
 
@@ -403,7 +420,8 @@ fn garbage_chunk_with_wrong_proof_root_is_rejected() {
             payload,
         },
     );
-    let effs = node.handle_vec(NodeId(2), real, 0);
+    let mut effs = node.handle_vec(NodeId(2), real, 0);
+    effs.extend(node.poll_vec(0));
     assert!(effs.iter().any(|e| matches!(e, NodeEffect::Send(..))));
     assert!(effs
         .iter()
@@ -1607,6 +1625,8 @@ fn batched_script(node: &mut Node<RealBlockCoder>, split: bool) -> Vec<Vec<NodeE
         .map(|(from, mut envs)| {
             let mut out = Vec::new();
             node.handle_burst(NodeId(from), &mut envs, 5, &mut out);
+            // Each burst is an instant of its own.
+            node.poll(5, &mut out);
             out
         })
         .collect()
@@ -1647,8 +1667,8 @@ fn one_calls_identical_broadcasts_leave_as_one_envelope_per_peer() {
     assert_eq!(node.stats().msgs_sent, msgs);
     assert_eq!(
         msgs,
-        3 * 4 + 3 * 2 + 3 * 4,
-        "BVals, the filler's two kinds, Terms"
+        3 * 4 + 3 + 3 * 4,
+        "BVals, the filler's chunks (each its GotChunk too), Terms"
     );
 }
 
@@ -1681,4 +1701,215 @@ fn a_batch_naming_a_member_past_the_cluster_is_dropped_whole() {
         !node.epochs.contains(1),
         "no epoch state for a dropped batch"
     );
+}
+
+// ---------------------------------------------------------------------------
+// An instant's `GotChunk`s name one digest; a proposer's chunk is its own
+// ---------------------------------------------------------------------------
+
+/// Proposer `j`'s epoch-1 empty block at N = 4: its chunk for node `to`,
+/// and its root.
+fn chunk_for(j: u16, to: u16) -> (Envelope, Hash) {
+    let cluster = ClusterConfig::new(4);
+    let coder = RealBlockCoder::new(&cluster);
+    let block = Block::empty(Epoch(1), NodeId(j), vec![0; 4]);
+    let packed = crate::coder::BlockCoder::pack(&coder, &block);
+    let enc = dl_vid::Coder::encode(&coder, &packed);
+    let (payload, proof) = enc.chunks[to as usize].clone();
+    let root = enc.root;
+    let chunk = VidMsg::Chunk {
+        root,
+        proof,
+        payload,
+    };
+    (Envelope::vid(Epoch(1), NodeId(j), chunk), root)
+}
+
+/// Node `me` of a 4-node DL cluster.
+fn dl_node(me: u16) -> Node<RealBlockCoder> {
+    let cluster = ClusterConfig::new(4);
+    let cfg = NodeConfig::new(cluster.clone(), ProtocolVariant::Dl);
+    Node::new(NodeId(me), cfg, RealBlockCoder::new(&cluster))
+}
+
+/// `envs` handed over one call each at `now`, then the instant's poll.
+fn instant(node: &mut Node<RealBlockCoder>, envs: &[(u16, Envelope)], now: u64) -> Vec<NodeEffect> {
+    let mut out = Vec::new();
+    for (from, env) in envs {
+        node.handle(NodeId(*from), env.clone(), now, &mut out);
+    }
+    node.poll(now, &mut out);
+    out
+}
+
+/// `(to, envelope)` of every send in `effs` whose payload is `want`'s.
+fn sends(effs: &[NodeEffect], want: impl Fn(&ProtoMsg) -> bool) -> Vec<(NodeId, Envelope)> {
+    effs.iter()
+        .filter_map(|e| match e {
+            NodeEffect::Send(to, env) if want(&env.payload) => Some((*to, env.clone())),
+            _ => None,
+        })
+        .collect()
+}
+
+fn got_chunk(p: &ProtoMsg) -> bool {
+    matches!(p, ProtoMsg::Vid(VidMsg::GotChunk { .. }))
+}
+
+/// The chunks of proposers `js` for node `to`, each from its proposer.
+fn chunks_for(js: &[u16], to: u16) -> Vec<(u16, Envelope)> {
+    js.iter().map(|&j| (j, chunk_for(j, to).0)).collect()
+}
+
+/// Node 2's `GotChunk` batch to node 0 for the chunks of proposers 1 and
+/// 3, as node 2 sends it.
+fn batch_from_2() -> Envelope {
+    let mut two = dl_node(2);
+    let effs = instant(&mut two, &chunks_for(&[1, 3], 2), 5);
+    let got = sends(&effs, got_chunk);
+    assert_eq!(got.len(), 3, "{got:?}");
+    got.into_iter()
+        .find(|(to, _)| *to == NodeId(0))
+        .expect("one to node 0")
+        .1
+}
+
+#[test]
+fn an_instants_chunks_leave_as_one_gotchunk_envelope_per_peer() {
+    let mut node = dl_node(0);
+    let mut out = Vec::new();
+    for (from, env) in chunks_for(&[1, 2, 3], 0) {
+        node.handle(NodeId(from), env, 5, &mut out);
+    }
+    // Held until the instant's poll, which the node asks for now.
+    assert!(sends(&out, got_chunk).is_empty(), "{out:?}");
+    assert!(out.contains(&NodeEffect::WakeAt(5)));
+    node.poll(5, &mut out);
+    let digest = got_digest(Epoch(1), (1..4).map(|j| (NodeId(j), chunk_for(j, 0).1)));
+    let got = sends(&out, got_chunk);
+    let to: Vec<u16> = got.iter().map(|(to, _)| to.0).collect();
+    assert_eq!(to, [1, 2, 3]);
+    for (_, env) in got {
+        assert_eq!(env.members().map(|m| m.0).collect::<Vec<_>>(), [1, 2, 3]);
+        assert_eq!(
+            env.payload,
+            ProtoMsg::Vid(VidMsg::GotChunk { root: digest })
+        );
+        through_the_codec(env);
+    }
+    // A proposer's own chunk is its `GotChunk`: none for its instance.
+    let mut proposer = dl_node(1);
+    let effs = instant(&mut proposer, &chunks_for(&[2], 1), 5);
+    let got = sends(&effs, got_chunk);
+    assert!(got
+        .iter()
+        .all(|(_, env)| env.index == NodeId(2) && !env.is_batch()));
+}
+
+#[test]
+fn a_matching_digest_has_the_effects_of_its_members_one_by_one() {
+    let (mut batched, mut split) = (dl_node(0), dl_node(0));
+    for node in [&mut batched, &mut split] {
+        instant(node, &chunks_for(&[1, 2, 3], 0), 5);
+    }
+    let batch = batch_from_2();
+    assert_eq!(batch.members().map(|m| m.0).collect::<Vec<_>>(), [1, 3]);
+    // The members one by one, in one burst as the batch is one envelope.
+    let mut plain: Vec<Envelope> = [1, 3]
+        .map(|j| {
+            let root = chunk_for(j, 0).1;
+            Envelope::vid(Epoch(1), NodeId(j), VidMsg::GotChunk { root })
+        })
+        .into();
+    let effs = instant(&mut batched, &[(2, batch)], 6);
+    let mut one_by_one = Vec::new();
+    split.handle_burst(NodeId(2), &mut plain, 6, &mut one_by_one);
+    split.poll(6, &mut one_by_one);
+    assert_eq!(effs, one_by_one);
+    assert_eq!(batched.stats(), split.stats());
+    // With the proposer's implied claim and our own, node 2's makes N − f
+    // for instances 1 and 3: our `Ready`s leave as one batch per peer.
+    let ready = |p: &ProtoMsg| matches!(p, ProtoMsg::Vid(VidMsg::ReadyAsGot));
+    for (_, env) in sends(&effs, ready) {
+        assert_eq!(env.members().map(|m| m.0).collect::<Vec<_>>(), [1, 3]);
+    }
+    assert_eq!(sends(&effs, ready).len(), 3);
+}
+
+#[test]
+fn a_digest_that_does_not_check_asks_for_the_roots_once() {
+    // Node 0 holds proposer 1's chunk but not yet proposer 3's when node
+    // 2's batch naming both arrives.
+    let (mut late, mut direct) = (dl_node(0), dl_node(0));
+    for node in [&mut late, &mut direct] {
+        instant(node, &chunks_for(&[1], 0), 5);
+    }
+    let effs = instant(&mut late, &[(2, batch_from_2())], 6);
+    instant(&mut direct, &[], 6);
+    let wanted = |p: &ProtoMsg| matches!(p, ProtoMsg::Vid(VidMsg::RootsWanted));
+    let asks = sends(&effs, wanted);
+    assert_eq!(asks.len(), 1, "{effs:?}");
+    let (to, ask) = asks[0].clone();
+    assert_eq!(to, NodeId(2));
+    assert_eq!(ask.members().map(|m| m.0).collect::<Vec<_>>(), [1, 3]);
+    assert!(
+        sends(&effs, |p| !wanted(p)).is_empty(),
+        "nothing counted: {effs:?}"
+    );
+    through_the_codec(ask.clone());
+    // Node 2 answers each instance once, with its plain `GotChunk`.
+    let mut two = dl_node(2);
+    instant(&mut two, &chunks_for(&[1, 3], 2), 5);
+    let answers = instant(&mut two, &[(0, ask.clone()), (0, ask)], 7);
+    let plain = sends(&answers, got_chunk);
+    let expected = [1, 3].map(|j| {
+        let root = chunk_for(j, 0).1;
+        (
+            NodeId(0),
+            Envelope::vid(Epoch(1), NodeId(j), VidMsg::GotChunk { root }),
+        )
+    });
+    assert_eq!(plain, expected);
+    // The answers then have the effects they have at a node that never
+    // saw the batch.
+    let plain: Vec<(u16, Envelope)> = plain.into_iter().map(|(_, env)| (2, env)).collect();
+    assert_eq!(
+        instant(&mut late, &plain, 8),
+        instant(&mut direct, &plain, 8)
+    );
+}
+
+#[test]
+fn a_proposers_ready_counts_with_no_gotchunk_of_its_own() {
+    let mut node = dl_node(0);
+    instant(&mut node, &chunks_for(&[1], 0), 5);
+    // Node 2's `GotChunk`, ours and the one proposer 1's chunk implies make
+    // N − f: our `Ready` goes out.
+    let root = chunk_for(1, 0).1;
+    let got = Envelope::vid(Epoch(1), NodeId(1), VidMsg::GotChunk { root });
+    let effs = instant(&mut node, &[(2, got)], 6);
+    let ready = |p: &ProtoMsg| matches!(p, ProtoMsg::Vid(VidMsg::ReadyAsGot));
+    assert_eq!(sends(&effs, ready).len(), 3);
+    // Root-less `Ready`s from the proposer and node 2 complete it.
+    let ready = Envelope::vid(Epoch(1), NodeId(1), VidMsg::ReadyAsGot);
+    let effs = instant(&mut node, &[(1, ready.clone()), (2, ready)], 7);
+    assert_eq!(completions(&effs), [(1, 1)]);
+}
+
+#[test]
+fn a_rejected_chunk_implies_no_gotchunk() {
+    let mut node = dl_node(0);
+    let (mut garbage, _) = chunk_for(1, 0);
+    let bogus = Hash::digest(b"bogus");
+    if let ProtoMsg::Vid(VidMsg::Chunk { root, .. }) = &mut garbage.payload {
+        *root = bogus;
+    }
+    let effs = instant(&mut node, &[(1, garbage)], 5);
+    assert!(sends(&effs, |_| true).is_empty(), "{effs:?}");
+    // Two `GotChunk(bogus)`s and an implied third would send a `Ready`.
+    let got = Envelope::vid(Epoch(1), NodeId(1), VidMsg::GotChunk { root: bogus });
+    let effs = instant(&mut node, &[(2, got.clone()), (3, got)], 6);
+    let ready =
+        |p: &ProtoMsg| matches!(p, ProtoMsg::Vid(VidMsg::Ready { .. } | VidMsg::ReadyAsGot));
+    assert!(sends(&effs, ready).is_empty(), "{effs:?}");
 }

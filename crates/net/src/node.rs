@@ -70,7 +70,8 @@ impl Shared {
 }
 
 /// The engine thread's effect sink: `send` goes to the peer outboxes,
-/// `deliver` into the shared log, `wake_at` shortens the next poll, and
+/// `deliver` into the shared log, `wake_at` shortens the next poll (one at
+/// or before now is served once the engine loop's drain is handed over), and
 /// `persist` appends to the write-ahead log (when the node has one) —
 /// before any later effect of the same engine call reaches a socket,
 /// because the writers drain the outboxes asynchronously anyway.
@@ -358,6 +359,9 @@ fn now_since(start: Instant) -> u64 {
     start.elapsed().as_millis() as u64
 }
 
+/// Most queued inputs one instant of [`engine_loop`] hands over.
+const DRAIN_MAX: usize = 1024;
+
 fn engine_loop(
     mut engine: Box<dyn Engine + Send>,
     input: Receiver<Input>,
@@ -383,8 +387,21 @@ fn engine_loop(
             sink.next_wake = None;
         }
         match received {
-            Ok(Input::Tx(tx)) => engine.submit_tx(tx, now, &mut sink),
-            Ok(Input::Env { from, env }) => engine.handle(from, env, now, &mut sink),
+            Ok(first) => {
+                // One drain is one instant: everything queued behind the
+                // first input is handed over at the same `now` before a due
+                // wake poll runs, so the batches the engine holds for the
+                // instant leave once (`EffectSink::wake_at`). Bounded, so a
+                // flood cannot hold an instant open for ever: the rest
+                // waits for the next turn of the loop.
+                let queued = std::iter::from_fn(|| input.try_recv().ok());
+                for item in std::iter::once(first).chain(queued).take(DRAIN_MAX) {
+                    match item {
+                        Input::Tx(tx) => engine.submit_tx(tx, now, &mut sink),
+                        Input::Env { from, env } => engine.handle(from, env, now, &mut sink),
+                    }
+                }
+            }
             Err(RecvTimeoutError::Timeout) => engine.poll(now, &mut sink),
             Err(RecvTimeoutError::Disconnected) => break,
         }

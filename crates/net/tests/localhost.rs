@@ -2,17 +2,18 @@
 //! every [`ProtocolVariant`], the zero-copy guarantee of the framed send
 //! path, and robustness against garbage-speaking peers.
 
-use std::io::Write;
-use std::net::TcpStream;
-use std::time::Duration;
+use std::io::{Read, Write};
+use std::net::{TcpListener, TcpStream};
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 use dl_core::ProtocolVariant;
 use dl_net::{ClusterSpec, LocalCluster};
 use dl_vid::{RealCoder, VidEffect};
 use dl_wire::frame::{encode_frame, encode_segment};
 use dl_wire::{
-    BaMsg, ChunkPayload, Envelope, Epoch, NodeId, ProtoMsg, SyncMsg, Tx, VidMsg, WireEncode,
-    MAX_FRAME_BODY,
+    BaMsg, ChunkPayload, Envelope, Epoch, FrameDecoder, NodeId, ProtoMsg, SyncMsg, Tx, VidMsg,
+    WireEncode, MAX_FRAME_BODY,
 };
 
 mod hostile;
@@ -462,6 +463,131 @@ fn a_batch_naming_a_member_past_the_cluster_is_dropped() {
         orders.windows(2).all(|w| w[0] == w[1]),
         "orders diverged after batches past the cluster"
     );
+    cluster.shutdown();
+}
+
+/// Listen on `addr` in a killed node's place and log, per connection, the
+/// sender its hello names and every envelope it sends after it.
+fn eavesdrop(addr: std::net::SocketAddr) -> Arc<Mutex<Vec<(NodeId, Envelope)>>> {
+    let deadline = Instant::now() + TIMEOUT;
+    let listener = loop {
+        match TcpListener::bind(addr) {
+            Ok(l) => break l,
+            Err(e) if Instant::now() >= deadline => panic!("rebind {addr}: {e}"),
+            Err(_) => std::thread::sleep(Duration::from_millis(50)),
+        }
+    };
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let sink = Arc::clone(&log);
+    std::thread::spawn(move || {
+        for mut stream in listener.incoming().flatten() {
+            let log = Arc::clone(&sink);
+            std::thread::spawn(move || {
+                let mut hello = [0u8; 2];
+                if stream.read_exact(&mut hello).is_err() {
+                    return;
+                }
+                let from = NodeId(u16::from_le_bytes(hello));
+                let mut decoder = FrameDecoder::new();
+                let mut buf = vec![0u8; 64 * 1024];
+                while let Ok(k @ 1..) = stream.read(&mut buf) {
+                    decoder.extend(&buf[..k]);
+                    while let Ok(Some(env)) = decoder.next_frame() {
+                        log.lock().expect("log lock").push((from, env));
+                    }
+                }
+            });
+        }
+    });
+    log
+}
+
+#[test]
+fn a_wrong_digest_and_a_roots_wanted_flood_get_one_answer_per_instance() {
+    // Node 3 is killed and its address taken over here, so what node 0
+    // sends "node 3" is read back. Posing as node 3, we send node 0 a
+    // `GotChunk` batch for epoch 1's instances 0–2 under a wrong digest,
+    // then ask for their roots fifty times over.
+    let mut cluster = spawn(&fast_redial(4, ProtocolVariant::Dl));
+    cluster.kill(3);
+    let heard = eavesdrop(cluster.addr(3));
+    for s in 0..3u64 {
+        cluster.submit(s as usize, Tx::synthetic(NodeId(s as u16), s, 0, 200));
+    }
+    assert!(cluster.wait_delivered(3, TIMEOUT), "no baseline progress");
+    let from_0 = |want: &dyn Fn(&Envelope) -> bool| -> Vec<Envelope> {
+        let log = heard.lock().expect("log lock");
+        log.iter()
+            .filter(|(from, env)| *from == NodeId(0) && want(env))
+            .map(|(_, env)| env.clone())
+            .collect()
+    };
+    // Node 0's writer has re-dialled us and delivered epoch-1 traffic.
+    let deadline = Instant::now() + TIMEOUT;
+    while from_0(&|env| env.epoch == Epoch(1)).is_empty() {
+        assert!(
+            Instant::now() < deadline,
+            "node 0 never dialled node 3's address"
+        );
+        std::thread::sleep(Duration::from_millis(25));
+    }
+    let members = |msg: VidMsg| {
+        let mut env = Envelope::vid(Epoch(1), NodeId(0), msg);
+        for m in [1, 2] {
+            assert!(env.add_member(NodeId(m)));
+        }
+        env
+    };
+    // The digest of no member at all: never epoch 1's.
+    let mut envs = vec![members(VidMsg::GotChunk {
+        root: dl_wire::got_digest(Epoch(1), []),
+    })];
+    envs.extend((0..50).map(|_| members(VidMsg::RootsWanted)));
+    hostile::send_envelopes(cluster.addr(0), 3, &envs).expect("send");
+    // The wrong digest is answered with one `RootsWanted` for all three.
+    let wanted = |env: &Envelope| matches!(env.payload, ProtoMsg::Vid(VidMsg::RootsWanted));
+    let deadline = Instant::now() + TIMEOUT;
+    while from_0(&wanted).is_empty() {
+        assert!(
+            Instant::now() < deadline,
+            "no RootsWanted for a wrong digest"
+        );
+        std::thread::sleep(Duration::from_millis(25));
+    }
+    // The cluster keeps delivering, and everything is in by then.
+    for s in 0..3u64 {
+        cluster.submit(s as usize, Tx::synthetic(NodeId(s as u16), s, 1, 200));
+    }
+    assert!(
+        cluster.wait_delivered(6, TIMEOUT),
+        "cluster lost liveness after a RootsWanted flood"
+    );
+    let orders = cluster.tx_orders();
+    assert!(orders.windows(2).all(|w| w[0] == w[1]), "orders diverged");
+    std::thread::sleep(Duration::from_millis(200));
+    let asks = from_0(&wanted);
+    assert_eq!(asks.len(), 1, "{asks:?}");
+    assert_eq!(
+        asks[0].members().map(|m| m.0).collect::<Vec<_>>(),
+        [0, 1, 2]
+    );
+    // Each instance's root comes back once: node 0 broadcasts no
+    // `GotChunk` for its own instance, and at most one more (alone, or in
+    // a digest batch) for the others.
+    for j in 0..3u16 {
+        let plain = from_0(&|env| {
+            env.epoch == Epoch(1)
+                && env.index == NodeId(j)
+                && !env.is_batch()
+                && matches!(env.payload, ProtoMsg::Vid(VidMsg::GotChunk { .. }))
+        });
+        let most = if j == 0 { 1 } else { 2 };
+        assert!(
+            (1..=most).contains(&plain.len()),
+            "instance {j}: {} plain GotChunks",
+            plain.len()
+        );
+    }
     cluster.shutdown();
 }
 

@@ -6,22 +6,25 @@
 //!
 //! * [`SimNodeKind::Mute`] — a crashed node: consumes everything, emits
 //!   nothing. Exercises the `f`-crash-tolerance of every layer.
-//! * [`SimNodeKind::Equivocate`] — a malicious proposer: disperses *two
-//!   different blocks* for the same epoch, sending chunks of block A (under
-//!   A's Merkle root) to even-numbered peers and chunks of block B to
-//!   odd-numbered peers, and votes contradictorily in every BA. AVID-M
-//!   guarantees no root can assemble an `N − f` quorum, so the
-//!   equivocator's dispersal never completes and its BA slot decides 0 —
-//!   the cluster commits the epoch without it.
+//! * [`SimNodeKind::Equivocate`] — a malicious proposer: disperses *a
+//!   different block to every peer* for the same epoch, each peer's chunk
+//!   under its own block's Merkle root, and votes contradictorily in every
+//!   BA. A root then has one holder and the proposer's implied `GotChunk`
+//!   (its chunk is its `GotChunk`, `dl_vid`) — short of `N − f` — so the
+//!   equivocator's dispersal never completes and its BA slot decides 0:
+//!   the cluster commits the epoch without it. (Two roots split between
+//!   even and odd peers would each gather `N − f` at N = 4.) Every digest
+//!   batch that names its instance fails to check, so the `RootsWanted`
+//!   fall-back runs too.
 //! * [`SimNodeKind::DelayRelease`] — a straggling proposer by choice: builds
 //!   a *valid* dispersal but withholds every chunk and vote until the last
 //!   useful moment, probing the pipeline's tolerance for late-but-correct
 //!   traffic (the epoch must commit either with the late block or, if the
 //!   ACS zero-fill won the race, without it — never inconsistently).
-//! * [`SimNodeKind::SelectiveSend`] — disperses a valid block to one peer
-//!   short of any completing quorum, so its dispersal can never gather
-//!   `N − f` acknowledgements and the cluster must commit the epoch around
-//!   the permanently-pending slot.
+//! * [`SimNodeKind::SelectiveSend`] — disperses a valid block to
+//!   `N − f − 2` peers, so that with its own implied `GotChunk` its
+//!   dispersal is one acknowledgement short of `N − f`, and the cluster
+//!   must commit the epoch around the permanently-pending slot.
 //! * [`SimNodeKind::GarbageChunks`] — sends structurally well-formed chunks
 //!   whose Merkle proofs do not verify against the advertised root,
 //!   exercising every honest node's chunk-rejection path end to end; and,
@@ -183,9 +186,10 @@ impl<C: BlockCoder> Adversary<C> {
         sink.wake_at(due);
     }
 
-    /// `SelectiveSend`: a valid dispersal to one peer short of a quorum —
-    /// even if every recipient acknowledges, completion needs `N − f`
-    /// votes and only `N − f − 1` peers ever saw a chunk.
+    /// `SelectiveSend`: a valid dispersal one acknowledgement short of a
+    /// quorum — even if every recipient acknowledges, completion needs
+    /// `N − f` votes, and only `N − f − 2` peers ever saw a chunk, which
+    /// also count the proposer's `GotChunk` its chunk implies.
     fn attack_selective_send(&self, epoch: u64, sink: &mut dyn EffectSink) {
         let n = self.cluster.n;
         let f = self.cluster.f;
@@ -193,7 +197,7 @@ impl<C: BlockCoder> Adversary<C> {
         let mut sent = 0usize;
         for i in 0..n {
             let to = NodeId(i as u16);
-            if to == self.me || sent == n - f - 1 {
+            if to == self.me || sent == n - f - 2 {
                 continue;
             }
             sent += 1;
@@ -241,32 +245,25 @@ impl<C: BlockCoder> Adversary<C> {
         }
     }
 
-    /// The equivocation payload for one epoch: two conflicting dispersals
-    /// plus contradictory BA votes.
+    /// The equivocation payload for one epoch: a conflicting dispersal per
+    /// peer plus contradictory BA votes.
     fn attack(&self, epoch: u64, sink: &mut dyn EffectSink) {
         let n = self.cluster.n;
-        let block_a = Block {
-            header: dl_wire::BlockHeader {
-                epoch: Epoch(epoch),
-                proposer: self.me,
-                v_array: vec![0; n],
-            },
-            body: vec![Tx::synthetic(self.me, epoch, 0, 64)],
-        };
-        let mut block_b = block_a.clone();
-        block_b.body = vec![Tx::synthetic(self.me, epoch, 1, 96)];
-        let enc_a = self.coder.encode(&self.coder.pack(&block_a));
-        let enc_b = self.coder.encode(&self.coder.pack(&block_b));
         for i in 0..n {
             let to = NodeId(i as u16);
             if to == self.me {
                 continue;
             }
-            let (enc, root) = if i % 2 == 0 {
-                (&enc_a, enc_a.root)
-            } else {
-                (&enc_b, enc_b.root)
+            // Peer `i`'s block: a transaction of `64 + i` bytes.
+            let block = Block {
+                header: dl_wire::BlockHeader {
+                    epoch: Epoch(epoch),
+                    proposer: self.me,
+                    v_array: vec![0; n],
+                },
+                body: vec![Tx::synthetic(self.me, epoch, i as u64, 64 + i as u32)],
             };
+            let enc = self.coder.encode(&self.coder.pack(&block));
             let (payload, proof) = enc.chunks[i].clone();
             sink.send(
                 to,
@@ -274,7 +271,7 @@ impl<C: BlockCoder> Adversary<C> {
                     Epoch(epoch),
                     self.me,
                     VidMsg::Chunk {
-                        root,
+                        root: enc.root,
                         proof,
                         payload,
                     },

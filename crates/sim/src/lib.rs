@@ -32,7 +32,9 @@
 //! instant and in `(from, to)` order. So a frame that starts at `t`
 //! carries everything queued up to `t`, whichever of `t`'s events the heap
 //! happened to pop first: a vote sent as a chunk's frame ends rides the
-//! next frame, never one frame later.
+//! next frame, never one frame later. The same event first polls the nodes
+//! that asked for a poll at the instant (`wake_at(now)`): an engine holds
+//! its batchable broadcasts until then, so they ride the instant's frames.
 //!
 //! The quantum is in time, not bytes, so that no frame pays the
 //! millisecond grid's round-up (the prototype this was sized with measured
@@ -58,7 +60,8 @@
 //! ## Drivers and quiescence
 //!
 //! The simulator is an [`EffectSink`]: engine `send`s become link
-//! transmissions, `wake_at` schedules a future [`Engine::poll`], and
+//! transmissions, `wake_at` schedules an [`Engine::poll`] (one at or
+//! before now runs as the instant ends, before its link pumps), and
 //! `deliver`/`stat` are recorded into the [`SimReport`]. Cluster slots are
 //! held uniformly as `Box<dyn Engine>` — honest members and the faulty
 //! [`SimNodeKind`]s are interchangeable once built.
@@ -126,13 +129,14 @@ pub enum SimNodeKind {
     Honest,
     /// Crashed node: receives and sends nothing.
     Mute,
-    /// Disperses two conflicting blocks per epoch and votes both ways in
-    /// every BA.
+    /// Disperses a conflicting block to every peer each epoch and votes
+    /// both ways in every BA.
     Equivocate,
     /// Withholds its dispersal chunks and votes until the last useful
     /// moment.
     DelayRelease,
-    /// Disperses to one peer short of any completing quorum.
+    /// Disperses to two peers short of `N − f`: with its implied
+    /// `GotChunk`, one acknowledgement short of any completing quorum.
     SelectiveSend,
     /// Disperses chunks whose Merkle proofs do not verify, and answers
     /// every chunk request with wrong bytes of the right length.
@@ -336,7 +340,9 @@ enum EvKind {
         from: NodeId,
         to: NodeId,
     },
-    /// Pump every link due at this instant ([`Fabric::pumps`]).
+    /// Poll the nodes that asked to be polled as this instant ends
+    /// ([`Fabric::instant_polls`]), then pump every link due at it
+    /// ([`Fabric::pumps`]).
     Pumps,
 }
 
@@ -394,6 +400,11 @@ struct Fabric {
     last_activity: u64,
     events_processed: u64,
     scheduled_polls: BTreeSet<(u64, u16)>,
+    /// Nodes that asked for a poll at or before the current instant, to
+    /// run once its node events have: served by the instant's
+    /// [`EvKind::Pumps`] event before its pumps, so no poll of this kind
+    /// costs a heap entry.
+    instant_polls: Vec<NodeId>,
     delivered: Vec<Vec<Arc<DeliveredBlock>>>,
     stat_events: Vec<(u64, NodeId, StatEvent)>,
     /// Per-node write-ahead logs (the simulated disks). `None` until the
@@ -432,6 +443,18 @@ impl Fabric {
                 slot.insert(vec![li as u32]);
                 self.push_event(at, EvKind::Pumps);
             }
+        }
+    }
+
+    /// Poll `node` when the current instant's node events have run.
+    fn poll_at_instant_end(&mut self, node: NodeId) {
+        if self.instant_polls.contains(&node) {
+            return;
+        }
+        self.instant_polls.push(node);
+        if !self.pumps.contains_key(&self.now) {
+            self.pumps.insert(self.now, Vec::new());
+            self.push_event(self.now, EvKind::Pumps);
         }
     }
 
@@ -626,8 +649,13 @@ impl EffectSink for FabricSink<'_> {
         self.fabric.delivered[self.from.idx()].push(Arc::new(block));
     }
 
-    fn wake_at(&mut self, at_ms: u64) {
-        let at = at_ms.max(self.fabric.now + 1);
+    /// A hint at or before now is a poll at now, after the instant's node
+    /// events and before its link pumps ([`PUMPS_KEY`]), so what the engine
+    /// held for the instant rides its frames.
+    fn wake_at(&mut self, at: u64) {
+        if at <= self.fabric.now {
+            return self.fabric.poll_at_instant_end(self.from);
+        }
         if self.fabric.scheduled_polls.insert((at, self.from.0)) {
             self.fabric.push_event(at, EvKind::Poll { node: self.from });
         }
@@ -733,6 +761,7 @@ impl Simulation {
                 last_activity: 0,
                 events_processed: 0,
                 scheduled_polls: BTreeSet::new(),
+                instant_polls: Vec::new(),
                 delivered: vec![Vec::new(); n],
                 stat_events: Vec::new(),
                 stores: vec![None; n],
@@ -931,7 +960,13 @@ impl Simulation {
                         &mut FabricSink { from: to, fabric },
                     );
                 }
-                EvKind::Pumps => fabric.run_pumps(ev.at),
+                EvKind::Pumps => {
+                    for node in std::mem::take(&mut fabric.instant_polls) {
+                        fabric.events_processed += 1;
+                        nodes[node.idx()].poll(now, &mut FabricSink { from: node, fabric });
+                    }
+                    fabric.run_pumps(ev.at);
+                }
             }
         }
         SimReport {

@@ -19,12 +19,27 @@
 //!
 //! ## Bytes the receiver does not need
 //!
-//! Two messages leave out what their receiver already has:
+//! Four rules leave out what a receiver already has:
 //!
+//! * **A proposer's `Chunk` is its `GotChunk`.** A server that verifies
+//!   and stores `Chunk(r)` from the instance's proposer counts the
+//!   proposer's `GotChunk(r)`, and the proposer broadcasts no `GotChunk`
+//!   for its own instance. This mirrors a `Ready` being its sender's
+//!   round-0 `BVal(1)` (`dl_ba`).
+//! * **An instant's `GotChunk`s name one digest.** The node sends the
+//!   `GotChunk`s of one epoch that its servers broadcast in one instant as
+//!   one batch per peer, under the `got_digest` of each member's root
+//!   (`dl_wire`). The receiver checks it against the roots of its own
+//!   stored chunks when the batch's turn comes. A match counts as each
+//!   member's `GotChunk` under the receiver's root. Otherwise — a member's
+//!   chunk not in hand yet, or a root that differs — the receiver asks the
+//!   sender with one [`VidMsg::RootsWanted`] batch, and each of the
+//!   sender's servers answers each peer once with its plain `GotChunk(r)`.
 //! * **A `Ready` names its root only when the sender's `GotChunk` did
-//!   not.** A server that broadcast `GotChunk(r)` sends its `Ready(r)` as
-//!   [`VidMsg::ReadyAsGot`], and a receiver counts it as `Ready` for the
-//!   sender's `GotChunk` root — or, if that `GotChunk` has not arrived yet,
+//!   not.** A server that broadcast `GotChunk(r)`, or whose chunks as the
+//!   proposer imply it, sends its `Ready(r)` as [`VidMsg::ReadyAsGot`], and
+//!   a receiver counts it as `Ready` for the sender's `GotChunk` root — or,
+//!   if that `GotChunk` has not arrived yet,
 //!   holds it and counts it once it does. A restored server did not send
 //!   its `GotChunk` in this incarnation, so its `Ready` names the root.
 //! * **A retrieval that knows the committed root takes bare chunks.** It
@@ -36,6 +51,15 @@
 //!   [`VidMsg::RequestProven`]: the proven path above. A retrieval that
 //!   does not know the root — a revived node fetching what it missed —
 //!   takes the proven path from the start.
+//!
+//! **Safety of the two `GotChunk` rules.** A matching digest means exactly
+//! the members' `GotChunk`s under the receiver's own roots, by collision
+//! resistance, and an honest sender digests only chunks it stored. So a
+//! Byzantine sender can claim nothing with a digest that it could not
+//! claim with plain `GotChunk`s. A digest that does not check is never
+//! counted, only answered with `RootsWanted`. The claim a proposer's
+//! `Chunk` implies is one a Byzantine proposer could always send to each
+//! receiver, under that receiver's root.
 //!
 //! **Safety of the optimistic path.** It outputs a block only if that
 //! block's re-encoding matches `r`, and `r` is the only root that can
@@ -282,6 +306,8 @@ pub struct VidServer<C: Coder> {
     /// Senders of a `ReadyAsGot` whose `GotChunk` has not arrived yet: each
     /// counts as `Ready` for that root when it lands.
     ready_held: NodeSet,
+    /// Peers whose [`VidMsg::RootsWanted`] we answered: once each.
+    roots_sent: NodeSet,
     /// The root of the `Ready` we sent (or, restored, the completed one).
     ready_root: Option<Hash>,
     /// `ChunkRoot`: set at Complete.
@@ -304,6 +330,7 @@ impl<C: Coder> VidServer<C> {
             got_from: Vec::new(),
             ready_from: Vec::new(),
             ready_held: NodeSet::new(),
+            roots_sent: NodeSet::new(),
             ready_root: None,
             complete_root: None,
             pending_requests: Vec::new(),
@@ -357,7 +384,8 @@ impl<C: Coder> VidServer<C> {
 
     /// Handle a VID message from `from`. The caller (the DispersedLedger
     /// node) has already enforced that `Chunk` messages only come from the
-    /// instance's designated disperser (§4.2 footnote 3).
+    /// instance's designated disperser (§4.2 footnote 3), so a `Chunk`'s
+    /// `from` is the proposer.
     pub fn handle(&mut self, coder: &C, from: NodeId, msg: VidMsg) -> Vec<VidEffect<C::Block>> {
         let mut out = Vec::new();
         match msg {
@@ -365,7 +393,7 @@ impl<C: Coder> VidServer<C> {
                 root,
                 proof,
                 payload,
-            } => self.on_chunk(coder, root, proof, payload, &mut out),
+            } => self.on_chunk(coder, from, root, proof, payload, &mut out),
             VidMsg::GotChunk { root } => self.on_got_chunk(from, root, &mut out),
             VidMsg::Ready { root } => self.on_ready(from, root, &mut out),
             VidMsg::ReadyAsGot => match self.got_root(from) {
@@ -375,6 +403,15 @@ impl<C: Coder> VidServer<C> {
                     self.ready_held.insert(from);
                 }
             },
+            // Our stored chunk's root, once per peer: an honest receiver
+            // asks once per digest it could not check.
+            VidMsg::RootsWanted => {
+                if let Some((root, ..)) = &self.my_chunk {
+                    if self.roots_sent.insert(from) {
+                        out.push(VidEffect::Send(from, VidMsg::GotChunk { root: *root }));
+                    }
+                }
+            }
             VidMsg::RequestChunk => self.on_request(from, false, &mut out),
             VidMsg::RequestProven => self.on_request(from, true, &mut out),
             VidMsg::Cancel => {
@@ -391,6 +428,7 @@ impl<C: Coder> VidServer<C> {
     fn on_chunk(
         &mut self,
         coder: &C,
+        proposer: NodeId,
         root: Hash,
         proof: MerkleProof,
         payload: ChunkPayload,
@@ -406,7 +444,8 @@ impl<C: Coder> VidServer<C> {
         // epoch — keeping the window would pin `n·shard_len` bytes to
         // retain `shard_len` of them.
         // Step 3: one GotChunk ever, with it (a restored chunk's went out
-        // before the crash).
+        // before the crash). The proposer's own is implied by its chunks,
+        // here and at every peer (crate docs).
         if self.my_chunk.is_none() {
             let payload = match payload {
                 ChunkPayload::Real(b) => ChunkPayload::Real(bytes::Bytes::copy_from_slice(&b)),
@@ -414,7 +453,10 @@ impl<C: Coder> VidServer<C> {
             };
             self.my_chunk = Some((root, payload, proof));
             self.announced = Some(root);
-            out.push(VidEffect::Broadcast(VidMsg::GotChunk { root }));
+            if proposer != self.me {
+                out.push(VidEffect::Broadcast(VidMsg::GotChunk { root }));
+            }
+            self.on_got_chunk(proposer, root, out);
         }
         self.flush_pending(out);
     }

@@ -46,18 +46,14 @@ impl Net {
         }
     }
 
-    /// A Byzantine disperser: encodes two different blocks and sends chunks
-    /// of block A under block A's root to half the servers, chunks of block
-    /// B under B's root to the rest (equivocation — no single root quorum).
-    fn disperse_equivocating(&mut self, from: NodeId, a: &[u8], b: &[u8]) {
-        let ea = self.coder.encode(&bytes::Bytes::copy_from_slice(a));
-        let eb = self.coder.encode(&bytes::Bytes::copy_from_slice(b));
+    /// A Byzantine disperser: sends each server a chunk of a block of its
+    /// own, `base` with the server's id appended, under that block's root
+    /// (equivocation — no root reaches a second server).
+    fn disperse_equivocating(&mut self, from: NodeId, base: &[u8]) {
         for i in 0..self.n {
-            let (root, (payload, proof)) = if i % 2 == 0 {
-                (ea.root, ea.chunks[i].clone())
-            } else {
-                (eb.root, eb.chunks[i].clone())
-            };
+            let block = [base, &[i as u8]].concat();
+            let enc = self.coder.encode(&bytes::Bytes::from(block));
+            let (root, (payload, proof)) = (enc.root, enc.chunks[i].clone());
             self.pool.push((
                 from,
                 NodeId(i as u16),
@@ -324,11 +320,13 @@ fn retrieval_succeeds_with_only_n_minus_2f_responders() {
 
 #[test]
 fn equivocating_disperser_never_completes() {
-    // No root can gather N−f GotChunks when chunks split across two roots
-    // (4 nodes: 2 per root < N−f = 3).
+    // No root can gather N−f GotChunks when each server holds a root of
+    // its own: its holder and the proposer's implied claim are 2 < N−f = 3.
+    // (Two roots of two servers each would complete: the proposer's chunk
+    // is its `GotChunk`, so each root would gather 3.)
     for seed in 0..10 {
         let mut net = Net::new(4, 1, seed);
-        net.disperse_equivocating(NodeId(0), &block(100), &block(200));
+        net.disperse_equivocating(NodeId(0), &block(100));
         net.run();
         assert!(net.completes.iter().all(|c| c.is_none()), "seed {seed}");
     }
@@ -961,6 +959,91 @@ fn a_ready_names_its_root_only_when_our_gotchunk_did_not() {
     let effs = bystander.handle(&coder, NodeId(1), VidMsg::Ready { root });
     assert_eq!(broadcasts(&effs), [VidMsg::Ready { root }]);
     assert_eq!(bystander.committed_root(), Some(root));
+}
+
+#[test]
+fn a_proposers_chunk_is_its_gotchunk() {
+    let (n, f) = (4, 1);
+    let coder = RealCoder::new(n, f);
+    let enc = coder.encode(&block(64));
+    let root = enc.root;
+    let chunk = |i: usize| {
+        let (payload, proof) = enc.chunks[i].clone();
+        VidMsg::Chunk {
+            root,
+            proof,
+            payload,
+        }
+    };
+    // The proposer stores its own chunk and broadcasts no `GotChunk`.
+    let mut proposer: VidServer<RealCoder> = VidServer::new(NodeId(0), n, f);
+    assert!(broadcasts(&proposer.handle(&coder, NodeId(0), chunk(0))).is_empty());
+    assert_eq!(proposer.stored_chunk().map(|c| c.0), Some(root));
+    // A peer counts the chunk as the proposer's `GotChunk`: with its own
+    // and one more it has N − f = 3, and its `Ready` is root-less.
+    let mut server: VidServer<RealCoder> = VidServer::new(NodeId(1), n, f);
+    let effs = server.handle(&coder, NodeId(0), chunk(1));
+    assert_eq!(broadcasts(&effs), [VidMsg::GotChunk { root }]);
+    let _ = server.handle(&coder, NodeId(1), VidMsg::GotChunk { root });
+    let effs = server.handle(&coder, NodeId(2), VidMsg::GotChunk { root });
+    assert_eq!(broadcasts(&effs), [VidMsg::ReadyAsGot]);
+    // The proposer's root-less `Ready` counts against its chunk's root,
+    // with no separate `GotChunk`: its own and node 2's make 2f + 1.
+    let _ = server.handle(&coder, NodeId(1), VidMsg::ReadyAsGot);
+    let _ = server.handle(&coder, NodeId(0), VidMsg::ReadyAsGot);
+    let effs = server.handle(&coder, NodeId(2), VidMsg::Ready { root });
+    assert!(effs.contains(&VidEffect::Complete(root)), "{effs:?}");
+}
+
+#[test]
+fn a_chunk_that_fails_its_proof_implies_no_gotchunk() {
+    let (n, f) = (4, 1);
+    let coder = RealCoder::new(n, f);
+    let enc = coder.encode(&block(64));
+    let (payload, proof) = enc.chunks[1].clone();
+    let bogus = Hash::digest(b"bogus");
+    let mut server: VidServer<RealCoder> = VidServer::new(NodeId(1), n, f);
+    let garbage = VidMsg::Chunk {
+        root: bogus,
+        proof,
+        payload,
+    };
+    assert!(server.handle(&coder, NodeId(0), garbage).is_empty());
+    // Two `GotChunk(bogus)`s would reach N − f = 3 with an implied third.
+    let _ = server.handle(&coder, NodeId(2), VidMsg::GotChunk { root: bogus });
+    let effs = server.handle(&coder, NodeId(3), VidMsg::GotChunk { root: bogus });
+    assert!(effs.is_empty(), "{effs:?}");
+    assert_eq!(server.committed_root(), None);
+}
+
+#[test]
+fn roots_wanted_is_answered_once_per_peer_and_only_with_a_chunk() {
+    let (n, f) = (4, 1);
+    let coder = RealCoder::new(n, f);
+    let enc = coder.encode(&block(64));
+    let root = enc.root;
+    let mut server: VidServer<RealCoder> = VidServer::new(NodeId(1), n, f);
+    // No chunk yet: nothing to name.
+    assert!(server
+        .handle(&coder, NodeId(2), VidMsg::RootsWanted)
+        .is_empty());
+    let (payload, proof) = enc.chunks[1].clone();
+    let chunk = VidMsg::Chunk {
+        root,
+        proof,
+        payload,
+    };
+    let _ = server.handle(&coder, NodeId(0), chunk);
+    let mut effs = Vec::new();
+    for _ in 0..3 {
+        for peer in [2, 3] {
+            effs.extend(server.handle(&coder, NodeId(peer), VidMsg::RootsWanted));
+        }
+    }
+    assert_eq!(
+        effs,
+        [2, 3].map(|p| VidEffect::Send(NodeId(p), VidMsg::GotChunk { root }))
+    );
 }
 
 #[test]

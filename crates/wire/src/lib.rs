@@ -31,5 +31,5 @@ pub use frame::{
     encode_frame, encode_segment, frame_header_len, max_body_len, FrameDecoder, FrameError,
     SegmentBuf, MAX_FRAME_BODY,
 };
-pub use msg::{BaMsg, ChunkPayload, Envelope, ProtoMsg, SyncMsg, TrafficClass, VidMsg};
+pub use msg::{got_digest, BaMsg, ChunkPayload, Envelope, ProtoMsg, SyncMsg, TrafficClass, VidMsg};
 pub use nodeset::NodeSet;

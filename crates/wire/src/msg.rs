@@ -8,7 +8,7 @@ use crate::codec::{
 use crate::config::{Epoch, NodeId};
 use crate::frame::frame_header_len;
 use bytes::Bytes;
-use dl_crypto::{Hash, MerkleProof};
+use dl_crypto::{Hash, MerkleProof, Sha256};
 
 /// The two traffic classes of §5: dispersal traffic (chunks + every control
 /// message) is prioritized over retrieval bulk, and retrieval bulk is
@@ -102,7 +102,9 @@ pub enum VidMsg {
         proof: MerkleProof,
         payload: ChunkPayload,
     },
-    /// Server broadcast: "I hold my chunk under root `r`".
+    /// Server broadcast: "I hold my chunk under root `r`". A batch of them
+    /// names a digest in `root` instead ([`got_digest`]): "I hold each
+    /// member's chunk under the root you hold it under".
     GotChunk { root: Hash },
     /// Server broadcast: ready to complete dispersal of root `r`.
     Ready { root: Hash },
@@ -132,6 +134,10 @@ pub enum VidMsg {
     /// §6.3 optimization ("a node notifies others when it has decoded a
     /// block").
     Cancel,
+    /// Receiver of a `GotChunk` batch whose digest did not check → its
+    /// sender: "name your roots for these instances". Answered once per
+    /// instance, with a plain `GotChunk`.
+    RootsWanted,
 }
 
 /// Binary Agreement messages (Mostéfaoui–Moumen–Raynal '14 plus the
@@ -192,11 +198,13 @@ impl ProtoMsg {
             ProtoMsg::Vid(VidMsg::ReadyAsGot) => 14,
             ProtoMsg::Vid(VidMsg::RequestProven) => 15,
             ProtoMsg::Vid(VidMsg::ReturnBare { .. }) => 16,
+            ProtoMsg::Vid(VidMsg::RootsWanted) => 17,
         }
     }
 
     /// Whether one envelope may carry this message for several instances:
-    /// the root-less broadcasts, `BVal`, `Aux`, `Term` and `ReadyAsGot`.
+    /// the root-less broadcasts, `BVal`, `Aux`, `Term` and `ReadyAsGot`;
+    /// `RootsWanted`; and `GotChunk`, whose batch names a digest.
     pub fn batchable(&self) -> bool {
         batchable_kind(self.kind())
     }
@@ -232,7 +240,11 @@ impl ProtoMsg {
             }
             ProtoMsg::Sync(SyncMsg::Outcome { committed }) => put_bitmap(out, committed),
             ProtoMsg::Vid(
-                VidMsg::ReadyAsGot | VidMsg::RequestChunk | VidMsg::RequestProven | VidMsg::Cancel,
+                VidMsg::ReadyAsGot
+                | VidMsg::RequestChunk
+                | VidMsg::RequestProven
+                | VidMsg::Cancel
+                | VidMsg::RootsWanted,
             )
             | ProtoMsg::Ba(BaMsg::Term { .. })
             | ProtoMsg::Sync(SyncMsg::Request) => {}
@@ -287,6 +299,7 @@ impl ProtoMsg {
             16 => ProtoMsg::Vid(VidMsg::ReturnBare {
                 payload: ChunkPayload::decode(buf)?,
             }),
+            17 => ProtoMsg::Vid(VidMsg::RootsWanted),
             _ => return Err(CodecError::InvalidValue("message kind")),
         })
     }
@@ -307,10 +320,25 @@ impl WireDecode for ProtoMsg {
     }
 }
 
-/// The kinds of [`ProtoMsg::batchable`]: `BVal`, `Aux`, `Term` and
-/// `ReadyAsGot`.
+/// The kinds of [`ProtoMsg::batchable`]: `GotChunk`, `BVal`, `Aux`,
+/// `Term`, `ReadyAsGot` and `RootsWanted`.
 fn batchable_kind(kind: u8) -> bool {
-    matches!(kind, 6..=11 | 14)
+    matches!(kind, 1 | 6..=11 | 14 | 17)
+}
+
+/// The digest a `GotChunk` batch carries in its `root` field: SHA-256 over
+/// a tag, the epoch and each `(member, root)` in member order. A receiver
+/// recomputes it from its own roots of the members' chunks; a match means
+/// exactly the members' `GotChunk`s under those roots.
+pub fn got_digest(epoch: Epoch, members: impl IntoIterator<Item = (NodeId, Hash)>) -> Hash {
+    let mut h = Sha256::new();
+    h.update(b"dl-got-digest");
+    h.update(&epoch.0.to_le_bytes());
+    for (member, root) in members {
+        h.update(&member.0.to_le_bytes());
+        h.update(&root.0);
+    }
+    Hash(h.finalize())
 }
 
 /// Added to a batch's kind byte.
@@ -342,14 +370,18 @@ fn read_bitmap(buf: &mut &[u8]) -> Result<Vec<bool>, CodecError> {
 /// **Batches.** An envelope of a [`ProtoMsg::batchable`] kind may name up
 /// to [`Envelope::BATCH_SPAN`] more instances above `index` of the same
 /// epoch ([`Envelope::add_member`], [`Envelope::members`]): a node whose
-/// instances broadcast the same root-less message in one entry point sends
+/// instances broadcast the same root-less message in one instant sends
 /// each peer one envelope for all of them. A batch says nothing more than
 /// its members: it means exactly what the same authenticated sender would
 /// mean by sending the payload once per member, so a receiver routes one
 /// copy to each member instance and nothing downstream can tell the two
-/// apart. The member set lives in what would otherwise be the struct's
-/// padding: `size_of::<Envelope>()` stays 112 bytes. A batch's `payload`
-/// must stay batchable: no other kind has a batch encoding.
+/// apart. A `GotChunk` batch is the one exception in form, not in meaning:
+/// its members' roots differ, so it carries their [`got_digest`], and a
+/// receiver counts it as the members' `GotChunk`s only once the digest
+/// checks against its own roots. The member set lives in what would
+/// otherwise be the struct's padding: `size_of::<Envelope>()` stays 112
+/// bytes. A batch's `payload` must stay batchable: no other kind has a
+/// batch encoding.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Envelope {
     pub epoch: Epoch,
@@ -480,7 +512,8 @@ impl Envelope {
 /// `varint epoch · varint index · kind u8 · fields`. A batch is
 /// `varint epoch · varint index · (kind + 32) · varint len · bitmap ·
 /// fields`: bitmap bit `j` (bit `j % 8` of byte `j / 8`) names instance
-/// `index + 1 + j`, and bit `len − 1` is set.
+/// `index + 1 + j`, and bit `len − 1` is set. A `GotChunk` batch's field
+/// is its 32-byte [`got_digest`].
 impl WireEncode for Envelope {
     fn encode_to(&self, out: &mut impl Sink) {
         out.put_varint(self.epoch.0);
@@ -572,6 +605,7 @@ mod tests {
                 payload: ChunkPayload::Real(Bytes::from(vec![7u8; 5])),
             },
             VidMsg::Cancel,
+            VidMsg::RootsWanted,
         ];
         for m in msgs {
             roundtrip(Envelope::vid(Epoch(3), NodeId(1), m));
@@ -656,6 +690,7 @@ mod tests {
             VidMsg::RequestChunk,
             VidMsg::RequestProven,
             VidMsg::Cancel,
+            VidMsg::RootsWanted,
         ]
         .into_iter()
         .map(|m| Envelope::vid(e, i, m))
@@ -691,7 +726,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(kinds.len(), 17, "the envelope kinds");
+        assert_eq!(kinds.len(), 18, "the envelope kinds");
         for (index, leaf_count) in [(0, 1), (1, 127), (126, 127), (127, 128), (128, 129)] {
             for len in [0, 127, 128, 16_383, 16_384] {
                 for env in every_kind(5, 1, 1, proof(index, leaf_count), len) {
@@ -774,7 +809,7 @@ mod tests {
         let mut huge = vec![0, 0, 13];
         huge.put_varint(u64::MAX);
         rejected(&huge, CodecError::LengthOverflow);
-        rejected(&[0, 0, 17], CodecError::InvalidValue("message kind"));
+        rejected(&[0, 0, 18], CodecError::InvalidValue("message kind"));
     }
 
     #[test]
@@ -858,6 +893,7 @@ mod tests {
         assert_eq!(size(ProtoMsg::Vid(VidMsg::RequestChunk)), 4);
         assert_eq!(size(ProtoMsg::Vid(VidMsg::RequestProven)), 4);
         assert_eq!(size(ProtoMsg::Vid(VidMsg::Cancel)), 4);
+        assert_eq!(size(ProtoMsg::Vid(VidMsg::RootsWanted)), 4);
         // At N = 32 one batch names every instance: a length byte and four
         // bitmap bytes more than one vote.
         let all_32 = |m: ProtoMsg| {
@@ -874,6 +910,10 @@ mod tests {
             10
         );
         assert_eq!(all_32(ProtoMsg::Vid(VidMsg::ReadyAsGot)), 9);
+        assert_eq!(all_32(ProtoMsg::Vid(VidMsg::RootsWanted)), 9);
+        // Every `GotChunk` of an instant under one 32-byte digest: 42 bytes
+        // where 31 plain ones take 31 × 37.
+        assert_eq!(all_32(ProtoMsg::Vid(VidMsg::GotChunk { root })), 42);
         // At N = 32 a proven 50-byte chunk carries a 32-byte root and a
         // five-hash path (1 + 1 + 160 bytes of proof); a bare one, none.
         let payload = ChunkPayload::Real(Bytes::from(vec![1u8; 50]));
@@ -903,7 +943,11 @@ mod tests {
             Envelope::from_bytes(&[0, 0, 15]).unwrap(),
             Envelope::vid(Epoch(0), NodeId(0), VidMsg::RequestProven)
         );
-        for kind in [14, 15] {
+        assert_eq!(
+            Envelope::from_bytes(&[0, 0, 17]).unwrap(),
+            Envelope::vid(Epoch(0), NodeId(0), VidMsg::RootsWanted)
+        );
+        for kind in [14, 15, 17] {
             assert!(Envelope::from_bytes(&[0, 0, kind, 0]).is_err(), "{kind}");
             let mut with_root = vec![0, 0, kind];
             with_root.extend_from_slice(&Hash::digest(b"r").0);
@@ -970,6 +1014,10 @@ mod tests {
             }),
             term(),
             ProtoMsg::Vid(VidMsg::ReadyAsGot),
+            ProtoMsg::Vid(VidMsg::RootsWanted),
+            ProtoMsg::Vid(VidMsg::GotChunk {
+                root: Hash::digest(b"digest"),
+            }),
         ];
         for what in kinds {
             assert!(what.batchable());
@@ -1014,8 +1062,11 @@ mod tests {
         assert!(high.add_member(NodeId(255)));
         assert!(!high.add_member(NodeId(256)));
         let root = Hash::digest(b"r");
+        for msg in [VidMsg::GotChunk { root }, VidMsg::RootsWanted] {
+            let mut env = Envelope::vid(Epoch(1), NodeId(1), msg);
+            assert!(env.add_member(NodeId(2)), "{env:?}");
+        }
         for msg in [
-            VidMsg::GotChunk { root },
             VidMsg::Ready { root },
             VidMsg::RequestChunk,
             VidMsg::Cancel,
@@ -1071,15 +1122,62 @@ mod tests {
             CodecError::InvalidValue("batch member"),
         );
         // A batch of a kind that may not be batched is no kind at all:
-        // `Chunk`, `GotChunk`, `Ready`, `RequestChunk`, `ReturnChunk`,
-        // `Cancel`, the sync kinds, `RequestProven` and `ReturnBare`.
-        for kind in [0, 1, 2, 3, 4, 5, 12, 13, 15, 16] {
+        // `Chunk`, `Ready`, `RequestChunk`, `ReturnChunk`, `Cancel`, the
+        // sync kinds, `RequestProven` and `ReturnBare`.
+        for kind in [0, 2, 3, 4, 5, 12, 13, 15, 16] {
             let mut bytes = vec![1, 2, BATCH_KIND + kind, 1, 1];
             bytes.extend_from_slice(&Hash::digest(b"r").0);
             rejected(&bytes, CodecError::InvalidValue("message kind"));
         }
         // The fields still decode strictly: a `BVal` batch needs its round.
         rejected(&[1, 2, 38, 1, 1], CodecError::UnexpectedEnd);
+    }
+
+    #[test]
+    fn malformed_got_chunk_and_roots_wanted_batches_are_rejected() {
+        let digest = Hash::digest(b"digest").0;
+        // `[epoch 1, index 2, kind + 32]`, then the length and bitmap, then
+        // the digest for a `GotChunk` batch.
+        for (kind, fields) in [(1, &digest[..]), (17, &[][..])] {
+            let at = |index: u64, tail: &[u8]| {
+                let mut bytes = vec![1];
+                bytes.put_varint(index);
+                bytes.push(BATCH_KIND + kind);
+                [&bytes[..], tail, fields].concat()
+            };
+            let what = Envelope::from_bytes(&at(2, &[1, 1])).unwrap();
+            assert_eq!(what.members().map(|m| m.0).collect::<Vec<_>>(), [2, 3]);
+            roundtrip(what);
+            let length = CodecError::InvalidValue("batch length");
+            rejected(&at(2, &[0]), length.clone());
+            rejected(&at(2, &[49, 0, 0, 0, 0, 0, 0, 1]), length);
+            let bitmap = CodecError::InvalidValue("batch bitmap");
+            rejected(&at(2, &[3, 0b011]), bitmap.clone());
+            rejected(&at(2, &[3, 0b1100]), bitmap);
+            rejected(&at(255, &[1, 1]), CodecError::InvalidValue("batch member"));
+        }
+        // A `GotChunk` batch needs its whole digest; `RootsWanted` has none.
+        rejected(&[1, 2, 33, 1, 1], CodecError::UnexpectedEnd);
+        rejected(&[1, 2, 33, 1, 1, 0, 0], CodecError::UnexpectedEnd);
+        assert!(
+            Envelope::from_bytes(&[1, 2, 49, 1, 1, 0]).is_err(),
+            "trailing byte"
+        );
+    }
+
+    #[test]
+    fn got_digests_bind_the_epoch_and_every_member_root() {
+        let (a, b) = (Hash::digest(b"a"), Hash::digest(b"b"));
+        let base = got_digest(Epoch(3), [(NodeId(1), a), (NodeId(2), b)]);
+        assert_eq!(base, got_digest(Epoch(3), [(NodeId(1), a), (NodeId(2), b)]));
+        for other in [
+            got_digest(Epoch(4), [(NodeId(1), a), (NodeId(2), b)]),
+            got_digest(Epoch(3), [(NodeId(1), b), (NodeId(2), a)]),
+            got_digest(Epoch(3), [(NodeId(1), a), (NodeId(3), b)]),
+            got_digest(Epoch(3), [(NodeId(1), a)]),
+        ] {
+            assert_ne!(base, other);
+        }
     }
 
     #[test]

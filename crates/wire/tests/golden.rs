@@ -6,8 +6,8 @@ use bytes::Bytes;
 use dl_crypto::merkle::expected_path_len;
 use dl_crypto::{Hash, MerkleProof, Sha256};
 use dl_wire::{
-    encode_frame, encode_segment, frame_header_len, BaMsg, Block, BlockHeader, ChunkPayload,
-    Envelope, Epoch, NodeId, SyncMsg, Tx, VidMsg, WireDecode, WireEncode,
+    encode_frame, encode_segment, frame_header_len, got_digest, BaMsg, Block, BlockHeader,
+    ChunkPayload, Envelope, Epoch, NodeId, ProtoMsg, SyncMsg, Tx, VidMsg, WireDecode, WireEncode,
 };
 
 /// Appends `bytes`, which claim to be `len` long, to the pinned stream.
@@ -144,9 +144,13 @@ fn the_batch_bytes_are_pinned() {
     let mut h = Sha256::new();
     for epoch in [1, 128, u64::MAX] {
         for round in [0, 128] {
+            // `GotChunk` batches, whose field is a digest, are pinned below.
             let kinds: Vec<_> = every_kind(epoch, 0, round, proof(0, 1), 0)
                 .into_iter()
-                .filter(|env| env.payload.batchable())
+                .filter(|env| {
+                    env.payload.batchable()
+                        && !matches!(env.payload, ProtoMsg::Vid(VidMsg::GotChunk { .. }))
+                })
                 .collect();
             assert_eq!(
                 kinds.len(),
@@ -176,5 +180,43 @@ fn the_batch_bytes_are_pinned() {
     assert_eq!(
         Hash(h.finalize()).to_hex(),
         "d6a146a7e151c58a487710fc405408a8a794540819cd61f569ca807469f65ad7"
+    );
+}
+
+#[test]
+fn the_got_chunk_and_roots_wanted_bytes_are_pinned() {
+    // `RootsWanted` alone and as a batch, and `GotChunk` batches under the
+    // digest of their members' roots, at the same edges as the batches
+    // above; then the digest of one fixed member list.
+    let mut h = Sha256::new();
+    let root = |m: u16| Hash::digest(&m.to_le_bytes());
+    for epoch in [1, 128, u64::MAX] {
+        let span = Envelope::BATCH_SPAN;
+        for (index, more) in [
+            (0, vec![]),
+            (0, vec![1]),
+            (0, vec![span]),
+            (9, vec![10, 30, 9 + span]),
+            (255 - span, (256 - span..=255).collect()),
+            (254, vec![255]),
+        ] {
+            let members: Vec<u16> = [&[index][..], &more].concat();
+            let digest = got_digest(Epoch(epoch), members.iter().map(|&m| (NodeId(m), root(m))));
+            for msg in [VidMsg::RootsWanted, VidMsg::GotChunk { root: digest }] {
+                let mut env = Envelope::vid(Epoch(epoch), NodeId(index), msg);
+                for &m in &more {
+                    assert!(env.add_member(NodeId(m)), "{m} joins {index}");
+                }
+                pin(&mut h, env.encoded_len(), &env.to_bytes());
+                pin(&mut h, env.wire_size(), &encode_frame(&env).to_vec());
+                assert_eq!(Envelope::from_bytes(&env.to_bytes()), Ok(env));
+            }
+        }
+    }
+    let digest = got_digest(Epoch(7), (0..32).map(|m| (NodeId(m), root(m))));
+    pin(&mut h, 32, &digest.0);
+    assert_eq!(
+        Hash(h.finalize()).to_hex(),
+        "6075e68ad698b562595f60106e9c426e953dff55cdb7f988b85fd08cb5c7f3aa"
     );
 }
