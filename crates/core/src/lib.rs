@@ -108,7 +108,11 @@ pub use records::StoreRecord;
 pub use transport::SendQueue;
 pub use variant::{NodeConfig, ProtocolVariant};
 
-/// Nagle delay threshold for block proposal (paper §5: 100 ms).
+/// Nagle delay threshold for block proposal (paper §5: 100 ms). It counts
+/// from entry into the epoch, or, for DL and DL-Coupled, from the node's
+/// own last proposal while the epoch is live or its queue pays for the
+/// epoch (`node/dispersal.rs`, "The Nagle clock"). §5 gives the 100 ms;
+/// which instant it counts from is an open question (ROADMAP direction 4).
 const PROPOSE_DELAY_MS: u64 = 100;
 /// Epochs of retrieval lag DL-Coupled tolerates before it proposes empty
 /// blocks (`P` of §4.5; `P = 1` equals HoneyBadger's coupling).

@@ -52,9 +52,33 @@
 //! The rejected triggers — the Nagle *delay*, our own dispersal's
 //! `Complete` — are in the README ("Pipelined dissemination"), with what
 //! each measured.
+//!
+//! ## The Nagle clock
+//!
+//! Counted from entry into the epoch, the 100 ms Nagle delay (§5) idles
+//! every epoch at light load for the delay after the previous one
+//! decides. A DL or DL-Coupled node counts it from its own last proposal
+//! instead, in two cases:
+//!
+//! * **The epoch is live**: a peer's traffic gave it `activity`, or a
+//!   block of ours awaits link rescue. The epoch runs whether we join or
+//!   not, and waiting only makes our block late.
+//! * **Our queue holds an epoch's worth**: at least the bytes of roots and
+//!   Merkle paths one dispersal of ours sends, `N · 32 · (1 + ⌈log₂ N⌉)`
+//!   (6,144 at N = 32, 2,560 at N = 16, 896 at N = 7), and DL-Coupled is
+//!   not lagging. Such a batch pays for the epoch it opens.
+//!
+//! Otherwise entry + 100 ms stands, so a cluster whose backlog cannot pay
+//! for an epoch runs the entry-counted schedule message for message. Counting
+//! from the last proposal unconditionally added epochs that carry a few
+//! hundred bytes each: it almost doubled `control-n32`'s wire bytes (README
+//! "The Nagle clock"). The size trigger, the window and the fillers do not
+//! read the clock, and HoneyBadger and HB-Link keep entry + 100 ms.
 
 use std::collections::VecDeque;
 
+use dl_crypto::merkle::expected_path_len;
+use dl_crypto::Hash;
 use dl_vid::Disperser;
 use dl_wire::{Block, BlockHeader, Epoch, Tx};
 
@@ -116,15 +140,8 @@ impl<C: BlockCoder> Node<C> {
         // If a proposal is pending but not yet due, tell the driver when to
         // poll us again.
         if self.proposed_up_to < self.next_propose_epoch {
-            let pressure = self
-                .epochs
-                .get(self.next_propose_epoch)
-                .is_some_and(|st| st.activity);
-            if pressure || !self.queue.is_empty() || self.link_rescue_pending() {
-                let due = self.epoch_entered_ms + crate::PROPOSE_DELAY_MS;
-                if now < due {
-                    out.wake_at(due);
-                }
+            if let Some(due) = self.nagle_due().filter(|&due| now < due) {
+                out.wake_at(due);
             }
         }
     }
@@ -169,14 +186,45 @@ impl<C: BlockCoder> Node<C> {
         if self.proposed_up_to >= e {
             return;
         }
-        let pressure = self.epochs.get(e).is_some_and(|st| st.activity);
         let due_size = self.queue.bytes() >= self.cfg.propose_size;
-        let due_time = (pressure || !self.queue.is_empty() || self.link_rescue_pending())
-            && now >= self.epoch_entered_ms + crate::PROPOSE_DELAY_MS;
-        if !due_size && !due_time {
+        if !due_size && self.nagle_due().is_none_or(|due| now < due) {
             return;
         }
+        self.last_proposed_ms = now;
         self.propose(e, work, out);
+    }
+
+    /// When the Nagle delay of the pending proposal runs out, or `None`
+    /// while nothing asks for a proposal: no transaction queued, no peer
+    /// traffic in the epoch, no block of ours to rescue. The delay counts
+    /// from epoch entry, or from our last proposal when the epoch is live
+    /// or our batch pays for it (module docs, "The Nagle clock").
+    fn nagle_due(&self) -> Option<u64> {
+        let live = self
+            .epochs
+            .get(self.next_propose_epoch)
+            .is_some_and(|st| st.activity)
+            || self.link_rescue_pending();
+        if !live && self.queue.is_empty() {
+            return None;
+        }
+        let from_last_proposal = !self.cfg.variant.retrieve_then_vote()
+            && (live || self.queue.bytes() >= self.dispersal_overhead() && !self.lagging());
+        let from = if from_last_proposal {
+            // Never later than entry + delay.
+            self.last_proposed_ms.min(self.epoch_entered_ms)
+        } else {
+            self.epoch_entered_ms
+        };
+        Some(from + crate::PROPOSE_DELAY_MS)
+    }
+
+    /// The bytes of roots and Merkle paths one dispersal of ours sends: N
+    /// chunks, each with the root and a ⌈log₂ N⌉-hash proof path. A queue
+    /// this long pays for the epoch it opens.
+    fn dispersal_overhead(&self) -> usize {
+        let n = self.cfg.cluster.n;
+        n * size_of::<Hash>() * (1 + expected_path_len(n as u32))
     }
 
     /// Whether one of *our own non-empty* dispersals completed locally,

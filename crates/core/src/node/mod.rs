@@ -308,6 +308,10 @@ pub struct Node<C: BlockCoder> {
     /// Lazily initialized to the first driver timestamp we observe, so a
     /// node constructed mid-run does not see an already-expired delay.
     epoch_entered_ms: u64,
+    /// When we last proposed (not a filler): the Nagle delay's baseline
+    /// while the pending epoch is live or our batch pays for it (see
+    /// [`dispersal`]). Initialized with `epoch_entered_ms`.
+    last_proposed_ms: u64,
     clock_started: bool,
     /// All epochs `<= agreement_frontier` have every BA decided.
     agreement_frontier: u64,
@@ -390,6 +394,7 @@ impl<C: BlockCoder> Node<C> {
             next_propose_epoch: 1,
             proposed_up_to: 0,
             epoch_entered_ms: 0,
+            last_proposed_ms: 0,
             clock_started: false,
             agreement_frontier: 0,
             delivered_frontier: 0,
@@ -533,6 +538,7 @@ impl<C: BlockCoder> Node<C> {
         if !self.clock_started {
             self.clock_started = true;
             self.epoch_entered_ms = now;
+            self.last_proposed_ms = now;
             // `restore` is silent: what its log shows certain is fetched now.
             for j in 0..self.cfg.cluster.n {
                 self.fetch_certain(j, 1, self.trackers[j].prefix(), &mut work, sink);

@@ -312,6 +312,79 @@ fn nagle_size_threshold_fires_immediately() {
     );
 }
 
+/// A solo node of `variant` that proposed epoch 1's block at the paper's
+/// 100 ms, was handed `queued` more bytes at 120 ms, and enters epoch 2 at
+/// `entry`, when every BA of epoch 1 decides 0.
+fn entering_epoch_2(variant: ProtocolVariant, queued: u32, entry: u64) -> Node<RealBlockCoder> {
+    let mut node = solo(NodeConfig::new(ClusterConfig::new(4), variant));
+    node.submit_tx_vec(Tx::synthetic(NodeId(0), 0, 0, 100), 0);
+    node.poll_vec(100);
+    assert_eq!(node.stats().blocks_proposed, 1, "{variant:?}");
+    node.submit_tx_vec(Tx::synthetic(NodeId(0), 1, 120, queued), 120);
+    let terms: Vec<(u16, Envelope)> = (0..4)
+        .flat_map(|j| {
+            let term = Envelope::ba(Epoch(1), NodeId(j), BaMsg::Term { value: false });
+            [(1, term.clone()), (2, term)]
+        })
+        .collect();
+    instant(&mut node, &terms, entry);
+    assert_eq!(node.next_propose_epoch(), Epoch(2), "{variant:?}");
+    node
+}
+
+/// Polls `node` at `now` and returns how many blocks it has proposed.
+fn proposed_by(node: &mut Node<RealBlockCoder>, now: u64) -> u64 {
+    node.poll_vec(now);
+    node.stats().blocks_proposed
+}
+
+/// Bytes of roots and proof paths one dispersal sends at N = 4:
+/// 4 · 32 · (1 + 2).
+const EPOCH_OVERHEAD_N4: u32 = 384;
+
+#[test]
+fn an_epochs_worth_queued_proposes_at_entry_once_the_delay_passed_since_our_last_proposal() {
+    for variant in [ProtocolVariant::Dl, ProtocolVariant::DlCoupled] {
+        let node = entering_epoch_2(variant, EPOCH_OVERHEAD_N4, 250);
+        assert_eq!(node.stats().blocks_proposed, 2, "{variant:?}");
+    }
+}
+
+#[test]
+fn less_than_an_epochs_worth_waits_for_entry_plus_the_delay() {
+    for variant in [ProtocolVariant::Dl, ProtocolVariant::DlCoupled] {
+        let mut node = entering_epoch_2(variant, EPOCH_OVERHEAD_N4 - 1, 250);
+        assert_eq!(node.stats().blocks_proposed, 1, "{variant:?}");
+        assert_eq!(proposed_by(&mut node, 349), 1, "{variant:?}");
+        assert_eq!(proposed_by(&mut node, 350), 2, "{variant:?}");
+    }
+}
+
+#[test]
+fn a_peers_chunk_lets_a_small_queue_propose_once_the_delay_passed_since_our_last_proposal() {
+    let mut node = entering_epoch_2(ProtocolVariant::Dl, 100, 150);
+    let effs = instant(&mut node, &[(1, chunk_in(2, 1, 0).0)], 160);
+    assert!(
+        effs.iter().any(|e| matches!(e, NodeEffect::WakeAt(200))),
+        "no wake-up at our last proposal + 100 ms: {effs:?}"
+    );
+    assert_eq!(proposed_by(&mut node, 199), 1);
+    assert_eq!(proposed_by(&mut node, 200), 2);
+}
+
+#[test]
+fn honeybadger_proposes_at_entry_plus_the_delay_whatever_is_queued() {
+    for variant in [
+        ProtocolVariant::HoneyBadger,
+        ProtocolVariant::HoneyBadgerLink,
+    ] {
+        let mut node = entering_epoch_2(variant, EPOCH_OVERHEAD_N4, 250);
+        instant(&mut node, &[(1, chunk_in(2, 1, 0).0)], 260);
+        assert_eq!(proposed_by(&mut node, 349), 1, "{variant:?}");
+        assert_eq!(proposed_by(&mut node, 350), 2, "{variant:?}");
+    }
+}
+
 #[test]
 fn idle_node_does_not_propose() {
     let cluster = ClusterConfig::new(4);
@@ -1710,9 +1783,14 @@ fn a_batch_naming_a_member_past_the_cluster_is_dropped_whole() {
 /// Proposer `j`'s epoch-1 empty block at N = 4: its chunk for node `to`,
 /// and its root.
 fn chunk_for(j: u16, to: u16) -> (Envelope, Hash) {
+    chunk_in(1, j, to)
+}
+
+/// [`chunk_for`] in `epoch`.
+fn chunk_in(epoch: u64, j: u16, to: u16) -> (Envelope, Hash) {
     let cluster = ClusterConfig::new(4);
     let coder = RealBlockCoder::new(&cluster);
-    let block = Block::empty(Epoch(1), NodeId(j), vec![0; 4]);
+    let block = Block::empty(Epoch(epoch), NodeId(j), vec![0; 4]);
     let packed = crate::coder::BlockCoder::pack(&coder, &block);
     let enc = dl_vid::Coder::encode(&coder, &packed);
     let (payload, proof) = enc.chunks[to as usize].clone();
@@ -1722,7 +1800,7 @@ fn chunk_for(j: u16, to: u16) -> (Envelope, Hash) {
         proof,
         payload,
     };
-    (Envelope::vid(Epoch(1), NodeId(j), chunk), root)
+    (Envelope::vid(Epoch(epoch), NodeId(j), chunk), root)
 }
 
 /// Node `me` of a 4-node DL cluster.

@@ -499,9 +499,12 @@ fn idle_peers_do_not_vote_out_the_one_loaded_nodes_block() {
 /// and the epoch waits for it. Round 1's coin is 0, so that BA decides in
 /// round 1, and the other BAs send `Aux(1)` the moment their dispersal
 /// completes, a `Ready` being round 0's `BVal(1)`: proposed → decided
-/// ([`SimReport::latency_phases`]) is 180.8 ms on the mean. With a fresh
-/// round-0 `BVal(1)` wave it was 201.6 ms, and with a hashed round-1 coin,
-/// which waited a geometric number of rounds, 244.6 ms.
+/// ([`SimReport::latency_phases`]) is 178.7 ms on the mean, and submit →
+/// proposed 81.4 ms. Before the Nagle clock counted from the last proposal
+/// (`dl_core`'s `node/dispersal.rs`) they were 180.8 and 136.7 ms. With a
+/// fresh round-0 `BVal(1)` wave proposed → decided was 201.6 ms, and with
+/// a hashed round-1 coin, which waited a geometric number of rounds,
+/// 244.6 ms.
 ///
 /// [`SimReport::latency_phases`]: dl_sim::SimReport::latency_phases
 #[test]
