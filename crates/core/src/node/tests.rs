@@ -1740,9 +1740,19 @@ fn one_calls_identical_broadcasts_leave_as_one_envelope_per_peer() {
     assert_eq!(node.stats().msgs_sent, msgs);
     assert_eq!(
         msgs,
-        3 * 4 + 3 + 3 * 4,
-        "BVals, the filler's chunks (each its GotChunk too), Terms"
+        3 * 4 + 3 + 3 * 4 + 4,
+        "BVals, the filler's chunks (each its GotChunk too), Terms, asks"
     );
+    // Peer 3's `ReadyAsGot`s name instances whose `GotChunk` from it is not
+    // in hand: each asks peer 3 alone, as its own 4-byte `RootsWanted`.
+    let asks = sends(&runs[4], |p| {
+        matches!(p, ProtoMsg::Vid(VidMsg::RootsWanted))
+    });
+    assert_eq!(asks.len(), 4, "{asks:?}");
+    for (to, env) in asks {
+        assert_eq!(to, NodeId(3));
+        assert_eq!(env.wire_size(), 4);
+    }
 }
 
 #[test]
@@ -1972,6 +1982,70 @@ fn a_proposers_ready_counts_with_no_gotchunk_of_its_own() {
     let ready = Envelope::vid(Epoch(1), NodeId(1), VidMsg::ReadyAsGot);
     let effs = instant(&mut node, &[(1, ready.clone()), (2, ready)], 7);
     assert_eq!(completions(&effs), [(1, 1)]);
+}
+
+#[test]
+fn a_rootless_ready_asks_and_its_answer_votes_once_in_ba() {
+    let mut node = dl_node(0);
+    let root = chunk_for(1, 0).1;
+    let ready = Envelope::vid(Epoch(1), NodeId(1), VidMsg::ReadyAsGot);
+    instant(&mut node, &[], 5);
+    // Instance 1's BA takes an input, so 2f + 1 round-0 `BVal(1)`s, which
+    // `Ready`s are, show as its `Aux(1)`.
+    node.ensure_epoch(1);
+    let st = node.epochs.get_mut(1).expect("just ensured");
+    let _ = st.bas[1].input(false);
+    let aux = |p: &ProtoMsg| matches!(p, ProtoMsg::Ba(BaMsg::Aux { value: true, .. }));
+    let wanted = |p: &ProtoMsg| matches!(p, ProtoMsg::Vid(VidMsg::RootsWanted));
+    // Peer 1's `ReadyAsGot` with no `GotChunk` of its in hand asks it.
+    let effs = instant(&mut node, &[(1, ready.clone())], 6);
+    let asks = sends(&effs, wanted);
+    assert_eq!(asks.len(), 1, "{effs:?}");
+    assert_eq!(asks[0].0, NodeId(1));
+    // Its answered plain `Ready` is the same vote, and peer 2's root-less
+    // one makes two: below 2f + 1.
+    let answer = Envelope::vid(Epoch(1), NodeId(1), VidMsg::Ready { root });
+    let effs = instant(&mut node, &[(1, answer), (2, ready.clone())], 7);
+    assert!(sends(&effs, aux).is_empty(), "{effs:?}");
+    // A third sender's makes 2f + 1.
+    let effs = instant(&mut node, &[(3, ready)], 8);
+    assert_eq!(sends(&effs, aux).len(), 3, "{effs:?}");
+}
+
+#[test]
+fn a_readyasgot_flood_gets_one_ask_per_envelope_and_counts_nothing() {
+    let mut node = dl_node(0);
+    instant(&mut node, &chunks_for(&[1, 2, 3], 0), 5);
+    // Peer 2 sends `ReadyAsGot`s and never its `GotChunk`s.
+    let mut now = 6;
+    for _ in 0..50 {
+        let flood: Vec<(u16, Envelope)> = (0..4)
+            .map(|j| (2, Envelope::vid(Epoch(1), NodeId(j), VidMsg::ReadyAsGot)))
+            .collect();
+        let effs = instant(&mut node, &flood, now);
+        let all = sends(&effs, |_| true);
+        assert!(all.len() <= flood.len(), "{effs:?}");
+        for (to, env) in all {
+            assert_eq!(to, NodeId(2));
+            assert_eq!(env.payload, ProtoMsg::Vid(VidMsg::RootsWanted));
+            assert_eq!(env.wire_size(), 4);
+        }
+        now += 1;
+    }
+    // No server counted any of them: one more `Ready`, peer 1's, would
+    // make f + 1 with a counted one from peer 2 and send our own.
+    let root = chunk_for(3, 0).1;
+    let one = Envelope::vid(Epoch(1), NodeId(3), VidMsg::Ready { root });
+    let effs = instant(&mut node, &[(1, one)], now);
+    let ready =
+        |p: &ProtoMsg| matches!(p, ProtoMsg::Vid(VidMsg::Ready { .. } | VidMsg::ReadyAsGot));
+    assert!(sends(&effs, ready).is_empty(), "{effs:?}");
+    let st = node.epochs.get(1).expect("live");
+    assert!(st
+        .servers
+        .iter()
+        .flatten()
+        .all(|s| s.committed_root().is_none()));
 }
 
 #[test]

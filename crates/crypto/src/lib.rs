@@ -41,11 +41,6 @@ impl Hash {
         Hash(h.finalize())
     }
 
-    /// Raw digest bytes.
-    pub fn as_bytes(&self) -> &[u8; 32] {
-        &self.0
-    }
-
     /// Hex-encode the digest (lowercase).
     pub fn to_hex(&self) -> String {
         const TABLE: &[u8; 16] = b"0123456789abcdef";

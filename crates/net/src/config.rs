@@ -9,6 +9,10 @@ use dl_wire::NodeId;
 
 pub(crate) const CONNECT_TIMEOUT: Duration = Duration::from_secs(10);
 pub(crate) const RECONNECT_BACKOFF_MAX: Duration = Duration::from_secs(2);
+/// Per-peer outbox bound in wire bytes; `send` blocks above it.
+pub(crate) const MAX_OUTBOX_BYTES: usize = 8 << 20;
+/// Engine poll cadence in ms (wake hints can only shorten the wait).
+pub(crate) const TICK_MS: u64 = 25;
 
 /// Transport parameters of one node.
 #[derive(Clone, Debug)]
@@ -18,8 +22,6 @@ pub struct NetConfig {
     /// Listen address of every cluster member, by node id (our own entry
     /// is what peers dial; we bind it before spawning).
     pub peers: Vec<SocketAddr>,
-    /// Per-peer outbox bound in wire bytes; `send` blocks above it.
-    pub max_outbox_bytes: usize,
     /// Grace period per disconnect during which outbound traffic keeps
     /// queueing (bounded) while the writer dials. A peer still down when
     /// it expires has its outbox switched to lossy (drop, don't block)
@@ -33,8 +35,6 @@ pub struct NetConfig {
     /// Cap for the writer's exponential reconnect backoff (dial attempts
     /// start at 50 ms apart and double up to this).
     pub reconnect_backoff_max: Duration,
-    /// Engine poll cadence in ms (wake hints can only shorten the wait).
-    pub tick_ms: u64,
     /// Durable storage root. `Some(dir)` gives the node a write-ahead log
     /// at `dir/node<id>.log` (created if absent): every engine `Persist`
     /// effect is appended before the effects after it reach the wire, and
@@ -51,11 +51,9 @@ impl NetConfig {
         NetConfig {
             me,
             peers,
-            max_outbox_bytes: 8 << 20,
             connect_timeout: CONNECT_TIMEOUT,
             write_timeout: Duration::from_secs(30),
             reconnect_backoff_max: RECONNECT_BACKOFF_MAX,
-            tick_ms: 25,
             data_dir: None,
             fsync: FsyncPolicy::default(),
         }

@@ -15,7 +15,7 @@ use dl_store::{ChainStore, FileStore, FsyncPolicy};
 use dl_wire::frame::{FrameDecoder, SegmentBuf};
 use dl_wire::{Envelope, Epoch, NodeId, Tx, WireDecode, WireEncode};
 
-use crate::config::NetConfig;
+use crate::config::{NetConfig, MAX_OUTBOX_BYTES, TICK_MS};
 use crate::outbox::{Outbox, Outboxes};
 
 /// Inputs serialized into the engine thread.
@@ -249,7 +249,7 @@ impl NetNode {
             if j == cfg.me.idx() {
                 continue;
             }
-            let outbox = Arc::new(Outbox::new(cfg.max_outbox_bytes));
+            let outbox = Arc::new(Outbox::new(MAX_OUTBOX_BYTES));
             slots[j] = Some(Arc::clone(&outbox));
             let shared = Arc::clone(&shared);
             let cfg = cfg.clone();
@@ -281,9 +281,8 @@ impl NetNode {
                 store,
                 fsync: cfg.fsync,
             };
-            let tick = cfg.tick_ms.max(1);
             threads.push(std::thread::spawn(move || {
-                engine_loop(engine, input_rx, sink, tick);
+                engine_loop(engine, input_rx, sink);
             }));
         }
 
@@ -362,12 +361,7 @@ fn now_since(start: Instant) -> u64 {
 /// Most queued inputs one instant of [`engine_loop`] hands over.
 const DRAIN_MAX: usize = 1024;
 
-fn engine_loop(
-    mut engine: Box<dyn Engine + Send>,
-    input: Receiver<Input>,
-    mut sink: NetSink,
-    tick_ms: u64,
-) {
+fn engine_loop(mut engine: Box<dyn Engine + Send>, input: Receiver<Input>, mut sink: NetSink) {
     let shared = Arc::clone(&sink.shared);
     let start = Instant::now();
     let mut last_snapshot = Instant::now();
@@ -376,8 +370,8 @@ fn engine_loop(
         let wait = sink
             .next_wake
             .map(|w| w.saturating_sub(now))
-            .unwrap_or(tick_ms)
-            .clamp(1, tick_ms);
+            .unwrap_or(TICK_MS)
+            .clamp(1, TICK_MS);
         let received = input.recv_timeout(Duration::from_millis(wait));
         let now = now_since(start);
         // A wake deadline we just slept to is served by the processing
@@ -419,7 +413,7 @@ fn engine_loop(
         // sustained traffic cannot starve readers), not per event: readers
         // poll at ~25 ms anyway and the engine hot path should not pay a
         // lock + struct copy per envelope.
-        if last_snapshot.elapsed() >= Duration::from_millis(tick_ms) {
+        if last_snapshot.elapsed() >= Duration::from_millis(TICK_MS) {
             last_snapshot = Instant::now();
             *shared.stats.lock().expect("stats lock") = engine.stats();
         }

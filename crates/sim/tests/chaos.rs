@@ -272,11 +272,13 @@ fn chaos_free_simulation_reports_zero_fault_counters() {
 
 /// Loss-only seeds in 0..2000 (drops on, no crash storm) that leave an
 /// honest node short of the cluster's transactions:
-/// `[without an adversary, with one]`. A dropped BA vote, `GotChunk` or
-/// `Ready` is never sent again, so such a seed quiesces stalled. These
-/// counts may only go down: a change that stalls fewer seeds lowers them,
-/// and nothing may raise them.
-const SHORT_LOSS_ONLY_SEEDS: [usize; 2] = [0, 276];
+/// `[without an adversary, with one]`. A dropped BA vote or `Ready` is
+/// never sent again, so such a seed quiesces stalled. A dropped `GotChunk`
+/// is re-sent when its sender's `ReadyAsGot` finds it missing and asks
+/// with `RootsWanted`, but a lost ask or answer is not. These counts may
+/// only go down: a change that stalls fewer seeds lowers them, and nothing
+/// may raise them.
+const SHORT_LOSS_ONLY_SEEDS: [usize; 2] = [0, 251];
 
 #[test]
 fn loss_only_short_seeds_do_not_exceed_the_recorded_counts() {

@@ -33,15 +33,14 @@
 //!   stored chunks when the batch's turn comes. A match counts as each
 //!   member's `GotChunk` under the receiver's root. Otherwise — a member's
 //!   chunk not in hand yet, or a root that differs — the receiver asks the
-//!   sender with one [`VidMsg::RootsWanted`] batch, and each of the
-//!   sender's servers answers each peer once with its plain `GotChunk(r)`.
+//!   sender with one [`VidMsg::RootsWanted`] batch, answered as below.
 //! * **A `Ready` names its root only when the sender's `GotChunk` did
-//!   not.** A server that broadcast `GotChunk(r)`, or whose chunks as the
-//!   proposer imply it, sends its `Ready(r)` as [`VidMsg::ReadyAsGot`], and
-//!   a receiver counts it as `Ready` for the sender's `GotChunk` root — or,
-//!   if that `GotChunk` has not arrived yet,
-//!   holds it and counts it once it does. A restored server did not send
-//!   its `GotChunk` in this incarnation, so its `Ready` names the root.
+//!   not.** A server whose `Ready(r)` is for its stored chunk's root,
+//!   restored or not, sends it as [`VidMsg::ReadyAsGot`], counted as `Ready`
+//!   for the sender's `GotChunk` root. A receiver without that `GotChunk`
+//!   asks with `RootsWanted`, which each of the sender's servers answers
+//!   each peer once with its plain `GotChunk(r)` and, once its `Ready` is
+//!   out, once with its plain `Ready(r)`.
 //! * **A retrieval that knows the committed root takes bare chunks.** It
 //!   knows it once its own server sent `Ready(r)` or completed
 //!   ([`VidServer::committed_root`]). Servers answer its
@@ -52,14 +51,16 @@
 //!   does not know the root — a revived node fetching what it missed —
 //!   takes the proven path from the start.
 //!
-//! **Safety of the two `GotChunk` rules.** A matching digest means exactly
+//! **Safety of the root-less claims.** A matching digest means exactly
 //! the members' `GotChunk`s under the receiver's own roots, by collision
-//! resistance, and an honest sender digests only chunks it stored. So a
-//! Byzantine sender can claim nothing with a digest that it could not
-//! claim with plain `GotChunk`s. A digest that does not check is never
-//! counted, only answered with `RootsWanted`. The claim a proposer's
-//! `Chunk` implies is one a Byzantine proposer could always send to each
-//! receiver, under that receiver's root.
+//! resistance, and an honest sender digests only chunks it stored. The
+//! claim a proposer's `Chunk` implies is one a Byzantine proposer could
+//! always send to each receiver, under that receiver's root. A claim the
+//! receiver cannot place — a digest that does not check, a `ReadyAsGot`
+//! whose sender's `GotChunk` is not in hand — is asked for, never counted
+//! or held, and the answer is a plain `GotChunk` or `Ready` the sender
+//! could always send. So a Byzantine sender can claim nothing it could not
+//! claim with plain messages, and a lost `GotChunk` costs an ask.
 //!
 //! **Safety of the optimistic path.** It outputs a block only if that
 //! block's re-encoding matches `r`, and `r` is the only root that can
@@ -296,18 +297,15 @@ pub struct VidServer<C: Coder> {
     f: usize,
     /// `MyChunk`/`MyProof`/`MyRoot` of Fig. 3.
     my_chunk: Option<(Hash, ChunkPayload, MerkleProof)>,
-    /// The root of the `GotChunk` this incarnation broadcast: a `Ready` for
-    /// it goes out as [`VidMsg::ReadyAsGot`].
-    announced: Option<Hash>,
     /// Distinct senders of `GotChunk(r)`, per root.
     got_from: Vec<(Hash, NodeSet)>,
     /// Distinct senders of `Ready(r)`, per root.
     ready_from: Vec<(Hash, NodeSet)>,
-    /// Senders of a `ReadyAsGot` whose `GotChunk` has not arrived yet: each
-    /// counts as `Ready` for that root when it lands.
-    ready_held: NodeSet,
-    /// Peers whose [`VidMsg::RootsWanted`] we answered: once each.
-    roots_sent: NodeSet,
+    /// Peers a [`VidMsg::RootsWanted`] got our plain `GotChunk` and, once
+    /// our `Ready` is out, our plain `Ready`: each once. Two sets, as an ask
+    /// answered before our `Ready` left must not use up its answer.
+    got_answered: NodeSet,
+    ready_answered: NodeSet,
     /// The root of the `Ready` we sent (or, restored, the completed one).
     ready_root: Option<Hash>,
     /// `ChunkRoot`: set at Complete.
@@ -326,11 +324,10 @@ impl<C: Coder> VidServer<C> {
             n,
             f,
             my_chunk: None,
-            announced: None,
             got_from: Vec::new(),
             ready_from: Vec::new(),
-            ready_held: NodeSet::new(),
-            roots_sent: NodeSet::new(),
+            got_answered: NodeSet::new(),
+            ready_answered: NodeSet::new(),
             ready_root: None,
             complete_root: None,
             pending_requests: Vec::new(),
@@ -360,11 +357,10 @@ impl<C: Coder> VidServer<C> {
 
     /// Rebuild pre-crash dispersal state from durable records.
     ///
-    /// A restored chunk counts as announced (its `GotChunk` went out
-    /// with the original accept; re-broadcasting is pure duplicate
-    /// traffic). This incarnation did not send that `GotChunk`, though, so
-    /// a later `Ready` names its root: the crash may have beaten the
-    /// `GotChunk` to the wire. A restored completion also restores our
+    /// A restored chunk's `GotChunk` went out with the original accept and
+    /// is not sent again; its `Ready` is root-less like any other, and a
+    /// peer the crash kept that `GotChunk` from asks with
+    /// [`VidMsg::RootsWanted`]. A restored completion also restores our
     /// `Ready`: a `Complete` implies `2f+1` `Ready`s were exchanged, ours
     /// among the possible contributors, and a duplicate `Ready` would be
     /// deduped anyway — staying quiet is the cheaper equivalent.
@@ -398,17 +394,20 @@ impl<C: Coder> VidServer<C> {
             VidMsg::Ready { root } => self.on_ready(from, root, &mut out),
             VidMsg::ReadyAsGot => match self.got_root(from) {
                 Some(root) => self.on_ready(from, root, &mut out),
-                // Overtook its `GotChunk`: counted when that lands.
-                None => {
-                    self.ready_held.insert(from);
-                }
+                // Its `GotChunk` is not in hand: ask, and hold nothing.
+                None => out.push(VidEffect::Send(from, VidMsg::RootsWanted)),
             },
-            // Our stored chunk's root, once per peer: an honest receiver
-            // asks once per digest it could not check.
+            // What we could always send plainly, each once per peer: our
+            // stored chunk's `GotChunk`, and our `Ready` once it is out.
             VidMsg::RootsWanted => {
                 if let Some((root, ..)) = &self.my_chunk {
-                    if self.roots_sent.insert(from) {
+                    if self.got_answered.insert(from) {
                         out.push(VidEffect::Send(from, VidMsg::GotChunk { root: *root }));
+                    }
+                }
+                if let Some(root) = self.ready_root {
+                    if self.ready_answered.insert(from) {
+                        out.push(VidEffect::Send(from, VidMsg::Ready { root }));
                     }
                 }
             }
@@ -452,7 +451,6 @@ impl<C: Coder> VidServer<C> {
                 synthetic => synthetic,
             };
             self.my_chunk = Some((root, payload, proof));
-            self.announced = Some(root);
             if proposer != self.me {
                 out.push(VidEffect::Broadcast(VidMsg::GotChunk { root }));
             }
@@ -471,28 +469,23 @@ impl<C: Coder> VidServer<C> {
     }
 
     fn on_got_chunk(&mut self, from: NodeId, root: Hash, out: &mut Vec<VidEffect<C::Block>>) {
-        let first = self.got_root(from).is_none();
         let senders = entry(&mut self.got_from, root);
-        if !senders.insert(from) {
-            return;
-        }
-        if senders.len() >= self.n - self.f {
+        if senders.insert(from) && senders.len() >= self.n - self.f {
             self.send_ready(root, out);
-        }
-        if first && self.ready_held.remove(from) {
-            self.on_ready(from, root, out);
         }
     }
 
     /// Broadcast our one `Ready`, for `root`, unless it went out already
-    /// (Lemma B.3: never for a second root). The root rides along only if
-    /// our `GotChunk` did not carry it.
+    /// (Lemma B.3: never for a second root). It is root-less if `root` is
+    /// our stored chunk's: our `GotChunk` named it, or its proposer's chunks
+    /// did.
     fn send_ready(&mut self, root: Hash, out: &mut Vec<VidEffect<C::Block>>) {
         if self.ready_root.is_some() {
             return;
         }
         self.ready_root = Some(root);
-        out.push(VidEffect::Broadcast(if self.announced == Some(root) {
+        let stored = self.my_chunk.as_ref().map(|(r, ..)| *r);
+        out.push(VidEffect::Broadcast(if stored == Some(root) {
             VidMsg::ReadyAsGot
         } else {
             VidMsg::Ready { root }

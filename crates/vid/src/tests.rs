@@ -1016,33 +1016,50 @@ fn a_chunk_that_fails_its_proof_implies_no_gotchunk() {
     assert_eq!(server.committed_root(), None);
 }
 
+/// Chunk `i` of `enc`, as its proposer sends it.
+fn chunk_msg(enc: &EncodedBlock, i: usize) -> VidMsg {
+    let (payload, proof) = enc.chunks[i].clone();
+    VidMsg::Chunk {
+        root: enc.root,
+        proof,
+        payload,
+    }
+}
+
 #[test]
-fn roots_wanted_is_answered_once_per_peer_and_only_with_a_chunk() {
+fn roots_wanted_is_answered_once_per_peer_with_a_chunk_and_once_with_a_ready() {
     let (n, f) = (4, 1);
     let coder = RealCoder::new(n, f);
     let enc = coder.encode(&block(64));
     let root = enc.root;
     let mut server: VidServer<RealCoder> = VidServer::new(NodeId(1), n, f);
-    // No chunk yet: nothing to name.
+    // No chunk and no `Ready` yet: nothing to name.
     assert!(server
         .handle(&coder, NodeId(2), VidMsg::RootsWanted)
         .is_empty());
-    let (payload, proof) = enc.chunks[1].clone();
-    let chunk = VidMsg::Chunk {
-        root,
-        proof,
-        payload,
-    };
-    let _ = server.handle(&coder, NodeId(0), chunk);
-    let mut effs = Vec::new();
-    for _ in 0..3 {
-        for peer in [2, 3] {
-            effs.extend(server.handle(&coder, NodeId(peer), VidMsg::RootsWanted));
+    let _ = server.handle(&coder, NodeId(0), chunk_msg(&enc, 1));
+    let ask_thrice = |server: &mut VidServer<RealCoder>| {
+        let mut effs = Vec::new();
+        for _ in 0..3 {
+            for peer in [2, 3] {
+                effs.extend(server.handle(&coder, NodeId(peer), VidMsg::RootsWanted));
+            }
         }
-    }
+        effs
+    };
     assert_eq!(
-        effs,
+        ask_thrice(&mut server),
         [2, 3].map(|p| VidEffect::Send(NodeId(p), VidMsg::GotChunk { root }))
+    );
+    // Our `Ready` goes out (the proposer's implied `GotChunk`, ours and
+    // node 2's): asks now get it, plain, once per peer, and the `GotChunk`
+    // half is not sent again.
+    let _ = server.handle(&coder, NodeId(1), VidMsg::GotChunk { root });
+    let effs = server.handle(&coder, NodeId(2), VidMsg::GotChunk { root });
+    assert_eq!(broadcasts(&effs), [VidMsg::ReadyAsGot]);
+    assert_eq!(
+        ask_thrice(&mut server),
+        [2, 3].map(|p| VidEffect::Send(NodeId(p), VidMsg::Ready { root }))
     );
 }
 
@@ -1052,23 +1069,30 @@ fn a_rootless_ready_before_its_gotchunk_counts_exactly_once() {
     let coder = RealCoder::new(n, f);
     let root = Hash::digest(b"r");
     let mut server: VidServer<RealCoder> = VidServer::new(NodeId(0), n, f);
-    // Node 1's root-less Ready overtakes its GotChunk, twice over; node 2's
-    // arrives in order.
+    // Node 1's root-less Ready overtakes its GotChunk, twice over: each
+    // asks node 1 for its roots, and neither is held or counted.
     for _ in 0..2 {
-        assert!(server
-            .handle(&coder, NodeId(1), VidMsg::ReadyAsGot)
-            .is_empty());
+        assert_eq!(
+            server.handle(&coder, NodeId(1), VidMsg::ReadyAsGot),
+            [VidEffect::Send(NodeId(1), VidMsg::RootsWanted)]
+        );
     }
+    // Node 2's arrives in order: one Ready, below the f + 1 = 2
+    // amplification line.
     let _ = server.handle(&coder, NodeId(2), VidMsg::GotChunk { root });
-    // One Ready (node 2's) is below the f + 1 = 2 amplification line.
     assert!(server
         .handle(&coder, NodeId(2), VidMsg::ReadyAsGot)
         .is_empty());
-    // Node 1's GotChunk lands: its held Ready counts now, reaching f + 1.
-    let effs = server.handle(&coder, NodeId(1), VidMsg::GotChunk { root });
+    // Node 1's GotChunk alone counts no Ready: nothing was held.
+    assert!(server
+        .handle(&coder, NodeId(1), VidMsg::GotChunk { root })
+        .is_empty());
+    // Its answered plain Ready does, reaching f + 1.
+    let effs = server.handle(&coder, NodeId(1), VidMsg::Ready { root });
     assert_eq!(broadcasts(&effs), [VidMsg::Ready { root }]);
-    // Once: neither a repeat of its GotChunk nor of its Ready adds a vote,
-    // so 2f + 1 = 3 needs a third sender.
+    // Once: neither a repeat of its GotChunk nor of its Ready, root-less
+    // (now placed) or plain, adds a vote, so 2f + 1 = 3 needs a third
+    // sender. (`dl-core` counts it once as a BA vote too.)
     let mut effs = server.handle(&coder, NodeId(1), VidMsg::GotChunk { root });
     effs.extend(server.handle(&coder, NodeId(1), VidMsg::ReadyAsGot));
     effs.extend(server.handle(&coder, NodeId(1), VidMsg::Ready { root }));
@@ -1079,9 +1103,49 @@ fn a_rootless_ready_before_its_gotchunk_counts_exactly_once() {
 }
 
 #[test]
-fn a_restored_server_sends_ready_with_its_root() {
-    // The crash may have beaten the restored chunk's GotChunk to the wire,
-    // so no peer can be assumed to know the root from it.
+fn a_readyasgot_that_overtakes_an_earlier_answer_still_counts() {
+    let (n, f) = (4, 1);
+    let coder = RealCoder::new(n, f);
+    let enc = coder.encode(&block(64));
+    let root = enc.root;
+    // Node 1 holds proposer 3's chunk. Node 0, whose digest check failed,
+    // asks it for its roots before node 1's Ready is out: the answer is
+    // the `GotChunk` alone.
+    let mut one: VidServer<RealCoder> = VidServer::new(NodeId(1), n, f);
+    let _ = one.handle(&coder, NodeId(3), chunk_msg(&enc, 1));
+    assert_eq!(
+        one.handle(&coder, NodeId(0), VidMsg::RootsWanted),
+        [VidEffect::Send(NodeId(0), VidMsg::GotChunk { root })]
+    );
+    let _ = one.handle(&coder, NodeId(1), VidMsg::GotChunk { root });
+    let effs = one.handle(&coder, NodeId(2), VidMsg::GotChunk { root });
+    assert_eq!(broadcasts(&effs), [VidMsg::ReadyAsGot]);
+    // Node 1's `ReadyAsGot` overtakes that answer: node 0 asks again, and
+    // gets the `Ready` the first answer could not carry.
+    let mut zero: VidServer<RealCoder> = VidServer::new(NodeId(0), n, f);
+    assert_eq!(
+        zero.handle(&coder, NodeId(1), VidMsg::ReadyAsGot),
+        [VidEffect::Send(NodeId(1), VidMsg::RootsWanted)]
+    );
+    let answer = one.handle(&coder, NodeId(0), VidMsg::RootsWanted);
+    assert_eq!(answer, [VidEffect::Send(NodeId(0), VidMsg::Ready { root })]);
+    assert!(one
+        .handle(&coder, NodeId(0), VidMsg::RootsWanted)
+        .is_empty());
+    // It counts: with node 2's, f + 1 Readys amplify node 0's own.
+    let _ = zero.handle(&coder, NodeId(2), VidMsg::Ready { root });
+    let effs = zero.handle(&coder, NodeId(1), VidMsg::Ready { root });
+    assert_eq!(broadcasts(&effs), [VidMsg::Ready { root }]);
+    // The overtaken answer lands last and adds no second `Ready`.
+    let effs = zero.handle(&coder, NodeId(1), VidMsg::GotChunk { root });
+    assert!(effs.is_empty(), "{effs:?}");
+    assert_eq!(zero.completed(), None);
+}
+
+#[test]
+fn a_restored_server_sends_a_rootless_ready_and_a_peer_without_its_gotchunk_asks() {
+    // The crash may have beaten the restored chunk's GotChunk to the wire:
+    // a peer that never saw it asks, and completes on the answer.
     let (n, f) = (4, 1);
     let coder = RealCoder::new(n, f);
     let enc = coder.encode(&block(64));
@@ -1093,7 +1157,30 @@ fn a_restored_server_sends_ready_with_its_root() {
     for i in 1..=3u16 {
         effs.extend(server.handle(&coder, NodeId(i), VidMsg::GotChunk { root }));
     }
-    assert_eq!(broadcasts(&effs), [VidMsg::Ready { root }]);
+    assert_eq!(broadcasts(&effs), [VidMsg::ReadyAsGot]);
+    let mut peer: VidServer<RealCoder> = VidServer::new(NodeId(2), n, f);
+    assert_eq!(
+        peer.handle(&coder, NodeId(0), VidMsg::ReadyAsGot),
+        [VidEffect::Send(NodeId(0), VidMsg::RootsWanted)]
+    );
+    let answers = server.handle(&coder, NodeId(2), VidMsg::RootsWanted);
+    assert_eq!(
+        answers,
+        [
+            VidEffect::Send(NodeId(2), VidMsg::GotChunk { root }),
+            VidEffect::Send(NodeId(2), VidMsg::Ready { root }),
+        ]
+    );
+    for i in [1, 3] {
+        let _ = peer.handle(&coder, NodeId(i), VidMsg::Ready { root });
+    }
+    let mut effs = Vec::new();
+    for answer in answers {
+        if let VidEffect::Send(_, msg) = answer {
+            effs.extend(peer.handle(&coder, NodeId(0), msg));
+        }
+    }
+    assert!(effs.contains(&VidEffect::Complete(root)), "{effs:?}");
 }
 
 #[test]

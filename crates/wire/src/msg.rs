@@ -108,10 +108,12 @@ pub enum VidMsg {
     GotChunk { root: Hash },
     /// Server broadcast: ready to complete dispersal of root `r`.
     Ready { root: Hash },
-    /// Server broadcast: `Ready` for the root our own `GotChunk` named. That
-    /// `GotChunk` went out earlier on every link, so the root crosses each
-    /// link once; a receiver reads this as `Ready` for the sender's
-    /// `GotChunk` root.
+    /// Server broadcast: `Ready` for the root of our stored chunk, which
+    /// our own `GotChunk` named (or, as the proposer, our chunks). That
+    /// went out earlier on every link, so the root crosses each link once;
+    /// a receiver reads this as `Ready` for the sender's `GotChunk` root,
+    /// and one that does not hold that `GotChunk` asks with
+    /// [`VidMsg::RootsWanted`].
     ReadyAsGot,
     /// Retriever → servers: please send your chunk (Fig. 4), payload only.
     /// The retriever already knows the root and checks the re-encoding.
@@ -134,9 +136,11 @@ pub enum VidMsg {
     /// §6.3 optimization ("a node notifies others when it has decoded a
     /// block").
     Cancel,
-    /// Receiver of a `GotChunk` batch whose digest did not check → its
-    /// sender: "name your roots for these instances". Answered once per
-    /// instance, with a plain `GotChunk`.
+    /// Receiver of a `GotChunk` batch whose digest did not check, or of a
+    /// `ReadyAsGot` whose sender's `GotChunk` it does not hold → its sender:
+    /// "name your roots for these instances". Answered once per instance
+    /// and peer with a plain `GotChunk`, and once with a plain `Ready` once
+    /// the sender's `Ready` is out.
     RootsWanted,
 }
 
