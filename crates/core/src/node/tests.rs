@@ -1989,7 +1989,6 @@ fn a_rootless_ready_asks_and_its_answer_votes_once_in_ba() {
     let mut node = dl_node(0);
     let root = chunk_for(1, 0).1;
     let ready = Envelope::vid(Epoch(1), NodeId(1), VidMsg::ReadyAsGot);
-    instant(&mut node, &[], 5);
     // Instance 1's BA takes an input, so 2f + 1 round-0 `BVal(1)`s, which
     // `Ready`s are, show as its `Aux(1)`.
     node.ensure_epoch(1);
